@@ -45,6 +45,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.alloc(layout) }
     }
 
+    // SAFETY: same contract as `System::alloc_zeroed`; forwarded rather
+    // than left to the trait default (`alloc` + `memset`), which would
+    // touch every page of a zero-initialised table the host would
+    // otherwise map lazily.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: caller upholds `GlobalAlloc::alloc_zeroed`'s contract,
+        // which is exactly `System::alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     // SAFETY: same contract as `System::dealloc`; `ptr`/`layout` came
     // from `alloc`/`realloc` above, which defer to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {

@@ -45,32 +45,33 @@ impl Default for CacheConfig {
     }
 }
 
-/// One direct-mapped cache line.
+/// Line state flags, kept in the alignment bits of `Line::pa_flags`.
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+const WRITABLE: u64 = 4;
+const FLAGS: u64 = LINE_WORDS - 1;
+
+/// One committed direct-mapped line.
 #[derive(Debug, Clone)]
 struct Line {
-    valid: bool,
     tag: u64,
-    dirty: bool,
-    writable: bool,
     /// Physical address of the line base, captured at fill time so dirty
     /// victims can be written back without re-translating (the cache is
-    /// virtually tagged; the victim's LTLB entry may be gone).
-    pa_base: u64,
-    /// Line contents, inline: the per-access data path costs one cache
-    /// array index, not an extra heap hop per line.
+    /// virtually tagged; the victim's LTLB entry may be gone). The base
+    /// is line-aligned, so its low three bits hold the state flags.
+    pa_flags: u64,
+    /// Line contents, inline beside the tag: a hit costs one table entry
+    /// and one line, not a further hop to the data.
     data: [MemWord; LINE_WORDS as usize],
 }
 
 impl Line {
-    fn empty() -> Line {
-        Line {
-            valid: false,
-            tag: 0,
-            dirty: false,
-            writable: false,
-            pa_base: 0,
-            data: [MemWord::default(); LINE_WORDS as usize],
-        }
+    fn holds(&self, tag: u64) -> bool {
+        self.pa_flags & VALID != 0 && self.tag == tag
+    }
+
+    fn pa_base(&self) -> u64 {
+        self.pa_flags & !FLAGS
     }
 }
 
@@ -112,10 +113,21 @@ pub struct CacheStats {
 }
 
 /// The four-bank, direct-mapped, virtually-tagged cache.
+///
+/// Line storage is demand-committed: `slots` maps a line index to its
+/// position in `lines`, which holds only the lines some fill has reached.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// Position in `lines` of each line index; 0 = never filled.
+    slots: Vec<u32>,
+    /// `lines[0]` is a shared, never-valid line every unfilled index
+    /// misses on; the committed lines follow in first-fill order.
     lines: Vec<Line>,
+    /// `num_lines - 1` (the line count is a power of two).
+    index_mask: u64,
+    /// `log2(LINE_WORDS * num_lines)`.
+    tag_shift: u32,
     stats: CacheStats,
 }
 
@@ -126,6 +138,7 @@ impl Cache {
     ///
     /// Panics if the geometry yields zero lines or a non-power-of-two line
     /// count.
+    // analyze: cold (constructor: allocates the slot table once per node)
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let n = cfg.num_lines();
@@ -133,8 +146,17 @@ impl Cache {
             n > 0 && n.is_power_of_two(),
             "line count must be a power of two"
         );
+        #[allow(clippy::cast_possible_truncation)]
+        let slots = vec![0; n as usize];
         Cache {
-            lines: (0..n).map(|_| Line::empty()).collect(),
+            slots,
+            lines: vec![Line {
+                tag: 0,
+                pa_flags: 0,
+                data: [MemWord::default(); LINE_WORDS as usize],
+            }],
+            index_mask: n - 1,
+            tag_shift: (LINE_WORDS * n).trailing_zeros(),
             cfg,
             stats: CacheStats::default(),
         }
@@ -164,82 +186,83 @@ impl Cache {
     fn index_of(&self, va: u64) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         {
-            ((va / LINE_WORDS) % self.cfg.num_lines()) as usize
+            ((va / LINE_WORDS) & self.index_mask) as usize
         }
     }
 
     fn tag_of(&self, va: u64) -> u64 {
-        va / LINE_WORDS / self.cfg.num_lines()
+        va >> self.tag_shift
     }
 
-    fn line_base(&self, va: u64) -> u64 {
-        va & !(LINE_WORDS - 1)
+    /// The resident line holding `va`.
+    fn hit(&self, va: u64) -> Option<&Line> {
+        let line = &self.lines[self.slots[self.index_of(va)] as usize];
+        line.holds(self.tag_of(va)).then_some(line)
+    }
+
+    fn hit_mut(&mut self, va: u64) -> Option<&mut Line> {
+        let (slot, tag) = (self.slots[self.index_of(va)] as usize, self.tag_of(va));
+        let line = &mut self.lines[slot];
+        line.holds(tag).then_some(line)
     }
 
     /// Is the word at `va` present?
     #[must_use]
     pub fn contains(&self, va: u64) -> bool {
-        let line = &self.lines[self.index_of(va)];
-        line.valid && line.tag == self.tag_of(va)
+        self.hit(va).is_some()
     }
 
     /// Read a word on a hit. Counts a read hit or miss.
     pub fn read(&mut self, va: u64) -> Option<MemWord> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &self.lines[idx];
-        if line.valid && line.tag == tag {
+        let w = self.peek(va);
+        if w.is_some() {
             self.stats.read_hits += 1;
-            Some(line.data[(va % LINE_WORDS) as usize])
         } else {
             self.stats.read_misses += 1;
-            None
         }
+        w
     }
 
     /// Write a word on a hit. Counts a write hit or miss.
     pub fn write(&mut self, va: u64, w: MemWord) -> StoreOutcome {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            if !line.writable {
-                return StoreOutcome::NotWritable;
-            }
-            self.stats.write_hits += 1;
-            line.data[(va % LINE_WORDS) as usize] = w;
-            line.dirty = true;
-            StoreOutcome::Written
-        } else {
+        let Some(line) = self.hit_mut(va) else {
             self.stats.write_misses += 1;
-            StoreOutcome::Miss
+            return StoreOutcome::Miss;
+        };
+        if line.pa_flags & WRITABLE == 0 {
+            return StoreOutcome::NotWritable;
         }
+        line.data[(va % LINE_WORDS) as usize] = w;
+        line.pa_flags |= DIRTY;
+        self.stats.write_hits += 1;
+        StoreOutcome::Written
     }
 
     /// Update only the synchronization bit of a resident word (used by
     /// synchronizing loads; requires a writable line, like any mutation).
     pub fn set_sync(&mut self, va: u64, sync: bool) -> StoreOutcome {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            if !line.writable {
-                return StoreOutcome::NotWritable;
-            }
-            line.data[(va % LINE_WORDS) as usize].sync = sync;
-            line.dirty = true;
-            StoreOutcome::Written
-        } else {
-            StoreOutcome::Miss
+        let Some(line) = self.hit_mut(va) else {
+            return StoreOutcome::Miss;
+        };
+        if line.pa_flags & WRITABLE == 0 {
+            return StoreOutcome::NotWritable;
         }
+        line.data[(va % LINE_WORDS) as usize].sync = sync;
+        line.pa_flags |= DIRTY;
+        StoreOutcome::Written
+    }
+
+    /// Commit storage for line index `idx`, holding `line` — the one
+    /// allocation of the access path; only the first fill of an index
+    /// gets here, so keep it out of line.
+    #[cold]
+    fn commit(&mut self, idx: usize, line: Line) {
+        self.slots[idx] = u32::try_from(self.lines.len()).expect("line count fits u32");
+        self.lines.push(line);
     }
 
     /// Install the line containing `va`, whose physical base is `pa_base`.
     /// Returns the evicted dirty line, if any, for write-back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly [`LINE_WORDS`] long.
     pub fn fill(
         &mut self,
         va: u64,
@@ -248,28 +271,24 @@ impl Cache {
         writable: bool,
     ) -> Option<Victim> {
         let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let num_lines = self.cfg.num_lines();
-        let line = &mut self.lines[idx];
-        let victim = if line.valid && line.dirty {
-            self.stats.writebacks += 1;
-            let victim_va = (line.tag * num_lines + idx as u64) * LINE_WORDS;
-            Some(Victim {
-                va: victim_va,
-                pa: line.pa_base,
-                data: line.data,
-            })
-        } else {
-            None
-        };
-        *line = Line {
-            valid: true,
-            tag,
-            dirty: false,
-            writable,
-            pa_base: pa_base & !(LINE_WORDS - 1),
+        let new = Line {
+            tag: self.tag_of(va),
+            pa_flags: (pa_base & !FLAGS) | VALID | if writable { WRITABLE } else { 0 },
             data,
         };
+        let slot = self.slots[idx] as usize;
+        if slot == 0 {
+            self.commit(idx, new);
+            return None;
+        }
+        let line = &mut self.lines[slot];
+        let victim = (line.pa_flags & (VALID | DIRTY) == VALID | DIRTY).then(|| Victim {
+            va: (line.tag << self.tag_shift) | (idx as u64 * LINE_WORDS),
+            pa: line.pa_base(),
+            data: line.data,
+        });
+        *line = new;
+        self.stats.writebacks += u64::from(victim.is_some());
         victim
     }
 
@@ -277,64 +296,62 @@ impl Cache {
     /// loaders, sync-precondition checks and firmware).
     #[must_use]
     pub fn peek(&self, va: u64) -> Option<MemWord> {
-        let line = &self.lines[self.index_of(va)];
-        if line.valid && line.tag == self.tag_of(va) {
-            Some(line.data[(va % LINE_WORDS) as usize])
-        } else {
-            None
-        }
+        self.hit(va).map(|l| l.data[(va % LINE_WORDS) as usize])
     }
 
     /// Overwrite a resident word without touching statistics or the
     /// writable bit (backdoor for loaders and firmware).
     pub fn poke(&mut self, va: u64, w: MemWord) -> bool {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
+        self.hit_mut(va).is_some_and(|line| {
             line.data[(va % LINE_WORDS) as usize] = w;
-            line.dirty = true;
+            line.pa_flags |= DIRTY;
             true
-        } else {
-            false
-        }
+        })
+    }
+
+    /// Clear `clear` (plus the dirty bit) on the resident line holding
+    /// `va`; returns the write-back owed if it was dirty.
+    fn drop_rights(&mut self, va: u64, clear: u64) -> Option<Victim> {
+        let line = self.hit_mut(va)?;
+        let dirty = line.pa_flags & DIRTY != 0;
+        line.pa_flags &= !(clear | DIRTY);
+        let victim = dirty.then(|| Victim {
+            va: va & !(LINE_WORDS - 1),
+            pa: line.pa_base(),
+            data: line.data,
+        });
+        self.stats.writebacks += u64::from(dirty);
+        victim
     }
 
     /// Invalidate the line containing `va` (coherence). Returns the line's
     /// contents if it was dirty, so the caller can write it back.
     pub fn invalidate(&mut self, va: u64) -> Option<Victim> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let base = self.line_base(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            let dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            if dirty {
-                self.stats.writebacks += 1;
-                return Some(Victim {
-                    va: base,
-                    pa: line.pa_base,
-                    data: std::mem::take(&mut line.data),
-                });
-            }
-        }
-        None
+        self.drop_rights(va, VALID)
+    }
+
+    /// Downgrade the line containing `va` to read-only (coherence), if
+    /// present. Returns its contents if it was dirty (for write-back).
+    pub fn downgrade(&mut self, va: u64) -> Option<Victim> {
+        self.drop_rights(va, WRITABLE)
     }
 
     /// Serialize every valid line plus the statistics into a checkpoint
     /// stream (invalid lines are skipped; restore re-empties them).
+    // analyze: cold (checkpoint codec: grows the encoder's buffer)
     pub fn save_state(&self, e: &mut Enc) {
         e.u64(self.cfg.num_lines());
-        let valid = self.lines.iter().filter(|l| l.valid).count();
-        e.usize(valid);
-        for (idx, l) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+        let valid = || {
+            let lines = self.slots.iter().map(|&slot| &self.lines[slot as usize]);
+            lines.enumerate().filter(|(_, l)| l.pa_flags & VALID != 0)
+        };
+        e.usize(valid().count());
+        for (idx, l) in valid() {
             e.usize(idx);
             e.u64(l.tag);
-            e.bool(l.dirty);
-            e.bool(l.writable);
-            e.u64(l.pa_base);
+            e.bool(l.pa_flags & DIRTY != 0);
+            e.bool(l.pa_flags & WRITABLE != 0);
+            e.u64(l.pa_base());
             for w in &l.data {
                 e.u64(w.word.bits());
                 e.bool(w.word.is_pointer());
@@ -358,7 +375,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// [`CkptError`] on truncated input or a geometry mismatch.
+    /// [`CkptError`] on truncated input, a geometry mismatch or a line
+    /// base that is not line-aligned.
+    // analyze: cold (checkpoint codec: commits the lines the checkpoint holds)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let n = d.u64()?;
         if n != self.cfg.num_lines() {
@@ -367,18 +386,22 @@ impl Cache {
                 self.cfg.num_lines()
             )));
         }
-        for l in &mut self.lines {
-            *l = Line::empty();
-        }
+        self.slots.fill(0);
+        self.lines.truncate(1);
         for _ in 0..d.usize()? {
             let idx = d.usize()?;
-            if idx >= self.lines.len() {
+            if idx >= self.slots.len() {
                 return Err(CkptError(format!("cache line index {idx} out of range")));
             }
             let tag = d.u64()?;
             let dirty = d.bool()?;
             let writable = d.bool()?;
             let pa_base = d.u64()?;
+            if pa_base & FLAGS != 0 {
+                return Err(CkptError(format!(
+                    "cache line base {pa_base:#x} is not line-aligned"
+                )));
+            }
             let mut data = [MemWord::default(); LINE_WORDS as usize];
             for w in &mut data {
                 let bits = d.u64()?;
@@ -391,14 +414,18 @@ impl Cache {
                     ecc,
                 };
             }
-            self.lines[idx] = Line {
-                valid: true,
+            let new = Line {
                 tag,
-                dirty,
-                writable,
-                pa_base,
+                pa_flags: pa_base
+                    | VALID
+                    | if dirty { DIRTY } else { 0 }
+                    | if writable { WRITABLE } else { 0 },
                 data,
             };
+            match self.slots[idx] as usize {
+                0 => self.commit(idx, new),
+                slot => self.lines[slot] = new,
+            }
         }
         self.stats = CacheStats {
             read_hits: d.u64()?,
@@ -408,28 +435,6 @@ impl Cache {
             writebacks: d.u64()?,
         };
         Ok(())
-    }
-
-    /// Downgrade the line containing `va` to read-only (coherence), if
-    /// present. Returns its contents if it was dirty (for write-back).
-    pub fn downgrade(&mut self, va: u64) -> Option<Victim> {
-        let idx = self.index_of(va);
-        let tag = self.tag_of(va);
-        let base = self.line_base(va);
-        let line = &mut self.lines[idx];
-        if line.valid && line.tag == tag {
-            line.writable = false;
-            if line.dirty {
-                line.dirty = false;
-                self.stats.writebacks += 1;
-                return Some(Victim {
-                    va: base,
-                    pa: line.pa_base,
-                    data: line.data,
-                });
-            }
-        }
-        None
     }
 }
 
@@ -582,6 +587,25 @@ mod tests {
             words_per_bank: 32,
         });
         assert!(other.load_state(&mut Dec::new(&bytes)).is_err());
+    }
+
+    /// Line storage is committed by the first fill of an index and by
+    /// nothing else: misses, invalidations and refills allocate nothing.
+    #[test]
+    fn lines_commit_on_first_fill_only() {
+        let committed = |c: &Cache| c.lines.len() - 1; // less the never-valid line
+        let mut c = cache();
+        assert_eq!(c.read(8), None);
+        assert_eq!(c.write(8, mk(1)), StoreOutcome::Miss);
+        assert!(c.invalidate(8).is_none());
+        assert_eq!(committed(&c), 0);
+        c.fill(8, 8, line(0..8), true);
+        c.fill(264, 264, line(0..8), true); // same index, another tag
+        assert!(c.invalidate(264).is_none());
+        c.fill(8, 8, line(0..8), true);
+        assert_eq!(committed(&c), 1);
+        c.fill(64, 64, line(0..8), true);
+        assert_eq!(committed(&c), 2);
     }
 
     #[test]

@@ -101,11 +101,80 @@ pub struct SdramStats {
     pub ecc_double_errors: u64,
 }
 
+/// Words per demand-committed storage page — a unit of host memory only,
+/// unrelated to the 512-word translation page and to the DRAM row. Small
+/// on purpose: a first touch inside a run costs one 592-byte allocation,
+/// and 64 words make each of the two per-page bitsets a single `u64`.
+const PAGE_WORDS: u64 = 64;
+
+/// One committed page, packed: ≈ 9.3 bytes per word instead of the
+/// 24-byte [`MemWord`].
+#[derive(Debug, Clone)]
+struct Page {
+    data: [u64; PAGE_WORDS as usize],
+    ecc: [u8; PAGE_WORDS as usize],
+    /// Pointer-tag bit of word `i` in bit `i`.
+    tags: u64,
+    /// Full/empty bit of word `i` in bit `i`.
+    sync: u64,
+}
+
+impl Page {
+    fn get(&self, i: usize) -> MemWord {
+        MemWord {
+            word: Word::from_raw(self.data[i], (self.tags >> i) & 1 == 1),
+            sync: (self.sync >> i) & 1 == 1,
+            ecc: self.ecc[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, w: MemWord) {
+        self.data[i] = w.word.bits();
+        self.ecc[i] = w.ecc;
+        let bit = 1u64 << i;
+        self.tags = (self.tags & !bit) | (u64::from(w.word.is_pointer()) << i);
+        self.sync = (self.sync & !bit) | (u64::from(w.sync) << i);
+    }
+}
+
+/// The page every absent table entry shares. Absent ≡ all-zero is sound
+/// because `encode(0) == 0`: the zero-filled array's `MemWord::new(ZERO)`
+/// is the all-zero bit pattern, which is also `MemWord::default()` and
+/// decodes clean.
+const ZERO_PAGE: Page = Page {
+    data: [0; PAGE_WORDS as usize],
+    ecc: [0; PAGE_WORDS as usize],
+    tags: 0,
+    sync: 0,
+};
+
+/// Is `w` the word every absent page reads as?
+fn is_zero(w: MemWord) -> bool {
+    w == MemWord::default()
+}
+
+/// Page number and in-page offset of word `addr`.
+fn split(addr: u64) -> (usize, usize) {
+    #[allow(clippy::cast_possible_truncation)]
+    {
+        ((addr / PAGE_WORDS) as usize, (addr % PAGE_WORDS) as usize)
+    }
+}
+
 /// The SDRAM array plus its controller state.
+///
+/// Storage is demand-committed: a page table over packed pages in
+/// which an absent page reads as zero words and is committed by the
+/// first store or upset that makes it non-zero.
 #[derive(Debug, Clone)]
 pub struct Sdram {
     cfg: SdramConfig,
-    words: Vec<MemWord>,
+    /// Position in `pages` of each storage page; 0 = absent.
+    table: Vec<u32>,
+    /// `pages[0]` is the shared, never-written [`ZERO_PAGE`] absent
+    /// entries read through; the committed pages follow in first-touch
+    /// order.
+    pages: Vec<Page>,
     open_rows: Vec<Option<u64>>,
     busy_until: u64,
     stats: SdramStats,
@@ -117,17 +186,20 @@ impl Sdram {
     /// # Panics
     ///
     /// Panics if `banks` or `row_words` is zero.
+    // analyze: cold (constructor: allocates the page table once per node)
     #[must_use]
     pub fn new(cfg: SdramConfig) -> Sdram {
         assert!(
             cfg.banks > 0 && cfg.row_words > 0,
             "degenerate SDRAM geometry"
         );
-        let words = vec![MemWord::new(Word::ZERO); cfg.capacity_words as usize];
+        #[allow(clippy::cast_possible_truncation)]
+        let table = vec![0; cfg.capacity_words.div_ceil(PAGE_WORDS) as usize];
         let open_rows = vec![None; cfg.banks as usize];
         Sdram {
             cfg,
-            words,
+            table,
+            pages: vec![ZERO_PAGE],
             open_rows,
             busy_until: 0,
             stats: SdramStats::default(),
@@ -180,23 +252,41 @@ impl Sdram {
         first
     }
 
-    /// Read `len` words starting at `addr`, beginning no earlier than
-    /// cycle `now`. Returns `(first_word_cycle, last_word_cycle, words)`;
-    /// single-bit upsets are corrected transparently, double errors
-    /// surface as `None` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the capacity.
-    pub fn read(&mut self, now: u64, addr: u64, len: u64) -> (u64, u64, Vec<Option<MemWord>>) {
-        let mut out = vec![None; len as usize];
-        let (first, last) = self.read_into(now, addr, &mut out);
-        (first, last, out)
+    fn page(&self, pn: usize) -> &Page {
+        &self.pages[self.table[pn] as usize]
+    }
+
+    /// Page `pn` for writing, committed if it was absent.
+    fn page_mut(&mut self, pn: usize) -> &mut Page {
+        if self.table[pn] == 0 {
+            self.commit(pn);
+        }
+        &mut self.pages[self.table[pn] as usize]
+    }
+
+    /// Commit absent page `pn` — the one allocation of the access path;
+    /// first touches are rare, so keep it out of line.
+    #[cold]
+    fn commit(&mut self, pn: usize) {
+        self.table[pn] = u32::try_from(self.pages.len()).expect("page count fits u32");
+        self.pages.push(ZERO_PAGE);
+    }
+
+    /// The page table is rounded up to whole pages; the slack past
+    /// `capacity_words` must not be addressable.
+    fn check_addr(&self, addr: u64) {
+        assert!(
+            addr < self.cfg.capacity_words,
+            "SDRAM address out of range: {addr:#x}"
+        );
     }
 
     /// Read `out.len()` words starting at `addr` into a caller-owned
-    /// buffer — the allocation-free form of [`Sdram::read`] the line-fill
-    /// path uses (one stack array per fill instead of a heap `Vec`).
+    /// buffer, beginning no earlier than cycle `now` (the line-fill path
+    /// passes one stack array per fill). Returns
+    /// `(first_word_cycle, last_word_cycle)`; single-bit upsets are
+    /// corrected transparently and scrubbed, double errors surface as
+    /// `None` entries.
     ///
     /// # Panics
     ///
@@ -209,26 +299,38 @@ impl Sdram {
         );
         let first = self.access_timing(now, addr, len);
         let last = first + self.cfg.burst_per_word * len.saturating_sub(1);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let cell = self.words[addr as usize + i];
-            *slot = match decode(cell.word.bits(), cell.ecc) {
-                Decoded::Clean(_) => Some(cell),
-                Decoded::Corrected { data, .. } => {
-                    self.stats.ecc_corrected += 1;
-                    let repaired = MemWord {
-                        word: Word::from_raw(data, cell.word.is_pointer()),
-                        sync: cell.sync,
-                        ecc: encode(data),
-                    };
-                    // Scrub the corrected word back to the array.
-                    self.words[addr as usize + i] = repaired;
-                    Some(repaired)
-                }
-                Decoded::DoubleError => {
-                    self.stats.ecc_double_errors += 1;
-                    None
-                }
-            };
+        // One page lookup per page the burst touches, not per word.
+        let (mut pn, mut off) = split(addr);
+        let mut rest = out;
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at_mut(rest.len().min(PAGE_WORDS as usize - off));
+            // An absent page reads through the zero page, which decodes
+            // clean and so is never scrubbed: it stays zero, and absent.
+            let page = &mut self.pages[self.table[pn] as usize];
+            for (i, slot) in seg.iter_mut().enumerate() {
+                let cell = page.get(off + i);
+                *slot = match decode(cell.word.bits(), cell.ecc) {
+                    Decoded::Clean(_) => Some(cell),
+                    Decoded::Corrected { data, .. } => {
+                        self.stats.ecc_corrected += 1;
+                        let repaired = MemWord {
+                            word: Word::from_raw(data, cell.word.is_pointer()),
+                            sync: cell.sync,
+                            ecc: encode(data),
+                        };
+                        // Scrub the corrected word back to the array.
+                        page.set(off + i, repaired);
+                        Some(repaired)
+                    }
+                    Decoded::DoubleError => {
+                        self.stats.ecc_double_errors += 1;
+                        None
+                    }
+                };
+            }
+            rest = tail;
+            pn += 1;
+            off = 0;
         }
         (first, last)
     }
@@ -246,54 +348,106 @@ impl Sdram {
             words.len()
         );
         let first = self.access_timing(now, addr, words.len() as u64);
-        for (i, w) in words.iter().enumerate() {
-            let mut cell = *w;
-            cell.ecc = encode(cell.word.bits());
-            self.words[addr as usize + i] = cell;
+        let (mut pn, mut off) = split(addr);
+        let mut rest = words;
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at(rest.len().min(PAGE_WORDS as usize - off));
+            self.store(pn, off, seg);
+            rest = tail;
+            pn += 1;
+            off = 0;
         }
         first + self.cfg.burst_per_word * (words.len() as u64).saturating_sub(1)
     }
 
+    /// Store `seg` (which fits in page `pn` from offset `off`) with fresh
+    /// check bits. Zero words stored to an absent page leave it absent.
+    fn store(&mut self, pn: usize, off: usize, seg: &[MemWord]) {
+        if self.table[pn] == 0 && seg.iter().all(|w| w.word == Word::ZERO && !w.sync) {
+            return;
+        }
+        let page = self.page_mut(pn);
+        for (i, w) in seg.iter().enumerate() {
+            let mut cell = *w;
+            cell.ecc = encode(cell.word.bits());
+            page.set(off + i, cell);
+        }
+    }
+
     /// Zero-time backdoor read for loaders, debuggers and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` exceeds the capacity.
     #[must_use]
     pub fn peek(&self, addr: u64) -> MemWord {
-        self.words[addr as usize]
+        self.check_addr(addr);
+        let (pn, off) = split(addr);
+        self.page(pn).get(off)
     }
 
     /// Zero-time backdoor write for loaders, debuggers and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` exceeds the capacity.
     pub fn poke(&mut self, addr: u64, w: MemWord) {
-        let mut cell = w;
-        cell.ecc = encode(cell.word.bits());
-        self.words[addr as usize] = cell;
+        self.check_addr(addr);
+        let (pn, off) = split(addr);
+        self.store(pn, off, &[w]);
     }
 
     /// Flip a stored data bit (fault injection for the SECDED tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` exceeds the capacity.
     pub fn inject_bit_flip(&mut self, addr: u64, bit: u32) {
-        let cell = &mut self.words[addr as usize];
-        let flipped = cell.word.bits() ^ (1u64 << bit);
-        cell.word = Word::from_raw(flipped, cell.word.is_pointer());
+        self.check_addr(addr);
+        let (pn, off) = split(addr);
         // Deliberately do NOT recompute ECC: that's the point.
+        self.page_mut(pn).data[off] ^= 1u64 << bit;
     }
 
     /// Serialize the array (run-length encoded — a mostly-zero megaword
     /// array collapses to a handful of runs), controller state and
-    /// statistics into a checkpoint stream.
+    /// statistics into a checkpoint stream. The byte format is that of a
+    /// dense word array: an absent page is a run of zero words, merged
+    /// with its neighbours without visiting it.
+    // analyze: cold (checkpoint codec: grows the encoder's buffer)
     pub fn save_state(&self, e: &mut Enc) {
-        e.u64(self.cfg.capacity_words);
-        let mut i = 0usize;
-        while i < self.words.len() {
-            let w = self.words[i];
-            let mut run = 1usize;
-            while i + run < self.words.len() && self.words[i + run] == w {
-                run += 1;
+        fn flush(e: &mut Enc, w: MemWord, run: u64) {
+            if run > 0 {
+                e.u64(run);
+                e.u64(w.word.bits());
+                e.bool(w.word.is_pointer());
+                e.bool(w.sync);
+                e.u8(w.ecc);
             }
-            e.u64(run as u64);
-            e.u64(w.word.bits());
-            e.bool(w.word.is_pointer());
-            e.bool(w.sync);
-            e.u8(w.ecc);
-            i += run;
         }
+        let cap = self.cfg.capacity_words;
+        e.u64(cap);
+        let (mut cur, mut run) = (MemWord::default(), 0u64);
+        for pn in 0..self.table.len() {
+            let base = pn as u64 * PAGE_WORDS;
+            let words = PAGE_WORDS.min(cap - base);
+            if self.table[pn] == 0 && is_zero(cur) {
+                run += words;
+                continue;
+            }
+            let page = self.page(pn);
+            #[allow(clippy::cast_possible_truncation)]
+            for i in 0..words as usize {
+                let w = page.get(i);
+                if w == cur {
+                    run += 1;
+                } else {
+                    flush(e, cur, run);
+                    (cur, run) = (w, 1);
+                }
+            }
+        }
+        flush(e, cur, run);
         e.u64(0); // run terminator
         e.usize(self.open_rows.len());
         for r in &self.open_rows {
@@ -318,12 +472,14 @@ impl Sdram {
         }
     }
 
-    /// Restore state saved by [`Sdram::save_state`].
+    /// Restore state saved by [`Sdram::save_state`]. Zero runs stay
+    /// uncommitted.
     ///
     /// # Errors
     ///
     /// [`CkptError`] on truncated input or a geometry mismatch (the
     /// checkpoint came from a differently-sized SDRAM).
+    // analyze: cold (checkpoint codec: commits the pages non-zero runs cover)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let cap = d.u64()?;
         if cap != self.cfg.capacity_words {
@@ -332,9 +488,11 @@ impl Sdram {
                 self.cfg.capacity_words
             )));
         }
-        let mut i = 0usize;
+        self.table.fill(0);
+        self.pages.truncate(1);
+        let mut i = 0u64;
         loop {
-            let run = d.u64()? as usize;
+            let run = d.u64()?;
             if run == 0 {
                 break;
             }
@@ -347,17 +505,20 @@ impl Sdram {
                 sync,
                 ecc,
             };
-            if i + run > self.words.len() {
-                return Err(CkptError("SDRAM runs overflow the array".into()));
+            let end = i
+                .checked_add(run)
+                .filter(|&end| end <= cap)
+                .ok_or_else(|| CkptError("SDRAM runs overflow the array".into()))?;
+            if !is_zero(w) {
+                for addr in i..end {
+                    let (pn, off) = split(addr);
+                    self.page_mut(pn).set(off, w);
+                }
             }
-            self.words[i..i + run].fill(w);
-            i += run;
+            i = end;
         }
-        if i != self.words.len() {
-            return Err(CkptError(format!(
-                "SDRAM runs cover {i} of {} words",
-                self.words.len()
-            )));
+        if i != cap {
+            return Err(CkptError(format!("SDRAM runs cover {i} of {cap} words")));
         }
         let banks = d.usize()?;
         if banks != self.open_rows.len() {
@@ -405,10 +566,10 @@ mod tests {
     #[test]
     fn row_hit_vs_miss_timing() {
         let mut d = small();
-        let (f1, _, _) = d.read(0, 0, 1);
+        let (f1, _) = d.read_into(0, 0, &mut [None]);
         // First access: row miss.
         assert_eq!(f1, 9 + 6);
-        let (f2, _, _) = d.read(f1, 1, 1);
+        let (f2, _) = d.read_into(f1, 1, &mut [None]);
         // Same row: hit.
         assert_eq!(f2, f1 + 9);
         assert_eq!(d.stats().row_hits, 1);
@@ -422,8 +583,8 @@ mod tests {
             page_mode: false,
             ..SdramConfig::default()
         });
-        d.read(0, 0, 1);
-        d.read(100, 1, 1);
+        d.read_into(0, 0, &mut [None]);
+        d.read_into(100, 1, &mut [None]);
         assert_eq!(d.stats().row_hits, 0);
         assert_eq!(d.stats().row_misses, 2);
     }
@@ -431,16 +592,17 @@ mod tests {
     #[test]
     fn burst_timing() {
         let mut d = small();
-        let (first, last, words) = d.read(0, 0, 8);
-        assert_eq!(words.len(), 8);
+        let mut words = [None; 8];
+        let (first, last) = d.read_into(0, 0, &mut words);
+        assert!(words.iter().all(Option::is_some));
         assert_eq!(last, first + 7);
     }
 
     #[test]
     fn controller_serializes() {
         let mut d = small();
-        let (f1, l1, _) = d.read(0, 0, 8);
-        let (f2, _, _) = d.read(f1, 0, 1); // issued while burst in flight
+        let (f1, l1) = d.read_into(0, 0, &mut [None; 8]);
+        let (f2, _) = d.read_into(f1, 0, &mut [None]); // issued while burst in flight
         assert!(f2 >= l1, "second access must wait for the burst");
     }
 
@@ -449,11 +611,13 @@ mod tests {
         let mut d = small();
         d.poke(5, MemWord::new(Word::from_u64(0xFFFF)));
         d.inject_bit_flip(5, 3);
-        let (_, _, words) = d.read(0, 5, 1);
-        assert_eq!(words[0].unwrap().word.bits(), 0xFFFF);
+        let mut word = [None];
+        d.read_into(0, 5, &mut word);
+        assert_eq!(word[0].unwrap().word.bits(), 0xFFFF);
         assert_eq!(d.stats().ecc_corrected, 1);
         // Scrubbed: a second read is clean.
-        let (_, _, again) = d.read(50, 5, 1);
+        let mut again = [None];
+        d.read_into(50, 5, &mut again);
         assert_eq!(again[0].unwrap().word.bits(), 0xFFFF);
         assert_eq!(d.stats().ecc_corrected, 1);
     }
@@ -464,8 +628,9 @@ mod tests {
         d.poke(5, MemWord::new(Word::from_u64(0xABCD)));
         d.inject_bit_flip(5, 3);
         d.inject_bit_flip(5, 17);
-        let (_, _, words) = d.read(0, 5, 1);
-        assert!(words[0].is_none());
+        let mut word = [Some(MemWord::default())];
+        d.read_into(0, 5, &mut word);
+        assert!(word[0].is_none());
         assert_eq!(d.stats().ecc_double_errors, 1);
     }
 
@@ -473,7 +638,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn read_out_of_range_panics() {
         let mut d = small();
-        let _ = d.read(0, 4090, 8);
+        let _ = d.read_into(0, 4090, &mut [None; 8]);
     }
 
     /// A lived-in SDRAM (writes, pending ECC damage, open rows, busy
@@ -484,7 +649,7 @@ mod tests {
         d.poke(5, MemWord::with_sync(Word::from_u64(0xABCD), true));
         d.poke(4000, MemWord::new(Word::from_i64(-9)));
         d.inject_bit_flip(5, 3); // un-scrubbed upset survives the trip
-        let _ = d.read(0, 100, 8);
+        let _ = d.read_into(0, 100, &mut [None; 8]);
         let mut e = Enc::new();
         d.save_state(&mut e);
         let bytes = e.finish();
@@ -497,8 +662,9 @@ mod tests {
             assert_eq!(r.peek(addr), d.peek(addr), "word {addr}");
         }
         // The restored array still corrects (and counts) the upset.
-        let (_, _, words) = r.read(200, 5, 1);
-        assert_eq!(words[0].unwrap().word.bits(), 0xABCD);
+        let mut word = [None];
+        r.read_into(200, 5, &mut word);
+        assert_eq!(word[0].unwrap().word.bits(), 0xABCD);
         assert_eq!(r.stats().ecc_corrected, 1);
         // A different geometry refuses the checkpoint.
         let mut other = Sdram::new(SdramConfig {
@@ -508,14 +674,45 @@ mod tests {
         assert!(other.load_state(&mut Dec::new(&bytes)).is_err());
     }
 
+    /// Absent ≡ zero: nothing that leaves a page all-zero commits it —
+    /// reads, zero stores, a checkpoint round trip — and the first store
+    /// or upset that does not, does.
+    #[test]
+    fn pages_commit_only_when_made_nonzero() {
+        let committed = |d: &Sdram| d.pages.len() - 1; // less the zero page
+        assert_eq!(MemWord::new(Word::ZERO), MemWord::default());
+        let mut d = small();
+        let mut burst = [None; 16];
+        d.read_into(0, 56, &mut burst); // straddles pages 0 and 1
+        assert_eq!(burst, [Some(MemWord::default()); 16]);
+        d.poke(70, MemWord::default());
+        d.write(20, 120, &[MemWord::default(); 16]);
+        assert_eq!(committed(&d), 0);
+
+        d.poke(70, MemWord::with_sync(Word::ZERO, true)); // the sync bit counts
+        assert_eq!(committed(&d), 1);
+        d.inject_bit_flip(130, 3);
+        assert_eq!(committed(&d), 2);
+        d.write(40, 250, &[MemWord::new(Word::from_u64(1)); 8]); // pages 3 and 4
+        assert_eq!(committed(&d), 4);
+
+        let mut e = Enc::new();
+        d.save_state(&mut e);
+        let mut r = small();
+        r.poke(4000, MemWord::new(Word::from_u64(7))); // dropped by the load
+        r.load_state(&mut Dec::new(&e.finish())).expect("load");
+        assert_eq!(committed(&r), 4);
+        assert_eq!(r.peek(4000), MemWord::default());
+    }
+
     #[test]
     fn different_banks_track_rows_independently() {
         let mut d = small();
         // addr 0 -> row_index 0 -> bank 0; addr 1024 -> row_index 1 -> bank 1.
-        let (f1, _, _) = d.read(0, 0, 1);
-        let (f2, _, _) = d.read(f1, 1024, 1);
-        let (f3, _, _) = d.read(f2, 0, 1);
-        let (f4, _, _) = d.read(f3, 1024, 1);
+        let (f1, _) = d.read_into(0, 0, &mut [None]);
+        let (f2, _) = d.read_into(f1, 1024, &mut [None]);
+        let (f3, _) = d.read_into(f2, 0, &mut [None]);
+        let (f4, _) = d.read_into(f3, 1024, &mut [None]);
         // Third and fourth accesses hit their banks' still-open rows.
         assert_eq!(f3 - f2, 9);
         assert_eq!(f4 - f3, 9);

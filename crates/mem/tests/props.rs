@@ -1,9 +1,13 @@
 //! Property tests: the cached memory system never loses or invents data
-//! relative to a flat reference memory, and SECDED handles all single and
-//! double flips.
+//! relative to a flat reference memory, SECDED handles all single and
+//! double flips, and the demand-committed SDRAM and cache are
+//! indistinguishable from the dense arrays they replaced.
 
+use mm_faults::{Dec, Enc};
 use mm_isa::op::{SyncPost, SyncPre};
 use mm_isa::word::Word;
+use mm_mem::cache::{Cache, CacheConfig, CacheStats, StoreOutcome, Victim, LINE_WORDS};
+use mm_mem::dram::{MemWord, Sdram, SdramConfig, SdramStats};
 use mm_mem::lpt::Lpt;
 use mm_mem::ltlb::{BlockStatus, LtlbEntry, PAGE_WORDS};
 use mm_mem::memsys::{MemConfig, MemRequest, MemorySystem};
@@ -227,5 +231,508 @@ proptest! {
             prop_assert_eq!(got.word.bits(), v, "value mismatch at {}", va);
             prop_assert_eq!(got.sync, s, "full/empty mismatch at {}", va);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Demand-committed storage vs the dense arrays it replaced
+// ----------------------------------------------------------------------
+
+/// The eagerly zero-filled `Vec<MemWord>` SDRAM, kept as the reference
+/// model: same controller timing, same SECDED handling, and the dense
+/// run-length checkpoint loop whose bytes `Sdram::save_state` must match.
+struct DenseSdram {
+    cfg: SdramConfig,
+    words: Vec<MemWord>,
+    open_rows: Vec<Option<u64>>,
+    busy_until: u64,
+    stats: SdramStats,
+}
+
+impl DenseSdram {
+    fn new(cfg: SdramConfig) -> DenseSdram {
+        DenseSdram {
+            words: vec![MemWord::new(Word::ZERO); cfg.capacity_words as usize],
+            open_rows: vec![None; cfg.banks as usize],
+            busy_until: 0,
+            stats: SdramStats::default(),
+            cfg,
+        }
+    }
+
+    fn access_timing(&mut self, now: u64, addr: u64, len: u64) -> u64 {
+        let start = now.max(self.busy_until);
+        let row_index = addr / self.cfg.row_words;
+        let (bank, row) = (
+            (row_index % self.cfg.banks) as usize,
+            row_index / self.cfg.banks,
+        );
+        let hit = self.cfg.page_mode && self.open_rows[bank] == Some(row);
+        let first = if hit {
+            self.stats.row_hits += 1;
+            start + self.cfg.first_word_row_hit
+        } else {
+            self.stats.row_misses += 1;
+            start + self.cfg.first_word_row_hit + self.cfg.row_miss_penalty
+        };
+        self.open_rows[bank] = Some(row);
+        self.busy_until = first + self.cfg.burst_per_word * len.saturating_sub(1);
+        self.stats.words_transferred += len;
+        first
+    }
+
+    fn read_into(&mut self, now: u64, addr: u64, out: &mut [Option<MemWord>]) -> (u64, u64) {
+        let len = out.len() as u64;
+        let first = self.access_timing(now, addr, len);
+        for (i, slot) in out.iter_mut().enumerate() {
+            let cell = self.words[addr as usize + i];
+            *slot = match secded::decode(cell.word.bits(), cell.ecc) {
+                secded::Decoded::Clean(_) => Some(cell),
+                secded::Decoded::Corrected { data, .. } => {
+                    self.stats.ecc_corrected += 1;
+                    let repaired = MemWord {
+                        word: Word::from_raw(data, cell.word.is_pointer()),
+                        sync: cell.sync,
+                        ecc: secded::encode(data),
+                    };
+                    self.words[addr as usize + i] = repaired;
+                    Some(repaired)
+                }
+                secded::Decoded::DoubleError => {
+                    self.stats.ecc_double_errors += 1;
+                    None
+                }
+            };
+        }
+        (
+            first,
+            first + self.cfg.burst_per_word * len.saturating_sub(1),
+        )
+    }
+
+    fn write(&mut self, now: u64, addr: u64, words: &[MemWord]) -> u64 {
+        let first = self.access_timing(now, addr, words.len() as u64);
+        for (i, w) in words.iter().enumerate() {
+            self.poke(addr + i as u64, *w);
+        }
+        first + self.cfg.burst_per_word * (words.len() as u64).saturating_sub(1)
+    }
+
+    fn poke(&mut self, addr: u64, w: MemWord) {
+        self.words[addr as usize] = MemWord::with_sync(w.word, w.sync);
+    }
+
+    fn inject_bit_flip(&mut self, addr: u64, bit: u32) {
+        let cell = &mut self.words[addr as usize];
+        cell.word = Word::from_raw(cell.word.bits() ^ (1u64 << bit), cell.word.is_pointer());
+    }
+
+    fn save_state(&self, e: &mut Enc) {
+        e.u64(self.cfg.capacity_words);
+        let mut i = 0usize;
+        while i < self.words.len() {
+            let w = self.words[i];
+            let mut run = 1usize;
+            while i + run < self.words.len() && self.words[i + run] == w {
+                run += 1;
+            }
+            e.u64(run as u64);
+            e.u64(w.word.bits());
+            e.bool(w.word.is_pointer());
+            e.bool(w.sync);
+            e.u8(w.ecc);
+            i += run;
+        }
+        e.u64(0);
+        e.usize(self.open_rows.len());
+        for r in &self.open_rows {
+            match r {
+                None => e.u8(0),
+                Some(v) => {
+                    e.u8(1);
+                    e.u64(*v);
+                }
+            }
+        }
+        e.u64(self.busy_until);
+        let s = &self.stats;
+        for v in [
+            s.row_hits,
+            s.row_misses,
+            s.words_transferred,
+            s.ecc_corrected,
+            s.ecc_double_errors,
+        ] {
+            e.u64(v);
+        }
+    }
+}
+
+/// A capacity that is not a whole number of storage pages: the last page
+/// is partial and its slack must stay unaddressable.
+const ODD_CAPACITY: u64 = 1000;
+
+fn odd_sdram_config() -> SdramConfig {
+    SdramConfig {
+        capacity_words: ODD_CAPACITY,
+        row_words: 128,
+        ..SdramConfig::default()
+    }
+}
+
+fn encoded(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
+    save(&mut e);
+    e.finish()
+}
+
+/// One step against both SDRAMs: `(kind, addr, len, value, tag+sync bits,
+/// flip bit)`. Bursts are clipped to the capacity; the out-of-range
+/// panics have their own tests below.
+type SdramOp = (u8, u64, u64, u64, u8, u32);
+
+fn sdram_ops() -> impl Strategy<Value = Vec<SdramOp>> {
+    // Half the addresses sit just below a 64-word page boundary, so
+    // bursts straddle it; most pages are never written at all.
+    let addr = prop_oneof![
+        0..ODD_CAPACITY,
+        (1u64..15, 0u64..8).prop_map(|(p, d)| p * 64 - 1 - d),
+    ];
+    prop::collection::vec(
+        (0u8..6, addr, 1u64..=16, any::<u64>(), 0u8..4, 0u32..64),
+        1..80,
+    )
+}
+
+fn apply_sdram_ops(new: &mut Sdram, old: &mut DenseSdram, ops: &[SdramOp]) {
+    let mut now = 0u64;
+    for &(kind, addr, len, value, bits, flip) in ops {
+        let len = len.min(ODD_CAPACITY - addr) as usize;
+        // Sparse values: zero stores into absent pages are a path of
+        // their own.
+        let value = if value % 3 == 0 { 0 } else { value };
+        let w = MemWord::with_sync(Word::from_raw(value, bits & 1 == 1), bits & 2 == 2);
+        match kind {
+            0 => {
+                new.poke(addr, w);
+                old.poke(addr, w);
+            }
+            1 => {
+                let burst: Vec<MemWord> = (0..len as u64)
+                    .map(|i| {
+                        MemWord::with_sync(Word::from_raw(value & !i, w.word.is_pointer()), w.sync)
+                    })
+                    .collect();
+                let done = new.write(now, addr, &burst);
+                assert_eq!(done, old.write(now, addr, &burst), "write timing");
+                now = done;
+            }
+            2 | 3 => {
+                let (mut a, mut b) = (vec![None; len], vec![None; len]);
+                let t = new.read_into(now, addr, &mut a);
+                assert_eq!(t, old.read_into(now, addr, &mut b), "read timing");
+                assert_eq!(a, b, "read of {addr}+{len}");
+                now = t.0;
+            }
+            4 => {
+                new.inject_bit_flip(addr, flip);
+                old.inject_bit_flip(addr, flip);
+            }
+            _ => {
+                // A double upset: uncorrectable until overwritten.
+                for bit in [flip, (flip + 1) % 64] {
+                    new.inject_bit_flip(addr, bit);
+                    old.inject_bit_flip(addr, bit);
+                }
+            }
+        }
+        assert_eq!(new.peek(addr), old.words[addr as usize], "peek {addr}");
+        assert_eq!(new.stats(), old.stats);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The paged SDRAM is indistinguishable from the dense array: every
+    /// word, statistic and cycle, and the checkpoint bytes.
+    #[test]
+    fn paged_sdram_matches_dense_array(ops in sdram_ops(), more in sdram_ops()) {
+        let mut new = Sdram::new(odd_sdram_config());
+        let mut old = DenseSdram::new(odd_sdram_config());
+        apply_sdram_ops(&mut new, &mut old, &ops);
+        for addr in 0..ODD_CAPACITY {
+            prop_assert_eq!(new.peek(addr), old.words[addr as usize], "word {}", addr);
+        }
+
+        // Byte-for-byte the dense run-length format...
+        let bytes = encoded(|e| new.save_state(e));
+        prop_assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
+        // ...which restores into a fresh array and into a lived-in one
+        // (whose own pages must not show through), and re-encodes equal.
+        let mut fresh = Sdram::new(odd_sdram_config());
+        let mut used = Sdram::new(odd_sdram_config());
+        apply_sdram_ops(&mut used, &mut DenseSdram::new(odd_sdram_config()), &more);
+        for restored in [&mut fresh, &mut used] {
+            let mut d = Dec::new(&bytes);
+            restored.load_state(&mut d).expect("load");
+            prop_assert_eq!(d.remaining(), 0);
+            prop_assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
+        }
+        // The restored array behaves like the original from here on.
+        apply_sdram_ops(&mut fresh, &mut old, &more);
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn sdram_peek_in_last_page_slack_panics() {
+    let _ = Sdram::new(odd_sdram_config()).peek(ODD_CAPACITY);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn sdram_poke_in_last_page_slack_panics() {
+    Sdram::new(odd_sdram_config()).poke(ODD_CAPACITY + 3, MemWord::new(Word::from_u64(1)));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn sdram_bit_flip_in_last_page_slack_panics() {
+    Sdram::new(odd_sdram_config()).inject_bit_flip(ODD_CAPACITY, 0);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn sdram_burst_into_last_page_slack_panics() {
+    let _ = Sdram::new(odd_sdram_config()).write(0, ODD_CAPACITY - 4, &[MemWord::default(); 8]);
+}
+
+/// The dense `Vec<Line>` cache, kept as the reference model, with the
+/// checkpoint loop whose bytes `Cache::save_state` must match.
+#[derive(Clone, Default)]
+struct DenseLine {
+    valid: bool,
+    tag: u64,
+    dirty: bool,
+    writable: bool,
+    pa_base: u64,
+    data: [MemWord; LINE_WORDS as usize],
+}
+
+struct DenseCache {
+    lines: Vec<DenseLine>,
+    stats: CacheStats,
+}
+
+/// What `fill`/`invalidate`/`downgrade` hand back for write-back.
+type Evicted = Option<(u64, u64, [MemWord; LINE_WORDS as usize])>;
+
+impl DenseCache {
+    fn new(cfg: &CacheConfig) -> DenseCache {
+        DenseCache {
+            lines: vec![DenseLine::default(); cfg.num_lines() as usize],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn slot(&mut self, va: u64) -> (usize, u64) {
+        let n = self.lines.len() as u64;
+        (((va / LINE_WORDS) % n) as usize, va / LINE_WORDS / n)
+    }
+
+    fn hit(&mut self, va: u64) -> Option<&mut DenseLine> {
+        let (idx, tag) = self.slot(va);
+        Some(&mut self.lines[idx]).filter(|l| l.valid && l.tag == tag)
+    }
+
+    fn peek(&mut self, va: u64) -> Option<MemWord> {
+        self.hit(va).map(|l| l.data[(va % LINE_WORDS) as usize])
+    }
+
+    fn read(&mut self, va: u64) -> Option<MemWord> {
+        let w = self.peek(va);
+        if w.is_some() {
+            self.stats.read_hits += 1;
+        } else {
+            self.stats.read_misses += 1;
+        }
+        w
+    }
+
+    fn write(&mut self, va: u64, w: MemWord, count: bool) -> StoreOutcome {
+        match self.hit(va) {
+            None => {
+                self.stats.write_misses += u64::from(count);
+                StoreOutcome::Miss
+            }
+            Some(l) if !l.writable => StoreOutcome::NotWritable,
+            Some(l) => {
+                l.data[(va % LINE_WORDS) as usize] = w;
+                l.dirty = true;
+                self.stats.write_hits += u64::from(count);
+                StoreOutcome::Written
+            }
+        }
+    }
+
+    fn set_sync(&mut self, va: u64, sync: bool) -> StoreOutcome {
+        match self.peek(va) {
+            Some(w) => self.write(va, MemWord { sync, ..w }, false),
+            None => StoreOutcome::Miss,
+        }
+    }
+
+    fn poke(&mut self, va: u64, w: MemWord) -> bool {
+        self.hit(va).is_some_and(|l| {
+            l.data[(va % LINE_WORDS) as usize] = w;
+            l.dirty = true;
+            true
+        })
+    }
+
+    fn fill(&mut self, va: u64, pa: u64, data: [MemWord; 8], writable: bool) -> Evicted {
+        let (idx, tag) = self.slot(va);
+        let n = self.lines.len() as u64;
+        let l = &mut self.lines[idx];
+        let victim = (l.valid && l.dirty).then(|| {
+            self.stats.writebacks += 1;
+            ((l.tag * n + idx as u64) * LINE_WORDS, l.pa_base, l.data)
+        });
+        *l = DenseLine {
+            valid: true,
+            tag,
+            dirty: false,
+            writable,
+            pa_base: pa & !(LINE_WORDS - 1),
+            data,
+        };
+        victim
+    }
+
+    /// `invalidate` (`keep == false`) or `downgrade` (`keep == true`).
+    fn drop_rights(&mut self, va: u64, keep: bool) -> Evicted {
+        let l = self.hit(va)?;
+        l.valid = keep;
+        l.writable = false;
+        let victim = l
+            .dirty
+            .then_some((va & !(LINE_WORDS - 1), l.pa_base, l.data));
+        l.dirty = false;
+        self.stats.writebacks += u64::from(victim.is_some());
+        victim
+    }
+
+    fn save_state(&self, e: &mut Enc) {
+        e.u64(self.lines.len() as u64);
+        e.usize(self.lines.iter().filter(|l| l.valid).count());
+        for (idx, l) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
+            e.usize(idx);
+            e.u64(l.tag);
+            e.bool(l.dirty);
+            e.bool(l.writable);
+            e.u64(l.pa_base);
+            for w in &l.data {
+                e.u64(w.word.bits());
+                e.bool(w.word.is_pointer());
+                e.bool(w.sync);
+                e.u8(w.ecc);
+            }
+        }
+        let s = &self.stats;
+        for v in [
+            s.read_hits,
+            s.read_misses,
+            s.write_hits,
+            s.write_misses,
+            s.writebacks,
+        ] {
+            e.u64(v);
+        }
+    }
+}
+
+/// `(kind, va, value, flag)` against both caches.
+type CacheOp = (u8, u64, u64, bool);
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    // 32 lines of 8 words: 1024 words of address space is four tags per
+    // index, so fills conflict; a short run leaves indices unfilled.
+    prop::collection::vec((0u8..9, 0u64..1024, any::<u64>(), any::<bool>()), 1..120)
+}
+
+fn small_cache_config() -> CacheConfig {
+    CacheConfig {
+        banks: 4,
+        words_per_bank: 64,
+    }
+}
+
+fn apply_cache_ops(new: &mut Cache, old: &mut DenseCache, ops: &[CacheOp]) {
+    let evicted = |v: Option<Victim>| v.map(|v| (v.va, v.pa, v.data));
+    for &(kind, va, value, flag) in ops {
+        let w = MemWord::with_sync(Word::from_raw(value, value % 5 == 0), flag);
+        match kind {
+            // Fills are the only way in, so make them common.
+            0..=2 => {
+                let line: [MemWord; 8] =
+                    std::array::from_fn(|i| MemWord::new(Word::from_u64(value ^ i as u64)));
+                let pa = value % 4096;
+                assert_eq!(
+                    evicted(new.fill(va, pa, line, flag)),
+                    old.fill(va, pa, line, flag),
+                    "fill {va}"
+                );
+            }
+            3 => assert_eq!(new.read(va), old.read(va), "read {va}"),
+            4 => assert_eq!(new.write(va, w), old.write(va, w, true), "write {va}"),
+            5 => assert_eq!(
+                new.set_sync(va, flag),
+                old.set_sync(va, flag),
+                "set_sync {va}"
+            ),
+            6 => assert_eq!(new.poke(va, w), old.poke(va, w), "poke {va}"),
+            7 => assert_eq!(
+                evicted(new.invalidate(va)),
+                old.drop_rights(va, false),
+                "invalidate {va}"
+            ),
+            _ => assert_eq!(
+                evicted(new.downgrade(va)),
+                old.drop_rights(va, true),
+                "downgrade {va}"
+            ),
+        }
+        assert_eq!(new.peek(va), old.peek(va), "peek {va}");
+        assert_eq!(new.contains(va), old.peek(va).is_some());
+        assert_eq!(new.stats(), old.stats);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The demand-committed cache is indistinguishable from the dense
+    /// line array: every outcome, victim and statistic, and the
+    /// checkpoint bytes.
+    #[test]
+    fn sparse_cache_matches_dense_lines(ops in cache_ops(), more in cache_ops()) {
+        let cfg = small_cache_config();
+        let mut new = Cache::new(cfg.clone());
+        let mut old = DenseCache::new(&cfg);
+        apply_cache_ops(&mut new, &mut old, &ops);
+
+        let bytes = encoded(|e| new.save_state(e));
+        prop_assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
+        let mut fresh = Cache::new(cfg.clone());
+        let mut used = Cache::new(cfg.clone());
+        apply_cache_ops(&mut used, &mut DenseCache::new(&cfg), &more);
+        for restored in [&mut fresh, &mut used] {
+            let mut d = Dec::new(&bytes);
+            restored.load_state(&mut d).expect("load");
+            prop_assert_eq!(d.remaining(), 0);
+            prop_assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
+        }
+        apply_cache_ops(&mut fresh, &mut old, &more);
     }
 }
