@@ -14,7 +14,12 @@ pub fn always_compiled() {
     let _ = s;
 }
 "#;
-    let r = analyze_sources(&[("crates/core/src/pool.rs".to_string(), src.to_string())], &cfg);
-    for f in &r.findings { println!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message); }
+    let r = analyze_sources(
+        &[("crates/core/src/pool.rs".to_string(), src.to_string())],
+        &cfg,
+    );
+    for f in &r.findings {
+        println!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message);
+    }
     println!("findings={}", r.findings.len());
 }

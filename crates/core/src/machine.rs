@@ -819,19 +819,6 @@ impl MMachine {
         self.wake_node(node);
     }
 
-    /// Advance the whole machine one cycle through the quiescence-aware
-    /// engine: if no component can do work this cycle, only the clock
-    /// moves.
-    pub fn step(&mut self) {
-        let now = self.cycle;
-        if self.next_work(now) == Some(now) {
-            self.step_cycle(now);
-        }
-        self.cycle = now + 1;
-        self.catch_up_nodes();
-        self.poll_telemetry();
-    }
-
     /// Mark a node as requiring a step at the next processed cycle
     /// (external input may have unblocked it). O(1) in the ladder.
     fn wake_node(&mut self, idx: usize) {

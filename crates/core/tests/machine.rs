@@ -478,3 +478,55 @@ fn event_handlers_stay_resident() {
         }
     }
 }
+
+/// The issue stage borrows each instruction by moving the thread's
+/// `Arc<Program>` out of its slot and back, never by cloning it: a
+/// program loaded on N nodes is held N + 1 times (the nodes plus the
+/// caller) before the run and after it — including on a node whose
+/// thread faulted — and a checkpoint taken the cycle after that fault
+/// restores into an identically-loaded machine that then finishes on
+/// the same cycle.
+#[test]
+fn shared_program_refcount_and_presence_survive_a_run() {
+    let build = |prog: &Arc<mm_isa::Program>| {
+        let mut m = MMachine::build(MachineConfig::with_dims(2, 2, 1)).unwrap();
+        for node in 0..m.node_count() {
+            m.load_user_program(node, 0, prog).unwrap();
+            // r2 is the divisor: node 3 divides by zero and faults.
+            let divisor = if node == 3 { 0 } else { 2 };
+            m.set_user_reg(node, 0, 0, Reg::Int(2), Word::from_u64(divisor));
+        }
+        m
+    };
+    let prog = Arc::new(
+        assemble(
+            "mov #40, r1\n\
+             loop: sub r1, #1, r1\n\
+             div r1, r2, r3\n\
+             gt r1, #0, gcc0\n\
+             brt gcc0, loop\n\
+             halt\n",
+        )
+        .unwrap(),
+    );
+    let mut m = build(&prog);
+    let holders = m.node_count() + 1;
+    assert_eq!(Arc::strong_count(&prog), holders);
+
+    m.run_until(10_000, |m| !m.faulted_threads().is_empty())
+        .unwrap();
+    m.run_cycles(1);
+    let image = m.checkpoint();
+    let end = m.run_until_halt(100_000).unwrap();
+    assert_eq!(
+        m.faulted_threads(),
+        vec![(3, 0, 0, mm_sim::Fault::DivByZero)]
+    );
+    assert_eq!(Arc::strong_count(&prog), holders);
+
+    let mut restored = build(&prog);
+    restored.restore(&image).unwrap();
+    assert_eq!(restored.run_until_halt(100_000).unwrap(), end);
+    assert_eq!(restored.checkpoint(), m.checkpoint());
+    assert_eq!(Arc::strong_count(&prog), 2 * holders - 1);
+}

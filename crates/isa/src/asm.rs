@@ -84,7 +84,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         instrs.push(instr);
     }
 
-    Ok(Program { instrs, symbols })
+    Ok(Program::from_parts(instrs, symbols))
 }
 
 /// Strip comments, drop blank lines, keep 1-based line numbers.
@@ -694,7 +694,7 @@ mod tests {
         assert_eq!(p.len(), 4);
         assert_eq!(p.entry("start"), Some(0));
         assert_eq!(
-            p.instrs[2].int_op,
+            p.instrs()[2].int_op,
             Some(IntOp::Branch {
                 cond: BranchCond::IfTrue(Reg::Gcc(1)),
                 target: 0
@@ -713,7 +713,7 @@ mod tests {
     fn three_wide_instruction() {
         let p = assemble("sub r1, r2, r3 | ld [r4+#1], r5 | fadd f1, f2, f3\n").unwrap();
         assert_eq!(p.len(), 1);
-        let i = &p.instrs[0];
+        let i = &p.instrs()[0];
         assert!(i.int_op.is_some());
         assert!(matches!(i.mem_op, Some(MemSlotOp::Mem(MemOp::Load { .. }))));
         assert!(i.fp_op.is_some());
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn two_int_ops_use_memory_unit() {
         let p = assemble("add r1, r2, r3 | sub r4, r5, r6\n").unwrap();
-        let i = &p.instrs[0];
+        let i = &p.instrs()[0];
         assert!(matches!(
             i.mem_op,
             Some(MemSlotOp::Int(IntOp::Alu {
@@ -741,14 +741,14 @@ mod tests {
     #[test]
     fn sync_suffixes() {
         let p = assemble("ld.fe [r1], r2\n st.ef r2, [r3+#4]\n").unwrap();
-        match &p.instrs[0].mem_op {
+        match &p.instrs()[0].mem_op {
             Some(MemSlotOp::Mem(MemOp::Load { pre, post, .. })) => {
                 assert_eq!(*pre, SyncPre::Full);
                 assert_eq!(*post, SyncPost::SetEmpty);
             }
             other => panic!("unexpected: {other:?}"),
         }
-        match &p.instrs[1].mem_op {
+        match &p.instrs()[1].mem_op {
             Some(MemSlotOp::Mem(MemOp::Store {
                 pre, post, offset, ..
             })) => {
@@ -763,19 +763,19 @@ mod tests {
     #[test]
     fn negative_offset_and_hex_imm() {
         let p = assemble("ld [r1-#2], r2\n mov #0x10, r3\n mov #-7, r4\n").unwrap();
-        match &p.instrs[0].mem_op {
+        match &p.instrs()[0].mem_op {
             Some(MemSlotOp::Mem(MemOp::Load { offset, .. })) => assert_eq!(*offset, -2),
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(
-            p.instrs[1].int_op,
+            p.instrs()[1].int_op,
             Some(IntOp::Mov {
                 src: Src::Imm(16),
                 dst: Dst::Local(Reg::Int(3))
             })
         );
         assert_eq!(
-            p.instrs[2].int_op,
+            p.instrs()[2].int_op,
             Some(IntOp::Mov {
                 src: Src::Imm(-7),
                 dst: Dst::Local(Reg::Int(4))
@@ -787,7 +787,7 @@ mod tests {
     fn remote_destination() {
         let p = assemble("add r1, r2, h3.r4\n").unwrap();
         assert_eq!(
-            p.instrs[0].int_op,
+            p.instrs()[0].int_op,
             Some(IntOp::Alu {
                 kind: AluKind::Add,
                 a: Src::Reg(Reg::Int(1)),
@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn send_forms() {
         let p = assemble("send r1, r2, #3\n send.p1 r1, r2, #0\n").unwrap();
-        match &p.instrs[1].mem_op {
+        match &p.instrs()[1].mem_op {
             Some(MemSlotOp::Mem(MemOp::Send { priority, len, .. })) => {
                 assert_eq!(*priority, Priority::P1);
                 assert_eq!(*len, 0);
@@ -819,7 +819,7 @@ mod tests {
     fn label_immediates() {
         let p = assemble("mov @end, r1\n halt\nend: nop\n").unwrap();
         assert_eq!(
-            p.instrs[0].int_op,
+            p.instrs()[0].int_op,
             Some(IntOp::Mov {
                 src: Src::Imm(2),
                 dst: Dst::Local(Reg::Int(1))

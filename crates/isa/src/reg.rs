@@ -61,7 +61,31 @@ impl Reg {
     pub fn is_queue(self) -> bool {
         matches!(self, Reg::NetIn | Reg::EvQ)
     }
+
+    /// This register's bit index in the packed per-thread scoreboard
+    /// word, or `None` for the queue registers (their "scoreboard" is the
+    /// queue occupancy, owned by the node). The one definition of the
+    /// layout: the register file's full/empty word and every
+    /// [`IssueDesc::need`](crate::instr::IssueDesc::need) mask use it.
+    #[must_use]
+    pub fn scoreboard_bit(self) -> Option<u32> {
+        match self {
+            Reg::Int(n) => Some(SB_INT_BASE + u32::from(n)),
+            Reg::Fp(n) => Some(SB_FP_BASE + u32::from(n)),
+            Reg::Mc(n) => Some(SB_MC_BASE + u32::from(n)),
+            Reg::Gcc(n) => Some(SB_GCC_BASE + u32::from(n)),
+            Reg::NetIn | Reg::EvQ => None,
+        }
+    }
 }
+
+/// Bit offsets of each register class inside the packed scoreboard word.
+const SB_INT_BASE: u32 = 0;
+const SB_FP_BASE: u32 = SB_INT_BASE + NUM_INT_REGS as u32;
+const SB_MC_BASE: u32 = SB_FP_BASE + NUM_FP_REGS as u32;
+const SB_GCC_BASE: u32 = SB_MC_BASE + NUM_MC_REGS as u32;
+/// The scoreboard word with every register's bit set (all full).
+pub const SCOREBOARD_ALL_FULL: u64 = (1u64 << (SB_GCC_BASE + NUM_GCC_REGS as u32)) - 1;
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -227,6 +251,24 @@ mod tests {
         assert!(Reg::Mc(7).is_valid());
         assert!(!Reg::Mc(8).is_valid());
         assert!(Reg::NetIn.is_valid());
+    }
+
+    #[test]
+    fn scoreboard_bits_are_distinct_and_dense() {
+        let regs = (0..NUM_INT_REGS)
+            .map(Reg::Int)
+            .chain((0..NUM_FP_REGS).map(Reg::Fp))
+            .chain((0..NUM_MC_REGS).map(Reg::Mc))
+            .chain((0..NUM_GCC_REGS).map(Reg::Gcc));
+        let mut seen = 0u64;
+        for r in regs {
+            let bit = 1u64 << r.scoreboard_bit().unwrap();
+            assert_eq!(seen & bit, 0, "{r} shares a scoreboard bit");
+            seen |= bit;
+        }
+        assert_eq!(seen, SCOREBOARD_ALL_FULL);
+        assert_eq!(Reg::NetIn.scoreboard_bit(), None);
+        assert_eq!(Reg::EvQ.scoreboard_bit(), None);
     }
 
     #[test]

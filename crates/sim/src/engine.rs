@@ -22,7 +22,7 @@
 //!    DRAM/SECDED completions, resend backoffs), or `None` when
 //!    provably quiescent.
 //!
-//! A min-deadline scheduler (the rebuilt `MMachine::step` family in
+//! A min-deadline scheduler (`MMachine::run_cycles` / `run_until` in
 //! `mm-core`) then fast-forwards the global clock over cycles in which
 //! every component is quiescent, and skips quiescent components inside
 //! busy cycles, while remaining cycle-exact: stepping a component at

@@ -14,7 +14,7 @@ use crate::config::{NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, NUM_CLUSTERS, NUM_SL
 use crate::event::{decode_record, format_event};
 use crate::regfile::ThreadRegs;
 use mm_faults::{CkptError, Dec, Enc};
-use mm_isa::instr::{Instruction, Program};
+use mm_isa::instr::{Instruction, IssueDesc, MemHazard, Program};
 use mm_isa::op::{AluKind, BranchCond, CmpKind, FpKind, FpOp, IntOp, MemOp, MemSlotOp, Priority};
 use mm_isa::pointer::{GuardedPointer, Perm};
 use mm_isa::reg::{Dst, Reg, RegAddr, Src};
@@ -76,7 +76,7 @@ pub enum HState {
 /// fetch-and-probe while the shortage persists — this is what makes
 /// the permanently-resident event/message handler threads, which spend
 /// most cycles blocked on `evq`/`rnet`, nearly free to keep resident.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueueBlock {
     /// PC the proof was computed at (instructions are immutable, so the
     /// proof is valid whenever the thread sits at this PC).
@@ -88,7 +88,7 @@ struct QueueBlock {
 /// A memoized issue-block proof: the thread cannot issue until the
 /// recorded condition changes, so the per-cycle probe collapses to one
 /// or two field comparisons.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueBlock {
     /// Blocked on queue-register words (see [`QueueBlock`]): valid
     /// while any needed queue still lacks words, whatever else changes.
@@ -107,32 +107,57 @@ enum IssueBlock {
     },
 }
 
-/// Accumulator threaded through a readiness probe: cumulative queue
-/// words needed (`[NetIn, EvQ]`), plus the hypothetical mode used to
-/// derive [`QueueBlock`] proofs.
-struct QueueNeeds {
-    counts: [usize; 2],
-    /// When set, queue occupancy checks are skipped (queues treated as
-    /// arbitrarily full): a `true` probe result then proves the
-    /// instruction is blocked *only* by queue words.
-    assume_available: bool,
+/// Outcome of probing one instruction for issue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Every operand, destination, structural resource and queue word
+    /// is available: the instruction issues.
+    Ready,
+    /// Not this cycle — with the proof to memoize, if the blocker is one
+    /// an [`IssueBlock`] can describe.
+    Blocked(Option<IssueBlock>),
 }
 
-impl QueueNeeds {
-    /// A real readiness probe.
-    fn checked() -> QueueNeeds {
-        QueueNeeds {
-            counts: [0; 2],
-            assume_available: false,
+/// The issue stage's visit order over one cluster: the slots set in
+/// `running`, starting at the round-robin cursor and wrapping — i.e.
+/// `(rr + k) % NUM_SLOTS` for `k` in `0..NUM_SLOTS`, restricted to
+/// running slots. The mask is rotated right by the cursor so that order
+/// is plain lowest-set-bit order, and slots that are not running cost
+/// no iteration at all.
+#[derive(Debug, Clone, Copy)]
+struct SlotScan {
+    /// `running` rotated right by `rr` within its `NUM_SLOTS` bits.
+    rotated: u32,
+    rr: usize,
+}
+
+impl SlotScan {
+    fn new(running: u8, rr: usize) -> SlotScan {
+        const MASK: u32 = (1 << NUM_SLOTS) - 1;
+        debug_assert!(rr < NUM_SLOTS);
+        let running = u32::from(running) & MASK;
+        SlotScan {
+            rotated: (running >> rr | running << (NUM_SLOTS - rr)) & MASK,
+            rr,
         }
     }
+}
 
-    /// A hypothetical probe with infinite queue words.
-    fn assumed() -> QueueNeeds {
-        QueueNeeds {
-            counts: [0; 2],
-            assume_available: true,
+impl Iterator for SlotScan {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.rotated == 0 {
+            return None;
         }
+        let k = self.rotated.trailing_zeros() as usize;
+        self.rotated &= self.rotated - 1;
+        let slot = self.rr + k;
+        Some(if slot >= NUM_SLOTS {
+            slot - NUM_SLOTS
+        } else {
+            slot
+        })
     }
 }
 
@@ -371,8 +396,8 @@ pub struct Node {
     pub mem: MemorySystem,
     /// The network interface (public for the machine pump).
     pub net: NodeNet,
-    event_q: Vec<VecDeque<Word>>,
-    exc_q: Vec<VecDeque<Word>>,
+    event_q: [VecDeque<Word>; NUM_CLUSTERS],
+    exc_q: [VecDeque<Word>; NUM_CLUSTERS],
     stats: NodeStats,
     cfg: NodeConfig,
     coord: NodeCoord,
@@ -404,9 +429,9 @@ impl Node {
             rr: [0; NUM_CLUSTERS],
             threads: std::array::from_fn(|_| std::array::from_fn(|_| HThread::idle())),
             regs: std::array::from_fn(|_| std::array::from_fn(|_| ThreadRegs::new())),
-            event_q: (0..NUM_CLUSTERS).map(|_| VecDeque::new()).collect(),
+            event_q: std::array::from_fn(|_| VecDeque::new()),
             event_records: [0; NUM_CLUSTERS],
-            exc_q: (0..NUM_CLUSTERS).map(|_| VecDeque::new()).collect(),
+            exc_q: std::array::from_fn(|_| VecDeque::new()),
             local_writes: ReadyQueue::new(),
             csw: ReadyQueue::new(),
             next_req_id: 0,
@@ -581,7 +606,12 @@ impl Node {
     /// (used by firmware handlers that stand in for an event H-Thread;
     /// see the coherence layer in `mm-core`).
     pub fn pop_event_record(&mut self, cluster: usize) -> Option<[Word; 3]> {
-        if self.event_q[cluster].len() < 3 {
+        // Firmware pollers call this every node-step, nearly always on an
+        // empty class: answer from the hot-header count without touching
+        // the queue. Records are pushed and counted together and the
+        // count only drops on a 3-word boundary, so it is
+        // `ceil(len / 3)` — zero exactly when the queue is empty.
+        if self.event_records[cluster] == 0 || self.event_q[cluster].len() < 3 {
             return None;
         }
         let q = &mut self.event_q[cluster];
@@ -938,116 +968,61 @@ impl Node {
     /// Returns whether the cluster did anything observable this cycle
     /// (issued an instruction or raised a fetch fault).
     ///
-    /// The instruction is *borrowed* from the thread's shared
-    /// [`Program`] (via a refcount bump that keeps the borrow alive
-    /// across the `&mut self` execute call), never cloned — the old
-    /// per-issue `Instruction::clone` was the single largest heap/copy
-    /// cost on the busy-cycle path.
+    /// Nothing here walks the instruction: the probe reads the
+    /// program's precomputed [`IssueDesc`], and the instruction itself
+    /// is only touched by `execute`. `execute` needs `&mut self` while
+    /// the instruction lives in the thread's shared [`Program`], so the
+    /// `Arc` is *moved* out of the thread slot for the call and moved
+    /// back after it — no clone, no refcount traffic. (`execute`, and
+    /// the `fault`/halt paths under it, never look at `.program`.)
     fn issue_cluster(&mut self, now: u64, c: usize) -> bool {
         let running = self.running[c];
         if running == 0 {
             return false;
         }
-        let rr = usize::from(self.rr[c]);
         let mut acted = false;
-        for k in 0..NUM_SLOTS {
-            let slot = (rr + k) % NUM_SLOTS;
-            if running & (1u8 << slot) == 0 {
+        for slot in SlotScan::new(running, usize::from(self.rr[c])) {
+            let t = &self.threads[c][slot];
+            if now < t.stall_until {
                 continue;
             }
-            let pc = {
-                let t = &self.threads[c][slot];
-                if now < t.stall_until {
+            // Memoized block proof: while the recorded condition
+            // (queue shortage / unchanged register file) persists,
+            // the full probe is provably a no-op — skip it.
+            match t.blocked {
+                Some(IssueBlock::Queue(b))
+                    if b.pc == t.pc && self.queue_block_holds(c, slot, b) =>
+                {
                     continue;
                 }
-                // Memoized block proof: while the recorded condition
-                // (queue shortage / unchanged register file) persists,
-                // the full probe is provably a no-op — skip it.
-                match t.blocked {
-                    Some(IssueBlock::Queue(b))
-                        if b.pc == t.pc && self.queue_block_holds(c, slot, b) =>
-                    {
-                        continue;
-                    }
-                    Some(IssueBlock::Regs { pc, version })
-                        if pc == t.pc && self.regs[c][slot].version() == version =>
-                    {
-                        continue;
-                    }
-                    _ => {}
-                }
-                if t.program.is_none() {
+                Some(IssueBlock::Regs { pc, version })
+                    if pc == t.pc && self.regs[c][slot].version() == version =>
+                {
                     continue;
                 }
-                t.pc
-            };
-            self.stats.issue_probes += 1;
-            // Probe with the instruction *borrowed* from the shared
-            // program — no clone, no refcount traffic on this path.
-            let mut pc_out_of_range = false;
-            let mut ready = false;
-            let mut memo: Option<IssueBlock> = None;
-            {
-                let t = &self.threads[c][slot];
-                let prog = t.program.as_ref().expect("checked above");
-                match prog.instrs.get(pc as usize) {
-                    None => pc_out_of_range = true,
-                    Some(instr) => {
-                        let mut qn = QueueNeeds::checked();
-                        ready = self.instr_ready(c, slot, instr, &mut qn);
-                        if !ready {
-                            // If a hypothetical probe with full queues
-                            // *would* issue, the only blockers are queue
-                            // words — memoize the totals so the re-probe
-                            // waits for them. Otherwise, if readiness
-                            // depends on nothing outside this thread's
-                            // register file, memoize its version.
-                            let mut hypothetical = QueueNeeds::assumed();
-                            if self.instr_ready(c, slot, instr, &mut hypothetical)
-                                && hypothetical.counts != [0, 0]
-                            {
-                                #[allow(clippy::cast_possible_truncation)]
-                                {
-                                    let needs = [
-                                        hypothetical.counts[0].min(u16::MAX as usize) as u16,
-                                        hypothetical.counts[1].min(u16::MAX as usize) as u16,
-                                    ];
-                                    memo = Some(IssueBlock::Queue(QueueBlock { pc, needs }));
-                                }
-                            } else if instr.mem_op.is_none()
-                                && !matches!(instr.int_op, Some(IntOp::MRestart { .. }))
-                            {
-                                memo = Some(IssueBlock::Regs {
-                                    pc,
-                                    version: self.regs[c][slot].version(),
-                                });
-                            }
-                        }
-                    }
-                }
+                _ => {}
             }
-            if pc_out_of_range {
+            let Some(prog) = &t.program else {
+                continue;
+            };
+            let pc = t.pc;
+            self.stats.issue_probes += 1;
+            let Some(&desc) = prog.issue_descs().get(pc as usize) else {
                 self.fault(now, c, slot, Fault::PcOutOfRange);
                 acted = true;
                 continue;
-            }
-            if !ready {
-                if let Some(b) = memo {
-                    self.threads[c][slot].blocked = Some(b);
+            };
+            if let Probe::Blocked(memo) = self.probe(c, slot, pc, desc) {
+                if memo.is_some() {
+                    self.threads[c][slot].blocked = memo;
                 }
                 continue;
             }
-            // Issue: the execute path mutates the node, so the borrow
-            // is kept alive across it by one refcount bump.
-            let prog = Arc::clone(
-                self.threads[c][slot]
-                    .program
-                    .as_ref()
-                    .expect("checked above"),
-            );
-            let instr = &prog.instrs[pc as usize];
-            self.threads[c][slot].blocked = None;
-            self.execute(now, c, slot, instr);
+            let t = &mut self.threads[c][slot];
+            t.blocked = None;
+            let prog = t.program.take().expect("probed through it above");
+            self.execute(now, c, slot, &prog.instrs()[pc as usize]);
+            self.threads[c][slot].program = Some(prog);
             #[allow(clippy::cast_possible_truncation)]
             {
                 self.rr[c] = ((slot + 1) % NUM_SLOTS) as u8;
@@ -1058,6 +1033,52 @@ impl Node {
             break;
         }
         acted
+    }
+
+    /// The synchronization stage's readiness test for the instruction
+    /// `desc` describes, sitting at `pc` of `(c, slot)`: one AND against
+    /// the scoreboard word, then the structural hazards, then the queue
+    /// occupancies.
+    ///
+    /// A failed probe also says what to memoize. If everything *but*
+    /// queue words is in place, the shortage alone blocks the thread
+    /// whatever else changes ([`IssueBlock::Queue`]); otherwise, if
+    /// readiness involves nothing outside this thread's register file,
+    /// only a change to that file can unblock it
+    /// ([`IssueBlock::Regs`]).
+    fn probe(&self, c: usize, slot: usize, pc: u32, desc: IssueDesc) -> Probe {
+        let regs = &self.regs[c][slot];
+        // Room in the bank queue that the raw address in `vaddr` maps to?
+        let restart_fits = |vaddr: Reg| self.mem.can_accept(regs.read(vaddr).bits(), false);
+        let holds = regs.scoreboard() & desc.need == desc.need
+            && desc.int_restart.is_none_or(restart_fits)
+            && match desc.mem {
+                MemHazard::None => true,
+                MemHazard::Access(base) => match regs.read(base).pointer() {
+                    Ok(p) => self.mem.can_accept(p.addr(), p.perm() == Perm::Physical),
+                    Err(_) => true, // will fault at execute, not stall
+                },
+                MemHazard::SendCredit => self.net.credits() != 0,
+                MemHazard::Restart(vaddr) => restart_fits(vaddr),
+            };
+        if !holds {
+            return Probe::Blocked(desc.regs_only.then(|| IssueBlock::Regs {
+                pc,
+                version: regs.version(),
+            }));
+        }
+        if desc.queue_words == [0, 0] {
+            return Probe::Ready;
+        }
+        let block = QueueBlock {
+            pc,
+            needs: desc.queue_words.map(u16::from),
+        };
+        if self.queue_block_holds(c, slot, block) {
+            Probe::Blocked(Some(IssueBlock::Queue(block)))
+        } else {
+            Probe::Ready
+        }
     }
 
     /// Does the memoized queue-shortage proof still hold — i.e. does
@@ -1093,168 +1114,6 @@ impl Node {
                 _ => None,
             },
             _ => None,
-        }
-    }
-
-    fn src_ready(&self, c: usize, slot: usize, src: &Src, qn: &mut QueueNeeds) -> bool {
-        match src {
-            Src::Imm(_) => true,
-            Src::Reg(r) => self.reg_ready(c, slot, *r, qn),
-        }
-    }
-
-    fn reg_ready(&self, c: usize, slot: usize, reg: Reg, qn: &mut QueueNeeds) -> bool {
-        if reg.is_queue() {
-            let idx = usize::from(reg == Reg::EvQ);
-            qn.counts[idx] += 1;
-            if qn.assume_available {
-                // Hypothetical-probe mode: queues treated as full, so a
-                // `true` overall result means only queue words block.
-                return true;
-            }
-            match self.queue_words_available(c, slot, reg) {
-                // Wrong slot/cluster: let it issue, then fault in execute.
-                None => true,
-                Some(avail) => avail >= qn.counts[idx],
-            }
-        } else {
-            self.regs[c][slot].is_full(reg)
-        }
-    }
-
-    /// Local destinations must be full to issue (WAW protection and the
-    /// empty/fill receive protocol, §3.1).
-    fn dst_ready(&self, c: usize, slot: usize, dst: &Dst) -> bool {
-        match dst {
-            Dst::Local(reg) if !reg.is_queue() => self.regs[c][slot].is_full(*reg),
-            _ => true,
-        }
-    }
-
-    fn int_op_ready(&self, c: usize, slot: usize, op: &IntOp, qn: &mut QueueNeeds) -> bool {
-        match op {
-            IntOp::Alu { a, b, dst, .. } | IntOp::Cmp { a, b, dst, .. } => {
-                self.src_ready(c, slot, a, qn)
-                    && self.src_ready(c, slot, b, qn)
-                    && self.dst_ready(c, slot, dst)
-            }
-            IntOp::Mov { src, dst } => {
-                self.src_ready(c, slot, src, qn) && self.dst_ready(c, slot, dst)
-            }
-            IntOp::Lea { base, offset, dst } => {
-                self.reg_ready(c, slot, *base, qn)
-                    && self.src_ready(c, slot, offset, qn)
-                    && self.dst_ready(c, slot, dst)
-            }
-            IntOp::SetPtr {
-                perm,
-                log2_len,
-                addr,
-                dst,
-            } => {
-                self.src_ready(c, slot, perm, qn)
-                    && self.src_ready(c, slot, log2_len, qn)
-                    && self.src_ready(c, slot, addr, qn)
-                    && self.dst_ready(c, slot, dst)
-            }
-            IntOp::Branch { cond, .. } => match cond {
-                BranchCond::Always => true,
-                BranchCond::IfTrue(r) | BranchCond::IfFalse(r) => self.reg_ready(c, slot, *r, qn),
-            },
-            IntOp::JmpReg { target } => self.reg_ready(c, slot, *target, qn),
-            IntOp::Empty { .. } | IntOp::Halt | IntOp::Nop => true,
-            IntOp::WrReg { addr, value } => {
-                self.src_ready(c, slot, addr, qn) && self.src_ready(c, slot, value, qn)
-            }
-            IntOp::GProbe { va, dst } => {
-                self.src_ready(c, slot, va, qn) && self.dst_ready(c, slot, dst)
-            }
-            IntOp::TlbWr { entry_ptr } => self.reg_ready(c, slot, *entry_ptr, qn),
-            IntOp::MRestart { desc, vaddr, data } => {
-                self.reg_ready(c, slot, *desc, qn)
-                    && self.reg_ready(c, slot, *vaddr, qn)
-                    && self.reg_ready(c, slot, *data, qn)
-                    && self
-                        .mem
-                        .can_accept(self.regs[c][slot].read(*vaddr).bits(), false)
-            }
-            IntOp::NodeId { dst } => self.dst_ready(c, slot, dst),
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn instr_ready(&self, c: usize, slot: usize, instr: &Instruction, qn: &mut QueueNeeds) -> bool {
-        let mut ready = true;
-
-        if let Some(op) = &instr.int_op {
-            ready &= self.int_op_ready(c, slot, op, qn);
-        }
-        if ready {
-            if let Some(slot_op) = &instr.mem_op {
-                match slot_op {
-                    MemSlotOp::Int(op) => ready &= self.int_op_ready(c, slot, op, qn),
-                    MemSlotOp::Mem(op) => match op {
-                        MemOp::Load { base, dst, .. } => {
-                            ready &= self.reg_ready(c, slot, *base, qn)
-                                && self.dst_ready(c, slot, dst)
-                                && self.mem_can_accept_via(c, slot, *base);
-                        }
-                        MemOp::Store { src, base, .. } => {
-                            ready &= self.src_ready(c, slot, src, qn)
-                                && self.reg_ready(c, slot, *base, qn)
-                                && self.mem_can_accept_via(c, slot, *base);
-                        }
-                        MemOp::Send {
-                            dest,
-                            dip,
-                            len,
-                            priority,
-                        } => {
-                            ready &= self.reg_ready(c, slot, *dest, qn)
-                                && self.reg_ready(c, slot, *dip, qn);
-                            for i in 1..=*len {
-                                ready &= self.reg_ready(c, slot, Reg::Mc(i), qn);
-                            }
-                            if *priority == Priority::P0 && self.net.credits() == 0 {
-                                // "Threads attempting to execute a SEND
-                                // instruction will stall" (§4.1).
-                                ready = false;
-                            }
-                        }
-                    },
-                }
-            }
-        }
-        if ready {
-            if let Some(op) = &instr.fp_op {
-                ready &= match op {
-                    FpOp::Alu { a, b, dst, .. } | FpOp::Cmp { a, b, dst, .. } => {
-                        self.src_ready(c, slot, a, qn)
-                            && self.src_ready(c, slot, b, qn)
-                            && self.dst_ready(c, slot, dst)
-                    }
-                    FpOp::Madd { a, b, c: cc, dst } => {
-                        self.src_ready(c, slot, a, qn)
-                            && self.src_ready(c, slot, b, qn)
-                            && self.src_ready(c, slot, cc, qn)
-                            && self.dst_ready(c, slot, dst)
-                    }
-                    FpOp::Mov { src, dst } | FpOp::Itof { src, dst } | FpOp::Ftoi { src, dst } => {
-                        self.src_ready(c, slot, src, qn) && self.dst_ready(c, slot, dst)
-                    }
-                    FpOp::Empty { .. } | FpOp::Nop => true,
-                };
-            }
-        }
-        ready
-    }
-
-    /// Can the memory system take a request through the pointer in `base`?
-    fn mem_can_accept_via(&self, c: usize, slot: usize, base: Reg) -> bool {
-        let w = self.regs[c][slot].read(base);
-        match w.pointer() {
-            Ok(p) => self.mem.can_accept(p.addr(), p.perm() == Perm::Physical),
-            Err(_) => true, // will fault at execute, not stall
         }
     }
 
@@ -1907,7 +1766,13 @@ impl Node {
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CkptError> {
         for c in 0..NUM_CLUSTERS {
             self.running[c] = d.u8()?;
-            self.rr[c] = d.u8()?;
+            let rr = d.u8()?;
+            if usize::from(rr) >= NUM_SLOTS {
+                return Err(CkptError(format!(
+                    "bad round-robin cursor {rr} at cluster {c}"
+                )));
+            }
+            self.rr[c] = rr;
             self.event_records[c] = d.u32()?;
         }
         self.next_req_id = d.u64()?;
@@ -2093,3 +1958,6 @@ fn load_node_stats(d: &mut Dec) -> Result<NodeStats, CkptError> {
     s.steps = d.u64()?;
     Ok(s)
 }
+
+#[cfg(test)]
+mod issue_tests;

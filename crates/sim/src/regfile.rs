@@ -15,32 +15,14 @@
 //! eight heap blocks and pointer chases per file, 192 per node.
 
 use mm_faults::{CkptError, Dec, Enc};
-use mm_isa::reg::{Reg, NUM_FP_REGS, NUM_GCC_REGS, NUM_INT_REGS, NUM_MC_REGS};
+use mm_isa::reg::{Reg, NUM_FP_REGS, NUM_INT_REGS, NUM_MC_REGS, SCOREBOARD_ALL_FULL};
 use mm_isa::word::Word;
-
-/// Bit offsets of each register class inside the packed scoreboard.
-const INT_BASE: u32 = 0;
-const FP_BASE: u32 = INT_BASE + NUM_INT_REGS as u32;
-const MC_BASE: u32 = FP_BASE + NUM_FP_REGS as u32;
-const GCC_BASE: u32 = MC_BASE + NUM_MC_REGS as u32;
-const ALL_FULL: u64 = (1u64 << (GCC_BASE + NUM_GCC_REGS as u32)) - 1;
-
-/// The scoreboard bit index of `reg`, or `None` for queue registers
-/// (their "scoreboard" is the queue occupancy, owned by the node).
-fn bit_of(reg: Reg) -> Option<u32> {
-    match reg {
-        Reg::Int(n) => Some(INT_BASE + u32::from(n)),
-        Reg::Fp(n) => Some(FP_BASE + u32::from(n)),
-        Reg::Mc(n) => Some(MC_BASE + u32::from(n)),
-        Reg::Gcc(n) => Some(GCC_BASE + u32::from(n)),
-        Reg::NetIn | Reg::EvQ => None,
-    }
-}
 
 /// One H-Thread's registers on one cluster, with full/empty bits.
 #[derive(Debug, Clone)]
 pub struct ThreadRegs {
-    /// Packed full/empty bits for every register (int, fp, mc, gcc).
+    /// Packed full/empty bits for every register (int, fp, mc, gcc),
+    /// laid out by [`Reg::scoreboard_bit`].
     full: u64,
     /// Mutation counter: bumped by every effective `write`/`clear`.
     /// The issue stage memoizes "this thread's instruction is blocked
@@ -67,7 +49,7 @@ impl ThreadRegs {
     #[must_use]
     pub fn new() -> ThreadRegs {
         ThreadRegs {
-            full: ALL_FULL,
+            full: SCOREBOARD_ALL_FULL,
             version: 0,
             gcc: 0,
             int: [Word::ZERO; NUM_INT_REGS as usize],
@@ -84,8 +66,18 @@ impl ThreadRegs {
     /// Panics on queue registers or out-of-range indices.
     #[must_use]
     pub fn is_full(&self, reg: Reg) -> bool {
-        let bit = bit_of(reg).expect("queue registers are owned by the node");
+        let bit = reg
+            .scoreboard_bit()
+            .expect("queue registers are owned by the node");
         self.full & (1u64 << bit) != 0
+    }
+
+    /// The packed full/empty word, one bit per register at
+    /// [`Reg::scoreboard_bit`] — the issue stage tests an instruction's
+    /// whole operand set against it with one AND.
+    #[must_use]
+    pub fn scoreboard(&self) -> u64 {
+        self.full
     }
 
     /// Read a register's value (caller must have checked fullness).
@@ -121,7 +113,7 @@ impl ThreadRegs {
             }
             Reg::NetIn | Reg::EvQ => return,
         }
-        if let Some(bit) = bit_of(reg) {
+        if let Some(bit) = reg.scoreboard_bit() {
             self.full |= 1u64 << bit;
         }
         self.version += 1;
@@ -139,7 +131,7 @@ impl ThreadRegs {
         if matches!(reg, Reg::Int(0) | Reg::NetIn | Reg::EvQ) {
             return;
         }
-        if let Some(bit) = bit_of(reg) {
+        if let Some(bit) = reg.scoreboard_bit() {
             self.full &= !(1u64 << bit);
         }
         self.version += 1;

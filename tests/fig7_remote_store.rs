@@ -42,7 +42,7 @@ fn fig7_remote_store_code_runs() {
     // between dispatch and the branch back.
     let img = m.image();
     let entry = img.p0_handler.entry("remote_write").unwrap() as usize;
-    let code = &img.p0_handler.instrs[entry..entry + 3];
+    let code = &img.p0_handler.instrs()[entry..entry + 3];
     let text: Vec<String> = code.iter().map(ToString::to_string).collect();
     assert!(text[0].contains("mov rnet"), "{text:?}");
     assert!(text[1].contains("st rnet"), "{text:?}");
