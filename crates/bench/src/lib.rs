@@ -18,6 +18,7 @@ pub mod workloads;
 use mm_core::machine::{MMachine, MachineConfig};
 use mm_core::timeline::{PacketKind, Phase};
 use mm_isa::assemble;
+use mm_isa::instr::Program;
 use mm_isa::op::Priority;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
@@ -33,20 +34,10 @@ fn machine() -> MMachine {
     MMachine::build(MachineConfig::small()).expect("valid config")
 }
 
-/// Run a probe program on node 0 (slot `slot`), returning
-/// (start_cycle, halt_cycle).
-fn run_probe(m: &mut MMachine, slot: usize, src: &str, ptr: Word) -> (u64, u64) {
-    let prog = Arc::new(assemble(src).expect("probe assembles"));
-    m.load_user_program(0, slot, &prog).expect("user slot");
-    m.set_user_reg(0, 0, slot, Reg::Int(1), ptr);
-    let t0 = m.cycle();
-    m.clear_timeline();
-    m.run_until_halt(200_000).expect("probe finishes");
-    let halt = m
-        .timeline()
-        .first_cycle(|p| matches!(p, Phase::UserHalted { node: 0, slot: s, .. } if *s == slot))
-        .expect("halt recorded");
-    (t0, halt)
+/// Assemble one of the fixed probe sources. The artifacts do this once
+/// per call and load the program into every machine they build.
+fn probe(src: &str) -> Arc<Program> {
+    Arc::new(assemble(src).expect("probe assembles"))
 }
 
 /// One row of Table 1.
@@ -66,17 +57,34 @@ pub struct Table1Row {
 
 const READ_PROBE: &str = "ld [r1], r2\n add r2, #0, r3\n halt\n";
 const WRITE_PROBE: &str = "st r2, [r1]\n halt\n";
+/// A toucher for a different line of the pointer's page: warms the LTLB
+/// and the DRAM row but not the line. ([`READ_PROBE`] warms the line.)
+const WARM_PAGE: &str = "ld [r1+#64], r2\n add r2, #0, r3\n halt\n";
 
-/// Measure a read latency on node 0 given a warmed machine.
-fn measure_read(m: &mut MMachine, slot: usize, ptr: Word) -> u64 {
-    let (t0, halt) = run_probe(m, slot, READ_PROBE, ptr);
+/// Measure a read latency on node 0 given a warmed machine: thread
+/// start to the `UserHalted` trace event of the read probe in `slot`.
+fn measure_read(m: &mut MMachine, slot: usize, read: &Arc<Program>, ptr: Word) -> u64 {
+    m.load_user_program(0, slot, read).expect("user slot");
+    m.set_user_reg(0, 0, slot, Reg::Int(1), ptr);
+    let t0 = m.cycle();
+    m.clear_timeline();
+    m.run_until_halt(200_000).expect("probe finishes");
+    let halt = m
+        .timeline()
+        .first_cycle(|p| matches!(p, Phase::UserHalted { node: 0, slot: s, .. } if *s == slot))
+        .expect("halt recorded");
     halt - t0 - READ_PROBE_OVERHEAD
 }
 
 /// Measure a write's completion (last memory response at `home`).
-fn measure_write(m: &mut MMachine, slot: usize, ptr: Word, home: usize) -> u64 {
-    let prog = Arc::new(assemble(WRITE_PROBE).expect("probe assembles"));
-    m.load_user_program(0, slot, &prog).expect("user slot");
+fn measure_write(
+    m: &mut MMachine,
+    slot: usize,
+    write: &Arc<Program>,
+    ptr: Word,
+    home: usize,
+) -> u64 {
+    m.load_user_program(0, slot, write).expect("user slot");
     m.set_user_reg(0, 0, slot, Reg::Int(1), ptr);
     m.set_user_reg(0, 0, slot, Reg::Int(2), Word::from_u64(0xBEEF));
     let t0 = m.cycle();
@@ -85,17 +93,11 @@ fn measure_write(m: &mut MMachine, slot: usize, ptr: Word, home: usize) -> u64 {
     m.node(home).stats().last_response_cycle - t0
 }
 
-/// Warm node `node`'s LTLB (and optionally its cache line for the
-/// pointer's address) by running a toucher thread on that node.
-fn warm(m: &mut MMachine, node: usize, slot: usize, ptr: Word, same_line: bool) {
-    let src = if same_line {
-        "ld [r1], r2\n add r2, #0, r3\n halt\n"
-    } else {
-        // Touch a different line of the same page: warms LTLB + DRAM row.
-        "ld [r1+#64], r2\n add r2, #0, r3\n halt\n"
-    };
-    let prog = Arc::new(assemble(src).expect("toucher assembles"));
-    m.load_user_program(node, slot, &prog).expect("user slot");
+/// Warm node `node`'s LTLB and DRAM row for the pointer's page — and,
+/// with [`READ_PROBE`] rather than [`WARM_PAGE`] as the toucher, its
+/// cache line — by running the toucher thread on that node.
+fn warm(m: &mut MMachine, node: usize, slot: usize, ptr: Word, toucher: &Arc<Program>) {
+    m.load_user_program(node, slot, toucher).expect("user slot");
     m.set_user_reg(node, 0, slot, Reg::Int(1), ptr);
     m.run_until_halt(200_000).expect("toucher finishes");
     m.run_cycles(64);
@@ -110,16 +112,18 @@ fn warm(m: &mut MMachine, node: usize, slot: usize, ptr: Word, same_line: bool) 
 /// otherwise idle.
 #[must_use]
 pub fn table1() -> Vec<Table1Row> {
+    let (read_probe, write_probe) = (probe(READ_PROBE), probe(WRITE_PROBE));
+    let warm_page = probe(WARM_PAGE);
     let mut rows = Vec::new();
 
     // --- Local cache hit (3 / 2): fully warmed. ---
     let (mut mr, mut mw) = (machine(), machine());
     let ptr = mr.home_ptr(0, 0);
-    warm(&mut mr, 0, 0, ptr, true);
-    let read = measure_read(&mut mr, 1, ptr);
+    warm(&mut mr, 0, 0, ptr, &read_probe);
+    let read = measure_read(&mut mr, 1, &read_probe, ptr);
     let ptrw = mw.home_ptr(0, 0);
-    warm(&mut mw, 0, 0, ptrw, true);
-    let write = measure_write(&mut mw, 1, ptrw, 0);
+    warm(&mut mw, 0, 0, ptrw, &read_probe);
+    let write = measure_write(&mut mw, 1, &write_probe, ptrw, 0);
     rows.push(Table1Row {
         access: "Local Cache Hit",
         read_paper: 3,
@@ -131,11 +135,11 @@ pub fn table1() -> Vec<Table1Row> {
     // --- Local cache miss (13 / 19): LTLB + DRAM row warm, line cold. ---
     let (mut mr, mut mw) = (machine(), machine());
     let ptr = mr.home_ptr(0, 0);
-    warm(&mut mr, 0, 0, ptr, false);
-    let read = measure_read(&mut mr, 1, ptr);
+    warm(&mut mr, 0, 0, ptr, &warm_page);
+    let read = measure_read(&mut mr, 1, &read_probe, ptr);
     let ptrw = mw.home_ptr(0, 0);
-    warm(&mut mw, 0, 0, ptrw, false);
-    let write = measure_write(&mut mw, 1, ptrw, 0);
+    warm(&mut mw, 0, 0, ptrw, &warm_page);
+    let write = measure_write(&mut mw, 1, &write_probe, ptrw, 0);
     rows.push(Table1Row {
         access: "Local Cache Miss",
         read_paper: 13,
@@ -147,10 +151,10 @@ pub fn table1() -> Vec<Table1Row> {
     // --- Local LTLB miss (61 / 67): cold machine, handler walks LPT. ---
     let mut mr = machine();
     let ptr = mr.home_ptr(0, 0);
-    let read = measure_read(&mut mr, 0, ptr);
+    let read = measure_read(&mut mr, 0, &read_probe, ptr);
     let mut mw = machine();
     let wptr = mw.home_ptr(0, 0);
-    let write = measure_write(&mut mw, 0, wptr, 0);
+    let write = measure_write(&mut mw, 0, &write_probe, wptr, 0);
     rows.push(Table1Row {
         access: "Local LTLB Miss",
         read_paper: 61,
@@ -162,12 +166,12 @@ pub fn table1() -> Vec<Table1Row> {
     // --- Remote cache hit (138 / 74): remote node warm. ---
     let mut mr = machine();
     let rptr = mr.home_ptr(1, 0);
-    warm(&mut mr, 1, 0, rptr, true);
-    let read = measure_read(&mut mr, 0, rptr);
+    warm(&mut mr, 1, 0, rptr, &read_probe);
+    let read = measure_read(&mut mr, 0, &read_probe, rptr);
     let mut mw = machine();
     let rptrw = mw.home_ptr(1, 0);
-    warm(&mut mw, 1, 0, rptrw, true);
-    let write = measure_write(&mut mw, 0, rptrw, 1);
+    warm(&mut mw, 1, 0, rptrw, &read_probe);
+    let write = measure_write(&mut mw, 0, &write_probe, rptrw, 1);
     rows.push(Table1Row {
         access: "Remote Cache Hit",
         read_paper: 138,
@@ -179,12 +183,12 @@ pub fn table1() -> Vec<Table1Row> {
     // --- Remote cache miss (154 / 90): remote LTLB warm, line cold. ---
     let mut mr = machine();
     let rptr = mr.home_ptr(1, 0);
-    warm(&mut mr, 1, 0, rptr, false);
-    let read = measure_read(&mut mr, 0, rptr);
+    warm(&mut mr, 1, 0, rptr, &warm_page);
+    let read = measure_read(&mut mr, 0, &read_probe, rptr);
     let mut mw = machine();
     let rptrw = mw.home_ptr(1, 0);
-    warm(&mut mw, 1, 0, rptrw, false);
-    let write = measure_write(&mut mw, 0, rptrw, 1);
+    warm(&mut mw, 1, 0, rptrw, &warm_page);
+    let write = measure_write(&mut mw, 0, &write_probe, rptrw, 1);
     rows.push(Table1Row {
         access: "Remote Cache Miss",
         read_paper: 154,
@@ -196,10 +200,10 @@ pub fn table1() -> Vec<Table1Row> {
     // --- Remote LTLB miss (202 / 138): both nodes cold. ---
     let mut mr = machine();
     let rptr = mr.home_ptr(1, 0);
-    let read = measure_read(&mut mr, 0, rptr);
+    let read = measure_read(&mut mr, 0, &read_probe, rptr);
     let mut mw = machine();
     let wptr = mw.home_ptr(1, 0);
-    let write = measure_write(&mut mw, 0, wptr, 1);
+    let write = measure_write(&mut mw, 0, &write_probe, wptr, 1);
     rows.push(Table1Row {
         access: "Remote LTLB Miss",
         read_paper: 202,
@@ -227,14 +231,18 @@ pub struct Fig9Phase {
 /// Reproduce **Fig. 9**: the remote read (or write) timeline.
 #[must_use]
 pub fn fig9(write: bool) -> Vec<Fig9Phase> {
+    let read_probe = probe(READ_PROBE);
     let mut m = machine();
     let rptr = m.home_ptr(1, 0);
     // Warm the remote node so its handler's load hits (Fig. 9 assumes
     // handler data structures hit; the remote LTLB path is the 202 row).
-    warm(&mut m, 1, 0, rptr, true);
+    warm(&mut m, 1, 0, rptr, &read_probe);
 
-    let src = if write { WRITE_PROBE } else { READ_PROBE };
-    let prog = Arc::new(assemble(src).expect("probe"));
+    let prog = if write {
+        probe(WRITE_PROBE)
+    } else {
+        read_probe
+    };
     m.load_user_program(0, 0, &prog).expect("slot");
     m.set_user_reg(0, 0, 0, Reg::Int(1), rptr);
     m.set_user_reg(0, 0, 0, Reg::Int(2), Word::from_u64(1));
@@ -363,6 +371,13 @@ pub struct Fig5Row {
 pub fn fig5() -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for (neighbours, thread_counts) in [(6usize, vec![1usize, 2, 4]), (26, vec![1, 2, 4])] {
+        // Touches every line of the tile; the same for every thread count.
+        let mut warm_src = String::new();
+        for off in (0..tile_words(neighbours)).step_by(8) {
+            warm_src.push_str(&format!("ld [r1+#{off}], r2\n"));
+        }
+        warm_src.push_str("add r2, #0, r3\n halt\n");
+        let warm_prog = probe(&warm_src);
         for &threads in &thread_counts {
             let kernel = stencil_kernel(neighbours, threads);
             let mut m = machine();
@@ -390,12 +405,6 @@ pub fn fig5() -> Vec<Fig5Row> {
             let expect = 10.0 + a * 2.0 + b * sum;
 
             // Warm every line of the tile.
-            let mut warm_src = String::new();
-            for off in (0..tile_words(neighbours)).step_by(8) {
-                warm_src.push_str(&format!("ld [r1+#{off}], r2\n"));
-            }
-            warm_src.push_str("add r2, #0, r3\n halt\n");
-            let warm_prog = Arc::new(assemble(&warm_src).expect("warm"));
             m.load_user_program(0, 3, &warm_prog).expect("slot");
             m.set_user_reg(0, 0, 3, Reg::Int(1), ptr);
             m.run_until_halt(100_000).expect("warm finishes");
@@ -496,7 +505,7 @@ pub fn interleave() -> Vec<InterleaveRow> {
         src.push_str("fadd f1, f2, f1\n");
     }
     src.push_str("halt\n");
-    let prog = Arc::new(assemble(&src).expect("chain assembles"));
+    let prog = probe(&src);
 
     let mut rows = Vec::new();
     for vthreads in 1..=4usize {
@@ -569,17 +578,18 @@ pub struct PageModeAblation {
 /// page mode of the external memory".
 #[must_use]
 pub fn page_mode_ablation() -> PageModeAblation {
+    let (read_probe, warm_page) = (probe(READ_PROBE), probe(WARM_PAGE));
     let mut m = machine();
     let ptr = m.home_ptr(0, 0);
-    warm(&mut m, 0, 0, ptr, false);
-    let read_on = measure_read(&mut m, 1, ptr);
+    warm(&mut m, 0, 0, ptr, &warm_page);
+    let read_on = measure_read(&mut m, 1, &read_probe, ptr);
 
     let mut cfg = MachineConfig::small();
     cfg.node.mem.sdram.page_mode = false;
     let mut m = MMachine::build(cfg).expect("valid");
     let ptr = m.home_ptr(0, 0);
-    warm(&mut m, 0, 0, ptr, false);
-    let read_off = measure_read(&mut m, 1, ptr);
+    warm(&mut m, 0, 0, ptr, &warm_page);
+    let read_off = measure_read(&mut m, 1, &read_probe, ptr);
 
     PageModeAblation { read_on, read_off }
 }
@@ -598,16 +608,16 @@ pub struct ThrottleAblation {
 /// message flood.
 #[must_use]
 pub fn throttle_ablation() -> ThrottleAblation {
+    let mut src = String::new();
+    for i in 0..24 {
+        src.push_str(&format!("mov #{}, mc1\n send r10, r11, #1\n", i));
+    }
+    src.push_str("halt\n");
+    let prog = probe(&src);
     let run = |credits: u32| -> u64 {
         let mut cfg = MachineConfig::small();
         cfg.node.iface.send_credits = credits;
         let mut m = MMachine::build(cfg).expect("valid");
-        let mut src = String::new();
-        for i in 0..24 {
-            src.push_str(&format!("mov #{}, mc1\n send r10, r11, #1\n", i));
-        }
-        src.push_str("halt\n");
-        let prog = Arc::new(assemble(&src).expect("flood assembles"));
         m.load_user_program(0, 0, &prog).expect("slot");
         let target = m.home_va(1, 3);
         let ptr = m.make_ptr(mm_isa::Perm::ReadWrite, 0, target).expect("ptr");

@@ -386,37 +386,32 @@ impl MMachine {
     /// # Errors
     ///
     /// [`MachineError::BadConfig`] when dimensions or sizes are not
-    /// powers of two.
+    /// powers of two, or the boot layout (LPT, page frames, home
+    /// addresses) does not fit the configured node.
     pub fn build(cfg: MachineConfig) -> Result<MMachine, MachineError> {
         let (x, y, z) = cfg.dims;
-        for (name, v) in [("x", x), ("y", y), ("z", z)] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(MachineError::BadConfig(format!(
-                    "dimension {name}={v} must be a non-zero power of two"
-                )));
-            }
-        }
-        if !cfg.local_pages.is_power_of_two() || !cfg.lpt_slots.is_power_of_two() {
-            return Err(MachineError::BadConfig(
-                "local_pages and lpt_slots must be powers of two".into(),
-            ));
-        }
         let spec = BootSpec {
             dims: cfg.dims,
             local_pages: cfg.local_pages,
             lpt_slots: cfg.lpt_slots,
         };
+        spec.validate(cfg.node.mem.sdram.capacity_words)
+            .map_err(MachineError::BadConfig)?;
         let image = RuntimeImage::build();
-        let mut nodes = Vec::new();
-        let mut boot_info = Vec::new();
+        #[allow(clippy::cast_possible_truncation)]
+        let n = spec.total_nodes() as usize;
+        // Reserved up front and booted in place: a node is 19 KiB, so
+        // neither a growing vector nor a second move of the booted node
+        // is free.
+        let mut nodes = Vec::with_capacity(n);
+        let mut boot_info = Vec::with_capacity(n);
         for zc in 0..z {
             for yc in 0..y {
                 for xc in 0..x {
                     let coord = NodeCoord::new(xc, yc, zc);
-                    let mut node = Node::new(cfg.node.clone(), coord);
-                    let index = spec.linear_index(coord);
-                    boot_info.push(boot_node(&mut node, index, &spec, &image));
-                    nodes.push(node);
+                    nodes.push(Node::new(cfg.node.clone(), coord));
+                    let node = nodes.last_mut().expect("just pushed");
+                    boot_info.push(boot_node(node, spec.linear_index(coord), &spec, &image));
                 }
             }
         }
@@ -426,7 +421,6 @@ impl MMachine {
             hop_latency: cfg.hop_latency,
             loopback_latency: cfg.hop_latency,
         });
-        let n = nodes.len();
         let coords: Vec<NodeCoord> = nodes.iter().map(mm_sim::Node::coord).collect();
         let workers = cfg.engine.resolved_workers(n);
         let shard_chunk = if workers > 1 {

@@ -34,23 +34,26 @@ fn local_load_through_boot_mapping() {
     assert!(m.faulted_threads().is_empty());
 }
 
-#[test]
-fn remote_load_completes_through_handlers() {
-    let mut m = machine();
-    // Put data on node 1's home page.
+/// Node 0 loads a word homed on node 1 — LTLB miss → remote read
+/// message → reply → `wrreg` — and returns the cycles that took.
+fn remote_load(m: &mut MMachine) -> u64 {
     let va = m.home_va(1, 0) + 7;
     assert!(m
         .node_mut(1)
         .mem
         .poke_va(va, MemWord::new(Word::from_u64(777))));
-
-    // Node 0 loads it: LTLB miss → remote read message → reply → wrreg.
     let prog = Arc::new(assemble("ld [r1+#7], r2\n add r2, #1, r3\n halt\n").unwrap());
     m.load_user_program(0, 0, &prog).unwrap();
     m.set_user_reg(0, 0, 0, Reg::Int(1), m.home_ptr(1, 0));
     let t = m.run_until_halt(50_000).unwrap();
     assert_eq!(m.user_reg(0, 0, 0, 3).unwrap().bits(), 778);
     assert!(m.faulted_threads().is_empty());
+    t
+}
+
+#[test]
+fn remote_load_completes_through_handlers() {
+    let t = remote_load(&mut machine());
     // Remote read is slow but bounded (paper: 138–202 cycles).
     assert!(t > 30, "suspiciously fast remote read: {t}");
     assert!(t < 600, "remote read too slow: {t}");
@@ -529,4 +532,55 @@ fn shared_program_refcount_and_presence_survive_a_run() {
     assert_eq!(restored.run_until_halt(100_000).unwrap(), end);
     assert_eq!(restored.checkpoint(), m.checkpoint());
     assert_eq!(Arc::strong_count(&prog), 2 * holders - 1);
+}
+
+/// The runtime image is assembled once per process: independently built
+/// machines hold the very same handler programs and DIP words, and one
+/// of them keeps running when another is dropped.
+#[test]
+fn machines_share_one_runtime_image() {
+    let (a, mut b) = (machine(), machine());
+    let (ia, ib) = (a.image(), b.image());
+    assert!(Arc::ptr_eq(&ia.ltlb_handler, &ib.ltlb_handler));
+    assert!(Arc::ptr_eq(&ia.p0_handler, &ib.p0_handler));
+    assert!(Arc::ptr_eq(&ia.p1_handler, &ib.p1_handler));
+    assert_eq!(
+        [ia.read_dip, ia.write_dip, ia.reply_dip, ia.write_sync_dip],
+        [ib.read_dip, ib.write_dip, ib.reply_dip, ib.write_sync_dip]
+    );
+    drop(a);
+
+    // A remote load on the survivor runs all three shared handlers.
+    remote_load(&mut b);
+}
+
+/// A configuration the boot layout cannot satisfy is an error, not a
+/// panic (or an endless boot loop) inside `boot_node`.
+#[test]
+fn hostile_boot_layouts_are_rejected() {
+    use mm_core::error::MachineError;
+    let rejected = |edit: fn(&mut MachineConfig)| {
+        let mut cfg = MachineConfig::small();
+        edit(&mut cfg);
+        matches!(MMachine::build(cfg), Err(MachineError::BadConfig(_)))
+    };
+    // An LPT with fewer slots than the 2·local_pages boot mappings.
+    assert!(rejected(|c| (c.lpt_slots, c.local_pages) = (4, 8)));
+    // Page frames (and home addresses) far past anything a node holds.
+    assert!(rejected(|c| c.local_pages = 1 << 40));
+    assert!(rejected(
+        |c| (c.lpt_slots, c.local_pages) = (1 << 62, 1 << 61)
+    ));
+    // An LPT that fills the SDRAM leaves no room for the frames.
+    assert!(rejected(|c| c.lpt_slots = 1 << 17));
+    assert!(rejected(|c| c.dims = (2, 0, 1)));
+    assert!(rejected(|c| c.dims = (2, 3, 1)));
+    // The largest LPT the default node boots with its 16 mappings.
+    assert!(!rejected(|c| c.lpt_slots = 1 << 16));
+    assert!(!rejected(|c| (c.lpt_slots, c.local_pages) = (16, 8)));
+
+    // More workers than nodes is not hostile: it clamps.
+    let mut cfg = MachineConfig::small();
+    cfg.engine.workers = Some(1000);
+    assert_eq!(MMachine::build(cfg).expect("clamps").workers(), 2);
 }

@@ -115,11 +115,14 @@ pub struct CacheStats {
 /// The four-bank, direct-mapped, virtually-tagged cache.
 ///
 /// Line storage is demand-committed: `slots` maps a line index to its
-/// position in `lines`, which holds only the lines some fill has reached.
+/// position in `lines`, which holds only the lines some fill has reached,
+/// and itself grows on commit — an empty cache owns one line.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Position in `lines` of each line index; 0 = never filled.
+    /// Position in `lines` of each line index; 0 = never filled. Covers
+    /// indices up to the highest one filled so far: an index past its end
+    /// was never filled.
     slots: Vec<u32>,
     /// `lines[0]` is a shared, never-valid line every unfilled index
     /// misses on; the committed lines follow in first-fill order.
@@ -138,7 +141,7 @@ impl Cache {
     ///
     /// Panics if the geometry yields zero lines or a non-power-of-two line
     /// count.
-    // analyze: cold (constructor: allocates the slot table once per node)
+    // analyze: cold (constructor: allocates the never-valid line once per node)
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let n = cfg.num_lines();
@@ -146,10 +149,8 @@ impl Cache {
             n > 0 && n.is_power_of_two(),
             "line count must be a power of two"
         );
-        #[allow(clippy::cast_possible_truncation)]
-        let slots = vec![0; n as usize];
         Cache {
-            slots,
+            slots: Vec::new(),
             lines: vec![Line {
                 tag: 0,
                 pa_flags: 0,
@@ -194,14 +195,20 @@ impl Cache {
         va >> self.tag_shift
     }
 
+    /// Position in `lines` of line index `idx`: 0, the never-valid line,
+    /// if it was never filled.
+    fn slot(&self, idx: usize) -> usize {
+        self.slots.get(idx).map_or(0, |&slot| slot as usize)
+    }
+
     /// The resident line holding `va`.
     fn hit(&self, va: u64) -> Option<&Line> {
-        let line = &self.lines[self.slots[self.index_of(va)] as usize];
+        let line = &self.lines[self.slot(self.index_of(va))];
         line.holds(self.tag_of(va)).then_some(line)
     }
 
     fn hit_mut(&mut self, va: u64) -> Option<&mut Line> {
-        let (slot, tag) = (self.slots[self.index_of(va)] as usize, self.tag_of(va));
+        let (slot, tag) = (self.slot(self.index_of(va)), self.tag_of(va));
         let line = &mut self.lines[slot];
         line.holds(tag).then_some(line)
     }
@@ -252,11 +259,14 @@ impl Cache {
         StoreOutcome::Written
     }
 
-    /// Commit storage for line index `idx`, holding `line` — the one
-    /// allocation of the access path; only the first fill of an index
-    /// gets here, so keep it out of line.
+    /// Commit storage for line index `idx`, holding `line`, growing the
+    /// slot table to reach it — the allocations of the access path; only
+    /// the first fill of an index gets here, so keep it out of line.
     #[cold]
     fn commit(&mut self, idx: usize, line: Line) {
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, 0);
+        }
         self.slots[idx] = u32::try_from(self.lines.len()).expect("line count fits u32");
         self.lines.push(line);
     }
@@ -276,7 +286,7 @@ impl Cache {
             pa_flags: (pa_base & !FLAGS) | VALID | if writable { WRITABLE } else { 0 },
             data,
         };
-        let slot = self.slots[idx] as usize;
+        let slot = self.slot(idx);
         if slot == 0 {
             self.commit(idx, new);
             return None;
@@ -386,11 +396,11 @@ impl Cache {
                 self.cfg.num_lines()
             )));
         }
-        self.slots.fill(0);
+        self.slots.clear();
         self.lines.truncate(1);
         for _ in 0..d.usize()? {
             let idx = d.usize()?;
-            if idx >= self.slots.len() {
+            if idx as u64 >= n {
                 return Err(CkptError(format!("cache line index {idx} out of range")));
             }
             let tag = d.u64()?;
@@ -422,7 +432,7 @@ impl Cache {
                     | if writable { WRITABLE } else { 0 },
                 data,
             };
-            match self.slots[idx] as usize {
+            match self.slot(idx) {
                 0 => self.commit(idx, new),
                 slot => self.lines[slot] = new,
             }

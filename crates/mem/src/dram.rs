@@ -165,11 +165,14 @@ fn split(addr: u64) -> (usize, usize) {
 ///
 /// Storage is demand-committed: a page table over packed pages in
 /// which an absent page reads as zero words and is committed by the
-/// first store or upset that makes it non-zero.
+/// first store or upset that makes it non-zero. The table itself grows
+/// on commit, so building an SDRAM costs nothing per word of capacity.
 #[derive(Debug, Clone)]
 pub struct Sdram {
     cfg: SdramConfig,
-    /// Position in `pages` of each storage page; 0 = absent.
+    /// Position in `pages` of each storage page; 0 = absent. Covers
+    /// pages up to the highest one committed so far: a page number past
+    /// its end is absent.
     table: Vec<u32>,
     /// `pages[0]` is the shared, never-written [`ZERO_PAGE`] absent
     /// entries read through; the committed pages follow in first-touch
@@ -186,19 +189,17 @@ impl Sdram {
     /// # Panics
     ///
     /// Panics if `banks` or `row_words` is zero.
-    // analyze: cold (constructor: allocates the page table once per node)
+    // analyze: cold (constructor: allocates the open-row state once per node)
     #[must_use]
     pub fn new(cfg: SdramConfig) -> Sdram {
         assert!(
             cfg.banks > 0 && cfg.row_words > 0,
             "degenerate SDRAM geometry"
         );
-        #[allow(clippy::cast_possible_truncation)]
-        let table = vec![0; cfg.capacity_words.div_ceil(PAGE_WORDS) as usize];
         let open_rows = vec![None; cfg.banks as usize];
         Sdram {
             cfg,
-            table,
+            table: Vec::new(),
             pages: vec![ZERO_PAGE],
             open_rows,
             busy_until: 0,
@@ -252,28 +253,36 @@ impl Sdram {
         first
     }
 
-    fn page(&self, pn: usize) -> &Page {
-        &self.pages[self.table[pn] as usize]
+    /// Position in `pages` of page `pn`: 0, the zero page, if absent.
+    fn slot(&self, pn: usize) -> usize {
+        self.table.get(pn).map_or(0, |&slot| slot as usize)
     }
 
     /// Page `pn` for writing, committed if it was absent.
     fn page_mut(&mut self, pn: usize) -> &mut Page {
-        if self.table[pn] == 0 {
-            self.commit(pn);
+        let mut slot = self.slot(pn);
+        if slot == 0 {
+            slot = self.commit(pn);
         }
-        &mut self.pages[self.table[pn] as usize]
+        &mut self.pages[slot]
     }
 
-    /// Commit absent page `pn` — the one allocation of the access path;
-    /// first touches are rare, so keep it out of line.
+    /// Commit absent page `pn`, growing the table to reach it, and
+    /// return its position — the allocations of the access path; first
+    /// touches are rare, so keep them out of line.
     #[cold]
-    fn commit(&mut self, pn: usize) {
-        self.table[pn] = u32::try_from(self.pages.len()).expect("page count fits u32");
+    fn commit(&mut self, pn: usize) -> usize {
+        if pn >= self.table.len() {
+            self.table.resize(pn + 1, 0);
+        }
+        let slot = self.pages.len();
+        self.table[pn] = u32::try_from(slot).expect("page count fits u32");
         self.pages.push(ZERO_PAGE);
+        slot
     }
 
-    /// The page table is rounded up to whole pages; the slack past
-    /// `capacity_words` must not be addressable.
+    /// Pages end on a 64-word boundary and the table on no boundary at
+    /// all; neither may make a word past `capacity_words` addressable.
     fn check_addr(&self, addr: u64) {
         assert!(
             addr < self.cfg.capacity_words,
@@ -306,7 +315,8 @@ impl Sdram {
             let (seg, tail) = rest.split_at_mut(rest.len().min(PAGE_WORDS as usize - off));
             // An absent page reads through the zero page, which decodes
             // clean and so is never scrubbed: it stays zero, and absent.
-            let page = &mut self.pages[self.table[pn] as usize];
+            let at = self.slot(pn);
+            let page = &mut self.pages[at];
             for (i, slot) in seg.iter_mut().enumerate() {
                 let cell = page.get(off + i);
                 *slot = match decode(cell.word.bits(), cell.ecc) {
@@ -363,7 +373,7 @@ impl Sdram {
     /// Store `seg` (which fits in page `pn` from offset `off`) with fresh
     /// check bits. Zero words stored to an absent page leave it absent.
     fn store(&mut self, pn: usize, off: usize, seg: &[MemWord]) {
-        if self.table[pn] == 0 && seg.iter().all(|w| w.word == Word::ZERO && !w.sync) {
+        if self.slot(pn) == 0 && seg.iter().all(|w| w.word == Word::ZERO && !w.sync) {
             return;
         }
         let page = self.page_mut(pn);
@@ -383,7 +393,7 @@ impl Sdram {
     pub fn peek(&self, addr: u64) -> MemWord {
         self.check_addr(addr);
         let (pn, off) = split(addr);
-        self.page(pn).get(off)
+        self.pages[self.slot(pn)].get(off)
     }
 
     /// Zero-time backdoor write for loaders, debuggers and tests.
@@ -428,25 +438,30 @@ impl Sdram {
         let cap = self.cfg.capacity_words;
         e.u64(cap);
         let (mut cur, mut run) = (MemWord::default(), 0u64);
-        for pn in 0..self.table.len() {
-            let base = pn as u64 * PAGE_WORDS;
-            let words = PAGE_WORDS.min(cap - base);
-            if self.table[pn] == 0 && is_zero(cur) {
-                run += words;
+        let mut push = |e: &mut Enc, w: MemWord, count: u64| {
+            if w == cur {
+                run += count;
+            } else {
+                flush(e, cur, run);
+                (cur, run) = (w, count);
+            }
+        };
+        for (pn, &slot) in self.table.iter().enumerate() {
+            let words = PAGE_WORDS.min(cap - pn as u64 * PAGE_WORDS);
+            if slot == 0 {
+                push(e, MemWord::default(), words);
                 continue;
             }
-            let page = self.page(pn);
+            let page = &self.pages[slot as usize];
             #[allow(clippy::cast_possible_truncation)]
             for i in 0..words as usize {
-                let w = page.get(i);
-                if w == cur {
-                    run += 1;
-                } else {
-                    flush(e, cur, run);
-                    (cur, run) = (w, 1);
-                }
+                push(e, page.get(i), 1);
             }
         }
+        // Committed pages all sit inside the table; whatever capacity
+        // lies past its end is one more stretch of zero words.
+        let tail = cap.saturating_sub(self.table.len() as u64 * PAGE_WORDS);
+        push(e, MemWord::default(), tail);
         flush(e, cur, run);
         e.u64(0); // run terminator
         e.usize(self.open_rows.len());
@@ -488,7 +503,7 @@ impl Sdram {
                 self.cfg.capacity_words
             )));
         }
-        self.table.fill(0);
+        self.table.clear();
         self.pages.truncate(1);
         let mut i = 0u64;
         loop {

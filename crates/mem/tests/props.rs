@@ -451,37 +451,70 @@ fn apply_sdram_ops(new: &mut Sdram, old: &mut DenseSdram, ops: &[SdramOp]) {
     }
 }
 
+/// The paged SDRAM is indistinguishable from the dense array over
+/// `ops`: every word, statistic and cycle, and the checkpoint bytes.
+fn check_sdram_against_dense(ops: &[SdramOp], more: &[SdramOp]) {
+    let mut new = Sdram::new(odd_sdram_config());
+    let mut old = DenseSdram::new(odd_sdram_config());
+    apply_sdram_ops(&mut new, &mut old, ops);
+    for addr in 0..ODD_CAPACITY {
+        assert_eq!(new.peek(addr), old.words[addr as usize], "word {addr}");
+    }
+
+    // Byte-for-byte the dense run-length format...
+    let bytes = encoded(|e| new.save_state(e));
+    assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
+    // ...which restores into a fresh array and into a lived-in one
+    // (whose own pages must not show through), and re-encodes equal.
+    let mut fresh = Sdram::new(odd_sdram_config());
+    let mut used = Sdram::new(odd_sdram_config());
+    apply_sdram_ops(&mut used, &mut DenseSdram::new(odd_sdram_config()), more);
+    for restored in [&mut fresh, &mut used] {
+        let mut d = Dec::new(&bytes);
+        restored.load_state(&mut d).expect("load");
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
+    }
+    // The restored array behaves like the original from here on.
+    apply_sdram_ops(&mut fresh, &mut old, more);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The paged SDRAM is indistinguishable from the dense array: every
-    /// word, statistic and cycle, and the checkpoint bytes.
     #[test]
     fn paged_sdram_matches_dense_array(ops in sdram_ops(), more in sdram_ops()) {
-        let mut new = Sdram::new(odd_sdram_config());
-        let mut old = DenseSdram::new(odd_sdram_config());
-        apply_sdram_ops(&mut new, &mut old, &ops);
-        for addr in 0..ODD_CAPACITY {
-            prop_assert_eq!(new.peek(addr), old.words[addr as usize], "word {}", addr);
-        }
-
-        // Byte-for-byte the dense run-length format...
-        let bytes = encoded(|e| new.save_state(e));
-        prop_assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
-        // ...which restores into a fresh array and into a lived-in one
-        // (whose own pages must not show through), and re-encodes equal.
-        let mut fresh = Sdram::new(odd_sdram_config());
-        let mut used = Sdram::new(odd_sdram_config());
-        apply_sdram_ops(&mut used, &mut DenseSdram::new(odd_sdram_config()), &more);
-        for restored in [&mut fresh, &mut used] {
-            let mut d = Dec::new(&bytes);
-            restored.load_state(&mut d).expect("load");
-            prop_assert_eq!(d.remaining(), 0);
-            prop_assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
-        }
-        // The restored array behaves like the original from here on.
-        apply_sdram_ops(&mut fresh, &mut old, &more);
+        check_sdram_against_dense(&ops, &more);
     }
+}
+
+/// The page table covers only the pages up to the highest one committed,
+/// so the ends of it are cases of their own: accesses past the grown
+/// table (empty, then one page long), and a first commit at the last
+/// legal word, whose page is the partial one.
+#[test]
+fn sdram_table_grows_to_the_highest_committed_page() {
+    const LAST: u64 = ODD_CAPACITY - 1;
+    // (kind, addr, len, value, tag+sync bits, flip bit): 0 poke, 1 write
+    // burst, 2 read burst, 4 single upset.
+    let past_the_table: [SdramOp; 7] = [
+        (2, LAST, 1, 0, 0, 0),
+        (2, LAST - 11, 12, 0, 0, 0),
+        (0, LAST, 1, 0, 0, 0), // a zero store commits nothing
+        (0, 5, 1, 7, 3, 0),    // the table is now one page long
+        (2, 60, 8, 0, 0, 0),   // out of its only page, past its end
+        (2, LAST - 11, 12, 0, 0, 0),
+        (1, LAST - 3, 4, 7, 1, 0),
+    ];
+    let highest_first: [SdramOp; 3] = [
+        (0, LAST, 1, 7, 2, 0),
+        (4, LAST - 1, 1, 0, 0, 9),
+        (2, 0, 16, 0, 0, 0),
+    ];
+    let upset_first: [SdramOp; 2] = [(4, LAST, 1, 0, 0, 63), (2, LAST, 1, 0, 0, 0)];
+    check_sdram_against_dense(&past_the_table, &highest_first);
+    check_sdram_against_dense(&highest_first, &past_the_table);
+    check_sdram_against_dense(&upset_first, &[]);
 }
 
 #[test]
@@ -506,6 +539,16 @@ fn sdram_bit_flip_in_last_page_slack_panics() {
 #[should_panic(expected = "out of range")]
 fn sdram_burst_into_last_page_slack_panics() {
     let _ = Sdram::new(odd_sdram_config()).write(0, ODD_CAPACITY - 4, &[MemWord::default(); 8]);
+}
+
+/// Committing the partial last page puts its slack inside the table; it
+/// stays outside the array.
+#[test]
+#[should_panic(expected = "out of range")]
+fn sdram_slack_of_a_committed_last_page_panics() {
+    let mut d = Sdram::new(odd_sdram_config());
+    d.poke(ODD_CAPACITY - 1, MemWord::new(Word::from_u64(1)));
+    let _ = d.peek(ODD_CAPACITY);
 }
 
 /// The dense `Vec<Line>` cache, kept as the reference model, with the
@@ -709,30 +752,60 @@ fn apply_cache_ops(new: &mut Cache, old: &mut DenseCache, ops: &[CacheOp]) {
     }
 }
 
+/// The demand-committed cache is indistinguishable from the dense line
+/// array over `ops`: every outcome, victim and statistic, and the
+/// checkpoint bytes.
+fn check_cache_against_dense(ops: &[CacheOp], more: &[CacheOp]) {
+    let cfg = small_cache_config();
+    let mut new = Cache::new(cfg.clone());
+    let mut old = DenseCache::new(&cfg);
+    apply_cache_ops(&mut new, &mut old, ops);
+
+    let bytes = encoded(|e| new.save_state(e));
+    assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
+    let mut fresh = Cache::new(cfg.clone());
+    let mut used = Cache::new(cfg.clone());
+    apply_cache_ops(&mut used, &mut DenseCache::new(&cfg), more);
+    for restored in [&mut fresh, &mut used] {
+        let mut d = Dec::new(&bytes);
+        restored.load_state(&mut d).expect("load");
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
+    }
+    apply_cache_ops(&mut fresh, &mut old, more);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The demand-committed cache is indistinguishable from the dense
-    /// line array: every outcome, victim and statistic, and the
-    /// checkpoint bytes.
     #[test]
     fn sparse_cache_matches_dense_lines(ops in cache_ops(), more in cache_ops()) {
-        let cfg = small_cache_config();
-        let mut new = Cache::new(cfg.clone());
-        let mut old = DenseCache::new(&cfg);
-        apply_cache_ops(&mut new, &mut old, &ops);
-
-        let bytes = encoded(|e| new.save_state(e));
-        prop_assert_eq!(&bytes, &encoded(|e| old.save_state(e)));
-        let mut fresh = Cache::new(cfg.clone());
-        let mut used = Cache::new(cfg.clone());
-        apply_cache_ops(&mut used, &mut DenseCache::new(&cfg), &more);
-        for restored in [&mut fresh, &mut used] {
-            let mut d = Dec::new(&bytes);
-            restored.load_state(&mut d).expect("load");
-            prop_assert_eq!(d.remaining(), 0);
-            prop_assert_eq!(&encoded(|e| restored.save_state(e)), &bytes);
-        }
-        apply_cache_ops(&mut fresh, &mut old, &more);
+        check_cache_against_dense(&ops, &more);
     }
+}
+
+/// The slot table covers only the line indices up to the highest one
+/// filled: every access kind past the grown table (empty, then one slot
+/// long) misses like a never-filled line, and the first fill may land on
+/// the last index.
+#[test]
+fn cache_slot_table_grows_to_the_highest_filled_index() {
+    // 32 lines of 8 words: index 31 is va 248..256 (and 504.., 760..).
+    const LAST: u64 = 31 * LINE_WORDS;
+    // (kind, va, value, flag): 0 fill, 3 read, 4 write, 5 set_sync,
+    // 6 poke, 7 invalidate, 8 downgrade.
+    let misses = |va| (3..=8).map(move |kind| (kind, va, 7, true));
+    let mut past_the_table: Vec<CacheOp> = misses(LAST + 3).collect();
+    past_the_table.push((0, 4, 7, true)); // the table is now one slot long
+    past_the_table.extend(misses(LAST + 3));
+    past_the_table.extend(misses(LINE_WORDS));
+    let highest_first: Vec<CacheOp> = vec![
+        (0, LAST + 256, 11, true),
+        (4, LAST + 257, 13, false),
+        (3, LAST, 0, false),  // same index, another tag
+        (0, LAST, 17, false), // evicts the dirty line
+        (3, 0, 0, false),     // inside the grown table, never filled
+    ];
+    check_cache_against_dense(&past_the_table, &highest_first);
+    check_cache_against_dense(&highest_first, &past_the_table);
 }

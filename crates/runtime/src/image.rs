@@ -31,15 +31,15 @@
 
 use mm_isa::asm::assemble;
 use mm_isa::instr::Program;
-use mm_isa::pointer::{GuardedPointer, Perm};
+use mm_isa::pointer::{GuardedPointer, Perm, ADDR_BITS};
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
-use mm_mem::lpt::Lpt;
-use mm_mem::ltlb::{BlockStatus, LtlbEntry};
+use mm_mem::lpt::{Lpt, ENTRY_WORDS};
+use mm_mem::ltlb::{BlockStatus, LtlbEntry, PAGE_WORDS};
 use mm_net::gtlb::{GdtEntry, GLOBAL_PAGE_WORDS};
 use mm_net::message::NodeCoord;
 use mm_sim::{Node, EVENT_SLOT};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Physical word address of the LPT.
 pub const LPT_BASE: u64 = 1024;
@@ -55,6 +55,15 @@ pub fn lpt_layout(lpt_slots: u64) -> (u64, u64) {
     let base = LPT_BASE.max(lpt_slots * 4);
     (base, base + lpt_slots * 4)
 }
+
+/// The first page frame [`boot_node`] hands out: past both the fixed
+/// reserved area and the LPT itself — a machine-sized LPT (large
+/// meshes) must not be overwritten by its own page frames.
+fn first_frame_ppn(lpt_slots: u64) -> u64 {
+    let (_, lpt_end) = lpt_layout(lpt_slots);
+    FIRST_FRAME_PPN.max(lpt_end.div_ceil(PAGE_WORDS))
+}
+
 /// Physical word address of the handler scratch counters.
 pub const SCRATCH_BASE: u64 = 512;
 /// First allocatable physical page number.
@@ -103,6 +112,58 @@ impl BootSpec {
     #[must_use]
     pub fn data_ptr(&self, index: u64, k: u64) -> GuardedPointer {
         GuardedPointer::new(Perm::ReadWrite, 10, self.home_va(index, k)).expect("home address fits")
+    }
+
+    /// Check that [`boot_node`] can lay this spec out on nodes with
+    /// `sdram_words` of physical memory each.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first constraint the spec breaks: sizes that
+    /// are not powers of two, an LPT without a slot for both 512-word
+    /// halves of every local page, an LPT or page frames past the end of
+    /// the SDRAM, home addresses past the 54-bit virtual space.
+    pub fn validate(&self, sdram_words: u64) -> Result<(), String> {
+        let n = self.total_nodes();
+        // A product is a power of two only if every factor is.
+        if !n.is_power_of_two() {
+            return Err(format!(
+                "mesh dimensions {:?} must be non-zero powers of two",
+                self.dims
+            ));
+        }
+        if !self.local_pages.is_power_of_two() || !self.lpt_slots.is_power_of_two() {
+            return Err("local_pages and lpt_slots must be powers of two".into());
+        }
+        // Physical pointers carry 54 address bits like any other, so a
+        // larger array adds nothing; the cap also keeps the sums below
+        // in range.
+        let sdram_words = sdram_words.min(1 << ADDR_BITS);
+        let mappings = self.local_pages.saturating_mul(2);
+        if mappings > self.lpt_slots {
+            return Err(format!(
+                "lpt_slots = {} cannot map local_pages = {} ({mappings} entries)",
+                self.lpt_slots, self.local_pages
+            ));
+        }
+        if self.lpt_slots > sdram_words / (2 * ENTRY_WORDS)
+            || (first_frame_ppn(self.lpt_slots) + mappings) * PAGE_WORDS > sdram_words
+        {
+            return Err(format!(
+                "a {}-slot LPT and {mappings} page frames do not fit {sdram_words} words of SDRAM",
+                self.lpt_slots
+            ));
+        }
+        let va_bits = n.trailing_zeros()
+            + self.local_pages.trailing_zeros()
+            + GLOBAL_PAGE_WORDS.trailing_zeros();
+        if va_bits > ADDR_BITS {
+            return Err(format!(
+                "{n} nodes of {} pages exceed the {ADDR_BITS}-bit address space",
+                self.local_pages
+            ));
+        }
+        Ok(())
     }
 
     /// Linear node index from mesh coordinates (x fastest — matching the
@@ -273,6 +334,11 @@ pub fn enter_capability(pc: u32) -> Word {
 
 /// The assembled runtime: one program per event-handler cluster, plus
 /// the DIP capabilities senders need.
+///
+/// There is one image per process. The handler sources are constants,
+/// `Program`s are immutable once assembled and nodes only ever read them
+/// through their `Arc`, so every machine shares the same three programs;
+/// [`RuntimeImage::build`] hands out another handle to them.
 #[derive(Debug, Clone)]
 pub struct RuntimeImage {
     /// Cluster 1's LTLB-miss handler.
@@ -293,13 +359,20 @@ pub struct RuntimeImage {
 }
 
 impl RuntimeImage {
-    /// Assemble the handlers and derive the DIP capabilities.
+    /// The runtime image: the handlers are assembled and the DIP
+    /// capabilities derived on the first call in the process; every call
+    /// returns handles to those same programs.
     ///
     /// # Panics
     ///
     /// Panics if the built-in handler sources fail to assemble (a bug).
     #[must_use]
     pub fn build() -> RuntimeImage {
+        static IMAGE: OnceLock<RuntimeImage> = OnceLock::new();
+        IMAGE.get_or_init(RuntimeImage::assemble).clone()
+    }
+
+    fn assemble() -> RuntimeImage {
         let ltlb_handler = Arc::new(assemble(LTLB_MISS_HANDLER).expect("LTLB handler assembles"));
         let p0_handler = Arc::new(assemble(MSG_P0_HANDLER).expect("P0 handler assembles"));
         let p1_handler = Arc::new(assemble(MSG_P1_HANDLER).expect("P1 handler assembles"));
@@ -344,7 +417,7 @@ pub struct BootInfo {
 ///
 /// # Panics
 ///
-/// Panics if the spec's sizes are not powers of two or the LPT overflows.
+/// Panics on a spec [`BootSpec::validate`] rejects for this node's SDRAM.
 pub fn boot_node(node: &mut Node, index: u64, spec: &BootSpec, image: &RuntimeImage) -> BootInfo {
     let n = spec.total_nodes();
     assert!(n.is_power_of_two(), "node count must be a power of two");
@@ -355,16 +428,13 @@ pub fn boot_node(node: &mut Node, index: u64, spec: &BootSpec, image: &RuntimeIm
 
     // The LPT (see `lpt_layout` for the alignment rule: the handler's
     // `lea` walks would escape an unaligned guarded-pointer segment).
-    let (lpt_base, lpt_end) = lpt_layout(spec.lpt_slots);
+    let (lpt_base, _) = lpt_layout(spec.lpt_slots);
     let lpt = Lpt::new(lpt_base, spec.lpt_slots);
     node.mem.set_lpt(lpt);
 
     // Map this node's local pages: global page g = index + k·N covers
-    // local vpns 2g and 2g+1. Frames start past both the fixed reserved
-    // area and the LPT itself — a machine-sized LPT (large meshes) must
-    // not be overwritten by its own page frames.
-    let lpt_end_ppn = lpt_end.div_ceil(mm_mem::ltlb::PAGE_WORDS);
-    let mut next_ppn = FIRST_FRAME_PPN.max(lpt_end_ppn);
+    // local vpns 2g and 2g+1.
+    let mut next_ppn = first_frame_ppn(spec.lpt_slots);
     for k in 0..spec.local_pages {
         let g = index + k * n;
         for half in 0..2 {

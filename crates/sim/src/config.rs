@@ -4,6 +4,7 @@
 
 use mm_mem::memsys::MemConfig;
 use mm_net::iface::IfaceConfig;
+use std::sync::OnceLock;
 
 /// V-Thread slots resident on a MAP ("enough resources to hold the state
 /// of six V-Threads", §3.2).
@@ -111,12 +112,20 @@ impl EngineConfig {
         let cap = nodes.max(1);
         match self.workers {
             Some(w) => w.clamp(1, cap),
-            None => {
-                let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-                avail.min(nodes / MIN_NODES_PER_WORKER).clamp(1, cap)
-            }
+            None => host_parallelism()
+                .min(nodes / MIN_NODES_PER_WORKER)
+                .clamp(1, cap),
         }
     }
+}
+
+/// Host parallelism, probed once per process: the probe reads the
+/// affinity mask and the cgroup CPU quota files, which cost more than
+/// building a small machine and do not change under a running simulator.
+fn host_parallelism() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
 #[cfg(test)]

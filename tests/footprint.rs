@@ -1,9 +1,9 @@
 //! Host-memory regression lock for node storage.
 //!
 //! A node's SDRAM and cache lines are demand-committed
-//! (docs/ARCHITECTURE.md, "Node memory footprint"): building a machine
-//! costs page and line tables, and storage is allocated only for SDRAM
-//! pages made non-zero and cache lines filled. Eagerly zero-filled
+//! (docs/ARCHITECTURE.md, "Node memory footprint"): storage — and the
+//! stretch of page or slot table that reaches it — is allocated only for
+//! SDRAM pages made non-zero and cache lines filled. Eagerly zero-filled
 //! arrays cost 24 MiB per default node and ≈ 1.2 MiB per node of the
 //! trimmed 8×8×8 mesh — six times either budget below.
 //!
