@@ -2,14 +2,12 @@
 //!
 //! The cycle kernel's contract (docs/ARCHITECTURE.md, "Hot path") is
 //! that a steady-state busy cycle performs **zero heap allocations**.
-//! Two consumers hold it to that:
-//!
-//! * the `zero_alloc` integration test at the workspace root installs
-//!   [`CountingAlloc`] as its `#[global_allocator]` and asserts a zero
-//!   allocation delta across thousands of busy cycles;
-//! * the `scaling` binary installs it too and reports
-//!   allocations-per-cycle for the busy-traffic row in
-//!   `BENCH_scaling.json`, so the number is tracked over time.
+//! The `zero_alloc` integration test at the workspace root installs
+//! [`CountingAlloc`] as its `#[global_allocator]` and asserts a zero
+//! allocation delta across thousands of busy cycles (`build_cost`
+//! uses it to bound what one machine build asks for). The benchmark
+//! tracks the rate over time as `core.engine.allocs_per_kcycle`, with
+//! its own counting allocator in `benchmark/src/alloc.rs`.
 //!
 //! The counters are process-global statics updated by whichever binary
 //! installed the allocator; in a binary that did not install it they

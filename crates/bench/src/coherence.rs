@@ -11,21 +11,20 @@
 //! weak-scaling scenario, *every* remote byte moves through coherence
 //! messages rather than the LTLB-miss remote-access handlers.
 //!
-//! Each mesh runs under the serial engine and the parallel engine and
-//! the two runs' [`MachineStats`] are diffed — protocol traffic is
-//! cross-node by construction, so this is the sharded engine's hardest
-//! determinism test.
+//! [`run_coherence`] runs a mesh under the serial engine and the
+//! parallel engine and diffs the two runs' [`MachineStats`] — protocol
+//! traffic is cross-node by construction, so this is the sharded
+//! engine's hardest determinism test.
 
 use mm_core::machine::{MMachine, MachineConfig, MachineStats};
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
 use mm_runtime::kernels::coherent_smooth;
-use std::time::Instant;
 
 /// Cycle budget for one coherence-stress run.
 pub const RUN_LIMIT: u64 = 2_000_000;
 
-/// One mesh's coherence-stress measurement.
+/// One mesh's coherence-stress run.
 #[derive(Debug, Clone)]
 pub struct CoherencePoint {
     /// Mesh dimensions.
@@ -36,18 +35,6 @@ pub struct CoherencePoint {
     pub iters: u64,
     /// Cycles simulated (identical across engines when `stats_match`).
     pub cycles: u64,
-    /// Serial-engine wall-clock milliseconds.
-    pub serial_wall_ms: f64,
-    /// Serial-engine simulated cycles per wall-clock second.
-    pub serial_cycles_per_sec: f64,
-    /// Worker threads the parallel run resolved to.
-    pub parallel_workers: usize,
-    /// Parallel-engine wall-clock milliseconds.
-    pub parallel_wall_ms: f64,
-    /// Parallel-engine simulated cycles per wall-clock second.
-    pub parallel_cycles_per_sec: f64,
-    /// `serial_wall_ms / parallel_wall_ms`.
-    pub speedup: f64,
     /// Did serial and parallel produce identical [`MachineStats`]?
     pub stats_match: bool,
     /// Coherence protocol packets that crossed the fabric.
@@ -103,11 +90,9 @@ pub fn build_coherence_scenario(
 
 /// Run one configured machine to halt and verify the result: for every
 /// pair, the freshest copy of each node's word must equal `iters`.
-fn run_checked(mut m: MMachine, iters: u64) -> (f64, MachineStats) {
-    let t0 = Instant::now();
+fn run_checked(mut m: MMachine, iters: u64) -> MachineStats {
     m.run_until_halt(RUN_LIMIT)
         .expect("coherence scenario completes");
-    let wall = t0.elapsed().as_secs_f64();
     m.run_cycles(256); // drain in-flight protocol messages
     assert!(
         m.faulted_threads().is_empty(),
@@ -131,7 +116,7 @@ fn run_checked(mut m: MMachine, iters: u64) -> (f64, MachineStats) {
             );
         }
     }
-    (wall, m.stats())
+    m.stats()
 }
 
 /// Run the coherence-stress scenario on one mesh under the serial and
@@ -143,12 +128,10 @@ fn run_checked(mut m: MMachine, iters: u64) -> (f64, MachineStats) {
 /// pair's shared words end with the wrong values.
 #[must_use]
 pub fn run_coherence(dims: (u8, u8, u8), iters: u64, workers: Option<usize>) -> CoherencePoint {
-    let (serial_wall, serial_stats) =
-        run_checked(build_coherence_scenario(dims, iters, Some(1)), iters);
-    let parallel = build_coherence_scenario(dims, iters, workers);
-    let parallel_workers = parallel.workers();
-    let nodes = parallel.node_count();
-    let (parallel_wall, parallel_stats) = run_checked(parallel, iters);
+    let serial = build_coherence_scenario(dims, iters, Some(1));
+    let nodes = serial.node_count();
+    let serial_stats = run_checked(serial, iters);
+    let parallel_stats = run_checked(build_coherence_scenario(dims, iters, workers), iters);
     let coh = serial_stats.coherence;
     #[allow(clippy::cast_precision_loss)]
     CoherencePoint {
@@ -156,12 +139,6 @@ pub fn run_coherence(dims: (u8, u8, u8), iters: u64, workers: Option<usize>) -> 
         nodes,
         iters,
         cycles: serial_stats.cycles,
-        serial_wall_ms: serial_wall * 1e3,
-        serial_cycles_per_sec: serial_stats.cycles as f64 / serial_wall,
-        parallel_workers,
-        parallel_wall_ms: parallel_wall * 1e3,
-        parallel_cycles_per_sec: parallel_stats.cycles as f64 / parallel_wall,
-        speedup: serial_wall / parallel_wall,
         stats_match: serial_stats == parallel_stats,
         coh_packets: serial_stats.fabric.coh_packets,
         block_fetches: coh.block_fetches,

@@ -10,7 +10,6 @@
 pub mod alloc_probe;
 pub mod coherence;
 pub mod faults;
-pub mod gate;
 pub mod scaling;
 pub mod traffic;
 pub mod workloads;

@@ -1,7 +1,9 @@
-//! Weak-scaling scenario for the quiescence-aware cycle engine.
+//! The two node-pair scenarios the benchmark, `mmctl` and the tests
+//! run on arbitrary even-sized meshes.
 //!
-//! Every node pair `(2k, 2k+1)` — one-hop x-neighbours — runs the
-//! paper's two communication idioms simultaneously:
+//! [`build_scenario`] is the idle-heavy one: every node pair
+//! `(2k, 2k+1)` — one-hop x-neighbours — runs the paper's two
+//! communication idioms simultaneously:
 //!
 //! * **Synchronizing ping-pong** (§2/§4.1): the even node SENDs a value
 //!   into its partner's flag word with the store-and-set-full DIP; each
@@ -12,31 +14,23 @@
 //!   stores at its partner's home page, exercising the LTLB-miss
 //!   handler, the GTLB and the message fabric.
 //!
-//! Per-pair work is constant, so total simulated cycles stay roughly
-//! flat from 2×1×1 to 8×8×8 (512 nodes) — the interesting number is
-//! wall-clock cycles/sec as the mesh grows, which is exactly what the
-//! engine's quiescent-node skipping is for.
-//!
-//! Every mesh size runs twice — serial engine vs. parallel engine —
-//! and the two runs' [`MachineStats`] are diffed; the parallel engine
-//! is only allowed to change wall-clock, never results. The
-//! [`busy_traffic_comparison`] scenario is the parallel engine's
-//! showcase: all nodes computing and messaging every cycle, where
-//! quiescence-skipping cannot help and host threads must.
+//! [`build_busy_scenario`] is the opposite regime: every node computing
+//! and remote-storing every cycle, so quiescence skipping cannot help
+//! and the node phase dominates. Per-pair work is constant in both, so
+//! simulated cycles stay flat as the mesh grows.
 
-use mm_core::machine::{MMachine, MachineConfig, MachineStats};
+use mm_core::machine::{MMachine, MachineConfig};
+use mm_core::MachineError;
 use mm_isa::assemble;
-use mm_isa::instr::Program;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
 use mm_telemetry::TelemetryConfig;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Ping-pong round trips (and remote stores) per node pair.
 pub const ROUNDS: u64 = 4;
 
-/// Cycle budget for one weak-scaling run.
+/// Cycle budget for one scenario run.
 pub const RUN_LIMIT: u64 = 500_000;
 
 /// Warm-up cycles before the allocation window opens. Long enough for
@@ -49,56 +43,6 @@ pub const ALLOC_WARM_CYCLES: u64 = 20_000;
 /// loop period is a few hundred cycles, so 5 000 cycles covers many
 /// full compute/store/message rounds on every node.
 pub const ALLOC_WINDOW_CYCLES: u64 = 5_000;
-
-/// One mesh size's measurement: the same scenario under the serial and
-/// the parallel engine.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Mesh dimensions.
-    pub dims: (u8, u8, u8),
-    /// Node count.
-    pub nodes: usize,
-    /// Cycles simulated (to halt + drain).
-    pub cycles: u64,
-    /// Serial-engine wall-clock milliseconds for the run.
-    pub wall_ms: f64,
-    /// Serial-engine simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// Worker threads the parallel run resolved to (1 = this mesh is
-    /// too small to shard, or the host has one core).
-    pub parallel_workers: usize,
-    /// Parallel-engine wall-clock milliseconds.
-    pub parallel_wall_ms: f64,
-    /// Parallel-engine cycles per wall-clock second.
-    pub parallel_cycles_per_sec: f64,
-    /// `parallel_cycles_per_sec / cycles_per_sec`.
-    pub parallel_speedup: f64,
-    /// Did serial and parallel produce identical [`MachineStats`]?
-    pub stats_match: bool,
-    /// Instructions issued machine-wide.
-    pub instructions: u64,
-    /// Messages sent machine-wide.
-    pub messages: u64,
-}
-
-/// Naive-vs-engine comparison on an idle-heavy workload.
-#[derive(Debug, Clone)]
-pub struct IdleHeavyResult {
-    /// Fixed simulation horizon (cycles).
-    pub horizon: u64,
-    /// Dense-loop wall-clock milliseconds.
-    pub naive_wall_ms: f64,
-    /// Engine wall-clock milliseconds.
-    pub engine_wall_ms: f64,
-    /// Dense-loop cycles/sec.
-    pub naive_cps: f64,
-    /// Engine cycles/sec.
-    pub engine_cps: f64,
-    /// `engine_cps / naive_cps`.
-    pub speedup: f64,
-    /// Did both paths produce identical [`MachineStats`]?
-    pub stats_match: bool,
-}
 
 /// The scenario's machine configuration: default node timing, but small
 /// per-node SDRAM and page counts so a 512-node mesh fits in memory.
@@ -122,16 +66,30 @@ pub fn scenario_config(dims: (u8, u8, u8)) -> MachineConfig {
     cfg
 }
 
-/// The ping (even-node) and pong (odd-node) programs plus the
-/// remote-store burst, shared via `Arc` across the whole mesh.
-struct Workload {
-    ping: Arc<Program>,
-    pong: Arc<Program>,
-    store: Arc<Program>,
+/// Build the ping-pong + remote-store scenario on the serial engine.
+///
+/// # Panics
+///
+/// Panics if the mesh has an odd node count or a program fails to load
+/// (both are scenario bugs).
+#[must_use]
+pub fn build_scenario(dims: (u8, u8, u8), rounds: u64) -> MMachine {
+    let mut cfg = scenario_config(dims);
+    cfg.engine.workers = Some(1);
+    load_scenario(cfg, rounds)
 }
 
-fn workload(rounds: u64) -> Workload {
-    let ping = assemble(&format!(
+/// Build `cfg` and load the ping (even node), pong (odd node) and
+/// remote-store programs onto every node pair.
+fn load_scenario(cfg: MachineConfig, rounds: u64) -> MMachine {
+    let mut m = MMachine::build(cfg).expect("scenario config is valid");
+    let n = m.node_count();
+    assert!(
+        n.is_multiple_of(2),
+        "scenario pairs nodes; mesh must be even-sized"
+    );
+    let asm = |src: &str| Arc::new(assemble(src).expect("scenario program assembles"));
+    let ping = asm(&format!(
         "loop:\n\
          \tadd r5, #1, r5\n\
          \tmov r5, mc1\n\
@@ -140,9 +98,8 @@ fn workload(rounds: u64) -> Workload {
          \teq r5, #{rounds}, gcc1\n\
          \tbrf gcc1, loop\n\
          \thalt\n"
-    ))
-    .expect("ping assembles");
-    let pong = assemble(&format!(
+    ));
+    let pong = asm(&format!(
         "loop:\n\
          \tld.fe [r1], r6\n\
          \tmov r6, mc1\n\
@@ -150,53 +107,18 @@ fn workload(rounds: u64) -> Workload {
          \teq r6, #{rounds}, gcc1\n\
          \tbrf gcc1, loop\n\
          \thalt\n"
-    ))
-    .expect("pong assembles");
+    ));
     let mut store_src = String::new();
     for k in 0..rounds {
         store_src.push_str(&format!("st r2, [r8+#{k}]\n"));
     }
     store_src.push_str("halt\n");
-    let store = assemble(&store_src).expect("store burst assembles");
-    Workload {
-        ping: Arc::new(ping),
-        pong: Arc::new(pong),
-        store: Arc::new(store),
-    }
-}
-
-/// Build the machine and load the scenario onto every node pair.
-///
-/// # Panics
-///
-/// Panics if the mesh has an odd node count or a program fails to load
-/// (both are scenario bugs).
-#[must_use]
-pub fn build_scenario(dims: (u8, u8, u8), rounds: u64) -> MMachine {
-    build_scenario_with(dims, rounds, Some(1))
-}
-
-/// [`build_scenario`] pinned to a worker count (`None` = auto-detect).
-///
-/// # Panics
-///
-/// As [`build_scenario`].
-#[must_use]
-pub fn build_scenario_with(dims: (u8, u8, u8), rounds: u64, workers: Option<usize>) -> MMachine {
-    let mut cfg = scenario_config(dims);
-    cfg.engine.workers = workers;
-    let mut m = MMachine::build(cfg).expect("scenario config is valid");
-    let n = m.node_count();
-    assert!(
-        n.is_multiple_of(2),
-        "scenario pairs nodes; mesh must be even-sized"
-    );
-    let w = workload(rounds);
+    let store = asm(&store_src);
     let sync_dip = m.image().write_sync_dip;
     for i in 0..n {
         let partner = i ^ 1; // the x-neighbour (linear index is x-fastest)
                              // Slot 0: the synchronizing ping-pong.
-        let prog = if i % 2 == 0 { &w.ping } else { &w.pong };
+        let prog = if i % 2 == 0 { &ping } else { &pong };
         m.load_user_program(i, 0, prog).expect("slot 0 loads");
         let own_flag = m.home_va(i, 1);
         let partner_flag = m.home_va(partner, 1);
@@ -210,148 +132,32 @@ pub fn build_scenario_with(dims: (u8, u8, u8), rounds: u64, workers: Option<usiz
         m.set_user_reg(i, 0, 0, Reg::Int(10), partner_ptr);
         m.set_user_reg(i, 0, 0, Reg::Int(11), sync_dip);
         // Slot 1: the remote-store burst at the partner's home page.
-        m.load_user_program(i, 1, &w.store).expect("slot 1 loads");
+        m.load_user_program(i, 1, &store).expect("slot 1 loads");
         m.set_user_reg(i, 0, 1, Reg::Int(8), m.home_ptr(partner, 0));
         m.set_user_reg(i, 0, 1, Reg::Int(2), Word::from_u64(0xC0DE + i as u64));
     }
     m
 }
 
-/// Run one configured scenario machine to halt, returning wall seconds
-/// and final stats.
-fn timed_run(mut m: MMachine) -> (f64, MachineStats) {
-    let t0 = Instant::now();
-    m.run_until_halt(RUN_LIMIT)
-        .expect("scaling scenario completes");
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(
-        m.faulted_threads().is_empty(),
-        "scenario faulted: {:?}",
-        m.faulted_threads()
-    );
-    (wall, m.stats())
-}
-
-/// Run the weak-scaling scenario on one mesh size under the serial
-/// engine *and* the parallel engine (`workers = None` auto-detects),
-/// measure both and diff their stats.
-///
-/// # Panics
-///
-/// Panics if the scenario fails to complete within [`RUN_LIMIT`] cycles
-/// or any thread faults.
-#[must_use]
-pub fn run_mesh(dims: (u8, u8, u8), rounds: u64, workers: Option<usize>) -> ScalingPoint {
-    let (serial_wall, serial_stats) = timed_run(build_scenario_with(dims, rounds, Some(1)));
-    let parallel = build_scenario_with(dims, rounds, workers);
-    let parallel_workers = parallel.workers();
-    let nodes = parallel.node_count();
-    let (parallel_wall, parallel_stats) = timed_run(parallel);
-    #[allow(clippy::cast_precision_loss)]
-    let cycles_per_sec = serial_stats.cycles as f64 / serial_wall;
-    #[allow(clippy::cast_precision_loss)]
-    let parallel_cycles_per_sec = parallel_stats.cycles as f64 / parallel_wall;
-    ScalingPoint {
-        dims,
-        nodes,
-        cycles: serial_stats.cycles,
-        wall_ms: serial_wall * 1e3,
-        cycles_per_sec,
-        parallel_workers,
-        parallel_wall_ms: parallel_wall * 1e3,
-        parallel_cycles_per_sec,
-        parallel_speedup: parallel_cycles_per_sec / cycles_per_sec,
-        stats_match: serial_stats == parallel_stats,
-        instructions: serial_stats.instructions,
-        messages: serial_stats.messages,
-    }
-}
-
-/// Serial-vs-parallel comparison on the busy-traffic scenario.
-#[derive(Debug, Clone)]
-pub struct BusyTrafficResult {
-    /// Mesh dimensions.
-    pub dims: (u8, u8, u8),
-    /// Node count.
-    pub nodes: usize,
-    /// Compute/store iterations per node.
-    pub iters: u64,
-    /// Cycles simulated (identical in both runs when `stats_match`).
-    pub cycles: u64,
-    /// Worker threads the parallel run resolved to.
-    pub workers: usize,
-    /// Serial-engine wall-clock milliseconds.
-    pub serial_wall_ms: f64,
-    /// Serial-engine simulated cycles per wall-clock second — the
-    /// headline number for the cycle kernel's busy-path cost.
-    pub serial_cycles_per_sec: f64,
-    /// Parallel-engine wall-clock milliseconds.
-    pub parallel_wall_ms: f64,
-    /// Parallel-engine cycles per wall-clock second.
-    pub parallel_cycles_per_sec: f64,
-    /// `serial_wall_ms / parallel_wall_ms`.
-    pub speedup: f64,
-    /// Did both engines produce identical [`MachineStats`]?
-    pub stats_match: bool,
-    /// Issue-path hit rate of the serial run (instructions issued per
-    /// issue-stage candidate probed; see `MachinePerf`).
-    pub issue_hit_rate: f64,
-    /// Heap allocations per simulated cycle in the *steady state*, as
-    /// counted by [`crate::alloc_probe`] over a
-    /// [`ALLOC_WINDOW_CYCLES`]-cycle window opened after
-    /// [`ALLOC_WARM_CYCLES`] warm-up cycles on a non-halting copy of
-    /// the scenario — 0.0 when the running binary has not installed
-    /// the probe allocator. This is the same window the `zero_alloc`
-    /// integration test pins to exactly zero, so with the probe
-    /// installed this field is expected to be exactly 0.0: startup
-    /// transients (boot, first faults, queue growth to high-water) are
-    /// excluded by the warm-up.
-    pub allocs_per_cycle: f64,
-    /// Serial wall-clock milliseconds with telemetry sampling enabled
-    /// at the default epoch (ring only, no stream sink) — the best of
-    /// three runs at 8× the committed row's iteration count,
-    /// interleaved with telemetry-off runs of the same length (the
-    /// longer window pushes the wall clock above the shared container's
-    /// scheduler noise).
-    pub telemetry_wall_ms: f64,
-    /// Serial cycles/sec with telemetry enabled (on the 8×-length
-    /// overhead runs) — the observability layer's overhead budget says
-    /// this stays within 2% of the telemetry-off rate.
-    pub telemetry_cycles_per_sec: f64,
-    /// `(best telemetry-on wall / best telemetry-off wall − 1) × 100`
-    /// over three interleaved off/on pairs of 8×-length runs — the
-    /// percent of wall time telemetry added: positive when telemetry
-    /// costs time, negative is residual run-to-run noise.
-    pub telemetry_overhead_pct: f64,
-    /// Did the telemetry-on runs produce [`MachineStats`] identical to
-    /// the telemetry-off runs of the same length? Telemetry only reads
-    /// counters, so anything but `true` is a bug.
-    pub telemetry_stats_match: bool,
-    /// Epoch samples the telemetry run collected (flush included).
-    pub telemetry_epochs: usize,
-}
-
 /// Build the busy-traffic scenario: every node runs `iters` iterations
 /// of a dependent integer chain plus one remote store to its partner's
 /// home page — all nodes awake essentially every cycle, so quiescence
-/// skipping cannot help and the node phase dominates. This is the
-/// workload host-level parallelism is for.
+/// skipping cannot help and the node phase dominates.
 ///
 /// # Panics
 ///
-/// Panics if the mesh has an odd node count or a program fails to load.
+/// As [`build_busy_scenario_telemetry`].
 #[must_use]
 pub fn build_busy_scenario(dims: (u8, u8, u8), iters: u64, workers: Option<usize>) -> MMachine {
     build_busy_scenario_telemetry(dims, iters, workers, TelemetryConfig::default())
 }
 
-/// [`build_busy_scenario`] with a telemetry configuration — the
-/// overhead leg, the `--gate` stream and the CI telemetry smoke all
-/// run the busy scenario with sampling on.
+/// [`build_busy_scenario`] with a telemetry configuration.
 ///
 /// # Panics
 ///
-/// As [`build_busy_scenario`].
+/// Panics where [`build_busy_scenario_full`] returns an error: a mesh
+/// that does not build or has an odd node count.
 #[must_use]
 pub fn build_busy_scenario_telemetry(
     dims: (u8, u8, u8),
@@ -360,233 +166,121 @@ pub fn build_busy_scenario_telemetry(
     telemetry: TelemetryConfig,
 ) -> MMachine {
     build_busy_scenario_full(dims, iters, workers, telemetry, None)
+        .expect("busy scenario mesh is valid and even-sized")
 }
 
 /// [`build_busy_scenario_telemetry`] with an optional fault campaign
-/// armed — the fault-injection benches, `scaling --fault-campaign` and
-/// `mmctl run --faults` all build their machines here so every consumer
-/// runs the identical workload.
+/// armed — the fault-injection harnesses and `mmctl run/snapshot/
+/// campaign` all build their machines here so every consumer runs the
+/// identical workload.
 ///
-/// # Panics
+/// # Errors
 ///
-/// As [`build_busy_scenario`].
-#[must_use]
+/// [`MachineError::BadConfig`] if the mesh does not build or has an odd
+/// node count (the scenario pairs nodes).
 pub fn build_busy_scenario_full(
     dims: (u8, u8, u8),
     iters: u64,
     workers: Option<usize>,
     telemetry: TelemetryConfig,
     faults: Option<mm_faults::FaultPlanConfig>,
-) -> MMachine {
+) -> Result<MMachine, MachineError> {
     let mut cfg = scenario_config(dims);
     cfg.engine.workers = workers;
     cfg.telemetry = telemetry;
     cfg.faults = faults;
-    let mut m = MMachine::build(cfg).expect("scenario config is valid");
+    let mut m = MMachine::build(cfg)?;
     let n = m.node_count();
-    assert!(
-        n.is_multiple_of(2),
-        "scenario pairs nodes; mesh must be even-sized"
-    );
-    let busy = Arc::new(
-        assemble(&format!(
-            "loop:\n\
-             \tadd r5, #1, r5\n\
-             \tadd r6, r5, r6\n\
-             \tadd r7, r6, r7\n\
-             \tst r5, [r8]\n\
-             \teq r5, #{iters}, gcc1\n\
-             \tbrf gcc1, loop\n\
-             \thalt\n"
-        ))
-        .expect("busy program assembles"),
-    );
+    if !n.is_multiple_of(2) {
+        return Err(MachineError::BadConfig(format!(
+            "the busy scenario pairs nodes, but the mesh has an odd count ({n})"
+        )));
+    }
+    let busy = Arc::new(assemble(&format!(
+        "loop:\n\
+         \tadd r5, #1, r5\n\
+         \tadd r6, r5, r6\n\
+         \tadd r7, r6, r7\n\
+         \tst r5, [r8]\n\
+         \teq r5, #{iters}, gcc1\n\
+         \tbrf gcc1, loop\n\
+         \thalt\n"
+    ))?);
     for i in 0..n {
         let partner = i ^ 1;
-        m.load_user_program(i, 0, &busy).expect("slot 0 loads");
+        m.load_user_program(i, 0, &busy)?;
         m.set_user_reg(i, 0, 0, Reg::Int(8), m.home_ptr(partner, 0));
     }
-    m
-}
-
-/// Run the busy-traffic scenario serial then parallel and compare.
-///
-/// # Panics
-///
-/// As [`build_busy_scenario`]; also if either run exceeds
-/// [`RUN_LIMIT`] cycles.
-#[must_use]
-pub fn busy_traffic_comparison(
-    dims: (u8, u8, u8),
-    iters: u64,
-    workers: Option<usize>,
-) -> BusyTrafficResult {
-    // Serial leg, run by hand (not through `timed_run`) so the machine
-    // survives for the perf counters.
-    let mut serial = build_busy_scenario(dims, iters, Some(1));
-    let t0 = Instant::now();
-    serial
-        .run_until_halt(RUN_LIMIT)
-        .expect("busy scenario completes");
-    let serial_wall = t0.elapsed().as_secs_f64();
-    assert!(
-        serial.faulted_threads().is_empty(),
-        "busy scenario faulted: {:?}",
-        serial.faulted_threads()
-    );
-    let serial_stats = serial.stats();
-    let perf = serial.perf();
-
-    // Steady-state allocation window, on a copy of the scenario with an
-    // iteration count large enough that it cannot halt inside the
-    // window. Same warm-up/window semantics as the `zero_alloc` test.
-    let mut steady = build_busy_scenario(dims, 1_000_000, Some(1));
-    steady.run_cycles(ALLOC_WARM_CYCLES);
-    let allocs_before = crate::alloc_probe::allocations();
-    steady.run_cycles(ALLOC_WINDOW_CYCLES);
-    let alloc_delta = crate::alloc_probe::allocations() - allocs_before;
-
-    // Telemetry-overhead leg: the same scenario with the sampler on at
-    // the default epoch (ring only). Stats must stay identical —
-    // telemetry only reads counters — and the wall-clock delta is the
-    // observability layer's overhead budget. The committed busy row is
-    // only ~1100 cycles (~0.2 s of wall), where a shared container's
-    // scheduler noise swamps a sub-1% effect, so the overhead pairs run
-    // the same scenario at 8× the iteration count: bursty host
-    // contention averages out over the longer window, interleaving the
-    // off/on runs cancels slow drift, and since stolen timeslices only
-    // ever slow a run down, the ratio of *minimum* walls over eight
-    // pairs estimates the true cost floor (measured spread on the CI
-    // class of host is ±15%, so a handful of samples per side is the
-    // minimum that reliably reaches the floor).
-    let overhead_iters = iters * 8;
-    let mut tele_stats = MachineStats::default();
-    let mut off_stats = MachineStats::default();
-    let mut tele_epochs = 0;
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    for _ in 0..8 {
-        let mut off = build_busy_scenario(dims, overhead_iters, Some(1));
-        let t0 = Instant::now();
-        off.run_until_halt(RUN_LIMIT)
-            .expect("busy scenario completes");
-        best_off = best_off.min(t0.elapsed().as_secs_f64());
-        off_stats = off.stats();
-
-        let mut on = build_busy_scenario_telemetry(
-            dims,
-            overhead_iters,
-            Some(1),
-            TelemetryConfig::enabled(),
-        );
-        let t0 = Instant::now();
-        on.run_until_halt(RUN_LIMIT)
-            .expect("busy scenario completes with telemetry on");
-        on.telemetry_flush();
-        best_on = best_on.min(t0.elapsed().as_secs_f64());
-        tele_stats = on.stats();
-        tele_epochs = on.telemetry().map_or(0, |t| t.ring().len());
-    }
-
-    let parallel = build_busy_scenario(dims, iters, workers);
-    let resolved = parallel.workers();
-    let nodes = parallel.node_count();
-    let (parallel_wall, parallel_stats) = timed_run(parallel);
-    #[allow(clippy::cast_precision_loss)]
-    BusyTrafficResult {
-        dims,
-        nodes,
-        iters,
-        cycles: serial_stats.cycles,
-        workers: resolved,
-        serial_wall_ms: serial_wall * 1e3,
-        serial_cycles_per_sec: serial_stats.cycles as f64 / serial_wall,
-        parallel_wall_ms: parallel_wall * 1e3,
-        parallel_cycles_per_sec: parallel_stats.cycles as f64 / parallel_wall,
-        speedup: serial_wall / parallel_wall,
-        stats_match: serial_stats == parallel_stats,
-        issue_hit_rate: perf.issue_hit_rate(),
-        allocs_per_cycle: alloc_delta as f64 / ALLOC_WINDOW_CYCLES as f64,
-        telemetry_wall_ms: best_on * 1e3,
-        telemetry_cycles_per_sec: tele_stats.cycles as f64 / best_on,
-        telemetry_overhead_pct: (best_on / best_off - 1.0) * 100.0,
-        telemetry_stats_match: tele_stats == off_stats,
-        telemetry_epochs: tele_epochs,
-    }
-}
-
-/// The host's advertised parallelism (1 when unknown) — recorded in
-/// `BENCH_scaling.json` so parallel-speedup columns can be interpreted.
-#[must_use]
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
-/// Run the 2×1×1 scenario to a *fixed* horizon twice — dense loop vs.
-/// engine — so the workload's long post-completion idle tail shows the
-/// quiescence win, and verify both paths agree on the stats.
-#[must_use]
-pub fn idle_heavy_comparison(horizon: u64, rounds: u64) -> IdleHeavyResult {
-    let run = |engine: bool| -> (f64, MachineStats) {
-        let mut m = build_scenario((2, 1, 1), rounds);
-        let t0 = Instant::now();
-        if engine {
-            m.run_cycles(horizon);
-        } else {
-            for _ in 0..horizon {
-                m.naive_step();
-            }
-        }
-        (t0.elapsed().as_secs_f64(), m.stats())
-    };
-    let (naive_s, naive_stats) = run(false);
-    let (engine_s, engine_stats) = run(true);
-    #[allow(clippy::cast_precision_loss)]
-    let (naive_cps, engine_cps) = (horizon as f64 / naive_s, horizon as f64 / engine_s);
-    IdleHeavyResult {
-        horizon,
-        naive_wall_ms: naive_s * 1e3,
-        engine_wall_ms: engine_s * 1e3,
-        naive_cps,
-        engine_cps,
-        speedup: engine_cps / naive_cps,
-        stats_match: naive_stats == engine_stats,
-    }
+    Ok(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Run to halt and return the final stats; the scenario must not
+    /// fault.
+    fn run(mut m: MMachine) -> mm_core::machine::MachineStats {
+        m.run_until_halt(RUN_LIMIT).expect("scenario completes");
+        assert!(
+            m.faulted_threads().is_empty(),
+            "scenario faulted: {:?}",
+            m.faulted_threads()
+        );
+        m.stats()
+    }
+
     #[test]
     fn two_by_two_scenario_completes() {
-        let p = run_mesh((2, 2, 1), 2, Some(2));
-        assert_eq!(p.nodes, 4);
-        assert_eq!(p.parallel_workers, 2);
-        assert!(p.cycles > 0 && p.cycles < RUN_LIMIT);
-        assert!(p.messages > 0, "scenario must exercise the fabric");
-        assert!(p.stats_match, "serial and parallel engines disagreed");
+        let serial = run(build_scenario((2, 2, 1), 2));
+        let mut cfg = scenario_config((2, 2, 1));
+        cfg.engine.workers = Some(2);
+        let parallel = load_scenario(cfg, 2);
+        assert_eq!(parallel.workers(), 2);
+        let parallel = run(parallel);
+        assert!(serial.cycles > 0 && serial.cycles < RUN_LIMIT);
+        assert!(serial.messages > 0, "scenario must exercise the fabric");
+        assert_eq!(serial, parallel, "serial and parallel engines disagreed");
     }
 
     #[test]
     fn idle_heavy_paths_agree() {
-        let r = idle_heavy_comparison(5_000, 2);
-        assert!(r.stats_match, "dense loop and engine disagreed");
+        // A fixed horizon well past halt, so the idle tail is where the
+        // engine fast-forwards and the dense loop steps every cycle.
+        let mut engine = build_scenario((2, 1, 1), 2);
+        engine.run_cycles(5_000);
+        let mut dense = build_scenario((2, 1, 1), 2);
+        for _ in 0..5_000 {
+            dense.naive_step();
+        }
+        assert_eq!(
+            dense.stats(),
+            engine.stats(),
+            "dense loop and engine disagreed"
+        );
     }
 
     #[test]
     fn busy_traffic_engines_agree() {
-        let r = busy_traffic_comparison((2, 2, 1), 16, Some(2));
-        assert_eq!(r.workers, 2);
-        assert!(r.cycles > 0 && r.cycles < RUN_LIMIT);
-        assert!(r.stats_match, "serial and parallel engines disagreed");
+        let serial = run(build_busy_scenario((2, 2, 1), 16, Some(1)));
+        let parallel = build_busy_scenario((2, 2, 1), 16, Some(2));
+        assert_eq!(parallel.workers(), 2);
+        let parallel = run(parallel);
+        assert!(serial.cycles > 0 && serial.cycles < RUN_LIMIT);
+        assert_eq!(serial, parallel, "serial and parallel engines disagreed");
+
+        let mut on =
+            build_busy_scenario_telemetry((2, 2, 1), 16, Some(1), TelemetryConfig::enabled());
+        on.run_until_halt(RUN_LIMIT).expect("scenario completes");
+        on.telemetry_flush();
         assert!(
-            r.telemetry_stats_match,
-            "telemetry sampling changed the simulation"
-        );
-        assert!(
-            r.telemetry_epochs >= 1,
+            on.telemetry().is_some_and(|t| !t.ring().is_empty()),
             "flush must close at least one epoch"
+        );
+        assert_eq!(
+            on.stats(),
+            serial,
+            "telemetry sampling changed the simulation"
         );
     }
 }

@@ -5,10 +5,9 @@
 //! (§4.2: a message that cannot be sunk is returned to its sender and
 //! re-injected after a backoff).
 //!
-//! Each row runs the same generator under the serial and the parallel
-//! engine and diffs their [`MachineStats`] — the traffic sweep doubles
-//! as a fabric-determinism check at injection rates the coherence
-//! workloads never reach.
+//! [`run_traffic`] runs one pattern under the serial and the parallel
+//! engine and diffs their [`MachineStats`] — a fabric-determinism check
+//! at injection rates the coherence workloads never reach.
 
 use mm_core::machine::{MMachine, MachineConfig, MachineStats};
 use mm_isa::pointer::Perm;
@@ -16,14 +15,10 @@ use mm_isa::reg::Reg;
 use mm_isa::word::Word;
 use mm_mem::MemWord;
 use mm_runtime::workloads::{traffic_node, traffic_sink_off, TrafficDest};
-use std::time::Instant;
 
-/// Mesh the traffic sweep runs on (transpose needs the 2×2 face).
+/// Mesh every traffic pattern runs on (transpose needs the 2×2 face).
 pub const TRAFFIC_DIMS: (u8, u8, u8) = (2, 2, 1);
 const NODES: usize = 4;
-
-/// Messages injected per node per row.
-pub const TRAFFIC_COUNT: u64 = 64;
 
 /// Cycle budget for one traffic run.
 pub const RUN_LIMIT: u64 = 2_000_000;
@@ -64,17 +59,7 @@ impl TrafficPattern {
     }
 }
 
-/// The sweep: uniform at three injection gaps (rate = 1/(gap+1) per
-/// issue opportunity), plus full-rate hotspot and transpose.
-pub const TRAFFIC_SWEEP: [(TrafficPattern, u32); 5] = [
-    (TrafficPattern::Uniform, 0),
-    (TrafficPattern::Uniform, 2),
-    (TrafficPattern::Uniform, 8),
-    (TrafficPattern::Hotspot, 0),
-    (TrafficPattern::Transpose, 1),
-];
-
-/// One traffic row's measurement.
+/// One traffic row's run.
 #[derive(Debug, Clone)]
 pub struct TrafficPoint {
     /// Injection pattern.
@@ -87,8 +72,6 @@ pub struct TrafficPoint {
     pub count: u64,
     /// Cycles to drain the pattern.
     pub cycles: u64,
-    /// Wall-clock milliseconds (parallel engine).
-    pub wall_ms: f64,
     /// Messages injected machine-wide (first sends only).
     pub injected: u64,
     /// Messages received machine-wide (includes re-injections).
@@ -143,7 +126,6 @@ pub fn build_traffic_scenario(
 }
 
 struct TrafficRun {
-    wall: f64,
     stats: MachineStats,
     injected: u64,
     delivered: u64,
@@ -153,9 +135,7 @@ struct TrafficRun {
 
 fn run_one(pattern: TrafficPattern, gap: u32, count: u64, workers: Option<usize>) -> TrafficRun {
     let mut m = build_traffic_scenario(pattern, gap, count, workers);
-    let t0 = Instant::now();
     m.run_until_halt(RUN_LIMIT).expect("traffic drains");
-    let wall = t0.elapsed().as_secs_f64();
     m.run_cycles(256); // drain in-flight bounces
     assert!(
         m.faulted_threads().is_empty(),
@@ -180,7 +160,6 @@ fn run_one(pattern: TrafficPattern, gap: u32, count: u64, workers: Option<usize>
         pattern.name()
     );
     TrafficRun {
-        wall,
         stats,
         injected,
         delivered: iface(|s| s.received),
@@ -211,7 +190,6 @@ pub fn run_traffic(
         nodes: NODES,
         count,
         cycles: serial.stats.cycles,
-        wall_ms: parallel.wall * 1e3,
         injected: serial.injected,
         delivered: serial.delivered,
         returned: serial.returned,

@@ -6,10 +6,11 @@
 //!
 //! These are the benchmark-facing builds of the same kernels the
 //! differential tests pin (`crates/core/tests/workloads.rs`): bigger
-//! inputs, `trace` off, wall-clock timed, one `BENCH_scaling.json` row
-//! per kernel. The task-queue row additionally reports the §3.2
-//! protected-call count and the §2 full/empty sync-retry count — the
-//! two paper mechanisms that workload exists to exercise.
+//! inputs, `trace` off; `benchmark/`'s `kernel_suite_4` workload times
+//! them and checks every timed pass against [`run_workload`]'s counts.
+//! The task-queue row additionally reports the §3.2 protected-call
+//! count and the §2 full/empty sync-retry count — the two paper
+//! mechanisms that workload exists to exercise.
 
 use mm_core::machine::{MMachine, MachineConfig, MachineStats};
 use mm_isa::pointer::Perm;
@@ -21,7 +22,6 @@ use mm_runtime::workloads::{
     task_queue_entries, task_queue_expected_sum, SortLayout, SpmvLayout, MATMUL_A_OFF,
     MATMUL_C_OFF, MATMUL_N, TASKQ_STRIPE_WORDS,
 };
-use std::time::Instant;
 
 /// Mesh every workload scenario runs on (matmul's block grid fixes the
 /// node count at four; the others simply match it).
@@ -79,7 +79,7 @@ impl WorkloadKind {
     }
 }
 
-/// One kernel's bench measurement.
+/// One kernel's checked run.
 #[derive(Debug, Clone)]
 pub struct WorkloadPoint {
     /// Which kernel.
@@ -90,18 +90,6 @@ pub struct WorkloadPoint {
     pub nodes: usize,
     /// Cycles to halt (identical across engines when `stats_match`).
     pub cycles: u64,
-    /// Serial-engine wall-clock milliseconds.
-    pub serial_wall_ms: f64,
-    /// Serial-engine simulated cycles per wall-clock second.
-    pub serial_cycles_per_sec: f64,
-    /// Worker threads the parallel run resolved to.
-    pub parallel_workers: usize,
-    /// Parallel-engine wall-clock milliseconds.
-    pub parallel_wall_ms: f64,
-    /// Parallel-engine simulated cycles per wall-clock second.
-    pub parallel_cycles_per_sec: f64,
-    /// `serial_wall_ms / parallel_wall_ms`.
-    pub speedup: f64,
     /// Did serial and parallel produce identical [`MachineStats`]?
     pub stats_match: bool,
     /// User messages that crossed the fabric.
@@ -368,10 +356,8 @@ fn verify(kind: WorkloadKind, m: &MMachine) {
     }
 }
 
-fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (f64, MachineStats, u64, u64) {
-    let t0 = Instant::now();
+fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (MachineStats, u64, u64) {
     m.run_until_halt(RUN_LIMIT).expect("workload completes");
-    let wall = t0.elapsed().as_secs_f64();
     m.run_cycles(256); // drain in-flight protocol traffic
     assert!(
         m.faulted_threads().is_empty(),
@@ -384,7 +370,7 @@ fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (f64, MachineStats, u64, 
     let stats = m.stats();
     assert_eq!(stats.coherence.unknown_events, 0, "dropped event records");
     let sync_retries = stats.coherence.sync_retries;
-    (wall, stats, protected, sync_retries)
+    (stats, protected, sync_retries)
 }
 
 /// Run one kernel under the serial and the parallel engine, verify both
@@ -396,24 +382,15 @@ fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (f64, MachineStats, u64, 
 /// result diverges from the host-side reference.
 #[must_use]
 pub fn run_workload(kind: WorkloadKind, workers: Option<usize>) -> WorkloadPoint {
-    let (serial_wall, serial_stats, protected, sync_retries) =
-        run_checked(kind, build_workload(kind, Some(1)));
-    let parallel = build_workload(kind, workers);
-    let parallel_workers = parallel.workers();
-    let nodes = parallel.node_count();
-    let (parallel_wall, parallel_stats, _, _) = run_checked(kind, parallel);
-    #[allow(clippy::cast_precision_loss)]
+    let serial = build_workload(kind, Some(1));
+    let nodes = serial.node_count();
+    let (serial_stats, protected, sync_retries) = run_checked(kind, serial);
+    let (parallel_stats, _, _) = run_checked(kind, build_workload(kind, workers));
     WorkloadPoint {
         kind,
         dims: WORKLOAD_DIMS,
         nodes,
         cycles: serial_stats.cycles,
-        serial_wall_ms: serial_wall * 1e3,
-        serial_cycles_per_sec: serial_stats.cycles as f64 / serial_wall,
-        parallel_workers,
-        parallel_wall_ms: parallel_wall * 1e3,
-        parallel_cycles_per_sec: parallel_stats.cycles as f64 / parallel_wall,
-        speedup: serial_wall / parallel_wall,
         stats_match: serial_stats == parallel_stats,
         messages: serial_stats.messages,
         protected_calls: protected,

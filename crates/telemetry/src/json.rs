@@ -2,11 +2,10 @@
 //!
 //! The workspace builds offline with no serde; this module is the
 //! shared JSON reader for everything that *consumes* machine-readable
-//! output — `mmctl` loading snapshots and streams, the CI gate reading
-//! the committed `BENCH_scaling.json` baseline, and the schema
-//! validator. It parses standard JSON (RFC 8259) into a [`JsonValue`]
-//! tree; object member order is preserved (the schema tests assert
-//! emission order).
+//! output — `mmctl` loading snapshots, streams and fault plans, and
+//! the schema validator. It parses standard JSON (RFC 8259) into a
+//! [`JsonValue`] tree; object member order is preserved (the schema
+//! tests assert emission order).
 
 /// A parsed JSON value. Numbers keep an `is_integer` flag from the
 /// lexer so the schema validator can tell `"integer"` from `"number"`

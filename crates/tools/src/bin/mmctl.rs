@@ -11,6 +11,7 @@
 //! mmctl run [--dims 2x2x1] [--iters 64] [--workers 1] [--epoch 64]
 //!           [--faults plan.json] [--out run.jsonl]
 //!           [--snapshot-out snap.json] [--prom]
+//! mmctl campaign [--seed 7] [--workers 2] [--out BENCH_faults.json]
 //! ```
 //!
 //! `check` validates every JSONL record against the committed schema
@@ -23,8 +24,13 @@
 //! checkpoint of the busy scenario through disk. `run` attaches the
 //! whole pipeline to an in-process sim run of the busy-traffic
 //! scenario, optionally with a fault campaign armed from a plan file.
+//! `campaign` runs the seeded fault campaign and the crash-recovery
+//! round trip serial and parallel, and writes their counts as a
+//! host-independent JSON record (CI byte-diffs the committed
+//! `BENCH_faults.json` against it).
 //!
-//! Exit codes: 0 success, 1 check/render/run failure, 2 usage.
+//! Exit codes: 0 success, 1 check/render/run failure, 2 usage
+//! (including a mesh the busy scenario cannot be built on).
 
 use mm_telemetry::json::parse;
 use mm_telemetry::TelemetryConfig;
@@ -32,7 +38,7 @@ use mm_tools::plan::plan_from_json;
 use mm_tools::render::{epoch_brief, prometheus_from_stream, render_snapshot};
 use mm_tools::stream::check_stream;
 
-const USAGE: &str = "usage: mmctl <analyze|check|tail|snapshot|prom|run> [args]
+const USAGE: &str = "usage: mmctl <analyze|check|tail|snapshot|prom|run|campaign> [args]
   analyze [--root <dir>] [--json] [--output <report.json>]
                                                   run the mm-analyze static pass
   check <stream.jsonl> [--schema <schema.json>]   validate a telemetry stream
@@ -45,7 +51,9 @@ const USAGE: &str = "usage: mmctl <analyze|check|tail|snapshot|prom|run> [args]
   prom <stream.jsonl>                             convert JSONL to Prometheus text
   run [--dims XxYxZ] [--iters N] [--workers N] [--epoch N] [--faults <plan.json>]
       [--out <stream.jsonl>] [--snapshot-out <snap.json>] [--prom]
-                                                  run the busy scenario in-process";
+                                                  run the busy scenario in-process
+  campaign [--seed N] [--workers N] [--out <faults.json>]
+                                                  seeded fault campaign + crash recovery";
 
 /// A usage-class failure: printed with the usage text, exit code 2.
 type UsageError = String;
@@ -115,7 +123,9 @@ impl Scenario {
         })
     }
 
-    fn build(&self, telemetry: TelemetryConfig) -> mm_core::machine::MMachine {
+    /// Build the busy scenario; a mesh it cannot run on (one that does
+    /// not build, or an odd node count) is a usage error.
+    fn build(&self, telemetry: TelemetryConfig) -> Result<mm_core::machine::MMachine, UsageError> {
         mm_bench::scaling::build_busy_scenario_full(
             self.dims,
             self.iters,
@@ -123,6 +133,12 @@ impl Scenario {
             telemetry,
             self.faults.clone(),
         )
+        .map_err(|e| {
+            format!(
+                "--dims {}x{}x{}: {e}",
+                self.dims.0, self.dims.1, self.dims.2
+            )
+        })
     }
 }
 
@@ -227,7 +243,7 @@ fn cmd_snapshot(args: &[String]) -> Result<i32, UsageError> {
 fn snapshot_save(args: &[String], path: &str) -> Result<i32, UsageError> {
     let scenario = Scenario::from_args(args)?;
     let at: u64 = parsed_flag(args, "--at", 1_000, "a cycle count")?;
-    let mut m = scenario.build(TelemetryConfig::default());
+    let mut m = scenario.build(TelemetryConfig::default())?;
     m.run_cycles(at);
     let ckpt = m.checkpoint();
     if let Err(e) = std::fs::write(path, &ckpt) {
@@ -254,7 +270,7 @@ fn snapshot_restore(args: &[String], path: &str) -> Result<i32, UsageError> {
             return Ok(1);
         }
     };
-    let mut m = scenario.build(TelemetryConfig::default());
+    let mut m = scenario.build(TelemetryConfig::default())?;
     if let Err(e) = m.restore(&bytes) {
         eprintln!("mmctl: restore {path}: {e}");
         eprintln!("mmctl: (the scenario flags must match the ones used with --save)");
@@ -367,7 +383,7 @@ fn cmd_run(args: &[String]) -> Result<i32, UsageError> {
         ring_epochs: 0,
         stream_path: out.clone().map(Into::into),
     };
-    let mut m = scenario.build(tel);
+    let mut m = scenario.build(tel)?;
     if let Err(e) = m.run_until_halt(mm_bench::scaling::RUN_LIMIT) {
         eprintln!("mmctl: run did not complete: {e}");
         if let Some(d) = m.last_diagnostic() {
@@ -410,6 +426,83 @@ fn cmd_run(args: &[String]) -> Result<i32, UsageError> {
     }
 }
 
+/// `mmctl campaign`: the seeded fault campaign over the busy 2×2×1
+/// scenario plus the crash-recovery round trip on 2×1×1, each serial
+/// and at `--workers`, written to `--out`. Exit 1 if any check fails.
+fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
+    use mm_bench::faults::{
+        campaign_failures, campaign_json, run_crash_recovery, run_fault_campaign,
+    };
+    let seed: u64 = parsed_flag(args, "--seed", 7, "an integer")?;
+    let workers: usize = parsed_flag(args, "--workers", 2, "a count")?;
+    let out = flag_value(args, "--out")?.unwrap_or_else(|| "BENCH_faults.json".into());
+    let fail = |what: &str, e: mm_core::MachineError| match e {
+        mm_core::MachineError::BadConfig(_) => Err(format!("{what}: {e}")),
+        _ => {
+            eprintln!("mmctl: {what}: {e}");
+            Ok(1)
+        }
+    };
+
+    println!("== fault campaign: seeded injection over busy traffic (seed {seed}) ==");
+    let p = match run_fault_campaign((2, 2, 1), 24, workers, seed) {
+        Ok(p) => p,
+        Err(e) => return fail("fault campaign", e),
+    };
+    println!(
+        "2x2x1: {} cycles, corrupted {}, dropped {}, delayed {}, dram flips {}, \
+         scheduled events {}",
+        p.cycles,
+        p.report.packets_corrupted,
+        p.report.packets_dropped,
+        p.report.packets_delayed,
+        p.report.dram_flips,
+        p.report.events_applied
+    );
+    println!(
+        "recovery: {} crc-nacks, {} retransmits, {} dup-drops, {} ecc-corrected, \
+         {} ecc-double",
+        p.crc_nacks, p.report.retransmits, p.dup_drops, p.ecc_corrected, p.ecc_double_errors
+    );
+    println!(
+        "deterministic across engines: {}   completed despite faults: {}",
+        p.stats_match, p.completed
+    );
+
+    println!("\n== crash recovery: watchdog trip -> checkpoint restore -> completion ==");
+    let r = match run_crash_recovery((2, 1, 1), 1_000, workers) {
+        Ok(r) => r,
+        Err(e) => return fail("crash recovery", e),
+    };
+    println!(
+        "checkpoint at cycle {} ({} bytes); watchdog tripped at {}; diagnostic {}",
+        r.checkpoint_at,
+        r.checkpoint_bytes,
+        r.tripped_at
+            .map_or_else(|| "never".to_owned(), |t| t.to_string()),
+        if r.diagnostic_captured {
+            "captured"
+        } else {
+            "MISSING"
+        }
+    );
+    println!(
+        "restored run completed: {}   bit-identical to uninterrupted run: {}",
+        r.recovered, r.stats_match
+    );
+
+    if let Err(e) = std::fs::write(&out, campaign_json(&p, &r)) {
+        eprintln!("mmctl: write {out}: {e}");
+        return Ok(1);
+    }
+    println!("wrote {out}");
+    let failures = campaign_failures(&p, &r);
+    for f in &failures {
+        eprintln!("error: {f}");
+    }
+    Ok(i32::from(!failures.is_empty()))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -419,6 +512,7 @@ fn main() {
         Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("prom") => cmd_prom(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
+        Some("campaign") => cmd_campaign(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);
