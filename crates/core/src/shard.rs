@@ -20,14 +20,11 @@
 //! first skips whole [`BLOCK`]-node blocks whose ladder minimum is in
 //! the future (one `u64` read per 64 sleeping nodes), then gathers the
 //! due indices of a live block into a stack array with a linear scan of
-//! the dense slot words. Only then does it touch `Node` structs — in a
-//! software-pipelined loop that issues [`Node::prefetch_hot`] two nodes
-//! ahead and [`Node::prefetch_active`] one node ahead, so the
-//! DRAM-latency-bound fetches of the *next* due node's header, thread
-//! block and scoreboard lines overlap the *current* node's step. Each
-//! stepped node's row is written back through a [`NodeCtx`] borrow
-//! while the node is cache-hot, and raised slots are folded into the
-//! block minimum with one 64-wide rebuild per dirty block.
+//! the dense slot words, and only then touches the due `Node` structs,
+//! in ascending order. Each stepped node's row is written back through
+//! a [`NodeCtx`] borrow while the node is cache-hot, and raised slots
+//! are folded into the block minimum with one 64-wide rebuild per dirty
+//! block.
 //!
 //! ## Determinism argument
 //!
@@ -116,7 +113,7 @@ pub(crate) fn step_shard(
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
         // Gather the block's due nodes from the dense slot words — no
-        // Node struct is touched until the prefetch pipeline below.
+        // Node struct is touched until the step loop below.
         let mut cnt = 0;
         for k in lo..hi {
             if pool.ladder.slots[k] <= now {
@@ -130,22 +127,7 @@ pub(crate) fn step_shard(
             pool.ladder.rebuild_block(b);
             continue;
         }
-        // Warm the pipeline: headers of the first two due nodes.
-        nodes[due[0]].prefetch_hot();
-        if cnt > 1 {
-            nodes[due[1]].prefetch_hot();
-        }
-        for i in 0..cnt {
-            // Two-stage prefetch, pipelined ahead of the step: node
-            // i+2's always-hot lines now, node i+1's occupancy-
-            // dependent lines (its header arrived one iteration ago).
-            if i + 2 < cnt {
-                nodes[due[i + 2]].prefetch_hot();
-            }
-            if i + 1 < cnt {
-                nodes[due[i + 1]].prefetch_active();
-            }
-            let k = due[i];
+        for &k in &due[..cnt] {
             let mut ctx = pool.ctx(k, &mut nodes[k]);
             let mut progressed = ctx.step(now, scratch);
             progressed |= coh[k].step(now, ctx.node);

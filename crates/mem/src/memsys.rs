@@ -376,47 +376,6 @@ impl MemorySystem {
         (responses, events)
     }
 
-    /// First-stage prefetch: hint the cache lines holding the queue
-    /// *headers* this system's per-cycle fast path reads (`bank_q`,
-    /// `bank_backlog`, `miss_q`, `responses`, `events` — the tail of the
-    /// struct, several lines past `&self`). Pure address computation:
-    /// nothing is dereferenced, so the owner may issue this for a
-    /// not-yet-resident system several walk slots ahead.
-    #[inline]
-    pub fn prefetch_meta(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: prefetch is a pure performance hint on valid
-            // addresses derived from live references.
-            unsafe {
-                _mm_prefetch(std::ptr::from_ref(&self.bank_q).cast(), _MM_HINT_T0);
-                _mm_prefetch(std::ptr::from_ref(&self.responses).cast(), _MM_HINT_T0);
-                _mm_prefetch(std::ptr::from_ref(&self.events).cast(), _MM_HINT_T0);
-            }
-        }
-    }
-
-    /// Second-stage prefetch: with the headers resident (see
-    /// [`MemorySystem::prefetch_meta`]), chase the storage pointers the
-    /// coming `step_into` will dereference — the response heap and, when
-    /// requests are queued, the bank-queue ring headers.
-    #[inline]
-    pub fn prefetch_deep(&self) {
-        self.responses.prefetch();
-        #[cfg(target_arch = "x86_64")]
-        if self.bank_backlog > 0 {
-            // SAFETY: prefetch is a pure performance hint on a valid
-            // address derived from a live allocation.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    self.bank_q.as_ptr().cast(),
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-    }
-
     /// Are all queues drained (useful for run-to-idle loops)?
     #[must_use]
     pub fn is_idle(&self) -> bool {

@@ -178,31 +178,6 @@ impl<T> ReadyQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Hint the CPU to pull the head of the heap's storage into cache.
-    ///
-    /// The queue header (and its `min_ready` mirror) lives inline in
-    /// the owner, but the entries themselves are a separate heap
-    /// allocation — a dependent cache miss on the first `push`/`pop` of
-    /// a step. Engines that software-pipeline a walk over many owners
-    /// call this one owner ahead so the storage line arrives alongside
-    /// the owner's own lines. Pure hint: `peek` computes the head
-    /// reference from the (resident) inline pointer without reading the
-    /// storage, and prefetch has no architectural effect.
-    #[inline]
-    pub fn prefetch(&self) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(head) = self.heap.peek() {
-            // SAFETY: prefetch is a pure performance hint on a valid
-            // address derived from a live reference.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    std::ptr::from_ref(head).cast(),
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-    }
-
     /// Pop every due item (in `(ready, seq)` order) into `out`,
     /// returning how many were moved. `out` is appended to, not
     /// cleared — callers own the scratch-buffer discipline.

@@ -7,7 +7,7 @@
 //! while the [`Node`] itself stays the owner of everything cold. A step
 //! must mutate both sides coherently: the node advances, and its pool
 //! row must mirror the node's post-step state exactly (the machine's
-//! halt predicate, next-activity reduction and prefetch planner read
+//! halt predicate, next-activity reduction and due-node walk read
 //! *only* the rows).
 //!
 //! `NodeCtx` packages one node plus `&mut` borrows of exactly its row.

@@ -676,95 +676,6 @@ impl Node {
         u32::from_ne_bytes(self.running)
     }
 
-    /// Hint the CPU to pull this node's hot header into cache.
-    ///
-    /// The machine's engines walk hundreds of nodes per simulated cycle;
-    /// each node's working set is a handful of cache lines scattered
-    /// across a multi-kilobyte struct, so the serial walk is bound by
-    /// DRAM *latency*, not bandwidth. Prefetching upcoming nodes while
-    /// stepping the current one overlaps those misses with useful work.
-    /// Pure hint: no architectural effect, and a no-op on targets
-    /// without a prefetch instruction.
-    ///
-    /// This covers the always-touched lines: the hot header (running
-    /// masks, cursors, queue minima), the stats counters, and the
-    /// memory-system and interface headers. The deeper, occupancy-
-    /// dependent lines (thread slots, active register files) are the
-    /// job of [`Node::prefetch_active`], which needs the header
-    /// resident to know what to fetch.
-    #[inline]
-    pub fn prefetch_hot(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let lines: [*const i8; 5] = [
-                std::ptr::from_ref(self).cast(),
-                // The hot header spans two lines (the second holds the
-                // `local_writes`/`csw` queue headers the step always
-                // reads).
-                std::ptr::from_ref(&self.csw).cast(),
-                std::ptr::from_ref(&self.mem).cast(),
-                std::ptr::from_ref(&self.net).cast(),
-                std::ptr::from_ref(&self.stats).cast(),
-            ];
-            for p in lines {
-                // SAFETY: prefetch is a pure performance hint on valid
-                // addresses derived from live references.
-                unsafe { _mm_prefetch(p, _MM_HINT_T0) };
-            }
-            // The memory system's per-cycle fast path reads its tail
-            // queue headers — separate lines, address-computable now.
-            self.mem.prefetch_meta();
-        }
-    }
-
-    /// Second-stage prefetch: read the (already-resident) running
-    /// masks and pull the lines the coming step will actually walk —
-    /// each occupied cluster's contiguous thread-slot block and the
-    /// scoreboard line of every running slot's register file. Issued
-    /// one node ahead of the step walk so the fetches overlap the
-    /// previous node's work.
-    #[inline]
-    pub fn prefetch_active(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // Heap-side storage the step dereferences: the writeback and
-            // C-Switch ready queues (every ALU issue pushes a pending
-            // writeback; the next cycle pops it) and the memory system's
-            // response heap / bank rings. Their inline headers are
-            // resident from stage one, so chasing the pointers here is
-            // stall-free.
-            self.local_writes.prefetch();
-            self.csw.prefetch();
-            self.mem.prefetch_deep();
-            for c in 0..NUM_CLUSTERS {
-                let mut mask = self.running[c];
-                if mask == 0 {
-                    continue;
-                }
-                // SAFETY: prefetch is a pure performance hint on valid
-                // addresses derived from live references.
-                unsafe {
-                    while mask != 0 {
-                        let slot = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        // The slot's control state, its scoreboard line,
-                        // and the second register-file line (the integer
-                        // operand registers a typical ALU op reads).
-                        _mm_prefetch(
-                            std::ptr::from_ref(&self.threads[c][slot]).cast(),
-                            _MM_HINT_T0,
-                        );
-                        let rf: *const i8 = std::ptr::from_ref(&self.regs[c][slot]).cast();
-                        _mm_prefetch(rf, _MM_HINT_T0);
-                        _mm_prefetch(rf.wrapping_add(64), _MM_HINT_T0);
-                    }
-                }
-            }
-        }
-    }
-
     /// Account skipped-over cycles up to (exclusive) `now` without
     /// stepping. The engine calls this when a run ends with the node
     /// still asleep, so `stats.cycles` always reads as wall-clock
