@@ -3,7 +3,9 @@
 use crate::coherence::{CoherenceConfig, CoherenceEngine, CoherenceStats};
 use crate::error::MachineError;
 use crate::pool::NodePool;
-use crate::shard::{step_shard, WorkerPool};
+use crate::shard::{
+    node_key, step_shard, Arrival, ReplayCursor, Tally, TraceSnap, Window, WindowLog, WorkerPool,
+};
 use crate::timeline::{PacketKind, Phase, Timeline};
 use mm_faults::{
     CkptError, Dec, Enc, FaultKind, FaultPlan, FaultPlanConfig, PacketFault, ScheduledFault,
@@ -31,6 +33,9 @@ const CKPT_VERSION: u32 = 1;
 const RETRY_CAP: u32 = 8;
 /// Watchdog epoch width when the config leaves it zero.
 const WATCHDOG_EPOCH_DEFAULT: u64 = 4096;
+/// Cycles [`MMachine::run_until_halt`] runs past the halt so in-flight
+/// responses, replies and credits land.
+const HALT_DRAIN_CYCLES: u64 = 64;
 
 /// Machine-wide configuration.
 #[derive(Debug, Clone)]
@@ -260,56 +265,48 @@ impl FaultState {
     }
 }
 
-/// Drain one node's staged packets into the fabric through the armed
-/// fault plan: seal every user message's checksum, then apply the
-/// plan's pure per-packet decision (corrupt / drop a flit / delay).
-/// Free function over split borrows so the machine's phase loops can
-/// call it while iterating nodes.
-fn inject_faulted(
-    fabric: &mut Fabric,
-    fs: &mut FaultState,
-    now: u64,
-    src: usize,
-    packets: &mut Vec<Packet>,
-) {
-    for mut p in packets.drain(..) {
-        let mut delay = 0;
-        if let Packet::User(msg) = &mut p {
-            msg.seal_crc();
-            let mark = &mut fs.inject_marks[src];
-            if mark.0 != now {
-                *mark = (now, 0);
-            }
-            let nth = mark.1;
-            mark.1 += 1;
-            #[allow(clippy::cast_possible_truncation)]
-            let src32 = src as u32;
-            match fs.plan.packet_fault(now, src32, nth) {
-                PacketFault::None => {}
-                PacketFault::Corrupt => {
-                    if fs.fault_budget(msg) {
-                        let (w, b) = fs.plan.corrupt_site(now, src32, nth, msg.payload_words());
-                        msg.corrupt_payload(w, b);
-                        fs.report.packets_corrupted += 1;
-                    }
-                }
-                PacketFault::Drop => {
-                    if fs.fault_budget(msg) {
-                        msg.drop_flit();
-                        fs.report.packets_dropped += 1;
-                    }
-                }
-                PacketFault::Delay(d) => {
-                    fs.report.packets_delayed += 1;
-                    delay = d;
+/// Inject one of node `src`'s packets into the fabric through the armed
+/// fault plan: seal a user message's checksum, then apply the plan's
+/// pure per-packet decision (corrupt / drop a flit / delay). Free
+/// function over split borrows so the machine's phase loops can call it
+/// while iterating nodes.
+fn inject_faulted(fabric: &mut Fabric, fs: &mut FaultState, now: u64, src: usize, mut p: Packet) {
+    let mut delay = 0;
+    if let Packet::User(msg) = &mut p {
+        msg.seal_crc();
+        let mark = &mut fs.inject_marks[src];
+        if mark.0 != now {
+            *mark = (now, 0);
+        }
+        let nth = mark.1;
+        mark.1 += 1;
+        #[allow(clippy::cast_possible_truncation)]
+        let src32 = src as u32;
+        match fs.plan.packet_fault(now, src32, nth) {
+            PacketFault::None => {}
+            PacketFault::Corrupt => {
+                if fs.fault_budget(msg) {
+                    let (w, b) = fs.plan.corrupt_site(now, src32, nth, msg.payload_words());
+                    msg.corrupt_payload(w, b);
+                    fs.report.packets_corrupted += 1;
                 }
             }
+            PacketFault::Drop => {
+                if fs.fault_budget(msg) {
+                    msg.drop_flit();
+                    fs.report.packets_dropped += 1;
+                }
+            }
+            PacketFault::Delay(d) => {
+                fs.report.packets_delayed += 1;
+                delay = d;
+            }
         }
-        if delay > 0 {
-            fabric.inject_delayed(now, p, delay);
-        } else {
-            fabric.inject(now, p);
-        }
+    }
+    if delay > 0 {
+        fabric.inject_delayed(now, p, delay);
+    } else {
+        fabric.inject(now, p);
     }
 }
 
@@ -324,28 +321,35 @@ pub struct MMachine {
     coherence: CoherenceEngine,
     timeline: Timeline,
     boot_info: Vec<BootInfo>,
+    /// Returned messages in hardware backoff: `(due, node, message)`,
+    /// scanned in vector order (the order is part of a checkpoint).
     resends: Vec<(u64, usize, Message)>,
+    /// The earliest `due` in `resends` (`u64::MAX` when empty), so the
+    /// scheduler and the window cut read one word.
+    resend_due: u64,
     prev_events: Vec<[u64; NUM_CLUSTERS]>,
     halted_seen: Vec<[[bool; 6]; NUM_CLUSTERS]>,
     /// The struct-of-arrays mirror of every node's hottest scheduling
     /// state: deadline ladder, packed occupancy words, user-thread
     /// tallies and their machine totals (see the `pool` module).
     pool: NodePool,
-    stepped_buf: Vec<usize>,
-    /// Stepped nodes that staged outbox packets this cycle (subset of
-    /// `stepped_buf`, same ascending order).
-    staged_buf: Vec<usize>,
-    /// Nodes that received a `Return` packet this cycle (the only way
-    /// a returned message can appear, so the backoff phase walks these
-    /// instead of every node).
-    returned_buf: Vec<usize>,
     /// Recycled drain buffers for serial node steps (the worker pool
     /// carries its own, one per worker).
     step_scratch: StepScratch,
-    /// Recycled packet buffer for outbox drains (phases 3–4).
-    packet_buf: Vec<Packet>,
-    /// Recycled buffer for the fabric's due deliveries (phase 4).
-    delivery_buf: Vec<Packet>,
+    /// The current window's deliveries, in delivery order, and their
+    /// packets.
+    arrivals: Vec<Arrival>,
+    arrival_packets: Vec<Packet>,
+    /// The arrivals' keys sorted by destination node (see
+    /// [`Window::by_node`]).
+    by_node: Vec<u64>,
+    /// One log per shard (one in all when serial), filled by the walk
+    /// and emptied by the replay.
+    logs: Vec<WindowLog>,
+    /// Replay scratch: one cursor per log.
+    cursors: Vec<ReplayCursor>,
+    /// Replay scratch: every log's tally changes, merged.
+    tallies: Vec<Tally>,
     /// Shard workers for the parallel node phase (`None` = serial).
     worker_pool: Option<WorkerPool>,
     /// External node mutation may have invalidated the pool's mirror
@@ -386,8 +390,9 @@ impl MMachine {
     /// # Errors
     ///
     /// [`MachineError::BadConfig`] when dimensions or sizes are not
-    /// powers of two, or the boot layout (LPT, page frames, home
-    /// addresses) does not fit the configured node.
+    /// powers of two, the boot layout (LPT, page frames, home addresses)
+    /// does not fit the configured node, or the node's memory geometry
+    /// (cache lines, SDRAM banks and rows, LTLB entries) cannot be built.
     pub fn build(cfg: MachineConfig) -> Result<MMachine, MachineError> {
         let (x, y, z) = cfg.dims;
         let spec = BootSpec {
@@ -397,6 +402,7 @@ impl MMachine {
         };
         spec.validate(cfg.node.mem.sdram.capacity_words)
             .map_err(MachineError::BadConfig)?;
+        cfg.node.mem.validate().map_err(MachineError::BadConfig)?;
         let image = RuntimeImage::build();
         #[allow(clippy::cast_possible_truncation)]
         let n = spec.total_nodes() as usize;
@@ -458,17 +464,19 @@ impl MMachine {
             timeline: Timeline::new(),
             boot_info,
             resends: Vec::new(),
+            resend_due: u64::MAX,
             prev_events: vec![[0; NUM_CLUSTERS]; n],
             halted_seen: vec![[[false; 6]; NUM_CLUSTERS]; n],
             // Everything starts awake; nodes prove themselves quiescent
             // on their first no-progress step.
             pool: NodePool::new(n),
-            stepped_buf: Vec::with_capacity(n),
-            staged_buf: Vec::with_capacity(n),
-            returned_buf: Vec::new(),
             step_scratch: StepScratch::new(),
-            packet_buf: Vec::new(),
-            delivery_buf: Vec::new(),
+            arrivals: Vec::new(),
+            arrival_packets: Vec::new(),
+            by_node: Vec::new(),
+            logs: (0..workers.max(1)).map(|_| WindowLog::default()).collect(),
+            cursors: Vec::new(),
+            tallies: Vec::new(),
             worker_pool: (workers > 1).then(|| WorkerPool::spawn(workers)),
             user_counts_stale: true,
             telemetry,
@@ -843,8 +851,8 @@ impl MMachine {
         // `Tick` contract), so a deadline due exactly at `now` must
         // clamp to `now`, not `now + 1`.
         best = earliest(best, self.fabric.next_delivery().map(|t| t.max(now)));
-        for &(due, _, _) in &self.resends {
-            best = earliest(best, Some(due.max(now)));
+        if self.resend_due != u64::MAX {
+            best = earliest(best, Some(self.resend_due.max(now)));
         }
         // The next scheduled fault forces an active cycle: a
         // fast-forward must never jump over a DRAM upset or a stall
@@ -1010,38 +1018,104 @@ impl MMachine {
         self.faults.as_ref().map(|f| f.report)
     }
 
-    /// Process one *active* cycle: step every awake or due node (its own
-    /// compute/memory tick plus its coherence-handler activation), pump
-    /// the fabric, and handle returned-message backoff — exactly the
-    /// dense loop's phases, over exactly the components that can act.
+    /// The widest window the fabric allows: a packet injected at `t`
+    /// is delivered at `t + hop_latency + 1` at the earliest (one hop, or
+    /// the equally long loopback, plus at least one flit), so nothing a
+    /// node does inside `[t, t + W)` can reach another node inside it.
+    fn window_width(&self) -> u64 {
+        self.cfg.hop_latency.saturating_add(1)
+    }
+
+    /// Where the window starting at active cycle `t` must end: at most
+    /// `width` cycles on, and never past a cycle on which all nodes have
+    /// to agree on the clock — the run's `limit`, the next telemetry
+    /// epoch or watchdog boundary, the next fault-plan event, or the
+    /// cycle after a pending resend falls due (the resend is handed back
+    /// at the end of its due cycle, which must be the window's last). A
+    /// message returned inside the window cuts it the same way; see
+    /// [`MMachine::step_window`].
+    fn window_end(&self, t: u64, limit: u64, width: u64) -> u64 {
+        let mut end = t.saturating_add(width).min(limit);
+        if let Some(tm) = &self.telemetry {
+            end = end.min(tm.next_due().max(t + 1));
+        }
+        if self.cfg.watchdog_epochs != 0 && self.watchdog_next >= t {
+            end = end.min(self.watchdog_next.max(t + 1));
+        }
+        if let Some(fs) = &self.faults {
+            if let Some(ev) = fs.plan.events().get(fs.cursor) {
+                end = end.min(ev.at.max(t + 1));
+            }
+        }
+        end.min(self.resend_due.max(t).saturating_add(1))
+    }
+
+    /// Run one window starting at active cycle `t` (`self.cycle` is `t`;
+    /// see the `shard` module for the design): land the faults due at
+    /// `t`, drain every delivery due before the window's end from the
+    /// fabric, walk the due and receiving nodes through the whole window
+    /// — sharded across the worker pool when there is one — and replay
+    /// the walk's logs in the per-cycle loop's order. Leaves the clock
+    /// one past the window's last active cycle, exactly where the
+    /// per-cycle loop's clock would stand after it, and returns the
+    /// first clock value (if any) at which the user-thread totals met
+    /// the halt condition.
+    ///
     /// Cycle-exact with [`MMachine::naive_step`] by construction: a
     /// skipped node's step would have been a no-op, and every skipped
     /// phase had no input.
-    ///
-    /// With a worker pool, phase 1 (the node/memory/coherence ticks —
-    /// which touch no cross-node state; see the `coherence` module) runs
-    /// sharded across the pool; every later phase runs on this thread
-    /// after the pool's barrier, with cross-shard traffic merged in
-    /// node-index order. See the `shard` module for the determinism
-    /// argument.
-    fn step_cycle(&mut self, now: u64) {
-        debug_assert_eq!(self.cycle, now, "step_cycle processes the current cycle");
+    fn step_window(&mut self, t: u64, limit: u64, width: u64) -> Option<u64> {
+        debug_assert_eq!(self.cycle, t, "a window starts at the current cycle");
 
-        // 0. Land scheduled faults due this cycle (one branch when no
-        // campaign is armed; `next_work` folds the next event in, so a
-        // fast-forward always stops exactly on an event's cycle).
-        self.apply_due_faults(now);
+        // 0. Land scheduled faults due at `t` (one branch when no
+        // campaign is armed). `next_work` folds the next event in and
+        // `window_end` cuts at it, so events only ever land here.
+        self.apply_due_faults(t);
         let checked = self.faults.as_ref().is_some_and(|f| f.link_armed);
+        let mut end = self.window_end(t, limit, width);
 
-        // 1. Awake and due nodes compute (and run their coherence
-        // handlers); quiescent nodes are skipped. A protocol panic
-        // (bounded patience, unmapped coherent block) unwinds through
-        // here: dump the diagnostic state first, then re-raise it
-        // unchanged.
-        let mut stepped = std::mem::take(&mut self.stepped_buf);
-        let mut staged = std::mem::take(&mut self.staged_buf);
-        stepped.clear();
-        staged.clear();
+        // Every delivery of the window is already in flight. A message
+        // returned inside the window enters the backoff queue the cycle
+        // it arrives, so its resend falling due cuts the window too.
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        let mut packets = std::mem::take(&mut self.arrival_packets);
+        arrivals.clear();
+        packets.clear();
+        while let Some(at) = self.fabric.next_delivery() {
+            let at = at.max(t);
+            if at >= end {
+                break;
+            }
+            self.fabric.deliveries_into(at, &mut packets);
+            for packet in &packets[arrivals.len()..] {
+                if matches!(packet, Packet::Return(_)) {
+                    end = end.min(at.saturating_add(self.cfg.resend_delay) + 1);
+                }
+                #[allow(clippy::cast_possible_truncation)]
+                arrivals.push(Arrival {
+                    at,
+                    j: arrivals.len() as u32,
+                    node: self.spec.linear_index(packet.dest()) as u32,
+                });
+            }
+        }
+        let mut by_node = std::mem::take(&mut self.by_node);
+        by_node.clear();
+        by_node.extend(arrivals.iter().map(|a| node_key(a.node, a.j as usize)));
+        by_node.sort_unstable();
+
+        // 1. The walk. A protocol panic (bounded patience, unmapped
+        // coherent block) unwinds through here: dump the diagnostic
+        // state first, then re-raise it unchanged.
+        let win = Window {
+            start: t,
+            end,
+            arrivals: &arrivals,
+            packets: &packets,
+            by_node: &by_node,
+            checked,
+            trace: self.cfg.trace,
+        };
         let result = {
             let MMachine {
                 worker_pool,
@@ -1049,110 +1123,160 @@ impl MMachine {
                 coherence,
                 pool,
                 step_scratch,
+                logs,
                 ..
             } = self;
             catch_unwind(AssertUnwindSafe(|| match worker_pool {
-                Some(workers) => workers.step_shards(
-                    nodes,
-                    coherence.handlers_mut(),
-                    pool,
-                    now,
-                    &mut stepped,
-                    &mut staged,
-                ),
-                None => step_shard(
-                    nodes,
-                    coherence.handlers_mut(),
-                    pool.view_mut(),
-                    0,
-                    now,
-                    &mut stepped,
-                    &mut staged,
-                    step_scratch,
-                ),
+                Some(workers) => {
+                    workers.step_window(nodes, coherence.handlers_mut(), pool, &win, logs)
+                }
+                None => {
+                    step_shard(
+                        nodes,
+                        coherence.handlers_mut(),
+                        pool.view_mut(),
+                        0,
+                        &win,
+                        &mut logs[0],
+                        step_scratch,
+                    );
+                    1
+                }
             }))
         };
-        let deltas = match result {
-            Ok(d) => d,
+        let shards = match result {
+            Ok(shards) => shards,
             Err(payload) => {
                 self.dump_panic_diagnostic();
                 resume_unwind(payload);
             }
         };
-        self.pool.apply_deltas(deltas.0, deltas.1);
 
-        // 2. Drain outboxes into the fabric. Only stepped nodes can have
-        // staged packets (sends happen in `Node::step_with` or the
-        // coherence handler; resends wake the node first), so the
-        // ascending `stepped` walk
-        // preserves the dense loop's injection order. This is the
-        // parallel engine's ordering barrier: packets staged
-        // concurrently in per-node outboxes during phase 1 reach the
-        // fabric here in node-index order, never in worker-completion
-        // order. The recycled `packet_buf` swap keeps the whole drain
-        // allocation-free in steady state, and only nodes that actually
-        // staged packets (the `staged` subset phase 1 recorded while
-        // each node was cache-hot) are touched at all.
-        let mut packets = std::mem::take(&mut self.packet_buf);
-        for &i in &staged {
-            self.nodes[i].net.drain_outbox_into(&mut packets);
-            for p in &packets {
-                self.trace_packet(now, i, p, true);
-            }
-            match &mut self.faults {
-                Some(fs) => inject_faulted(&mut self.fabric, fs, now, i, &mut packets),
-                None => self.fabric.inject_all(now, packets.drain(..)),
+        // The user-thread totals, cycle by cycle: where they first meet
+        // the halt condition is the clock value the per-cycle loop's
+        // halt predicate would have returned.
+        let mut tallies = std::mem::take(&mut self.tallies);
+        tallies.clear();
+        let mut last = t;
+        for log in &self.logs[..shards] {
+            tallies.extend_from_slice(&log.tallies);
+            last = last.max(log.last_step.unwrap_or(t));
+        }
+        if shards > 1 {
+            tallies.sort_unstable_by_key(|x| x.at);
+        }
+        let (r0, f0) = (self.pool.total_running, self.pool.total_finished);
+        let (mut running, mut finished) = (r0, f0);
+        let mut halt = None;
+        for (k, x) in tallies.iter().enumerate() {
+            running += x.running;
+            finished += x.finished;
+            let cycle_done = tallies.get(k + 1).is_none_or(|y| y.at != x.at);
+            if cycle_done && halt.is_none() && running == 0 && finished > 0 {
+                halt = Some(x.at + 1);
             }
         }
+        self.pool.apply_deltas(running - r0, finished - f0);
+        self.tallies = tallies;
 
-        // 3. Deliver due packets (responses may stage more packets); a
-        // delivery is an external input, so the target wakes. A
-        // delivered `Return` is the only way a returned message can
-        // appear, so remembering the targets here lets phase 4 skip
-        // every other node.
-        let mut deliveries = std::mem::take(&mut self.delivery_buf);
-        let mut returned_to = std::mem::take(&mut self.returned_buf);
-        deliveries.clear();
-        returned_to.clear();
-        self.fabric.deliveries_into(now, &mut deliveries);
-        for p in deliveries.drain(..) {
-            let d = self.spec.linear_index(p.dest()) as usize;
-            if matches!(p, Packet::Return(_)) {
-                returned_to.push(d);
-            }
-            self.trace_packet(now, d, &p, false);
-            if checked {
-                self.nodes[d].net.deliver_checked(p);
-            } else {
-                self.nodes[d].net.deliver(p);
-            }
-            self.nodes[d].net.drain_outbox_into(&mut packets);
-            for out in &packets {
-                self.trace_packet(now, d, out, true);
-            }
-            match &mut self.faults {
-                Some(fs) => inject_faulted(&mut self.fabric, fs, now, d, &mut packets),
-                None => self.fabric.inject_all(now, packets.drain(..)),
-            }
-            self.wake_node(d);
+        // 2–5. Replay. Every cycle something arrived at, or a resend
+        // fell due at, is active too.
+        if self.replay_window(t, end, shards, &arrivals, &packets) {
+            last = end - 1;
         }
-        self.delivery_buf = deliveries;
-        self.packet_buf = packets;
+        if let Some(a) = arrivals.last() {
+            last = last.max(a.at);
+        }
+        self.arrivals = arrivals;
+        self.arrival_packets = packets;
+        self.by_node = by_node;
+        self.cycle = last + 1;
+        halt
+    }
 
-        // 4. Returned messages: hardware backoff, then re-inject (the
-        // re-staged packet is drained when the woken node steps). Under
-        // an armed campaign a returned message failing its checksum is
-        // a NACK of an in-flight fault: the pristine copy is resent.
-        for &i in &returned_to {
-            while let Some(m) = self.nodes[i].net.pop_returned() {
-                let m = match &mut self.faults {
-                    Some(fs) => fs.reclaim(m),
-                    None => m,
-                };
-                self.resends.push((now + self.cfg.resend_delay, i, m));
+    /// Replay the walk's logs into the fabric, the resend queue and the
+    /// timeline, cycle by cycle in the per-cycle loop's phase order:
+    ///
+    /// 2. outbox drains after node steps, ascending node;
+    /// 3. deliveries in the fabric's delivery order, each followed by
+    ///    what it staged;
+    /// 4. returned messages into the backoff queue, then — on the
+    ///    window's last cycle, the only one a resend can fall due at —
+    ///    the backoff scan;
+    /// 5. trace bookkeeping, ascending node.
+    ///
+    /// Returns whether a resend fell due (which makes the last cycle
+    /// active).
+    fn replay_window(
+        &mut self,
+        start: u64,
+        end: u64,
+        shards: usize,
+        arrivals: &[Arrival],
+        packets: &[Packet],
+    ) -> bool {
+        let logs = std::mem::take(&mut self.logs);
+        let mut cursors = std::mem::take(&mut self.cursors);
+        let logs_used = &logs[..shards];
+        cursors.clear();
+        cursors.resize(shards, ReplayCursor::default());
+        let mut next = 0;
+        let mut resent = false;
+        for now in start..end {
+            for (log, cur) in logs_used.iter().zip(cursors.iter_mut()) {
+                while let Some(d) = log.drains.get(cur.drains).filter(|d| d.at == now) {
+                    for p in &log.packets[d.from as usize..d.to as usize] {
+                        self.inject(now, d.node as usize, p.clone());
+                    }
+                    cur.drains += 1;
+                }
+            }
+            let first = next;
+            while let Some(a) = arrivals.get(next).filter(|a| a.at == now) {
+                self.trace_packet(now, a.node as usize, &packets[next], false);
+                let (log, d) = ReplayCursor::delivered(logs_used, &mut cursors, a.j, false);
+                for p in &log.packets[d.packets.0 as usize..d.packets.1 as usize] {
+                    self.inject(now, a.node as usize, p.clone());
+                }
+                next += 1;
+            }
+            for a in &arrivals[first..next] {
+                let (log, d) = ReplayCursor::delivered(logs_used, &mut cursors, a.j, true);
+                for m in &log.returned[d.returned.0 as usize..d.returned.1 as usize] {
+                    let m = match &mut self.faults {
+                        Some(fs) => fs.reclaim(m.clone()),
+                        None => m.clone(),
+                    };
+                    self.push_resend(now, a.node as usize, m);
+                }
+            }
+            if now + 1 == end {
+                resent = self.apply_due_resends(now);
+            }
+            if self.cfg.trace {
+                for (log, cur) in logs_used.iter().zip(cursors.iter_mut()) {
+                    while let Some(snap) = log.traces.get(cur.traces).filter(|s| s.at == now) {
+                        self.trace_snapshot(snap);
+                        cur.traces += 1;
+                    }
+                }
             }
         }
-        self.returned_buf = returned_to;
+        self.logs = logs;
+        self.cursors = cursors;
+        resent
+    }
+
+    /// The backoff scan: hand every resend due by `now` back to its
+    /// node's interface and wake the node (the re-staged packet is
+    /// drained when it steps). Under an armed campaign a returned message
+    /// that failed its checksum was already swapped for its pristine copy
+    /// on the way in. Returns whether any was due.
+    fn apply_due_resends(&mut self, now: u64) -> bool {
+        if self.resend_due > now {
+            return false;
+        }
+        self.resend_due = u64::MAX;
         let mut k = 0;
         while k < self.resends.len() {
             if self.resends[k].0 <= now {
@@ -1160,48 +1284,56 @@ impl MMachine {
                 self.nodes[i].net.resend(m);
                 self.wake_node(i);
             } else {
+                self.resend_due = self.resend_due.min(self.resends[k].0);
                 k += 1;
             }
         }
-
-        // 5. Trace bookkeeping: event enqueues and user-thread halts.
-        // Only stepped nodes can have changed either.
-        if self.cfg.trace {
-            for &i in &stepped {
-                self.trace_node(now, i);
-            }
-        }
-        self.stepped_buf = stepped;
-        self.staged_buf = staged;
+        true
     }
 
-    /// Record this cycle's event enqueues and freshly-halted user
-    /// threads of node `i` into the timeline.
-    fn trace_node(&mut self, now: u64, i: usize) {
-        let n = &self.nodes[i];
+    /// A message returned to node `node` at cycle `now` enters the
+    /// hardware backoff.
+    fn push_resend(&mut self, now: u64, node: usize, m: Message) {
+        let due = now + self.cfg.resend_delay;
+        self.resend_due = self.resend_due.min(due);
+        self.resends.push((due, node, m));
+    }
+
+    /// Inject one of node `src`'s packets at cycle `now` (through the
+    /// fault plan when one is armed), tracing the injection.
+    fn inject(&mut self, now: u64, src: usize, p: Packet) {
+        self.trace_packet(now, src, &p, true);
+        match &mut self.faults {
+            Some(fs) => inject_faulted(&mut self.fabric, fs, now, src, p),
+            None => {
+                self.fabric.inject(now, p);
+            }
+        }
+    }
+
+    /// Record a node's event enqueues and freshly-halted user threads
+    /// since its last snapshot into the timeline.
+    fn trace_snapshot(&mut self, snap: &TraceSnap) {
+        let (now, i) = (snap.at, snap.node as usize);
         for class in 0..NUM_CLUSTERS {
-            let count = n.stats().events_enqueued[class];
+            let count = snap.events[class];
             if count > self.prev_events[i][class] {
                 self.timeline
                     .record(now, Phase::EventEnqueued { node: i, class });
                 self.prev_events[i][class] = count;
             }
         }
-        for c in 0..NUM_CLUSTERS {
-            for slot in 0..USER_SLOTS {
-                if self.nodes[i].thread_state(c, slot) == HState::Halted
-                    && !self.halted_seen[i][c][slot]
-                {
-                    self.halted_seen[i][c][slot] = true;
-                    self.timeline.record(
-                        now,
-                        Phase::UserHalted {
-                            node: i,
-                            cluster: c,
-                            slot,
-                        },
-                    );
-                }
+        for (c, slot) in snap.halted() {
+            if !self.halted_seen[i][c][slot] {
+                self.halted_seen[i][c][slot] = true;
+                self.timeline.record(
+                    now,
+                    Phase::UserHalted {
+                        node: i,
+                        cluster: c,
+                        slot,
+                    },
+                );
             }
         }
     }
@@ -1246,13 +1378,8 @@ impl MMachine {
 
         // 2. Drain outboxes into the fabric.
         for i in 0..self.nodes.len() {
-            let mut staged = self.nodes[i].net.take_outbox();
-            for p in &staged {
-                self.trace_packet(now, i, p, true);
-            }
-            match &mut self.faults {
-                Some(fs) => inject_faulted(&mut self.fabric, fs, now, i, &mut staged),
-                None => self.fabric.inject_all(now, staged.drain(..)),
+            for p in self.nodes[i].net.take_outbox() {
+                self.inject(now, i, p);
             }
         }
 
@@ -1265,13 +1392,8 @@ impl MMachine {
             } else {
                 self.nodes[d].net.deliver(p);
             }
-            let mut staged = self.nodes[d].net.take_outbox();
-            for out in &staged {
-                self.trace_packet(now, d, out, true);
-            }
-            match &mut self.faults {
-                Some(fs) => inject_faulted(&mut self.fabric, fs, now, d, &mut staged),
-                None => self.fabric.inject_all(now, staged.drain(..)),
+            for out in self.nodes[d].net.take_outbox() {
+                self.inject(now, d, out);
             }
         }
 
@@ -1282,23 +1404,16 @@ impl MMachine {
                     Some(fs) => fs.reclaim(m),
                     None => m,
                 };
-                self.resends.push((now + self.cfg.resend_delay, i, m));
+                self.push_resend(now, i, m);
             }
         }
-        let mut k = 0;
-        while k < self.resends.len() {
-            if self.resends[k].0 <= now {
-                let (_, i, m) = self.resends.swap_remove(k);
-                self.nodes[i].net.resend(m);
-            } else {
-                k += 1;
-            }
-        }
+        self.apply_due_resends(now);
 
         // 5. Trace bookkeeping: event enqueues and user-thread halts.
         if self.cfg.trace {
             for i in 0..self.nodes.len() {
-                self.trace_node(now, i);
+                let snap = TraceSnap::of(now, i, &self.nodes[i]);
+                self.trace_snapshot(&snap);
             }
         }
 
@@ -1348,15 +1463,16 @@ impl MMachine {
     }
 
     /// Run `cycles` machine cycles, fast-forwarding the clock over
-    /// stretches in which every component is provably idle.
+    /// stretches in which every component is provably idle and stepping
+    /// the rest in windows (see the `shard` module).
     pub fn run_cycles(&mut self, cycles: u64) {
         let target = self.cycle.saturating_add(cycles);
+        let width = self.window_width();
         while self.cycle < target {
             match self.next_work(self.cycle) {
                 Some(t) if t < target => {
                     self.cycle = t;
-                    self.step_cycle(t);
-                    self.cycle = t + 1;
+                    self.step_window(t, target, width);
                 }
                 _ => self.cycle = target,
             }
@@ -1370,11 +1486,13 @@ impl MMachine {
     /// Run until `pred` holds, at most `limit` cycles.
     ///
     /// The engine evaluates `pred` after every *active* cycle and at
-    /// fast-forward targets. Machine state only changes on active
-    /// cycles, so any predicate over machine state behaves exactly as
-    /// under the dense loop; a predicate that depends on the clock value
-    /// itself (`m.cycle()` arithmetic) may be observed later than a
-    /// cycle-by-cycle evaluation would.
+    /// fast-forward targets, so it steps one cycle per window: a
+    /// predicate may read any machine state, and it sees every state
+    /// the dense loop would have shown it. Machine state only changes on
+    /// active cycles, so any predicate over machine state behaves
+    /// exactly as under the dense loop; a predicate that depends on the
+    /// clock value itself (`m.cycle()` arithmetic) may be observed later
+    /// than a cycle-by-cycle evaluation would.
     ///
     /// # Errors
     ///
@@ -1388,20 +1506,44 @@ impl MMachine {
         limit: u64,
         pred: F,
     ) -> Result<u64, MachineError> {
+        self.run_loop(limit, Some(&pred))
+    }
+
+    /// The loop under [`MMachine::run_until`] (`pred` given, one-cycle
+    /// windows) and [`MMachine::run_until_halt`] (`pred` absent: full
+    /// windows, with the halt cycle read from the windows' per-cycle
+    /// tally deltas). A window may run past the halt cycle `h`; the
+    /// returned value is still `h`, and the clock is left at the
+    /// window's end.
+    fn run_loop(
+        &mut self,
+        limit: u64,
+        pred: Option<&dyn Fn(&MMachine) -> bool>,
+    ) -> Result<u64, MachineError> {
         self.refresh_user_counts();
-        let start = self.cycle;
-        let end = start.saturating_add(limit);
+        let end = self.cycle.saturating_add(limit);
+        // A window holding the halt must end inside the drain that
+        // follows it.
+        let width = if pred.is_some() {
+            1
+        } else {
+            self.window_width().min(HALT_DRAIN_CYCLES)
+        };
+        let mut halted = None;
         loop {
-            if self.cycle >= end {
+            // The clock value the per-cycle loop would be checking now.
+            let at = halted.unwrap_or(self.cycle);
+            if at >= end {
                 self.catch_up_nodes();
-                return Err(MachineError::Timeout {
-                    limit,
-                    at: self.cycle,
-                });
+                return Err(MachineError::Timeout { limit, at });
             }
-            if pred(self) {
+            let done = match pred {
+                Some(p) => p(self),
+                None => halted.is_some() || self.pool.halt_reached(),
+            };
+            if done {
                 self.catch_up_nodes();
-                return Ok(self.cycle);
+                return Ok(at);
             }
             match self.next_work(self.cycle) {
                 Some(t) if t < end => {
@@ -1417,8 +1559,10 @@ impl MMachine {
                         self.cycle = self.watchdog_next;
                     } else {
                         self.cycle = t;
-                        self.step_cycle(t);
-                        self.cycle = t + 1;
+                        let halt = self.step_window(t, end, width);
+                        if pred.is_none() {
+                            halted = halt;
+                        }
                     }
                 }
                 _ => {
@@ -1435,10 +1579,14 @@ impl MMachine {
             }
             self.poll_telemetry();
             // The liveness watchdog closes any epoch boundary the clock
-            // just crossed (active cycle or fast-forward alike).
-            if let Err(e) = self.watchdog_poll() {
-                self.catch_up_nodes();
-                return Err(e);
+            // just crossed (active cycle or fast-forward alike) — unless
+            // the halt came before the clock: the per-cycle loop returned
+            // at the halt and never polled past it.
+            if halted.is_none_or(|h| h == self.cycle) {
+                if let Err(e) = self.watchdog_poll() {
+                    self.catch_up_nodes();
+                    return Err(e);
+                }
             }
         }
     }
@@ -1455,14 +1603,16 @@ impl MMachine {
         // Each node maintains O(1) user-thread tallies at every state
         // transition; the pool mirrors them per step (while the node
         // is cache-hot) and folds the per-step deltas into machine
-        // totals, so this predicate — evaluated every active cycle —
-        // reads two integers instead of scanning anything.
-        // Semantically identical to the old full scan: false while any
-        // user H-Thread runs, true once none run and at least one
-        // finished.
-        let done = self.run_until(limit, |m| m.pool.halt_reached())?;
-        // Drain stragglers (in-flight responses, replies, credits).
-        self.run_cycles(64);
+        // totals, so the check reads two integers instead of scanning
+        // anything — and a window reports the exact cycle the totals
+        // first met it. Semantically identical to the old full scan:
+        // false while any user H-Thread runs, true once none run and at
+        // least one finished.
+        let done = self.run_loop(limit, None)?;
+        // Drain stragglers (in-flight responses, replies, credits) up to
+        // the same cycle past the halt, however far past it the last
+        // window ran.
+        self.run_cycles(done + HALT_DRAIN_CYCLES - self.cycle);
         Ok(done)
     }
 
@@ -1635,6 +1785,7 @@ impl MMachine {
             let m = Message::decode(&mut d)?;
             self.resends.push((due, idx, m));
         }
+        self.resend_due = self.resends.iter().map(|r| r.0).min().unwrap_or(u64::MAX);
         for pe in &mut self.prev_events {
             for v in pe.iter_mut() {
                 *v = d.u64()?;

@@ -1,166 +1,469 @@
-//! Deterministic parallel execution of the node phase.
+//! Node-major lookahead windows: the node phase of
+//! [`MMachine`](crate::machine::MMachine), run serially or sharded
+//! across a pool of worker threads.
 //!
-//! A busy cycle of [`MMachine`](crate::machine::MMachine) has several
-//! phases; the first — every awake node's compute + memory-system tick
-//! *plus its coherence-handler activation* — dominates on large meshes
-//! and touches nothing but the node's own state ([`Node`] owns its
-//! `MemorySystem` and `NodeNet`, and each [`NodeCoh`] handler owns only
-//! its node's directory/wait state, so there is no shared mutable
-//! aliasing between nodes; inter-node coherence travels as fabric
-//! packets staged in per-node outboxes). The machine therefore shards
-//! the node array across a persistent pool of worker threads and runs
-//! phase 1 in parallel. Everything that crosses node boundaries —
-//! fabric injection and delivery, resend backoff, trace bookkeeping —
-//! stays on the driving thread behind a per-cycle barrier.
+//! ## Why a window is safe
+//!
+//! §4.2's fabric cannot deliver a packet injected at cycle `t` before
+//! `t + hop_latency + 1`: the head flit crosses at least one hop (a
+//! loopback costs the same) and the tail is at least one flit behind
+//! it. So over the `W = hop_latency + 1` cycles `[T, T + W)` every packet
+//! any node can receive is already in flight at `T`, and each node's
+//! steps in the window depend on nothing but its own state and those
+//! packets. The machine drains the window's deliveries from the fabric
+//! once, at `T`, and [`step_shard`] steps each due node through *every*
+//! cycle of the window before it moves on to the next node — the node's
+//! state is fetched once per window instead of once per cycle, and the
+//! machine's per-cycle bookkeeping is paid once per window. Between two
+//! steps of a node the walk applies that node's deliveries of the cycle,
+//! exactly where the per-cycle loop applied them: after every node's
+//! step of the delivery cycle, before any node's next step.
+//!
+//! ## The log and its replay
+//!
+//! What a node does that reaches past itself is not applied during the
+//! walk but recorded in the shard's [`WindowLog`], each record keyed by
+//! its `(cycle, phase, node / delivery order)`: the packets drained from
+//! its outbox after a step (phase 2), the packets each delivery staged
+//! (phase 3), the messages a `Return` handed back for resending (phase 4)
+//! and what the timeline's trace bookkeeping reads of it (phase 5). After
+//! the walk, the driving thread replays the records cycle by cycle into
+//! the fabric, the resend queue and the timeline in the per-cycle loop's
+//! order — phase 2 by ascending node, phases 3 and 4 by the fabric's
+//! delivery order, phase 5 by ascending node — so fabric link
+//! arbitration, delivery timing and the timeline are exactly what the
+//! per-cycle loop produced. The wake a delivery causes is the receiving
+//! node's own slot and is applied in place.
 //!
 //! ## The pooled walk
 //!
 //! Per-node scheduling state lives in the machine's struct-of-arrays
-//! [`NodePool`](crate::pool::NodePool), not in the nodes: the walk
-//! first skips whole [`BLOCK`]-node blocks whose ladder minimum is in
-//! the future (one `u64` read per 64 sleeping nodes), then gathers the
-//! due indices of a live block into a stack array with a linear scan of
-//! the dense slot words, and only then touches the due `Node` structs,
-//! in ascending order. Each stepped node's row is written back through
-//! a [`NodeCtx`] borrow while the node is cache-hot, and raised slots
-//! are folded into the block minimum with one 64-wide rebuild per dirty
-//! block.
+//! [`NodePool`](crate::pool::NodePool), not in the nodes: the walk skips
+//! a whole [`BLOCK`]-node block on one `u64` read when its ladder minimum
+//! lies past the window and none of its nodes receives a packet in it,
+//! then visits a live block's nodes in ascending order, touching a
+//! `Node` struct only when the node is due inside the window or receives
+//! something. Each visited node's row is written back through a
+//! [`NodeCtx`] borrow after every step, and raised slots are folded into
+//! the block minimum with one 64-wide rebuild per visited block.
 //!
 //! ## Determinism argument
 //!
 //! The parallel engine is bit-identical to the serial engine (and hence
 //! to the dense `naive_step` loop) for every worker count because:
 //!
-//! 1. **Node steps are independent.** [`step_shard`] mutates only the
+//! 1. **Node windows are independent.** [`step_shard`] mutates only the
 //!    nodes and pool rows of its own contiguous index range; shards are
 //!    split at [`BLOCK`]-aligned boundaries, so two workers share no
 //!    node, no row, and not even a ladder `block_min` word — the
 //!    interleaving of workers cannot be observed.
 //! 2. **Both engines run the same loop.** The serial engine calls
 //!    [`step_shard`] once over the whole pool view; the parallel engine
-//!    calls it once per disjoint window. Same code, same per-node
-//!    effects.
-//! 3. **Cross-shard traffic is merged in node-index order.** Packets
-//!    staged during parallel node steps accumulate in per-node
-//!    outboxes; after the barrier the driving thread drains them into
-//!    the fabric walking the stepped list, which is the concatenation
-//!    of the shards' ascending index lists in shard order — exactly the
-//!    serial engine's ascending walk. Fabric link arbitration and
-//!    delivery order therefore never depend on worker timing. The
-//!    user-thread tally *deltas* each shard returns are summed by the
-//!    dispatcher; `i64` addition commutes, so the machine totals are
-//!    worker-count-invariant too.
+//!    calls it once per disjoint shard, one barrier per window. Same
+//!    code, same per-node effects.
+//! 3. **Everything that crosses nodes is replayed in one order.** Each
+//!    shard's log is sorted by cycle and node, deliveries are indexed by
+//!    their global delivery order, and the driving thread merges the
+//!    shards' logs cycle by cycle in shard (= node) order — the order the
+//!    serial walk's single log has. The per-cycle user-thread tally
+//!    *deltas* are summed; `i64` addition commutes, so the machine totals
+//!    and the exact halt cycle are worker-count-invariant too.
 //!
-//! The three-way differential proptest harness
-//! (`crates/core/tests/differential.rs`) checks this end to end: dense
-//! loop vs. serial engine vs. parallel engine at 1, 2 and 4 workers
-//! must agree on stats, timelines, halt cycles and register files.
+//! The differential harness (`crates/core/tests/differential.rs`)
+//! checks this end to end: the dense loop vs. the serial engine vs. the
+//! parallel engine at 2 and 4 workers must agree on stats, timelines,
+//! halt cycles and register files, with windows cut at every boundary
+//! the machine has.
 
 use crate::coherence::NodeCoh;
 use crate::pool::{NodePool, PoolViewMut};
+use mm_net::message::{Message, Packet};
+use mm_sched::AWAKE;
 use mm_sim::engine::earliest;
-use mm_sim::{Node, StepScratch, Tick};
+use mm_sim::{HState, Node, NodeCtx, StepScratch, Tick, NUM_CLUSTERS, USER_SLOTS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 pub(crate) use mm_sched::BLOCK;
 
-/// Phase 1 of a busy cycle over one contiguous shard of the mesh: step
-/// every due node (its own compute/memory tick, then its
-/// coherence-handler activation), write its pool row back, and record
-/// the absolute indices stepped (ascending) plus — in `staged` — the
-/// subset that left packets in their outboxes. Returns the shard's
-/// `(running, finished)` user-thread tally deltas. This is the *single*
-/// implementation both engines run — the serial engine passes the whole
-/// pool view, the parallel engine one disjoint block-aligned window per
-/// worker — so cycle-exactness across engines holds by construction.
+/// A packet the fabric delivers inside the window, drained at its
+/// start. The packet itself sits at the same index of
+/// [`Window::packets`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    /// The delivery cycle.
+    pub(crate) at: u64,
+    /// Position in the window's delivery order — the fabric's
+    /// `(deliver_at, injection)` pop order.
+    pub(crate) j: u32,
+    /// Destination node.
+    pub(crate) node: u32,
+}
+
+/// `node << 32 | index`: the key [`Window::by_node`] sorts arrivals by.
+pub(crate) fn node_key(node: u32, index: usize) -> u64 {
+    #[allow(clippy::cast_possible_truncation)]
+    let index = index as u32;
+    u64::from(node) << 32 | u64::from(index)
+}
+
+fn key_node(key: u64) -> usize {
+    (key >> 32) as usize
+}
+
+fn key_index(key: u64) -> usize {
+    (key & 0xffff_ffff) as usize
+}
+
+/// One window of the node phase, as a walk sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window<'a> {
+    /// First cycle (an active cycle).
+    pub(crate) start: u64,
+    /// One past the last cycle.
+    pub(crate) end: u64,
+    /// The walked nodes' arrivals, in delivery order.
+    pub(crate) arrivals: &'a [Arrival],
+    /// `arrivals`' packets, index for index.
+    pub(crate) packets: &'a [Packet],
+    /// [`node_key`]s into `arrivals`, ascending: nodes ascending, each
+    /// node's arrivals in delivery order.
+    pub(crate) by_node: &'a [u64],
+    /// Deliver through the checksum-checking path (link faults armed).
+    pub(crate) checked: bool,
+    /// Record phase-5 trace snapshots.
+    pub(crate) trace: bool,
+}
+
+/// Packets `node`'s outbox held after its step at `at` (phase 2): the
+/// range `from..to` of [`WindowLog::packets`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Drain {
+    pub(crate) at: u64,
+    pub(crate) node: u32,
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+}
+
+/// What applying delivery `j` produced: the packets it staged (phase 3,
+/// `packets`), and — on a node's first `Return` of the cycle — every
+/// message the node handed back for resending (phase 4, `returned`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Delivered {
+    pub(crate) j: u32,
+    pub(crate) packets: (u32, u32),
+    pub(crate) returned: (u32, u32),
+}
+
+/// What phase 5's trace bookkeeping reads of a node after its step at
+/// `at`: its event-enqueue counters and which user threads have halted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TraceSnap {
+    pub(crate) at: u64,
+    pub(crate) node: u32,
+    pub(crate) events: [u64; NUM_CLUSTERS],
+    /// Bit `cluster * USER_SLOTS + slot` set when that thread halted.
+    halted: u32,
+}
+
+impl TraceSnap {
+    pub(crate) fn of(at: u64, node: usize, n: &Node) -> TraceSnap {
+        let mut halted = 0;
+        for c in 0..NUM_CLUSTERS {
+            for slot in 0..USER_SLOTS {
+                if n.thread_state(c, slot) == HState::Halted {
+                    halted |= 1 << (c * USER_SLOTS + slot);
+                }
+            }
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        let node = node as u32;
+        TraceSnap {
+            at,
+            node,
+            events: n.stats().events_enqueued,
+            halted,
+        }
+    }
+
+    /// The halted user threads as `(cluster, slot)`, ascending.
+    pub(crate) fn halted(&self) -> impl Iterator<Item = (usize, usize)> {
+        let mut bits = self.halted;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                (bit / USER_SLOTS, bit % USER_SLOTS)
+            })
+        })
+    }
+
+    /// Would replaying `self` right after `prev` record nothing? (The
+    /// counters and halted set are unchanged.)
+    fn same_as(&self, prev: &TraceSnap) -> bool {
+        self.events == prev.events && self.halted == prev.halted
+    }
+}
+
+/// A node's user-thread tally change at one step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    pub(crate) at: u64,
+    pub(crate) running: i64,
+    pub(crate) finished: i64,
+}
+
+/// One shard's record of a window: every effect of its walk that
+/// reaches past the stepping node, for the driving thread to replay
+/// (see the [module docs](self)). Recycled window to window.
+#[derive(Debug, Default)]
+pub(crate) struct WindowLog {
+    /// Packets staged by the shard's nodes, in walk order; drains and
+    /// deliveries index into it.
+    pub(crate) packets: Vec<Packet>,
+    /// Messages returned to their senders, in walk order.
+    pub(crate) returned: Vec<Message>,
+    /// Phase-2 drains, sorted by `(at, node)` once the walk is done.
+    pub(crate) drains: Vec<Drain>,
+    /// One record per arrival of the window the shard walked, index for
+    /// index (so in delivery order).
+    pub(crate) delivered: Vec<Delivered>,
+    /// Phase-5 snapshots, sorted by `(at, node)` once the walk is done.
+    pub(crate) traces: Vec<TraceSnap>,
+    /// Non-zero tally changes, sorted by cycle once the walk is done.
+    pub(crate) tallies: Vec<Tally>,
+    /// The last cycle any of the shard's nodes stepped at.
+    pub(crate) last_step: Option<u64>,
+}
+
+impl WindowLog {
+    /// Empty the log for a window with `arrivals` arrivals.
+    fn clear(&mut self, arrivals: usize) {
+        self.packets.clear();
+        self.returned.clear();
+        self.drains.clear();
+        self.delivered.clear();
+        self.delivered.resize(arrivals, Delivered::default());
+        self.traces.clear();
+        self.tallies.clear();
+        self.last_step = None;
+    }
+}
+
+/// The replay's read position in one shard's [`WindowLog`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ReplayCursor {
+    pub(crate) drains: usize,
+    pub(crate) traces: usize,
+    /// Phase 3's and phase 4's positions in `delivered`.
+    delivered: [usize; 2],
+}
+
+impl ReplayCursor {
+    /// The record of delivery `j` for phase 3 (`returns` false) or
+    /// phase 4 (true), with the log holding it. Each pass reads every
+    /// log's records in delivery order, and every arrival was applied by
+    /// exactly one shard, so the record is at the head of one cursor.
+    pub(crate) fn delivered<'l>(
+        logs: &'l [WindowLog],
+        cursors: &mut [ReplayCursor],
+        j: u32,
+        returns: bool,
+    ) -> (&'l WindowLog, Delivered) {
+        let pass = usize::from(returns);
+        for (log, cur) in logs.iter().zip(cursors.iter_mut()) {
+            if let Some(&d) = log.delivered.get(cur.delivered[pass]).filter(|d| d.j == j) {
+                cur.delivered[pass] += 1;
+                return (log, d);
+            }
+        }
+        unreachable!("delivery {j} was applied by no shard")
+    }
+}
+
+fn len32(len: usize) -> u32 {
+    u32::try_from(len).expect("a window logs fewer than 2^32 records")
+}
+
+/// The node phase of one window over one contiguous shard of the mesh:
+/// every node due inside `[win.start, win.end)` or receiving a packet in
+/// it is stepped through each of the window's cycles at which it is due
+/// (its own compute/memory tick, then its coherence-handler activation),
+/// with its arrivals applied between steps, its pool row written back
+/// after every step, and every cross-node effect recorded in `log`. This
+/// is the *single* implementation both engines run — the serial engine
+/// passes the whole pool view, the parallel engine one disjoint
+/// block-aligned shard per worker — so cycle-exactness across engines
+/// holds by construction.
 ///
 /// The coherence handler runs here, inside the shard, because it only
 /// ever touches its own node: class-0 records are drained from the
 /// node's own queues, protocol messages from the node's own coherence
-/// inbox, and everything it sends stages in the node's own outbox for
-/// the ordered fabric drain behind the barrier.
-///
-/// The `staged` list is a locality optimization with no observable
-/// effect: the machine's outbox-drain phase walks it instead of
-/// re-touching every stepped node (on big meshes most stepped nodes
-/// sent nothing, and the outbox length is read here while the node is
-/// still hot in cache). It is ascending per shard, so the shard-order
-/// merge keeps the fabric's node-index injection order.
-#[allow(clippy::too_many_arguments)]
+/// inbox, and everything it sends stages in the node's own outbox, from
+/// where the log carries it to the ordered replay behind the barrier.
 pub(crate) fn step_shard(
     nodes: &mut [Node],
     coh: &mut [NodeCoh],
     mut pool: PoolViewMut<'_>,
     base: usize,
-    now: u64,
-    stepped: &mut Vec<usize>,
-    staged: &mut Vec<usize>,
+    win: &Window<'_>,
+    log: &mut WindowLog,
     scratch: &mut StepScratch,
-) -> (i64, i64) {
+) {
     let n = nodes.len();
     debug_assert_eq!(n, pool.ladder.slots.len());
     debug_assert_eq!(n, coh.len());
-    let (mut d_running, mut d_finished) = (0i64, 0i64);
-    // Stack scratch for one block's due indices (local node numbers).
-    let mut due = [0usize; BLOCK];
+    log.clear(win.arrivals.len());
+    // Cursor into `win.by_node`: every key before it belongs to a node
+    // already walked or skipped.
+    let mut next = 0;
     for b in 0..pool.ladder.block_min.len() {
-        // Block skip: 64 sleeping nodes cost one word read.
-        if pool.ladder.block_min[b] > now {
-            continue;
-        }
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
-        // Gather the block's due nodes from the dense slot words — no
-        // Node struct is touched until the step loop below.
-        let mut cnt = 0;
-        for k in lo..hi {
-            if pool.ladder.slots[k] <= now {
-                due[cnt] = k;
-                cnt += 1;
-            }
-        }
-        if cnt == 0 {
-            // Only reachable if the minimum was stale; restore it so
-            // the block skip works next cycle.
-            pool.ladder.rebuild_block(b);
+        let receiving = win
+            .by_node
+            .get(next)
+            .is_some_and(|&key| key_node(key) < base + hi);
+        // Block skip: 64 nodes asleep past the window with nothing
+        // arriving cost one word read.
+        if pool.ladder.block_min[b] >= win.end && !receiving {
             continue;
         }
-        for &k in &due[..cnt] {
-            let mut ctx = pool.ctx(k, &mut nodes[k]);
+        for k in lo..hi {
+            let first = next;
+            while win
+                .by_node
+                .get(next)
+                .is_some_and(|&key| key_node(key) == base + k)
+            {
+                next += 1;
+            }
+            if pool.ladder.slots[k] >= win.end && first == next {
+                continue;
+            }
+            let ctx = pool.ctx(k, &mut nodes[k]);
+            walk_node(
+                ctx,
+                &mut coh[k],
+                base + k,
+                win,
+                &win.by_node[first..next],
+                log,
+                scratch,
+            );
+        }
+        // Slots were rewritten (some possibly raised): one 64-wide min
+        // recompute restores the block skip's soundness.
+        pool.ladder.rebuild_block(b);
+    }
+    // The walk produced node-major order; the replay reads cycle-major.
+    log.drains.sort_unstable_by_key(|d| (d.at, d.node));
+    log.traces.sort_unstable_by_key(|s| (s.at, s.node));
+    log.tallies.sort_unstable_by_key(|x| x.at);
+}
+
+/// One node's window: for each cycle, the step (if due) and its outbox
+/// drain, then the node's deliveries of that cycle and the returns they
+/// brought, then its trace snapshot — the per-cycle loop's phases 1–5
+/// restricted to this node. `mine` holds the node's [`node_key`]s.
+fn walk_node(
+    mut ctx: NodeCtx<'_>,
+    coh: &mut NodeCoh,
+    node: usize,
+    win: &Window<'_>,
+    mine: &[u64],
+    log: &mut WindowLog,
+    scratch: &mut StepScratch,
+) {
+    #[allow(clippy::cast_possible_truncation)]
+    let node32 = node as u32;
+    let mut mine = mine.iter().map(|&key| key_index(key)).peekable();
+    // The node's last logged snapshot: an unchanged one would replay as
+    // nothing, so it is not logged.
+    let mut traced: Option<TraceSnap> = None;
+    for now in win.start..win.end {
+        let stepped = *ctx.slot <= now;
+        if stepped {
             let mut progressed = ctx.step(now, scratch);
-            progressed |= coh[k].step(now, ctx.node);
+            progressed |= coh.step(now, ctx.node);
             // The Tick contract: when `now` was processed without
             // progress the node may sleep until the earlier of its own
             // deadline and its coherence handler's.
             let deadline = if progressed {
                 None
             } else {
-                earliest(
-                    Tick::next_activity(&*ctx.node, now),
-                    coh[k].next_activity(now),
-                )
+                earliest(Tick::next_activity(&*ctx.node, now), coh.next_activity(now))
             };
-            let (dr, df) = ctx.retire(progressed, deadline);
-            d_running += dr;
-            d_finished += df;
-            stepped.push(base + k);
+            let (running, finished) = ctx.retire(progressed, deadline);
+            if running != 0 || finished != 0 {
+                log.tallies.push(Tally {
+                    at: now,
+                    running,
+                    finished,
+                });
+            }
+            log.last_step = log.last_step.max(Some(now));
             if ctx.node.net.outbox_len() > 0 {
-                staged.push(base + k);
+                let from = len32(log.packets.len());
+                ctx.node.net.drain_outbox_into(&mut log.packets);
+                log.drains.push(Drain {
+                    at: now,
+                    node: node32,
+                    from,
+                    to: len32(log.packets.len()),
+                });
             }
         }
-        // Slots were rewritten (some possibly raised): one 64-wide
-        // min recompute restores the block skip's soundness.
-        pool.ladder.rebuild_block(b);
+        // This node's deliveries of `now`; each is external input, so
+        // the node wakes.
+        let mut first_return = None;
+        while let Some(k) = mine.next_if(|&k| win.arrivals[k].at == now) {
+            let packet = &win.packets[k];
+            if matches!(packet, Packet::Return(_)) && first_return.is_none() {
+                first_return = Some(k);
+            }
+            if win.checked {
+                ctx.node.net.deliver_checked(packet.clone());
+            } else {
+                ctx.node.net.deliver(packet.clone());
+            }
+            let from = len32(log.packets.len());
+            ctx.node.net.drain_outbox_into(&mut log.packets);
+            log.delivered[k] = Delivered {
+                j: win.arrivals[k].j,
+                packets: (from, len32(log.packets.len())),
+                returned: (0, 0),
+            };
+            *ctx.slot = AWAKE;
+        }
+        // Returned messages leave for the backoff queue in the order the
+        // per-cycle loop popped them: at the node's first `Return`.
+        if let Some(k) = first_return {
+            let from = len32(log.returned.len());
+            while let Some(m) = ctx.node.net.pop_returned() {
+                log.returned.push(m);
+            }
+            log.delivered[k].returned = (from, len32(log.returned.len()));
+        }
+        if stepped && win.trace {
+            let snap = TraceSnap::of(now, node, ctx.node);
+            if !traced.is_some_and(|prev| snap.same_as(&prev)) {
+                log.traces.push(snap);
+                traced = Some(snap);
+            }
+        }
+        if *ctx.slot >= win.end && mine.peek().is_none() {
+            // Asleep past the window with nothing more arriving.
+            break;
+        }
     }
-    (d_running, d_finished)
 }
 
 /// A raw base pointer smuggled to a worker thread.
 ///
 /// Soundness rests on the dispatch protocol in
-/// [`WorkerPool::step_shards`]: each worker receives a disjoint
+/// [`WorkerPool::step_window`]: each worker receives a disjoint
 /// `[start, start + len)` index range, touches only that range, and the
 /// dispatching thread blocks until every worker has reported done
 /// before using (or freeing) the underlying storage again.
@@ -174,7 +477,7 @@ impl<T> Clone for ShardPtr<T> {
 impl<T> Copy for ShardPtr<T> {}
 
 // SAFETY: see the type-level comment — ranges are disjoint and the
-// sender joins the per-cycle barrier before reusing the memory.
+// sender joins the per-window barrier before reusing the memory.
 unsafe impl<T: Send> Send for ShardPtr<T> {}
 
 /// The pool's five arrays as raw base pointers (one bundle per job).
@@ -190,56 +493,71 @@ struct PoolPtrs {
     user_finished: ShardPtr<u16>,
 }
 
-/// One cycle's work order for one worker.
+/// A shard's own copy of its nodes' arrivals (in delivery order) and
+/// their keys, indexing the copy; recycled window to window.
+#[derive(Debug, Default)]
+struct ShardInput {
+    arrivals: Vec<Arrival>,
+    packets: Vec<Packet>,
+    by_node: Vec<u64>,
+}
+
+impl ShardInput {
+    fn window(&self, start: u64, end: u64, checked: bool, trace: bool) -> Window<'_> {
+        Window {
+            start,
+            end,
+            arrivals: &self.arrivals,
+            packets: &self.packets,
+            by_node: &self.by_node,
+            checked,
+            trace,
+        }
+    }
+}
+
+/// One window's work order for one worker.
 struct Job {
     nodes: ShardPtr<Node>,
     coh: ShardPtr<NodeCoh>,
     pool: PoolPtrs,
     start: usize,
     len: usize,
-    now: u64,
-    /// Recycled scratch buffer for the shard's stepped indices.
-    stepped: Vec<usize>,
-    /// Recycled scratch buffer for the stepped-with-staged-packets
-    /// indices.
-    staged: Vec<usize>,
+    window: (u64, u64),
+    checked: bool,
+    trace: bool,
+    input: ShardInput,
+    log: WindowLog,
     /// Recycled per-step drain buffers (memory responses/events), so
-    /// steady-state parallel cycles allocate nothing.
+    /// steady-state parallel windows allocate nothing.
     scratch: StepScratch,
 }
 
 /// A worker's barrier report.
 struct Done {
     worker: usize,
-    stepped: Vec<usize>,
-    staged: Vec<usize>,
+    input: ShardInput,
+    log: WindowLog,
     scratch: StepScratch,
-    /// The shard's user-thread tally deltas.
-    deltas: (i64, i64),
     /// The shard's panic payload, if it panicked — re-raised by the
     /// dispatcher once the barrier has fully drained.
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 /// A persistent pool of shard workers, one OS thread each, driven by a
-/// per-cycle dispatch/collect barrier. Spawned once at machine build
-/// (never per cycle — a busy cycle is microseconds) and joined on drop.
+/// per-window dispatch/collect barrier. Spawned once at machine build
+/// (never per window — a busy window is microseconds) and joined on
+/// drop.
 pub(crate) struct WorkerPool {
     jobs: Vec<Sender<Job>>,
     done_rx: Receiver<Done>,
     handles: Vec<JoinHandle<()>>,
-    /// Recycled shard scratch buffers (ping-pong through `Job`/`Done`,
-    /// so steady-state cycles allocate nothing).
-    bufs: Vec<Vec<usize>>,
+    /// Per-worker arrival copies (ping-pong through `Job`/`Done`, so
+    /// steady-state windows allocate nothing).
+    inputs: Vec<ShardInput>,
     /// Recycled per-worker step scratch (same ping-pong discipline).
     scratches: Vec<StepScratch>,
-    /// Per-worker collection scratch, reused across cycles.
-    results: Vec<Option<ShardResult>>,
 }
-
-/// One shard's collected per-cycle output: (stepped indices, staged
-/// indices).
-type ShardResult = (Vec<usize>, Vec<usize>);
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -271,9 +589,8 @@ impl WorkerPool {
             jobs,
             done_rx,
             handles,
-            bufs: Vec::new(),
+            inputs: (0..workers).map(|_| ShardInput::default()).collect(),
             scratches: Vec::new(),
-            results: Vec::new(),
         }
     }
 
@@ -282,12 +599,13 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Run phase 1 of cycle `now` in parallel: partition the nodes
-    /// (with the matching coherence handlers and pool rows) into
-    /// contiguous block-aligned per-worker chunks, step them
-    /// concurrently, merge the shards' stepped-index lists in shard
-    /// order — i.e. ascending node order, identical to the serial walk
-    /// — and return the summed tally deltas.
+    /// Run the node phase of window `win` in parallel: partition the
+    /// nodes (with the matching coherence handlers, pool rows and
+    /// arrivals) into contiguous block-aligned per-worker chunks, walk
+    /// them concurrently, one log per chunk in `logs`, and return how
+    /// many chunks (leading logs) were filled — the logs are in
+    /// ascending node order, so replaying them in index order is the
+    /// serial walk's order.
     ///
     /// Chunks are rounded up to a [`BLOCK`] multiple so no ladder
     /// `block_min` word straddles two workers; on meshes smaller than
@@ -295,22 +613,38 @@ impl WorkerPool {
     ///
     /// Blocks until every dispatched worker reports back, so the raw
     /// slices handed out never outlive this call.
-    pub(crate) fn step_shards(
+    pub(crate) fn step_window(
         &mut self,
         nodes: &mut [Node],
         coh: &mut [NodeCoh],
         pool: &mut NodePool,
-        now: u64,
-        stepped: &mut Vec<usize>,
-        staged: &mut Vec<usize>,
-    ) -> (i64, i64) {
+        win: &Window<'_>,
+        logs: &mut [WindowLog],
+    ) -> usize {
         let n = nodes.len();
         debug_assert_eq!(n, pool.len());
         debug_assert_eq!(n, coh.len());
         if n == 0 {
-            return (0, 0);
+            return 0;
         }
         let chunk = n.div_ceil(self.jobs.len()).next_multiple_of(BLOCK);
+        let shards = n.div_ceil(chunk);
+        // Each shard walks its own copy of its nodes' arrivals, kept in
+        // delivery order so its log's records are too.
+        for input in &mut self.inputs[..shards] {
+            input.arrivals.clear();
+            input.packets.clear();
+            input.by_node.clear();
+        }
+        for (a, packet) in win.arrivals.iter().zip(win.packets) {
+            let input = &mut self.inputs[a.node as usize / chunk];
+            input.by_node.push(node_key(a.node, input.arrivals.len()));
+            input.arrivals.push(*a);
+            input.packets.push(packet.clone());
+        }
+        for input in &mut self.inputs[..shards] {
+            input.by_node.sort_unstable();
+        }
         let nodes_ptr = ShardPtr(nodes.as_mut_ptr());
         let coh_ptr = ShardPtr(coh.as_mut_ptr());
         let pool_ptrs = PoolPtrs {
@@ -320,61 +654,47 @@ impl WorkerPool {
             user_running: ShardPtr(pool.user_running.as_mut_ptr()),
             user_finished: ShardPtr(pool.user_finished.as_mut_ptr()),
         };
-        let mut sent = 0;
-        for tx in &self.jobs {
-            let start = sent * chunk;
-            if start >= n {
-                break;
-            }
+        for (s, tx) in self.jobs.iter().enumerate().take(shards) {
+            let start = s * chunk;
             tx.send(Job {
                 nodes: nodes_ptr,
                 coh: coh_ptr,
                 pool: pool_ptrs,
                 start,
                 len: chunk.min(n - start),
-                now,
-                stepped: self.bufs.pop().unwrap_or_default(),
-                staged: self.bufs.pop().unwrap_or_default(),
+                window: (win.start, win.end),
+                checked: win.checked,
+                trace: win.trace,
+                input: std::mem::take(&mut self.inputs[s]),
+                log: std::mem::take(&mut logs[s]),
                 scratch: self.scratches.pop().unwrap_or_default(),
             })
             .expect("shard worker alive");
-            sent += 1;
         }
         // Collect *every* outstanding shard before inspecting results:
         // even on a worker panic we must not unwind (freeing the node
         // array) while another worker still holds a slice into it.
-        self.results.clear();
-        self.results.resize_with(sent, || None);
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let (mut d_running, mut d_finished) = (0i64, 0i64);
-        for _ in 0..sent {
+        for _ in 0..shards {
             let done = self.done_rx.recv().expect("shard worker alive");
             panic = panic.or(done.panic);
-            d_running += done.deltas.0;
-            d_finished += done.deltas.1;
             self.scratches.push(done.scratch);
-            self.results[done.worker] = Some((done.stepped, done.staged));
+            self.inputs[done.worker] = done.input;
+            logs[done.worker] = done.log;
         }
         if let Some(payload) = panic {
             // Re-raise the worker's own panic (assertion text, node
             // index and all) now that no worker holds the raw slices.
             std::panic::resume_unwind(payload);
         }
-        for slot in self.results.drain(..) {
-            let (buf, staged_buf) = slot.expect("every dispatched shard reports once");
-            stepped.extend_from_slice(&buf);
-            staged.extend_from_slice(&staged_buf);
-            self.bufs.push(buf);
-            self.bufs.push(staged_buf);
-        }
-        (d_running, d_finished)
+        shards
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Disconnect the job channels; workers fall out of their recv
-        // loop (no jobs are ever in flight here — `step_shards` always
+        // loop (no jobs are ever in flight here — `step_window` always
         // drains its own barrier before returning).
         self.jobs.clear();
         for handle in self.handles.drain(..) {
@@ -391,14 +711,13 @@ fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
             pool,
             start,
             len,
-            now,
-            mut stepped,
-            mut staged,
+            window,
+            checked,
+            trace,
+            input,
+            mut log,
             mut scratch,
         } = job;
-        stepped.clear();
-        staged.clear();
-        let mut deltas = (0i64, 0i64);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: the dispatcher hands each worker a disjoint
             // BLOCK-aligned [start, start + len) range of live,
@@ -435,24 +754,15 @@ fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
                     ),
                 }
             };
-            deltas = step_shard(
-                nodes,
-                coh,
-                view,
-                start,
-                now,
-                &mut stepped,
-                &mut staged,
-                &mut scratch,
-            );
+            let win = input.window(window.0, window.1, checked, trace);
+            step_shard(nodes, coh, view, start, &win, &mut log, &mut scratch);
         }));
         let report = match result {
             Ok(()) => Done {
                 worker,
-                stepped,
-                staged,
+                input,
+                log,
                 scratch,
-                deltas,
                 panic: None,
             },
             Err(payload) => poisoned_done(worker, payload),
@@ -467,14 +777,13 @@ fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
 /// The poisoned-shard report: the job's buffers were lost to the
 /// unwinding closure, so the dispatcher gets fresh (empty, unallocated)
 /// ones alongside the payload it will re-panic with.
-// analyze: cold (panic path only; the replacement Vecs never grow)
+// analyze: cold (panic path only; the replacement buffers never grow)
 fn poisoned_done(worker: usize, payload: Box<dyn std::any::Any + Send>) -> Done {
     Done {
         worker,
-        stepped: Vec::new(),
-        staged: Vec::new(),
+        input: ShardInput::default(),
+        log: WindowLog::default(),
         scratch: StepScratch::new(),
-        deltas: (0, 0),
         panic: Some(payload),
     }
 }
@@ -498,6 +807,18 @@ mod tests {
             .collect()
     }
 
+    fn window(start: u64, end: u64) -> Window<'static> {
+        Window {
+            start,
+            end,
+            arrivals: &[],
+            packets: &[],
+            by_node: &[],
+            checked: false,
+            trace: true,
+        }
+    }
+
     /// The pool must survive (and the machine must keep working after)
     /// many dispatch/collect barriers with fewer nodes than workers.
     #[test]
@@ -506,54 +827,49 @@ mod tests {
         let mut nodes = nodes(1);
         let mut coh = handlers(1);
         let mut npool = NodePool::new(1);
-        let mut stepped = Vec::new();
-        let mut staged = Vec::new();
-        for now in 0..32 {
-            stepped.clear();
-            staged.clear();
+        let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
+        for w in 0..16 {
             npool.wake(0);
-            pool.step_shards(
+            let shards = pool.step_window(
                 &mut nodes,
                 &mut coh,
                 &mut npool,
-                now,
-                &mut stepped,
-                &mut staged,
+                &window(2 * w, 2 * w + 2),
+                &mut logs,
             );
-            assert_eq!(stepped, vec![0], "cycle {now}");
-            assert!(staged.is_empty(), "an idle node stages nothing");
+            assert_eq!(shards, 1, "window {w}");
+            assert_eq!(logs[0].last_step, Some(2 * w), "window {w}");
+            assert!(logs[0].drains.is_empty(), "an idle node stages nothing");
         }
-        assert_eq!(nodes[0].stats().cycles, 32);
+        assert_eq!(nodes[0].stats().cycles, 31);
     }
 
-    /// Shards merge in ascending node order regardless of which worker
-    /// finishes first — exercised across three real BLOCK-aligned
-    /// chunks so the merge actually has something to order.
+    /// Shards report their logs in ascending node order regardless of
+    /// which worker finishes first — exercised across three real
+    /// BLOCK-aligned chunks so the order actually has something to show.
     #[test]
-    fn stepped_lists_merge_in_node_order() {
+    fn shard_logs_come_back_in_node_order() {
         let n = 3 * BLOCK + 2;
         let mut pool = WorkerPool::spawn(4);
         let mut nodes = nodes(n);
         let mut coh = handlers(n);
         let mut npool = NodePool::new(n);
-        let mut stepped = Vec::new();
-        let mut staged = Vec::new();
-        pool.step_shards(
-            &mut nodes,
-            &mut coh,
-            &mut npool,
-            0,
-            &mut stepped,
-            &mut staged,
-        );
-        assert_eq!(stepped, (0..n).collect::<Vec<_>>());
+        let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
+        let shards = pool.step_window(&mut nodes, &mut coh, &mut npool, &window(0, 3), &mut logs);
+        assert_eq!(shards, 4);
+        let traced: Vec<u32> = logs[..shards]
+            .iter()
+            .flat_map(|l| l.traces.iter().map(|s| s.node))
+            .collect();
+        let want: Vec<u32> = (0..len32(n)).collect();
+        assert_eq!(traced, want, "one snapshot per node, ascending");
         // Nothing progressed, so every slot went inert and the ladder
         // reduction sees a fully quiescent machine.
         assert_eq!(npool.min_deadline(), mm_sched::INERT);
     }
 
     /// The serial walk and the sharded walk leave identical pool state
-    /// (rows, minima, deltas) from identical inputs.
+    /// (rows, minima, tallies) and logs from identical inputs.
     #[test]
     fn serial_and_sharded_walks_agree() {
         let n = 2 * BLOCK + 17;
@@ -572,38 +888,47 @@ mod tests {
         pool_a.refresh(&nodes_a);
         pool_b.refresh(&nodes_b);
         let mut scratch = StepScratch::new();
-        for now in 0..16 {
-            let (mut sa, mut ga) = (Vec::new(), Vec::new());
-            let (mut sb, mut gb) = (Vec::new(), Vec::new());
-            let da = step_shard(
+        let mut log_a = WindowLog::default();
+        let mut logs_b: Vec<WindowLog> = (0..3).map(|_| WindowLog::default()).collect();
+        for w in 0..6 {
+            let win = window(3 * w, 3 * w + 3);
+            step_shard(
                 &mut nodes_a,
                 &mut coh_a,
                 pool_a.view_mut(),
                 0,
-                now,
-                &mut sa,
-                &mut ga,
+                &win,
+                &mut log_a,
                 &mut scratch,
             );
+            let shards =
+                worker_pool.step_window(&mut nodes_b, &mut coh_b, &mut pool_b, &win, &mut logs_b);
+            let snaps_b: Vec<TraceSnap> = logs_b[..shards]
+                .iter()
+                .flat_map(|l| l.traces.iter().copied())
+                .collect();
+            let mut snaps_a = log_a.traces.clone();
+            snaps_a.sort_unstable_by_key(|s| (s.node, s.at));
+            let mut snaps_b = snaps_b;
+            snaps_b.sort_unstable_by_key(|s| (s.node, s.at));
+            assert_eq!(snaps_a, snaps_b, "snapshots @ window {w}");
+            let sum = |ts: &mut dyn Iterator<Item = Tally>| {
+                ts.fold((0, 0), |(r, f), t| (r + t.running, f + t.finished))
+            };
+            let da = sum(&mut log_a.tallies.iter().copied());
+            let db = sum(&mut logs_b[..shards]
+                .iter()
+                .flat_map(|l| l.tallies.iter().copied()));
+            assert_eq!(da, db, "tallies @ window {w}");
             pool_a.apply_deltas(da.0, da.1);
-            let db = worker_pool.step_shards(
-                &mut nodes_b,
-                &mut coh_b,
-                &mut pool_b,
-                now,
-                &mut sb,
-                &mut gb,
-            );
             pool_b.apply_deltas(db.0, db.1);
-            assert_eq!(sa, sb, "stepped @ {now}");
-            assert_eq!(ga, gb, "staged @ {now}");
-            assert_eq!(da, db, "deltas @ {now}");
         }
         assert_eq!(pool_a.running, pool_b.running);
         assert_eq!(pool_a.user_running, pool_b.user_running);
         assert_eq!(pool_a.user_finished, pool_b.user_finished);
         assert_eq!(pool_a.total_running, pool_b.total_running);
         assert_eq!(pool_a.total_finished, pool_b.total_finished);
+        assert!(pool_a.halt_reached(), "every loaded thread halted");
         assert_eq!(pool_a.min_deadline(), pool_b.min_deadline());
         for i in 0..n {
             assert_eq!(pool_a.ladder.slot(i), pool_b.ladder.slot(i), "slot {i}");

@@ -1,23 +1,38 @@
-//! Differential testing of the quiescence-aware cycle engine — serial
-//! *and* parallel — against the dense `naive_step` loop.
+//! Differential testing of the windowed cycle engine — serial *and*
+//! parallel — against the dense `naive_step` loop.
 //!
 //! Identically-built, identically-loaded machines run the same random
-//! workload three ways — stepped densely, through the serial
-//! min-deadline scheduler, and through the sharded parallel engine at
-//! several worker counts — and must agree on *everything observable*:
-//! cycle count, aggregate [`MachineStats`], the full phase timeline,
-//! every user thread's state and PC, per-node cycle counts, and the
-//! user-visible register files. This is the engines' correctness
-//! argument in executable form: skipping a quiescent component is a
-//! provable no-op, and sharding nodes across worker threads behind the
-//! per-cycle merge barrier changes nothing observable.
+//! workload three ways — stepped densely one cycle at a time, through
+//! the serial engine's node-major windows, and through the sharded
+//! parallel engine at several worker counts — and must agree on
+//! *everything observable*: cycle count, aggregate [`MachineStats`], the
+//! full phase timeline, every user thread's state and PC, per-node cycle
+//! counts, and the user-visible register files. This is the engines'
+//! correctness argument in executable form: skipping a quiescent
+//! component is a provable no-op, stepping a node through a whole window
+//! before its neighbours and replaying what it sent is invisible, and
+//! sharding nodes across worker threads behind the per-window merge
+//! barrier changes nothing observable. The window cases below put a
+//! window boundary under every cut the machine makes: run targets,
+//! telemetry and watchdog epochs, fault-plan events, checkpoints,
+//! resends falling due, and a zero hop latency (one-cycle windows).
 
+use mm_core::error::MachineError;
 use mm_core::machine::{MMachine, MachineConfig};
+use mm_faults::{splitmix64, DramFaultConfig, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
 use mm_isa::assemble;
 use mm_isa::reg::Reg;
+use mm_runtime::workloads::{traffic_node, traffic_sink_off, TrafficDest};
 use mm_sim::{HState, NUM_CLUSTERS, USER_SLOTS};
+use mm_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The window width of `MachineConfig::small()`: hop latency 2, plus one.
+const W: u64 = 3;
+
+/// Worker counts every window case runs (clamped to the node count).
+const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn machine() -> MMachine {
     machine_with_workers(1)
@@ -187,26 +202,422 @@ proptest! {
             assert_machines_agree(&dense, &engine)?;
         }
     }
+
+    /// The fixed-horizon workloads again, driven in random `run_cycles`
+    /// chunks of 1..=2W+1 cycles: every chunk end cuts the window it
+    /// falls in, and nothing observable may move.
+    #[test]
+    fn engines_match_naive_in_random_chunks(
+        genes0 in prop::collection::vec((0u8..11, 0u64..64, 0u64..1000), 1..12),
+        genes1 in prop::collection::vec((0u8..11, 0u64..64, 0u64..1000), 1..12),
+        horizon in 800u64..3000,
+        seed in any::<u64>(),
+    ) {
+        let mut dense = machine();
+        load_workload(&mut dense, &genes0, &genes1);
+        for _ in 0..horizon {
+            dense.naive_step();
+        }
+        for workers in WORKERS {
+            let mut engine = machine_with_workers(workers);
+            load_workload(&mut engine, &genes0, &genes1);
+            run_in_chunks(&mut engine, horizon, seed);
+            assert_machines_agree(&dense, &engine)?;
+        }
+    }
+}
+
+/// Run `total` cycles as `run_cycles` calls of 1..=2W+1 cycles each,
+/// the chunk lengths drawn from `seed`.
+fn run_in_chunks(m: &mut MMachine, total: u64, seed: u64) {
+    let (mut left, mut x) = (total, seed);
+    while left > 0 {
+        x = splitmix64(x);
+        let chunk = (1 + x % (2 * W + 1)).min(left);
+        m.run_cycles(chunk);
+        left -= chunk;
+    }
+}
+
+/// `run_until_halt` with one-cycle windows throughout (a `run_until`
+/// predicate always runs W = 1): the cycle-by-cycle schedule a windowed
+/// run must reproduce, down to node steps and telemetry epochs.
+fn cycle_by_cycle_until_halt(m: &mut MMachine, limit: u64) -> Result<u64, MachineError> {
+    let done = m.run_until(limit, user_done)?;
+    let drained = m.run_until(64, |_| false);
+    assert!(matches!(drained, Err(MachineError::Timeout { .. })));
+    Ok(done)
+}
+
+/// Every telemetry epoch a machine sampled, as its cycle span and the
+/// architectural and engine counters (not the wall-clock fields).
+fn epochs(m: &MMachine) -> Vec<[u64; 10]> {
+    m.telemetry()
+        .expect("telemetry enabled")
+        .ring()
+        .iter()
+        .map(|s| {
+            [
+                s.epoch,
+                s.start_cycle,
+                s.end_cycle,
+                s.instructions,
+                s.issue_probes,
+                s.node_steps,
+                s.messages,
+                s.fabric_packets,
+                s.flit_hops,
+                s.coh_packets,
+            ]
+        })
+        .collect()
+}
+
+/// A fixed two-node workload with remote loads and stores, SENDs and
+/// branches, repeated until it runs for a couple of thousand cycles:
+/// enough cross-node traffic to land deliveries inside most windows.
+fn chatty_genes() -> (Vec<Gene>, Vec<Gene>) {
+    let (g0, g1) = chatty_round();
+    (g0.repeat(12), g1.repeat(12))
+}
+
+fn chatty_round() -> (Vec<Gene>, Vec<Gene>) {
+    let g0 = vec![
+        (3, 5, 0),
+        (7, 0, 17),
+        (6, 2, 0),
+        (5, 9, 0),
+        (8, 0, 0),
+        (6, 11, 0),
+        (7, 0, 99),
+        (4, 3, 0),
+    ];
+    let g1 = vec![
+        (6, 1, 0),
+        (7, 0, 3),
+        (3, 4, 0),
+        (5, 21, 0),
+        (2, 0, 0),
+        (6, 7, 0),
+        (7, 0, 5),
+    ];
+    (g0, g1)
+}
+
+/// A loaded 2-node machine with `workers` shard threads, after `tweak`
+/// adjusted its configuration.
+fn chatty_machine(workers: usize, tweak: &dyn Fn(&mut MachineConfig)) -> MMachine {
+    let mut cfg = MachineConfig::small();
+    cfg.engine.workers = Some(workers);
+    tweak(&mut cfg);
+    let mut m = MMachine::build(cfg).expect("valid config");
+    let (g0, g1) = chatty_genes();
+    load_workload(&mut m, &g0, &g1);
+    m
+}
+
+/// Telemetry epochs of one cycle and of a prime width, with the
+/// watchdog armed on a prime epoch too: every boundary cuts a window.
+/// The windowed engines must reproduce the dense run's halt cycle and
+/// observables, and the cycle-by-cycle engine's epoch samples exactly.
+#[test]
+fn telemetry_and_watchdog_epochs_cut_windows() {
+    for epoch_cycles in [1, 7] {
+        let tweak = |cfg: &mut MachineConfig| {
+            cfg.telemetry = TelemetryConfig {
+                enabled: true,
+                epoch_cycles,
+                ring_epochs: 4096,
+                stream_path: None,
+            };
+            cfg.watchdog_epochs = 1_000;
+            cfg.watchdog_epoch_cycles = 5;
+        };
+        let mut dense = chatty_machine(1, &tweak);
+        let done_dense = naive_run_until_halt(&mut dense, 100_000);
+        let mut per_cycle = chatty_machine(1, &tweak);
+        let done_ref = cycle_by_cycle_until_halt(&mut per_cycle, 100_000).expect("halts");
+        assert_eq!(done_dense, done_ref, "epoch {epoch_cycles}: W = 1 halt");
+        assert_machines_agree(&dense, &per_cycle).expect("W = 1 agrees with dense");
+        assert!(epochs(&per_cycle).len() > 100 / epoch_cycles as usize);
+        for workers in WORKERS {
+            let mut m = chatty_machine(workers, &tweak);
+            let done = m.run_until_halt(100_000).expect("halts");
+            assert_eq!(done_dense, done, "epoch {epoch_cycles}, {workers} workers");
+            assert_machines_agree(&dense, &m).expect("windowed run agrees with dense");
+            assert_eq!(m.perf().node_steps, per_cycle.perf().node_steps);
+            assert_eq!(
+                epochs(&per_cycle),
+                epochs(&m),
+                "epoch {epoch_cycles}: samples at {workers} workers"
+            );
+        }
+    }
+}
+
+/// A watchdog that trips: node 1's issue stage is stalled forever while
+/// its thread still runs. Windowed engines must trip on the same epoch
+/// boundary with the same strike count as cycle-by-cycle stepping.
+#[test]
+fn watchdog_trips_on_the_same_boundary() {
+    let tweak = |cfg: &mut MachineConfig| {
+        cfg.watchdog_epochs = 3;
+        cfg.watchdog_epoch_cycles = 97;
+        cfg.faults = Some(FaultPlanConfig {
+            seed: 1,
+            dram: vec![],
+            links: vec![],
+            stalls: vec![StallFaultConfig {
+                node: 1,
+                window: (40, u64::MAX),
+            }],
+        });
+    };
+    let mut per_cycle = chatty_machine(1, &tweak);
+    let want = cycle_by_cycle_until_halt(&mut per_cycle, 100_000);
+    assert!(
+        matches!(want, Err(MachineError::WatchdogTripped { .. })),
+        "{want:?}"
+    );
+    let mut dense = chatty_machine(1, &tweak);
+    while dense.cycle() < per_cycle.cycle() {
+        dense.naive_step();
+    }
+    assert_machines_agree(&dense, &per_cycle).expect("W = 1 agrees with dense");
+    for workers in WORKERS {
+        let mut m = chatty_machine(workers, &tweak);
+        let got = m.run_until_halt(100_000);
+        assert_eq!(format!("{want:?}"), format!("{got:?}"), "{workers} workers");
+        assert_eq!(per_cycle.stats(), m.stats(), "{workers} workers");
+        assert_eq!(per_cycle.timeline().events(), m.timeline().events());
+    }
+}
+
+/// A campaign with a DRAM upset and a stall window opening at every
+/// residue of the cycle mod W, over a link window that corrupts, drops
+/// and delays packets (so deliveries take the checked path and NACKed
+/// returns resend): each event lands at a window start.
+#[test]
+fn fault_events_at_every_residue_cut_windows() {
+    let plan = FaultPlanConfig {
+        seed: 0x5eed,
+        dram: (0..W)
+            .map(|r| DramFaultConfig {
+                flips: 1,
+                double_every: 0,
+                window: (300 + 100 * r + r, 301 + 100 * r + r),
+                addr: (0, 4096),
+            })
+            .collect(),
+        links: vec![LinkFaultConfig {
+            window: (0, 1_000_000),
+            corrupt_pct: 15,
+            drop_pct: 10,
+            delay_pct: 15,
+            delay_cycles: 4,
+        }],
+        stalls: (0..W)
+            .map(|r| StallFaultConfig {
+                node: u32::try_from(r % 2).expect("0 or 1"),
+                window: (350 + 100 * r + r, 370 + 100 * r + r),
+            })
+            .collect(),
+    };
+    let residues: Vec<u64> = plan
+        .dram
+        .iter()
+        .map(|d| d.window.0 % W)
+        .chain(plan.stalls.iter().map(|s| s.window.0 % W))
+        .collect();
+    for r in 0..W {
+        assert_eq!(residues.iter().filter(|&&x| x == r).count(), 2);
+    }
+    let tweak = |cfg: &mut MachineConfig| cfg.faults = Some(plan.clone());
+    let mut dense = chatty_machine(1, &tweak);
+    let done_dense = naive_run_until_halt(&mut dense, 200_000);
+    let report = dense.fault_report().expect("campaign armed");
+    assert_eq!(report.events_applied, 2 * W, "every event landed");
+    assert!(report.packets_corrupted + report.packets_dropped > 0);
+    for workers in WORKERS {
+        let mut m = chatty_machine(workers, &tweak);
+        let done = m.run_until_halt(200_000).expect("halts");
+        assert_eq!(done_dense, done, "{workers} workers");
+        assert_machines_agree(&dense, &m).expect("agrees with dense");
+        assert_eq!(dense.fault_report(), m.fault_report(), "{workers} workers");
+    }
+}
+
+/// A checkpoint taken one or two cycles into a window restores into a
+/// twin that finishes exactly like the uninterrupted dense run — and
+/// the image itself is byte-identical to one taken after cycle-by-cycle
+/// stepping to the same cycle.
+#[test]
+fn checkpoint_mid_window_finishes_in_a_twin() {
+    let none = |_: &mut MachineConfig| {};
+    let mut dense = chatty_machine(1, &none);
+    let done_dense = naive_run_until_halt(&mut dense, 100_000);
+    for split in [100 * W + 1, 100 * W + 2, 157] {
+        let mut per_cycle = chatty_machine(1, &none);
+        let _ = per_cycle.run_until(split, |_| false);
+        let image = per_cycle.checkpoint();
+        for workers in WORKERS {
+            let mut a = chatty_machine(workers, &none);
+            a.run_cycles(split);
+            assert_eq!(image, a.checkpoint(), "split {split}, {workers} workers");
+            let mut twin = chatty_machine(workers, &none);
+            twin.restore(&image).expect("restores");
+            let done = twin.run_until_halt(100_000).expect("halts");
+            assert_eq!(done_dense, done, "split {split}, {workers} workers");
+            // The timeline is host-side and starts empty in the twin, so
+            // everything else is compared.
+            assert_eq!(dense.cycle(), twin.cycle());
+            assert_eq!(dense.stats(), twin.stats());
+            for i in 0..2 {
+                for r in 0..16u8 {
+                    assert_eq!(
+                        dense.user_reg(i, 0, 0, r).unwrap().bits(),
+                        twin.user_reg(i, 0, 0, r).unwrap().bits()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// With a zero hop latency a packet can land the cycle after it was
+/// sent: W = 1, every window a single cycle.
+#[test]
+fn zero_hop_latency_means_one_cycle_windows() {
+    let tweak = |cfg: &mut MachineConfig| cfg.hop_latency = 0;
+    let mut dense = chatty_machine(1, &tweak);
+    let done_dense = naive_run_until_halt(&mut dense, 100_000);
+    for workers in WORKERS {
+        let mut m = chatty_machine(workers, &tweak);
+        let done = m.run_until_halt(100_000).expect("halts");
+        assert_eq!(done_dense, done, "{workers} workers");
+        assert_machines_agree(&dense, &m).expect("agrees with dense");
+    }
+}
+
+/// Every node floods node 0, whose two-message queues bounce most of
+/// it. With a resend backoff shorter than a window (0, 1 and 2 cycles
+/// against W = 3) returns arrive mid-window and their resends fall due
+/// inside the window they arrive in; with a longer one (3, and the
+/// default 32) backoffs end in the middle of later windows, where the
+/// walk hands the messages back.
+#[test]
+fn returns_and_resends_land_inside_windows() {
+    const NODES: usize = 4;
+    let build = |workers: usize, resend_delay: u64| -> MMachine {
+        let mut cfg = MachineConfig::with_dims(2, 2, 1);
+        cfg.engine.workers = Some(workers);
+        cfg.resend_delay = resend_delay;
+        cfg.node.iface.msg_queue_capacity = 2;
+        let mut m = MMachine::build(cfg).expect("valid config");
+        for me in 0..NODES {
+            let prog = traffic_node(TrafficDest::Fixed(0), NODES, 0, 24);
+            m.load_user_program(me, 0, &prog).unwrap();
+            for d in 0..NODES {
+                let sink = m.home_va(d, 0) + traffic_sink_off(me);
+                let cap = m
+                    .make_ptr(mm_isa::Perm::ReadWrite, 0, sink)
+                    .expect("sink cap");
+                let slot = m.home_va(me, 1) + d as u64;
+                assert!(m.node_mut(me).mem.poke_va(slot, mm_mem::MemWord::new(cap)));
+            }
+            m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 1));
+            m.set_user_reg(me, 0, 0, Reg::Int(11), m.image().write_dip);
+        }
+        m
+    };
+    for resend_delay in [0, 1, 2, W, 32] {
+        let mut dense = build(1, resend_delay);
+        let done_dense = naive_run_until_halt(&mut dense, 200_000);
+        let returned: u64 = (0..NODES)
+            .map(|i| dense.node(i).net.stats().returned_here)
+            .sum();
+        assert!(returned > 10, "backoff {resend_delay}: {returned} returns");
+        for workers in WORKERS {
+            let mut m = build(workers, resend_delay);
+            let done = m.run_until_halt(200_000).expect("halts");
+            assert_eq!(
+                done_dense, done,
+                "backoff {resend_delay}, {workers} workers"
+            );
+            assert_machines_agree(&dense, &m).expect("agrees with dense");
+        }
+    }
+}
+
+/// 256 nodes, so 2 and 4 workers really split every window's walk into
+/// 2 and 4 shards, with each node's partner 64 nodes away — across a
+/// shard boundary — so every drain, delivery and trace record is merged
+/// from several logs.
+#[test]
+fn multi_shard_windows_merge_in_node_order() {
+    const NODES: usize = 256;
+    let genes: [Gene; 7] = [
+        (3, 5, 0),
+        (5, 9, 0),
+        (7, 0, 17),
+        (0, 0, 3),
+        (6, 2, 0),
+        (8, 0, 0),
+        (6, 30, 0),
+    ];
+    let prog = Arc::new(assemble(&program_from(&genes)).expect("assembles"));
+    let build = |workers: usize| -> MMachine {
+        let mut cfg = MachineConfig::with_dims(8, 8, 4);
+        cfg.engine.workers = Some(workers);
+        let mut m = MMachine::build(cfg).expect("valid config");
+        for node in 0..NODES {
+            let other = (node + 64) % NODES;
+            m.load_user_program(node, 0, &prog).unwrap();
+            m.set_user_reg(node, 0, 0, Reg::Int(1), m.home_ptr(node, 0));
+            m.set_user_reg(node, 0, 0, Reg::Int(8), m.home_ptr(other, 0));
+            let ptr = m
+                .make_ptr(mm_isa::Perm::ReadWrite, 0, m.home_va(other, 1))
+                .expect("target ptr");
+            m.set_user_reg(node, 0, 0, Reg::Int(10), ptr);
+            let dip = m.image().write_dip;
+            m.set_user_reg(node, 0, 0, Reg::Int(11), dip);
+        }
+        m
+    };
+    let horizon = 700;
+    let mut dense = build(1);
+    for _ in 0..horizon {
+        dense.naive_step();
+    }
+    for workers in WORKERS {
+        let mut m = build(workers);
+        assert_eq!(m.workers(), workers);
+        run_in_chunks(&mut m, horizon, 11);
+        assert_machines_agree(&dense, &m).expect("agrees with dense");
+    }
+}
+
+/// The halt predicate, over the public API: no user H-Thread running
+/// anywhere, and at least one finished.
+fn user_done(m: &MMachine) -> bool {
+    let mut any = false;
+    for i in 0..m.node_count() {
+        for c in 0..NUM_CLUSTERS {
+            for s in 0..USER_SLOTS {
+                match m.node(i).thread_state(c, s) {
+                    HState::Running => return false,
+                    HState::Halted | HState::Faulted(_) => any = true,
+                    HState::Idle => {}
+                }
+            }
+        }
+    }
+    any
 }
 
 /// `run_until_halt` re-implemented over the dense debug loop, with the
 /// same predicate and the same 64-cycle drain.
 fn naive_run_until_halt(m: &mut MMachine, limit: u64) -> u64 {
-    let user_done = |m: &MMachine| -> bool {
-        let mut any = false;
-        for i in 0..m.node_count() {
-            for c in 0..NUM_CLUSTERS {
-                for s in 0..USER_SLOTS {
-                    match m.node(i).thread_state(c, s) {
-                        HState::Running => return false,
-                        HState::Halted | HState::Faulted(_) => any = true,
-                        HState::Idle => {}
-                    }
-                }
-            }
-        }
-        any
-    };
     let start = m.cycle();
     let done = loop {
         assert!(m.cycle() - start < limit, "naive run did not halt");

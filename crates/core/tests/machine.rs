@@ -575,6 +575,13 @@ fn hostile_boot_layouts_are_rejected() {
     assert!(rejected(|c| c.lpt_slots = 1 << 17));
     assert!(rejected(|c| c.dims = (2, 0, 1)));
     assert!(rejected(|c| c.dims = (2, 3, 1)));
+    // Memory geometry the node's constructors cannot build.
+    assert!(rejected(|c| c.node.mem.cache.banks = 0));
+    assert!(rejected(|c| c.node.mem.cache.banks = 3));
+    assert!(rejected(|c| c.node.mem.cache.words_per_bank = 0));
+    assert!(rejected(|c| c.node.mem.ltlb_entries = 0));
+    assert!(rejected(|c| c.node.mem.sdram.banks = 0));
+    assert!(rejected(|c| c.node.mem.sdram.row_words = 0));
     // The largest LPT the default node boots with its 16 mappings.
     assert!(!rejected(|c| c.lpt_slots = 1 << 16));
     assert!(!rejected(|c| (c.lpt_slots, c.local_pages) = (16, 8)));

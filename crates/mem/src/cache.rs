@@ -34,6 +34,26 @@ impl CacheConfig {
     pub fn num_lines(&self) -> u64 {
         self.banks * self.words_per_bank / LINE_WORDS
     }
+
+    /// Can [`Cache::new`] build this geometry? Its line count must be a
+    /// non-zero power of two (the index is a mask, the tag a shift).
+    ///
+    /// # Errors
+    ///
+    /// Why it cannot, naming the offending fields.
+    // analyze: cold (configuration check, once per machine build)
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.num_lines();
+        if n > 0 && n.is_power_of_two() {
+            Ok(())
+        } else {
+            Err(format!(
+                "cache line count must be a power of two: {} banks x {} words per bank \
+                 is {n} lines",
+                self.banks, self.words_per_bank
+            ))
+        }
+    }
 }
 
 impl Default for CacheConfig {
@@ -140,15 +160,14 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry yields zero lines or a non-power-of-two line
-    /// count.
+    /// count ([`CacheConfig::validate`]).
     // analyze: cold (constructor: allocates the never-valid line once per node)
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let n = cfg.num_lines();
-        assert!(
-            n > 0 && n.is_power_of_two(),
-            "line count must be a power of two"
-        );
         Cache {
             slots: Vec::new(),
             lines: vec![Line {

@@ -68,6 +68,26 @@ pub struct SdramConfig {
     pub page_mode: bool,
 }
 
+impl SdramConfig {
+    /// Can [`Sdram::new`] build this geometry? It needs at least one
+    /// bank and a non-empty row.
+    ///
+    /// # Errors
+    ///
+    /// Why it cannot, naming the offending fields.
+    // analyze: cold (configuration check, once per machine build)
+    pub fn validate(&self) -> Result<(), String> {
+        if self.banks > 0 && self.row_words > 0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "degenerate SDRAM geometry: {} banks of {}-word rows",
+                self.banks, self.row_words
+            ))
+        }
+    }
+}
+
 impl Default for SdramConfig {
     fn default() -> SdramConfig {
         SdramConfig {
@@ -188,14 +208,14 @@ impl Sdram {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` or `row_words` is zero.
+    /// Panics if `banks` or `row_words` is zero
+    /// ([`SdramConfig::validate`]).
     // analyze: cold (constructor: allocates the open-row state once per node)
     #[must_use]
     pub fn new(cfg: SdramConfig) -> Sdram {
-        assert!(
-            cfg.banks > 0 && cfg.row_words > 0,
-            "degenerate SDRAM geometry"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let open_rows = vec![None; cfg.banks as usize];
         Sdram {
             cfg,

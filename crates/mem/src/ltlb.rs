@@ -175,14 +175,30 @@ pub struct Ltlb {
 }
 
 impl Ltlb {
+    /// Can [`Ltlb::new`] build an LTLB of `capacity` entries? It needs
+    /// at least one.
+    ///
+    /// # Errors
+    ///
+    /// Why it cannot.
+    pub fn validate_capacity(capacity: usize) -> Result<(), String> {
+        if capacity > 0 {
+            Ok(())
+        } else {
+            Err("LTLB needs at least one entry (ltlb_entries = 0)".into())
+        }
+    }
+
     /// An empty LTLB with `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero ([`Ltlb::validate_capacity`]).
     #[must_use]
     pub fn new(capacity: usize) -> Ltlb {
-        assert!(capacity > 0, "LTLB needs at least one entry");
+        if let Err(e) = Ltlb::validate_capacity(capacity) {
+            panic!("{e}");
+        }
         Ltlb {
             entries: vec![None; capacity],
             last_use: vec![0; capacity],

@@ -163,6 +163,21 @@ pub struct MemConfig {
     pub bank_queue_depth: usize,
 }
 
+impl MemConfig {
+    /// Can [`MemorySystem::new`] build this configuration? Checks the
+    /// cache, SDRAM and LTLB geometry with the predicates their
+    /// constructors assert.
+    ///
+    /// # Errors
+    ///
+    /// Why it cannot: the first geometry the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cache.validate()?;
+        self.sdram.validate()?;
+        Ltlb::validate_capacity(self.ltlb_entries)
+    }
+}
+
 impl Default for MemConfig {
     fn default() -> MemConfig {
         MemConfig {

@@ -253,13 +253,11 @@ impl NodeNet {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Move the staged packets into `buf` (cleared first) by swapping
-    /// the two vectors: the interface keeps `buf`'s old allocation for
-    /// the next staging cycle and the caller gets the packets without
-    /// either side allocating in steady state.
+    /// Move the staged packets onto the end of `buf`, in staging order.
+    /// Both vectors keep their allocations, so once `buf` has reached
+    /// its high-water capacity neither side allocates.
     pub fn drain_outbox_into(&mut self, buf: &mut Vec<Packet>) {
-        buf.clear();
-        std::mem::swap(&mut self.outbox, buf);
+        buf.append(&mut self.outbox);
     }
 
     /// Packets currently staged for injection.

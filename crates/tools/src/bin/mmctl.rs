@@ -30,7 +30,10 @@
 //! `BENCH_faults.json` against it).
 //!
 //! Exit codes: 0 success, 1 check/render/run failure, 2 usage
-//! (including a mesh the busy scenario cannot be built on).
+//! (including a mesh the busy scenario cannot be built on). Everything
+//! `mmctl` prints goes through one writer (`out!`/`outln!`): when
+//! the reader goes away (`mmctl run | head -1`) it stops quietly with
+//! exit 0 instead of panicking.
 
 use mm_telemetry::json::parse;
 use mm_telemetry::TelemetryConfig;
@@ -57,6 +60,35 @@ const USAGE: &str = "usage: mmctl <analyze|check|tail|snapshot|prom|run|campaign
 
 /// A usage-class failure: printed with the usage text, exit code 2.
 type UsageError = String;
+
+/// Write to stdout — the one path every line of output takes. A reader
+/// that has gone away (a closed pipe) ends the run quietly with exit 0;
+/// any other write error is exit 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("mmctl: stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through `emit`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through `emit`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, UsageError> {
     match args.iter().position(|a| a == flag) {
@@ -154,19 +186,21 @@ fn cmd_check(args: &[String]) -> Result<i32, UsageError> {
         None => None,
     };
     let report = check_stream(&read(path)?, schema.as_ref());
-    println!(
+    outln!(
         "{path}: {} epochs, {} cycles, {} instructions",
-        report.lines, report.cycles, report.instructions
+        report.lines,
+        report.cycles,
+        report.instructions
     );
     if report.truncated {
-        println!("note: stream ends in a truncated partial record (tolerated)");
+        outln!("note: stream ends in a truncated partial record (tolerated)");
     }
     if report.lines == 0 {
         eprintln!("mmctl: {path}: stream is empty");
         return Ok(1);
     }
     if report.is_ok() {
-        println!("ok: schema and stream invariants hold");
+        outln!("ok: schema and stream invariants hold");
         Ok(0)
     } else {
         for e in &report.errors {
@@ -192,7 +226,7 @@ fn print_tail(text: &str, n: usize) -> usize {
         .collect();
     let start = lines.len().saturating_sub(n);
     for l in &lines[start..] {
-        println!("{}", epoch_brief(l));
+        outln!("{}", epoch_brief(l));
     }
     complete
 }
@@ -230,7 +264,7 @@ fn cmd_snapshot(args: &[String]) -> Result<i32, UsageError> {
     };
     match render_snapshot(&read(path)?) {
         Ok(s) => {
-            print!("{s}");
+            out!("{s}");
             Ok(0)
         }
         Err(e) => {
@@ -250,7 +284,7 @@ fn snapshot_save(args: &[String], path: &str) -> Result<i32, UsageError> {
         eprintln!("mmctl: write {path}: {e}");
         return Ok(1);
     }
-    println!(
+    outln!(
         "checkpointed busy {}x{}x{} at cycle {} -> {path} ({} bytes)",
         scenario.dims.0,
         scenario.dims.1,
@@ -276,7 +310,7 @@ fn snapshot_restore(args: &[String], path: &str) -> Result<i32, UsageError> {
         eprintln!("mmctl: (the scenario flags must match the ones used with --save)");
         return Ok(1);
     }
-    println!("restored {path} at cycle {}", m.cycle());
+    outln!("restored {path} at cycle {}", m.cycle());
     if let Err(e) = m.run_until_halt(mm_bench::scaling::RUN_LIMIT) {
         eprintln!("mmctl: restored run did not complete: {e}");
         if let Some(d) = m.last_diagnostic() {
@@ -290,7 +324,7 @@ fn snapshot_restore(args: &[String], path: &str) -> Result<i32, UsageError> {
 
 fn print_run_summary(m: &mm_core::machine::MMachine, dims: (u8, u8, u8), iters: u64) {
     let stats = m.stats();
-    println!(
+    outln!(
         "ran busy {}x{}x{} ({} iters/node, {} workers): {} cycles, {} instructions, {} messages",
         dims.0,
         dims.1,
@@ -303,7 +337,7 @@ fn print_run_summary(m: &mm_core::machine::MMachine, dims: (u8, u8, u8), iters: 
     );
     if let Some(r) = m.fault_report() {
         let snap = m.counter_snapshot();
-        println!(
+        outln!(
             "faults: {} corrupted, {} dropped, {} delayed, {} dram flips | \
              recovery: {} crc-nacks, {} retransmits, {} dup-drops, {} ecc-corrected, \
              {} ecc-double",
@@ -347,9 +381,9 @@ fn cmd_analyze(args: &[String]) -> Result<i32, UsageError> {
         }
     }
     if args.iter().any(|a| a == "--json") {
-        print!("{}", mm_analyze::report::to_json(&report));
+        out!("{}", mm_analyze::report::to_json(&report));
     } else {
-        print!("{}", mm_analyze::report::to_text(&report));
+        out!("{}", mm_analyze::report::to_text(&report));
     }
     Ok(i32::from(!report.is_clean()))
 }
@@ -360,7 +394,7 @@ fn cmd_prom(args: &[String]) -> Result<i32, UsageError> {
     };
     match prometheus_from_stream(&read(path)?) {
         Ok(s) => {
-            print!("{s}");
+            out!("{s}");
             Ok(0)
         }
         Err(e) => {
@@ -398,25 +432,25 @@ fn cmd_run(args: &[String]) -> Result<i32, UsageError> {
         eprintln!("mmctl: telemetry unexpectedly disabled");
         return Ok(1);
     };
-    println!("--- last epochs ---");
+    outln!("--- last epochs ---");
     print_tail(&telemetry.ring_jsonl(), 5);
     if let Some(p) = &out {
-        println!("wrote {p}");
+        outln!("wrote {p}");
     }
     if want_prom {
-        print!("{}", telemetry.prometheus());
+        out!("{}", telemetry.prometheus());
     }
     if let Some(p) = snapshot_out {
         if let Err(e) = std::fs::write(&p, m.snapshot_json()) {
             eprintln!("mmctl: write {p}: {e}");
             return Ok(1);
         }
-        println!("wrote {p}");
+        outln!("wrote {p}");
     }
-    println!("--- snapshot ---");
+    outln!("--- snapshot ---");
     match render_snapshot(&m.snapshot_json()) {
         Ok(s) => {
-            print!("{s}");
+            out!("{s}");
             Ok(0)
         }
         Err(e) => {
@@ -444,12 +478,12 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
         }
     };
 
-    println!("== fault campaign: seeded injection over busy traffic (seed {seed}) ==");
+    outln!("== fault campaign: seeded injection over busy traffic (seed {seed}) ==");
     let p = match run_fault_campaign((2, 2, 1), 24, workers, seed) {
         Ok(p) => p,
         Err(e) => return fail("fault campaign", e),
     };
-    println!(
+    outln!(
         "2x2x1: {} cycles, corrupted {}, dropped {}, delayed {}, dram flips {}, \
          scheduled events {}",
         p.cycles,
@@ -459,22 +493,27 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
         p.report.dram_flips,
         p.report.events_applied
     );
-    println!(
+    outln!(
         "recovery: {} crc-nacks, {} retransmits, {} dup-drops, {} ecc-corrected, \
          {} ecc-double",
-        p.crc_nacks, p.report.retransmits, p.dup_drops, p.ecc_corrected, p.ecc_double_errors
+        p.crc_nacks,
+        p.report.retransmits,
+        p.dup_drops,
+        p.ecc_corrected,
+        p.ecc_double_errors
     );
-    println!(
+    outln!(
         "deterministic across engines: {}   completed despite faults: {}",
-        p.stats_match, p.completed
+        p.stats_match,
+        p.completed
     );
 
-    println!("\n== crash recovery: watchdog trip -> checkpoint restore -> completion ==");
+    outln!("\n== crash recovery: watchdog trip -> checkpoint restore -> completion ==");
     let r = match run_crash_recovery((2, 1, 1), 1_000, workers) {
         Ok(r) => r,
         Err(e) => return fail("crash recovery", e),
     };
-    println!(
+    outln!(
         "checkpoint at cycle {} ({} bytes); watchdog tripped at {}; diagnostic {}",
         r.checkpoint_at,
         r.checkpoint_bytes,
@@ -486,16 +525,17 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
             "MISSING"
         }
     );
-    println!(
+    outln!(
         "restored run completed: {}   bit-identical to uninterrupted run: {}",
-        r.recovered, r.stats_match
+        r.recovered,
+        r.stats_match
     );
 
     if let Err(e) = std::fs::write(&out, campaign_json(&p, &r)) {
         eprintln!("mmctl: write {out}: {e}");
         return Ok(1);
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     let failures = campaign_failures(&p, &r);
     for f in &failures {
         eprintln!("error: {f}");
