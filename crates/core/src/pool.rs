@@ -25,7 +25,7 @@
 //! [`NodePool::refresh`] after external mutation. Workers receive
 //! disjoint block-aligned [`PoolViewMut`] windows — split at
 //! [`BLOCK`](mm_sched::BLOCK)-multiples so not even a `block_min` word is shared — and
-//! return tally *deltas*, which the dispatcher sums; `i64` addition is
+//! log tally *deltas*, which the dispatcher sums; `i64` addition is
 //! commutative and associative, so the totals are identical for every
 //! worker count.
 

@@ -78,15 +78,16 @@ impl Default for NodeConfig {
 }
 
 /// Nodes a worker shard must hold before auto-detection adds another
-/// worker thread: below this, per-cycle barrier costs outweigh the
-/// parallel node phase, so small meshes stay serial.
+/// worker thread: below this, barrier costs outweigh the parallel node
+/// phase, so small meshes stay serial.
 pub const MIN_NODES_PER_WORKER: usize = 8;
 
 /// Host-execution configuration for the cycle engine: how the
 /// simulation runs, not what it simulates. Simulated behaviour is
 /// bit-identical for every worker count — the machine-level engine
-/// merges cross-shard effects at fixed per-cycle barriers in node-index
-/// order — so this knob trades host threads for wall-clock only.
+/// replays cross-shard effects behind one barrier per window in
+/// per-cycle, node-index order — so this knob trades host threads for
+/// wall-clock only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads for the parallel node phase. `None` auto-detects:
