@@ -232,10 +232,10 @@ impl Fabric {
     /// Injection order is the fabric's arbitration order: link
     /// virtual-channel reservations are resolved eagerly per call, so
     /// two packets contending for a link are serialized by who was
-    /// injected first. Callers that collect packets concurrently (the
-    /// machine's sharded engine stages sends in per-node outboxes) must
-    /// merge them into a fixed order — node index, in practice — before
-    /// injecting, which [`Fabric::inject_all`] makes explicit.
+    /// injected first. Callers that collect packets out of order (the
+    /// machine's window walk logs each node's sends) must inject them in
+    /// a fixed order — the machine replays them cycle by cycle, by node
+    /// index and delivery order.
     ///
     /// # Panics
     ///
@@ -292,22 +292,6 @@ impl Fabric {
         self.stats.total_latency += deliver_at - now;
         self.in_flight.push(deliver_at, packet);
         deliver_at
-    }
-
-    /// Inject a batch of packets in iteration order — the ordered
-    /// injection path the machine's engines use after merging per-node
-    /// outboxes in node-index order. Exactly equivalent to calling
-    /// [`Fabric::inject`] per packet; the fixed order is what keeps
-    /// link arbitration (and therefore delivery timing) deterministic
-    /// under the parallel engine, whatever the worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any packet's endpoint is outside the mesh.
-    pub fn inject_all<I: IntoIterator<Item = Packet>>(&mut self, now: u64, packets: I) {
-        for p in packets {
-            self.inject(now, p);
-        }
     }
 
     /// Append every packet due by cycle `now` to `out`, in (time, inject
@@ -582,25 +566,6 @@ mod tests {
         let a = NodeCoord::new(0, 0, 0);
         let t = f.inject(0, msg(a, a, 1, Priority::P0));
         assert_eq!(t, 2 + 3);
-    }
-
-    #[test]
-    fn inject_all_matches_per_packet_injection() {
-        let a = NodeCoord::new(0, 0, 0);
-        let b = NodeCoord::new(1, 1, 0);
-        let packets = [
-            msg(a, b, 3, Priority::P0),
-            msg(a, b, 1, Priority::P0),
-            msg(b, a, 2, Priority::P1),
-        ];
-        let mut per_packet = fabric(2, 2, 1);
-        for p in packets.clone() {
-            per_packet.inject(7, p);
-        }
-        let mut batched = fabric(2, 2, 1);
-        batched.inject_all(7, packets);
-        assert_eq!(per_packet.stats(), batched.stats());
-        assert_eq!(per_packet.next_delivery(), batched.next_delivery());
     }
 
     #[test]
