@@ -310,6 +310,34 @@ fn inject_faulted(fabric: &mut Fabric, fs: &mut FaultState, now: u64, src: usize
     }
 }
 
+/// Record node `node`'s injection (`inject`) or delivery of `p` at
+/// `now` in the timeline. Free function over split borrows so a
+/// delivery can be traced while its packet is still in the fabric's
+/// slab.
+fn trace_packet(timeline: &mut Timeline, now: u64, node: usize, p: &Packet, inject: bool) {
+    let kind = match p {
+        Packet::User(_) => PacketKind::Message,
+        Packet::Credit { .. } => PacketKind::Credit,
+        Packet::Return(_) => PacketKind::Return,
+        Packet::Coh(_) => PacketKind::Coherence,
+    };
+    let priority = p.priority();
+    let phase = if inject {
+        Phase::PacketInjected {
+            node,
+            priority,
+            kind,
+        }
+    } else {
+        Phase::PacketDelivered {
+            node,
+            priority,
+            kind,
+        }
+    };
+    timeline.record(now, phase);
+}
+
 /// The whole multicomputer.
 #[derive(Debug)]
 pub struct MMachine {
@@ -336,10 +364,9 @@ pub struct MMachine {
     /// Recycled drain buffers for serial node steps (the worker pool
     /// carries its own, one per worker).
     step_scratch: StepScratch,
-    /// The current window's deliveries, in delivery order, and their
-    /// packets.
+    /// The current window's deliveries, in delivery order (their packets
+    /// stay in the fabric's slab until the replay is done).
     arrivals: Vec<Arrival>,
-    arrival_packets: Vec<Packet>,
     /// The arrivals' keys sorted by destination node (see
     /// [`Window::by_node`]).
     by_node: Vec<u64>,
@@ -472,7 +499,6 @@ impl MMachine {
             pool: NodePool::new(n),
             step_scratch: StepScratch::new(),
             arrivals: Vec::new(),
-            arrival_packets: Vec::new(),
             by_node: Vec::new(),
             logs: (0..workers.max(1)).map(|_| WindowLog::default()).collect(),
             cursors: Vec::new(),
@@ -1078,16 +1104,14 @@ impl MMachine {
         // returned inside the window enters the backoff queue the cycle
         // it arrives, so its resend falling due cuts the window too.
         let mut arrivals = std::mem::take(&mut self.arrivals);
-        let mut packets = std::mem::take(&mut self.arrival_packets);
         arrivals.clear();
-        packets.clear();
         while let Some(at) = self.fabric.next_delivery() {
             let at = at.max(t);
             if at >= end {
                 break;
             }
-            self.fabric.deliveries_into(at, &mut packets);
-            for packet in &packets[arrivals.len()..] {
+            while let Some(slot) = self.fabric.pop_due(at) {
+                let packet = &self.fabric.slab()[slot as usize];
                 if matches!(packet, Packet::Return(_)) {
                     end = end.min(at.saturating_add(self.cfg.resend_delay) + 1);
                 }
@@ -1096,6 +1120,7 @@ impl MMachine {
                     at,
                     j: arrivals.len() as u32,
                     node: self.spec.linear_index(packet.dest()) as u32,
+                    slot,
                 });
             }
         }
@@ -1111,7 +1136,7 @@ impl MMachine {
             start: t,
             end,
             arrivals: &arrivals,
-            packets: &packets,
+            packets: self.fabric.slab(),
             by_node: &by_node,
             checked,
             trace: self.cfg.trace,
@@ -1180,15 +1205,18 @@ impl MMachine {
         self.tallies = tallies;
 
         // 2–5. Replay. Every cycle something arrived at, or a resend
-        // fell due at, is active too.
-        if self.replay_window(t, end, shards, &arrivals, &packets) {
+        // fell due at, is active too. The replay still reads the
+        // arrivals' packets, so their slots go back only after it.
+        if self.replay_window(t, end, shards, &arrivals) {
             last = end - 1;
+        }
+        for a in &arrivals {
+            self.fabric.release(a.slot);
         }
         if let Some(a) = arrivals.last() {
             last = last.max(a.at);
         }
         self.arrivals = arrivals;
-        self.arrival_packets = packets;
         self.by_node = by_node;
         self.cycle = last + 1;
         halt
@@ -1207,14 +1235,7 @@ impl MMachine {
     ///
     /// Returns whether a resend fell due (which makes the last cycle
     /// active).
-    fn replay_window(
-        &mut self,
-        start: u64,
-        end: u64,
-        shards: usize,
-        arrivals: &[Arrival],
-        packets: &[Packet],
-    ) -> bool {
+    fn replay_window(&mut self, start: u64, end: u64, shards: usize, arrivals: &[Arrival]) -> bool {
         let logs = std::mem::take(&mut self.logs);
         let mut cursors = std::mem::take(&mut self.cursors);
         let logs_used = &logs[..shards];
@@ -1226,17 +1247,20 @@ impl MMachine {
             for (log, cur) in logs_used.iter().zip(cursors.iter_mut()) {
                 while let Some(d) = log.drains.get(cur.drains).filter(|d| d.at == now) {
                     for p in &log.packets[d.from as usize..d.to as usize] {
-                        self.inject(now, d.node as usize, p.clone());
+                        self.inject(now, d.node as usize, p);
                     }
                     cur.drains += 1;
                 }
             }
             let first = next;
             while let Some(a) = arrivals.get(next).filter(|a| a.at == now) {
-                self.trace_packet(now, a.node as usize, &packets[next], false);
+                if self.cfg.trace {
+                    let p = &self.fabric.slab()[a.slot as usize];
+                    trace_packet(&mut self.timeline, now, a.node as usize, p, false);
+                }
                 let (log, d) = ReplayCursor::delivered(logs_used, &mut cursors, a.j, false);
                 for p in &log.packets[d.packets.0 as usize..d.packets.1 as usize] {
-                    self.inject(now, a.node as usize, p.clone());
+                    self.inject(now, a.node as usize, p);
                 }
                 next += 1;
             }
@@ -1301,10 +1325,12 @@ impl MMachine {
 
     /// Inject one of node `src`'s packets at cycle `now` (through the
     /// fault plan when one is armed), tracing the injection.
-    fn inject(&mut self, now: u64, src: usize, p: Packet) {
-        self.trace_packet(now, src, &p, true);
+    fn inject(&mut self, now: u64, src: usize, p: &Packet) {
+        if self.cfg.trace {
+            trace_packet(&mut self.timeline, now, src, p, true);
+        }
         match &mut self.faults {
-            Some(fs) => inject_faulted(&mut self.fabric, fs, now, src, p),
+            Some(fs) => inject_faulted(&mut self.fabric, fs, now, src, p.clone()),
             None => {
                 self.fabric.inject(now, p);
             }
@@ -1379,21 +1405,26 @@ impl MMachine {
         // 2. Drain outboxes into the fabric.
         for i in 0..self.nodes.len() {
             for p in self.nodes[i].net.take_outbox() {
-                self.inject(now, i, p);
+                self.inject(now, i, &p);
             }
         }
 
-        // 3. Deliver due packets (responses may stage more packets).
-        for p in self.fabric.deliveries(now) {
+        // 3. Deliver due packets in place (responses may stage more
+        // packets), the same pop-read-release path as the window's.
+        while let Some(slot) = self.fabric.pop_due(now) {
+            let p = &self.fabric.slab()[slot as usize];
             let d = self.spec.linear_index(p.dest()) as usize;
-            self.trace_packet(now, d, &p, false);
+            if self.cfg.trace {
+                trace_packet(&mut self.timeline, now, d, p, false);
+            }
             if checked {
                 self.nodes[d].net.deliver_checked(p);
             } else {
                 self.nodes[d].net.deliver(p);
             }
+            self.fabric.release(slot);
             for out in self.nodes[d].net.take_outbox() {
-                self.inject(now, d, out);
+                self.inject(now, d, &out);
             }
         }
 
@@ -1424,32 +1455,6 @@ impl MMachine {
         self.pool.wake_all();
         self.pool.refresh(&self.nodes);
         self.poll_telemetry();
-    }
-
-    fn trace_packet(&mut self, now: u64, node: usize, p: &Packet, inject: bool) {
-        if !self.cfg.trace {
-            return;
-        }
-        let kind = match p {
-            Packet::User(_) => PacketKind::Message,
-            Packet::Credit { .. } => PacketKind::Credit,
-            Packet::Return(_) => PacketKind::Return,
-            Packet::Coh(_) => PacketKind::Coherence,
-        };
-        let phase = if inject {
-            Phase::PacketInjected {
-                node,
-                priority: p.priority(),
-                kind,
-            }
-        } else {
-            Phase::PacketDelivered {
-                node,
-                priority: p.priority(),
-                kind,
-            }
-        };
-        self.timeline.record(now, phase);
     }
 
     /// Account fast-forwarded cycles in every node's `stats.cycles` so
@@ -1783,6 +1788,13 @@ impl MMachine {
                 return Err(CkptError(format!("resend node {idx} out of range")).into());
             }
             let m = Message::decode(&mut d)?;
+            if !self.fabric.contains(m.src) || !self.fabric.contains(m.dest) {
+                return Err(CkptError(format!(
+                    "resend {} -> {} runs outside the mesh",
+                    m.src, m.dest
+                ))
+                .into());
+            }
             self.resends.push((due, idx, m));
         }
         self.resend_due = self.resends.iter().map(|r| r.0).min().unwrap_or(u64::MAX);

@@ -10,8 +10,10 @@
 //! it. So over the `W = hop_latency + 1` cycles `[T, T + W)` every packet
 //! any node can receive is already in flight at `T`, and each node's
 //! steps in the window depend on nothing but its own state and those
-//! packets. The machine drains the window's deliveries from the fabric
-//! once, at `T`, and [`step_shard`] steps each due node through *every*
+//! packets. The machine pops the window's deliveries from the fabric
+//! once, at `T` — slot numbers only: the walk reads each packet in place
+//! in the fabric's slab, and the slots are released after the replay —
+//! and [`step_shard`] steps each due node through *every*
 //! cycle of the window before it moves on to the next node — the node's
 //! state is fetched once per window instead of once per cycle, and the
 //! machine's per-cycle bookkeeping is paid once per window. Between two
@@ -87,8 +89,8 @@ use std::thread::JoinHandle;
 
 pub(crate) use mm_sched::BLOCK;
 
-/// A packet the fabric delivers inside the window, drained at its
-/// start. The packet itself sits at the same index of
+/// A packet the fabric delivers inside the window, popped at its start.
+/// The packet itself stays where the fabric put it, at index `slot` of
 /// [`Window::packets`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Arrival {
@@ -99,6 +101,8 @@ pub(crate) struct Arrival {
     pub(crate) j: u32,
     /// Destination node.
     pub(crate) node: u32,
+    /// The packet's index in [`Window::packets`].
+    pub(crate) slot: u32,
 }
 
 /// `node << 32 | index`: the key [`Window::by_node`] sorts arrivals by.
@@ -125,7 +129,8 @@ pub(crate) struct Window<'a> {
     pub(crate) end: u64,
     /// The walked nodes' arrivals, in delivery order.
     pub(crate) arrivals: &'a [Arrival],
-    /// `arrivals`' packets, index for index.
+    /// Where `arrivals`' packets are, by [`Arrival::slot`]: the fabric's
+    /// slab for the serial walk, a shard's own copy for a worker's.
     pub(crate) packets: &'a [Packet],
     /// [`node_key`]s into `arrivals`, ascending: nodes ascending, each
     /// node's arrivals in delivery order.
@@ -419,14 +424,14 @@ fn walk_node(
         // the node wakes.
         let mut first_return = None;
         while let Some(k) = mine.next_if(|&k| win.arrivals[k].at == now) {
-            let packet = &win.packets[k];
+            let packet = &win.packets[win.arrivals[k].slot as usize];
             if matches!(packet, Packet::Return(_)) && first_return.is_none() {
                 first_return = Some(k);
             }
             if win.checked {
-                ctx.node.net.deliver_checked(packet.clone());
+                ctx.node.net.deliver_checked(packet);
             } else {
-                ctx.node.net.deliver(packet.clone());
+                ctx.node.net.deliver(packet);
             }
             let from = len32(log.packets.len());
             ctx.node.net.drain_outbox_into(&mut log.packets);
@@ -493,8 +498,9 @@ struct PoolPtrs {
     user_finished: ShardPtr<u16>,
 }
 
-/// A shard's own copy of its nodes' arrivals (in delivery order) and
-/// their keys, indexing the copy; recycled window to window.
+/// A shard's own copy of its nodes' arrivals (in delivery order), their
+/// packets and their keys, each arrival's `slot` and key indexing the
+/// copy; recycled window to window.
 #[derive(Debug, Default)]
 struct ShardInput {
     arrivals: Vec<Arrival>,
@@ -629,18 +635,21 @@ impl WorkerPool {
         }
         let chunk = n.div_ceil(self.jobs.len()).next_multiple_of(BLOCK);
         let shards = n.div_ceil(chunk);
-        // Each shard walks its own copy of its nodes' arrivals, kept in
-        // delivery order so its log's records are too.
+        // Each shard walks its own copy of its nodes' arrivals and their
+        // packets, kept in delivery order so its log's records are too.
         for input in &mut self.inputs[..shards] {
             input.arrivals.clear();
             input.packets.clear();
             input.by_node.clear();
         }
-        for (a, packet) in win.arrivals.iter().zip(win.packets) {
+        for a in win.arrivals {
             let input = &mut self.inputs[a.node as usize / chunk];
             input.by_node.push(node_key(a.node, input.arrivals.len()));
-            input.arrivals.push(*a);
-            input.packets.push(packet.clone());
+            input.arrivals.push(Arrival {
+                slot: len32(input.packets.len()),
+                ..*a
+            });
+            input.packets.push(win.packets[a.slot as usize].clone());
         }
         for input in &mut self.inputs[..shards] {
             input.by_node.sort_unstable();

@@ -16,10 +16,14 @@
 
 use mm_core::error::MachineError;
 use mm_core::machine::{MMachine, MachineConfig};
-use mm_faults::{DramFaultConfig, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
+use mm_faults::{DramFaultConfig, Enc, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
 use mm_isa::assemble;
+use mm_isa::op::Priority;
 use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
+use mm_isa::word::Word;
+use mm_net::message::{Message, MsgBody, NodeCoord, WireMeta};
+use mm_sim::NUM_CLUSTERS;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -334,4 +338,55 @@ fn restore_rejects_mismatches_and_garbage() {
     // Truncated stream: valid header, cut body.
     let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
     assert!(fresh.restore(&bytes[..bytes.len() / 2]).is_err());
+}
+
+/// A checkpoint whose pending resend is addressed outside the mesh is
+/// refused at restore, instead of tripping the fabric's "outside mesh"
+/// assert once the resend falls due.
+#[test]
+fn restore_refuses_out_of_mesh_resends() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let n = m.node_count();
+    // On a fault-free machine the resend list is followed by each
+    // node's event counters (one word per cluster) and halted flags
+    // (one byte per cluster × 6 slots), three watchdog words and each
+    // node's wake-up deadline.
+    let tail = n * NUM_CLUSTERS * 8 + n * NUM_CLUSTERS * 6 + 3 * 8 + n * 8;
+    let at = clean.len() - tail - 8;
+    assert_eq!(clean[at..at + 8], [0; 8], "the empty resend list's count");
+    let with_resend = |dest: NodeCoord| {
+        let mut e = Enc::new();
+        e.usize(1);
+        e.u64(50); // due
+        e.usize(0); // node
+        Message {
+            priority: Priority::P1,
+            src: NodeCoord::new(0, 0, 0),
+            dest,
+            dip: Word::ZERO,
+            addr: Word::ZERO,
+            body: MsgBody::new(),
+            wire: WireMeta::default(),
+        }
+        .encode(&mut e);
+        let mut bytes = clean[..at].to_vec();
+        bytes.extend_from_slice(&e.finish());
+        bytes.extend_from_slice(&clean[at + 8..]);
+        bytes
+    };
+    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+    let err = fresh
+        .restore(&with_resend(NodeCoord::new(0, 4, 0)))
+        .expect_err("out-of-mesh resend");
+    assert!(err.to_string().contains("outside the mesh"), "{err}");
+    // The same message addressed inside the mesh restores and goes out
+    // when it falls due.
+    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+    fresh
+        .restore(&with_resend(NodeCoord::new(1, 0, 0)))
+        .expect("in-mesh resend restores");
+    let before = fresh.stats().fabric.packets;
+    fresh.run_cycles(60);
+    assert_eq!(fresh.stats().fabric.packets, before + 1);
 }

@@ -12,6 +12,7 @@
 use crate::message::{NodeCoord, Packet};
 use mm_faults::{CkptError, Dec, Enc};
 use mm_sched::ReadyQueue;
+use std::borrow::Borrow;
 
 /// A mesh direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,10 +97,18 @@ pub struct Fabric {
     /// priority`) rather than hash-keyed: no hashing on the per-hop hot
     /// path, and iteration order is trivially deterministic.
     link_free: Vec<u64>,
-    /// Packets awaiting delivery, popped in `(deliver_at, injection
+    /// Every packet in flight, one slot each from injection until the
+    /// receiver releases it (see [`Fabric::pop_due`]). A packet is
+    /// written here once and read in place; only its slot number moves.
+    slab: Vec<Packet>,
+    /// Released slots, reused before the slab grows, so the slab never
+    /// outgrows the peak number of packets in flight.
+    free: Vec<u32>,
+    /// Slots awaiting delivery, popped in `(deliver_at, injection
     /// order)` — the same order the old scan-and-sort produced, with an
-    /// O(1) next-delivery deadline for the cycle engine.
-    in_flight: ReadyQueue<Packet>,
+    /// O(1) next-delivery deadline for the cycle engine. Heap sifts move
+    /// a slot number, not a packet.
+    in_flight: ReadyQueue<u32>,
     stats: FabricStats,
     /// Flits carried per (node, direction, priority) virtual channel,
     /// same indexing as `link_free`. Telemetry-only: kept outside
@@ -122,6 +131,8 @@ impl Fabric {
             link_free: vec![0; nodes * NUM_DIRS * 2],
             link_flits: vec![0; nodes * NUM_DIRS * 2],
             cfg,
+            slab: Vec::new(),
+            free: Vec::new(),
             in_flight: ReadyQueue::new(),
             stats: FabricStats::default(),
             flit_hops: 0,
@@ -237,10 +248,14 @@ impl Fabric {
     /// a fixed order — the machine replays them cycle by cycle, by node
     /// index and delivery order.
     ///
+    /// The packet is copied once, straight into its slab slot, so a
+    /// caller that keeps its packets elsewhere (the machine's window
+    /// log) lends them; owned packets are accepted too.
+    ///
     /// # Panics
     ///
     /// Panics if either endpoint is outside the mesh.
-    pub fn inject(&mut self, now: u64, packet: Packet) -> u64 {
+    pub fn inject(&mut self, now: u64, packet: impl Borrow<Packet>) -> u64 {
         self.inject_delayed(now, packet, 0)
     }
 
@@ -251,7 +266,8 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if either endpoint is outside the mesh.
-    pub fn inject_delayed(&mut self, now: u64, packet: Packet, extra: u64) -> u64 {
+    pub fn inject_delayed(&mut self, now: u64, packet: impl Borrow<Packet>, extra: u64) -> u64 {
+        let packet = packet.borrow();
         let src = packet.src();
         let dest = packet.dest();
         assert!(self.contains(src), "source {src} outside mesh");
@@ -290,26 +306,57 @@ impl Fabric {
         }
         self.stats.flits += flits;
         self.stats.total_latency += deliver_at - now;
-        self.in_flight.push(deliver_at, packet);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = packet.clone();
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slab.len()).expect("fewer than 2^32 packets in flight");
+                self.slab.push(packet.clone());
+                slot
+            }
+        };
+        self.in_flight.push(deliver_at, slot);
         deliver_at
     }
 
-    /// Append every packet due by cycle `now` to `out`, in (time, inject
-    /// order) — deterministic delivery, no per-cycle allocation or sort
-    /// (the in-flight set is a ready-ordered queue). The machine's cycle
-    /// engines recycle one buffer across cycles.
-    pub fn deliveries_into(&mut self, now: u64, out: &mut Vec<Packet>) {
-        self.in_flight.drain_due_into(now, out);
+    /// Take the next packet due by cycle `now` out of the delivery order
+    /// and return its slot, or `None` when nothing (further) is due.
+    /// Slots pop in (time, inject order) — deterministic delivery, no
+    /// per-cycle allocation or sort. The packet stays readable in place
+    /// in [`Fabric::slab`] until the caller hands the slot back with
+    /// [`Fabric::release`]; until then no injection can reuse it.
+    pub fn pop_due(&mut self, now: u64) -> Option<u32> {
+        self.in_flight.pop_due(now)
     }
 
-    /// Remove and return all packets due by cycle `now`, in (time, inject
-    /// order) — the allocating convenience form of
-    /// [`Fabric::deliveries_into`] for tests and debug paths.
-    // analyze: cold (allocating convenience form for tests/debug)
-    pub fn deliveries(&mut self, now: u64) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.deliveries_into(now, &mut out);
-        out
+    /// Every slot's packet, indexed by slot number. Only slots popped
+    /// and not yet released (or still in flight) hold live packets.
+    #[must_use]
+    pub fn slab(&self) -> &[Packet] {
+        &self.slab
+    }
+
+    /// Hand a slot returned by [`Fabric::pop_due`] back for reuse, once
+    /// its packet has been read for the last time.
+    pub fn release(&mut self, slot: u32) {
+        debug_assert!(
+            (slot as usize) < self.slab.len(),
+            "slot {slot} never allocated"
+        );
+        self.free.push(slot);
+    }
+
+    /// Append a copy of every packet due by cycle `now` to `out`, in
+    /// (time, inject order), releasing their slots — the owned form of
+    /// [`Fabric::pop_due`] for callers that keep the packets.
+    pub fn deliveries_into(&mut self, now: u64, out: &mut Vec<Packet>) {
+        while let Some(slot) = self.pop_due(now) {
+            out.push(self.slab[slot as usize].clone());
+            self.release(slot);
+        }
     }
 
     /// Any packets still in flight?
@@ -345,9 +392,9 @@ impl Fabric {
         }
         let snap = self.in_flight.snapshot();
         e.usize(snap.len());
-        for (at, p) in snap {
+        for (at, &slot) in snap {
             e.u64(at);
-            p.encode(e);
+            self.slab[slot as usize].encode(e);
         }
         let s = &self.stats;
         for v in [
@@ -371,8 +418,9 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// [`CkptError`] on truncated input or a link-table size mismatch
-    /// (the checkpoint came from a different mesh).
+    /// [`CkptError`] on truncated input, a link-table size mismatch (the
+    /// checkpoint came from a different mesh) or an in-flight packet
+    /// with an endpoint outside this mesh.
     // analyze: cold (checkpoint restore, never on the cycle path)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let n = d.usize()?;
@@ -385,13 +433,29 @@ impl Fabric {
         for v in &mut self.link_free {
             *v = d.u64()?;
         }
+        // The slab is rebuilt in delivery order: slot i holds the i-th
+        // packet to be delivered.
         let inflight = d.usize()?;
-        let mut items = Vec::with_capacity(inflight);
-        for _ in 0..inflight {
+        self.slab.clear();
+        self.free.clear();
+        let mut order = Vec::with_capacity(inflight.min(d.remaining()));
+        for i in 0..inflight {
             let at = d.u64()?;
-            items.push((at, Packet::decode(d)?));
+            let p = Packet::decode(d)?;
+            if !self.contains(p.src()) || !self.contains(p.dest()) {
+                let (x, y, z) = self.cfg.dims;
+                return Err(CkptError(format!(
+                    "in-flight packet {i} runs {} -> {}, outside the {x}x{y}x{z} mesh",
+                    p.src(),
+                    p.dest()
+                )));
+            }
+            let slot =
+                u32::try_from(i).map_err(|_| CkptError("over 2^32 packets in flight".into()))?;
+            order.push((at, slot));
+            self.slab.push(p);
         }
-        self.in_flight.restore(items);
+        self.in_flight.restore(order);
         self.stats = FabricStats {
             packets: d.u64()?,
             flits: d.u64()?,
@@ -441,6 +505,13 @@ mod tests {
         })
     }
 
+    /// The packets due by `now`, owned.
+    fn due(f: &mut Fabric, now: u64) -> Vec<Packet> {
+        let mut out = Vec::new();
+        f.deliveries_into(now, &mut out);
+        out
+    }
+
     /// An in-flight fabric round-trips through the checkpoint codec and
     /// delivers the same packets at the same cycles.
     #[test]
@@ -459,15 +530,44 @@ mod tests {
         assert_eq!(g.stats(), f.stats());
         assert_eq!(g.next_delivery(), f.next_delivery());
         assert_eq!(g.flit_hops(), f.flit_hops());
-        loop {
-            let (df, dg) = (f.deliveries(100), g.deliveries(100));
-            assert_eq!(df, dg);
-            if df.is_empty() {
-                break;
-            }
-        }
+        let (df, dg) = (due(&mut f, 100), due(&mut g, 100));
+        assert_eq!(df.len(), 2);
+        assert_eq!(df, dg);
+        assert!(f.is_idle() && g.is_idle());
         // A different mesh refuses the checkpoint.
         assert!(fabric(2, 1, 1).load_state(&mut Dec::new(&bytes)).is_err());
+    }
+
+    /// A checkpoint whose in-flight packet names a node outside the mesh
+    /// is refused at load, not dropped or panicked on at delivery.
+    #[test]
+    fn load_refuses_out_of_mesh_packets() {
+        let f = fabric(2, 1, 1);
+        let mut e = Enc::new();
+        f.save_state(&mut e);
+        let clean = e.finish();
+        // Splice one hand-encoded packet into the empty in-flight list:
+        // its count follows the link table (a count, one word per VC).
+        let at = 8 + 8 * f.link_count();
+        let with_packet = |dest: NodeCoord| {
+            let mut e = Enc::new();
+            e.usize(1);
+            e.u64(7);
+            msg(NodeCoord::new(0, 0, 0), dest, 1, Priority::P0).encode(&mut e);
+            let mut bytes = clean[..at].to_vec();
+            bytes.extend_from_slice(&e.finish());
+            bytes.extend_from_slice(&clean[at + 8..]);
+            bytes
+        };
+        let mut g = fabric(2, 1, 1);
+        let err = g
+            .load_state(&mut Dec::new(&with_packet(NodeCoord::new(0, 3, 0))))
+            .expect_err("out-of-mesh packet");
+        assert!(err.0.contains("outside the 2x1x1 mesh"), "{err:?}");
+        // The same packet addressed inside the mesh loads.
+        g.load_state(&mut Dec::new(&with_packet(NodeCoord::new(1, 0, 0))))
+            .expect("in-mesh packet loads");
+        assert_eq!(g.next_delivery(), Some(7));
     }
 
     /// Delayed injection shifts delivery without touching arbitration.
@@ -549,12 +649,12 @@ mod tests {
         // queues behind the first: deliveries at 7 and 8.
         f.inject(0, msg(a, NodeCoord::new(2, 0, 0), 1, Priority::P0));
         f.inject(0, msg(a, NodeCoord::new(1, 0, 0), 1, Priority::P0));
-        assert!(f.deliveries(6).is_empty());
+        assert!(due(&mut f, 6).is_empty());
         assert!(!f.is_idle());
-        let d7 = f.deliveries(7);
+        let d7 = due(&mut f, 7);
         assert_eq!(d7.len(), 1);
         assert_eq!(d7[0].dest(), NodeCoord::new(2, 0, 0));
-        let rest = f.deliveries(100);
+        let rest = due(&mut f, 100);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].dest(), NodeCoord::new(1, 0, 0));
         assert!(f.is_idle());

@@ -12,6 +12,7 @@ use crate::message::{decode_word, encode_word, Message, MsgBody, NodeCoord, Pack
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::op::Priority;
 use mm_isa::word::Word;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Interface configuration.
@@ -149,6 +150,7 @@ const _: () = _assert_send::<NodeNet>();
 
 impl NodeNet {
     /// A fresh interface for the node at `coord`.
+    // analyze: cold (interface construction, once per node)
     #[must_use]
     pub fn new(coord: NodeCoord, cfg: IfaceConfig) -> NodeNet {
         NodeNet {
@@ -275,8 +277,14 @@ impl NodeNet {
     /// interface once did) leaked one phantom credit per reply and let a
     /// reply-heavy workload inflate its P0 burst budget past the
     /// reserved return-buffer space — defeating §4.1's throttling bound.
-    pub fn deliver(&mut self, packet: Packet) {
-        match packet {
+    ///
+    /// The packet is read in place (the machine delivers straight out of
+    /// the fabric's slab); only what the interface keeps is copied — a
+    /// bounced message into the outbox, a coherence message into the
+    /// handler queue, a returned one into the resend buffer. Owned
+    /// packets are accepted too.
+    pub fn deliver(&mut self, packet: impl Borrow<Packet>) {
+        match packet.borrow() {
             Packet::User(msg) => {
                 let pri = msg.priority.index();
                 if self.queues[pri].messages >= self.cfg.msg_queue_capacity {
@@ -286,7 +294,7 @@ impl NodeNet {
                     // one credit comes back when a later resend is
                     // finally accepted.
                     self.stats.returned_here += 1;
-                    self.outbox.push(Packet::Return(msg));
+                    self.outbox.push(Packet::Return(msg.clone()));
                     return;
                 }
                 self.stats.received += 1;
@@ -303,7 +311,7 @@ impl NodeNet {
                 self.stats.coh_received += 1;
                 let credit = msg.priority == Priority::P0;
                 let src = msg.src;
-                self.coh_in.push_back(msg);
+                self.coh_in.push_back(msg.clone());
                 self.accept_credit(credit, src);
             }
             Packet::Credit { .. } => {
@@ -311,7 +319,7 @@ impl NodeNet {
             }
             Packet::Return(msg) => {
                 self.stats.returns_received += 1;
-                self.returned.push_back(msg);
+                self.returned.push_back(msg.clone());
             }
         }
     }
@@ -323,35 +331,33 @@ impl NodeNet {
     /// machinery retransmits it), and a retransmission whose sequence
     /// number was already applied is dropped so a retry is never
     /// applied twice. Only the fault-armed machine calls this; the
-    /// fault-free delivery path never pays for either check.
-    pub fn deliver_checked(&mut self, packet: Packet) {
-        let packet = match packet {
-            Packet::User(msg) => {
-                if !msg.crc_ok() {
-                    self.stats.crc_nacks += 1;
-                    self.outbox.push(Packet::Return(msg));
+    /// fault-free delivery path never pays for either check. Reads the
+    /// packet in place, like [`NodeNet::deliver`].
+    pub fn deliver_checked(&mut self, packet: impl Borrow<Packet>) {
+        let packet = packet.borrow();
+        if let Packet::User(msg) = packet {
+            if !msg.crc_ok() {
+                self.stats.crc_nacks += 1;
+                self.outbox.push(Packet::Return(msg.clone()));
+                return;
+            }
+            if msg.wire.seq != 0 {
+                // Record only what will actually be applied: an
+                // overflow bounce must stay replayable.
+                let full =
+                    self.queues[msg.priority.index()].messages >= self.cfg.msg_queue_capacity;
+                if !full
+                    && !self
+                        .dedup
+                        .entry(msg.src.encode())
+                        .or_default()
+                        .mark(msg.wire.seq)
+                {
+                    self.stats.dup_drops += 1;
                     return;
                 }
-                if msg.wire.seq != 0 {
-                    // Record only what will actually be applied: an
-                    // overflow bounce must stay replayable.
-                    let full =
-                        self.queues[msg.priority.index()].messages >= self.cfg.msg_queue_capacity;
-                    if !full
-                        && !self
-                            .dedup
-                            .entry(msg.src.encode())
-                            .or_default()
-                            .mark(msg.wire.seq)
-                    {
-                        self.stats.dup_drops += 1;
-                        return;
-                    }
-                }
-                Packet::User(msg)
             }
-            other => other,
-        };
+        }
         self.deliver(packet);
     }
 
@@ -444,6 +450,7 @@ impl NodeNet {
     /// Serialize the complete interface state (GTLB included) into a
     /// checkpoint stream. Configuration and coordinates are *not*
     /// written — restore targets an identically-built machine.
+    // analyze: cold (checkpoint save, never on the cycle path)
     pub fn save_state(&self, e: &mut Enc) {
         self.gtlb.save_state(e);
         for q in &self.queues {
@@ -498,6 +505,7 @@ impl NodeNet {
     /// # Errors
     ///
     /// [`CkptError`] on truncated or malformed input.
+    // analyze: cold (checkpoint restore, never on the cycle path)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.gtlb.load_state(d)?;
         for q in &mut self.queues {

@@ -36,7 +36,9 @@
 //! for p in a.take_outbox() {
 //!     fabric.inject(0, p);
 //! }
-//! for p in fabric.deliveries(100) {
+//! let mut arrived = Vec::new();
+//! fabric.deliveries_into(100, &mut arrived);
+//! for p in &arrived {
 //!     b.deliver(p);
 //! }
 //! assert_eq!(b.pop_word(Priority::P0).unwrap().bits(), 7); // the DIP

@@ -1,18 +1,206 @@
 //! Property tests for the network crate: GTLB encoding and translation
-//! invariants, minimal dimension-order routes, and end-to-end queue
-//! conservation under random traffic.
+//! invariants, minimal dimension-order routes, end-to-end queue
+//! conservation under random traffic, and the fabric's in-flight slab
+//! against the whole-packet queue it replaced.
 
+use mm_faults::{Dec, Enc};
 use mm_isa::op::Priority;
 use mm_isa::word::Word;
-use mm_net::fabric::{Fabric, FabricConfig};
+use mm_net::fabric::{Fabric, FabricConfig, FabricStats, NUM_DIRS};
 use mm_net::gtlb::{GdtEntry, GLOBAL_PAGE_WORDS};
 use mm_net::iface::{IfaceConfig, NodeNet};
 use mm_net::message::{Message, NodeCoord, Packet};
+use mm_sched::ReadyQueue;
 use proptest::prelude::*;
 
 /// The node owning the group's very first page (wrap reference).
 fn before_run_start(e: &GdtEntry, first_va: u64) -> NodeCoord {
     e.translate(first_va).unwrap()
+}
+
+/// The fabric as it was before in-flight packets moved into a slot
+/// slab: the same routing, arbitration, statistics and checkpoint
+/// format, with whole packets in the ready queue. The slab fabric must
+/// be indistinguishable from it.
+struct QueueFabric {
+    cfg: FabricConfig,
+    link_free: Vec<u64>,
+    in_flight: ReadyQueue<Packet>,
+    stats: FabricStats,
+    link_flits: Vec<u64>,
+    flit_hops: u64,
+}
+
+impl QueueFabric {
+    fn new(cfg: FabricConfig) -> QueueFabric {
+        let nodes = usize::from(cfg.dims.0) * usize::from(cfg.dims.1) * usize::from(cfg.dims.2);
+        QueueFabric {
+            link_free: vec![0; nodes * NUM_DIRS * 2],
+            link_flits: vec![0; nodes * NUM_DIRS * 2],
+            cfg,
+            in_flight: ReadyQueue::new(),
+            stats: FabricStats::default(),
+            flit_hops: 0,
+        }
+    }
+
+    fn inject_delayed(&mut self, now: u64, packet: Packet, extra: u64) -> u64 {
+        let (src, dest) = (packet.src(), packet.dest());
+        let flits = packet.wire_flits();
+        let pri = packet.priority().index();
+        let (dx, dy) = (usize::from(self.cfg.dims.0), usize::from(self.cfg.dims.1));
+        let deliver_at = extra
+            + if src == dest {
+                now + self.cfg.loopback_latency + flits
+            } else {
+                let mut t_head = now;
+                let route = Fabric::route(src, dest);
+                for &(cur, dir) in &route {
+                    let linear =
+                        usize::from(cur.x) + dx * (usize::from(cur.y) + dy * usize::from(cur.z));
+                    let link = (linear * NUM_DIRS + dir.index()) * 2 + pri;
+                    let earliest = t_head + self.cfg.hop_latency;
+                    let actual = earliest.max(self.link_free[link]);
+                    self.stats.contention_cycles += actual - earliest;
+                    t_head = actual;
+                    self.link_free[link] = t_head + flits;
+                    self.link_flits[link] += flits;
+                }
+                self.stats.hops += route.len() as u64;
+                self.flit_hops += route.len() as u64 * flits;
+                t_head + flits
+            };
+        self.stats.packets += 1;
+        if matches!(packet, Packet::Coh(_)) {
+            self.stats.coh_packets += 1;
+        }
+        self.stats.flits += flits;
+        self.stats.total_latency += deliver_at - now;
+        self.in_flight.push(deliver_at, packet);
+        deliver_at
+    }
+
+    fn save_state(&self, e: &mut Enc) {
+        e.usize(self.link_free.len());
+        for &v in &self.link_free {
+            e.u64(v);
+        }
+        let snap = self.in_flight.snapshot();
+        e.usize(snap.len());
+        for (at, p) in snap {
+            e.u64(at);
+            p.encode(e);
+        }
+        let s = &self.stats;
+        for v in [
+            s.packets,
+            s.flits,
+            s.total_latency,
+            s.contention_cycles,
+            s.hops,
+            s.coh_packets,
+        ] {
+            e.u64(v);
+        }
+        e.usize(self.link_flits.len());
+        for &v in &self.link_flits {
+            e.u64(v);
+        }
+        e.u64(self.flit_hops);
+    }
+}
+
+/// One step of the slab model test.
+#[derive(Debug, Clone)]
+enum FabricOp {
+    /// Advance the clock, then inject a packet (kind 0–3: user, credit,
+    /// return, coherence) between two mesh nodes after `delay` cycles
+    /// of router delay.
+    Inject {
+        advance: u64,
+        src: u8,
+        dest: u8,
+        kind: u8,
+        body: usize,
+        p1: bool,
+        delay: u64,
+    },
+    /// Advance the clock and take every due packet.
+    Deliver { advance: u64 },
+    /// Pop every due slot, inject `inject` more packets while the popped
+    /// ones are still held (a window reading in place), then release.
+    Window { advance: u64, inject: u8 },
+    /// Checkpoint and restore into a fresh fabric.
+    SaveLoad,
+}
+
+fn inject_op() -> impl Strategy<Value = FabricOp> {
+    // Half the injections carry no router delay.
+    let delay = (0u64..40).prop_map(|d| d.saturating_sub(20));
+    (
+        (0u64..4, 0u8..12, 0u8..12),
+        (0u8..4, 0usize..10, any::<bool>()),
+        delay,
+    )
+        .prop_map(
+            |((advance, src, dest), (kind, body, p1), delay)| FabricOp::Inject {
+                advance,
+                src,
+                dest,
+                kind,
+                body,
+                p1,
+                delay,
+            },
+        )
+}
+
+/// Injections four times as often as any other step, so the fabric
+/// fills up between drains.
+fn fabric_op() -> impl Strategy<Value = FabricOp> {
+    prop_oneof![
+        inject_op(),
+        inject_op(),
+        inject_op(),
+        inject_op(),
+        (0u64..12).prop_map(|advance| FabricOp::Deliver { advance }),
+        (0u64..12).prop_map(|advance| FabricOp::Deliver { advance }),
+        (0u64..12, 0u8..4).prop_map(|(advance, inject)| FabricOp::Window { advance, inject }),
+        Just(FabricOp::SaveLoad),
+    ]
+}
+
+const SLAB_DIMS: (u8, u8, u8) = (3, 2, 2);
+
+fn slab_node(i: u8) -> NodeCoord {
+    NodeCoord::new(i % 3, (i / 3) % 2, i / 6)
+}
+
+fn slab_packet(src: u8, dest: u8, kind: u8, body: usize, p1: bool, tag: u64) -> Packet {
+    let msg = Message {
+        priority: if p1 { Priority::P1 } else { Priority::P0 },
+        src: slab_node(src),
+        dest: slab_node(dest),
+        dip: Word::from_u64(tag),
+        addr: Word::from_u64(tag * 3),
+        body: (0..body as u64).map(|w| Word::from_u64(tag + w)).collect(),
+        wire: Default::default(),
+    };
+    match kind {
+        0 => Packet::User(msg),
+        1 => Packet::Credit {
+            dest: msg.dest,
+            from: msg.src,
+        },
+        2 => Packet::Return(msg),
+        _ => Packet::Coh(msg),
+    }
+}
+
+fn fabric_bytes(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
+    save(&mut e);
+    e.finish()
 }
 
 proptest! {
@@ -214,9 +402,12 @@ proptest! {
 
         // Pump until quiescent.
         let mut cycle = 0u64;
+        let mut arrived = Vec::new();
         while !fabric.is_idle() {
             prop_assert!(cycle < 100_000, "network did not quiesce");
-            for p in fabric.deliveries(cycle) {
+            arrived.clear();
+            fabric.deliveries_into(cycle, &mut arrived);
+            for p in &arrived {
                 let d = idx(p.dest());
                 nodes[d].deliver(p);
                 for out in nodes[d].take_outbox() {
@@ -232,5 +423,89 @@ proptest! {
             .sum();
         let returned: u64 = nodes.iter().map(|n| n.returned_len() as u64).sum();
         prop_assert_eq!(consumed + returned, injected, "messages lost or duplicated");
+    }
+
+    /// The slab fabric against the whole-packet queue it replaced, over
+    /// random interleavings of injection (plain and delayed), owned
+    /// delivery, in-place windows that inject while holding popped
+    /// slots, and checkpoint round trips: the same `(cycle, packet)`
+    /// deliveries, statistics, per-link flit counts and checkpoint
+    /// bytes, and a slab never larger than the most packets ever held at
+    /// once.
+    #[test]
+    fn slab_fabric_matches_the_packet_queue(ops in prop::collection::vec(fabric_op(), 1..120)) {
+        let cfg = FabricConfig { dims: SLAB_DIMS, hop_latency: 2, loopback_latency: 2 };
+        let mut slab = Fabric::new(cfg.clone());
+        let mut model = QueueFabric::new(cfg.clone());
+        let (mut now, mut tag, mut peak) = (0u64, 0u64, 0usize);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for op in ops {
+            match op {
+                FabricOp::Inject { advance, src, dest, kind, body, p1, delay } => {
+                    now += advance;
+                    tag += 1;
+                    let p = slab_packet(src, dest, kind, body, p1, tag);
+                    let at = if delay == 0 {
+                        slab.inject(now, p.clone())
+                    } else {
+                        slab.inject_delayed(now, p.clone(), delay)
+                    };
+                    prop_assert_eq!(at, model.inject_delayed(now, p, delay));
+                }
+                FabricOp::Deliver { advance } => {
+                    now += advance;
+                    got.clear();
+                    slab.deliveries_into(now, &mut got);
+                    want.clear();
+                    model.in_flight.drain_due_into(now, &mut want);
+                    prop_assert_eq!(&got, &want, "deliveries at {}", now);
+                }
+                FabricOp::Window { advance, inject } => {
+                    now += advance;
+                    let mut held = Vec::new();
+                    while let Some(slot) = slab.pop_due(now) {
+                        let p = model.in_flight.pop_due(now);
+                        prop_assert_eq!(slab.slab().get(slot as usize), p.as_ref(), "pop at {}", now);
+                        held.push((slot, p.unwrap()));
+                    }
+                    prop_assert_eq!(model.in_flight.pop_due(now), None);
+                    peak = peak.max(model.in_flight.len() + held.len());
+                    for k in 0..inject {
+                        tag += 1;
+                        let p = slab_packet(k, (k + 7) % 12, k % 4, usize::from(k), k % 2 == 0, tag);
+                        let at = slab.inject(now, p.clone());
+                        prop_assert_eq!(at, model.inject_delayed(now, p, 0));
+                        peak = peak.max(model.in_flight.len() + held.len());
+                    }
+                    // Held slots were not handed to the new injections.
+                    for (slot, p) in &held {
+                        prop_assert_eq!(&slab.slab()[*slot as usize], p);
+                    }
+                    for (slot, _) in held {
+                        slab.release(slot);
+                    }
+                }
+                FabricOp::SaveLoad => {
+                    let bytes = fabric_bytes(|e| slab.save_state(e));
+                    prop_assert_eq!(&bytes, &fabric_bytes(|e| model.save_state(e)));
+                    let mut fresh = Fabric::new(cfg.clone());
+                    let mut d = Dec::new(&bytes);
+                    fresh.load_state(&mut d).expect("a saved fabric loads");
+                    prop_assert_eq!(d.remaining(), 0);
+                    slab = fresh;
+                }
+            }
+            peak = peak.max(model.in_flight.len());
+            prop_assert!(slab.slab().len() <= peak, "slab {} > peak {}", slab.slab().len(), peak);
+            prop_assert_eq!(slab.stats(), model.stats);
+            prop_assert_eq!(slab.link_flits(), &model.link_flits[..]);
+            prop_assert_eq!(slab.flit_hops(), model.flit_hops);
+            prop_assert_eq!(slab.next_delivery(), model.in_flight.next_ready());
+            prop_assert_eq!(slab.is_idle(), model.in_flight.is_empty());
+        }
+        prop_assert_eq!(
+            fabric_bytes(|e| slab.save_state(e)),
+            fabric_bytes(|e| model.save_state(e))
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! 1. **Step one cycle.** Each component has an inherent step method
 //!    that advances it through cycle `now` — [`Node::step`],
 //!    [`MemorySystem::step`](mm_mem::memsys::MemorySystem::step),
-//!    [`Fabric::deliveries`](mm_net::fabric::Fabric::deliveries), and
+//!    [`Fabric::pop_due`](mm_net::fabric::Fabric::pop_due), and
 //!    the coherence engine's `step` in `mm-core`. Signatures vary
 //!    because outputs vary (responses, deliveries, firmware effects);
 //!    the *timing* discipline is shared: a step at cycle `t` performs

@@ -317,12 +317,15 @@ fn send_launches_message_and_queue_is_register_mapped() {
         dims: (1, 1, 1),
         ..Default::default()
     });
+    let mut arrived = Vec::new();
     for cycle in 0..100 {
         n.step(cycle);
         for p in n.net.take_outbox() {
             fabric.inject(cycle, p);
         }
-        for p in fabric.deliveries(cycle) {
+        arrived.clear();
+        fabric.deliveries_into(cycle, &mut arrived);
+        for p in &arrived {
             n.net.deliver(p);
         }
     }

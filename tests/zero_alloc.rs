@@ -19,6 +19,7 @@ use mm_bench::alloc_probe;
 use mm_bench::scaling::{
     build_busy_scenario, build_busy_scenario_telemetry, ALLOC_WARM_CYCLES, ALLOC_WINDOW_CYCLES,
 };
+use mm_bench::traffic::{build_traffic_scenario, TrafficPattern};
 use mm_isa::reg::Reg;
 use mm_telemetry::TelemetryConfig;
 use std::sync::Arc;
@@ -226,4 +227,45 @@ fn steady_state_busy_cycles_allocate_nothing() {
         delta, 0,
         "steady-state spmv cycles performed {delta} heap allocations"
     );
+
+    // Phase 5: the return-to-sender path. Hotspot traffic floods node 0
+    // until its queues overflow, so the window covers bounces, the
+    // resend backoff and the credit path on top of clean delivery;
+    // uniform traffic is the same network layer without bounces. Both
+    // pass every packet through the fabric's slab, so a released slot
+    // must be reused rather than the slab grown.
+    for pattern in [TrafficPattern::Hotspot, TrafficPattern::Uniform] {
+        let mut m = build_traffic_scenario(pattern, 0, ITERS, Some(1));
+        m.run_cycles(ALLOC_WARM_CYCLES);
+        let bounced = |m: &m_machine::machine::MMachine| m.node(0).net.stats().returned_here;
+        let bounced_before = bounced(&m);
+        let sent_before = m.stats().fabric.packets;
+        let before = alloc_probe::allocations();
+        m.run_cycles(ALLOC_WINDOW_CYCLES);
+        let delta = alloc_probe::allocations() - before;
+        assert_eq!(
+            bounced(&m) > bounced_before,
+            pattern == TrafficPattern::Hotspot,
+            "only hotspot traffic bounces"
+        );
+        for i in 0..m.node_count() {
+            assert_eq!(
+                m.node(i).thread_state(0, 0),
+                m_machine::sim::HState::Running,
+                "{} traffic node {i} halted inside the measured window",
+                pattern.name()
+            );
+        }
+        assert!(
+            m.stats().fabric.packets > sent_before + 1_000,
+            "the {} window must carry traffic",
+            pattern.name()
+        );
+        assert_eq!(
+            delta,
+            0,
+            "steady-state {} traffic cycles performed {delta} heap allocations",
+            pattern.name()
+        );
+    }
 }
