@@ -18,6 +18,13 @@
 //! and remote-storing every cycle, so quiescence skipping cannot help
 //! and the node phase dominates. Per-pair work is constant in both, so
 //! simulated cycles stay flat as the mesh grows.
+//!
+//! Each scenario is one configuration ([`scenario_config`]) plus one
+//! loader ([`load_scenario`], [`load_busy_scenario`]); the `build_*`
+//! functions compose the two, and the engine differential in
+//! `crates/core/tests` loads the same configuration with `trace` and
+//! `engine.workers` flipped, so the machine the benchmark times is the
+//! machine the differential checks.
 
 use mm_core::machine::{MMachine, MachineConfig};
 use mm_core::MachineError;
@@ -81,7 +88,12 @@ pub fn build_scenario(dims: (u8, u8, u8), rounds: u64) -> MMachine {
 
 /// Build `cfg` and load the ping (even node), pong (odd node) and
 /// remote-store programs onto every node pair.
-fn load_scenario(cfg: MachineConfig, rounds: u64) -> MMachine {
+///
+/// # Panics
+///
+/// As [`build_scenario`].
+#[must_use]
+pub fn load_scenario(cfg: MachineConfig, rounds: u64) -> MMachine {
     let mut m = MMachine::build(cfg).expect("scenario config is valid");
     let n = m.node_count();
     assert!(
@@ -176,8 +188,7 @@ pub fn build_busy_scenario_telemetry(
 ///
 /// # Errors
 ///
-/// [`MachineError::BadConfig`] if the mesh does not build or has an odd
-/// node count (the scenario pairs nodes).
+/// As [`load_busy_scenario`].
 pub fn build_busy_scenario_full(
     dims: (u8, u8, u8),
     iters: u64,
@@ -189,6 +200,18 @@ pub fn build_busy_scenario_full(
     cfg.engine.workers = workers;
     cfg.telemetry = telemetry;
     cfg.faults = faults;
+    load_busy_scenario(cfg, iters)
+}
+
+/// Build `cfg` and load the busy loop onto every node: `iters`
+/// iterations of a dependent integer chain plus one store to the
+/// partner's home page.
+///
+/// # Errors
+///
+/// [`MachineError::BadConfig`] if the mesh does not build or has an odd
+/// node count (the scenario pairs nodes).
+pub fn load_busy_scenario(cfg: MachineConfig, iters: u64) -> Result<MMachine, MachineError> {
     let mut m = MMachine::build(cfg)?;
     let n = m.node_count();
     if !n.is_multiple_of(2) {
@@ -212,75 +235,4 @@ pub fn build_busy_scenario_full(
         m.set_user_reg(i, 0, 0, Reg::Int(8), m.home_ptr(partner, 0));
     }
     Ok(m)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Run to halt and return the final stats; the scenario must not
-    /// fault.
-    fn run(mut m: MMachine) -> mm_core::machine::MachineStats {
-        m.run_until_halt(RUN_LIMIT).expect("scenario completes");
-        assert!(
-            m.faulted_threads().is_empty(),
-            "scenario faulted: {:?}",
-            m.faulted_threads()
-        );
-        m.stats()
-    }
-
-    #[test]
-    fn two_by_two_scenario_completes() {
-        let serial = run(build_scenario((2, 2, 1), 2));
-        let mut cfg = scenario_config((2, 2, 1));
-        cfg.engine.workers = Some(2);
-        let parallel = load_scenario(cfg, 2);
-        assert_eq!(parallel.workers(), 2);
-        let parallel = run(parallel);
-        assert!(serial.cycles > 0 && serial.cycles < RUN_LIMIT);
-        assert!(serial.messages > 0, "scenario must exercise the fabric");
-        assert_eq!(serial, parallel, "serial and parallel engines disagreed");
-    }
-
-    #[test]
-    fn idle_heavy_paths_agree() {
-        // A fixed horizon well past halt, so the idle tail is where the
-        // engine fast-forwards and the dense loop steps every cycle.
-        let mut engine = build_scenario((2, 1, 1), 2);
-        engine.run_cycles(5_000);
-        let mut dense = build_scenario((2, 1, 1), 2);
-        for _ in 0..5_000 {
-            dense.naive_step();
-        }
-        assert_eq!(
-            dense.stats(),
-            engine.stats(),
-            "dense loop and engine disagreed"
-        );
-    }
-
-    #[test]
-    fn busy_traffic_engines_agree() {
-        let serial = run(build_busy_scenario((2, 2, 1), 16, Some(1)));
-        let parallel = build_busy_scenario((2, 2, 1), 16, Some(2));
-        assert_eq!(parallel.workers(), 2);
-        let parallel = run(parallel);
-        assert!(serial.cycles > 0 && serial.cycles < RUN_LIMIT);
-        assert_eq!(serial, parallel, "serial and parallel engines disagreed");
-
-        let mut on =
-            build_busy_scenario_telemetry((2, 2, 1), 16, Some(1), TelemetryConfig::enabled());
-        on.run_until_halt(RUN_LIMIT).expect("scenario completes");
-        on.telemetry_flush();
-        assert!(
-            on.telemetry().is_some_and(|t| !t.ring().is_empty()),
-            "flush must close at least one epoch"
-        );
-        assert_eq!(
-            on.stats(),
-            serial,
-            "telemetry sampling changed the simulation"
-        );
-    }
 }

@@ -5,11 +5,11 @@
 //! (§4.2: a message that cannot be sunk is returned to its sender and
 //! re-injected after a backoff).
 //!
-//! [`run_traffic`] runs one pattern under the serial and the parallel
-//! engine and diffs their [`MachineStats`] — a fabric-determinism check
-//! at injection rates the coherence workloads never reach.
+//! [`traffic_config`] is the scenario's machine, [`load_traffic_scenario`]
+//! loads one pattern onto it and [`check_traffic`] verifies a finished
+//! run.
 
-use mm_core::machine::{MMachine, MachineConfig, MachineStats};
+use mm_core::machine::{MMachine, MachineConfig};
 use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
@@ -59,34 +59,6 @@ impl TrafficPattern {
     }
 }
 
-/// One traffic row's run.
-#[derive(Debug, Clone)]
-pub struct TrafficPoint {
-    /// Injection pattern.
-    pub pattern: TrafficPattern,
-    /// Idle cycles between injections.
-    pub gap: u32,
-    /// Node count.
-    pub nodes: usize,
-    /// Messages injected per node.
-    pub count: u64,
-    /// Cycles to drain the pattern.
-    pub cycles: u64,
-    /// Messages injected machine-wide (first sends only).
-    pub injected: u64,
-    /// Messages received machine-wide (includes re-injections).
-    pub delivered: u64,
-    /// Messages bounced back to their sender (§4.2 backoff).
-    pub returned: u64,
-    /// Cycles a sender stalled on exhausted credit.
-    pub credit_stalls: u64,
-    /// Deliveries per thousand simulated cycles — the saturation chart's
-    /// y-axis.
-    pub delivered_per_kcycle: f64,
-    /// Did serial and parallel produce identical [`MachineStats`]?
-    pub stats_match: bool,
-}
-
 fn poke(m: &mut MMachine, node: usize, va: u64, w: Word) {
     assert!(
         m.node_mut(node).mem.poke_va(va, MemWord::new(w)),
@@ -94,11 +66,20 @@ fn poke(m: &mut MMachine, node: usize, va: u64, w: Word) {
     );
 }
 
-/// Build one traffic row's machine.
+/// The traffic machine: default timing on [`TRAFFIC_DIMS`], no trace.
+#[must_use]
+pub fn traffic_config() -> MachineConfig {
+    let mut cfg = MachineConfig::with_dims(TRAFFIC_DIMS.0, TRAFFIC_DIMS.1, TRAFFIC_DIMS.2);
+    cfg.trace = false;
+    cfg
+}
+
+/// Build one traffic row's machine on [`traffic_config`] with `workers`
+/// engine threads.
 ///
 /// # Panics
 ///
-/// Panics if a program fails to load (layout bug).
+/// As [`load_traffic_scenario`].
 #[must_use]
 pub fn build_traffic_scenario(
     pattern: TrafficPattern,
@@ -106,9 +87,25 @@ pub fn build_traffic_scenario(
     count: u64,
     workers: Option<usize>,
 ) -> MMachine {
-    let mut cfg = MachineConfig::with_dims(TRAFFIC_DIMS.0, TRAFFIC_DIMS.1, TRAFFIC_DIMS.2);
+    let mut cfg = traffic_config();
     cfg.engine.workers = workers;
-    cfg.trace = false;
+    load_traffic_scenario(cfg, pattern, gap, count)
+}
+
+/// Build `cfg` (a [`TRAFFIC_DIMS`] mesh) and load one pattern: every
+/// node SENDs `count` messages, `gap` idle cycles apart, into its sink
+/// word on the destination node.
+///
+/// # Panics
+///
+/// Panics if a program fails to load (layout bug).
+#[must_use]
+pub fn load_traffic_scenario(
+    cfg: MachineConfig,
+    pattern: TrafficPattern,
+    gap: u32,
+    count: u64,
+) -> MMachine {
     let mut m = MMachine::build(cfg).expect("valid config");
     for me in 0..NODES {
         let prog = traffic_node(pattern.dest(me), NODES, gap, count);
@@ -125,94 +122,24 @@ pub fn build_traffic_scenario(
     m
 }
 
-struct TrafficRun {
-    stats: MachineStats,
-    injected: u64,
-    delivered: u64,
-    returned: u64,
-    credit_stalls: u64,
-}
-
-fn run_one(pattern: TrafficPattern, gap: u32, count: u64, workers: Option<usize>) -> TrafficRun {
-    let mut m = build_traffic_scenario(pattern, gap, count, workers);
-    m.run_until_halt(RUN_LIMIT).expect("traffic drains");
-    m.run_cycles(256); // drain in-flight bounces
-    assert!(
-        m.faulted_threads().is_empty(),
-        "{}: faulted threads {:?}",
-        pattern.name(),
-        m.faulted_threads()
-    );
-    let iface =
-        |f: fn(&mm_net::IfaceStats) -> u64| (0..NODES).map(|i| f(&m.node(i).net.stats())).sum();
-    let injected: u64 = iface(|s| s.sent);
+/// Verify a finished run of `count` messages per node: every SEND was
+/// injected and no event record was dropped.
+///
+/// # Panics
+///
+/// Panics on either failure.
+pub fn check_traffic(m: &MMachine, pattern: TrafficPattern, count: u64) {
+    let injected: u64 = (0..NODES).map(|i| m.node(i).net.stats().sent).sum();
     assert_eq!(
         injected,
         NODES as u64 * count,
         "{}: not every SEND injected",
         pattern.name()
     );
-    let stats = m.stats();
     assert_eq!(
-        stats.coherence.unknown_events,
+        m.stats().coherence.unknown_events,
         0,
         "{}: dropped event records",
         pattern.name()
     );
-    TrafficRun {
-        stats,
-        injected,
-        delivered: iface(|s| s.received),
-        returned: iface(|s| s.returned_here),
-        credit_stalls: iface(|s| s.credit_stalls),
-    }
-}
-
-/// Run one traffic row under both engines and diff their stats.
-///
-/// # Panics
-///
-/// Panics if the pattern fails to drain within [`RUN_LIMIT`] cycles, a
-/// thread faults, or a SEND never injected.
-#[must_use]
-pub fn run_traffic(
-    pattern: TrafficPattern,
-    gap: u32,
-    count: u64,
-    workers: Option<usize>,
-) -> TrafficPoint {
-    let serial = run_one(pattern, gap, count, Some(1));
-    let parallel = run_one(pattern, gap, count, workers);
-    #[allow(clippy::cast_precision_loss)]
-    TrafficPoint {
-        pattern,
-        gap,
-        nodes: NODES,
-        count,
-        cycles: serial.stats.cycles,
-        injected: serial.injected,
-        delivered: serial.delivered,
-        returned: serial.returned,
-        credit_stalls: serial.credit_stalls,
-        delivered_per_kcycle: serial.delivered as f64 / (serial.stats.cycles as f64 / 1e3),
-        stats_match: serial.stats == parallel.stats,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hotspot_saturates_and_uniform_does_not() {
-        let hot = run_traffic(TrafficPattern::Hotspot, 0, 16, Some(2));
-        assert!(hot.stats_match, "hotspot engines disagreed");
-        assert_eq!(hot.injected, NODES as u64 * 16);
-        assert!(hot.delivered > 0);
-        let uni = run_traffic(TrafficPattern::Uniform, 8, 16, Some(2));
-        assert!(uni.stats_match, "uniform engines disagreed");
-        // A paced uniform pattern must not bounce: the fabric is below
-        // saturation, so backoff counters stay at zero.
-        assert_eq!(uni.returned, 0, "uniform at gap 8 bounced");
-    }
 }

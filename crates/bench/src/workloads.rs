@@ -1,18 +1,19 @@
 //! Workload-suite bench scenarios: the four classic multicomputer
-//! kernels of [`mm_runtime::workloads`] on a 4-node mesh, each run
-//! under the serial and the parallel engine with results verified
-//! against an independent host-side reference and the two engines'
-//! [`MachineStats`] diffed.
+//! kernels of [`mm_runtime::workloads`] on a 4-node mesh, with results
+//! verified against an independent host-side reference
+//! ([`check_workload`]).
 //!
-//! These are the benchmark-facing builds of the same kernels the
-//! differential tests pin (`crates/core/tests/workloads.rs`): bigger
-//! inputs, `trace` off; `benchmark/`'s `kernel_suite_4` workload times
-//! them and checks every timed pass against [`run_workload`]'s counts.
-//! The task-queue row additionally reports the §3.2 protected-call
-//! count and the §2 full/empty sync-retry count — the two paper
-//! mechanisms that workload exists to exercise.
+//! [`workload_config`] plus [`load_workload`] is the only build of these
+//! kernels: `benchmark/`'s `kernel_suite_4` workload times them through
+//! [`build_workload`] and checks every timed pass against
+//! [`run_workload`]'s counts, and the engine differential
+//! (`crates/core/tests/workloads.rs`) runs the same machines densely and
+//! at 1/2/4 workers with `trace` on. The task-queue row additionally
+//! reports the §3.2 protected-call count and the §2 full/empty
+//! sync-retry count — the two paper mechanisms that workload exists to
+//! exercise.
 
-use mm_core::machine::{MMachine, MachineConfig, MachineStats};
+use mm_core::machine::{MMachine, MachineConfig};
 use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
@@ -84,14 +85,8 @@ impl WorkloadKind {
 pub struct WorkloadPoint {
     /// Which kernel.
     pub kind: WorkloadKind,
-    /// Mesh dimensions.
-    pub dims: (u8, u8, u8),
-    /// Node count.
-    pub nodes: usize,
-    /// Cycles to halt (identical across engines when `stats_match`).
+    /// Cycles to halt plus the drain.
     pub cycles: u64,
-    /// Did serial and parallel produce identical [`MachineStats`]?
-    pub stats_match: bool,
     /// User messages that crossed the fabric.
     pub messages: u64,
     /// §3.2 protected calls taken — the task queue's entry/return
@@ -100,13 +95,6 @@ pub struct WorkloadPoint {
     pub protected_calls: u64,
     /// §2 synchronizing-fault retries (task queue; 0 elsewhere).
     pub sync_retries: u64,
-}
-
-fn base_machine(workers: Option<usize>) -> MMachine {
-    let mut cfg = MachineConfig::with_dims(WORKLOAD_DIMS.0, WORKLOAD_DIMS.1, WORKLOAD_DIMS.2);
-    cfg.engine.workers = workers;
-    cfg.trace = false;
-    MMachine::build(cfg).expect("valid config")
 }
 
 fn poke(m: &mut MMachine, node: usize, va: u64, w: Word) {
@@ -155,15 +143,37 @@ fn taskq_payload_base(node: usize) -> i64 {
     100 + 10 * node as i64
 }
 
-/// Build one kernel's machine, inputs poked and registers pinned.
+/// The kernels' machine: default timing on [`WORKLOAD_DIMS`], no trace.
+#[must_use]
+pub fn workload_config() -> MachineConfig {
+    let mut cfg = MachineConfig::with_dims(WORKLOAD_DIMS.0, WORKLOAD_DIMS.1, WORKLOAD_DIMS.2);
+    cfg.trace = false;
+    cfg
+}
+
+/// Build one kernel's machine on [`workload_config`] with `workers`
+/// engine threads.
+///
+/// # Panics
+///
+/// As [`load_workload`].
+#[must_use]
+pub fn build_workload(kind: WorkloadKind, workers: Option<usize>) -> MMachine {
+    let mut cfg = workload_config();
+    cfg.engine.workers = workers;
+    load_workload(cfg, kind)
+}
+
+/// Build `cfg` (a [`WORKLOAD_DIMS`] mesh) and load one kernel, inputs
+/// poked and registers pinned.
 ///
 /// # Panics
 ///
 /// Panics if a program fails to load or an input lands on an unmapped
 /// address (layout bug).
 #[must_use]
-pub fn build_workload(kind: WorkloadKind, workers: Option<usize>) -> MMachine {
-    let mut m = base_machine(workers);
+pub fn load_workload(cfg: MachineConfig, kind: WorkloadKind) -> MMachine {
+    let mut m = MMachine::build(cfg).expect("valid config");
     match kind {
         WorkloadKind::SampleSort => {
             for me in 0..NODES {
@@ -285,8 +295,13 @@ pub fn build_workload(kind: WorkloadKind, workers: Option<usize>) -> MMachine {
     m
 }
 
-/// Verify one finished run against the host-side reference.
-fn verify(kind: WorkloadKind, m: &MMachine) {
+/// Verify one finished run of `kind` against the host-side reference
+/// (the task queue also against its exact protected-call count).
+///
+/// # Panics
+///
+/// Panics on the first result that differs from the reference.
+pub fn check_workload(m: &MMachine, kind: WorkloadKind) {
     match kind {
         WorkloadKind::SampleSort => {
             let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); NODES];
@@ -356,7 +371,18 @@ fn verify(kind: WorkloadKind, m: &MMachine) {
     }
 }
 
-fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (MachineStats, u64, u64) {
+/// Run one kernel to halt under `workers` engine threads, drain, verify
+/// its result and report the counts `benchmark/` pins its timed passes
+/// to.
+///
+/// # Panics
+///
+/// Panics if the run exceeds [`RUN_LIMIT`] cycles, a thread faults, an
+/// event record is dropped, or the result diverges from the host-side
+/// reference.
+#[must_use]
+pub fn run_workload(kind: WorkloadKind, workers: Option<usize>) -> WorkloadPoint {
+    let mut m = build_workload(kind, workers);
     m.run_until_halt(RUN_LIMIT).expect("workload completes");
     m.run_cycles(256); // drain in-flight protocol traffic
     assert!(
@@ -365,54 +391,14 @@ fn run_checked(kind: WorkloadKind, mut m: MMachine) -> (MachineStats, u64, u64) 
         kind.name(),
         m.faulted_threads()
     );
-    verify(kind, &m);
-    let protected: u64 = (0..NODES).map(|i| m.node(i).stats().protected_calls).sum();
+    check_workload(&m, kind);
     let stats = m.stats();
     assert_eq!(stats.coherence.unknown_events, 0, "dropped event records");
-    let sync_retries = stats.coherence.sync_retries;
-    (stats, protected, sync_retries)
-}
-
-/// Run one kernel under the serial and the parallel engine, verify both
-/// results, and diff their stats.
-///
-/// # Panics
-///
-/// Panics if a run exceeds [`RUN_LIMIT`] cycles, a thread faults, or a
-/// result diverges from the host-side reference.
-#[must_use]
-pub fn run_workload(kind: WorkloadKind, workers: Option<usize>) -> WorkloadPoint {
-    let serial = build_workload(kind, Some(1));
-    let nodes = serial.node_count();
-    let (serial_stats, protected, sync_retries) = run_checked(kind, serial);
-    let (parallel_stats, _, _) = run_checked(kind, build_workload(kind, workers));
     WorkloadPoint {
         kind,
-        dims: WORKLOAD_DIMS,
-        nodes,
-        cycles: serial_stats.cycles,
-        stats_match: serial_stats == parallel_stats,
-        messages: serial_stats.messages,
-        protected_calls: protected,
-        sync_retries,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_workload_point_is_engine_invariant_and_verified() {
-        for kind in WorkloadKind::ALL {
-            let p = run_workload(kind, Some(2));
-            assert_eq!(p.nodes, NODES);
-            assert!(p.stats_match, "{} engines disagreed", kind.name());
-            assert!(p.cycles > 0);
-            if kind == WorkloadKind::TaskQueue {
-                assert!(p.protected_calls > 0, "no §3.2 protected call fired");
-                assert!(p.sync_retries > 0, "no §2 full/empty contention");
-            }
-        }
+        cycles: stats.cycles,
+        messages: stats.messages,
+        protected_calls: (0..NODES).map(|i| m.node(i).stats().protected_calls).sum(),
+        sync_retries: stats.coherence.sync_retries,
     }
 }

@@ -1194,6 +1194,34 @@ impl NodeCoh {
         }
     }
 
+    /// Every node this handler's protocol state names — directory
+    /// sharers, owners and queued requesters, the peers of charged
+    /// actions, and both ends of each composed message — so a restore
+    /// can refuse one outside the mesh before a message goes to it.
+    pub(crate) fn endpoints(&self) -> Vec<NodeCoord> {
+        let mut out = Vec::new();
+        for entry in self.directory.values() {
+            out.extend(&entry.sharers);
+            out.extend(entry.owner);
+            out.extend(entry.queued.iter().map(|q| q.from));
+        }
+        for (_, p) in self.pending.snapshot() {
+            match p {
+                Pending::SendFetch { home: c, .. }
+                | Pending::Service { from: c, .. }
+                | Pending::ServiceRecall { home: c, .. } => out.push(*c),
+                Pending::SendMsg(m) => out.extend([m.src, m.dest]),
+                Pending::Replay(_)
+                | Pending::ServiceWriteback { .. }
+                | Pending::ServiceGrant { .. }
+                | Pending::ServiceInvalidate { .. }
+                | Pending::LocalGrant { .. } => {}
+            }
+        }
+        out.extend(self.outbound.iter().flat_map(|m| [m.src, m.dest]));
+        out
+    }
+
     /// Restore state saved by [`NodeCoh::save_state`].
     pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.directory.clear();

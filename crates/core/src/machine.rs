@@ -1847,6 +1847,7 @@ impl MMachine {
                 d.remaining()
             )));
         }
+        self.refuse_out_of_mesh_endpoints()?;
         // Reinstate the exact sleep schedule the checkpoint captured —
         // waking everything instead would step idle nodes the original
         // run never stepped — and recompute every mirror row from the
@@ -1858,6 +1859,37 @@ impl MMachine {
         self.pool.refresh(&self.nodes);
         self.user_counts_stale = false;
         self.last_diagnostic = None;
+        Ok(())
+    }
+
+    /// Refuse a restored node outside the mesh in a node's interface
+    /// queues, a coherence handler's state or a fault plan's pristine
+    /// copy: each is sent sooner or later, and `Fabric::inject` asserts
+    /// on an endpoint outside the mesh.
+    fn refuse_out_of_mesh_endpoints(&self) -> Result<(), CkptError> {
+        let outside = |owner: String, c: NodeCoord| {
+            CkptError(format!("{owner} names node {c}, outside the mesh"))
+        };
+        let handlers = self.coherence.handlers();
+        for (i, (node, coh)) in self.nodes.iter().zip(handlers).enumerate() {
+            if let Some(c) = node.net.endpoints().find(|&c| !self.fabric.contains(c)) {
+                return Err(outside(format!("node {i}'s interface"), c));
+            }
+            if let Some(c) = coh
+                .endpoints()
+                .into_iter()
+                .find(|&c| !self.fabric.contains(c))
+            {
+                return Err(outside(format!("node {i}'s coherence handler"), c));
+            }
+        }
+        let pristine = self.faults.iter().flat_map(|fs| fs.pristine.values());
+        if let Some(c) = pristine
+            .flat_map(|(m, _)| [m.src, m.dest])
+            .find(|&c| !self.fabric.contains(c))
+        {
+            return Err(outside("a fault-plan pristine copy".into(), c));
+        }
         Ok(())
     }
 

@@ -17,22 +17,24 @@
 //! telemetry and watchdog epochs, fault-plan events, checkpoints,
 //! resends falling due, and a zero hop latency (one-cycle windows).
 
+mod common;
+
+use common::{differential, naive_run_until_halt, user_done, WORKERS};
+use mm_bench::coherence::{check_coherence, load_coherence_scenario};
+use mm_bench::scaling::scenario_config;
+use mm_bench::traffic::{load_traffic_scenario, traffic_config, TrafficPattern};
 use mm_core::error::MachineError;
 use mm_core::machine::{MMachine, MachineConfig};
 use mm_faults::{splitmix64, DramFaultConfig, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
 use mm_isa::assemble;
 use mm_isa::reg::Reg;
-use mm_runtime::workloads::{traffic_node, traffic_sink_off, TrafficDest};
-use mm_sim::{HState, NUM_CLUSTERS, USER_SLOTS};
+use mm_sim::{NUM_CLUSTERS, USER_SLOTS};
 use mm_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The window width of `MachineConfig::small()`: hop latency 2, plus one.
 const W: u64 = 3;
-
-/// Worker counts every window case runs (clamped to the node count).
-const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn machine() -> MMachine {
     machine_with_workers(1)
@@ -507,33 +509,18 @@ fn zero_hop_latency_means_one_cycle_windows() {
 /// walk hands the messages back.
 #[test]
 fn returns_and_resends_land_inside_windows() {
-    const NODES: usize = 4;
     let build = |workers: usize, resend_delay: u64| -> MMachine {
-        let mut cfg = MachineConfig::with_dims(2, 2, 1);
+        let mut cfg = traffic_config();
+        cfg.trace = true;
         cfg.engine.workers = Some(workers);
         cfg.resend_delay = resend_delay;
         cfg.node.iface.msg_queue_capacity = 2;
-        let mut m = MMachine::build(cfg).expect("valid config");
-        for me in 0..NODES {
-            let prog = traffic_node(TrafficDest::Fixed(0), NODES, 0, 24);
-            m.load_user_program(me, 0, &prog).unwrap();
-            for d in 0..NODES {
-                let sink = m.home_va(d, 0) + traffic_sink_off(me);
-                let cap = m
-                    .make_ptr(mm_isa::Perm::ReadWrite, 0, sink)
-                    .expect("sink cap");
-                let slot = m.home_va(me, 1) + d as u64;
-                assert!(m.node_mut(me).mem.poke_va(slot, mm_mem::MemWord::new(cap)));
-            }
-            m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 1));
-            m.set_user_reg(me, 0, 0, Reg::Int(11), m.image().write_dip);
-        }
-        m
+        load_traffic_scenario(cfg, TrafficPattern::Hotspot, 0, 24)
     };
     for resend_delay in [0, 1, 2, W, 32] {
         let mut dense = build(1, resend_delay);
         let done_dense = naive_run_until_halt(&mut dense, 200_000);
-        let returned: u64 = (0..NODES)
+        let returned: u64 = (0..dense.node_count())
             .map(|i| dense.node(i).net.stats().returned_here)
             .sum();
         assert!(returned > 10, "backoff {resend_delay}: {returned} returns");
@@ -597,41 +584,6 @@ fn multi_shard_windows_merge_in_node_order() {
     }
 }
 
-/// The halt predicate, over the public API: no user H-Thread running
-/// anywhere, and at least one finished.
-fn user_done(m: &MMachine) -> bool {
-    let mut any = false;
-    for i in 0..m.node_count() {
-        for c in 0..NUM_CLUSTERS {
-            for s in 0..USER_SLOTS {
-                match m.node(i).thread_state(c, s) {
-                    HState::Running => return false,
-                    HState::Halted | HState::Faulted(_) => any = true,
-                    HState::Idle => {}
-                }
-            }
-        }
-    }
-    any
-}
-
-/// `run_until_halt` re-implemented over the dense debug loop, with the
-/// same predicate and the same 64-cycle drain.
-fn naive_run_until_halt(m: &mut MMachine, limit: u64) -> u64 {
-    let start = m.cycle();
-    let done = loop {
-        assert!(m.cycle() - start < limit, "naive run did not halt");
-        if user_done(m) {
-            break m.cycle();
-        }
-        m.naive_step();
-    };
-    for _ in 0..64 {
-        m.naive_step();
-    }
-    done
-}
-
 /// A deterministic end-to-end differential: the Table-1 remote-read
 /// scenario — dense loop vs. serial engine vs. parallel engine — down
 /// to identical timelines.
@@ -672,66 +624,26 @@ fn remote_read_scenario_is_cycle_exact() {
     }
 }
 
-/// The coherence-bound workload (PR 5's message-driven protocol) run
-/// three ways — dense loop, serial engine, parallel engine at 1, 2 and
-/// 4 workers — must be bit-identical: every fetch, invalidation,
-/// recall and replay rides fabric packets whose ordering the engines
-/// must reproduce exactly. This is the protocol's determinism proof.
+/// The coherence ping-pong the benchmark times, run three ways — dense
+/// loop, serial engine, parallel engine at 1, 2 and 4 workers — must be
+/// bit-identical: every fetch, invalidation, recall and replay rides
+/// fabric packets whose ordering the engines must reproduce exactly.
+/// This is the protocol's determinism proof.
 #[test]
 fn coherence_workload_is_engine_and_worker_invariant() {
-    use mm_runtime::kernels::coherent_smooth;
-    const ITERS: u64 = 6;
-    let build = |workers: Option<usize>| -> MMachine {
-        let mut cfg = MachineConfig::with_dims(2, 2, 1);
-        if let Some(w) = workers {
-            cfg.engine.workers = Some(w);
-        }
-        let mut m = MMachine::build(cfg).expect("valid config");
-        for pair in 0..2 {
-            let (even, odd) = (2 * pair, 2 * pair + 1);
-            let block = m.home_va(even, 2);
-            m.map_coherent_page(odd, block);
-            let ptr = m
-                .make_ptr(mm_isa::Perm::ReadWrite, 3, block)
-                .expect("block ptr");
-            for (node, own, other) in [(even, 0usize, 1usize), (odd, 1, 0)] {
-                let prog = coherent_smooth(own, other, ITERS);
-                m.load_user_program(node, 0, &prog).unwrap();
-                m.set_user_reg(node, 0, 0, Reg::Int(1), ptr);
-                m.set_user_reg(node, 0, 0, Reg::Fp(15), mm_isa::word::Word::from_f64(0.25));
-            }
-        }
-        m
-    };
-
-    let mut dense = build(None);
-    let done_dense = naive_run_until_halt(&mut dense, 200_000);
+    const ITERS: u64 = 8;
+    let dense = differential(
+        "coherence",
+        scenario_config((2, 2, 1)),
+        |cfg| load_coherence_scenario(cfg, ITERS),
+        mm_bench::coherence::RUN_LIMIT,
+    );
+    check_coherence(&dense, ITERS);
     assert!(
         dense.stats().fabric.coh_packets > 0,
         "workload must move protocol messages over the fabric"
     );
     assert!(dense.stats().coherence.invalidations > 0, "no ping-pong");
-    assert_eq!(dense.stats().coherence.unknown_events, 0);
-
-    for workers in [1, 2, 4] {
-        let mut m = build(Some(workers));
-        assert_eq!(m.workers(), workers);
-        let done = m.run_until_halt(200_000).expect("engine run halts");
-        assert_eq!(done_dense, done, "halt cycle at {workers} workers");
-        assert_eq!(dense.stats(), m.stats(), "stats at {workers} workers");
-        assert_eq!(
-            dense.timeline().events(),
-            m.timeline().events(),
-            "timelines at {workers} workers"
-        );
-        for i in 0..m.node_count() {
-            assert_eq!(
-                dense.node(i).stats().cycles,
-                m.node(i).stats().cycles,
-                "node {i} cycles at {workers} workers"
-            );
-        }
-    }
 }
 
 /// The parallel engine on an 8-node mesh at every worker count from

@@ -22,7 +22,7 @@ use mm_isa::op::Priority;
 use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
-use mm_net::message::{Message, MsgBody, NodeCoord, WireMeta};
+use mm_net::message::{Message, MsgBody, NodeCoord, Packet, WireMeta};
 use mm_sim::NUM_CLUSTERS;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -340,6 +340,65 @@ fn restore_rejects_mismatches_and_garbage() {
     assert!(fresh.restore(&bytes[..bytes.len() / 2]).is_err());
 }
 
+/// A node outside `MachineConfig::small()`'s 2×1×1 mesh.
+fn far() -> NodeCoord {
+    NodeCoord::new(0, 4, 0)
+}
+
+/// A node inside `MachineConfig::small()`'s 2×1×1 mesh.
+fn near() -> NodeCoord {
+    NodeCoord::new(1, 0, 0)
+}
+
+/// A hand-encoded message from node 0 to `dest`.
+fn message_to(dest: NodeCoord) -> Message {
+    Message {
+        priority: Priority::P1,
+        src: NodeCoord::new(0, 0, 0),
+        dest,
+        dip: Word::ZERO,
+        addr: Word::ZERO,
+        body: MsgBody::new(),
+        wire: WireMeta::default(),
+    }
+}
+
+/// `clean` with the empty list whose eight-byte count sits at `at`
+/// replaced by a one-item list holding what `item` encodes.
+fn splice_one(clean: &[u8], at: usize, item: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    assert_eq!(clean[at..at + 8], [0; 8], "an empty list's count");
+    let mut e = Enc::new();
+    e.usize(1);
+    item(&mut e);
+    let mut bytes = clean[..at].to_vec();
+    bytes.extend_from_slice(&e.finish());
+    bytes.extend_from_slice(&clean[at + 8..]);
+    bytes
+}
+
+/// Offset of the resend list's count in a fault-free machine's
+/// checkpoint: the list is followed by each node's event counters (one
+/// word per cluster) and halted flags (one byte per cluster × 6 slots),
+/// three watchdog words and each node's wake-up deadline.
+fn resend_count_at(m: &MMachine, clean: &[u8]) -> usize {
+    let n = m.node_count();
+    let tail = n * NUM_CLUSTERS * 8 + n * NUM_CLUSTERS * 6 + 3 * 8 + n * 8;
+    clean.len() - tail - 8
+}
+
+/// Restore `bytes` into a fresh `small()` machine (with `faults` armed)
+/// and expect a refusal naming `owner` and "outside the mesh".
+fn assert_refused(bytes: &[u8], faults: Option<FaultPlanConfig>, owner: &str) {
+    let mut cfg = MachineConfig::small();
+    cfg.faults = faults;
+    let mut fresh = MMachine::build(cfg).unwrap();
+    let err = fresh.restore(bytes).expect_err(owner).to_string();
+    assert!(
+        err.contains(owner) && err.contains("outside the mesh"),
+        "{owner}: {err}"
+    );
+}
+
 /// A checkpoint whose pending resend is addressed outside the mesh is
 /// refused at restore, instead of tripping the fabric's "outside mesh"
 /// assert once the resend falls due.
@@ -347,46 +406,123 @@ fn restore_rejects_mismatches_and_garbage() {
 fn restore_refuses_out_of_mesh_resends() {
     let m = MMachine::build(MachineConfig::small()).unwrap();
     let clean = m.checkpoint();
-    let n = m.node_count();
-    // On a fault-free machine the resend list is followed by each
-    // node's event counters (one word per cluster) and halted flags
-    // (one byte per cluster × 6 slots), three watchdog words and each
-    // node's wake-up deadline.
-    let tail = n * NUM_CLUSTERS * 8 + n * NUM_CLUSTERS * 6 + 3 * 8 + n * 8;
-    let at = clean.len() - tail - 8;
-    assert_eq!(clean[at..at + 8], [0; 8], "the empty resend list's count");
+    let at = resend_count_at(&m, &clean);
     let with_resend = |dest: NodeCoord| {
-        let mut e = Enc::new();
-        e.usize(1);
-        e.u64(50); // due
-        e.usize(0); // node
-        Message {
-            priority: Priority::P1,
-            src: NodeCoord::new(0, 0, 0),
-            dest,
-            dip: Word::ZERO,
-            addr: Word::ZERO,
-            body: MsgBody::new(),
-            wire: WireMeta::default(),
-        }
-        .encode(&mut e);
-        let mut bytes = clean[..at].to_vec();
-        bytes.extend_from_slice(&e.finish());
-        bytes.extend_from_slice(&clean[at + 8..]);
-        bytes
+        splice_one(&clean, at, |e| {
+            e.u64(50); // due
+            e.usize(0); // node
+            message_to(dest).encode(e);
+        })
     };
-    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
-    let err = fresh
-        .restore(&with_resend(NodeCoord::new(0, 4, 0)))
-        .expect_err("out-of-mesh resend");
-    assert!(err.to_string().contains("outside the mesh"), "{err}");
+    assert_refused(&with_resend(far()), None, "resend");
     // The same message addressed inside the mesh restores and goes out
     // when it falls due.
     let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
     fresh
-        .restore(&with_resend(NodeCoord::new(1, 0, 0)))
+        .restore(&with_resend(near()))
         .expect("in-mesh resend restores");
     let before = fresh.stats().fabric.packets;
     fresh.run_cycles(60);
     assert_eq!(fresh.stats().fabric.packets, before + 1);
+}
+
+/// A message restored into a node's outbox, returned-message buffer or
+/// coherence inbox with an endpoint outside the mesh is refused.
+#[test]
+fn restore_refuses_out_of_mesh_interface_traffic() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    // Node 0's interface state is the last part of its node state. On a
+    // fresh machine it ends with three empty lists (returned messages,
+    // outbox packets, coherence arrivals), nine statistics words, the
+    // next sequence number and an empty dedup table.
+    let mut e = Enc::new();
+    m.node(0).net.save_state(&mut e);
+    let net = e.finish();
+    let start = clean
+        .windows(net.len())
+        .position(|w| w == net.as_slice())
+        .expect("node 0's interface state is in the checkpoint");
+    let end = start + net.len();
+    let returned = |c| splice_one(&clean, end - 112, |e| message_to(c).encode(e));
+    let outbox = |c| splice_one(&clean, end - 104, |e| Packet::User(message_to(c)).encode(e));
+    let coh_in = |c| splice_one(&clean, end - 96, |e| message_to(c).encode(e));
+    let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 3] = [&returned, &outbox, &coh_in];
+    for splice in splices {
+        assert_refused(&splice(far()), None, "node 0's interface");
+        let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+        fresh
+            .restore(&splice(near()))
+            .expect("in-mesh message restores");
+    }
+}
+
+/// A coherence handler restored with a directory sharer, owner or queued
+/// requester outside the mesh, or an outbound message addressed there,
+/// is refused.
+#[test]
+fn restore_refuses_out_of_mesh_directory_state() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    // The coherence handlers end where the resend list starts. A fresh
+    // handler is five empty lists (directory, waiting blocks, charged
+    // actions, outbound messages, frames), the next frame and nine
+    // statistics words: node 1's begins 120 bytes before the resends.
+    let handler = resend_count_at(&m, &clean) - 120;
+    let entry = |sharer: Option<NodeCoord>, owner: Option<NodeCoord>, queued: Option<NodeCoord>| {
+        splice_one(&clean, handler, |e| {
+            e.u64(0x40); // block
+            e.usize(sharer.iter().count());
+            sharer.iter().for_each(|c| e.u64(c.encode()));
+            e.u8(u8::from(owner.is_some()));
+            owner.iter().for_each(|c| e.u64(c.encode()));
+            e.bool(false); // recalling
+            e.bool(false); // grant pending
+            e.usize(queued.iter().count());
+            queued.iter().for_each(|c| {
+                e.u64(c.encode());
+                e.bool(true);
+            });
+        })
+    };
+    let sharer = |c| entry(Some(c), None, None);
+    let owner = |c| entry(None, Some(c), None);
+    let queued = |c| entry(None, None, Some(c));
+    let outbound = |c| splice_one(&clean, handler + 24, |e| message_to(c).encode(e));
+    let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 4] = [&sharer, &owner, &queued, &outbound];
+    for splice in splices {
+        assert_refused(&splice(far()), None, "node 1's coherence handler");
+        let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+        fresh
+            .restore(&splice(near()))
+            .expect("in-mesh state restores");
+    }
+}
+
+/// A fault plan's pristine copy (the message a NACKed packet is resent
+/// from) addressed outside the mesh is refused.
+#[test]
+fn restore_refuses_out_of_mesh_pristine_copies() {
+    let mut cfg = MachineConfig::small();
+    cfg.faults = Some(heavy_links(3));
+    let m = MMachine::build(cfg).unwrap();
+    let clean = m.checkpoint();
+    // The pristine map is followed by seven fault-report words, three
+    // watchdog words and each node's wake-up deadline.
+    let at = clean.len() - m.node_count() * 8 - 3 * 8 - 7 * 8 - 8;
+    let with_copy = |dest: NodeCoord| {
+        splice_one(&clean, at, |e| {
+            e.u64(NodeCoord::new(0, 0, 0).encode()); // source
+            e.u64(1); // sequence number
+            message_to(dest).encode(e);
+            e.u32(0); // retries
+        })
+    };
+    assert_refused(&with_copy(far()), Some(heavy_links(3)), "pristine copy");
+    let mut cfg = MachineConfig::small();
+    cfg.faults = Some(heavy_links(3));
+    let mut fresh = MMachine::build(cfg).unwrap();
+    fresh
+        .restore(&with_copy(near()))
+        .expect("in-mesh pristine copy restores");
 }

@@ -17,66 +17,11 @@
 //! The busy-traffic scenario covers the issue/message/fabric counters;
 //! the §4.3 coherence workload covers the `coh_*` family.
 
-use mm_core::machine::{MMachine, MachineConfig};
-use mm_isa::assemble;
-use mm_isa::reg::Reg;
+use mm_bench::coherence::load_coherence_scenario;
+use mm_bench::scaling::{build_busy_scenario_telemetry, scenario_config};
+use mm_core::machine::MMachine;
 use mm_telemetry::{EpochSample, TelemetryConfig, MAX_SHARDS};
 use proptest::prelude::*;
-use std::sync::Arc;
-
-/// Busy-traffic scenario (the bench suite's shape, rebuilt in core
-/// idiom): every node runs a dependent integer chain plus one remote
-/// store per iteration to its partner's home page.
-fn build_busy(iters: u64, workers: usize, telemetry: TelemetryConfig) -> MMachine {
-    let mut cfg = MachineConfig::with_dims(2, 2, 1);
-    cfg.engine.workers = Some(workers);
-    cfg.telemetry = telemetry;
-    let mut m = MMachine::build(cfg).expect("valid config");
-    let busy = Arc::new(
-        assemble(&format!(
-            "loop:\n\
-             \tadd r5, #1, r5\n\
-             \tadd r6, r5, r6\n\
-             \tadd r7, r6, r7\n\
-             \tst r5, [r8]\n\
-             \teq r5, #{iters}, gcc1\n\
-             \tbrf gcc1, loop\n\
-             \thalt\n"
-        ))
-        .expect("busy program assembles"),
-    );
-    for i in 0..m.node_count() {
-        let partner = i ^ 1;
-        m.load_user_program(i, 0, &busy).expect("slot 0 loads");
-        m.set_user_reg(i, 0, 0, Reg::Int(8), m.home_ptr(partner, 0));
-    }
-    m
-}
-
-/// The §4.3 software-coherence ping-pong (same build as the
-/// differential harness), so the `coh_*` stream columns see non-zero
-/// traffic.
-fn build_coherent(iters: u64, workers: usize, telemetry: TelemetryConfig) -> MMachine {
-    let mut cfg = MachineConfig::with_dims(2, 2, 1);
-    cfg.engine.workers = Some(workers);
-    cfg.telemetry = telemetry;
-    let mut m = MMachine::build(cfg).expect("valid config");
-    for pair in 0..2 {
-        let (even, odd) = (2 * pair, 2 * pair + 1);
-        let block = m.home_va(even, 2);
-        m.map_coherent_page(odd, block);
-        let ptr = m
-            .make_ptr(mm_isa::Perm::ReadWrite, 3, block)
-            .expect("block ptr");
-        for (node, own, other) in [(even, 0usize, 1usize), (odd, 1, 0)] {
-            let prog = mm_runtime::kernels::coherent_smooth(own, other, iters);
-            m.load_user_program(node, 0, &prog).unwrap();
-            m.set_user_reg(node, 0, 0, Reg::Int(1), ptr);
-            m.set_user_reg(node, 0, 0, Reg::Fp(15), mm_isa::word::Word::from_f64(0.25));
-        }
-    }
-    m
-}
 
 /// Column-wise sums over the flushed ring.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -195,7 +140,7 @@ proptest! {
     ) {
         let mut reference: Option<(u64, mm_core::machine::MachineStats)> = None;
         for workers in [1usize, 2, 4] {
-            let mut m = build_busy(iters, workers, ring_only(epoch_cycles));
+            let mut m = build_busy_scenario_telemetry((2, 2, 1), iters, Some(workers), ring_only(epoch_cycles));
             let (done, stats) =
                 assert_stream_conserves(&mut m, &format!("busy w={workers} e={epoch_cycles}"));
             prop_assert!(stats.instructions > 0);
@@ -219,7 +164,10 @@ proptest! {
 #[test]
 fn coherence_counters_conserve_through_the_stream() {
     for workers in [1usize, 2, 4] {
-        let mut m = build_coherent(6, workers, ring_only(128));
+        let mut cfg = scenario_config((2, 2, 1));
+        cfg.engine.workers = Some(workers);
+        cfg.telemetry = ring_only(128);
+        let mut m = load_coherence_scenario(cfg, 6);
         let (_, stats) = assert_stream_conserves(&mut m, &format!("coherent w={workers}"));
         assert!(stats.fabric.coh_packets > 0, "no protocol traffic sampled");
         assert!(stats.coherence.invalidations > 0, "no ping-pong sampled");
@@ -232,7 +180,7 @@ fn coherence_counters_conserve_through_the_stream() {
 #[test]
 fn telemetry_does_not_perturb_the_run() {
     let run = |telemetry: TelemetryConfig| -> (u64, mm_core::machine::MachineStats) {
-        let mut m = build_busy(64, 2, telemetry);
+        let mut m = build_busy_scenario_telemetry((2, 2, 1), 64, Some(2), telemetry);
         let done = m.run_until_halt(500_000).expect("run halts");
         m.telemetry_flush();
         (done, m.stats())

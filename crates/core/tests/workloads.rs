@@ -1,430 +1,82 @@
-//! Workload-suite differentials: every kernel of `mm_runtime::workloads`
-//! runs on a 4-node mesh three ways — dense `naive_step` loop, serial
-//! engine, parallel engine at 1/2/4 workers — and must agree on every
-//! observable (halt cycle, [`MachineStats`], timeline, per-node
-//! cycles), *and* produce the independently computed correct result.
-//! The task-queue case additionally proves the §3.2 protected-call and
-//! §2 full/empty-bit paths actually fire: nonzero protected-call and
-//! sync-fault-retry counts are acceptance criteria, not decorations.
+//! The machines the benchmark times, through the dense-oracle
+//! differential: the busy loop, the ping-pong plus remote store, the
+//! three traffic patterns and the four kernels of
+//! `mm_runtime::workloads`, each built by `mm_bench`'s own configuration
+//! and loader with `trace` on. Dense `naive_step` loop and engine at
+//! 1/2/4 workers must agree on every observable (halt cycle,
+//! `MachineStats`, timeline, per-node cycles), *and* the run must pass
+//! the scenario's result check. The task-queue case additionally proves
+//! the §3.2 protected-call and §2 full/empty-bit paths actually fire:
+//! an exact protected-call count and nonzero sync-fault-retry and
+//! coherence-packet counts are acceptance criteria, not decorations.
+//! (The coherence ping-pong's differential is in `differential.rs`.)
 
-use mm_core::machine::{MMachine, MachineConfig, MachineStats};
-use mm_core::timeline::Phase;
-use mm_isa::reg::Reg;
-use mm_isa::word::Word;
-use mm_isa::Perm;
-use mm_runtime::workloads::{
-    matmul_block, matmul_reference_block, sample_sort_node, spmv_node, task_queue,
-    task_queue_entries, task_queue_expected_sum, traffic_node, traffic_sink_off, SortLayout,
-    SpmvLayout, TrafficDest, MATMUL_A_OFF, MATMUL_C_OFF, MATMUL_N, TASKQ_STRIPE_WORDS,
-};
-use mm_sim::{HState, NUM_CLUSTERS, USER_SLOTS};
+mod common;
 
-/// 4-node mesh used by every workload differential.
-const DIMS: (u8, u8, u8) = (2, 2, 1);
-const NODES: usize = 4;
+use common::differential;
+use mm_bench::scaling::{load_busy_scenario, load_scenario, scenario_config, ROUNDS, RUN_LIMIT};
+use mm_bench::traffic::{check_traffic, load_traffic_scenario, traffic_config, TrafficPattern};
+use mm_bench::workloads::{check_workload, load_workload, workload_config, WorkloadKind};
+use mm_core::machine::MMachine;
 
-fn base_machine(workers: Option<usize>) -> MMachine {
-    let mut cfg = MachineConfig::with_dims(DIMS.0, DIMS.1, DIMS.2);
-    if let Some(w) = workers {
-        cfg.engine.workers = Some(w);
-    }
-    MMachine::build(cfg).expect("valid config")
-}
-
-/// `run_until_halt` re-implemented over the dense debug loop, with the
-/// same predicate and the same 64-cycle drain.
-fn naive_run_until_halt(m: &mut MMachine, limit: u64) -> u64 {
-    let user_done = |m: &MMachine| -> bool {
-        let mut any = false;
-        for i in 0..m.node_count() {
-            for c in 0..NUM_CLUSTERS {
-                for s in 0..USER_SLOTS {
-                    match m.node(i).thread_state(c, s) {
-                        HState::Running => return false,
-                        HState::Halted | HState::Faulted(_) => any = true,
-                        HState::Idle => {}
-                    }
-                }
-            }
-        }
-        any
-    };
-    let start = m.cycle();
-    let done = loop {
-        assert!(m.cycle() - start < limit, "naive run did not halt");
-        if user_done(m) {
-            break m.cycle();
-        }
-        m.naive_step();
-    };
-    for _ in 0..64 {
-        m.naive_step();
-    }
-    done
-}
-
-/// Observables of one finished run.
-struct RunResult {
-    done: u64,
-    stats: MachineStats,
-    timeline: Vec<(u64, Phase)>,
-    node_cycles: Vec<u64>,
-}
-
-fn observe(m: &MMachine, done: u64) -> RunResult {
-    RunResult {
-        done,
-        stats: m.stats(),
-        timeline: m.timeline().events().to_vec(),
-        node_cycles: (0..m.node_count())
-            .map(|i| m.node(i).stats().cycles)
-            .collect(),
-    }
-}
-
-/// The full three-way differential: dense vs. serial vs. 1/2/4-worker
-/// parallel, returning the dense machine for result verification.
-fn differential(name: &str, build: impl Fn(Option<usize>) -> MMachine, limit: u64) -> MMachine {
-    let mut dense = build(None);
-    let done = naive_run_until_halt(&mut dense, limit);
-    assert!(
-        dense.faulted_threads().is_empty(),
-        "{name}: faulted threads {:?}",
-        dense.faulted_threads()
+#[test]
+fn busy_scenario_differential() {
+    let m = differential(
+        "busy",
+        scenario_config((4, 2, 1)),
+        |cfg| load_busy_scenario(cfg, 48).expect("even mesh"),
+        RUN_LIMIT,
     );
-    assert_eq!(
-        dense.stats().coherence.unknown_events,
-        0,
-        "{name}: dropped records"
+    assert!(m.stats().messages > 0, "no remote store crossed the fabric");
+}
+
+#[test]
+fn pingpong_scenario_differential() {
+    let m = differential(
+        "ping-pong",
+        scenario_config((2, 2, 1)),
+        |cfg| load_scenario(cfg, ROUNDS),
+        RUN_LIMIT,
     );
-    let reference = observe(&dense, done);
-    for workers in [1usize, 2, 4] {
-        let mut m = build(Some(workers));
-        assert_eq!(m.workers(), workers, "{name}: pool size");
-        let done = m.run_until_halt(limit).expect("engine run halts");
-        let got = observe(&m, done);
-        assert_eq!(
-            reference.done, got.done,
-            "{name}: halt cycle at {workers} workers"
-        );
-        assert_eq!(
-            reference.stats, got.stats,
-            "{name}: stats at {workers} workers"
-        );
-        assert_eq!(
-            reference.timeline, got.timeline,
-            "{name}: timelines at {workers} workers"
-        );
-        assert_eq!(
-            reference.node_cycles, got.node_cycles,
-            "{name}: per-node cycles at {workers} workers"
-        );
-    }
-    dense
+    assert!(m.stats().messages > 0, "no ping crossed the fabric");
 }
 
-fn poke(m: &mut MMachine, node: usize, va: u64, w: Word) {
-    assert!(
-        m.node_mut(node).mem.poke_va(va, mm_mem::MemWord::new(w)),
-        "poke at unmapped va {va:#x} on node {node}"
+fn kernel(kind: WorkloadKind) -> MMachine {
+    let m = differential(
+        kind.name(),
+        workload_config(),
+        |cfg| load_workload(cfg, kind),
+        mm_bench::workloads::RUN_LIMIT,
     );
-}
-
-fn peek(m: &MMachine, node: usize, va: u64) -> Word {
-    m.node(node).mem.peek_va(va).expect("mapped").word
-}
-
-// ---------------------------------------------------------------------------
-// Sample-sort
-// ---------------------------------------------------------------------------
-
-const SORT_LAYOUT: SortLayout = SortLayout { p: NODES, k: 4 };
-const SPLITTERS: [i64; 3] = [25, 50, 75];
-
-/// Deterministic key set, spread across all four buckets.
-fn sort_keys(node: usize) -> [i64; 4] {
-    let mut keys = [0i64; 4];
-    for (j, k) in keys.iter_mut().enumerate() {
-        *k = (7 + 31 * node as i64 + 13 * j as i64) % 97;
-    }
-    keys
-}
-
-fn bucket_of(key: i64) -> usize {
-    SPLITTERS.iter().position(|&s| key < s).unwrap_or(NODES - 1)
-}
-
-fn build_sort(workers: Option<usize>) -> MMachine {
-    let mut m = base_machine(workers);
-    for me in 0..NODES {
-        let prog = sample_sort_node(&SORT_LAYOUT, me, &SPLITTERS);
-        m.load_user_program(me, 0, &prog).unwrap();
-        let keys_base = m.home_va(me, 0);
-        for (j, key) in sort_keys(me).iter().enumerate() {
-            poke(
-                &mut m,
-                me,
-                keys_base + (SortLayout::KEYS_OFF + j) as u64,
-                Word::from_i64(*key),
-            );
-        }
-        // Page 1: capability d = dest d's receive region for keys from
-        // `me`, segment = the whole destination page so the kernel's
-        // cursor `lea`s stay in bounds.
-        for d in 0..NODES {
-            let region = m.home_va(d, 0) + SORT_LAYOUT.recv_off(me) as u64;
-            let cap = m.make_ptr(Perm::ReadWrite, 10, region).expect("region cap");
-            let slot = m.home_va(me, 1) + d as u64;
-            poke(&mut m, me, slot, cap);
-        }
-        m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 0));
-        m.set_user_reg(me, 0, 0, Reg::Int(9), m.home_ptr(me, 1));
-    }
+    check_workload(&m, kind);
     m
 }
 
 #[test]
 fn sample_sort_differential_and_result() {
-    let m = differential("sample_sort", build_sort, 400_000);
-    // Reference: bucket every key, sort each bucket.
-    let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); NODES];
-    for node in 0..NODES {
-        for key in sort_keys(node) {
-            buckets[bucket_of(key)].push(key);
-        }
-    }
-    for b in &mut buckets {
-        b.sort_unstable();
-    }
-    for (d, bucket) in buckets.iter().enumerate() {
-        let base = m.home_va(d, 0);
-        let count = peek(&m, d, base + SORT_LAYOUT.out_count_off() as u64).as_i64();
-        assert_eq!(count as usize, bucket.len(), "bucket {d} size");
-        for (i, want) in bucket.iter().enumerate() {
-            let got = peek(&m, d, base + (SORT_LAYOUT.out_keys_off() + i) as u64).as_i64();
-            assert_eq!(got, *want, "bucket {d} position {i}");
-        }
-    }
+    let m = kernel(WorkloadKind::SampleSort);
     assert!(m.stats().messages > 0, "no key exchange crossed the fabric");
-}
-
-// ---------------------------------------------------------------------------
-// Blocked matmul
-// ---------------------------------------------------------------------------
-
-fn matmul_inputs() -> ([[f64; 4]; 4], [[f64; 4]; 4]) {
-    let mut a = [[0.0f64; 4]; 4];
-    let mut b = [[0.0f64; 4]; 4];
-    for i in 0..MATMUL_N {
-        for j in 0..MATMUL_N {
-            a[i][j] = (i * MATMUL_N + j + 1) as f64;
-            b[i][j] = ((i * 2 + j * 5) % 7 + 1) as f64;
-        }
-    }
-    (a, b)
-}
-
-fn build_matmul(workers: Option<usize>) -> MMachine {
-    let (a, b) = matmul_inputs();
-    let mut m = base_machine(workers);
-    // B lives on node 0's page 1 only — remote for every other node.
-    let b_base = m.home_va(0, 1);
-    for (i, row) in b.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            poke(
-                &mut m,
-                0,
-                b_base + (i * MATMUL_N + j) as u64,
-                Word::from_f64(v),
-            );
-        }
-    }
-    for me in 0..NODES {
-        let (bi, bj) = (me / 2, me % 2);
-        m.load_user_program(me, 0, &matmul_block(bi, bj)).unwrap();
-        // The node's 2×4 A row slice.
-        let a_base = m.home_va(me, 0);
-        for r in 0..2 {
-            for (k, &v) in a[2 * bi + r].iter().enumerate() {
-                poke(
-                    &mut m,
-                    me,
-                    a_base + (MATMUL_A_OFF + r * MATMUL_N + k) as u64,
-                    Word::from_f64(v),
-                );
-            }
-        }
-        m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 0));
-        m.set_user_reg(me, 0, 0, Reg::Int(2), m.home_ptr(0, 1));
-    }
-    m
 }
 
 #[test]
 fn matmul_differential_and_result() {
-    let m = differential("matmul", build_matmul, 200_000);
-    let (a, b) = matmul_inputs();
-    for me in 0..NODES {
-        let (bi, bj) = (me / 2, me % 2);
-        let want = matmul_reference_block(&a, &b, bi, bj);
-        for (e, &w) in want.iter().enumerate() {
-            let got = peek(&m, me, m.home_va(me, 0) + (MATMUL_C_OFF + e) as u64);
-            assert_eq!(
-                got.bits(),
-                Word::from_f64(w).bits(),
-                "C block ({bi},{bj}) element {e}: {} != {w}",
-                got.as_f64()
-            );
-        }
-    }
+    let m = kernel(WorkloadKind::Matmul);
     assert!(m.stats().messages > 0, "B was never fetched remotely");
-}
-
-// ---------------------------------------------------------------------------
-// SpMV
-// ---------------------------------------------------------------------------
-
-const SPMV_LAYOUT: SpmvLayout = SpmvLayout { rows: 4, nnz: 3 };
-const SPMV_SWEEPS: u64 = 2;
-
-/// Global row `g`'s `e`-th column index (deliberately crossing node
-/// boundaries) and value.
-fn spmv_entry(g: usize, e: usize) -> (usize, f64) {
-    let n = NODES * SPMV_LAYOUT.rows;
-    ((g * SPMV_LAYOUT.nnz + e * 5) % n, ((g + e) % 5 + 1) as f64)
-}
-
-fn spmv_x(g: usize) -> f64 {
-    (g + 1) as f64
-}
-
-fn build_spmv(workers: Option<usize>) -> MMachine {
-    let mut m = base_machine(workers);
-    let prog = spmv_node(&SPMV_LAYOUT, SPMV_SWEEPS);
-    for me in 0..NODES {
-        m.load_user_program(me, 0, &prog).unwrap();
-        let base = m.home_va(me, 0);
-        for r in 0..SPMV_LAYOUT.rows {
-            let g = me * SPMV_LAYOUT.rows + r;
-            // Own x slice.
-            poke(
-                &mut m,
-                me,
-                base + (SPMV_LAYOUT.x_off() + r) as u64,
-                Word::from_f64(spmv_x(g)),
-            );
-            for e in 0..SPMV_LAYOUT.nnz {
-                let (col, val) = spmv_entry(g, e);
-                poke(
-                    &mut m,
-                    me,
-                    base + (SpmvLayout::VALS_OFF + r * SPMV_LAYOUT.nnz + e) as u64,
-                    Word::from_f64(val),
-                );
-                // The column "index": a single-word capability straight
-                // to x[col] on whichever node owns it.
-                let owner = col / SPMV_LAYOUT.rows;
-                let xva =
-                    m.home_va(owner, 0) + (SPMV_LAYOUT.x_off() + col % SPMV_LAYOUT.rows) as u64;
-                let cap = m.make_ptr(Perm::ReadWrite, 0, xva).expect("x cap");
-                poke(
-                    &mut m,
-                    me,
-                    base + (SPMV_LAYOUT.cols_off() + r * SPMV_LAYOUT.nnz + e) as u64,
-                    cap,
-                );
-            }
-        }
-        m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 0));
-    }
-    m
 }
 
 #[test]
 fn spmv_differential_and_result() {
-    let m = differential("spmv", build_spmv, 200_000);
-    for me in 0..NODES {
-        for r in 0..SPMV_LAYOUT.rows {
-            let g = me * SPMV_LAYOUT.rows + r;
-            // Reference in the kernel's exact accumulation order.
-            let mut y = 0.0f64;
-            for e in 0..SPMV_LAYOUT.nnz {
-                let (col, val) = spmv_entry(g, e);
-                y += spmv_x(col) * val;
-            }
-            let got = peek(&m, me, m.home_va(me, 0) + (SPMV_LAYOUT.y_off() + r) as u64);
-            assert_eq!(
-                got.bits(),
-                Word::from_f64(y).bits(),
-                "y[{g}]: {} != {y}",
-                got.as_f64()
-            );
-        }
-    }
+    let m = kernel(WorkloadKind::Spmv);
     assert!(m.stats().messages > 0, "no x entry was fetched remotely");
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing task queue
-// ---------------------------------------------------------------------------
-
-const TASKQ_TASKS: usize = 3;
-
-fn taskq_payload_base(node: usize) -> i64 {
-    100 + 10 * node as i64
-}
-
-fn build_taskq(workers: Option<usize>) -> MMachine {
-    let mut m = base_machine(workers);
-    let prog = task_queue(NODES, TASKQ_TASKS);
-    let (body, ret) = task_queue_entries(&prog);
-    let queue_va = m.home_va(0, 2);
-    let queue_ptr = m.home_ptr(0, 2);
-    for me in 0..NODES {
-        if me != 0 {
-            m.map_coherent_page(me, queue_va);
-        }
-        m.load_user_program(me, 0, &prog).unwrap();
-        m.set_user_reg(me, 0, 0, Reg::Int(1), queue_ptr);
-        let own = (me * TASKQ_STRIPE_WORDS) as i64;
-        let next = (((me + 1) % NODES) * TASKQ_STRIPE_WORDS) as i64;
-        m.set_user_reg(me, 0, 0, Reg::Int(7), Word::from_i64(own));
-        m.set_user_reg(me, 0, 0, Reg::Int(2), Word::from_i64(next));
-        m.set_user_reg(
-            me,
-            0,
-            0,
-            Reg::Int(10),
-            Word::from_i64(taskq_payload_base(me)),
-        );
-        m.set_user_reg(me, 0, 0, Reg::Int(12), body);
-        m.set_user_reg(me, 0, 0, Reg::Int(13), ret);
-    }
-    m
 }
 
 #[test]
 fn task_queue_differential_exercises_protection_and_sync() {
-    let m = differential("task_queue", build_taskq, 400_000);
-    // Every payload claimed exactly once, wherever it was stolen to.
-    let total: i64 = (0..NODES)
-        .map(|i| m.user_reg(i, 0, 0, 4).unwrap().as_i64())
-        .sum();
-    assert_eq!(
-        total,
-        task_queue_expected_sum(NODES, TASKQ_TASKS, taskq_payload_base),
-        "claimed payload sum"
-    );
-    // Acceptance: the §3.2 path fired — two protected calls (entry +
-    // return) per claimed task across the machine.
-    let protected: u64 = (0..NODES).map(|i| m.node(i).stats().protected_calls).sum();
-    assert_eq!(
-        protected,
-        2 * (NODES * TASKQ_TASKS) as u64,
-        "protected calls: entry + return per task"
-    );
-    // Acceptance: the §2 path fired — takes of held or unpublished count
-    // words sync-faulted and were retried by the firmware.
+    // `check_workload` pins the §3.2 path: exactly two protected calls
+    // (entry + return) per claimed task across the machine.
+    let m = kernel(WorkloadKind::TaskQueue);
+    // The §2 path fired: takes of held or unpublished count words
+    // sync-faulted and were retried by the firmware.
     assert!(
         m.stats().coherence.sync_retries > 0,
         "no full/empty contention — the lock never blocked anyone"
@@ -435,85 +87,47 @@ fn task_queue_differential_exercises_protection_and_sync() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Traffic generator
-// ---------------------------------------------------------------------------
+/// Messages per node in the traffic differentials, at the benchmark's
+/// injection gap of zero.
+const TRAFFIC_COUNT: u64 = 24;
 
-const TRAFFIC_COUNT: u64 = 6;
-
-fn build_traffic(
-    dest_of: impl Fn(usize) -> TrafficDest,
-    gap: u32,
-) -> impl Fn(Option<usize>) -> MMachine {
-    move |workers: Option<usize>| {
-        let mut m = base_machine(workers);
-        for me in 0..NODES {
-            let prog = traffic_node(dest_of(me), NODES, gap, TRAFFIC_COUNT);
-            m.load_user_program(me, 0, &prog).unwrap();
-            for d in 0..NODES {
-                let sink = m.home_va(d, 0) + traffic_sink_off(me);
-                let cap = m.make_ptr(Perm::ReadWrite, 0, sink).expect("sink cap");
-                let slot = m.home_va(me, 1) + d as u64;
-                poke(&mut m, me, slot, cap);
-            }
-            m.set_user_reg(me, 0, 0, Reg::Int(1), m.home_ptr(me, 1));
-            m.set_user_reg(me, 0, 0, Reg::Int(11), m.image().write_dip);
-        }
-        m
-    }
+/// Run one pattern through the differential and its check; returns the
+/// machine-wide bounce count.
+fn traffic(pattern: TrafficPattern) -> u64 {
+    let m = differential(
+        pattern.name(),
+        traffic_config(),
+        |cfg| load_traffic_scenario(cfg, pattern, 0, TRAFFIC_COUNT),
+        mm_bench::traffic::RUN_LIMIT,
+    );
+    check_traffic(&m, pattern, TRAFFIC_COUNT);
+    (0..m.node_count())
+        .map(|i| m.node(i).net.stats().returned_here)
+        .sum()
 }
 
 #[test]
 fn traffic_uniform_differential() {
-    let m = differential(
-        "traffic_uniform",
-        build_traffic(|me| TrafficDest::RoundRobin { start: me }, 2),
-        200_000,
-    );
-    let injected: u64 = (0..NODES).map(|i| m.node(i).net.stats().sent).sum();
     assert_eq!(
-        injected,
-        NODES as u64 * TRAFFIC_COUNT,
-        "every SEND injected"
+        traffic(TrafficPattern::Uniform),
+        0,
+        "uniform traffic bounced"
     );
-    assert_eq!(m.stats().coherence.unknown_events, 0);
 }
 
 #[test]
 fn traffic_hotspot_differential_and_backoff_counters() {
-    // Full-rate hotspot: everyone hammers node 0. Queue-full bounces are
-    // expected and must be deterministic across engines.
-    let m = differential(
-        "traffic_hotspot",
-        build_traffic(|_| TrafficDest::Fixed(0), 0),
-        200_000,
+    // Everyone hammers node 0: queue-full bounces are expected and must
+    // be deterministic across engines.
+    assert!(
+        traffic(TrafficPattern::Hotspot) > 0,
+        "hotspot never saturated node 0"
     );
-    let injected: u64 = (0..NODES).map(|i| m.node(i).net.stats().sent).sum();
-    assert_eq!(injected, NODES as u64 * TRAFFIC_COUNT);
-    let delivered: u64 = (0..NODES).map(|i| m.node(i).net.stats().received).sum();
-    assert!(delivered > 0, "nothing arrived");
-    assert_eq!(m.stats().coherence.unknown_events, 0);
 }
 
 #[test]
 fn traffic_transpose_differential() {
-    // 2×2 mesh transpose: (x, y) → (y, x) — nodes 1 and 2 swap, the
-    // diagonal self-loops through the fabric's loopback path.
-    let transpose = |me: usize| {
-        let (x, y) = (me % 2, me / 2);
-        TrafficDest::Fixed(y + 2 * x)
-    };
-    let m = differential("traffic_transpose", build_traffic(transpose, 1), 200_000);
-    let injected: u64 = (0..NODES).map(|i| m.node(i).net.stats().sent).sum();
-    assert_eq!(injected, NODES as u64 * TRAFFIC_COUNT);
-    // The permutation's sinks hold the final payload: no loss at this
-    // injection rate.
-    for me in 0..NODES {
-        let d = match transpose(me) {
-            TrafficDest::Fixed(d) => d,
-            TrafficDest::RoundRobin { .. } => unreachable!(),
-        };
-        let got = peek(&m, d, m.home_va(d, 0) + traffic_sink_off(me)).as_i64();
-        assert_eq!(got, TRAFFIC_COUNT as i64 - 1, "sink {d} from {me}");
-    }
+    // (x, y) → (y, x): nodes 1 and 2 swap, the diagonal self-loops
+    // through the fabric's loopback path.
+    traffic(TrafficPattern::Transpose);
 }

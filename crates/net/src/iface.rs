@@ -447,6 +447,17 @@ impl NodeNet {
         self.returned.len()
     }
 
+    /// Every node the queued traffic names — source and destination of
+    /// each outbox packet, returned message and coherence arrival — so a
+    /// restore can refuse one outside the mesh before it is sent.
+    pub fn endpoints(&self) -> impl Iterator<Item = NodeCoord> + '_ {
+        let messages = self.returned.iter().chain(&self.coh_in);
+        self.outbox
+            .iter()
+            .flat_map(|p| [p.src(), p.dest()])
+            .chain(messages.flat_map(|m| [m.src, m.dest]))
+    }
+
     /// Serialize the complete interface state (GTLB included) into a
     /// checkpoint stream. Configuration and coordinates are *not*
     /// written — restore targets an identically-built machine.

@@ -79,8 +79,13 @@ impl Default for NodeConfig {
 
 /// Nodes a worker shard must hold before auto-detection adds another
 /// worker thread: below this, barrier costs outweigh the parallel node
-/// phase, so small meshes stay serial.
-pub const MIN_NODES_PER_WORKER: usize = 8;
+/// phase, so small meshes stay serial. On a 2-vCPU host, 2 workers ran
+/// at this fraction of serial speed (each side in its own process, 5
+/// pairs, median and range): 4×2×2 coherence ping-pong 0.23×
+/// (0.20–0.50), 4×4×4 busy 0.71× (0.56–0.75), 8×8×8 busy 1.28×
+/// (1.05–1.52). So a 64-node mesh stays serial and a 512-node one gets
+/// a second worker.
+pub const MIN_NODES_PER_WORKER: usize = 256;
 
 /// Host-execution configuration for the cycle engine: how the
 /// simulation runs, not what it simulates. Simulated behaviour is
@@ -150,7 +155,7 @@ mod tests {
     #[test]
     fn auto_detection_keeps_small_meshes_serial() {
         let auto = EngineConfig::default();
-        for nodes in [1, 2, 4, MIN_NODES_PER_WORKER - 1] {
+        for nodes in [1, 2, 4, 16, 64, MIN_NODES_PER_WORKER - 1] {
             assert_eq!(auto.resolved_workers(nodes), 1, "{nodes} nodes");
         }
         let big = auto.resolved_workers(512);

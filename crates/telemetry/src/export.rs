@@ -1,12 +1,12 @@
-//! Serializers for the metrics stream: JSON-lines (one record per
-//! epoch, the format `docs/telemetry.schema.json` pins and CI
-//! validates) and Prometheus text exposition.
+//! Serializer for the metrics stream: JSON-lines, one record per epoch,
+//! the format `docs/telemetry.schema.json` pins and CI validates
+//! (`mmctl prom` and `mmctl run --prom` render Prometheus text from it).
 //!
 //! [`write_jsonl_line`] is called from the sampling hot path, so it
 //! appends to a caller-owned buffer using only `core::fmt` — no heap
 //! allocation as long as the buffer has capacity.
 
-use crate::{EpochSample, MetricsRing, MAX_SHARDS, STREAM_VERSION};
+use crate::{EpochSample, MAX_SHARDS, STREAM_VERSION};
 use std::fmt::Write as _;
 
 /// Append one JSONL record (including the trailing newline) for `s` to
@@ -83,138 +83,6 @@ pub const JSONL_FIELDS: &[&str] = &[
     "bounces",
     "shard_steps",
 ];
-
-/// Render a ring as Prometheus text exposition: monotone counters are
-/// summed over the ring's samples (`_total` suffix), instantaneous
-/// rates are gauges from the newest sample.
-#[must_use]
-pub fn prometheus(ring: &MetricsRing) -> String {
-    let mut out = String::new();
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut messages = 0u64;
-    let mut fabric_packets = 0u64;
-    let mut flit_hops = 0u64;
-    let mut coh_packets = 0u64;
-    let mut coh_misses = 0u64;
-    let mut coh_invalidations = 0u64;
-    let mut coh_writebacks = 0u64;
-    let mut node_steps = 0u64;
-    let mut ecc_corrected = 0u64;
-    let mut ecc_double_errors = 0u64;
-    let mut crc_nacks = 0u64;
-    let mut dup_drops = 0u64;
-    let mut retransmits = 0u64;
-    let mut bounces = 0u64;
-    for s in ring.iter() {
-        cycles += s.end_cycle - s.start_cycle;
-        instructions += s.instructions;
-        messages += s.messages;
-        fabric_packets += s.fabric_packets;
-        flit_hops += s.flit_hops;
-        coh_packets += s.coh_packets;
-        coh_misses += s.coh_misses;
-        coh_invalidations += s.coh_invalidations;
-        coh_writebacks += s.coh_writebacks;
-        node_steps += s.node_steps;
-        ecc_corrected += s.ecc_corrected;
-        ecc_double_errors += s.ecc_double_errors;
-        crc_nacks += s.crc_nacks;
-        dup_drops += s.dup_drops;
-        retransmits += s.retransmits;
-        bounces += s.bounces;
-    }
-    for (name, help, v) in [
-        (
-            "mm_cycles_total",
-            "Simulated cycles covered by the ring",
-            cycles,
-        ),
-        ("mm_instructions_total", "Instructions issued", instructions),
-        ("mm_messages_total", "User messages sent", messages),
-        (
-            "mm_fabric_packets_total",
-            "Fabric packets injected",
-            fabric_packets,
-        ),
-        (
-            "mm_flit_hops_total",
-            "Flit-hops carried by mesh links",
-            flit_hops,
-        ),
-        (
-            "mm_coh_packets_total",
-            "Coherence protocol packets",
-            coh_packets,
-        ),
-        ("mm_coh_misses_total", "Coherence block fetches", coh_misses),
-        (
-            "mm_coh_invalidations_total",
-            "Sharer copies invalidated",
-            coh_invalidations,
-        ),
-        (
-            "mm_coh_writebacks_total",
-            "Dirty blocks written back",
-            coh_writebacks,
-        ),
-        ("mm_node_steps_total", "Node steps executed", node_steps),
-        (
-            "mm_ecc_corrected_total",
-            "SECDED single-bit corrections",
-            ecc_corrected,
-        ),
-        (
-            "mm_ecc_double_errors_total",
-            "Uncorrectable SECDED double-bit errors",
-            ecc_double_errors,
-        ),
-        (
-            "mm_crc_nacks_total",
-            "Messages NACKed on checksum mismatch",
-            crc_nacks,
-        ),
-        (
-            "mm_dup_drops_total",
-            "Duplicate retransmissions dropped",
-            dup_drops,
-        ),
-        (
-            "mm_retransmits_total",
-            "Pristine-copy retransmissions",
-            retransmits,
-        ),
-        ("mm_bounces_total", "Queue-full message bounces", bounces),
-    ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    if let Some(s) = ring.last() {
-        for (name, help, v) in [
-            (
-                "mm_cycles_per_sec",
-                "Simulated cycles per wall second (last epoch)",
-                s.cycles_per_sec,
-            ),
-            (
-                "mm_issue_hit_rate",
-                "Issue-stage hit rate (last epoch)",
-                s.issue_hit_rate,
-            ),
-            (
-                "mm_link_occupancy",
-                "Mean fabric link occupancy (last epoch)",
-                s.link_occupancy,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v:.6}");
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -316,22 +184,5 @@ mod tests {
             "worst-case line ({} bytes) must fit the preallocated buffer",
             line.len()
         );
-    }
-
-    #[test]
-    fn prometheus_sums_counters_and_reports_gauges() {
-        let mut ring = MetricsRing::new(8);
-        ring.push(sample());
-        let mut second = sample();
-        second.epoch = 4;
-        second.start_cycle = 16384;
-        second.end_cycle = 20480;
-        second.instructions = 100;
-        ring.push(second);
-        let text = prometheus(&ring);
-        assert!(text.contains("mm_instructions_total 1000"));
-        assert!(text.contains("mm_cycles_total 8192"));
-        assert!(text.contains("# TYPE mm_issue_hit_rate gauge"));
-        assert!(text.contains("mm_issue_hit_rate 0.900000"));
     }
 }

@@ -18,9 +18,8 @@
 //! [`MAX_SHARDS`]-wide array, not a `Vec`), and the JSONL line is
 //! formatted into a `String` whose capacity is reserved at init
 //! (`core::fmt` writes integers and floats without heap allocation).
-//! Re-serializing the whole ring ([`Telemetry::ring_jsonl`],
-//! [`Telemetry::prometheus`]) allocates freely — those are cold,
-//! end-of-run paths.
+//! Re-serializing the whole ring ([`Telemetry::ring_jsonl`]) allocates
+//! freely — that is a cold, end-of-run path.
 //!
 //! ## Determinism
 //!
@@ -497,13 +496,6 @@ impl Telemetry {
             export::write_jsonl_line(s, &mut out);
         }
         out
-    }
-
-    /// Render the ring as Prometheus text exposition (cold path):
-    /// counters summed over the ring, gauges from the newest sample.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        export::prometheus(&self.ring)
     }
 }
 

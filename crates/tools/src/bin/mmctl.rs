@@ -438,7 +438,13 @@ fn cmd_run(args: &[String]) -> Result<i32, UsageError> {
         outln!("wrote {p}");
     }
     if want_prom {
-        out!("{}", telemetry.prometheus());
+        match prometheus_from_stream(&telemetry.ring_jsonl()) {
+            Ok(p) => out!("{p}"),
+            Err(e) => {
+                eprintln!("mmctl: --prom: {e}");
+                return Ok(1);
+            }
+        }
     }
     if let Some(p) = snapshot_out {
         if let Err(e) = std::fs::write(&p, m.snapshot_json()) {

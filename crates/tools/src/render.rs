@@ -3,12 +3,9 @@
 //! one-line epoch brief `mmctl tail` prints, and the JSONL→Prometheus
 //! conversion.
 
+use mm_core::snapshot::DIR_NAMES;
 use mm_telemetry::json::{parse, JsonValue};
 use std::fmt::Write as _;
-
-/// Direction labels in fabric `Dir::index` order (matches
-/// `mm_core::snapshot::DIR_NAMES`).
-pub const DIR_NAMES: [&str; 6] = ["x+", "x-", "y+", "y-", "z+", "z-"];
 
 /// Shade ramp for the heatmap, dimmest → brightest.
 const SHADES: [char; 8] = ['.', ':', '-', '=', '+', '*', '#', '@'];
@@ -187,7 +184,8 @@ pub fn epoch_brief(line: &str) -> String {
 
 /// Convert a telemetry JSONL stream to Prometheus text exposition:
 /// counters summed over every record, gauges from the last record.
-/// Metric names match [`mm_telemetry::export::prometheus`].
+/// `mmctl prom` renders a stream file through it, and `mmctl run
+/// --prom` the run's own ring.
 ///
 /// # Errors
 ///

@@ -14,15 +14,14 @@
 //! per-binary, and a concurrently-running sibling test would count its
 //! own allocations into our window.
 
-use m_machine::machine::{MMachine, MachineConfig};
 use mm_bench::alloc_probe;
 use mm_bench::scaling::{
-    build_busy_scenario, build_busy_scenario_telemetry, ALLOC_WARM_CYCLES, ALLOC_WINDOW_CYCLES,
+    build_busy_scenario, build_busy_scenario_telemetry, load_busy_scenario, scenario_config,
+    ALLOC_WARM_CYCLES, ALLOC_WINDOW_CYCLES,
 };
 use mm_bench::traffic::{build_traffic_scenario, TrafficPattern};
 use mm_isa::reg::Reg;
 use mm_telemetry::TelemetryConfig;
-use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
@@ -38,13 +37,12 @@ fn steady_state_busy_cycles_allocate_nothing() {
         "the counting allocator must be installed in this binary"
     );
 
-    // A 2-node machine where both nodes run the busy kernel: a
-    // dependent integer chain, a CC-register compare + branch (C-Switch
-    // broadcast every iteration) and a store to the node's *own* home
-    // page (cache-hitting after warm-up, so the memory pipeline runs
-    // every iteration without faulting).
-    let mut cfg = MachineConfig::with_dims(2, 1, 1);
-    cfg.trace = false; // timeline recording allocates by design
+    // The busy scenario on a 2-node machine, both nodes running its
+    // kernel: a dependent integer chain, a CC-register compare + branch
+    // (C-Switch broadcast every iteration) and a store, here re-pointed
+    // at the node's *own* home page (cache-hitting after warm-up, so the
+    // memory pipeline runs every iteration without faulting).
+    let mut cfg = scenario_config((2, 1, 1));
     cfg.engine = m_machine::sim::EngineConfig::serial();
     // Robustness hooks in their default stance: no fault campaign
     // armed (the per-cycle fault hook is one branch) and the liveness
@@ -53,22 +51,8 @@ fn steady_state_busy_cycles_allocate_nothing() {
     cfg.faults = None;
     cfg.watchdog_epochs = 4;
     cfg.watchdog_epoch_cycles = 256;
-    let mut m = MMachine::build(cfg).expect("valid config");
-    let busy = Arc::new(
-        m_machine::isa::assemble(&format!(
-            "loop:\n\
-             \tadd r5, #1, r5\n\
-             \tadd r6, r5, r6\n\
-             \tadd r7, r6, r7\n\
-             \tst r5, [r8]\n\
-             \teq r5, #{ITERS}, gcc1\n\
-             \tbrf gcc1, loop\n\
-             \thalt\n"
-        ))
-        .expect("busy program assembles"),
-    );
+    let mut m = load_busy_scenario(cfg, ITERS).expect("even mesh");
     for i in 0..m.node_count() {
-        m.load_user_program(i, 0, &busy).expect("slot 0 loads");
         let own = m.home_ptr(i, 0);
         m.set_user_reg(i, 0, 0, Reg::Int(8), own);
     }
