@@ -14,6 +14,7 @@ use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
 use mm_mem::MemWord;
+use mm_net::IfaceStats;
 use mm_runtime::workloads::{traffic_node, traffic_sink_off, TrafficDest};
 
 /// Mesh every traffic pattern runs on (transpose needs the 2×2 face).
@@ -123,23 +124,44 @@ pub fn load_traffic_scenario(
 }
 
 /// Verify a finished run of `count` messages per node: every SEND was
-/// injected and no event record was dropped.
+/// injected, every message was accepted exactly once (a bounced one
+/// after its resend) and no event record was dropped. When nothing
+/// bounced, every sink must also hold the last payload its sender aimed
+/// at it; a resend may land after a later payload, so a bouncing run
+/// leaves no such order.
 ///
 /// # Panics
 ///
-/// Panics on either failure.
+/// Panics on any failure.
 pub fn check_traffic(m: &MMachine, pattern: TrafficPattern, count: u64) {
-    let injected: u64 = (0..NODES).map(|i| m.node(i).net.stats().sent).sum();
-    assert_eq!(
-        injected,
-        NODES as u64 * count,
-        "{}: not every SEND injected",
-        pattern.name()
-    );
+    let name = pattern.name();
+    let total =
+        |f: fn(&IfaceStats) -> u64| -> u64 { (0..NODES).map(|i| f(&m.node(i).net.stats())).sum() };
+    let want = NODES as u64 * count;
+    assert_eq!(total(|s| s.sent), want, "{name}: not every SEND injected");
+    assert_eq!(total(|s| s.received), want, "{name}: messages lost");
     assert_eq!(
         m.stats().coherence.unknown_events,
         0,
-        "{}: dropped event records",
-        pattern.name()
+        "{name}: dropped event records"
     );
+    if total(|s| s.returned_here) > 0 {
+        return;
+    }
+    for me in 0..NODES {
+        let dest = pattern.dest(me);
+        for d in 0..NODES {
+            // Payload `i` goes to `dest_at(i)`; the sink keeps the last.
+            let dest_at = |i: u64| match dest {
+                TrafficDest::Fixed(d) => d,
+                TrafficDest::RoundRobin { start } => (start + i as usize) % NODES,
+            };
+            let Some(last) = (0..count).rev().find(|&i| dest_at(i) == d) else {
+                continue;
+            };
+            let sink = m.home_va(d, 0) + traffic_sink_off(me);
+            let got = m.node(d).mem.peek_va(sink).expect("sink mapped").word;
+            assert_eq!(got.as_i64(), last as i64, "{name}: sink on {d} from {me}");
+        }
+    }
 }

@@ -32,8 +32,7 @@ const NODES: usize = 4;
 /// Cycle budget for one workload run.
 pub const RUN_LIMIT: u64 = 2_000_000;
 
-/// Keys per node in the bench sample-sort (larger than the test's, but
-/// still below [`SortLayout::RECV_OFF`]).
+/// Keys per node in the sample-sort (below [`SortLayout::RECV_OFF`]).
 const SORT_KEYS: usize = 8;
 const SPLITTERS: [i64; 3] = [25, 50, 75];
 const SORT_LAYOUT: SortLayout = SortLayout {

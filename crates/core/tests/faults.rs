@@ -458,8 +458,8 @@ fn restore_refuses_out_of_mesh_interface_traffic() {
 }
 
 /// A coherence handler restored with a directory sharer, owner or queued
-/// requester outside the mesh, or an outbound message addressed there,
-/// is refused.
+/// requester outside the mesh, a charged fetch homed there, or an
+/// outbound message addressed there, is refused.
 #[test]
 fn restore_refuses_out_of_mesh_directory_state() {
     let m = MMachine::build(MachineConfig::small()).unwrap();
@@ -488,8 +488,18 @@ fn restore_refuses_out_of_mesh_directory_state() {
     let sharer = |c| entry(Some(c), None, None);
     let owner = |c| entry(None, Some(c), None);
     let queued = |c| entry(None, None, Some(c));
+    let send_fetch = |c: NodeCoord| {
+        splice_one(&clean, handler + 16, |e| {
+            e.u64(50); // ready
+            e.u8(1); // Pending::SendFetch
+            e.u64(0x40); // block
+            e.bool(false); // write
+            e.u64(c.encode()); // home
+        })
+    };
     let outbound = |c| splice_one(&clean, handler + 24, |e| message_to(c).encode(e));
-    let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 4] = [&sharer, &owner, &queued, &outbound];
+    let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 5] =
+        [&sharer, &owner, &queued, &send_fetch, &outbound];
     for splice in splices {
         assert_refused(&splice(far()), None, "node 1's coherence handler");
         let mut fresh = MMachine::build(MachineConfig::small()).unwrap();

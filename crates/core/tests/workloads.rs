@@ -32,13 +32,16 @@ fn busy_scenario_differential() {
 
 #[test]
 fn pingpong_scenario_differential() {
-    let m = differential(
-        "ping-pong",
-        scenario_config((2, 2, 1)),
-        |cfg| load_scenario(cfg, ROUNDS),
-        RUN_LIMIT,
-    );
-    assert!(m.stats().messages > 0, "no ping crossed the fabric");
+    // The benchmark's 2×1×1 machine, and two pairs so 4 workers shard.
+    for dims in [(2, 1, 1), (2, 2, 1)] {
+        let m = differential(
+            &format!("ping-pong {dims:?}"),
+            scenario_config(dims),
+            |cfg| load_scenario(cfg, ROUNDS),
+            RUN_LIMIT,
+        );
+        assert!(m.stats().messages > 0, "no ping crossed the fabric");
+    }
 }
 
 fn kernel(kind: WorkloadKind) -> MMachine {
@@ -87,17 +90,17 @@ fn task_queue_differential_exercises_protection_and_sync() {
     );
 }
 
-/// Messages per node in the traffic differentials, at the benchmark's
-/// injection gap of zero.
+/// Messages per node in the traffic differentials.
 const TRAFFIC_COUNT: u64 = 24;
 
-/// Run one pattern through the differential and its check; returns the
-/// machine-wide bounce count.
-fn traffic(pattern: TrafficPattern) -> u64 {
+/// Run one pattern, `gap` delay-loop iterations between SENDs, through
+/// the differential and its check; returns the machine-wide bounce
+/// count.
+fn traffic(pattern: TrafficPattern, gap: u32) -> u64 {
     let m = differential(
-        pattern.name(),
+        &format!("{} gap {gap}", pattern.name()),
         traffic_config(),
-        |cfg| load_traffic_scenario(cfg, pattern, 0, TRAFFIC_COUNT),
+        |cfg| load_traffic_scenario(cfg, pattern, gap, TRAFFIC_COUNT),
         mm_bench::traffic::RUN_LIMIT,
     );
     check_traffic(&m, pattern, TRAFFIC_COUNT);
@@ -108,11 +111,14 @@ fn traffic(pattern: TrafficPattern) -> u64 {
 
 #[test]
 fn traffic_uniform_differential() {
-    assert_eq!(
-        traffic(TrafficPattern::Uniform),
-        0,
-        "uniform traffic bounced"
-    );
+    // The benchmark's full rate, and a paced rate through the delay loop.
+    for gap in [0, 2] {
+        assert_eq!(
+            traffic(TrafficPattern::Uniform, gap),
+            0,
+            "uniform traffic bounced at gap {gap}"
+        );
+    }
 }
 
 #[test]
@@ -120,7 +126,7 @@ fn traffic_hotspot_differential_and_backoff_counters() {
     // Everyone hammers node 0: queue-full bounces are expected and must
     // be deterministic across engines.
     assert!(
-        traffic(TrafficPattern::Hotspot) > 0,
+        traffic(TrafficPattern::Hotspot, 0) > 0,
         "hotspot never saturated node 0"
     );
 }
@@ -129,5 +135,5 @@ fn traffic_hotspot_differential_and_backoff_counters() {
 fn traffic_transpose_differential() {
     // (x, y) → (y, x): nodes 1 and 2 swap, the diagonal self-loops
     // through the fabric's loopback path.
-    traffic(TrafficPattern::Transpose);
+    traffic(TrafficPattern::Transpose, 1);
 }

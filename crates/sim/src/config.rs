@@ -83,8 +83,12 @@ impl Default for NodeConfig {
 /// at this fraction of serial speed (each side in its own process, 5
 /// pairs, median and range): 4×2×2 coherence ping-pong 0.23×
 /// (0.20–0.50), 4×4×4 busy 0.71× (0.56–0.75), 8×8×8 busy 1.28×
-/// (1.05–1.52). So a 64-node mesh stays serial and a 512-node one gets
-/// a second worker.
+/// (1.05–1.52). A second sweep of the busy mesh (5 pairs, 2 000 warm-up
+/// cycles, then 5 000–20 000 timed cycles) filled in the gap: 4×4×4
+/// 0.78× (0.73–0.78), 8×4×4 0.81× (0.77–0.85), 8×8×4 0.84× (0.79–0.94),
+/// 8×8×8 0.89× (0.89–1.02). Every mesh below 512 nodes ran slower on 2
+/// workers in both sweeps, so they stay serial; 512 nodes sits at the
+/// crossover and gets a second worker.
 pub const MIN_NODES_PER_WORKER: usize = 256;
 
 /// Host-execution configuration for the cycle engine: how the

@@ -377,6 +377,7 @@ mod tests {
         assert!(b.contains("msgs   3072"));
     }
 
+    /// The metric names, sums and gauges `mmctl run --prom` exports.
     #[test]
     fn prometheus_from_stream_matches_export_names() {
         let jsonl = "{\"start_cycle\":0,\"end_cycle\":256,\"instructions\":100,\
