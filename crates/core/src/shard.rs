@@ -82,7 +82,7 @@ use crate::pool::{NodePool, PoolViewMut};
 use mm_net::message::{Message, Packet};
 use mm_sched::AWAKE;
 use mm_sim::engine::earliest;
-use mm_sim::{HState, Node, NodeCtx, StepScratch, Tick, NUM_CLUSTERS, USER_SLOTS};
+use mm_sim::{Node, NodeCtx, StepScratch, Tick, NUM_CLUSTERS, USER_SLOTS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -176,11 +176,8 @@ impl TraceSnap {
     pub(crate) fn of(at: u64, node: usize, n: &Node) -> TraceSnap {
         let mut halted = 0;
         for c in 0..NUM_CLUSTERS {
-            for slot in 0..USER_SLOTS {
-                if n.thread_state(c, slot) == HState::Halted {
-                    halted |= 1 << (c * USER_SLOTS + slot);
-                }
-            }
+            let user = u32::from(n.halted_slots(c)) & ((1 << USER_SLOTS) - 1);
+            halted |= user << (c * USER_SLOTS);
         }
         #[allow(clippy::cast_possible_truncation)]
         let node = node as u32;

@@ -14,7 +14,9 @@
 //! remote data fault even on a cache hit.
 
 use crate::dram::MemWord;
+use crate::memo::{position, Memo};
 use mm_faults::{CkptError, Dec, Enc};
+use mm_isa::word::Word;
 
 /// Words per cache line (= words per block-status block).
 pub const LINE_WORDS: u64 = 8;
@@ -71,8 +73,13 @@ const DIRTY: u64 = 2;
 const WRITABLE: u64 = 4;
 const FLAGS: u64 = LINE_WORDS - 1;
 
-/// One committed direct-mapped line.
+/// One committed direct-mapped line, packed: tag, flags, check bits
+/// and the words' tag and full/empty bits in its first 32 bytes, the
+/// eight bare data words in the next 64. A hit reads the header and one
+/// word — one or two host cache lines — where eight 24-byte
+/// [`MemWord`]s spread a line over four.
 #[derive(Debug, Clone)]
+#[repr(C, align(32))]
 struct Line {
     tag: u64,
     /// Physical address of the line base, captured at fill time so dirty
@@ -80,18 +87,68 @@ struct Line {
     /// virtually tagged; the victim's LTLB entry may be gone). The base
     /// is line-aligned, so its low three bits hold the state flags.
     pa_flags: u64,
-    /// Line contents, inline beside the tag: a hit costs one table entry
-    /// and one line, not a further hop to the data.
-    data: [MemWord; LINE_WORDS as usize],
+    /// SECDED check bits of word `i` in byte `i`.
+    ecc: [u8; LINE_WORDS as usize],
+    /// Pointer tag of word `i` in bit `i`, its full/empty bit in bit
+    /// `LINE_WORDS + i`.
+    bits: u16,
+    /// Data bits of word `i`.
+    data: [u64; LINE_WORDS as usize],
 }
 
+// A committed line is three 32-byte quarters of host cache lines.
+const _: () = assert!(std::mem::size_of::<Line>() <= 96);
+
+/// Bit of word `i`'s full/empty flag in [`Line::bits`].
+const SYNC_BITS: u32 = LINE_WORDS as u32;
+
 impl Line {
+    fn new(tag: u64, pa_flags: u64, words: &[MemWord; LINE_WORDS as usize]) -> Line {
+        let mut line = Line {
+            tag,
+            pa_flags,
+            ecc: [0; LINE_WORDS as usize],
+            bits: 0,
+            data: [0; LINE_WORDS as usize],
+        };
+        for (i, &w) in words.iter().enumerate() {
+            line.set(i, w);
+        }
+        line
+    }
+
     fn holds(&self, tag: u64) -> bool {
         self.pa_flags & VALID != 0 && self.tag == tag
     }
 
     fn pa_base(&self) -> u64 {
         self.pa_flags & !FLAGS
+    }
+
+    fn get(&self, i: usize) -> MemWord {
+        MemWord {
+            word: Word::from_raw(self.data[i], self.bits >> i & 1 == 1),
+            sync: self.bits >> (SYNC_BITS as usize + i) & 1 == 1,
+            ecc: self.ecc[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, w: MemWord) {
+        self.data[i] = w.word.bits();
+        self.ecc[i] = w.ecc;
+        let mask = 1u16 << i | 1u16 << (SYNC_BITS as usize + i);
+        let bits =
+            u16::from(w.word.is_pointer()) << i | u16::from(w.sync) << (SYNC_BITS as usize + i);
+        self.bits = self.bits & !mask | bits;
+    }
+
+    fn set_sync(&mut self, i: usize, sync: bool) {
+        let bit = SYNC_BITS as usize + i;
+        self.bits = self.bits & !(1 << bit) | u16::from(sync) << bit;
+    }
+
+    fn words(&self) -> [MemWord; LINE_WORDS as usize] {
+        std::array::from_fn(|i| self.get(i))
     }
 }
 
@@ -136,22 +193,29 @@ pub struct CacheStats {
 ///
 /// Line storage is demand-committed: `slots` maps a line index to its
 /// position in `lines`, which holds only the lines some fill has reached,
-/// and itself grows on commit — an empty cache owns one line.
+/// and itself grows on commit — an empty cache owns nothing.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Cache {
-    cfg: CacheConfig,
-    /// Position in `lines` of each line index; 0 = never filled. Covers
-    /// indices up to the highest one filled so far: an index past its end
-    /// was never filled.
+    /// One more than the position in `lines` of each line index; 0 =
+    /// never filled, a miss decided without touching any line. Covers
+    /// indices up to the highest one filled so far: an index past its
+    /// end was never filled.
     slots: Vec<u32>,
-    /// `lines[0]` is a shared, never-valid line every unfilled index
-    /// misses on; the committed lines follow in first-fill order.
+    /// The committed lines, in first-fill order.
     lines: Vec<Line>,
+    /// Recent `slots` answers for the pipeline, so a line it keeps
+    /// hitting — or keeps missing — costs no table read.
+    memo: Memo<4>,
     /// `num_lines - 1` (the line count is a power of two).
     index_mask: u64,
+    /// `banks - 1`: a line count that is a power of two makes the bank
+    /// count one too, so the interleave is a mask.
+    bank_mask: u64,
     /// `log2(LINE_WORDS * num_lines)`.
     tag_shift: u32,
     stats: CacheStats,
+    cfg: CacheConfig,
 }
 
 impl Cache {
@@ -161,24 +225,23 @@ impl Cache {
     ///
     /// Panics if the geometry yields zero lines or a non-power-of-two line
     /// count ([`CacheConfig::validate`]).
-    // analyze: cold (constructor: allocates the never-valid line once per node)
+    // analyze: cold (constructor, once per node)
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
         let n = cfg.num_lines();
+        debug_assert!(cfg.banks.is_power_of_two());
         Cache {
             slots: Vec::new(),
-            lines: vec![Line {
-                tag: 0,
-                pa_flags: 0,
-                data: [MemWord::default(); LINE_WORDS as usize],
-            }],
+            lines: Vec::new(),
+            memo: Memo::new(),
             index_mask: n - 1,
+            bank_mask: cfg.banks - 1,
             tag_shift: (LINE_WORDS * n).trailing_zeros(),
-            cfg,
             stats: CacheStats::default(),
+            cfg,
         }
     }
 
@@ -199,7 +262,7 @@ impl Cache {
     pub fn bank_of(&self, va: u64) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         {
-            (va % self.cfg.banks) as usize
+            (va & self.bank_mask) as usize
         }
     }
 
@@ -214,22 +277,36 @@ impl Cache {
         va >> self.tag_shift
     }
 
-    /// Position in `lines` of line index `idx`: 0, the never-valid line,
-    /// if it was never filled.
-    fn slot(&self, idx: usize) -> usize {
-        self.slots.get(idx).map_or(0, |&slot| slot as usize)
+    /// Position in `lines` of line index `idx`, if it was ever filled.
+    fn slot(&self, idx: usize) -> Option<usize> {
+        position(self.slots.get(idx).copied().unwrap_or(0))
+    }
+
+    /// [`Cache::slot`] for the access pipeline, through the memo.
+    fn locate(&mut self, idx: usize) -> Option<usize> {
+        let slots = &self.slots;
+        position(
+            self.memo
+                .remember(idx as u64, || slots.get(idx).copied().unwrap_or(0)),
+        )
     }
 
     /// The resident line holding `va`.
     fn hit(&self, va: u64) -> Option<&Line> {
-        let line = &self.lines[self.slot(self.index_of(va))];
+        let line = &self.lines[self.slot(self.index_of(va))?];
         line.holds(self.tag_of(va)).then_some(line)
     }
 
     fn hit_mut(&mut self, va: u64) -> Option<&mut Line> {
-        let (slot, tag) = (self.slot(self.index_of(va)), self.tag_of(va));
+        let (slot, tag) = (self.locate(self.index_of(va))?, self.tag_of(va));
         let line = &mut self.lines[slot];
         line.holds(tag).then_some(line)
+    }
+
+    /// The word at `va` if resident — [`Cache::peek`] for the access
+    /// pipeline, which keeps asking about the same few lines.
+    pub fn probe(&mut self, va: u64) -> Option<MemWord> {
+        self.hit_mut(va).map(|l| l.get((va % LINE_WORDS) as usize))
     }
 
     /// Is the word at `va` present?
@@ -240,7 +317,7 @@ impl Cache {
 
     /// Read a word on a hit. Counts a read hit or miss.
     pub fn read(&mut self, va: u64) -> Option<MemWord> {
-        let w = self.peek(va);
+        let w = self.probe(va);
         if w.is_some() {
             self.stats.read_hits += 1;
         } else {
@@ -258,7 +335,7 @@ impl Cache {
         if line.pa_flags & WRITABLE == 0 {
             return StoreOutcome::NotWritable;
         }
-        line.data[(va % LINE_WORDS) as usize] = w;
+        line.set((va % LINE_WORDS) as usize, w);
         line.pa_flags |= DIRTY;
         self.stats.write_hits += 1;
         StoreOutcome::Written
@@ -273,7 +350,7 @@ impl Cache {
         if line.pa_flags & WRITABLE == 0 {
             return StoreOutcome::NotWritable;
         }
-        line.data[(va % LINE_WORDS) as usize].sync = sync;
+        line.set_sync((va % LINE_WORDS) as usize, sync);
         line.pa_flags |= DIRTY;
         StoreOutcome::Written
     }
@@ -286,7 +363,9 @@ impl Cache {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, 0);
         }
-        self.slots[idx] = u32::try_from(self.lines.len()).expect("line count fits u32");
+        let code = u32::try_from(self.lines.len() + 1).expect("line count fits u32");
+        self.slots[idx] = code;
+        self.memo.put(idx as u64, code);
         self.lines.push(line);
     }
 
@@ -300,21 +379,20 @@ impl Cache {
         writable: bool,
     ) -> Option<Victim> {
         let idx = self.index_of(va);
-        let new = Line {
-            tag: self.tag_of(va),
-            pa_flags: (pa_base & !FLAGS) | VALID | if writable { WRITABLE } else { 0 },
-            data,
-        };
-        let slot = self.slot(idx);
-        if slot == 0 {
+        let new = Line::new(
+            self.tag_of(va),
+            (pa_base & !FLAGS) | VALID | if writable { WRITABLE } else { 0 },
+            &data,
+        );
+        let Some(slot) = self.locate(idx) else {
             self.commit(idx, new);
             return None;
-        }
+        };
         let line = &mut self.lines[slot];
         let victim = (line.pa_flags & (VALID | DIRTY) == VALID | DIRTY).then(|| Victim {
             va: (line.tag << self.tag_shift) | (idx as u64 * LINE_WORDS),
             pa: line.pa_base(),
-            data: line.data,
+            data: line.words(),
         });
         *line = new;
         self.stats.writebacks += u64::from(victim.is_some());
@@ -325,14 +403,14 @@ impl Cache {
     /// loaders, sync-precondition checks and firmware).
     #[must_use]
     pub fn peek(&self, va: u64) -> Option<MemWord> {
-        self.hit(va).map(|l| l.data[(va % LINE_WORDS) as usize])
+        self.hit(va).map(|l| l.get((va % LINE_WORDS) as usize))
     }
 
     /// Overwrite a resident word without touching statistics or the
     /// writable bit (backdoor for loaders and firmware).
     pub fn poke(&mut self, va: u64, w: MemWord) -> bool {
         self.hit_mut(va).is_some_and(|line| {
-            line.data[(va % LINE_WORDS) as usize] = w;
+            line.set((va % LINE_WORDS) as usize, w);
             line.pa_flags |= DIRTY;
             true
         })
@@ -347,7 +425,7 @@ impl Cache {
         let victim = dirty.then(|| Victim {
             va: va & !(LINE_WORDS - 1),
             pa: line.pa_base(),
-            data: line.data,
+            data: line.words(),
         });
         self.stats.writebacks += u64::from(dirty);
         victim
@@ -371,8 +449,13 @@ impl Cache {
     pub fn save_state(&self, e: &mut Enc) {
         e.u64(self.cfg.num_lines());
         let valid = || {
-            let lines = self.slots.iter().map(|&slot| &self.lines[slot as usize]);
-            lines.enumerate().filter(|(_, l)| l.pa_flags & VALID != 0)
+            let lines = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &slot)| slot != 0);
+            let lines = lines.map(|(idx, &slot)| (idx, &self.lines[slot as usize - 1]));
+            lines.filter(|(_, l)| l.pa_flags & VALID != 0)
         };
         e.usize(valid().count());
         for (idx, l) in valid() {
@@ -381,7 +464,7 @@ impl Cache {
             e.bool(l.pa_flags & DIRTY != 0);
             e.bool(l.pa_flags & WRITABLE != 0);
             e.u64(l.pa_base());
-            for w in &l.data {
+            for w in l.words() {
                 e.u64(w.word.bits());
                 e.bool(w.word.is_pointer());
                 e.bool(w.sync);
@@ -416,7 +499,8 @@ impl Cache {
             )));
         }
         self.slots.clear();
-        self.lines.truncate(1);
+        self.lines.clear();
+        self.memo.clear();
         for _ in 0..d.usize()? {
             let idx = d.usize()?;
             if idx as u64 >= n {
@@ -438,22 +522,16 @@ impl Cache {
                 let sync = d.bool()?;
                 let ecc = d.u8()?;
                 *w = MemWord {
-                    word: mm_isa::word::Word::from_raw(bits, ptr),
+                    word: Word::from_raw(bits, ptr),
                     sync,
                     ecc,
                 };
             }
-            let new = Line {
-                tag,
-                pa_flags: pa_base
-                    | VALID
-                    | if dirty { DIRTY } else { 0 }
-                    | if writable { WRITABLE } else { 0 },
-                data,
-            };
+            let flags = VALID | if dirty { DIRTY } else { 0 } | if writable { WRITABLE } else { 0 };
+            let new = Line::new(tag, pa_base | flags, &data);
             match self.slot(idx) {
-                0 => self.commit(idx, new),
-                slot => self.lines[slot] = new,
+                None => self.commit(idx, new),
+                Some(slot) => self.lines[slot] = new,
             }
         }
         self.stats = CacheStats {
@@ -470,7 +548,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_isa::word::Word;
 
     fn mk(v: u64) -> MemWord {
         MemWord::new(Word::from_u64(v))
@@ -622,7 +699,7 @@ mod tests {
     /// nothing else: misses, invalidations and refills allocate nothing.
     #[test]
     fn lines_commit_on_first_fill_only() {
-        let committed = |c: &Cache| c.lines.len() - 1; // less the never-valid line
+        let committed = |c: &Cache| c.lines.len();
         let mut c = cache();
         assert_eq!(c.read(8), None);
         assert_eq!(c.write(8, mk(1)), StoreOutcome::Miss);

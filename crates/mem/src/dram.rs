@@ -7,6 +7,7 @@
 //! latency, others pay a precharge+activate penalty, and bursts then
 //! stream one word per cycle.
 
+use crate::memo::{position, Memo};
 use crate::secded::{decode, encode, Decoded};
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::word::Word;
@@ -123,21 +124,28 @@ pub struct SdramStats {
 
 /// Words per demand-committed storage page — a unit of host memory only,
 /// unrelated to the 512-word translation page and to the DRAM row. Small
-/// on purpose: a first touch inside a run costs one 592-byte allocation,
+/// on purpose: a first touch inside a run costs one 640-byte allocation,
 /// and 64 words make each of the two per-page bitsets a single `u64`.
 const PAGE_WORDS: u64 = 64;
 
-/// One committed page, packed: ≈ 9.3 bytes per word instead of the
-/// 24-byte [`MemWord`].
+/// One committed page, packed: ten bytes per word instead of the
+/// 24-byte [`MemWord`]. The bitsets and the first 48 words' check bits
+/// share the page's first host cache line, so reading a word touches
+/// that line and its data line, and writing one of those 48 words
+/// touches nothing else.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 struct Page {
-    data: [u64; PAGE_WORDS as usize],
-    ecc: [u8; PAGE_WORDS as usize],
     /// Pointer-tag bit of word `i` in bit `i`.
     tags: u64,
     /// Full/empty bit of word `i` in bit `i`.
     sync: u64,
+    ecc: [u8; PAGE_WORDS as usize],
+    data: [u64; PAGE_WORDS as usize],
 }
+
+// Ten host cache lines per 64 words.
+const _: () = assert!(std::mem::size_of::<Page>() <= 640);
 
 impl Page {
     fn get(&self, i: usize) -> MemWord {
@@ -157,15 +165,15 @@ impl Page {
     }
 }
 
-/// The page every absent table entry shares. Absent ≡ all-zero is sound
+/// A freshly committed page: zero words. Absent ≡ all-zero is sound
 /// because `encode(0) == 0`: the zero-filled array's `MemWord::new(ZERO)`
 /// is the all-zero bit pattern, which is also `MemWord::default()` and
 /// decodes clean.
 const ZERO_PAGE: Page = Page {
-    data: [0; PAGE_WORDS as usize],
-    ecc: [0; PAGE_WORDS as usize],
     tags: 0,
     sync: 0,
+    ecc: [0; PAGE_WORDS as usize],
+    data: [0; PAGE_WORDS as usize],
 };
 
 /// Is `w` the word every absent page reads as?
@@ -188,19 +196,24 @@ fn split(addr: u64) -> (usize, usize) {
 /// first store or upset that makes it non-zero. The table itself grows
 /// on commit, so building an SDRAM costs nothing per word of capacity.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Sdram {
-    cfg: SdramConfig,
-    /// Position in `pages` of each storage page; 0 = absent. Covers
+    /// One more than the position in `pages` of each storage page; 0 =
+    /// absent, read as zero words without touching any page. Covers
     /// pages up to the highest one committed so far: a page number past
     /// its end is absent.
     table: Vec<u32>,
-    /// `pages[0]` is the shared, never-written [`ZERO_PAGE`] absent
-    /// entries read through; the committed pages follow in first-touch
-    /// order.
+    /// The committed pages, in first-touch order.
     pages: Vec<Page>,
-    open_rows: Vec<Option<u64>>,
+    /// Recent `table` answers for the access paths: the handful of
+    /// pages a node's handlers keep touching cost no table read.
+    memo: Memo<4>,
+    /// `cfg.capacity_words`, beside the table every access reads.
+    capacity: u64,
     busy_until: u64,
+    open_rows: Vec<Option<u64>>,
     stats: SdramStats,
+    cfg: SdramConfig,
 }
 
 impl Sdram {
@@ -218,12 +231,14 @@ impl Sdram {
         }
         let open_rows = vec![None; cfg.banks as usize];
         Sdram {
-            cfg,
             table: Vec::new(),
-            pages: vec![ZERO_PAGE],
-            open_rows,
+            pages: Vec::new(),
+            memo: Memo::new(),
+            capacity: cfg.capacity_words,
             busy_until: 0,
+            open_rows,
             stats: SdramStats::default(),
+            cfg,
         }
     }
 
@@ -273,17 +288,26 @@ impl Sdram {
         first
     }
 
-    /// Position in `pages` of page `pn`: 0, the zero page, if absent.
-    fn slot(&self, pn: usize) -> usize {
-        self.table.get(pn).map_or(0, |&slot| slot as usize)
+    /// Position in `pages` of page `pn`, if committed.
+    fn slot(&self, pn: usize) -> Option<usize> {
+        position(self.table.get(pn).copied().unwrap_or(0))
+    }
+
+    /// [`Sdram::slot`] for the access paths, through the memo.
+    fn locate(&mut self, pn: usize) -> Option<usize> {
+        let table = &self.table;
+        position(
+            self.memo
+                .remember(pn as u64, || table.get(pn).copied().unwrap_or(0)),
+        )
     }
 
     /// Page `pn` for writing, committed if it was absent.
     fn page_mut(&mut self, pn: usize) -> &mut Page {
-        let mut slot = self.slot(pn);
-        if slot == 0 {
-            slot = self.commit(pn);
-        }
+        let slot = match self.locate(pn) {
+            Some(slot) => slot,
+            None => self.commit(pn),
+        };
         &mut self.pages[slot]
     }
 
@@ -296,7 +320,9 @@ impl Sdram {
             self.table.resize(pn + 1, 0);
         }
         let slot = self.pages.len();
-        self.table[pn] = u32::try_from(slot).expect("page count fits u32");
+        let code = u32::try_from(slot + 1).expect("page count fits u32");
+        self.table[pn] = code;
+        self.memo.put(pn as u64, code);
         self.pages.push(ZERO_PAGE);
         slot
     }
@@ -305,7 +331,7 @@ impl Sdram {
     /// all; neither may make a word past `capacity_words` addressable.
     fn check_addr(&self, addr: u64) {
         assert!(
-            addr < self.cfg.capacity_words,
+            addr < self.capacity,
             "SDRAM address out of range: {addr:#x}"
         );
     }
@@ -323,7 +349,7 @@ impl Sdram {
     pub fn read_into(&mut self, now: u64, addr: u64, out: &mut [Option<MemWord>]) -> (u64, u64) {
         let len = out.len() as u64;
         assert!(
-            addr + len <= self.cfg.capacity_words,
+            addr + len <= self.capacity,
             "SDRAM read out of range: {addr:#x}+{len}"
         );
         let first = self.access_timing(now, addr, len);
@@ -333,9 +359,15 @@ impl Sdram {
         let mut rest = out;
         while !rest.is_empty() {
             let (seg, tail) = rest.split_at_mut(rest.len().min(PAGE_WORDS as usize - off));
-            // An absent page reads through the zero page, which decodes
-            // clean and so is never scrubbed: it stays zero, and absent.
-            let at = self.slot(pn);
+            // An absent page reads as zero words, which decode clean and
+            // so are never scrubbed: it stays zero, and absent.
+            let Some(at) = self.locate(pn) else {
+                seg.fill(Some(MemWord::default()));
+                rest = tail;
+                pn += 1;
+                off = 0;
+                continue;
+            };
             let page = &mut self.pages[at];
             for (i, slot) in seg.iter_mut().enumerate() {
                 let cell = page.get(off + i);
@@ -373,7 +405,7 @@ impl Sdram {
     /// Panics if the range exceeds the capacity.
     pub fn write(&mut self, now: u64, addr: u64, words: &[MemWord]) -> u64 {
         assert!(
-            addr + words.len() as u64 <= self.cfg.capacity_words,
+            addr + words.len() as u64 <= self.capacity,
             "SDRAM write out of range: {addr:#x}+{}",
             words.len()
         );
@@ -393,10 +425,12 @@ impl Sdram {
     /// Store `seg` (which fits in page `pn` from offset `off`) with fresh
     /// check bits. Zero words stored to an absent page leave it absent.
     fn store(&mut self, pn: usize, off: usize, seg: &[MemWord]) {
-        if self.slot(pn) == 0 && seg.iter().all(|w| w.word == Word::ZERO && !w.sync) {
-            return;
-        }
-        let page = self.page_mut(pn);
+        let slot = match self.locate(pn) {
+            Some(slot) => slot,
+            None if seg.iter().all(|w| w.word == Word::ZERO && !w.sync) => return,
+            None => self.commit(pn),
+        };
+        let page = &mut self.pages[slot];
         for (i, w) in seg.iter().enumerate() {
             let mut cell = *w;
             cell.ecc = encode(cell.word.bits());
@@ -413,7 +447,21 @@ impl Sdram {
     pub fn peek(&self, addr: u64) -> MemWord {
         self.check_addr(addr);
         let (pn, off) = split(addr);
-        self.pages[self.slot(pn)].get(off)
+        self.slot(pn)
+            .map_or_else(MemWord::default, |at| self.pages[at].get(off))
+    }
+
+    /// [`Sdram::peek`] for the physical-access pipeline, which keeps
+    /// reading the same few pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` exceeds the capacity.
+    pub fn probe(&mut self, addr: u64) -> MemWord {
+        self.check_addr(addr);
+        let (pn, off) = split(addr);
+        self.locate(pn)
+            .map_or_else(MemWord::default, |at| self.pages[at].get(off))
     }
 
     /// Zero-time backdoor write for loaders, debuggers and tests.
@@ -472,7 +520,7 @@ impl Sdram {
                 push(e, MemWord::default(), words);
                 continue;
             }
-            let page = &self.pages[slot as usize];
+            let page = &self.pages[slot as usize - 1];
             #[allow(clippy::cast_possible_truncation)]
             for i in 0..words as usize {
                 push(e, page.get(i), 1);
@@ -524,7 +572,8 @@ impl Sdram {
             )));
         }
         self.table.clear();
-        self.pages.truncate(1);
+        self.pages.clear();
+        self.memo.clear();
         let mut i = 0u64;
         loop {
             let run = d.u64()?;
@@ -714,7 +763,7 @@ mod tests {
     /// or upset that does not, does.
     #[test]
     fn pages_commit_only_when_made_nonzero() {
-        let committed = |d: &Sdram| d.pages.len() - 1; // less the zero page
+        let committed = |d: &Sdram| d.pages.len();
         assert_eq!(MemWord::new(Word::ZERO), MemWord::default());
         let mut d = small();
         let mut burst = [None; 16];

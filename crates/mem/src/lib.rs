@@ -23,9 +23,10 @@
 //! assert!(ms.tlb_install(slot));
 //!
 //! ms.submit(MemRequest::load(1, 8, 0)).unwrap();
+//! let (mut resps, mut events) = (Vec::new(), Vec::new());
 //! let mut cycle = 0;
 //! loop {
-//!     let (resps, _) = ms.step(cycle);
+//!     ms.step_into(cycle, &mut resps, &mut events);
 //!     if let Some(r) = resps.first() {
 //!         assert_eq!(r.value.bits(), 0);
 //!         break;
@@ -41,6 +42,7 @@ pub mod cache;
 pub mod dram;
 pub mod lpt;
 pub mod ltlb;
+mod memo;
 pub mod memsys;
 pub mod secded;
 

@@ -7,6 +7,7 @@
 //! READ-ONLY / READ/WRITE / DIRTY states that let local DRAM cache remote
 //! data (§4.3).
 
+use crate::memo::{position, Memo};
 use mm_faults::{CkptError, Dec, Enc};
 
 /// Words per local page.
@@ -161,17 +162,29 @@ pub struct LtlbStats {
 /// the LTLB on each miss-path translation *and* on each store's
 /// dirty-bit update, so the old linear scan over all entries (2.5 KB
 /// touched per probe at the default capacity) was one of the hottest
-/// loops in the whole simulator. The index is consulted only by direct
-/// key lookup — never iterated — so hash-map ordering cannot leak into
-/// simulation results.
+/// loops in the whole simulator. The index is an open-addressed table
+/// over the fixed slots, sized once at construction and hashed with a
+/// fixed multiplier, so a lookup allocates nothing and probes the same
+/// buckets on every run.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Ltlb {
+    /// Recent index answers (`slot + 1`, 0 = not resident), for the
+    /// page a node's stores keep dirty-marking and the one its misses
+    /// keep missing; forgotten whenever the index changes.
+    memo: Memo<4>,
     entries: Vec<Option<LtlbEntry>>,
-    last_use: Vec<u64>,
-    /// Resident vpn → slot index.
-    map: std::collections::HashMap<u64, usize>,
+    /// Resident vpn → slot: bucket `h` holds `slot + 1` (0 = empty),
+    /// linear probing from [`Ltlb::home`], backward-shift deletion, at
+    /// most half full. A bucket's key is its slot's `vpn`.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the home bucket is the top bits of the
+    /// multiplicative hash.
+    shift: u32,
     clock: u64,
     stats: LtlbStats,
+    /// LRU stamps, read only by insertions.
+    last_use: Vec<u64>,
 }
 
 impl Ltlb {
@@ -194,17 +207,21 @@ impl Ltlb {
     /// # Panics
     ///
     /// Panics if `capacity` is zero ([`Ltlb::validate_capacity`]).
+    // analyze: cold (constructor: the slots, stamps and index, once per node)
     #[must_use]
     pub fn new(capacity: usize) -> Ltlb {
         if let Err(e) = Ltlb::validate_capacity(capacity) {
             panic!("{e}");
         }
+        let buckets = (2 * capacity).next_power_of_two();
         Ltlb {
+            memo: Memo::new(),
             entries: vec![None; capacity],
-            last_use: vec![0; capacity],
-            map: std::collections::HashMap::with_capacity(capacity),
+            index: vec![0; buckets],
+            shift: 64 - buckets.trailing_zeros(),
             clock: 0,
             stats: LtlbStats::default(),
+            last_use: vec![0; capacity],
         }
     }
 
@@ -214,10 +231,87 @@ impl Ltlb {
         self.stats
     }
 
+    /// `vpn`'s home bucket: Fibonacci hashing, a fixed odd multiplier
+    /// and the product's top bits, so every run probes alike.
+    fn home(&self, vpn: u64) -> usize {
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+        }
+    }
+
+    /// The bucket holding `vpn`, or the empty bucket its probe ends at.
+    fn bucket(&self, vpn: u64) -> (usize, Option<usize>) {
+        let mask = self.index.len() - 1;
+        let mut h = self.home(vpn);
+        loop {
+            let Some(slot) = position(self.index[h]) else {
+                return (h, None);
+            };
+            if self.entries[slot].is_some_and(|e| e.vpn == vpn) {
+                return (h, Some(slot));
+            }
+            h = (h + 1) & mask;
+        }
+    }
+
+    /// The slot `vpn` is resident in.
+    fn find(&self, vpn: u64) -> Option<usize> {
+        match self.memo.get(vpn) {
+            Some(code) => position(code),
+            None => self.bucket(vpn).1,
+        }
+    }
+
+    /// [`Ltlb::find`], remembering the answer.
+    fn locate(&mut self, vpn: u64) -> Option<usize> {
+        if let Some(code) = self.memo.get(vpn) {
+            return position(code);
+        }
+        let slot = self.bucket(vpn).1;
+        #[allow(clippy::cast_possible_truncation)]
+        self.memo.put(vpn, slot.map_or(0, |s| s as u32 + 1));
+        slot
+    }
+
+    /// Point `vpn`'s bucket at `slot`, adding the bucket if `vpn` has
+    /// none. `entries[slot]` must already hold `vpn`.
+    fn index_insert(&mut self, vpn: u64, slot: usize) {
+        self.memo.clear();
+        let (h, _) = self.bucket(vpn);
+        self.index[h] = u32::try_from(slot + 1).expect("LTLB slots fit u32");
+    }
+
+    /// Drop `vpn`'s bucket, if any, shifting later buckets of its probe
+    /// run back so no lookup stops short. Must run while the slot still
+    /// holds `vpn`.
+    fn index_remove(&mut self, vpn: u64) {
+        self.memo.clear();
+        let mask = self.index.len() - 1;
+        let (mut hole, Some(_)) = self.bucket(vpn) else {
+            return;
+        };
+        let mut h = hole;
+        loop {
+            h = (h + 1) & mask;
+            let Some(slot) = position(self.index[h]) else {
+                break;
+            };
+            let home = self.home(self.entries[slot].map_or(0, |e| e.vpn));
+            // The bucket may fill the hole unless its home lies
+            // cyclically in `(hole, h]`.
+            if (h.wrapping_sub(home) & mask) >= (h.wrapping_sub(hole) & mask) {
+                self.index[hole] = self.index[h];
+                hole = h;
+            }
+        }
+        self.index[hole] = 0;
+    }
+
     /// Look up a virtual page number, updating LRU state and counters.
     pub fn lookup(&mut self, vpn: u64) -> Option<&mut LtlbEntry> {
         self.clock += 1;
-        if let Some(&i) = self.map.get(&vpn) {
+        if let Some(i) = self.locate(vpn) {
             self.stats.hits += 1;
             self.last_use[i] = self.clock;
             return self.entries[i].as_mut();
@@ -229,14 +323,14 @@ impl Ltlb {
     /// Mutable access without touching LRU state or counters (firmware
     /// coherence updates, dirty-bit marking).
     pub fn find_mut(&mut self, vpn: u64) -> Option<&mut LtlbEntry> {
-        let i = *self.map.get(&vpn)?;
+        let i = self.locate(vpn)?;
         self.entries[i].as_mut()
     }
 
     /// Peek without touching LRU state or counters.
     #[must_use]
     pub fn probe(&self, vpn: u64) -> Option<&LtlbEntry> {
-        let i = *self.map.get(&vpn)?;
+        let i = self.find(vpn)?;
         self.entries[i].as_ref()
     }
 
@@ -247,19 +341,17 @@ impl Ltlb {
     pub fn insert(&mut self, entry: LtlbEntry) -> Option<LtlbEntry> {
         self.clock += 1;
         // Same-vpn replacement.
-        if let Some(&i) = self.map.get(&entry.vpn) {
+        if let Some(i) = self.find(entry.vpn) {
             let old = self.entries[i].replace(entry);
             self.last_use[i] = self.clock;
             return old;
         }
         // Free slot.
-        for (i, slot) in self.entries.iter_mut().enumerate() {
-            if slot.is_none() {
-                self.map.insert(entry.vpn, i);
-                *slot = Some(entry);
-                self.last_use[i] = self.clock;
-                return None;
-            }
+        if let Some(i) = self.entries.iter().position(Option::is_none) {
+            self.entries[i] = Some(entry);
+            self.index_insert(entry.vpn, i);
+            self.last_use[i] = self.clock;
+            return None;
         }
         // LRU eviction.
         let victim = self
@@ -270,18 +362,19 @@ impl Ltlb {
             .map(|(i, _)| i)
             .expect("non-empty LTLB");
         self.stats.evictions += 1;
-        let old = self.entries[victim].replace(entry);
-        if let Some(e) = &old {
-            self.map.remove(&e.vpn);
+        if let Some(e) = self.entries[victim] {
+            self.index_remove(e.vpn);
         }
-        self.map.insert(entry.vpn, victim);
+        let old = self.entries[victim].replace(entry);
+        self.index_insert(entry.vpn, victim);
         self.last_use[victim] = self.clock;
         old
     }
 
     /// Drop the mapping for `vpn`, returning it (for LPT write-back).
     pub fn invalidate(&mut self, vpn: u64) -> Option<LtlbEntry> {
-        let i = self.map.remove(&vpn)?;
+        let i = self.find(vpn)?;
+        self.index_remove(vpn);
         self.entries[i].take()
     }
 
@@ -322,6 +415,7 @@ impl Ltlb {
     /// # Errors
     ///
     /// [`CkptError`] on truncated input or a capacity mismatch.
+    // analyze: cold (checkpoint codec: formats its errors)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let n = d.usize()?;
         if n != self.entries.len() {
@@ -330,10 +424,12 @@ impl Ltlb {
                 self.entries.len()
             )));
         }
-        self.map.clear();
+        self.memo.clear();
+        self.index.fill(0);
+        self.entries.fill(None);
         for i in 0..n {
-            self.entries[i] = match d.u8()? {
-                0 => None,
+            match d.u8()? {
+                0 => {}
                 1 => {
                     let en = LtlbEntry {
                         vpn: d.u64()?,
@@ -342,11 +438,13 @@ impl Ltlb {
                         status_hi: d.u64()?,
                         lpt_addr: d.u64()?,
                     };
-                    self.map.insert(en.vpn, i);
-                    Some(en)
+                    // A vpn in two slots (only a hand-made checkpoint
+                    // has one) resolves to the later slot.
+                    self.entries[i] = Some(en);
+                    self.index_insert(en.vpn, i);
                 }
                 b => return Err(CkptError(format!("bad LTLB slot tag {b}"))),
-            };
+            }
             self.last_use[i] = d.u64()?;
         }
         self.clock = d.u64()?;

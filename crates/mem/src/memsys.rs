@@ -17,7 +17,7 @@ use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::op::{SyncPost, SyncPre};
 use mm_isa::pointer::{GuardedPointer, Perm};
 use mm_isa::word::Word;
-use mm_sched::ReadyQueue;
+use mm_sched::SmallReadyQueue;
 use std::collections::VecDeque;
 
 /// Load or store.
@@ -214,27 +214,98 @@ pub struct MemStats {
     pub bank_stalls: u64,
 }
 
-/// The complete per-node memory system.
+/// The latencies and queue depth the pipeline reads, copied out of
+/// [`MemConfig`] so they sit with the system's other per-step fields.
 #[derive(Debug, Clone)]
+#[repr(C)]
+struct MemTiming {
+    bank_queue_depth: usize,
+    read_hit_latency: u64,
+    write_hit_latency: u64,
+    miss_detect: u64,
+    translate_latency: u64,
+    phys_read_latency: u64,
+    phys_write_latency: u64,
+}
+
+impl MemTiming {
+    fn of(cfg: &MemConfig) -> MemTiming {
+        MemTiming {
+            bank_queue_depth: cfg.bank_queue_depth,
+            read_hit_latency: cfg.read_hit_latency,
+            write_hit_latency: cfg.write_hit_latency,
+            miss_detect: cfg.miss_detect,
+            translate_latency: cfg.translate_latency,
+            phys_read_latency: cfg.phys_read_latency,
+            phys_write_latency: cfg.phys_write_latency,
+        }
+    }
+}
+
+/// Banks whose input-queue headers sit inside the memory system — the
+/// MAP's four; a geometry with more keeps the rest in a vector.
+const INLINE_BANKS: usize = 4;
+
+/// The per-bank input queues (M-Switch ports), FIFO per bank.
+#[derive(Debug, Clone)]
+struct BankQueues {
+    near: [VecDeque<MemRequest>; INLINE_BANKS],
+    far: Vec<VecDeque<MemRequest>>,
+    count: usize,
+}
+
+impl BankQueues {
+    fn new(count: usize) -> BankQueues {
+        BankQueues {
+            near: std::array::from_fn(|_| VecDeque::new()),
+            far: (INLINE_BANKS..count).map(|_| VecDeque::new()).collect(),
+            count,
+        }
+    }
+
+    fn get(&self, bank: usize) -> &VecDeque<MemRequest> {
+        match self.near.get(bank) {
+            Some(q) => q,
+            None => &self.far[bank - INLINE_BANKS],
+        }
+    }
+
+    fn get_mut(&mut self, bank: usize) -> &mut VecDeque<MemRequest> {
+        match self.near.get_mut(bank) {
+            Some(q) => q,
+            None => &mut self.far[bank - INLINE_BANKS],
+        }
+    }
+}
+
+/// The complete per-node memory system.
+///
+/// Field order is deliberate (`repr(C)`): what a step reads — the
+/// queue headers, the latencies, the counters, then the cache's,
+/// LTLB's and SDRAM's own headers — leads, and the configuration trails.
+#[derive(Debug, Clone)]
+#[repr(C)]
 pub struct MemorySystem {
     // NOTE: ticked from worker threads by the machine's sharded engine —
     // keep every field owned (no `Rc`/`RefCell`); the assert below the
     // struct enforces `Send` at compile time.
-    cfg: MemConfig,
+    /// Requests queued across all banks (`O(1)` has-work check on the
+    /// per-cycle fast path, which reads this line and the next only).
+    bank_backlog: usize,
+    miss_q: VecDeque<(u64, MemRequest)>,
+    events: Vec<MemEvent>,
+    /// Completed requests staged until their ready cycle, popped in
+    /// `(ready, completion order)` — no per-cycle scans; the first two
+    /// inline.
+    responses: SmallReadyQueue<MemResponse, 2>,
+    timing: MemTiming,
+    stats: MemStats,
+    bank_q: BankQueues,
     cache: Cache,
     ltlb: Ltlb,
     sdram: Sdram,
     lpt: Option<Lpt>,
-    bank_q: Vec<VecDeque<MemRequest>>,
-    /// Requests queued across all banks (`O(1)` has-work check on the
-    /// per-cycle fast path).
-    bank_backlog: usize,
-    miss_q: VecDeque<(u64, MemRequest)>,
-    /// Completed requests staged until their ready cycle, popped in
-    /// `(ready, completion order)` — no per-cycle scans.
-    responses: ReadyQueue<MemResponse>,
-    events: Vec<MemEvent>,
-    stats: MemStats,
+    cfg: MemConfig,
 }
 
 const fn _assert_send<T: Send>() {}
@@ -246,16 +317,17 @@ impl MemorySystem {
     pub fn new(cfg: MemConfig) -> MemorySystem {
         let banks = cfg.cache.banks as usize;
         MemorySystem {
+            bank_backlog: 0,
+            miss_q: VecDeque::new(),
+            events: Vec::new(),
+            responses: SmallReadyQueue::new(),
+            timing: MemTiming::of(&cfg),
+            stats: MemStats::default(),
+            bank_q: BankQueues::new(banks),
             cache: Cache::new(cfg.cache.clone()),
             ltlb: Ltlb::new(cfg.ltlb_entries),
             sdram: Sdram::new(cfg.sdram.clone()),
             lpt: None,
-            bank_q: (0..banks).map(|_| VecDeque::new()).collect(),
-            bank_backlog: 0,
-            miss_q: VecDeque::new(),
-            responses: ReadyQueue::new(),
-            events: Vec::new(),
-            stats: MemStats::default(),
             cfg,
         }
     }
@@ -307,7 +379,7 @@ impl MemorySystem {
     #[must_use]
     pub fn can_accept(&self, va: u64, phys: bool) -> bool {
         let bank = if phys { 0 } else { self.cache.bank_of(va) };
-        self.bank_q[bank].len() < self.cfg.bank_queue_depth
+        self.bank_q.get(bank).len() < self.timing.bank_queue_depth
     }
 
     /// Submit a request during cycle `now`. Returns the request back if
@@ -322,13 +394,13 @@ impl MemorySystem {
         } else {
             self.cache.bank_of(req.va)
         };
-        if self.bank_q[bank].len() >= self.cfg.bank_queue_depth {
+        if self.bank_q.get(bank).len() >= self.timing.bank_queue_depth {
             self.stats.bank_stalls += 1;
             return Err(req);
         }
         self.stats.requests += 1;
         self.bank_backlog += 1;
-        self.bank_q[bank].push_back(req);
+        self.bank_q.get_mut(bank).push_back(req);
         Ok(())
     }
 
@@ -338,9 +410,8 @@ impl MemorySystem {
     /// appended to `responses` (in `(ready, completion order)`), every
     /// pending event to `events`.
     ///
-    /// This is the allocation-free form of [`MemorySystem::step`]: the
-    /// buffers are appended to, never reallocated by this call once they
-    /// have reached their steady-state capacity, so the node's cycle
+    /// The buffers are appended to, never reallocated by this call once
+    /// they have reached their steady-state capacity, so the node's cycle
     /// kernel can recycle one pair of buffers across every cycle (and
     /// the machine's worker pool one pair per worker). A memory system
     /// belongs to exactly one node and shares no state with its
@@ -362,8 +433,8 @@ impl MemorySystem {
             return;
         }
         if self.bank_backlog > 0 {
-            for bank in 0..self.bank_q.len() {
-                if let Some(req) = self.bank_q[bank].pop_front() {
+            for bank in 0..self.bank_q.count {
+                if let Some(req) = self.bank_q.get_mut(bank).pop_front() {
                     self.bank_backlog -= 1;
                     self.access(now, req);
                 }
@@ -381,16 +452,6 @@ impl MemorySystem {
         events.append(&mut self.events);
     }
 
-    /// Advance one cycle, returning completions in fresh vectors — the
-    /// convenience form of [`MemorySystem::step_into`] for tests and
-    /// debug paths (it allocates; the cycle engines use the drain form).
-    pub fn step(&mut self, now: u64) -> (Vec<MemResponse>, Vec<MemEvent>) {
-        let mut responses = Vec::new();
-        let mut events = Vec::new();
-        self.step_into(now, &mut responses, &mut events);
-        (responses, events)
-    }
-
     /// Are all queues drained (useful for run-to-idle loops)?
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -401,7 +462,7 @@ impl MemorySystem {
     }
 
     /// The earliest future cycle (strictly after `now`) at which a
-    /// [`MemorySystem::step`] can do work, assuming no new submissions:
+    /// [`MemorySystem::step_into`] can do work, assuming no new submissions:
     /// a queued bank request pops next cycle, a staged miss fires at its
     /// translate deadline, and a pipelined response or pending event
     /// surfaces at its ready cycle. `None` when fully idle — the cycle
@@ -469,7 +530,7 @@ impl MemorySystem {
                 Some(mw) => {
                     if !Self::pre_ok(req.pre, mw.sync) {
                         self.raise(
-                            now + self.cfg.miss_detect,
+                            now + self.timing.miss_detect,
                             MemEventKind::SyncFault { sync_was: mw.sync },
                             req,
                         );
@@ -483,7 +544,7 @@ impl MemorySystem {
                             StoreOutcome::Written => {}
                             _ => {
                                 self.raise(
-                                    now + self.cfg.miss_detect,
+                                    now + self.timing.miss_detect,
                                     MemEventKind::BlockStatusFault {
                                         status: self.block_status_of(req.va),
                                     },
@@ -493,17 +554,17 @@ impl MemorySystem {
                             }
                         }
                     }
-                    self.respond(req, mw.word, now + self.cfg.read_hit_latency);
+                    self.respond(req, mw.word, now + self.timing.read_hit_latency);
                 }
                 None => self.enqueue_miss(now, req),
             },
             AccessKind::Store => {
                 // Peek first: sync precondition applies to the old word.
-                match self.cache.peek(req.va) {
+                match self.cache.probe(req.va) {
                     Some(old) => {
                         if !Self::pre_ok(req.pre, old.sync) {
                             self.raise(
-                                now + self.cfg.miss_detect,
+                                now + self.timing.miss_detect,
                                 MemEventKind::SyncFault { sync_was: old.sync },
                                 req,
                             );
@@ -516,11 +577,11 @@ impl MemorySystem {
                         match self.cache.write(req.va, new) {
                             StoreOutcome::Written => {
                                 self.mark_dirty(req.va);
-                                self.respond(req, req.data, now + self.cfg.write_hit_latency);
+                                self.respond(req, req.data, now + self.timing.write_hit_latency);
                             }
                             StoreOutcome::NotWritable => {
                                 self.raise(
-                                    now + self.cfg.miss_detect,
+                                    now + self.timing.miss_detect,
                                     MemEventKind::BlockStatusFault {
                                         status: self.block_status_of(req.va),
                                     },
@@ -541,7 +602,7 @@ impl MemorySystem {
     fn phys_access(&mut self, now: u64, req: MemRequest) {
         match req.kind {
             AccessKind::Load => {
-                let mw = self.sdram.peek(req.va);
+                let mw = self.sdram.probe(req.va);
                 if !Self::pre_ok(req.pre, mw.sync) {
                     self.raise(now, MemEventKind::SyncFault { sync_was: mw.sync }, req);
                     return;
@@ -551,10 +612,10 @@ impl MemorySystem {
                     cell.sync = Self::post_sync(req.post, mw.sync);
                     self.sdram.poke(req.va, cell);
                 }
-                self.respond(req, mw.word, now + self.cfg.phys_read_latency);
+                self.respond(req, mw.word, now + self.timing.phys_read_latency);
             }
             AccessKind::Store => {
-                let old = self.sdram.peek(req.va);
+                let old = self.sdram.probe(req.va);
                 if !Self::pre_ok(req.pre, old.sync) {
                     self.raise(now, MemEventKind::SyncFault { sync_was: old.sync }, req);
                     return;
@@ -564,14 +625,16 @@ impl MemorySystem {
                     Self::post_sync(req.post, old.sync),
                 );
                 self.sdram.poke(req.va, cell);
-                self.respond(req, req.data, now + self.cfg.phys_write_latency);
+                self.respond(req, req.data, now + self.timing.phys_write_latency);
             }
         }
     }
 
     fn enqueue_miss(&mut self, now: u64, req: MemRequest) {
-        self.miss_q
-            .push_back((now + self.cfg.miss_detect + self.cfg.translate_latency, req));
+        self.miss_q.push_back((
+            now + self.timing.miss_detect + self.timing.translate_latency,
+            req,
+        ));
     }
 
     /// Block status of `va` as recorded in the LTLB (for fault reporting).
@@ -586,7 +649,7 @@ impl MemorySystem {
     /// Second-stage miss handling: translate, check, fill.
     fn handle_miss(&mut self, now: u64, req: MemRequest) {
         // The line may have been filled by an earlier miss to the same block.
-        if self.cache.contains(req.va) {
+        if self.cache.probe(req.va).is_some() {
             self.access(now, req);
             return;
         }
@@ -838,8 +901,8 @@ impl MemorySystem {
             }
             None => e.u8(0),
         }
-        e.usize(self.bank_q.len());
-        for q in &self.bank_q {
+        e.usize(self.bank_q.count);
+        for q in (0..self.bank_q.count).map(|b| self.bank_q.get(b)) {
             e.usize(q.len());
             for req in q {
                 encode_req(e, req);
@@ -909,14 +972,15 @@ impl MemorySystem {
             t => return Err(CkptError(format!("bad LPT presence tag {t}"))),
         };
         let banks = d.usize()?;
-        if banks != self.bank_q.len() {
+        if banks != self.bank_q.count {
             return Err(CkptError(format!(
                 "bank count mismatch: checkpoint {banks}, configured {}",
-                self.bank_q.len()
+                self.bank_q.count
             )));
         }
         self.bank_backlog = 0;
-        for q in &mut self.bank_q {
+        for bank in 0..banks {
+            let q = self.bank_q.get_mut(bank);
             q.clear();
             let n = d.usize()?;
             for _ in 0..n {

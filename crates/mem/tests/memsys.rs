@@ -6,7 +6,15 @@ use mm_isa::word::Word;
 use mm_mem::lpt::Lpt;
 use mm_mem::ltlb::{BlockStatus, LtlbEntry, PAGE_WORDS};
 use mm_mem::memsys::{AccessKind, MemConfig, MemEventKind, MemRequest, MemResponse, MemorySystem};
-use mm_mem::MemWord;
+use mm_mem::{MemEvent, MemWord};
+
+/// Advance `ms` one cycle and return what completed, in buffers of its
+/// own (the cycle engines recycle theirs across steps).
+fn step(ms: &mut MemorySystem, now: u64) -> (Vec<MemResponse>, Vec<MemEvent>) {
+    let (mut responses, mut events) = (Vec::new(), Vec::new());
+    ms.step_into(now, &mut responses, &mut events);
+    (responses, events)
+}
 
 /// A memory system with vpn 0..8 mapped to ppn 16.. and the LPT at 1024.
 fn booted() -> MemorySystem {
@@ -24,7 +32,7 @@ fn booted() -> MemorySystem {
 /// Run until the response for `id` arrives; returns (response, cycle).
 fn run_until_resp(ms: &mut MemorySystem, id: u64, limit: u64) -> (MemResponse, u64) {
     for cycle in 0..limit {
-        let (resps, events) = ms.step(cycle);
+        let (resps, events) = step(ms, cycle);
         assert!(
             events.is_empty(),
             "unexpected events at cycle {cycle}: {events:?}"
@@ -37,9 +45,9 @@ fn run_until_resp(ms: &mut MemorySystem, id: u64, limit: u64) -> (MemResponse, u
 }
 
 /// Run until any event arrives.
-fn run_until_event(ms: &mut MemorySystem, limit: u64) -> mm_mem::MemEvent {
+fn run_until_event(ms: &mut MemorySystem, limit: u64) -> MemEvent {
     for cycle in 0..limit {
-        let (_, events) = ms.step(cycle);
+        let (_, events) = step(ms, cycle);
         if let Some(e) = events.into_iter().next() {
             return e;
         }
@@ -68,7 +76,7 @@ fn table1_local_read_miss_then_hit() {
         if issued_at.is_none() {
             issued_at = Some(cycle);
         }
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 2) {
             assert_eq!(r.ready - t0, 13, "warm-row local cache-miss read");
             break;
@@ -80,7 +88,7 @@ fn table1_local_read_miss_then_hit() {
     let t1 = 100;
     ms.submit(MemRequest::load(3, 16, 0)).unwrap();
     for cycle in t1..t1 + 20 {
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 3) {
             assert_eq!(r.ready - t1, 3, "local cache-hit read");
             return;
@@ -102,7 +110,7 @@ fn table1_local_write_hit_and_miss() {
         .unwrap();
     let mut done = false;
     for cycle in t0..t0 + 60 {
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 2) {
             assert_eq!(r.ready - t0, 19, "local cache-miss write");
             done = true;
@@ -116,7 +124,7 @@ fn table1_local_write_hit_and_miss() {
     ms.submit(MemRequest::store(3, 81, Word::from_u64(43), 0))
         .unwrap();
     for cycle in t1..t1 + 20 {
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 3) {
             assert_eq!(r.ready - t1, 2, "local cache-hit write");
             // And the data is really there.
@@ -205,7 +213,7 @@ fn store_to_read_only_block_faults_even_on_cache_hit() {
     ms.submit(MemRequest::store(2, va, Word::from_u64(1), 0))
         .unwrap();
     for cycle in t..t + 30 {
-        let (_, events) = ms.step(cycle);
+        let (_, events) = step(&mut ms, cycle);
         if let Some(e) = events.first() {
             assert!(matches!(e.kind, MemEventKind::BlockStatusFault { .. }));
             return;
@@ -248,7 +256,7 @@ fn sync_precondition_faults() {
     ld.post = SyncPost::SetEmpty;
     ms.submit(ld).unwrap();
     for cycle in t..t + 50 {
-        let (resps, events) = ms.step(cycle);
+        let (resps, events) = step(&mut ms, cycle);
         assert!(events.is_empty());
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 3) {
             assert_eq!(r.value.bits(), 77);
@@ -272,7 +280,7 @@ fn phys_access_bypasses_translation() {
     let t = 10;
     ms.submit(ld).unwrap();
     for cycle in t..t + 20 {
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 2) {
             assert_eq!(r.value.bits(), 9);
             assert_eq!(r.ready - t, 3);
@@ -294,6 +302,38 @@ fn bank_queue_overflow_stalls() {
     assert_eq!(ms.stats().bank_stalls, 1);
     // Different bank still accepts.
     ms.submit(MemRequest::load(100, 1, 0)).unwrap();
+}
+
+/// Every bank has a queue of its own, the banks past the four kept
+/// inline included: each fills to the depth independently and retires
+/// one request per cycle.
+#[test]
+fn eight_bank_queues_fill_and_drain_independently() {
+    let mut cfg = MemConfig::default();
+    cfg.cache.banks = 8;
+    cfg.cache.words_per_bank = 2048;
+    let mut ms = MemorySystem::new(cfg);
+    for bank in 0..8u64 {
+        for k in 0..4 {
+            let id = bank * 4 + k;
+            assert!(ms.can_accept(bank + 8 * k, false), "bank {bank} entry {k}");
+            ms.submit(MemRequest::load(id, bank + 8 * k, 0)).unwrap();
+        }
+        assert!(!ms.can_accept(bank, false), "bank {bank} is full");
+        assert!(ms.submit(MemRequest::load(99, bank + 64, 0)).is_err());
+    }
+    assert_eq!(ms.stats().bank_stalls, 8);
+    // Unmapped loads: each retired request raises an LTLB miss a few
+    // cycles on, eight per cycle, in bank order.
+    let (mut resps, mut events) = (Vec::new(), Vec::new());
+    for cycle in 0..16 {
+        ms.step_into(cycle, &mut resps, &mut events);
+    }
+    let ids: Vec<u64> = events.iter().map(|e| e.req.id).collect();
+    let expect: Vec<u64> = (0..4)
+        .flat_map(|k| (0..8).map(move |b| b * 4 + k))
+        .collect();
+    assert_eq!(ids, expect);
 }
 
 #[test]
@@ -324,7 +364,7 @@ fn writeback_on_eviction_preserves_data() {
     let t = 300;
     ms2.submit(MemRequest::load(3, 8, 0)).unwrap();
     for cycle in t..t + 100 {
-        let (resps, _) = ms2.step(cycle);
+        let (resps, _) = step(&mut ms2, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 3) {
             assert_eq!(r.value.bits(), 123);
             return;
@@ -352,7 +392,7 @@ fn flush_and_downgrade_blocks() {
     ms.submit(MemRequest::store(3, 8, Word::from_u64(6), 0))
         .unwrap();
     for cycle in t..t + 50 {
-        let (_, events) = ms.step(cycle);
+        let (_, events) = step(&mut ms, cycle);
         if let Some(e) = events.first() {
             assert!(matches!(e.kind, MemEventKind::BlockStatusFault { .. }));
             return;
@@ -371,7 +411,7 @@ fn pointer_tag_survives_store_load() {
     let t = 200;
     ms.submit(MemRequest::load(2, 9, 0)).unwrap();
     for cycle in t..t + 100 {
-        let (resps, _) = ms.step(cycle);
+        let (resps, _) = step(&mut ms, cycle);
         if let Some(r) = resps.into_iter().find(|r| r.req.id == 2) {
             assert!(r.value.is_pointer(), "tag lost through memory");
             assert_eq!(r.value.pointer().unwrap(), ptr);
@@ -390,7 +430,7 @@ fn ecc_double_error_returns_errval_and_event() {
     ms.sdram_mut().inject_bit_flip(pa, 2);
     ms.submit(MemRequest::load(1, 8, 0)).unwrap();
     for cycle in 0..100 {
-        let (resps, events) = ms.step(cycle);
+        let (resps, events) = step(&mut ms, cycle);
         for e in &events {
             assert_eq!(e.kind, MemEventKind::EccError);
         }
@@ -422,14 +462,14 @@ fn memsys_state_round_trips_mid_flight() {
     let mut ms = booted();
     ms.submit(MemRequest::load(1, 8, 0)).unwrap();
     for cycle in 0..30 {
-        let _ = ms.step(cycle);
+        let _ = step(&mut ms, cycle);
     }
     ms.submit(MemRequest::store(2, 8, Word::from_u64(77), 0))
         .unwrap();
     ms.submit(MemRequest::load(3, 128, 0)).unwrap(); // miss in flight
     ms.submit(MemRequest::load(4, 9 * PAGE_WORDS, 0)).unwrap(); // LTLB miss event
-    let _ = ms.step(30);
-    let _ = ms.step(31);
+    let _ = step(&mut ms, 30);
+    let _ = step(&mut ms, 31);
 
     let mut e = Enc::default();
     ms.save_state(&mut e);
@@ -448,8 +488,8 @@ fn memsys_state_round_trips_mid_flight() {
 
     // Running both forward produces identical responses and events.
     for cycle in 32..200 {
-        let (r1, v1) = ms.step(cycle);
-        let (r2, v2) = restored.step(cycle);
+        let (r1, v1) = step(&mut ms, cycle);
+        let (r2, v2) = step(&mut restored, cycle);
         assert_eq!(r1, r2, "responses diverge at cycle {cycle}");
         assert_eq!(v1, v2, "events diverge at cycle {cycle}");
     }

@@ -9,17 +9,26 @@ use mm_isa::word::Word;
 use mm_mem::cache::{Cache, CacheConfig, CacheStats, StoreOutcome, Victim, LINE_WORDS};
 use mm_mem::dram::{MemWord, Sdram, SdramConfig, SdramStats};
 use mm_mem::lpt::Lpt;
-use mm_mem::ltlb::{BlockStatus, LtlbEntry, PAGE_WORDS};
-use mm_mem::memsys::{MemConfig, MemRequest, MemorySystem};
+use mm_mem::ltlb::{BlockStatus, Ltlb, LtlbEntry, LtlbStats, PAGE_WORDS};
+use mm_mem::memsys::{MemConfig, MemEvent, MemRequest, MemResponse, MemorySystem};
 use mm_mem::secded;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Apply a random load/store sequence through the full pipeline and check
-/// every load against a flat model.
-fn run_sequence(ops: &[(bool, u64, u64)]) {
+/// Advance `ms` one cycle and return what completed, in buffers of its
+/// own (the cycle engines recycle theirs across steps).
+fn step(ms: &mut MemorySystem, now: u64) -> (Vec<MemResponse>, Vec<MemEvent>) {
+    let (mut responses, mut events) = (Vec::new(), Vec::new());
+    ms.step_into(now, &mut responses, &mut events);
+    (responses, events)
+}
+
+/// Apply a random load/store sequence through the full pipeline of a
+/// `banks`-bank cache and check every load against a flat model.
+fn run_sequence(ops: &[(bool, u64, u64)], banks: u64) {
     let mut cfg = MemConfig::default();
-    cfg.cache.words_per_bank = 64; // tiny cache: lots of evictions
+    cfg.cache.banks = banks;
+    cfg.cache.words_per_bank = 256 / banks; // tiny cache: lots of evictions
     let mut ms = MemorySystem::new(cfg);
     let lpt = Lpt::new(4096, 64);
     ms.set_lpt(lpt);
@@ -53,7 +62,7 @@ fn run_sequence(ops: &[(bool, u64, u64)]) {
                     pending = Some(back);
                 }
             }
-            let (resps, events) = ms.step(cycle);
+            let (resps, events) = step(&mut ms, cycle);
             assert!(events.is_empty(), "unexpected fault: {events:?}");
             for resp in resps {
                 if resp.req.id == id {
@@ -88,7 +97,19 @@ proptest! {
             1..60,
         )
     ) {
-        run_sequence(&ops);
+        run_sequence(&ops, 4);
+    }
+
+    /// The same on eight banks: more bank queues than the memory system
+    /// keeps inline.
+    #[test]
+    fn cache_matches_flat_memory_on_eight_banks(
+        ops in prop::collection::vec(
+            (any::<bool>(), 0u64..4096, any::<u64>()),
+            1..60,
+        )
+    ) {
+        run_sequence(&ops, 8);
     }
 
     /// SECDED corrects every single flip and flags every double flip, for
@@ -187,7 +208,7 @@ proptest! {
                         pending = Some(back);
                     }
                 }
-                let (resps, events) = ms.step(cycle);
+                let (resps, events) = step(&mut ms, cycle);
                 cycle += 1;
                 if let Some(ev) = events.first() {
                     prop_assert!(want_fault, "unexpected fault for {id}: {ev:?}");
@@ -387,7 +408,7 @@ fn encoded(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
 }
 
 /// One step against both SDRAMs: `(kind, addr, len, value, tag+sync bits,
-/// flip bit)`. Bursts are clipped to the capacity; the out-of-range
+/// flip bit)`; kind 6 is the pipeline's remembering `probe`. Bursts are clipped to the capacity; the out-of-range
 /// panics have their own tests below.
 type SdramOp = (u8, u64, u64, u64, u8, u32);
 
@@ -399,7 +420,7 @@ fn sdram_ops() -> impl Strategy<Value = Vec<SdramOp>> {
         (1u64..15, 0u64..8).prop_map(|(p, d)| p * 64 - 1 - d),
     ];
     prop::collection::vec(
-        (0u8..6, addr, 1u64..=16, any::<u64>(), 0u8..4, 0u32..64),
+        (0u8..7, addr, 1u64..=16, any::<u64>(), 0u8..4, 0u32..64),
         1..80,
     )
 }
@@ -438,6 +459,7 @@ fn apply_sdram_ops(new: &mut Sdram, old: &mut DenseSdram, ops: &[SdramOp]) {
                 new.inject_bit_flip(addr, flip);
                 old.inject_bit_flip(addr, flip);
             }
+            6 => assert_eq!(new.probe(addr), old.words[addr as usize], "probe {addr}"),
             _ => {
                 // A double upset: uncorrectable until overwritten.
                 for bit in [flip, (flip + 1) % 64] {
@@ -695,13 +717,14 @@ impl DenseCache {
     }
 }
 
-/// `(kind, va, value, flag)` against both caches.
+/// `(kind, va, value, flag)` against both caches; kind 9 is the
+/// pipeline's remembering `probe`.
 type CacheOp = (u8, u64, u64, bool);
 
 fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
     // 32 lines of 8 words: 1024 words of address space is four tags per
     // index, so fills conflict; a short run leaves indices unfilled.
-    prop::collection::vec((0u8..9, 0u64..1024, any::<u64>(), any::<bool>()), 1..120)
+    prop::collection::vec((0u8..10, 0u64..1024, any::<u64>(), any::<bool>()), 1..120)
 }
 
 fn small_cache_config() -> CacheConfig {
@@ -714,12 +737,21 @@ fn small_cache_config() -> CacheConfig {
 fn apply_cache_ops(new: &mut Cache, old: &mut DenseCache, ops: &[CacheOp]) {
     let evicted = |v: Option<Victim>| v.map(|v| (v.va, v.pa, v.data));
     for &(kind, va, value, flag) in ops {
-        let w = MemWord::with_sync(Word::from_raw(value, value % 5 == 0), flag);
+        // Check bits that need not match the data: the cache keeps
+        // whatever it is handed.
+        let w = MemWord {
+            word: Word::from_raw(value, value % 5 == 0),
+            sync: flag,
+            ecc: (value >> 7) as u8,
+        };
         match kind {
             // Fills are the only way in, so make them common.
             0..=2 => {
-                let line: [MemWord; 8] =
-                    std::array::from_fn(|i| MemWord::new(Word::from_u64(value ^ i as u64)));
+                let line: [MemWord; 8] = std::array::from_fn(|i| MemWord {
+                    word: Word::from_raw(value ^ i as u64, (value >> i) & 1 == 1),
+                    sync: (value >> (8 + i)) & 1 == 1,
+                    ecc: (value >> (16 + i)) as u8,
+                });
                 let pa = value % 4096;
                 assert_eq!(
                     evicted(new.fill(va, pa, line, flag)),
@@ -740,6 +772,7 @@ fn apply_cache_ops(new: &mut Cache, old: &mut DenseCache, ops: &[CacheOp]) {
                 old.drop_rights(va, false),
                 "invalidate {va}"
             ),
+            9 => assert_eq!(new.probe(va), old.peek(va), "probe {va}"),
             _ => assert_eq!(
                 evicted(new.downgrade(va)),
                 old.drop_rights(va, true),
@@ -808,4 +841,252 @@ fn cache_slot_table_grows_to_the_highest_filled_index() {
     ];
     check_cache_against_dense(&past_the_table, &highest_first);
     check_cache_against_dense(&highest_first, &past_the_table);
+}
+
+// ----------------------------------------------------------------------
+// The LTLB's open-addressed index vs the hash map it replaced
+// ----------------------------------------------------------------------
+
+/// The LTLB as it was with a `HashMap<vpn, slot>` index, kept as the
+/// reference model: same slots, LRU stamps, statistics and checkpoint
+/// loop.
+struct MapLtlb {
+    entries: Vec<Option<LtlbEntry>>,
+    last_use: Vec<u64>,
+    map: HashMap<u64, usize>,
+    clock: u64,
+    stats: LtlbStats,
+}
+
+impl MapLtlb {
+    fn new(capacity: usize) -> MapLtlb {
+        MapLtlb {
+            entries: vec![None; capacity],
+            last_use: vec![0; capacity],
+            map: HashMap::with_capacity(capacity),
+            clock: 0,
+            stats: LtlbStats::default(),
+        }
+    }
+
+    fn lookup(&mut self, vpn: u64) -> Option<&mut LtlbEntry> {
+        self.clock += 1;
+        if let Some(&i) = self.map.get(&vpn) {
+            self.stats.hits += 1;
+            self.last_use[i] = self.clock;
+            return self.entries[i].as_mut();
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn find_mut(&mut self, vpn: u64) -> Option<&mut LtlbEntry> {
+        let i = *self.map.get(&vpn)?;
+        self.entries[i].as_mut()
+    }
+
+    fn probe(&self, vpn: u64) -> Option<&LtlbEntry> {
+        let i = *self.map.get(&vpn)?;
+        self.entries[i].as_ref()
+    }
+
+    fn insert(&mut self, entry: LtlbEntry) -> Option<LtlbEntry> {
+        self.clock += 1;
+        if let Some(&i) = self.map.get(&entry.vpn) {
+            let old = self.entries[i].replace(entry);
+            self.last_use[i] = self.clock;
+            return old;
+        }
+        for (i, slot) in self.entries.iter_mut().enumerate() {
+            if slot.is_none() {
+                self.map.insert(entry.vpn, i);
+                *slot = Some(entry);
+                self.last_use[i] = self.clock;
+                return None;
+            }
+        }
+        let victim = self
+            .last_use
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &t)| t)
+            .map(|(i, _)| i)
+            .expect("non-empty LTLB");
+        self.stats.evictions += 1;
+        let old = self.entries[victim].replace(entry);
+        if let Some(e) = &old {
+            self.map.remove(&e.vpn);
+        }
+        self.map.insert(entry.vpn, victim);
+        self.last_use[victim] = self.clock;
+        old
+    }
+
+    fn invalidate(&mut self, vpn: u64) -> Option<LtlbEntry> {
+        let i = self.map.remove(&vpn)?;
+        self.entries[i].take()
+    }
+
+    fn save_state(&self, e: &mut Enc) {
+        e.usize(self.entries.len());
+        for (slot, lu) in self.entries.iter().zip(&self.last_use) {
+            match slot {
+                None => e.u8(0),
+                Some(en) => {
+                    e.u8(1);
+                    e.u64(en.vpn);
+                    e.u64(en.ppn);
+                    e.u64(en.status_lo);
+                    e.u64(en.status_hi);
+                    e.u64(en.lpt_addr);
+                }
+            }
+            e.u64(*lu);
+        }
+        e.u64(self.clock);
+        e.u64(self.stats.hits);
+        e.u64(self.stats.misses);
+        e.u64(self.stats.evictions);
+    }
+
+    fn load_state(&mut self, d: &mut Dec<'_>) {
+        let n = d.usize().unwrap();
+        assert_eq!(n, self.entries.len());
+        self.map.clear();
+        for i in 0..n {
+            self.entries[i] = match d.u8().unwrap() {
+                0 => None,
+                _ => {
+                    let en = LtlbEntry {
+                        vpn: d.u64().unwrap(),
+                        ppn: d.u64().unwrap(),
+                        status_lo: d.u64().unwrap(),
+                        status_hi: d.u64().unwrap(),
+                        lpt_addr: d.u64().unwrap(),
+                    };
+                    self.map.insert(en.vpn, i);
+                    Some(en)
+                }
+            };
+            self.last_use[i] = d.u64().unwrap();
+        }
+        self.clock = d.u64().unwrap();
+        self.stats = LtlbStats {
+            hits: d.u64().unwrap(),
+            misses: d.u64().unwrap(),
+            evictions: d.u64().unwrap(),
+        };
+    }
+}
+
+/// `(kind, vpn, ppn, block)` against both LTLBs.
+type LtlbOp = (u8, u64, u64, u64);
+
+fn ltlb_ops() -> impl Strategy<Value = Vec<LtlbOp>> {
+    // A dozen small vpns (so inserts hit resident pages, evict and
+    // collide in the index) plus the odd arbitrary one.
+    let vpn = prop_oneof![0u64..12, 0u64..12, 0u64..12, any::<u64>()];
+    prop::collection::vec((0u8..8, vpn, 0u64..64, 0u64..64), 1..100)
+}
+
+fn apply_ltlb_ops(new: &mut Ltlb, old: &mut MapLtlb, ops: &[LtlbOp]) {
+    for &(kind, vpn, ppn, block) in ops {
+        let status = BlockStatus::from_bits(ppn as u8);
+        match kind {
+            0..=2 => {
+                let e = LtlbEntry::uniform(vpn, ppn, status, ppn * 4);
+                assert_eq!(new.insert(e), old.insert(e), "insert {vpn}");
+            }
+            3 => {
+                let (a, b) = (new.lookup(vpn), old.lookup(vpn));
+                assert_eq!(a.as_deref(), b.as_deref(), "lookup {vpn}");
+                // A write through the returned entry must land in both.
+                if let (Some(a), Some(b)) = (a, b) {
+                    a.set_block_status(block, status);
+                    b.set_block_status(block, status);
+                }
+            }
+            4 => {
+                let (a, b) = (new.find_mut(vpn), old.find_mut(vpn));
+                assert_eq!(a.as_deref(), b.as_deref(), "find_mut {vpn}");
+                if let (Some(a), Some(b)) = (a, b) {
+                    a.set_block_status(block, BlockStatus::Dirty);
+                    b.set_block_status(block, BlockStatus::Dirty);
+                }
+            }
+            5 => assert_eq!(new.invalidate(vpn), old.invalidate(vpn), "invalidate {vpn}"),
+            6 => {
+                // Round trip both through their own bytes, which must match.
+                let bytes = encoded(|e| new.save_state(e));
+                assert_eq!(&bytes, &encoded(|e| old.save_state(e)), "checkpoint bytes");
+                new.load_state(&mut Dec::new(&bytes)).expect("load");
+                old.load_state(&mut Dec::new(&bytes));
+            }
+            _ => {}
+        }
+        assert_eq!(new.probe(vpn), old.probe(vpn), "probe {vpn}");
+        assert_eq!(new.stats(), old.stats);
+        let resident: Vec<LtlbEntry> = new.iter().copied().collect();
+        let expect: Vec<LtlbEntry> = old.entries.iter().flatten().copied().collect();
+        assert_eq!(resident, expect, "resident entries");
+    }
+    for vpn in 0..12 {
+        assert_eq!(new.probe(vpn), old.probe(vpn), "probe {vpn}");
+    }
+    assert_eq!(
+        encoded(|e| new.save_state(e)),
+        encoded(|e| old.save_state(e))
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The open-addressed index answers every lookup, probe, insert,
+    /// eviction and invalidation exactly as the hash map did, with equal
+    /// statistics and checkpoint bytes, at capacities from one slot
+    /// (index of two buckets) to more slots than the vpns in play.
+    #[test]
+    fn ltlb_index_matches_hash_map(ops in ltlb_ops(), capacity in 1usize..16) {
+        let mut new = Ltlb::new(capacity);
+        let mut old = MapLtlb::new(capacity);
+        apply_ltlb_ops(&mut new, &mut old, &ops);
+    }
+}
+
+/// A hand-made checkpoint may hold one vpn in two slots: the later slot
+/// answers, as the hash map's last insert did, through lookups,
+/// replacement, eviction and invalidation.
+#[test]
+fn ltlb_duplicate_vpn_checkpoint_resolves_like_the_map() {
+    let entry = |vpn, ppn| LtlbEntry::uniform(vpn, ppn, BlockStatus::ReadWrite, 0);
+    let mut e = Enc::new();
+    e.usize(3);
+    for (i, en) in [entry(7, 1), entry(7, 2), entry(9, 3)].iter().enumerate() {
+        e.u8(1);
+        for v in [en.vpn, en.ppn, en.status_lo, en.status_hi, en.lpt_addr] {
+            e.u64(v);
+        }
+        e.u64(i as u64);
+    }
+    for v in [10u64, 0, 0, 0] {
+        e.u64(v);
+    }
+    let bytes = e.finish();
+    let mut new = Ltlb::new(3);
+    let mut old = MapLtlb::new(3);
+    new.load_state(&mut Dec::new(&bytes)).expect("load");
+    old.load_state(&mut Dec::new(&bytes));
+    assert_eq!(new.probe(7).map(|e| e.ppn), Some(2));
+    // Evicts slot 0 (a duplicate nobody indexes): the map dropped vpn 7
+    // altogether, so must the index.
+    let ops: [LtlbOp; 6] = [
+        (0, 11, 5, 0),
+        (3, 7, 0, 0),
+        (0, 7, 6, 0),
+        (5, 7, 0, 0),
+        (3, 9, 0, 0),
+        (6, 0, 0, 0),
+    ];
+    apply_ltlb_ops(&mut new, &mut old, &ops);
 }

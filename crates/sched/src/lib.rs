@@ -32,8 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod ladder;
+pub mod small;
 
 pub use ladder::{any_runnable, tally_total, DeadlineLadder, LadderViewMut, AWAKE, BLOCK, INERT};
+pub use small::SmallReadyQueue;
 
 use std::collections::BinaryHeap;
 
@@ -48,9 +50,16 @@ struct Entry<T> {
     item: T,
 }
 
+impl<T> Entry<T> {
+    /// The delivery-order key.
+    fn key(&self) -> (u64, u64) {
+        (self.ready, self.seq)
+    }
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Entry<T>) -> bool {
-        self.ready == other.ready && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -65,7 +74,7 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Entry<T>) -> std::cmp::Ordering {
         // Reversed: the max-heap's "largest" is our smallest key.
-        (other.ready, other.seq).cmp(&(self.ready, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -196,7 +205,7 @@ impl<T> ReadyQueue<T> {
     #[must_use]
     pub fn snapshot(&self) -> Vec<(u64, &T)> {
         let mut entries: Vec<&Entry<T>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| (e.ready, e.seq));
+        entries.sort_by_key(|e| e.key());
         entries.into_iter().map(|e| (e.ready, &e.item)).collect()
     }
 

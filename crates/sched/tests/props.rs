@@ -135,3 +135,71 @@ fn same_cycle_ties_deliver_in_push_order() {
         assert_eq!(o.len(), 1);
     }
 }
+
+// ----------------------------------------------------------------------
+// The inline-front queue vs the heap queue it stands in for
+// ----------------------------------------------------------------------
+
+use mm_sched::SmallReadyQueue;
+
+/// Drive a [`SmallReadyQueue`] and a heap [`ReadyQueue`] through the same
+/// pushes, pops, drains and snapshot/restore round trips: every pop,
+/// length, next-ready cycle and snapshot must agree.
+fn small_matches_heap<const N: usize>(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+    let mut heap: ReadyQueue<u64> = ReadyQueue::new();
+    let mut small: SmallReadyQueue<u64, N> = SmallReadyQueue::new();
+    let mut now = 0u64;
+    let mut id = 0u64;
+    for &(kind, v) in ops {
+        match kind {
+            // Mostly pushes, a few cycles out: ties and overflow.
+            0..=3 => {
+                id += 1;
+                heap.push(now + v, id);
+                small.push(now + v, id);
+            }
+            4 | 5 => {
+                prop_assert_eq!(small.pop_due(now), heap.pop_due(now), "pop at {}", now);
+            }
+            6 => {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                prop_assert_eq!(
+                    small.drain_due_into(now, &mut a),
+                    heap.drain_due_into(now, &mut b)
+                );
+                prop_assert_eq!(a, b, "drain at {}", now);
+            }
+            7 => {
+                let snap: Vec<(u64, u64)> =
+                    heap.snapshot().into_iter().map(|(r, &x)| (r, x)).collect();
+                let got: Vec<(u64, u64)> =
+                    small.snapshot().into_iter().map(|(r, &x)| (r, x)).collect();
+                prop_assert_eq!(&got, &snap);
+                small.restore(got);
+                heap.restore(snap);
+            }
+            _ => now += v,
+        }
+        prop_assert_eq!(small.len(), heap.len());
+        prop_assert_eq!(small.is_empty(), heap.is_empty());
+        prop_assert_eq!(small.next_ready(), heap.next_ready());
+    }
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    small.drain_due_into(u64::MAX, &mut a);
+    heap.drain_due_into(u64::MAX, &mut b);
+    prop_assert_eq!(a, b, "final drain");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One, two and four inline entries: the split between the inline
+    /// front and the heap never shows in what pops, or when.
+    #[test]
+    fn small_queue_matches_heap_queue(ops in prop::collection::vec((0u8..9, 0u64..6), 1..160)) {
+        small_matches_heap::<1>(&ops)?;
+        small_matches_heap::<2>(&ops)?;
+        small_matches_heap::<4>(&ops)?;
+    }
+}

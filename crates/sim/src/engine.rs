@@ -8,8 +8,8 @@
 //! engine turns that observation into a contract:
 //!
 //! 1. **Step one cycle.** Each component has an inherent step method
-//!    that advances it through cycle `now` — [`Node::step`],
-//!    [`MemorySystem::step`](mm_mem::memsys::MemorySystem::step),
+//!    that advances it through cycle `now` — [`Node::step_with`],
+//!    [`MemorySystem::step_into`](mm_mem::memsys::MemorySystem::step_into),
 //!    [`Fabric::pop_due`](mm_net::fabric::Fabric::pop_due), and
 //!    the coherence engine's `step` in `mm-core`. Signatures vary
 //!    because outputs vary (responses, deliveries, firmware effects);
@@ -95,6 +95,7 @@ pub fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::step;
     use crate::NodeConfig;
     use mm_mem::memsys::{MemConfig, MemRequest};
     use mm_net::fabric::FabricConfig;
@@ -112,7 +113,7 @@ mod tests {
     #[test]
     fn idle_node_is_quiescent() {
         let mut node = Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
-        let progressed = node.step(0);
+        let progressed = step(&mut node, 0);
         assert!(!progressed, "an empty node does nothing");
         assert_eq!(Tick::next_activity(&node, 0), None);
     }
@@ -122,29 +123,29 @@ mod tests {
         let mut node = Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
         let prog = Arc::new(mm_isa::assemble("add r1, #1, r1\n add r1, #1, r1\n halt\n").unwrap());
         node.load_program(0, 0, prog, 0);
-        assert!(node.step(0), "first add issues");
+        assert!(step(&mut node, 0), "first add issues");
         // The writeback of the first add is now pending: a deadline.
         assert!(node.next_activity(0).is_some());
         let mut cycle = 1;
         while node.thread_state(0, 0) == crate::HState::Running && cycle < 32 {
-            node.step(cycle);
+            step(&mut node, cycle);
             cycle += 1;
         }
         assert_eq!(node.thread_state(0, 0), crate::HState::Halted);
         // Drain the last writeback, then the node is quiescent.
         while node.next_activity(cycle - 1).is_some() {
-            node.step(cycle);
+            step(&mut node, cycle);
             cycle += 1;
         }
-        assert!(!node.step(cycle), "halted node makes no progress");
+        assert!(!step(&mut node, cycle), "halted node makes no progress");
         assert_eq!(node.next_activity(cycle), None);
     }
 
     #[test]
     fn skipped_cycles_are_accounted() {
         let mut node = Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
-        node.step(0);
-        node.step(100); // the engine skipped cycles 1..100
+        step(&mut node, 0);
+        step(&mut node, 100); // the engine skipped cycles 1..100
         assert_eq!(node.stats().cycles, 101);
     }
 

@@ -9,7 +9,7 @@
 //! [`mm_mem`] and the network interface from [`mm_net`].
 //!
 //! ```
-//! use mm_sim::{Node, NodeConfig};
+//! use mm_sim::{Node, NodeConfig, StepScratch};
 //! use mm_net::message::NodeCoord;
 //! use std::sync::Arc;
 //!
@@ -17,8 +17,9 @@
 //! let mut node = Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
 //! let prog = Arc::new(mm_isa::assemble("add r1, #20, r2\n add r2, #22, r2\n halt\n")?);
 //! node.load_program(0, 0, prog, 0);
+//! let mut scratch = StepScratch::new();
 //! for cycle in 0..100 {
-//!     node.step(cycle);
+//!     node.step_with(cycle, &mut scratch);
 //!     if node.user_threads_done() {
 //!         break;
 //!     }

@@ -12,7 +12,6 @@
 
 use crate::config::{NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, NUM_CLUSTERS, NUM_SLOTS};
 use crate::event::{decode_record, format_event};
-use crate::regfile::ThreadRegs;
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::instr::{Instruction, IssueDesc, MemHazard, Program};
 use mm_isa::op::{AluKind, BranchCond, CmpKind, FpKind, FpOp, IntOp, MemOp, MemSlotOp, Priority};
@@ -22,9 +21,12 @@ use mm_isa::word::Word;
 use mm_mem::memsys::{AccessKind, MemEvent, MemRequest, MemResponse, MemorySystem};
 use mm_net::iface::{NodeNet, SendOutcome};
 use mm_net::message::NodeCoord;
-use mm_sched::ReadyQueue;
+use mm_sched::SmallReadyQueue;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use thread::{HThread, Thread};
+
+mod thread;
 
 /// Why an H-Thread stopped with a synchronous fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,45 +163,18 @@ impl Iterator for SlotScan {
     }
 }
 
-/// One H-Thread's control state.
-#[derive(Debug, Clone)]
-struct HThread {
-    program: Option<Arc<Program>>,
-    pc: u32,
-    state: HState,
-    /// First cycle at which the thread may issue again (absolute; a
-    /// taken branch's fetch bubble). Absolute deadlines — rather than a
-    /// per-cycle countdown — keep the thread's wake-up time meaningful
-    /// when the engine skips the node over provably idle cycles.
-    stall_until: u64,
-    /// Cached issue-block proof (see [`IssueBlock`]).
-    blocked: Option<IssueBlock>,
-}
-
-impl HThread {
-    fn idle() -> HThread {
-        HThread {
-            program: None,
-            pc: 0,
-            state: HState::Idle,
-            stall_until: 0,
-            blocked: None,
-        }
-    }
-}
-
 /// A scheduled local register write (a unit's writeback). The ready
-/// cycle lives in the [`ReadyQueue`] key, not the payload.
+/// cycle lives in the queue key, not the payload.
 #[derive(Debug, Clone, Copy)]
 struct PendingWrite {
-    cluster: usize,
-    slot: usize,
+    cluster: u8,
+    slot: u8,
     reg: Reg,
     value: Word,
 }
 
 /// A C-Switch transfer in flight. Delivery cycle and issue-order
-/// sequencing live in the [`ReadyQueue`] key.
+/// sequencing live in the queue key.
 #[derive(Debug, Clone, Copy)]
 struct CswTransfer {
     target: CswTarget,
@@ -208,70 +183,98 @@ struct CswTransfer {
 
 #[derive(Debug, Clone, Copy)]
 enum CswTarget {
-    Reg {
-        cluster: usize,
-        slot: usize,
-        reg: Reg,
-    },
-    GccBroadcast {
-        slot: usize,
-        reg: Reg,
-    },
+    Reg { cluster: u8, slot: u8, reg: Reg },
+    GccBroadcast { slot: u8, reg: Reg },
 }
 
-/// Per-node statistics.
+/// Per-node statistics. Ordered by how often a step bumps them, so
+/// the counters of a busy step share the struct's first lines.
 #[derive(Debug, Clone, Default)]
+#[repr(C)]
 pub struct NodeStats {
     /// Cycles simulated.
     pub cycles: u64,
+    /// `step_with` invocations — a *host* perf counter like
+    /// `issue_probes` (the quiescence engines skip provably-idle steps,
+    /// so this measures how much of the walk each engine actually
+    /// performed; `steps / cycles` is the awake fraction).
+    pub steps: u64,
+    /// Issue-stage candidates examined: running, un-stalled threads
+    /// whose next instruction was fetched and readiness-checked. A
+    /// *host* perf counter, not an architectural one — the quiescence
+    /// engine skips provably-idle steps, so this (unlike the
+    /// architectural counters) legitimately differs between the dense
+    /// loop and the engines. The issue-path hit rate is `instructions /
+    /// issue_probes`.
+    pub issue_probes: u64,
     /// Instructions issued (whole 1–3-op instructions).
     pub instructions: u64,
     /// Integer operations executed (either integer unit).
     pub int_ops: u64,
     /// Memory operations (loads + stores + sends).
     pub mem_ops: u64,
-    /// FP operations executed.
-    pub fp_ops: u64,
     /// Loads issued.
     pub loads: u64,
     /// Stores issued.
     pub stores: u64,
     /// Messages sent.
     pub sends: u64,
+    /// Taken branches.
+    pub branches_taken: u64,
+    /// Memory responses applied.
+    pub responses: u64,
+    /// Cycle of the most recent memory-response completion (benches use
+    /// this to time store completion, which no register observes).
+    pub last_response_cycle: u64,
+    /// C-Switch transfers delivered.
+    pub cswitch_transfers: u64,
+    /// Event records dropped because a class queue was full.
+    pub events_dropped: u64,
+    /// Event records enqueued, per handler class (cluster).
+    pub events_enqueued: [u64; NUM_CLUSTERS],
+    /// FP operations executed.
+    pub fp_ops: u64,
     /// Protected calls taken: `jmp` through an ENTER-permission guarded
     /// pointer (§3.2's protected entry points — DIP dispatches and
     /// user-level protected subsystem calls both land here).
     pub protected_calls: u64,
-    /// Taken branches.
-    pub branches_taken: u64,
     /// Synchronous faults raised.
     pub faults: u64,
-    /// Event records enqueued, per handler class (cluster).
-    pub events_enqueued: [u64; NUM_CLUSTERS],
-    /// Event records dropped because a class queue was full.
-    pub events_dropped: u64,
     /// Instructions issued per (cluster, slot).
     pub issued_per_slot: [[u64; NUM_SLOTS]; NUM_CLUSTERS],
-    /// C-Switch transfers delivered.
-    pub cswitch_transfers: u64,
-    /// Cycle of the most recent memory-response completion (benches use
-    /// this to time store completion, which no register observes).
-    pub last_response_cycle: u64,
-    /// Memory responses applied.
-    pub responses: u64,
-    /// Issue-stage candidates examined: running, un-stalled threads
-    /// whose next instruction was fetched and readiness-checked. A
-    /// *host* perf counter, not an architectural one — the quiescence
-    /// engine skips provably-idle steps, so this (unlike every counter
-    /// above) legitimately differs between the dense loop and the
-    /// engines. The issue-path hit rate is `instructions /
-    /// issue_probes`.
-    pub issue_probes: u64,
-    /// `step_with` invocations — a *host* perf counter like
-    /// `issue_probes` (the quiescence engines skip provably-idle steps,
-    /// so this measures how much of the walk each engine actually
-    /// performed; `steps / cycles` is the awake fraction).
-    pub steps: u64,
+}
+
+/// The latencies and widths a step reads, copied out of [`NodeConfig`]
+/// so they sit in the node's first lines rather than in the
+/// configuration's.
+#[derive(Debug, Clone)]
+#[repr(C)]
+struct Timing {
+    int_latency: u64,
+    branch_bubble: u64,
+    cswitch_latency: u64,
+    fp_latency: u64,
+    fp_div_latency: u64,
+    int_div_latency: u64,
+    gprobe_latency: u64,
+    cswitch_width: usize,
+    event_queue_records: usize,
+}
+
+impl Timing {
+    fn of(cfg: &NodeConfig) -> Timing {
+        Timing {
+            int_latency: cfg.int_latency,
+            branch_bubble: cfg.branch_bubble,
+            cswitch_latency: cfg.cswitch_latency,
+            fp_latency: cfg.fp_latency,
+            fp_div_latency: cfg.fp_div_latency,
+            int_div_latency: cfg.int_div_latency,
+            gprobe_latency: cfg.gprobe_latency,
+            cswitch_width: cfg.cswitch_width,
+            event_queue_records: cfg.event_queue_records,
+        }
+    }
 }
 
 /// Read-only pipeline/queue summary of one node — the per-node row
@@ -309,8 +312,7 @@ pub struct NodeInspect {
 /// completions into. Steady-state cycles never allocate: the buffers
 /// are cleared (capacity kept) at the top of each step. The machine's
 /// cycle engines thread one scratch through every serial step and one
-/// per worker thread; [`Node::step`] is the allocating convenience
-/// form for tests and debug paths.
+/// per worker thread.
 #[derive(Debug, Default)]
 pub struct StepScratch {
     responses: Vec<MemResponse>,
@@ -332,38 +334,45 @@ impl StepScratch {
 
 /// A complete MAP node.
 ///
-/// Field order is deliberate — this struct is ~18 KB (register files
-/// dominate) and the engines walk hundreds of them per simulated
-/// cycle, so the per-step working set must span as few cache lines as
-/// possible. The layout groups state by access temperature:
+/// Field order is deliberate (`repr(C)`): the engines walk hundreds of
+/// nodes per simulated cycle, and at 512 nodes a node's per-step state
+/// no longer stays in the host's L2 between visits, so every line a
+/// step touches is a likely miss. The node is 12 KiB; what a step reads
+/// is packed into the front of it:
 ///
-/// 1. **Hot header** (first lines): the per-cluster `running` masks
-///    and round-robin cursors, queue headers ([`ReadyQueue`] minima),
-///    tallies and counters — everything the skip/issue decisions read
-///    *every* step.
-/// 2. **Warm block**: the 24 `HThread` control slots as one
-///    contiguous array (~1 KB; only running slots' entries are
-///    touched, and they sit consecutively per cluster).
-/// 3. **Owned subsystems** ([`MemorySystem`], [`NodeNet`], queues,
-///    stats) — each touched through its own hot header.
-/// 4. **Cold tail**: the 24 inline [`ThreadRegs`] files (~16 KB);
-///    a step touches at most a few lines of the active slots' files.
+/// 1. **Header**: the per-cluster `running` and `halted` masks and
+///    round-robin cursors, event-record counts, tallies, the step's
+///    latencies (copied out of the configuration) and the counters a
+///    busy step bumps ([`NodeStats`], busiest first), then the
+///    writeback and C-Switch queues with their first entries inline.
+/// 2. **Owned subsystems** ([`MemorySystem`], [`NodeNet`], the event
+///    and exception queues), each led by its own per-step fields.
+///    Header and subsystems are the node's hot block, 45 host cache
+///    lines at most.
+/// 3. **Thread records**: one 384-byte record per H-Thread slot, each
+///    thread's control words, scoreboard and pointer tags in one line
+///    and its integer registers in the next two (see `thread.rs`); a
+///    step reads only the running threads' records.
+/// 4. **Cold tail**: the configuration and coordinates.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct Node {
-    // --- hot header ---------------------------------------------------
+    // --- header -------------------------------------------------------
     /// Per-cluster bitmask of thread slots currently
     /// [`HState::Running`] — the issue stage iterates set bits only, so
-    /// slots that are idle, halted or faulted are never touched (their
-    /// `HThread` entries stay out of cache entirely), and an all-idle
-    /// cluster costs one byte read in this header. Packed as four
-    /// bytes so "anything runnable on this node?" is one `u32` load
-    /// (mirrored into the machine's node pool for batch reductions).
+    /// slots that are idle, halted or faulted are never touched, and an
+    /// all-idle cluster costs one byte read in this header. Packed as
+    /// four bytes so "anything runnable on this node?" is one `u32`
+    /// load (mirrored into the machine's node pool for batch
+    /// reductions).
     running: [u8; NUM_CLUSTERS],
     /// Per-cluster round-robin issue cursor.
     rr: [u8; NUM_CLUSTERS],
+    /// Per-cluster bitmask of thread slots [`HState::Halted`] (the trace
+    /// reads it after every step).
+    halted: [u8; NUM_CLUSTERS],
     /// Whole 3-word event records queued per handler class.
     event_records: [u32; NUM_CLUSTERS],
-    next_req_id: u64,
     /// User-slot H-Threads currently [`HState::Running`] (maintained at
     /// every state transition, so halt predicates are O(1) per node).
     user_running: u32,
@@ -379,18 +388,17 @@ pub struct Node {
     /// instruction issue is gated. Zero when no fault is armed, so the
     /// healthy path pays one always-false compare per step.
     stall_all_until: u64,
-    /// Pending unit writebacks, applied in `(ready, issue order)`. The
-    /// queue header (its due-minimum mirror) lives here in the hot
-    /// header; storage is heap-side.
-    local_writes: ReadyQueue<PendingWrite>,
+    next_req_id: u64,
+    timing: Timing,
+    stats: NodeStats,
+    /// Pending unit writebacks, applied in `(ready, issue order)`; the
+    /// first four inline.
+    local_writes: SmallReadyQueue<PendingWrite, 4>,
     /// C-Switch transfers in flight, delivered in `(ready, issue
     /// order)` — the ready-ordered replacement for the old per-cycle
     /// `sort_by_key` + in-order `remove` loop, with identical delivery
-    /// order (see `mm_sched`).
-    csw: ReadyQueue<CswTransfer>,
-    // --- warm: thread control slots, one contiguous block -------------
-    /// H-Thread control state, `[cluster][slot]`.
-    threads: [[HThread; NUM_SLOTS]; NUM_CLUSTERS],
+    /// order (see `mm_sched`); the first four inline.
+    csw: SmallReadyQueue<CswTransfer, 4>,
     // --- owned subsystems ---------------------------------------------
     /// The memory system (public for boot/firmware access).
     pub mem: MemorySystem,
@@ -398,16 +406,18 @@ pub struct Node {
     pub net: NodeNet,
     event_q: [VecDeque<Word>; NUM_CLUSTERS],
     exc_q: [VecDeque<Word>; NUM_CLUSTERS],
-    stats: NodeStats,
+    // --- thread slots --------------------------------------------------
+    /// Each H-Thread's record, `[cluster][slot]`: only running threads'
+    /// records are read by a step.
+    threads: [[Thread; NUM_SLOTS]; NUM_CLUSTERS],
+    // --- cold tail ------------------------------------------------------
     cfg: NodeConfig,
     coord: NodeCoord,
-    // --- cold tail: the register files --------------------------------
-    /// Register files, `[cluster][slot]` (~16 KB — the bulk of the
-    /// node). Kept last so the hot header and thread block of the
-    /// *next* node sit as close as possible in the machine's node
-    /// array walk.
-    regs: [[ThreadRegs; NUM_SLOTS]; NUM_CLUSTERS],
 }
+
+// The node's hot block — the header and the subsystems' headers, all
+// that precedes the thread records — is 45 host cache lines at most.
+const _: () = assert!(std::mem::offset_of!(Node, threads) <= 45 * 64);
 
 // The machine-level engine shards nodes across worker threads; a node
 // (with the memory system and network interface it owns) must therefore
@@ -423,23 +433,24 @@ impl Node {
     #[must_use]
     pub fn new(cfg: NodeConfig, coord: NodeCoord) -> Node {
         Node {
-            mem: MemorySystem::new(cfg.mem.clone()),
-            net: NodeNet::new(coord, cfg.iface.clone()),
             running: [0; NUM_CLUSTERS],
             rr: [0; NUM_CLUSTERS],
-            threads: std::array::from_fn(|_| std::array::from_fn(|_| HThread::idle())),
-            regs: std::array::from_fn(|_| std::array::from_fn(|_| ThreadRegs::new())),
-            event_q: std::array::from_fn(|_| VecDeque::new()),
+            halted: [0; NUM_CLUSTERS],
             event_records: [0; NUM_CLUSTERS],
-            exc_q: std::array::from_fn(|_| VecDeque::new()),
-            local_writes: ReadyQueue::new(),
-            csw: ReadyQueue::new(),
-            next_req_id: 0,
             user_running: 0,
             user_finished: 0,
             accounted: 0,
             stall_all_until: 0,
+            next_req_id: 0,
+            timing: Timing::of(&cfg),
             stats: NodeStats::default(),
+            local_writes: SmallReadyQueue::new(),
+            csw: SmallReadyQueue::new(),
+            mem: MemorySystem::new(cfg.mem.clone()),
+            net: NodeNet::new(coord, cfg.iface.clone()),
+            event_q: std::array::from_fn(|_| VecDeque::new()),
+            exc_q: std::array::from_fn(|_| VecDeque::new()),
+            threads: std::array::from_fn(|_| std::array::from_fn(|_| Thread::new())),
             cfg,
             coord,
         }
@@ -471,6 +482,9 @@ impl Node {
     fn account_state(&mut self, cluster: usize, slot: usize, old: HState, new: HState) {
         let runs = |s: HState| s == HState::Running;
         let finished = |s: HState| matches!(s, HState::Halted | HState::Faulted(_));
+        let bit = 1u8 << slot;
+        self.halted[cluster] =
+            self.halted[cluster] & !bit | if new == HState::Halted { bit } else { 0 };
         if runs(old) && !runs(new) {
             self.running[cluster] &= !(1u8 << slot);
         } else if !runs(old) && runs(new) {
@@ -497,7 +511,7 @@ impl Node {
     ///
     /// Panics on out-of-range cluster/slot.
     pub fn load_program(&mut self, cluster: usize, slot: usize, program: Arc<Program>, entry: u32) {
-        let t = &mut self.threads[cluster][slot];
+        let t = &mut self.threads[cluster][slot].ctl;
         let old = t.state;
         t.program = Some(program);
         t.pc = entry;
@@ -509,32 +523,33 @@ impl Node {
 
     /// Stop and unload the H-Thread at `(cluster, slot)`.
     pub fn unload_program(&mut self, cluster: usize, slot: usize) {
-        let old = self.threads[cluster][slot].state;
-        self.threads[cluster][slot] = HThread::idle();
+        let t = &mut self.threads[cluster][slot].ctl;
+        let old = t.state;
+        *t = HThread::idle();
         self.account_state(cluster, slot, old, HState::Idle);
     }
 
     /// The H-Thread's state.
     #[must_use]
     pub fn thread_state(&self, cluster: usize, slot: usize) -> HState {
-        self.threads[cluster][slot].state
+        self.threads[cluster][slot].ctl.state
     }
 
     /// The H-Thread's current PC.
     #[must_use]
     pub fn thread_pc(&self, cluster: usize, slot: usize) -> u32 {
-        self.threads[cluster][slot].pc
+        self.threads[cluster][slot].ctl.pc
     }
 
     /// Read a register (tests, loaders, result extraction).
     #[must_use]
     pub fn read_reg(&self, cluster: usize, slot: usize, reg: Reg) -> Word {
-        self.regs[cluster][slot].read(reg)
+        self.threads[cluster][slot].regs.read(reg)
     }
 
     /// Write a register directly (boot-time setup).
     pub fn write_reg(&mut self, cluster: usize, slot: usize, reg: Reg, value: Word) {
-        self.regs[cluster][slot].write(reg, value);
+        self.threads[cluster][slot].regs.write(reg, value);
     }
 
     /// Are all user-slot H-Threads with programs finished (halted or
@@ -589,7 +604,7 @@ impl Node {
         };
         for c in 0..NUM_CLUSTERS {
             for s in 0..NUM_SLOTS {
-                match self.threads[c][s].state {
+                match self.threads[c][s].ctl.state {
                     HState::Running => ni.running += 1,
                     HState::Halted => ni.halted += 1,
                     HState::Faulted(_) => ni.faulted += 1,
@@ -630,7 +645,7 @@ impl Node {
     /// record, counting it) when the class queue is full, exactly like
     /// the hardware enqueue path.
     pub fn push_event_record(&mut self, cluster: usize, record: [Word; 3]) -> bool {
-        if self.event_records[cluster] as usize >= self.cfg.event_queue_records {
+        if self.event_records[cluster] as usize >= self.timing.event_queue_records {
             self.stats.events_dropped += 1;
             return false;
         }
@@ -666,6 +681,13 @@ impl Node {
         self.event_records[class] as usize
     }
 
+    /// Bitmask of `cluster`'s thread slots that executed `halt` (bit
+    /// `slot`), kept beside the running masks.
+    #[must_use]
+    pub fn halted_slots(&self, cluster: usize) -> u8 {
+        self.halted[cluster]
+    }
+
     /// The four per-cluster running masks packed into one word — the
     /// value mirrored into the machine's node pool so "anything
     /// runnable anywhere?" is an OR-fold over a dense `u32` array.
@@ -698,7 +720,7 @@ impl Node {
     /// scheduled deadline reported here or an external wake-up the
     /// machine-level scheduler tracks.
     ///
-    /// Only meaningful immediately after a [`Node::step`] at `now` that
+    /// Only meaningful immediately after a [`Node::step_with`] at `now` that
     /// reported no progress; a step that progressed may enable an issue
     /// on the very next cycle, which this accounting does not cover.
     #[must_use]
@@ -723,7 +745,7 @@ impl Node {
                 #[allow(clippy::cast_possible_truncation)]
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let t = &self.threads[c][slot];
+                let t = &self.threads[c][slot].ctl;
                 if t.stall_until > now {
                     best = earliest(best, Some(t.stall_until));
                 }
@@ -798,14 +820,16 @@ impl Node {
             self.stats.last_response_cycle = self.stats.last_response_cycle.max(r.ready);
             if r.req.kind == AccessKind::Load {
                 if let Some(ra) = RegAddr::decode(r.req.tag) {
-                    self.regs[ra.cluster as usize][ra.slot as usize].write(ra.reg, r.value);
+                    self.threads[usize::from(ra.cluster)][usize::from(ra.slot)]
+                        .regs
+                        .write(ra.reg, r.value);
                 }
             }
         }
         for ev in scratch.events.drain(..) {
             let (kind, words) = format_event(&ev);
             let class = kind.handler_class();
-            if self.event_records[class] as usize >= self.cfg.event_queue_records {
+            if self.event_records[class] as usize >= self.timing.event_queue_records {
                 self.stats.events_dropped += 1;
                 continue;
             }
@@ -819,7 +843,9 @@ impl Node {
         // Phase 2: local unit writebacks due this cycle, in (ready,
         // issue) order.
         while let Some(w) = self.local_writes.pop_due(now) {
-            self.regs[w.cluster][w.slot].write(w.reg, w.value);
+            self.threads[usize::from(w.cluster)][usize::from(w.slot)]
+                .regs
+                .write(w.reg, w.value);
             progressed = true;
         }
 
@@ -827,17 +853,18 @@ impl Node {
         // cycle, in (ready, issue) order straight off the ready queue
         // (delivery order identical to the old sort-then-scan loop).
         let mut delivered = 0;
-        while delivered < self.cfg.cswitch_width {
+        while delivered < self.timing.cswitch_width {
             let Some(t) = self.csw.pop_due(now) else {
                 break;
             };
             match t.target {
                 CswTarget::Reg { cluster, slot, reg } => {
-                    self.regs[cluster][slot].write(reg, t.value);
+                    let regs = &mut self.threads[usize::from(cluster)][usize::from(slot)].regs;
+                    regs.write(reg, t.value);
                 }
                 CswTarget::GccBroadcast { slot, reg } => {
-                    for cr in &mut self.regs {
-                        cr[slot].write(reg, t.value);
+                    for ts in &mut self.threads {
+                        ts[usize::from(slot)].regs.write(reg, t.value);
                     }
                 }
             }
@@ -857,14 +884,6 @@ impl Node {
             }
         }
         progressed
-    }
-
-    /// Advance one cycle with step-local scratch buffers — the
-    /// allocating convenience form of [`Node::step_with`] for tests and
-    /// debug paths.
-    pub fn step(&mut self, now: u64) -> bool {
-        let mut scratch = StepScratch::new();
-        self.step_with(now, &mut scratch)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -893,7 +912,8 @@ impl Node {
         }
         let mut acted = false;
         for slot in SlotScan::new(running, usize::from(self.rr[c])) {
-            let t = &self.threads[c][slot];
+            let thread = &self.threads[c][slot];
+            let t = &thread.ctl;
             if now < t.stall_until {
                 continue;
             }
@@ -907,7 +927,7 @@ impl Node {
                     continue;
                 }
                 Some(IssueBlock::Regs { pc, version })
-                    if pc == t.pc && self.regs[c][slot].version() == version =>
+                    if pc == t.pc && thread.regs.version() == version =>
                 {
                     continue;
                 }
@@ -925,15 +945,15 @@ impl Node {
             };
             if let Probe::Blocked(memo) = self.probe(c, slot, pc, desc) {
                 if memo.is_some() {
-                    self.threads[c][slot].blocked = memo;
+                    self.threads[c][slot].ctl.blocked = memo;
                 }
                 continue;
             }
-            let t = &mut self.threads[c][slot];
+            let t = &mut self.threads[c][slot].ctl;
             t.blocked = None;
             let prog = t.program.take().expect("probed through it above");
             self.execute(now, c, slot, &prog.instrs()[pc as usize]);
-            self.threads[c][slot].program = Some(prog);
+            self.threads[c][slot].ctl.program = Some(prog);
             #[allow(clippy::cast_possible_truncation)]
             {
                 self.rr[c] = ((slot + 1) % NUM_SLOTS) as u8;
@@ -958,7 +978,7 @@ impl Node {
     /// only a change to that file can unblock it
     /// ([`IssueBlock::Regs`]).
     fn probe(&self, c: usize, slot: usize, pc: u32, desc: IssueDesc) -> Probe {
-        let regs = &self.regs[c][slot];
+        let regs = &self.threads[c][slot].regs;
         // Room in the bank queue that the raw address in `vaddr` maps to?
         let restart_fits = |vaddr: Reg| self.mem.can_accept(regs.read(vaddr).bits(), false);
         let holds = regs.scoreboard() & desc.need == desc.need
@@ -1034,14 +1054,14 @@ impl Node {
 
     fn fault(&mut self, now: u64, c: usize, slot: usize, fault: Fault) {
         self.stats.faults += 1;
-        let t = &mut self.threads[c][slot];
+        let t = &mut self.threads[c][slot].ctl;
         let pc = t.pc;
         let old = t.state;
         t.state = HState::Faulted(fault);
         self.account_state(c, slot, old, HState::Faulted(fault));
         // Synchronous exception record for the exception V-Thread (§3.3).
         let desc = (fault as u64) | ((slot as u64) << 8) | ((c as u64) << 12);
-        if self.exc_q[c].len() < 3 * self.cfg.event_queue_records {
+        if self.exc_q[c].len() < 3 * self.timing.event_queue_records {
             self.exc_q[c].push_back(Word::from_u64(desc));
             self.exc_q[c].push_back(Word::from_u64(u64::from(pc)));
             self.exc_q[c].push_back(Word::from_u64(now));
@@ -1078,7 +1098,7 @@ impl Node {
                 }
                 Ok(w)
             }
-            r => Ok(self.regs[c][slot].read(r)),
+            r => Ok(self.threads[c][slot].regs.read(r)),
         }
     }
 
@@ -1094,6 +1114,8 @@ impl Node {
         value: Word,
         latency: u64,
     ) -> Result<(), Fault> {
+        #[allow(clippy::cast_possible_truncation)]
+        let (c8, slot8) = (c as u8, slot as u8);
         match dst {
             Dst::Local(reg) => {
                 if let Reg::Gcc(n) = reg {
@@ -1104,22 +1126,22 @@ impl Node {
                     // The writer's own copy empties at issue, so its own
                     // dependent reads (e.g. the branch after a compare)
                     // wait for the broadcast to land.
-                    self.regs[c][slot].clear(reg);
+                    self.threads[c][slot].regs.clear(reg);
                     self.csw.push(
-                        now + latency + self.cfg.cswitch_latency,
+                        now + latency + self.timing.cswitch_latency,
                         CswTransfer {
-                            target: CswTarget::GccBroadcast { slot, reg },
+                            target: CswTarget::GccBroadcast { slot: slot8, reg },
                             value,
                         },
                     );
                     return Ok(());
                 }
-                self.regs[c][slot].clear(reg);
+                self.threads[c][slot].regs.clear(reg);
                 self.local_writes.push(
                     now + latency,
                     PendingWrite {
-                        cluster: c,
-                        slot,
+                        cluster: c8,
+                        slot: slot8,
                         reg,
                         value,
                     },
@@ -1131,11 +1153,11 @@ impl Node {
                     return Err(Fault::GccOwnership);
                 }
                 self.csw.push(
-                    now + latency + self.cfg.cswitch_latency,
+                    now + latency + self.timing.cswitch_latency,
                     CswTransfer {
                         target: CswTarget::Reg {
-                            cluster: cluster as usize,
-                            slot,
+                            cluster,
+                            slot: slot8,
                             reg,
                         },
                         value,
@@ -1190,7 +1212,7 @@ impl Node {
             return;
         }
 
-        let t = &mut self.threads[c][slot];
+        let t = &mut self.threads[c][slot].ctl;
         if halted {
             let old = t.state;
             t.state = HState::Halted;
@@ -1200,7 +1222,7 @@ impl Node {
         match next_pc {
             Some(target) => {
                 t.pc = target;
-                t.stall_until = now + self.cfg.branch_bubble;
+                t.stall_until = now + self.timing.branch_bubble;
                 self.stats.branches_taken += 1;
             }
             None => t.pc += 1,
@@ -1225,7 +1247,7 @@ impl Node {
         next_pc: &mut Option<u32>,
         halted: &mut bool,
     ) -> Result<(), Fault> {
-        let lat = self.cfg.int_latency;
+        let lat = self.timing.int_latency;
         match op {
             IntOp::Alu { kind, a, b, dst } => {
                 let va = self.read_src(c, slot, a)?;
@@ -1252,7 +1274,7 @@ impl Node {
                     AluKind::Sra => x >> (y as u64 & 63),
                 };
                 let latency = if *kind == AluKind::Div {
-                    self.cfg.int_div_latency
+                    self.timing.int_div_latency
                 } else {
                     lat
                 };
@@ -1319,7 +1341,7 @@ impl Node {
             }
             IntOp::Empty { regs } => {
                 for r in regs {
-                    self.regs[c][slot].clear(*r);
+                    self.threads[c][slot].regs.clear(*r);
                 }
                 Ok(())
             }
@@ -1329,11 +1351,11 @@ impl Node {
                 let v = self.read_src(c, slot, value)?;
                 let ra = RegAddr::decode(a).ok_or(Fault::BadQueueAccess)?;
                 self.csw.push(
-                    now + lat + self.cfg.cswitch_latency,
+                    now + lat + self.timing.cswitch_latency,
                     CswTransfer {
                         target: CswTarget::Reg {
-                            cluster: ra.cluster as usize,
-                            slot: ra.slot as usize,
+                            cluster: ra.cluster,
+                            slot: ra.slot,
                             reg: ra.reg,
                         },
                         value: v,
@@ -1355,7 +1377,7 @@ impl Node {
                         .map(Word::from_pointer)
                         .unwrap_or(Word::ZERO),
                 };
-                self.schedule_write(now, c, slot, *dst, result, self.cfg.gprobe_latency)
+                self.schedule_write(now, c, slot, *dst, result, self.timing.gprobe_latency)
             }
             IntOp::TlbWr { entry_ptr } => {
                 Self::require_privilege(slot)?;
@@ -1417,7 +1439,7 @@ impl Node {
                     Dst::Remote { cluster, reg } => (*cluster as usize, *reg),
                 };
                 if *dst == Dst::Local(reg) && !reg.is_queue() {
-                    self.regs[c][slot].clear(reg);
+                    self.threads[c][slot].regs.clear(reg);
                 }
                 let tag = RegAddr {
                     slot: slot as u8,
@@ -1485,7 +1507,7 @@ impl Node {
                 dip_ptr.check_execute().map_err(|_| Fault::BadDip)?;
                 let mut body = mm_net::MsgBody::new();
                 for i in 1..=*len {
-                    body.push(self.regs[c][slot].read(Reg::Mc(i)));
+                    body.push(self.threads[c][slot].regs.read(Reg::Mc(i)));
                 }
                 match self.net.send(dp, d, dest_ptr.addr(), body, *priority) {
                     SendOutcome::Sent(_) => Ok(()),
@@ -1497,7 +1519,7 @@ impl Node {
     }
 
     fn exec_fp(&mut self, now: u64, c: usize, slot: usize, op: &FpOp) -> Result<(), Fault> {
-        let lat = self.cfg.fp_latency;
+        let lat = self.timing.fp_latency;
         match op {
             FpOp::Alu { kind, a, b, dst } => {
                 let x = self.read_src(c, slot, a)?.as_f64();
@@ -1506,7 +1528,7 @@ impl Node {
                     FpKind::Add => (x + y, lat),
                     FpKind::Sub => (x - y, lat),
                     FpKind::Mul => (x * y, lat),
-                    FpKind::Div => (x / y, self.cfg.fp_div_latency),
+                    FpKind::Div => (x / y, self.timing.fp_div_latency),
                 };
                 self.schedule_write(now, c, slot, *dst, Word::from_f64(v), latency)
             }
@@ -1546,7 +1568,7 @@ impl Node {
             }
             FpOp::Empty { regs } => {
                 for r in regs {
-                    self.regs[c][slot].clear(*r);
+                    self.threads[c][slot].regs.clear(*r);
                 }
                 Ok(())
             }
@@ -1580,8 +1602,8 @@ impl Node {
             e.u64(ready);
             e.u64(
                 RegAddr {
-                    slot: w.slot as u8,
-                    cluster: w.cluster as u8,
+                    slot: w.slot,
+                    cluster: w.cluster,
                     reg: w.reg,
                 }
                 .encode(),
@@ -1596,20 +1618,13 @@ impl Node {
             match t.target {
                 CswTarget::Reg { cluster, slot, reg } => {
                     e.u8(0);
-                    e.u64(
-                        RegAddr {
-                            slot: slot as u8,
-                            cluster: cluster as u8,
-                            reg,
-                        }
-                        .encode(),
-                    );
+                    e.u64(RegAddr { slot, cluster, reg }.encode());
                 }
                 CswTarget::GccBroadcast { slot, reg } => {
                     e.u8(1);
                     e.u64(
                         RegAddr {
-                            slot: slot as u8,
+                            slot,
                             cluster: 0,
                             reg,
                         }
@@ -1622,7 +1637,8 @@ impl Node {
         }
         for c in 0..NUM_CLUSTERS {
             for s in 0..NUM_SLOTS {
-                let t = &self.threads[c][s];
+                let thread = &self.threads[c][s];
+                let t = &thread.ctl;
                 e.bool(t.program.is_some());
                 e.u32(t.pc);
                 match t.state {
@@ -1652,7 +1668,7 @@ impl Node {
                         e.u64(version);
                     }
                 }
-                self.regs[c][s].save_state(e);
+                thread.regs.save_state(e);
             }
         }
         for q in self.event_q.iter().chain(&self.exc_q) {
@@ -1662,7 +1678,7 @@ impl Node {
                 e.bool(w.is_pointer());
             }
         }
-        save_node_stats(e, &self.stats);
+        self.save_stats(e);
         self.mem.save_state(e);
         self.net.save_state(e);
     }
@@ -1700,8 +1716,8 @@ impl Node {
             writes.push((
                 ready,
                 PendingWrite {
-                    cluster: ra.cluster as usize,
-                    slot: ra.slot as usize,
+                    cluster: ra.cluster,
+                    slot: ra.slot,
                     reg: ra.reg,
                     value,
                 },
@@ -1716,15 +1732,15 @@ impl Node {
                 0 => {
                     let ra = decode_reg_addr(d)?;
                     CswTarget::Reg {
-                        cluster: ra.cluster as usize,
-                        slot: ra.slot as usize,
+                        cluster: ra.cluster,
+                        slot: ra.slot,
                         reg: ra.reg,
                     }
                 }
                 1 => {
                     let ra = decode_reg_addr(d)?;
                     CswTarget::GccBroadcast {
-                        slot: ra.slot as usize,
+                        slot: ra.slot,
                         reg: ra.reg,
                     }
                 }
@@ -1760,7 +1776,8 @@ impl Node {
                     }
                     t => return Err(CkptError(format!("bad issue-block tag {t}"))),
                 };
-                let t = &mut self.threads[c][s];
+                let thread = &mut self.threads[c][s];
+                let t = &mut thread.ctl;
                 if has_program != t.program.is_some() {
                     return Err(CkptError(format!(
                         "program presence mismatch at cluster {c} slot {s}: \
@@ -1772,8 +1789,13 @@ impl Node {
                 t.state = state;
                 t.stall_until = stall_until;
                 t.blocked = blocked;
-                self.regs[c][s].load_state(d)?;
+                thread.regs.load_state(d)?;
             }
+        }
+        for c in 0..NUM_CLUSTERS {
+            self.halted[c] = (0..NUM_SLOTS)
+                .filter(|&s| self.threads[c][s].ctl.state == HState::Halted)
+                .fold(0, |m, s| m | 1 << s);
         }
         for q in self.event_q.iter_mut().chain(&mut self.exc_q) {
             q.clear();
@@ -1782,9 +1804,83 @@ impl Node {
                 q.push_back(Word::from_raw(d.u64()?, d.bool()?));
             }
         }
-        self.stats = load_node_stats(d)?;
+        self.load_stats(d)?;
         self.mem.load_state(d)?;
         self.net.load_state(d)?;
+        Ok(())
+    }
+}
+
+impl Node {
+    /// The statistics in checkpoint order, per-slot issue counts
+    /// `[cluster][slot]` among them.
+    fn save_stats(&self, e: &mut Enc) {
+        let s = &self.stats;
+        for v in [
+            s.cycles,
+            s.instructions,
+            s.int_ops,
+            s.mem_ops,
+            s.fp_ops,
+            s.loads,
+            s.stores,
+            s.sends,
+            s.protected_calls,
+            s.branches_taken,
+            s.faults,
+        ] {
+            e.u64(v);
+        }
+        for v in s.events_enqueued {
+            e.u64(v);
+        }
+        e.u64(s.events_dropped);
+        for c in 0..NUM_CLUSTERS {
+            for slot in 0..NUM_SLOTS {
+                e.u64(self.stats.issued_per_slot[c][slot]);
+            }
+        }
+        for v in [
+            s.cswitch_transfers,
+            s.last_response_cycle,
+            s.responses,
+            s.issue_probes,
+            s.steps,
+        ] {
+            e.u64(v);
+        }
+    }
+
+    fn load_stats(&mut self, d: &mut Dec) -> Result<(), CkptError> {
+        let mut s = NodeStats {
+            cycles: d.u64()?,
+            instructions: d.u64()?,
+            int_ops: d.u64()?,
+            mem_ops: d.u64()?,
+            fp_ops: d.u64()?,
+            loads: d.u64()?,
+            stores: d.u64()?,
+            sends: d.u64()?,
+            protected_calls: d.u64()?,
+            branches_taken: d.u64()?,
+            faults: d.u64()?,
+            ..NodeStats::default()
+        };
+        for v in &mut s.events_enqueued {
+            *v = d.u64()?;
+        }
+        s.events_dropped = d.u64()?;
+        for c in 0..NUM_CLUSTERS {
+            for slot in 0..NUM_SLOTS {
+                s.issued_per_slot[c][slot] = d.u64()?;
+            }
+        }
+        s.cswitch_transfers = d.u64()?;
+        s.last_response_cycle = d.u64()?;
+        s.responses = d.u64()?;
+        s.issue_probes = d.u64()?;
+        s.steps = d.u64()?;
+        self.stats = s;
         Ok(())
     }
 }
@@ -1810,64 +1906,11 @@ fn decode_fault(tag: u8) -> Result<Fault, CkptError> {
     })
 }
 
-fn save_node_stats(e: &mut Enc, s: &NodeStats) {
-    e.u64(s.cycles);
-    e.u64(s.instructions);
-    e.u64(s.int_ops);
-    e.u64(s.mem_ops);
-    e.u64(s.fp_ops);
-    e.u64(s.loads);
-    e.u64(s.stores);
-    e.u64(s.sends);
-    e.u64(s.protected_calls);
-    e.u64(s.branches_taken);
-    e.u64(s.faults);
-    for v in s.events_enqueued {
-        e.u64(v);
-    }
-    e.u64(s.events_dropped);
-    for row in s.issued_per_slot {
-        for v in row {
-            e.u64(v);
-        }
-    }
-    e.u64(s.cswitch_transfers);
-    e.u64(s.last_response_cycle);
-    e.u64(s.responses);
-    e.u64(s.issue_probes);
-    e.u64(s.steps);
-}
-
-fn load_node_stats(d: &mut Dec) -> Result<NodeStats, CkptError> {
-    let mut s = NodeStats {
-        cycles: d.u64()?,
-        instructions: d.u64()?,
-        int_ops: d.u64()?,
-        mem_ops: d.u64()?,
-        fp_ops: d.u64()?,
-        loads: d.u64()?,
-        stores: d.u64()?,
-        sends: d.u64()?,
-        protected_calls: d.u64()?,
-        branches_taken: d.u64()?,
-        faults: d.u64()?,
-        ..NodeStats::default()
-    };
-    for v in &mut s.events_enqueued {
-        *v = d.u64()?;
-    }
-    s.events_dropped = d.u64()?;
-    for row in &mut s.issued_per_slot {
-        for v in row {
-            *v = d.u64()?;
-        }
-    }
-    s.cswitch_transfers = d.u64()?;
-    s.last_response_cycle = d.u64()?;
-    s.responses = d.u64()?;
-    s.issue_probes = d.u64()?;
-    s.steps = d.u64()?;
-    Ok(s)
+/// Advance `node` one cycle with a scratch of its own — the unit tests'
+/// stepping helper (the cycle engines recycle theirs across steps).
+#[cfg(test)]
+pub(crate) fn step(node: &mut Node, now: u64) -> bool {
+    node.step_with(now, &mut StepScratch::new())
 }
 
 #[cfg(test)]

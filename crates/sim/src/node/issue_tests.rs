@@ -87,7 +87,7 @@ mod reference {
                 {
                     memo = Some(IssueBlock::Regs {
                         pc,
-                        version: self.regs[c][slot].version(),
+                        version: self.threads[c][slot].regs.version(),
                     });
                 }
             }
@@ -116,7 +116,7 @@ mod reference {
                     Some(avail) => avail >= qn.counts[idx],
                 }
             } else {
-                self.regs[c][slot].is_full(reg)
+                self.threads[c][slot].regs.is_full(reg)
             }
         }
 
@@ -124,7 +124,7 @@ mod reference {
         /// empty/fill receive protocol, §3.1).
         fn dst_ready(&self, c: usize, slot: usize, dst: &Dst) -> bool {
             match dst {
-                Dst::Local(reg) if !reg.is_queue() => self.regs[c][slot].is_full(*reg),
+                Dst::Local(reg) if !reg.is_queue() => self.threads[c][slot].regs.is_full(*reg),
                 _ => true,
             }
         }
@@ -176,7 +176,7 @@ mod reference {
                         && self.reg_ready(c, slot, *data, qn)
                         && self
                             .mem
-                            .can_accept(self.regs[c][slot].read(*vaddr).bits(), false)
+                            .can_accept(self.threads[c][slot].regs.read(*vaddr).bits(), false)
                 }
                 IntOp::NodeId { dst } => self.dst_ready(c, slot, dst),
             }
@@ -259,7 +259,7 @@ mod reference {
 
         /// Can the memory system take a request through the pointer in `base`?
         fn mem_can_accept_via(&self, c: usize, slot: usize, base: Reg) -> bool {
-            let w = self.regs[c][slot].read(base);
+            let w = self.threads[c][slot].regs.read(base);
             match w.pointer() {
                 Ok(p) => self.mem.can_accept(p.addr(), p.perm() == Perm::Physical),
                 Err(_) => true, // will fault at execute, not stall
@@ -536,11 +536,11 @@ fn node_in(state: &ProbeState) -> Node {
             _ => ptr(Perm::Enter),
         };
         #[allow(clippy::cast_possible_truncation)]
-        n.regs[c][slot].write(Reg::Int(i as u8), value);
+        n.threads[c][slot].regs.write(Reg::Int(i as u8), value);
     }
     for reg in scoreboard_regs() {
         if state.full & (1u64 << reg.scoreboard_bit().unwrap()) == 0 {
-            n.regs[c][slot].clear(reg);
+            n.threads[c][slot].regs.clear(reg);
         }
     }
 
@@ -615,7 +615,7 @@ proptest! {
 /// Step `n` until thread (0, 0) leaves `Running`; returns that cycle.
 fn run_until_stopped(n: &mut Node) -> u64 {
     for cycle in 0..100 {
-        n.step(cycle);
+        step(n, cycle);
         if n.thread_state(0, 0) != HState::Running {
             return cycle;
         }
@@ -650,10 +650,10 @@ fn program_is_restored_after_fault_and_halt() {
         assert_eq!(Arc::strong_count(&prog), 2);
         let at = run_until_stopped(&mut n);
         assert_eq!(n.thread_state(0, 0), stopped, "{source}");
-        assert!(n.threads[0][0].program.is_some(), "{source}");
+        assert!(n.threads[0][0].ctl.program.is_some(), "{source}");
         assert_eq!(Arc::strong_count(&prog), 2, "{source}");
 
-        n.step(at + 1);
+        step(&mut n, at + 1);
         let mut e = Enc::new();
         n.save_state(&mut e);
         let image = e.finish();

@@ -10,16 +10,26 @@
 //!
 //! Layout matters here: the issue stage reads scoreboard bits on every
 //! readiness probe of every cycle, so all 48 full/empty bits are packed
-//! into a single `u64` word (one cache-line touch per probe) and the
-//! register values are inline arrays — the old eight-`Vec` layout cost
-//! eight heap blocks and pointer chases per file, 192 per node.
+//! into a single `u64` word, and the values are bare `u64`s whose
+//! pointer tags live in one more word beside it — a [`Word`] is a
+//! padded 16 bytes, so storing tags apart halves the file (664 → 344
+//! bytes) and leaves a 24-byte header (scoreboard, mutation counter,
+//! tags) that shares a cache line with the thread's control words.
 
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::reg::{Reg, NUM_FP_REGS, NUM_INT_REGS, NUM_MC_REGS, SCOREBOARD_ALL_FULL};
 use mm_isa::word::Word;
 
+/// Where each class sits in [`ThreadRegs`]' `flags` word: a value's
+/// pointer tag at its scoreboard bit (int from 0, fp, then mc), and the
+/// eight global CC values above the 40 tags.
+const FP_FLAGS: u32 = NUM_INT_REGS as u32;
+const MC_FLAGS: u32 = FP_FLAGS + NUM_FP_REGS as u32;
+const GCC_VALUE_SHIFT: u32 = MC_FLAGS + NUM_MC_REGS as u32;
+
 /// One H-Thread's registers on one cluster, with full/empty bits.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct ThreadRegs {
     /// Packed full/empty bits for every register (int, fp, mc, gcc),
     /// laid out by [`Reg::scoreboard_bit`].
@@ -30,12 +40,17 @@ pub struct ThreadRegs {
     /// which every path that can change fullness must pass through —
     /// is unchanged. 64-bit so it cannot wrap within any feasible run.
     version: u64,
-    /// Packed boolean values of the eight global CC registers.
-    gcc: u8,
-    int: [Word; NUM_INT_REGS as usize],
-    fp: [Word; NUM_FP_REGS as usize],
-    mc: [Word; NUM_MC_REGS as usize],
+    /// The pointer tag of every int, fp and mc value at its
+    /// [`Reg::scoreboard_bit`], and the boolean values of the eight
+    /// global CC registers from bit [`GCC_VALUE_SHIFT`] up.
+    flags: u64,
+    int: [u64; NUM_INT_REGS as usize],
+    mc: [u64; NUM_MC_REGS as usize],
+    fp: [u64; NUM_FP_REGS as usize],
 }
+
+// The file stays 344 bytes: three header words and 40 bare values.
+const _: () = assert!(std::mem::size_of::<ThreadRegs>() <= 344);
 
 impl Default for ThreadRegs {
     fn default() -> ThreadRegs {
@@ -51,10 +66,10 @@ impl ThreadRegs {
         ThreadRegs {
             full: SCOREBOARD_ALL_FULL,
             version: 0,
-            gcc: 0,
-            int: [Word::ZERO; NUM_INT_REGS as usize],
-            fp: [Word::ZERO; NUM_FP_REGS as usize],
-            mc: [Word::ZERO; NUM_MC_REGS as usize],
+            flags: 0,
+            int: [0; NUM_INT_REGS as usize],
+            mc: [0; NUM_MC_REGS as usize],
+            fp: [0; NUM_FP_REGS as usize],
         }
     }
 
@@ -80,6 +95,12 @@ impl ThreadRegs {
         self.full
     }
 
+    /// Is flag bit `bit` set — the pointer tag of the value at that
+    /// scoreboard bit, or a CC value above [`GCC_VALUE_SHIFT`]?
+    fn flag(&self, bit: u32) -> bool {
+        self.flags & (1u64 << bit) != 0
+    }
+
     /// Read a register's value (caller must have checked fullness).
     ///
     /// # Panics
@@ -89,30 +110,33 @@ impl ThreadRegs {
     pub fn read(&self, reg: Reg) -> Word {
         match reg {
             Reg::Int(0) => Word::ZERO, // r0 is hardwired zero
-            Reg::Int(n) => self.int[n as usize],
-            Reg::Fp(n) => self.fp[n as usize],
-            Reg::Mc(n) => self.mc[n as usize],
-            Reg::Gcc(n) => Word::from_bool(self.gcc & (1 << n) != 0),
+            Reg::Int(n) => Word::from_raw(self.int[n as usize], self.flag(u32::from(n))),
+            Reg::Fp(n) => Word::from_raw(self.fp[n as usize], self.flag(FP_FLAGS + u32::from(n))),
+            Reg::Mc(n) => Word::from_raw(self.mc[n as usize], self.flag(MC_FLAGS + u32::from(n))),
+            Reg::Gcc(n) => Word::from_bool(self.flag(GCC_VALUE_SHIFT + u32::from(n))),
             Reg::NetIn | Reg::EvQ => panic!("queue registers are owned by the node"),
         }
     }
 
     /// Write a register and set it full. Writes to `r0` are discarded.
     pub fn write(&mut self, reg: Reg, value: Word) {
-        match reg {
-            Reg::Int(0) => return,
-            Reg::Int(n) => self.int[n as usize] = value,
-            Reg::Fp(n) => self.fp[n as usize] = value,
-            Reg::Mc(n) => self.mc[n as usize] = value,
-            Reg::Gcc(n) => {
-                if value.is_true() {
-                    self.gcc |= 1 << n;
-                } else {
-                    self.gcc &= !(1 << n);
-                }
+        let (flag, set) = match reg {
+            Reg::Int(0) | Reg::NetIn | Reg::EvQ => return,
+            Reg::Int(n) => {
+                self.int[n as usize] = value.bits();
+                (u32::from(n), value.is_pointer())
             }
-            Reg::NetIn | Reg::EvQ => return,
-        }
+            Reg::Fp(n) => {
+                self.fp[n as usize] = value.bits();
+                (FP_FLAGS + u32::from(n), value.is_pointer())
+            }
+            Reg::Mc(n) => {
+                self.mc[n as usize] = value.bits();
+                (MC_FLAGS + u32::from(n), value.is_pointer())
+            }
+            Reg::Gcc(n) => (GCC_VALUE_SHIFT + u32::from(n), value.is_true()),
+        };
+        self.flags = self.flags & !(1u64 << flag) | u64::from(set) << flag;
         if let Some(bit) = reg.scoreboard_bit() {
             self.full |= 1u64 << bit;
         }
@@ -137,16 +161,26 @@ impl ThreadRegs {
         self.version += 1;
     }
 
+    /// The int, fp and mc values with their tag bits, in checkpoint
+    /// order.
+    fn values(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let int = self.int.iter().zip(0..);
+        let fp = self.fp.iter().zip(FP_FLAGS..);
+        let mc = self.mc.iter().zip(MC_FLAGS..);
+        int.chain(fp).chain(mc).map(|(&v, bit)| (v, bit))
+    }
+
     /// Serialize the full register file, scoreboard and mutation counter
     /// included (the counter backs memoized issue-block proofs, so a
     /// restored run re-probes exactly when the original would have).
     pub fn save_state(&self, e: &mut Enc) {
         e.u64(self.full);
         e.u64(self.version);
-        e.u8(self.gcc);
-        for w in self.int.iter().chain(&self.fp).chain(&self.mc) {
-            e.u64(w.bits());
-            e.bool(w.is_pointer());
+        #[allow(clippy::cast_possible_truncation)]
+        e.u8((self.flags >> GCC_VALUE_SHIFT) as u8);
+        for (v, bit) in self.values() {
+            e.u64(v);
+            e.bool(self.flag(bit));
         }
     }
 
@@ -158,10 +192,13 @@ impl ThreadRegs {
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CkptError> {
         self.full = d.u64()?;
         self.version = d.u64()?;
-        self.gcc = d.u8()?;
-        for w in self.int.iter_mut().chain(&mut self.fp).chain(&mut self.mc) {
-            *w = Word::from_raw(d.u64()?, d.bool()?);
+        let mut flags = u64::from(d.u8()?) << GCC_VALUE_SHIFT;
+        let slots = self.int.iter_mut().chain(&mut self.fp).chain(&mut self.mc);
+        for (v, bit) in slots.zip(0..) {
+            *v = d.u64()?;
+            flags |= u64::from(d.bool()?) << bit;
         }
+        self.flags = flags;
         Ok(())
     }
 }

@@ -4,8 +4,14 @@
 use mm_isa::assemble;
 use mm_isa::reg::Reg;
 use mm_net::message::NodeCoord;
-use mm_sim::{Fault, HState, Node, NodeConfig, EXCEPTION_SLOT};
+use mm_sim::{Fault, HState, Node, NodeConfig, StepScratch, EXCEPTION_SLOT};
 use std::sync::Arc;
+
+/// Advance `n` one cycle with a scratch of its own (the cycle engines
+/// recycle theirs across steps).
+fn step(n: &mut Node, now: u64) -> bool {
+    n.step_with(now, &mut StepScratch::new())
+}
 
 #[test]
 fn exception_handler_consumes_fault_records() {
@@ -30,7 +36,7 @@ fn exception_handler_consumes_fault_records() {
     n.load_program(0, EXCEPTION_SLOT, handler, 0);
 
     for cycle in 0..300 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
     assert_eq!(n.thread_state(0, 0), HState::Faulted(Fault::NotAPointer));
     // The handler consumed the record: queue drained, counter bumped.
@@ -53,7 +59,7 @@ fn faults_on_other_clusters_route_to_their_own_queues() {
     let bad = Arc::new(assemble("ld [r1], r2\n halt\n").unwrap());
     n.load_program(2, 0, bad, 0);
     for cycle in 0..100 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
     assert_eq!(n.exception_queue_len(2), 3, "record on cluster 2");
     assert_eq!(n.exception_queue_len(0), 0);

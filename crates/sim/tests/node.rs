@@ -10,8 +10,14 @@ use mm_mem::lpt::Lpt;
 use mm_mem::ltlb::{BlockStatus, LtlbEntry};
 use mm_net::gtlb::GdtEntry;
 use mm_net::message::NodeCoord;
-use mm_sim::{Fault, HState, Node, NodeConfig, EVENT_SLOT};
+use mm_sim::{Fault, HState, Node, NodeConfig, StepScratch, EVENT_SLOT};
 use std::sync::Arc;
+
+/// Advance `n` one cycle with a scratch of its own (the cycle engines
+/// recycle theirs across steps).
+fn step(n: &mut Node, now: u64) -> bool {
+    n.step_with(now, &mut StepScratch::new())
+}
 
 fn node() -> Node {
     Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0))
@@ -32,11 +38,11 @@ fn booted_node() -> Node {
 
 fn run(n: &mut Node, limit: u64) -> u64 {
     for cycle in 0..limit {
-        n.step(cycle);
+        step(n, cycle);
         if n.user_threads_done() {
             // Drain in-flight responses (e.g. a load racing a halt).
             for extra in cycle + 1..cycle + 64 {
-                n.step(extra);
+                step(n, extra);
             }
             return cycle;
         }
@@ -101,7 +107,7 @@ fn load_hit_latency_is_three_cycles() {
     let start = 1000;
     let mut done_at = None;
     for cycle in start..start + 50 {
-        n2.step(cycle);
+        step(&mut n2, cycle);
         if n2.thread_state(0, 1) == HState::Halted {
             done_at = Some(cycle);
             break;
@@ -284,7 +290,7 @@ fn ltlb_miss_event_reaches_cluster1_queue_and_mrestart_completes() {
     n.load_program(1, EVENT_SLOT, handler, 0);
 
     for cycle in 0..2000 {
-        n.step(cycle);
+        step(&mut n, cycle);
         if n.thread_state(0, 0) == HState::Halted {
             assert_eq!(n.read_reg(0, 0, Reg::Int(3)).bits(), 1);
             assert_eq!(n.stats().events_enqueued[1], 1);
@@ -319,7 +325,7 @@ fn send_launches_message_and_queue_is_register_mapped() {
     });
     let mut arrived = Vec::new();
     for cycle in 0..100 {
-        n.step(cycle);
+        step(&mut n, cycle);
         for p in n.net.take_outbox() {
             fabric.inject(cycle, p);
         }
@@ -405,7 +411,7 @@ fn halted_threads_stop_issuing() {
     run(&mut n, 50);
     let after = n.stats().instructions;
     for cycle in 100..200 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
     assert_eq!(n.stats().instructions, after);
 }
@@ -560,7 +566,7 @@ fn node_state_round_trips_mid_flight() {
     n.load_program(0, 0, Arc::clone(&prog), 0);
     n.load_program(1, 0, Arc::clone(&side), 0);
     for cycle in 0..25 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
 
     let mut e = Enc::default();
@@ -581,8 +587,8 @@ fn node_state_round_trips_mid_flight() {
 
     // Continue both nodes: identical architectural and counter state.
     for cycle in 25..200 {
-        n.step(cycle);
-        restored.step(cycle);
+        step(&mut n, cycle);
+        step(&mut restored, cycle);
     }
     assert_eq!(
         n.read_reg(0, 0, Reg::Int(3)).bits(),
@@ -607,7 +613,7 @@ fn stall_window_gates_issue_but_not_memory() {
             .unwrap(),
     );
     n.load_program(0, 0, prog, 0);
-    n.step(0);
+    step(&mut n, 0);
     let issued_before = n.stats().instructions;
     assert_eq!(issued_before, 1);
 
@@ -616,7 +622,7 @@ fn stall_window_gates_issue_but_not_memory() {
     n.stall_issue_until(10);
     assert_eq!(n.issue_stalled_until(), 10);
     for cycle in 1..10 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
     assert_eq!(n.stats().instructions, 1, "issue gated during window");
     assert_eq!(
@@ -628,7 +634,7 @@ fn stall_window_gates_issue_but_not_memory() {
 
     // Window closed: the loop finishes normally.
     for cycle in 10..30 {
-        n.step(cycle);
+        step(&mut n, cycle);
     }
     assert_eq!(n.thread_state(0, 0), HState::Halted);
     assert_eq!(n.read_reg(0, 0, Reg::Int(1)).as_i64(), 4);
@@ -638,7 +644,67 @@ fn stall_window_gates_issue_but_not_memory() {
     let prog2 = Arc::new(assemble("add r1, #1, r1\n halt\n").unwrap());
     dead.load_program(0, 0, prog2, 0);
     dead.stall_issue_until(u64::MAX);
-    assert!(!dead.step(0));
+    assert!(!step(&mut dead, 0));
     assert_eq!(dead.next_activity(0), None);
     assert_eq!(dead.thread_state(0, 0), HState::Running);
+}
+
+/// The per-cluster halted masks follow the threads' states through a
+/// halt, a fault, a reload and a checkpoint restore (they are rebuilt
+/// from the restored states, not written to the image).
+#[test]
+fn halted_masks_follow_thread_states() {
+    use mm_faults::{Dec, Enc};
+
+    let halt = Arc::new(assemble("add r1, #1, r1\n halt\n").unwrap());
+    let fault = Arc::new(assemble("div r1, #0, r2\n halt\n").unwrap());
+    let spin = Arc::new(assemble("loop: br loop\n").unwrap());
+    let load = |n: &mut Node| {
+        n.load_program(0, 0, Arc::clone(&halt), 0);
+        n.load_program(1, 3, Arc::clone(&halt), 0);
+        n.load_program(2, 1, Arc::clone(&fault), 0);
+        n.load_program(3, 2, Arc::clone(&spin), 0);
+    };
+    let check = |n: &Node| {
+        for c in 0..4 {
+            for s in 0..6 {
+                let halted = n.halted_slots(c) >> s & 1 == 1;
+                assert_eq!(halted, n.thread_state(c, s) == HState::Halted, "({c}, {s})");
+            }
+        }
+    };
+    let save = |n: &Node| {
+        let mut e = Enc::default();
+        n.save_state(&mut e);
+        e.finish()
+    };
+    let mut n = node();
+    load(&mut n);
+    let before = save(&n);
+    for cycle in 0..16 {
+        step(&mut n, cycle);
+        check(&n);
+    }
+    assert_eq!((n.halted_slots(0), n.halted_slots(1)), (0b1, 0b1000));
+    assert_eq!(
+        (n.halted_slots(2), n.halted_slots(3)),
+        (0, 0),
+        "faulted, spinning"
+    );
+
+    let after = save(&n);
+    let mut restored = node();
+    load(&mut restored);
+    restored.load_state(&mut Dec::new(&after)).unwrap();
+    check(&restored);
+    assert_eq!(restored.halted_slots(1), 0b1000);
+    // An image from before the halts, restored over them, clears them.
+    restored.load_state(&mut Dec::new(&before)).unwrap();
+    check(&restored);
+    assert_eq!(restored.halted_slots(0) | restored.halted_slots(1), 0);
+
+    // Reloading a halted slot makes it run again.
+    n.load_program(0, 0, Arc::clone(&spin), 0);
+    check(&n);
+    assert_eq!(n.halted_slots(0), 0);
 }

@@ -5,16 +5,22 @@ use mm_isa::assemble;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
 use mm_net::message::NodeCoord;
-use mm_sim::{HState, Node, NodeConfig};
+use mm_sim::{HState, Node, NodeConfig, StepScratch};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Advance `n` one cycle with a scratch of its own (the cycle engines
+/// recycle theirs across steps).
+fn step(n: &mut Node, now: u64) -> bool {
+    n.step_with(now, &mut StepScratch::new())
+}
+
 fn run_to_halt(n: &mut Node, limit: u64) {
     for cycle in 0..limit {
-        n.step(cycle);
+        step(n, cycle);
         if n.thread_state(0, 0) == HState::Halted {
             for extra in cycle + 1..cycle + 32 {
-                n.step(extra);
+                step(n, extra);
             }
             return;
         }
@@ -86,7 +92,7 @@ proptest! {
             n.load_program(0, slot, prog.clone(), 0);
         }
         for cycle in 0..5_000 {
-            n.step(cycle);
+            step(&mut n, cycle);
             if (0..=extra_threads).all(|s| n.thread_state(0, s) == HState::Halted) {
                 break;
             }
@@ -114,5 +120,168 @@ proptest! {
         prop_assert_eq!(n.read_reg(0, 0, Reg::Fp(4)).as_f64(), a - b);
         prop_assert_eq!(n.read_reg(0, 0, Reg::Fp(5)).as_f64(), a * b);
         prop_assert_eq!(n.read_reg(0, 0, Reg::Fp(6)).as_f64(), a.mul_add(b, a + b));
+    }
+}
+
+// ----------------------------------------------------------------------
+// The packed register file vs the `Word`-array file it replaced
+// ----------------------------------------------------------------------
+
+mod regfile_layout {
+    use super::*;
+    use mm_faults::{Dec, Enc};
+    use mm_isa::reg::{NUM_FP_REGS, NUM_INT_REGS, NUM_MC_REGS, SCOREBOARD_ALL_FULL};
+    use mm_sim::ThreadRegs;
+
+    /// The register file as it was — inline arrays of 16-byte `Word`s
+    /// and a separate CC byte — kept as the reference model.
+    struct WordRegs {
+        full: u64,
+        version: u64,
+        gcc: u8,
+        int: [Word; NUM_INT_REGS as usize],
+        fp: [Word; NUM_FP_REGS as usize],
+        mc: [Word; NUM_MC_REGS as usize],
+    }
+
+    impl WordRegs {
+        fn new() -> WordRegs {
+            WordRegs {
+                full: SCOREBOARD_ALL_FULL,
+                version: 0,
+                gcc: 0,
+                int: [Word::ZERO; NUM_INT_REGS as usize],
+                fp: [Word::ZERO; NUM_FP_REGS as usize],
+                mc: [Word::ZERO; NUM_MC_REGS as usize],
+            }
+        }
+
+        fn read(&self, reg: Reg) -> Word {
+            match reg {
+                Reg::Int(0) => Word::ZERO,
+                Reg::Int(n) => self.int[n as usize],
+                Reg::Fp(n) => self.fp[n as usize],
+                Reg::Mc(n) => self.mc[n as usize],
+                Reg::Gcc(n) => Word::from_bool(self.gcc & (1 << n) != 0),
+                Reg::NetIn | Reg::EvQ => unreachable!("not generated"),
+            }
+        }
+
+        fn write(&mut self, reg: Reg, value: Word) {
+            match reg {
+                Reg::Int(0) => return,
+                Reg::Int(n) => self.int[n as usize] = value,
+                Reg::Fp(n) => self.fp[n as usize] = value,
+                Reg::Mc(n) => self.mc[n as usize] = value,
+                Reg::Gcc(n) => {
+                    if value.is_true() {
+                        self.gcc |= 1 << n;
+                    } else {
+                        self.gcc &= !(1 << n);
+                    }
+                }
+                Reg::NetIn | Reg::EvQ => return,
+            }
+            if let Some(bit) = reg.scoreboard_bit() {
+                self.full |= 1u64 << bit;
+            }
+            self.version += 1;
+        }
+
+        fn clear(&mut self, reg: Reg) {
+            if matches!(reg, Reg::Int(0) | Reg::NetIn | Reg::EvQ) {
+                return;
+            }
+            if let Some(bit) = reg.scoreboard_bit() {
+                self.full &= !(1u64 << bit);
+            }
+            self.version += 1;
+        }
+
+        fn save_state(&self, e: &mut Enc) {
+            e.u64(self.full);
+            e.u64(self.version);
+            e.u8(self.gcc);
+            for w in self.int.iter().chain(&self.fp).chain(&self.mc) {
+                e.u64(w.bits());
+                e.bool(w.is_pointer());
+            }
+        }
+    }
+
+    /// Every register name the file stores, queue registers included
+    /// (writes to them are no-ops in both layouts).
+    fn all_regs() -> Vec<Reg> {
+        (0..NUM_INT_REGS)
+            .map(Reg::Int)
+            .chain((0..NUM_FP_REGS).map(Reg::Fp))
+            .chain((0..NUM_MC_REGS).map(Reg::Mc))
+            .chain((0..8).map(Reg::Gcc))
+            .collect()
+    }
+
+    fn bytes(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        save(&mut e);
+        e.finish()
+    }
+
+    fn check(new: &ThreadRegs, old: &WordRegs) {
+        for reg in all_regs() {
+            let (a, b) = (new.read(reg), old.read(reg));
+            assert_eq!(a, b, "{reg}");
+            assert_eq!(a.is_pointer(), b.is_pointer(), "{reg} tag");
+            let bit = 1u64 << reg.scoreboard_bit().expect("not a queue register");
+            assert_eq!(new.is_full(reg), old.full & bit != 0, "{reg} full");
+        }
+        assert_eq!(new.scoreboard(), old.full);
+        assert_eq!(new.version(), old.version);
+        assert_eq!(bytes(|e| new.save_state(e)), bytes(|e| old.save_state(e)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Writes (data and tagged pointers, r0 and CC registers
+        /// included), clears and checkpoint round trips leave the packed
+        /// file equal to the `Word`-array one in every value, tag,
+        /// full/empty bit, mutation count and checkpoint byte.
+        #[test]
+        fn packed_regs_match_word_regs(
+            ops in prop::collection::vec((0u8..4, 0usize..48, any::<u64>(), any::<bool>()), 1..120)
+        ) {
+            let regs = all_regs();
+            let mut new = ThreadRegs::new();
+            let mut old = WordRegs::new();
+            for &(kind, r, bits, tag) in &ops {
+                let reg = match r {
+                    40 => Reg::NetIn,
+                    41 => Reg::EvQ,
+                    r => regs[r % regs.len()],
+                };
+                match kind {
+                    0 | 1 => {
+                        // Small values too, so CC writes see zero.
+                        let v = Word::from_raw(if kind == 0 { bits & 1 } else { bits }, tag);
+                        new.write(reg, v);
+                        old.write(reg, v);
+                    }
+                    2 => {
+                        new.clear(reg);
+                        old.clear(reg);
+                    }
+                    _ => {
+                        let saved = bytes(|e| new.save_state(e));
+                        let mut back = ThreadRegs::new();
+                        back.write(Reg::Int(3), Word::from_u64(9)); // overwritten
+                        let mut d = Dec::new(&saved);
+                        back.load_state(&mut d).expect("load");
+                        prop_assert_eq!(d.remaining(), 0);
+                        new = back;
+                    }
+                }
+                check(&new, &old);
+            }
+        }
     }
 }
