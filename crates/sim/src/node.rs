@@ -1678,7 +1678,7 @@ impl Node {
                 e.bool(w.is_pointer());
             }
         }
-        self.save_stats(e);
+        save_node_stats(e, &self.stats);
         self.mem.save_state(e);
         self.net.save_state(e);
     }
@@ -1804,83 +1804,9 @@ impl Node {
                 q.push_back(Word::from_raw(d.u64()?, d.bool()?));
             }
         }
-        self.load_stats(d)?;
+        self.stats = load_node_stats(d)?;
         self.mem.load_state(d)?;
         self.net.load_state(d)?;
-        Ok(())
-    }
-}
-
-impl Node {
-    /// The statistics in checkpoint order, per-slot issue counts
-    /// `[cluster][slot]` among them.
-    fn save_stats(&self, e: &mut Enc) {
-        let s = &self.stats;
-        for v in [
-            s.cycles,
-            s.instructions,
-            s.int_ops,
-            s.mem_ops,
-            s.fp_ops,
-            s.loads,
-            s.stores,
-            s.sends,
-            s.protected_calls,
-            s.branches_taken,
-            s.faults,
-        ] {
-            e.u64(v);
-        }
-        for v in s.events_enqueued {
-            e.u64(v);
-        }
-        e.u64(s.events_dropped);
-        for c in 0..NUM_CLUSTERS {
-            for slot in 0..NUM_SLOTS {
-                e.u64(self.stats.issued_per_slot[c][slot]);
-            }
-        }
-        for v in [
-            s.cswitch_transfers,
-            s.last_response_cycle,
-            s.responses,
-            s.issue_probes,
-            s.steps,
-        ] {
-            e.u64(v);
-        }
-    }
-
-    fn load_stats(&mut self, d: &mut Dec) -> Result<(), CkptError> {
-        let mut s = NodeStats {
-            cycles: d.u64()?,
-            instructions: d.u64()?,
-            int_ops: d.u64()?,
-            mem_ops: d.u64()?,
-            fp_ops: d.u64()?,
-            loads: d.u64()?,
-            stores: d.u64()?,
-            sends: d.u64()?,
-            protected_calls: d.u64()?,
-            branches_taken: d.u64()?,
-            faults: d.u64()?,
-            ..NodeStats::default()
-        };
-        for v in &mut s.events_enqueued {
-            *v = d.u64()?;
-        }
-        s.events_dropped = d.u64()?;
-        for c in 0..NUM_CLUSTERS {
-            for slot in 0..NUM_SLOTS {
-                s.issued_per_slot[c][slot] = d.u64()?;
-            }
-        }
-        s.cswitch_transfers = d.u64()?;
-        s.last_response_cycle = d.u64()?;
-        s.responses = d.u64()?;
-        s.issue_probes = d.u64()?;
-        s.steps = d.u64()?;
-        self.stats = s;
         Ok(())
     }
 }
@@ -1904,6 +1830,66 @@ fn decode_fault(tag: u8) -> Result<Fault, CkptError> {
         9 => Fault::GccOwnership,
         t => return Err(CkptError(format!("bad fault tag {t}"))),
     })
+}
+
+fn save_node_stats(e: &mut Enc, s: &NodeStats) {
+    e.u64(s.cycles);
+    e.u64(s.instructions);
+    e.u64(s.int_ops);
+    e.u64(s.mem_ops);
+    e.u64(s.fp_ops);
+    e.u64(s.loads);
+    e.u64(s.stores);
+    e.u64(s.sends);
+    e.u64(s.protected_calls);
+    e.u64(s.branches_taken);
+    e.u64(s.faults);
+    for v in s.events_enqueued {
+        e.u64(v);
+    }
+    e.u64(s.events_dropped);
+    for row in s.issued_per_slot {
+        for v in row {
+            e.u64(v);
+        }
+    }
+    e.u64(s.cswitch_transfers);
+    e.u64(s.last_response_cycle);
+    e.u64(s.responses);
+    e.u64(s.issue_probes);
+    e.u64(s.steps);
+}
+
+fn load_node_stats(d: &mut Dec) -> Result<NodeStats, CkptError> {
+    let mut s = NodeStats {
+        cycles: d.u64()?,
+        instructions: d.u64()?,
+        int_ops: d.u64()?,
+        mem_ops: d.u64()?,
+        fp_ops: d.u64()?,
+        loads: d.u64()?,
+        stores: d.u64()?,
+        sends: d.u64()?,
+        protected_calls: d.u64()?,
+        branches_taken: d.u64()?,
+        faults: d.u64()?,
+        ..NodeStats::default()
+    };
+    for v in &mut s.events_enqueued {
+        *v = d.u64()?;
+    }
+    s.events_dropped = d.u64()?;
+    for row in &mut s.issued_per_slot {
+        for v in row {
+            *v = d.u64()?;
+        }
+    }
+    s.cswitch_transfers = d.u64()?;
+    s.last_response_cycle = d.u64()?;
+    s.responses = d.u64()?;
+    s.issue_probes = d.u64()?;
+    s.steps = d.u64()?;
+    Ok(s)
 }
 
 /// Advance `node` one cycle with a scratch of its own — the unit tests'
