@@ -76,8 +76,8 @@ const FLAGS: u64 = LINE_WORDS - 1;
 /// One committed direct-mapped line, packed: tag, flags, check bits
 /// and the words' tag and full/empty bits in its first 32 bytes, the
 /// eight bare data words in the next 64. A hit reads the header and one
-/// word — one or two host cache lines — where eight 24-byte
-/// [`MemWord`]s spread a line over four.
+/// word — one or two host cache lines; eight 24-byte [`MemWord`]s would
+/// spread a line over four.
 #[derive(Debug, Clone)]
 #[repr(C, align(32))]
 struct Line {

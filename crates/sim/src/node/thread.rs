@@ -3,11 +3,11 @@
 //! The issue stage reads, for every running thread it visits, the
 //! thread's control words (PC, run state, branch deadline, memoized
 //! issue-block proof) and its scoreboard — and, when the thread issues,
-//! its register values. Kept as two arrays, those were two cache lines
-//! at least, in blocks kilobytes apart; here each slot is one 384-byte
-//! record whose first line holds the control words, the scoreboard, the
-//! mutation counter and the pointer tags, with the integer registers in
-//! the next two lines.
+//! its register values. Kept as two arrays, those would be two cache
+//! lines at least, in blocks kilobytes apart; here each slot is one
+//! 384-byte record whose first line holds the control words, the
+//! scoreboard, the mutation counter and the pointer tags, with the
+//! integer registers in the next two lines.
 
 use super::{HState, IssueBlock};
 use crate::regfile::ThreadRegs;

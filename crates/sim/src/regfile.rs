@@ -12,8 +12,8 @@
 //! readiness probe of every cycle, so all 48 full/empty bits are packed
 //! into a single `u64` word, and the values are bare `u64`s whose
 //! pointer tags live in one more word beside it — a [`Word`] is a
-//! padded 16 bytes, so storing tags apart halves the file (664 → 344
-//! bytes) and leaves a 24-byte header (scoreboard, mutation counter,
+//! padded 16 bytes, so storing tags apart makes the file 344 bytes, not
+//! 664, and leaves a 24-byte header (scoreboard, mutation counter,
 //! tags) that shares a cache line with the thread's control words.
 
 use mm_faults::{CkptError, Dec, Enc};
