@@ -39,12 +39,12 @@ use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::op::{Priority, SyncPost, SyncPre};
 use mm_isa::word::Word;
 use mm_mem::ltlb::{BlockStatus, LtlbEntry, BLOCK_WORDS, PAGE_WORDS};
-use mm_mem::MemWord;
+use mm_mem::{Block, MemWord};
 use mm_net::message::{Message, NodeCoord};
 use mm_sched::ReadyQueue;
 use mm_sim::event::{decode_record, EventKind};
 use mm_sim::Node;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Cycle charges for the firmware coherence handlers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +180,7 @@ struct CohMsg {
     from: NodeCoord,
     block_va: u64,
     /// The 8-word block payload of data-bearing ops.
-    data: Option<[MemWord; BLOCK_WORDS as usize]>,
+    data: Option<Block>,
 }
 
 /// Does this faulted access need an exclusive (writable) copy? Stores
@@ -202,19 +202,15 @@ fn encode_msg(
     src: NodeCoord,
     dest: NodeCoord,
     block_va: u64,
-    data: Option<&[MemWord; BLOCK_WORDS as usize]>,
+    data: Option<&Block>,
 ) -> Message {
     debug_assert_eq!(op.carries_data(), data.is_some());
     let mut body = mm_net::MsgBody::new();
-    if let Some(words) = data {
-        let mut sync_mask = 0u64;
-        for (k, w) in words.iter().enumerate() {
-            body.push(w.word);
-            if w.sync {
-                sync_mask |= 1 << k;
-            }
+    if let Some(b) = data {
+        for k in 0..BLOCK_WORDS as usize {
+            body.push(b.word(k));
         }
-        body.push(Word::from_u64(sync_mask));
+        body.push(Word::from_u64(u64::from(b.sync)));
     }
     Message {
         priority: op.priority(),
@@ -235,12 +231,16 @@ fn decode_msg(msg: &Message) -> Option<CohMsg> {
         if msg.body.len() != BLOCK_WORDS as usize + 1 {
             return None;
         }
-        let sync_mask = msg.body[BLOCK_WORDS as usize].bits();
-        let mut words = [MemWord::default(); BLOCK_WORDS as usize];
-        for (k, w) in words.iter_mut().enumerate() {
-            *w = MemWord::with_sync(msg.body[k], sync_mask & (1 << k) != 0);
+        let mut b = Block::default();
+        for (k, w) in msg.body[..BLOCK_WORDS as usize].iter().enumerate() {
+            b.data[k] = w.bits();
+            b.tags |= u8::from(w.is_pointer()) << k;
         }
-        Some(words)
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            b.sync = msg.body[BLOCK_WORDS as usize].bits() as u8;
+        }
+        Some(b)
     } else {
         if !msg.body.is_empty() {
             return None;
@@ -265,49 +265,365 @@ fn decode_msg(msg: &Message) -> Option<CohMsg> {
 /// exclusive owner.
 #[derive(Debug, Clone)]
 struct DirEntry {
-    sharers: BTreeSet<NodeCoord>,
+    block: u64,
+    /// Ascending, without repeats — the order the checkpoint lists them.
+    sharers: Vec<NodeCoord>,
     owner: Option<NodeCoord>,
-    /// A recall is in flight to a remote owner; fetches queue in
-    /// `queued` until its writeback lands.
+    /// A recall is in flight to a remote owner; fetches for the block
+    /// queue in the directory until its writeback lands.
     recalling: bool,
     /// A composed grant for this block is still waiting out its
     /// invalidation charge inside this handler (a scheduled
-    /// [`Pending::SendMsg`]). Further service of the block defers until
+    /// [`Pending::SendGrant`]). Further service of the block defers until
     /// it leaves: injecting a recall ahead of the grant would let the
     /// recall overtake it on the fabric and reach an "owner" that does
     /// not hold the data yet.
     grant_pending: bool,
-    queued: VecDeque<QFetch>,
 }
 
 impl DirEntry {
-    fn new_at(home: NodeCoord) -> DirEntry {
+    /// A fresh entry: `home` the exclusive owner and only sharer.
+    // analyze: cold (a block's first fetch; entries are never dropped)
+    fn new(block: u64, home: NodeCoord) -> DirEntry {
         DirEntry {
-            sharers: BTreeSet::from([home]),
+            block,
+            sharers: Vec::from([home]),
             owner: Some(home),
             recalling: false,
             grant_pending: false,
-            queued: VecDeque::new(),
         }
+    }
+
+    /// Register `from` as a sharer.
+    fn share(&mut self, from: NodeCoord) {
+        if let Err(at) = self.sharers.binary_search(&from) {
+            self.sharers.insert(at, from);
+        }
+    }
+
+    /// Make `from` the exclusive owner and only sharer.
+    fn make_owner(&mut self, from: NodeCoord) {
+        self.sharers.clear();
+        self.sharers.push(from);
+        self.owner = Some(from);
+    }
+
+    /// The owner's writeback landed: it holds no copy any more.
+    fn release_owner(&mut self) {
+        if let Some(owner) = self.owner.take() {
+            if let Ok(at) = self.sharers.binary_search(&owner) {
+                self.sharers.remove(at);
+            }
+        }
+        self.recalling = false;
     }
 }
 
 /// A fetch queued at the home behind an outstanding recall.
 #[derive(Debug, Clone, Copy)]
 struct QFetch {
+    block: u64,
     from: NodeCoord,
     write: bool,
 }
 
-/// Requester-side per-block fault state: the faulted records awaiting a
-/// grant, plus which request modes are already in flight (so repeat
-/// faults on the same block don't flood the home).
+/// The home's software directory: an entry per block homed here that a
+/// fetch has reached, sorted by block (entries are never dropped), and
+/// the fetches queued behind recalls in arrival order. Both tables keep
+/// their capacity, so a warm directory services fetches without
+/// allocating.
 #[derive(Debug, Clone, Default)]
+struct Directory {
+    entries: Vec<DirEntry>,
+    queued: Vec<QFetch>,
+}
+
+impl Directory {
+    fn get_mut(&mut self, block: u64) -> Option<&mut DirEntry> {
+        let at = self
+            .entries
+            .binary_search_by_key(&block, |e| e.block)
+            .ok()?;
+        Some(&mut self.entries[at])
+    }
+
+    /// The entry for `block`, created with `home` as exclusive owner if
+    /// absent.
+    fn entry(&mut self, block: u64, home: NodeCoord) -> &mut DirEntry {
+        let at = match self.entries.binary_search_by_key(&block, |e| e.block) {
+            Ok(at) => at,
+            Err(at) => {
+                self.entries.insert(at, DirEntry::new(block, home));
+                at
+            }
+        };
+        &mut self.entries[at]
+    }
+
+    fn queue(&mut self, block: u64, from: NodeCoord, write: bool) {
+        self.queued.push(QFetch { block, from, write });
+    }
+
+    /// The earliest fetch queued for `block`.
+    fn pop_queued(&mut self, block: u64) -> Option<QFetch> {
+        let at = self.queued.iter().position(|q| q.block == block)?;
+        Some(self.queued.remove(at))
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.entries.len());
+        for entry in &self.entries {
+            e.u64(entry.block);
+            e.usize(entry.sharers.len());
+            for s in &entry.sharers {
+                e.u64(s.encode());
+            }
+            match entry.owner {
+                Some(o) => {
+                    e.u8(1);
+                    e.u64(o.encode());
+                }
+                None => e.u8(0),
+            }
+            e.bool(entry.recalling);
+            e.bool(entry.grant_pending);
+            let queued = self.queued.iter().filter(|q| q.block == entry.block);
+            e.usize(queued.clone().count());
+            for q in queued {
+                e.u64(q.from.encode());
+                e.bool(q.write);
+            }
+        }
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.entries.clear();
+        self.queued.clear();
+        for _ in 0..d.usize()? {
+            let block = d.u64()?;
+            let mut sharers = Vec::new();
+            for _ in 0..d.usize()? {
+                sharers.push(NodeCoord::decode(d.u64()?));
+            }
+            sharers.sort_unstable();
+            if sharers.windows(2).any(|w| w[0] == w[1]) {
+                return Err(CkptError(format!("block {block:#x} lists a sharer twice")));
+            }
+            let owner = match d.u8()? {
+                0 => None,
+                1 => Some(NodeCoord::decode(d.u64()?)),
+                t => return Err(CkptError(format!("bad owner tag {t}"))),
+            };
+            let recalling = d.bool()?;
+            let grant_pending = d.bool()?;
+            for _ in 0..d.usize()? {
+                let from = NodeCoord::decode(d.u64()?);
+                self.queue(block, from, d.bool()?);
+            }
+            self.entries.push(DirEntry {
+                block,
+                sharers,
+                owner,
+                recalling,
+                grant_pending,
+            });
+        }
+        self.entries.sort_by_key(|e| e.block);
+        if let Some(w) = self.entries.windows(2).find(|w| w[0].block == w[1].block) {
+            return Err(CkptError(format!(
+                "directory lists block {:#x} twice",
+                w[0].block
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Requester-side request state of one block: which request modes are
+/// already in flight, so repeat faults on the same block don't flood
+/// the home.
+#[derive(Debug, Clone, Copy)]
 struct BlockWait {
-    /// `(fault cycle, record)` — replayed on grant arrival.
-    records: Vec<(u64, [Word; 3])>,
+    block: u64,
     read_sent: bool,
     write_sent: bool,
+}
+
+impl BlockWait {
+    /// A fault needing `write` access arrived: does it need a request of
+    /// its own? Not while one in flight covers it — a write fetch
+    /// satisfies reads too. A needed request is marked in flight.
+    fn request(&mut self, write: bool) -> bool {
+        let covered = self.write_sent || (!write && self.read_sent);
+        if !covered {
+            if write {
+                self.write_sent = true;
+            } else {
+                self.read_sent = true;
+            }
+        }
+        !covered
+    }
+}
+
+/// One faulted access awaiting a grant, replayed on its arrival.
+#[derive(Debug, Clone, Copy)]
+struct WaitRecord {
+    block: u64,
+    /// The fault cycle.
+    at: u64,
+    record: [Word; 3],
+}
+
+/// The requester side's fault state: the blocks with a fault awaiting a
+/// grant (unordered), and their faulted records in fault order. Both
+/// tables keep their capacity from one transaction to the next.
+#[derive(Debug, Clone, Default)]
+struct Waiting {
+    blocks: Vec<BlockWait>,
+    records: Vec<WaitRecord>,
+}
+
+impl Waiting {
+    /// Queue a fault on `block`; returns the block's request state.
+    fn add(&mut self, block: u64, at: u64, record: [Word; 3]) -> &mut BlockWait {
+        self.records.push(WaitRecord { block, at, record });
+        let k = match self.blocks.iter().position(|w| w.block == block) {
+            Some(k) => k,
+            None => {
+                self.blocks.push(BlockWait {
+                    block,
+                    read_sent: false,
+                    write_sent: false,
+                });
+                self.blocks.len() - 1
+            }
+        };
+        &mut self.blocks[k]
+    }
+
+    /// Is a fault on `block` waiting for a grant?
+    fn has(&self, block: u64) -> bool {
+        self.blocks.iter().any(|w| w.block == block)
+    }
+
+    /// Remove and return the earliest record on `block` that a grant of
+    /// the given mode satisfies: any record for a write grant, only those
+    /// not needing an exclusive copy for a read grant.
+    fn take(&mut self, block: u64, write: bool) -> Option<WaitRecord> {
+        let at = self
+            .records
+            .iter()
+            .position(|r| r.block == block && (write || !record_needs_write(r.record[0])))?;
+        Some(self.records.remove(at))
+    }
+
+    /// After a grant on `block` has taken its records: clear the request
+    /// modes it answered and forget the block if nothing is left waiting.
+    fn settle(&mut self, block: u64, write: bool) {
+        let Some(k) = self.blocks.iter().position(|w| w.block == block) else {
+            return;
+        };
+        let w = &mut self.blocks[k];
+        if write {
+            w.write_sent = false;
+        }
+        w.read_sent = false;
+        if !w.write_sent && !self.records.iter().any(|r| r.block == block) {
+            self.blocks.swap_remove(k);
+        }
+    }
+
+    /// Blocks ascending, each with its records in fault order.
+    // analyze: cold (checkpoint codec)
+    fn save(&self, e: &mut Enc) {
+        let mut blocks = self.blocks.clone();
+        blocks.sort_unstable_by_key(|w| w.block);
+        e.usize(blocks.len());
+        for w in &blocks {
+            e.u64(w.block);
+            let records = self.records.iter().filter(|r| r.block == w.block);
+            e.usize(records.clone().count());
+            for r in records {
+                e.u64(r.at);
+                encode_record_words(e, &r.record);
+            }
+            e.bool(w.read_sent);
+            e.bool(w.write_sent);
+        }
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.blocks.clear();
+        self.records.clear();
+        for _ in 0..d.usize()? {
+            let block = d.u64()?;
+            if self.has(block) {
+                return Err(CkptError(format!(
+                    "wait table lists block {block:#x} twice"
+                )));
+            }
+            for _ in 0..d.usize()? {
+                let at = d.u64()?;
+                let record = decode_record_words(d)?;
+                self.records.push(WaitRecord { block, at, record });
+            }
+            self.blocks.push(BlockWait {
+                block,
+                read_sent: d.bool()?,
+                write_sent: d.bool()?,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Per-vpn remote-frame LPT slot, ascending by vpn, so repeat faults
+/// reuse the frame.
+#[derive(Debug, Clone, Default)]
+struct Frames(Vec<(u64, u64)>);
+
+impl Frames {
+    fn get(&self, vpn: u64) -> Option<u64> {
+        let at = self.0.binary_search_by_key(&vpn, |f| f.0).ok()?;
+        Some(self.0[at].1)
+    }
+
+    fn insert(&mut self, vpn: u64, slot: u64) {
+        match self.0.binary_search_by_key(&vpn, |f| f.0) {
+            Ok(at) => self.0[at].1 = slot,
+            Err(at) => self.0.insert(at, (vpn, slot)),
+        }
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.0.len());
+        for &(vpn, slot) in &self.0 {
+            e.u64(vpn);
+            e.u64(slot);
+        }
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.0.clear();
+        for _ in 0..d.usize()? {
+            let vpn = d.u64()?;
+            self.0.push((vpn, d.u64()?));
+        }
+        self.0.sort_unstable_by_key(|f| f.0);
+        if let Some(w) = self.0.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(CkptError(format!(
+                "frame table lists vpn {:#x} twice",
+                w[0].0
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Read-only occupancy summary of one node's coherence handler — what
@@ -336,7 +652,9 @@ pub struct CohInspect {
 }
 
 /// A charged firmware action scheduled for a future cycle, fired in
-/// `(due, schedule order)`.
+/// `(due, schedule order)`. Blocks ride packed ([`Block`]) and a delayed
+/// grant as its parts, so every action fits the size asserted below:
+/// the queue sifts whole entries on each push and pop.
 #[derive(Debug, Clone)]
 enum Pending {
     /// Replay a faulted access via `firmware_restart`.
@@ -362,15 +680,12 @@ enum Pending {
         patience: u64,
     },
     /// Home side: apply a recalled owner's data, then drain the queue.
-    ServiceWriteback {
-        block: u64,
-        data: [MemWord; BLOCK_WORDS as usize],
-    },
+    ServiceWriteback { block: u64, data: Block },
     /// Requester side: install a granted block and replay.
     ServiceGrant {
         block: u64,
         write: bool,
-        data: [MemWord; BLOCK_WORDS as usize],
+        data: Block,
     },
     /// Sharer side: drop the local copy.
     ServiceInvalidate { block: u64 },
@@ -378,10 +693,17 @@ enum Pending {
     /// status and complete/replay the waiting accesses (delayed behind
     /// the per-sharer invalidation charge).
     LocalGrant { block: u64, write: bool },
-    /// A composed message whose send was delayed by handler charges
-    /// (e.g. a grant behind per-sharer invalidation work).
-    SendMsg(Message),
+    /// Home side: a grant to `to` whose send waits out the per-sharer
+    /// invalidation charge; its message is composed when it fires.
+    SendGrant {
+        to: NodeCoord,
+        write: bool,
+        block: u64,
+        data: Block,
+    },
 }
+
+const _: () = assert!(std::mem::size_of::<Pending>() <= 96);
 
 /// Cycles a recalled owner waits for its ownership grant — and the
 /// store that motivated it — to land before surrendering the block
@@ -396,38 +718,46 @@ const RECALL_PATIENCE: u64 = 256;
 /// the node's remote-block frame allocator. Touches nothing but its own
 /// node — the property that lets the machine run it inside the sharded
 /// node phase.
+///
+/// Field order is deliberate (`repr(C)`): every node step activates the
+/// handler, and an idle activation reads only the two queue headers
+/// that lead, from the start of a host cache line.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct NodeCoh {
-    cfg: CoherenceConfig,
-    coord: NodeCoord,
-    directory: BTreeMap<u64, DirEntry>,
-    waiting: BTreeMap<u64, BlockWait>,
     pending: ReadyQueue<Pending>,
     /// Composed protocol messages awaiting injection (in order; a P0
     /// head with no send credit blocks the queue until credits return).
     outbound: VecDeque<Message>,
-    /// Per-vpn remote-frame LPT slot, so repeat faults reuse the frame.
-    frames: BTreeMap<u64, u64>,
+    directory: Directory,
+    waiting: Waiting,
+    frames: Frames,
     next_frame: u64,
     stats: CoherenceStats,
+    cfg: CoherenceConfig,
+    coord: NodeCoord,
 }
 
 // Stepped from worker threads inside the sharded node phase.
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<NodeCoh>();
 
+// Five host cache lines per node.
+const _: () = assert!(std::mem::size_of::<NodeCoh>() <= 320);
+
 impl NodeCoh {
+    // analyze: cold (constructor, once per node; every table starts empty)
     fn new(cfg: CoherenceConfig, coord: NodeCoord) -> NodeCoh {
         NodeCoh {
-            next_frame: cfg.frame_base_ppn,
-            cfg,
-            coord,
-            directory: BTreeMap::new(),
-            waiting: BTreeMap::new(),
             pending: ReadyQueue::new(),
             outbound: VecDeque::new(),
-            frames: BTreeMap::new(),
+            directory: Directory::default(),
+            waiting: Waiting::default(),
+            frames: Frames::default(),
+            next_frame: cfg.frame_base_ppn,
             stats: CoherenceStats::default(),
+            cfg,
+            coord,
         }
     }
 
@@ -439,18 +769,20 @@ impl NodeCoh {
 
     /// Occupancy summary for the inspector (sizes of every internal
     /// queue and table; no protocol state leaks out).
+    // analyze: cold (inspector view)
     #[must_use]
     pub fn inspect(&self) -> CohInspect {
+        let entries = &self.directory.entries;
         CohInspect {
-            directory_blocks: self.directory.len(),
-            sharers: self.directory.values().map(|e| e.sharers.len()).sum(),
-            recalling: self.directory.values().filter(|e| e.recalling).count(),
-            queued_fetches: self.directory.values().map(|e| e.queued.len()).sum(),
-            waiting_blocks: self.waiting.len(),
-            waiting_records: self.waiting.values().map(|w| w.records.len()).sum(),
+            directory_blocks: entries.len(),
+            sharers: entries.iter().map(|e| e.sharers.len()).sum(),
+            recalling: entries.iter().filter(|e| e.recalling).count(),
+            queued_fetches: self.directory.queued.len(),
+            waiting_blocks: self.waiting.blocks.len(),
+            waiting_records: self.waiting.records.len(),
             pending_actions: self.pending.len(),
             outbound_msgs: self.outbound.len(),
-            frames: self.frames.len(),
+            frames: self.frames.0.len(),
         }
     }
 
@@ -595,21 +927,8 @@ impl NodeCoh {
                 self.coord
             );
         };
-        let wait = self.waiting.entry(block).or_default();
-        wait.records.push((now, record));
-        let need_request = if write {
-            !wait.write_sent
-        } else {
-            // A write fetch in flight will satisfy reads too.
-            !wait.read_sent && !wait.write_sent
-        };
-        if !need_request {
+        if !self.waiting.add(block, now, record).request(write) {
             return;
-        }
-        if write {
-            wait.write_sent = true;
-        } else {
-            wait.read_sent = true;
         }
         let action = if home == self.coord {
             Pending::Service {
@@ -685,8 +1004,7 @@ impl NodeCoh {
                     self.coord
                 );
                 // Surrender the (dirty) copy: freshest data lives here.
-                node.mem.flush_block(block);
-                let data = Self::read_block(node, block);
+                let data = node.mem.take_block(block).expect("block page mapped");
                 Self::set_status(node, block, BlockStatus::Invalid);
                 self.outbound.push_back(encode_msg(
                     CohOp::Writeback,
@@ -699,31 +1017,19 @@ impl NodeCoh {
             Pending::ServiceWriteback { block, data } => {
                 self.stats.writebacks += 1;
                 node.mem.flush_block(block);
-                for (k, w) in data.iter().enumerate() {
-                    let pa = node
-                        .mem
-                        .translate(block + k as u64)
-                        .expect("home page mapped");
-                    node.mem.poke_phys(pa, *w);
-                }
-                if let Some(e) = self.directory.get_mut(&block) {
-                    if let Some(owner) = e.owner.take() {
-                        e.sharers.remove(&owner);
-                    }
-                    e.recalling = false;
-                }
+                let pa = node.mem.translate(block).expect("home page mapped");
+                node.mem.poke_block(pa, &data);
+                let Some(e) = self.directory.get_mut(block) else {
+                    return;
+                };
+                e.release_owner();
                 // Drain fetches queued behind the recall, re-entering the
                 // service path (a queued write may install a new remote
                 // owner that a later queued fetch must recall again).
-                #[allow(clippy::while_let_loop)]
-                loop {
-                    let Some(e) = self.directory.get_mut(&block) else {
+                while !self.directory.get_mut(block).is_some_and(|e| e.recalling) {
+                    let Some(q) = self.directory.pop_queued(block) else {
                         break;
                     };
-                    if e.recalling {
-                        break;
-                    }
-                    let Some(q) = e.queued.pop_front() else { break };
                     self.service_fetch(now, node, q.from, block, q.write);
                 }
             }
@@ -745,14 +1051,12 @@ impl NodeCoh {
                 // the waiting records are still queued and will replay
                 // when the re-service completes.
                 let me = self.coord;
-                if let Some(e) = self.directory.get_mut(&block) {
+                let backed = self.directory.get_mut(block).is_some_and(|e| {
                     e.grant_pending = false;
-                }
-                let backed = self.directory.get(&block).is_some_and(|e| {
                     if write {
                         e.owner == Some(me)
                     } else {
-                        e.sharers.contains(&me)
+                        e.sharers.binary_search(&me).is_ok()
                     }
                 });
                 if !backed {
@@ -778,11 +1082,22 @@ impl NodeCoh {
             Pending::ServiceInvalidate { block } => {
                 Self::set_status(node, block, BlockStatus::Invalid);
             }
-            Pending::SendMsg(msg) => {
-                if let Some(e) = self.directory.get_mut(&msg.addr.bits()) {
+            Pending::SendGrant {
+                to,
+                write,
+                block,
+                data,
+            } => {
+                if let Some(e) = self.directory.get_mut(block) {
                     e.grant_pending = false;
                 }
-                self.outbound.push_back(msg);
+                self.outbound.push_back(encode_msg(
+                    grant_op(write),
+                    self.coord,
+                    to,
+                    block,
+                    Some(&data),
+                ));
             }
         }
     }
@@ -800,10 +1115,7 @@ impl NodeCoh {
         write: bool,
     ) {
         let me = self.coord;
-        let entry = self
-            .directory
-            .entry(block)
-            .or_insert_with(|| DirEntry::new_at(me));
+        let entry = self.directory.entry(block, me);
         if entry.grant_pending {
             // A grant for this block is still waiting out its
             // invalidation charge. Servicing now could compose a recall
@@ -816,7 +1128,7 @@ impl NodeCoh {
             return;
         }
         if entry.recalling {
-            entry.queued.push_back(QFetch { from, write });
+            self.directory.queue(block, from, write);
             return;
         }
         if let Some(owner) = entry.owner {
@@ -824,7 +1136,7 @@ impl NodeCoh {
                 // The freshest copy is dirty at a remote owner: recall it
                 // and queue this fetch behind the writeback.
                 entry.recalling = true;
-                entry.queued.push_back(QFetch { from, write });
+                self.directory.queue(block, from, write);
                 self.outbound
                     .push_back(encode_msg(CohOp::Recall, me, owner, block, None));
                 return;
@@ -834,8 +1146,7 @@ impl NodeCoh {
         // Directory transition + invalidations/downgrades.
         let mut extra = 0;
         if write {
-            let sharers: Vec<NodeCoord> = entry.sharers.iter().copied().collect();
-            for s in sharers {
+            for &s in &entry.sharers {
                 if s == from {
                     continue;
                 }
@@ -848,18 +1159,14 @@ impl NodeCoh {
                 self.stats.invalidations += 1;
                 extra += self.cfg.invalidate_cycles;
             }
-            let e = self.directory.get_mut(&block).expect("entry exists");
-            e.sharers.clear();
-            e.sharers.insert(from);
-            e.owner = Some(from);
+            entry.make_owner(from);
         } else {
             if entry.owner == Some(me) && from != me {
                 // Downgrade the home's exclusive copy.
                 Self::set_status(node, block, BlockStatus::ReadOnly);
             }
-            let e = self.directory.get_mut(&block).expect("entry exists");
-            e.owner = None;
-            e.sharers.insert(from);
+            entry.owner = None;
+            entry.share(from);
         }
         self.stats.block_fetches += 1;
 
@@ -879,29 +1186,25 @@ impl NodeCoh {
             // complete — under contention the home's own stores starve
             // forever, never reaching memory (observed as the task-queue
             // producer's published stripe silently staying empty).
-            let e = self.directory.get_mut(&block).expect("entry exists");
-            e.grant_pending = true;
+            entry.grant_pending = true;
             self.pending
                 .push(now + extra, Pending::LocalGrant { block, write });
         } else {
-            node.mem.flush_block(block);
-            let data = Self::read_block(node, block);
-            let op = if write {
-                CohOp::GrantWrite
-            } else {
-                CohOp::GrantRead
-            };
-            let grant = encode_msg(op, me, from, block, Some(&data));
+            let data = node.mem.take_block(block).expect("block page mapped");
             if extra > 0 {
                 // The handler composes the invalidations first. Mark the
                 // block so no recall can be composed ahead of this grant.
-                self.directory
-                    .get_mut(&block)
-                    .expect("entry exists")
-                    .grant_pending = true;
-                self.pending.push(now + extra, Pending::SendMsg(grant));
+                entry.grant_pending = true;
+                let grant = Pending::SendGrant {
+                    to: from,
+                    write,
+                    block,
+                    data,
+                };
+                self.pending.push(now + extra, grant);
             } else {
-                self.outbound.push_back(grant);
+                self.outbound
+                    .push_back(encode_msg(grant_op(write), me, from, block, Some(&data)));
             }
         }
     }
@@ -923,32 +1226,19 @@ impl NodeCoh {
     /// thread is provably blocked on the empty register, so no newer
     /// access can race the replay.
     fn replay_waiting(&mut self, now: u64, node: &mut Node, block: u64, write: bool) {
-        let Some(mut wait) = self.waiting.remove(&block) else {
+        if !self.waiting.has(block) {
             return;
-        };
-        let mut kept = Vec::new();
-        for (t0, record) in wait.records.drain(..) {
-            let is_store = record[0].bits() & (1 << 4) != 0;
-            if record_needs_write(record[0]) && !write {
-                kept.push((t0, record));
-                continue;
-            }
-            self.stats.fetch_latency_cycles += now.saturating_sub(t0);
+        }
+        while let Some(w) = self.waiting.take(block, write) {
+            self.stats.fetch_latency_cycles += now.saturating_sub(w.at);
             self.stats.fetch_replays += 1;
-            if is_store {
-                self.complete_store(now, node, block, record);
+            if w.record[0].bits() & (1 << 4) != 0 {
+                self.complete_store(now, node, block, w.record);
             } else {
-                self.pending.push(now, Pending::Replay(record));
+                self.pending.push(now, Pending::Replay(w.record));
             }
         }
-        wait.records = kept;
-        if write {
-            wait.write_sent = false;
-        }
-        wait.read_sent = false;
-        if !wait.records.is_empty() || wait.write_sent {
-            self.waiting.insert(block, wait);
-        }
+        self.waiting.settle(block, write);
     }
 
     /// Complete one faulted store in firmware: apply its data and sync
@@ -1023,19 +1313,6 @@ impl NodeCoh {
             .map_or(BlockStatus::Invalid, |e| e.block_status(block))
     }
 
-    /// Read the 8-word block from this node's own memory (used by the
-    /// home for grants and by a recalled owner for writebacks).
-    fn read_block(node: &Node, block_va: u64) -> [MemWord; BLOCK_WORDS as usize] {
-        let mut data = [MemWord::default(); BLOCK_WORDS as usize];
-        for (k, w) in data.iter_mut().enumerate() {
-            *w = node
-                .mem
-                .peek_va(block_va + k as u64)
-                .expect("block page mapped");
-        }
-        data
-    }
-
     /// Mark a block's status in this node's LTLB/LPT entry, dropping any
     /// cached line first and keeping the LPT copy coherent.
     fn set_status(node: &mut Node, block_va: u64, status: BlockStatus) {
@@ -1044,11 +1321,9 @@ impl NodeCoh {
         let block = (block_va % PAGE_WORDS) / BLOCK_WORDS;
         if let Some(e) = node.mem.ltlb_entry_mut(vpn) {
             e.set_block_status(block, status);
+            let e = *e;
             if let Some(lpt) = node.mem.lpt() {
-                let snapshot = node.mem.ltlb_probe(vpn).copied();
-                if let Some(e) = snapshot {
-                    lpt.write_back(node.mem.sdram_mut(), &e);
-                }
+                lpt.write_back(node.mem.sdram_mut(), &e);
             }
         } else if let Some(lpt) = node.mem.lpt() {
             let sdram = node.mem.sdram_mut();
@@ -1064,13 +1339,7 @@ impl NodeCoh {
     /// page containing the block is not mapped to a local physical page,
     /// a new page table entry is created and only the newly arrived
     /// block is marked valid" (§4.3).
-    fn install_block(
-        &mut self,
-        node: &mut Node,
-        block_va: u64,
-        status: BlockStatus,
-        data: &[MemWord; BLOCK_WORDS as usize],
-    ) {
+    fn install_block(&mut self, node: &mut Node, block_va: u64, status: BlockStatus, data: &Block) {
         let vpn = block_va / PAGE_WORDS;
 
         // Drop any stale cached line (e.g. a read-only copy being
@@ -1079,8 +1348,8 @@ impl NodeCoh {
         node.mem.flush_block(block_va);
 
         if node.mem.ltlb_probe(vpn).is_none() {
-            let slot = match self.frames.get(&vpn) {
-                Some(&slot) => slot,
+            let slot = match self.frames.get(vpn) {
+                Some(slot) => slot,
                 None => {
                     let lpt = node.mem.lpt().expect("booted node");
                     let ppn = self.next_frame;
@@ -1098,9 +1367,7 @@ impl NodeCoh {
 
         let e = node.mem.ltlb_probe(vpn).expect("just installed");
         let base_pa = e.translate(block_va % PAGE_WORDS);
-        for (k, w) in data.iter().enumerate() {
-            node.mem.poke_phys(base_pa + k as u64, *w);
-        }
+        node.mem.poke_block(base_pa, data);
         Self::set_status(node, block_va, status);
     }
 
@@ -1110,7 +1377,7 @@ impl NodeCoh {
     /// remote-access path.
     fn map_coherent_page(&mut self, node: &mut Node, va: u64) {
         let vpn = va / PAGE_WORDS;
-        if node.mem.ltlb_probe(vpn).is_some() || self.frames.contains_key(&vpn) {
+        if node.mem.ltlb_probe(vpn).is_some() || self.frames.get(vpn).is_some() {
             return;
         }
         let lpt = node.mem.lpt().expect("booted node");
@@ -1128,55 +1395,21 @@ impl NodeCoh {
     /// records, charged actions, composed messages, frame table, stats).
     /// Config and coordinates are not written — restore targets an
     /// identically-built machine.
+    // analyze: cold (checkpoint codec)
     pub(crate) fn save_state(&self, e: &mut Enc) {
-        e.usize(self.directory.len());
-        for (block, entry) in &self.directory {
-            e.u64(*block);
-            e.usize(entry.sharers.len());
-            for s in &entry.sharers {
-                e.u64(s.encode());
-            }
-            match entry.owner {
-                Some(o) => {
-                    e.u8(1);
-                    e.u64(o.encode());
-                }
-                None => e.u8(0),
-            }
-            e.bool(entry.recalling);
-            e.bool(entry.grant_pending);
-            e.usize(entry.queued.len());
-            for q in &entry.queued {
-                e.u64(q.from.encode());
-                e.bool(q.write);
-            }
-        }
-        e.usize(self.waiting.len());
-        for (block, w) in &self.waiting {
-            e.u64(*block);
-            e.usize(w.records.len());
-            for (t0, rec) in &w.records {
-                e.u64(*t0);
-                encode_record_words(e, rec);
-            }
-            e.bool(w.read_sent);
-            e.bool(w.write_sent);
-        }
+        self.directory.save(e);
+        self.waiting.save(e);
         let pending = self.pending.snapshot();
         e.usize(pending.len());
         for (ready, p) in pending {
             e.u64(ready);
-            encode_pending(e, p);
+            encode_pending(e, p, self.coord);
         }
         e.usize(self.outbound.len());
         for m in &self.outbound {
             m.encode(e);
         }
-        e.usize(self.frames.len());
-        for (vpn, slot) in &self.frames {
-            e.u64(*vpn);
-            e.u64(*slot);
-        }
+        self.frames.save(e);
         e.u64(self.next_frame);
         let s = &self.stats;
         for v in [
@@ -1198,19 +1431,20 @@ impl NodeCoh {
     /// sharers, owners and queued requesters, the peers of charged
     /// actions, and both ends of each composed message — so a restore
     /// can refuse one outside the mesh before a message goes to it.
+    // analyze: cold (restore validation)
     pub(crate) fn endpoints(&self) -> Vec<NodeCoord> {
         let mut out = Vec::new();
-        for entry in self.directory.values() {
+        for entry in &self.directory.entries {
             out.extend(&entry.sharers);
             out.extend(entry.owner);
-            out.extend(entry.queued.iter().map(|q| q.from));
         }
+        out.extend(self.directory.queued.iter().map(|q| q.from));
         for (_, p) in self.pending.snapshot() {
             match p {
                 Pending::SendFetch { home: c, .. }
                 | Pending::Service { from: c, .. }
-                | Pending::ServiceRecall { home: c, .. } => out.push(*c),
-                Pending::SendMsg(m) => out.extend([m.src, m.dest]),
+                | Pending::ServiceRecall { home: c, .. }
+                | Pending::SendGrant { to: c, .. } => out.push(*c),
                 Pending::Replay(_)
                 | Pending::ServiceWriteback { .. }
                 | Pending::ServiceGrant { .. }
@@ -1222,73 +1456,51 @@ impl NodeCoh {
         out
     }
 
+    /// Refuse a restored frame table `node`'s memory cannot back: a slot
+    /// other than the one holding its vpn's LPT entry, or a next frame
+    /// whose page lies past the SDRAM. Either would panic at the next
+    /// grant that installs a frame.
+    // analyze: cold (restore validation)
+    pub(crate) fn refuse_bad_frames(&self, node: &Node) -> Result<(), CkptError> {
+        let lpt = node.mem.lpt();
+        for &(vpn, slot) in &self.frames.0 {
+            if lpt.and_then(|lpt| lpt.find(node.mem.sdram(), vpn)) != Some(slot) {
+                return Err(CkptError(format!(
+                    "frame slot {slot:#x} on {} does not hold vpn {vpn:#x}'s LPT entry",
+                    self.coord
+                )));
+            }
+        }
+        let words = node.mem.sdram().capacity();
+        if self
+            .next_frame
+            .checked_mul(PAGE_WORDS)
+            .is_none_or(|pa| pa >= words)
+        {
+            return Err(CkptError(format!(
+                "next frame {:#x} on {} lies past the SDRAM",
+                self.next_frame, self.coord
+            )));
+        }
+        Ok(())
+    }
+
     /// Restore state saved by [`NodeCoh::save_state`].
+    // analyze: cold (checkpoint codec)
     pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        self.directory.clear();
-        for _ in 0..d.usize()? {
-            let block = d.u64()?;
-            let mut sharers = BTreeSet::new();
-            for _ in 0..d.usize()? {
-                sharers.insert(NodeCoord::decode(d.u64()?));
-            }
-            let owner = match d.u8()? {
-                0 => None,
-                1 => Some(NodeCoord::decode(d.u64()?)),
-                t => return Err(CkptError(format!("bad owner tag {t}"))),
-            };
-            let recalling = d.bool()?;
-            let grant_pending = d.bool()?;
-            let mut queued = VecDeque::new();
-            for _ in 0..d.usize()? {
-                queued.push_back(QFetch {
-                    from: NodeCoord::decode(d.u64()?),
-                    write: d.bool()?,
-                });
-            }
-            self.directory.insert(
-                block,
-                DirEntry {
-                    sharers,
-                    owner,
-                    recalling,
-                    grant_pending,
-                    queued,
-                },
-            );
-        }
-        self.waiting.clear();
-        for _ in 0..d.usize()? {
-            let block = d.u64()?;
-            let mut records = Vec::new();
-            for _ in 0..d.usize()? {
-                let t0 = d.u64()?;
-                records.push((t0, decode_record_words(d)?));
-            }
-            self.waiting.insert(
-                block,
-                BlockWait {
-                    records,
-                    read_sent: d.bool()?,
-                    write_sent: d.bool()?,
-                },
-            );
-        }
+        self.directory.load(d)?;
+        self.waiting.load(d)?;
         let mut pending = Vec::new();
         for _ in 0..d.usize()? {
             let ready = d.u64()?;
-            pending.push((ready, decode_pending(d)?));
+            pending.push((ready, decode_pending(d, self.coord)?));
         }
         self.pending.restore(pending);
         self.outbound.clear();
         for _ in 0..d.usize()? {
             self.outbound.push_back(Message::decode(d)?);
         }
-        self.frames.clear();
-        for _ in 0..d.usize()? {
-            let vpn = d.u64()?;
-            let slot = d.u64()?;
-            self.frames.insert(vpn, slot);
-        }
+        self.frames.load(d)?;
         self.next_frame = d.u64()?;
         self.stats = CoherenceStats {
             block_fetches: d.u64()?,
@@ -1302,6 +1514,15 @@ impl NodeCoh {
             fetch_replays: d.u64()?,
         };
         Ok(())
+    }
+}
+
+/// The grant op of a read or write fetch.
+fn grant_op(write: bool) -> CohOp {
+    if write {
+        CohOp::GrantWrite
+    } else {
+        CohOp::GrantRead
     }
 }
 
@@ -1321,27 +1542,29 @@ fn decode_record_words(d: &mut Dec<'_>) -> Result<[Word; 3], CkptError> {
 }
 
 /// Encode one 8-word block payload (value bits, pointer tag, sync bit).
-fn encode_block_data(e: &mut Enc, data: &[MemWord; BLOCK_WORDS as usize]) {
-    for w in data {
-        e.u64(w.word.bits());
-        e.bool(w.word.is_pointer());
-        e.bool(w.sync);
+fn encode_block_data(e: &mut Enc, data: &Block) {
+    for k in 0..BLOCK_WORDS as usize {
+        e.u64(data.data[k]);
+        e.bool((data.tags >> k) & 1 == 1);
+        e.bool(data.full(k));
     }
 }
 
-fn decode_block_data(d: &mut Dec<'_>) -> Result<[MemWord; BLOCK_WORDS as usize], CkptError> {
-    let mut data = [MemWord::default(); BLOCK_WORDS as usize];
-    for w in &mut data {
-        let bits = d.u64()?;
-        let ptr = d.bool()?;
-        *w = MemWord::with_sync(Word::from_raw(bits, ptr), d.bool()?);
+fn decode_block_data(d: &mut Dec<'_>) -> Result<Block, CkptError> {
+    let mut b = Block::default();
+    for k in 0..BLOCK_WORDS as usize {
+        b.data[k] = d.u64()?;
+        b.tags |= u8::from(d.bool()?) << k;
+        b.sync |= u8::from(d.bool()?) << k;
     }
-    Ok(data)
+    Ok(b)
 }
 
 /// Tagged codec for charged firmware actions (tags follow declaration
-/// order; any change here is a checkpoint format change).
-fn encode_pending(e: &mut Enc, p: &Pending) {
+/// order; any change here is a checkpoint format change). A delayed
+/// grant is written as the message `coord` composes when it fires.
+// analyze: cold (checkpoint codec)
+fn encode_pending(e: &mut Enc, p: &Pending, coord: NodeCoord) {
     match p {
         Pending::Replay(rec) => {
             e.u8(0);
@@ -1389,14 +1612,22 @@ fn encode_pending(e: &mut Enc, p: &Pending) {
             e.u64(*block);
             e.bool(*write);
         }
-        Pending::SendMsg(msg) => {
+        Pending::SendGrant {
+            to,
+            write,
+            block,
+            data,
+        } => {
             e.u8(8);
-            msg.encode(e);
+            encode_msg(grant_op(*write), coord, *to, *block, Some(data)).encode(e);
         }
     }
 }
 
-fn decode_pending(d: &mut Dec<'_>) -> Result<Pending, CkptError> {
+/// Decode one charged action of the handler on `coord`. A tag-8 message
+/// must be a grant exactly as `coord` would compose it.
+// analyze: cold (checkpoint codec)
+fn decode_pending(d: &mut Dec<'_>, coord: NodeCoord) -> Result<Pending, CkptError> {
     Ok(match d.u8()? {
         0 => Pending::Replay(decode_record_words(d)?),
         1 => Pending::SendFetch {
@@ -1428,7 +1659,30 @@ fn decode_pending(d: &mut Dec<'_>) -> Result<Pending, CkptError> {
             block: d.u64()?,
             write: d.bool()?,
         },
-        8 => Pending::SendMsg(Message::decode(d)?),
+        8 => {
+            let msg = Message::decode(d)?;
+            let grant = decode_msg(&msg).and_then(|c| {
+                let write = match c.op {
+                    CohOp::GrantRead => false,
+                    CohOp::GrantWrite => true,
+                    _ => return None,
+                };
+                let data = c.data?;
+                let to = msg.dest;
+                let composed = encode_msg(c.op, coord, to, c.block_va, Some(&data));
+                (composed == msg).then_some(Pending::SendGrant {
+                    to,
+                    write,
+                    block: c.block_va,
+                    data,
+                })
+            });
+            grant.ok_or_else(|| {
+                CkptError(format!(
+                    "charged message on {coord} is not a grant it composed: {msg:?}"
+                ))
+            })?
+        }
         t => return Err(CkptError(format!("bad pending-action tag {t}"))),
     })
 }
@@ -1449,6 +1703,7 @@ pub struct CoherenceEngine {
 
 impl CoherenceEngine {
     /// One handler per node, in linear-index order.
+    // analyze: cold (constructor, once per machine)
     #[must_use]
     pub fn new(cfg: CoherenceConfig, coords: &[NodeCoord]) -> CoherenceEngine {
         CoherenceEngine {
@@ -1484,6 +1739,7 @@ impl CoherenceEngine {
     }
 
     /// Serialize every handler, in node order.
+    // analyze: cold (checkpoint codec)
     pub(crate) fn save_state(&self, e: &mut Enc) {
         e.usize(self.nodes.len());
         for n in &self.nodes {
@@ -1492,6 +1748,7 @@ impl CoherenceEngine {
     }
 
     /// Restore state saved by [`CoherenceEngine::save_state`].
+    // analyze: cold (checkpoint codec)
     pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let n = d.usize()?;
         if n != self.nodes.len() {
@@ -1520,9 +1777,11 @@ mod tests {
     fn codec_round_trips_every_op() {
         let src = NodeCoord::new(1, 2, 3);
         let dest = NodeCoord::new(0, 1, 0);
-        let mut data = [MemWord::default(); BLOCK_WORDS as usize];
-        data[0] = MemWord::with_sync(Word::from_u64(42), true);
-        data[7] = MemWord::new(Word::from_i64(-1));
+        let mut words = [MemWord::default(); BLOCK_WORDS as usize];
+        words[0] = MemWord::with_sync(Word::from_u64(42), true);
+        words[3] = MemWord::new(Word::from_raw(0x40, true));
+        words[7] = MemWord::new(Word::from_i64(-1));
+        let data = Block::pack(&words);
         for op in [
             CohOp::FetchRead,
             CohOp::FetchWrite,
@@ -1542,11 +1801,7 @@ mod tests {
             assert_eq!(back.block_va, 0x1238);
             assert_eq!(back.from, src);
             if op.carries_data() {
-                let got = back.data.expect("data");
-                for k in 0..BLOCK_WORDS as usize {
-                    assert_eq!(got[k].word, data[k].word);
-                    assert_eq!(got[k].sync, data[k].sync);
-                }
+                assert_eq!(back.data, Some(data));
             } else {
                 assert!(back.data.is_none());
             }
@@ -1574,13 +1829,7 @@ mod tests {
         let mut msg = encode_msg(CohOp::Invalidate, a, a, 8, None);
         msg.dip = Word::from_u64(0); // no such op
         assert!(decode_msg(&msg).is_none());
-        let mut short = encode_msg(
-            CohOp::GrantRead,
-            a,
-            a,
-            8,
-            Some(&[MemWord::default(); BLOCK_WORDS as usize]),
-        );
+        let mut short = encode_msg(CohOp::GrantRead, a, a, 8, Some(&Block::default()));
         short.body.pop();
         assert!(decode_msg(&short).is_none());
     }
@@ -1636,5 +1885,403 @@ mod tests {
         assert_eq!(n.event_records_queued(0), 0, "record consumed");
         // A clean queue yields no further work.
         assert!(!coh.step(1, &mut n));
+    }
+}
+
+/// The handler's tables against the `BTreeMap`/`BTreeSet`/`VecDeque`
+/// state they replace, driven through the same protocol transitions:
+/// fetches (with their invalidations and recalls), writebacks draining
+/// the recall queue, faults, grants and frame allocation. Every answer,
+/// every size and the checkpoint bytes must agree.
+#[cfg(test)]
+mod tables_vs_btree {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    const ME: NodeCoord = NodeCoord { x: 0, y: 0, z: 0 };
+
+    fn node(i: u8) -> NodeCoord {
+        NodeCoord::new(i % 2, i / 2, 0)
+    }
+
+    /// What the directory did with one fetch.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Served {
+        Deferred,
+        Queued,
+        Recall(NodeCoord),
+        Granted(Vec<NodeCoord>),
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct RefEntry {
+        sharers: BTreeSet<NodeCoord>,
+        owner: Option<NodeCoord>,
+        recalling: bool,
+        grant_pending: bool,
+        queued: VecDeque<(NodeCoord, bool)>,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct RefWait {
+        records: Vec<(u64, [Word; 3])>,
+        read_sent: bool,
+        write_sent: bool,
+    }
+
+    /// The BTree-based state, with the transitions as the handler made
+    /// them before the tables.
+    #[derive(Debug, Default)]
+    struct Reference {
+        directory: BTreeMap<u64, RefEntry>,
+        waiting: BTreeMap<u64, RefWait>,
+        frames: BTreeMap<u64, u64>,
+    }
+
+    impl Reference {
+        fn fetch(&mut self, block: u64, from: NodeCoord, write: bool) -> Served {
+            let e = self.directory.entry(block).or_insert_with(|| RefEntry {
+                sharers: BTreeSet::from([ME]),
+                owner: Some(ME),
+                ..RefEntry::default()
+            });
+            if e.grant_pending {
+                return Served::Deferred;
+            }
+            if e.recalling {
+                e.queued.push_back((from, write));
+                return Served::Queued;
+            }
+            if let Some(owner) = e.owner.filter(|&o| o != ME && o != from) {
+                e.recalling = true;
+                e.queued.push_back((from, write));
+                return Served::Recall(owner);
+            }
+            let mut invalidated = Vec::new();
+            if write {
+                let sharers: Vec<NodeCoord> = e.sharers.iter().copied().collect();
+                invalidated.extend(sharers.into_iter().filter(|&s| s != from));
+                e.sharers.clear();
+                e.sharers.insert(from);
+                e.owner = Some(from);
+            } else {
+                e.owner = None;
+                e.sharers.insert(from);
+            }
+            Served::Granted(invalidated)
+        }
+
+        fn writeback(&mut self, block: u64) -> Vec<Served> {
+            let mut out = Vec::new();
+            if let Some(e) = self.directory.get_mut(&block) {
+                if let Some(owner) = e.owner.take() {
+                    e.sharers.remove(&owner);
+                }
+                e.recalling = false;
+            }
+            #[allow(clippy::while_let_loop)]
+            loop {
+                let Some(e) = self.directory.get_mut(&block) else {
+                    break;
+                };
+                if e.recalling {
+                    break;
+                }
+                let Some((from, write)) = e.queued.pop_front() else {
+                    break;
+                };
+                out.push(self.fetch(block, from, write));
+            }
+            out
+        }
+
+        fn fault(&mut self, block: u64, at: u64, record: [Word; 3]) -> bool {
+            let write = record_needs_write(record[0]);
+            let w = self.waiting.entry(block).or_default();
+            w.records.push((at, record));
+            let need = if write {
+                !w.write_sent
+            } else {
+                !w.read_sent && !w.write_sent
+            };
+            if need {
+                if write {
+                    w.write_sent = true;
+                } else {
+                    w.read_sent = true;
+                }
+            }
+            need
+        }
+
+        fn grant(&mut self, block: u64, write: bool) -> Vec<(u64, [Word; 3])> {
+            let Some(mut w) = self.waiting.remove(&block) else {
+                return Vec::new();
+            };
+            let mut taken = Vec::new();
+            let mut kept = Vec::new();
+            for (at, record) in w.records.drain(..) {
+                if record_needs_write(record[0]) && !write {
+                    kept.push((at, record));
+                } else {
+                    taken.push((at, record));
+                }
+            }
+            w.records = kept;
+            if write {
+                w.write_sent = false;
+            }
+            w.read_sent = false;
+            if !w.records.is_empty() || w.write_sent {
+                self.waiting.insert(block, w);
+            }
+            taken
+        }
+
+        fn save(&self, e: &mut Enc) {
+            e.usize(self.directory.len());
+            for (block, entry) in &self.directory {
+                e.u64(*block);
+                e.usize(entry.sharers.len());
+                for s in &entry.sharers {
+                    e.u64(s.encode());
+                }
+                match entry.owner {
+                    Some(o) => {
+                        e.u8(1);
+                        e.u64(o.encode());
+                    }
+                    None => e.u8(0),
+                }
+                e.bool(entry.recalling);
+                e.bool(entry.grant_pending);
+                e.usize(entry.queued.len());
+                for (from, write) in &entry.queued {
+                    e.u64(from.encode());
+                    e.bool(*write);
+                }
+            }
+            e.usize(self.waiting.len());
+            for (block, w) in &self.waiting {
+                e.u64(*block);
+                e.usize(w.records.len());
+                for (at, rec) in &w.records {
+                    e.u64(*at);
+                    encode_record_words(e, rec);
+                }
+                e.bool(w.read_sent);
+                e.bool(w.write_sent);
+            }
+            e.usize(self.frames.len());
+            for (vpn, slot) in &self.frames {
+                e.u64(*vpn);
+                e.u64(*slot);
+            }
+        }
+    }
+
+    /// The tables, moved through the transitions exactly as the handler
+    /// moves them.
+    #[derive(Debug, Default)]
+    struct Tables {
+        directory: Directory,
+        waiting: Waiting,
+        frames: Frames,
+    }
+
+    impl Tables {
+        fn fetch(&mut self, block: u64, from: NodeCoord, write: bool) -> Served {
+            let e = self.directory.entry(block, ME);
+            if e.grant_pending {
+                return Served::Deferred;
+            }
+            if e.recalling {
+                self.directory.queue(block, from, write);
+                return Served::Queued;
+            }
+            if let Some(owner) = e.owner.filter(|&o| o != ME && o != from) {
+                e.recalling = true;
+                self.directory.queue(block, from, write);
+                return Served::Recall(owner);
+            }
+            if write {
+                let invalidated = e.sharers.iter().copied().filter(|&s| s != from);
+                let invalidated = invalidated.collect();
+                e.make_owner(from);
+                Served::Granted(invalidated)
+            } else {
+                e.owner = None;
+                e.share(from);
+                Served::Granted(Vec::new())
+            }
+        }
+
+        fn writeback(&mut self, block: u64) -> Vec<Served> {
+            let mut out = Vec::new();
+            let Some(e) = self.directory.get_mut(block) else {
+                return out;
+            };
+            e.release_owner();
+            while self.directory.get_mut(block).is_some_and(|e| !e.recalling) {
+                let Some(q) = self.directory.pop_queued(block) else {
+                    break;
+                };
+                out.push(self.fetch(block, q.from, q.write));
+            }
+            out
+        }
+
+        fn grant(&mut self, block: u64, write: bool) -> Vec<(u64, [Word; 3])> {
+            let mut taken = Vec::new();
+            if self.waiting.has(block) {
+                while let Some(w) = self.waiting.take(block, write) {
+                    taken.push((w.at, w.record));
+                }
+                self.waiting.settle(block, write);
+            }
+            taken
+        }
+
+        fn save(&self, e: &mut Enc) {
+            self.directory.save(e);
+            self.waiting.save(e);
+            self.frames.save(e);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Fetch {
+            block: u64,
+            from: u8,
+            write: bool,
+        },
+        Writeback {
+            block: u64,
+        },
+        /// A grant is charged (`true`) or leaves the handler.
+        Charge {
+            block: u64,
+            on: bool,
+        },
+        Fault {
+            block: u64,
+            kind: u8,
+            offset: u64,
+        },
+        Grant {
+            block: u64,
+            write: bool,
+        },
+        Frame {
+            vpn: u64,
+            slot: u64,
+        },
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let block = (0u64..4).prop_map(|b| 0x200 + b * 8);
+        let fetch = (block.clone(), 0u8..4, any::<bool>())
+            .prop_map(|(block, from, write)| Op::Fetch { block, from, write });
+        let fault = (block.clone(), 0u8..3, 0u64..8).prop_map(|(block, kind, offset)| Op::Fault {
+            block,
+            kind,
+            offset,
+        });
+        let op = prop_oneof![
+            fetch.clone(),
+            fetch,
+            block.clone().prop_map(|block| Op::Writeback { block }),
+            (block.clone(), any::<bool>()).prop_map(|(block, on)| Op::Charge { block, on }),
+            fault.clone(),
+            fault,
+            (block, any::<bool>()).prop_map(|(block, write)| Op::Grant { block, write }),
+            (0u64..6, 0u64..1024).prop_map(|(vpn, slot)| Op::Frame { vpn, slot }),
+        ];
+        prop::collection::vec(op, 1..120)
+    }
+
+    fn bytes(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        save(&mut e);
+        e.finish()
+    }
+
+    fn check(ops: &[Op]) {
+        let (mut new, mut old) = (Tables::default(), Reference::default());
+        for (at, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Fetch { block, from, write } => {
+                    let from = node(from);
+                    assert_eq!(new.fetch(block, from, write), old.fetch(block, from, write));
+                }
+                Op::Writeback { block } => assert_eq!(new.writeback(block), old.writeback(block)),
+                Op::Charge { block, on } => {
+                    let old_entry = old.directory.get_mut(&block);
+                    assert_eq!(old_entry.is_some(), new.directory.get_mut(block).is_some());
+                    if let Some(e) = old_entry {
+                        e.grant_pending = on;
+                        new.directory.get_mut(block).unwrap().grant_pending = on;
+                    }
+                }
+                Op::Fault {
+                    block,
+                    kind,
+                    offset,
+                } => {
+                    // A load, a store, or a synchronizing load.
+                    let desc = [0u64, 1 << 4, 1 << 7][kind as usize];
+                    let record = [
+                        Word::from_u64(desc),
+                        Word::from_u64(block + offset),
+                        Word::from_u64(at as u64),
+                    ];
+                    let write = record_needs_write(record[0]);
+                    let asked = new.waiting.add(block, at as u64, record).request(write);
+                    assert_eq!(asked, old.fault(block, at as u64, record));
+                }
+                Op::Grant { block, write } => {
+                    assert_eq!(new.grant(block, write), old.grant(block, write));
+                }
+                Op::Frame { vpn, slot } => {
+                    assert_eq!(new.frames.get(vpn), old.frames.get(&vpn).copied());
+                    if new.frames.get(vpn).is_none() {
+                        new.frames.insert(vpn, slot);
+                        old.frames.insert(vpn, slot);
+                    }
+                }
+            }
+            let entries = &new.directory.entries;
+            let sharers: usize = entries.iter().map(|e| e.sharers.len()).sum();
+            let queued: usize = old.directory.values().map(|e| e.queued.len()).sum();
+            let records: usize = old.waiting.values().map(|w| w.records.len()).sum();
+            assert_eq!(entries.len(), old.directory.len());
+            assert_eq!(
+                sharers,
+                old.directory.values().map(|e| e.sharers.len()).sum()
+            );
+            assert_eq!(new.directory.queued.len(), queued);
+            assert_eq!(new.waiting.blocks.len(), old.waiting.len());
+            assert_eq!(new.waiting.records.len(), records);
+        }
+        let saved = bytes(|e| new.save(e));
+        assert_eq!(saved, bytes(|e| old.save(e)), "checkpoint bytes");
+        let mut back = Tables::default();
+        let mut d = Dec::new(&saved);
+        back.directory.load(&mut d).expect("directory");
+        back.waiting.load(&mut d).expect("waiting");
+        back.frames.load(&mut d).expect("frames");
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(bytes(|e| back.save(e)), saved, "restored tables re-save");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tables_match_btree_state(ops in ops()) {
+            check(&ops);
+        }
     }
 }

@@ -1848,6 +1848,9 @@ impl MMachine {
             )));
         }
         self.refuse_out_of_mesh_endpoints()?;
+        for (node, coh) in self.nodes.iter().zip(self.coherence.handlers()) {
+            coh.refuse_bad_frames(node)?;
+        }
         // Reinstate the exact sleep schedule the checkpoint captured —
         // waking everything instead would step idle nodes the original
         // run never stepped — and recompute every mirror row from the

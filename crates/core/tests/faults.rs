@@ -365,11 +365,19 @@ fn message_to(dest: NodeCoord) -> Message {
 
 /// `clean` with the empty list whose eight-byte count sits at `at`
 /// replaced by a one-item list holding what `item` encodes.
-fn splice_one(clean: &[u8], at: usize, item: impl FnOnce(&mut Enc)) -> Vec<u8> {
+fn splice_one(clean: &[u8], at: usize, item: impl Fn(&mut Enc)) -> Vec<u8> {
+    splice_many(clean, at, 1, item)
+}
+
+/// `clean` with the empty list whose eight-byte count sits at `at`
+/// replaced by `count` copies of what `item` encodes.
+fn splice_many(clean: &[u8], at: usize, count: usize, item: impl Fn(&mut Enc)) -> Vec<u8> {
     assert_eq!(clean[at..at + 8], [0; 8], "an empty list's count");
     let mut e = Enc::new();
-    e.usize(1);
-    item(&mut e);
+    e.usize(count);
+    for _ in 0..count {
+        item(&mut e);
+    }
     let mut bytes = clean[..at].to_vec();
     bytes.extend_from_slice(&e.finish());
     bytes.extend_from_slice(&clean[at + 8..]);
@@ -506,6 +514,182 @@ fn restore_refuses_out_of_mesh_directory_state() {
         fresh
             .restore(&splice(near()))
             .expect("in-mesh state restores");
+    }
+}
+
+/// Offset of node 1's coherence handler in a fault-free `small()`
+/// machine's checkpoint. A fresh handler is five empty lists (directory,
+/// waiting blocks, charged actions, outbound messages, frames), the next
+/// frame and nine statistics words: 120 bytes before the resends.
+fn handler_at(m: &MMachine, clean: &[u8]) -> usize {
+    resend_count_at(m, clean) - 120
+}
+
+/// Restore `bytes` into a fresh `small()` machine and expect a refusal
+/// whose message contains `needle`.
+fn assert_refused_for(bytes: &[u8], needle: &str) {
+    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+    let err = fresh.restore(bytes).expect_err(needle).to_string();
+    assert!(err.contains(needle), "{needle}: {err}");
+}
+
+/// A handler table listing one key twice — a directory block, a block's
+/// sharer, a waiting block or a frame's vpn — is refused instead of
+/// merged; the same list with the key once restores.
+#[test]
+fn restore_refuses_duplicate_coherence_keys() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let handler = handler_at(&m, &clean);
+    let vpn = m.home_va(1, 0) / 512;
+    let lpt = m.node(1).mem.lpt().unwrap();
+    let slot = lpt
+        .find(m.node(1).mem.sdram(), vpn)
+        .expect("home page mapped");
+    let directory = |n| {
+        splice_many(&clean, handler, n, |e| {
+            e.u64(0x40); // block
+            e.usize(0); // sharers
+            e.u8(0); // no owner
+            e.bool(false); // recalling
+            e.bool(false); // grant pending
+            e.usize(0); // queued
+        })
+    };
+    let waiting = |n| {
+        splice_many(&clean, handler + 8, n, |e| {
+            e.u64(0x40); // block
+            e.usize(0); // records
+            e.bool(false); // read sent
+            e.bool(true); // write sent
+        })
+    };
+    let frames = |n| {
+        splice_many(&clean, handler + 32, n, |e| {
+            e.u64(vpn);
+            e.u64(slot);
+        })
+    };
+    let directory: &dyn Fn(usize) -> Vec<u8> = &directory;
+    let sharers = |n| {
+        splice_one(&clean, handler, |e| {
+            e.u64(0x40); // block
+            e.usize(n);
+            (0..n).for_each(|_| e.u64(near().encode()));
+            e.u8(0); // no owner
+            e.bool(false); // recalling
+            e.bool(false); // grant pending
+            e.usize(0); // queued
+        })
+    };
+    let lists = [
+        (directory, "directory lists block 0x40 twice"),
+        (&sharers, "block 0x40 lists a sharer twice"),
+        (&waiting, "wait table lists block 0x40 twice"),
+        (&frames, "frame table lists vpn"),
+    ];
+    for (list, needle) in lists {
+        assert_refused_for(&list(2), needle);
+        let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+        fresh.restore(&list(1)).expect("one entry restores");
+        assert_eq!(
+            fresh.checkpoint(),
+            list(1),
+            "and checkpoints the same bytes"
+        );
+    }
+}
+
+/// A restored frame table the node's memory cannot back is refused: a
+/// slot other than the one holding that vpn's LPT entry, or a next frame
+/// past the SDRAM. Each would panic at the next grant.
+#[test]
+fn restore_refuses_frames_memory_cannot_back() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let handler = handler_at(&m, &clean);
+    let vpn = m.home_va(1, 0) / 512;
+    let lpt = m.node(1).mem.lpt().unwrap();
+    let slot = lpt
+        .find(m.node(1).mem.sdram(), vpn)
+        .expect("home page mapped");
+    let frame = |vpn: u64, slot: u64| {
+        splice_one(&clean, handler + 32, |e| {
+            e.u64(vpn);
+            e.u64(slot);
+        })
+    };
+    for (v, s) in [
+        (vpn + 1, slot),                    // another vpn's entry
+        (vpn, slot + 1),                    // inside a slot
+        (vpn, lpt.base - 4),                // before the table
+        (vpn, lpt.base + lpt.size_words()), // past its end
+        (vpn, 1 << 40),                     // past the SDRAM
+    ] {
+        assert_refused_for(&frame(v, s), "does not hold vpn");
+    }
+    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+    fresh
+        .restore(&frame(vpn, slot))
+        .expect("a real slot restores");
+
+    // The next frame is the word after the (empty) frame list.
+    let pages = m.node(1).mem.sdram().capacity() / 512;
+    let next_frame = |ppn: u64| {
+        let mut bytes = clean.clone();
+        bytes[handler + 40..handler + 48].copy_from_slice(&ppn.to_le_bytes());
+        bytes
+    };
+    assert_eq!(next_frame(512), clean, "the default first frame page");
+    assert_refused_for(&next_frame(pages), "lies past the SDRAM");
+    assert_refused_for(&next_frame(u64::MAX), "lies past the SDRAM");
+    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+    fresh
+        .restore(&next_frame(pages - 1))
+        .expect("the last page restores");
+}
+
+/// A charged tag-8 action is a grant its handler composed; any other
+/// message there is refused, and a real one round-trips byte for byte.
+#[test]
+fn restore_refuses_charged_messages_other_than_grants() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let handler = handler_at(&m, &clean);
+    let charged = |msg: Message| {
+        splice_one(&clean, handler + 16, |e| {
+            e.u64(50); // ready
+            e.u8(8); // a delayed grant
+            msg.encode(e);
+        })
+    };
+    let grant = |write: bool| Message {
+        priority: Priority::P1,
+        src: near(),
+        dest: NodeCoord::new(0, 0, 0),
+        dip: Word::from_u64(if write { 6 } else { 5 }),
+        addr: Word::from_u64(0x40),
+        body: (0..9).map(|k| Word::from_raw(k * 3, k == 2)).collect(),
+        wire: WireMeta::default(),
+    };
+    for write in [false, true] {
+        let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+        fresh
+            .restore(&charged(grant(write)))
+            .expect("a grant restores");
+        assert_eq!(fresh.checkpoint(), charged(grant(write)));
+    }
+    let mut foreign = grant(true);
+    foreign.src = NodeCoord::new(0, 0, 0);
+    let mut fetch = grant(false);
+    fetch.dip = Word::from_u64(2);
+    fetch.body = MsgBody::new();
+    let mut wide_mask = grant(false);
+    wide_mask.body.set(8, Word::from_u64(0x100));
+    let mut sealed = grant(true);
+    sealed.wire.seq = 7;
+    for msg in [message_to(near()), foreign, fetch, wide_mask, sealed] {
+        assert_refused_for(&charged(msg), "is not a grant it composed");
     }
 }
 

@@ -49,6 +49,47 @@ impl MemWord {
     }
 }
 
+/// One 8-word coherence block, packed: word `i`'s data bits in
+/// `data[i]`, its pointer tag in bit `i` of `tags` and its full/empty bit
+/// in bit `i` of `sync`. Blocks travel through the §4.3 protocol in this
+/// form; they carry no check bits, which the SDRAM computes as it stores
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Block {
+    /// The words' data bits.
+    pub data: [u64; 8],
+    /// Pointer tag of word `i` in bit `i`.
+    pub tags: u8,
+    /// Full/empty bit of word `i` in bit `i`.
+    pub sync: u8,
+}
+
+impl Block {
+    /// Pack eight memory words, dropping their check bits.
+    #[must_use]
+    pub fn pack(words: &[MemWord; 8]) -> Block {
+        let mut b = Block::default();
+        for (i, w) in words.iter().enumerate() {
+            b.data[i] = w.word.bits();
+            b.tags |= u8::from(w.word.is_pointer()) << i;
+            b.sync |= u8::from(w.sync) << i;
+        }
+        b
+    }
+
+    /// Word `i`, with its pointer tag.
+    #[must_use]
+    pub fn word(&self, i: usize) -> Word {
+        Word::from_raw(self.data[i], (self.tags >> i) & 1 == 1)
+    }
+
+    /// Word `i`'s full/empty bit.
+    #[must_use]
+    pub fn full(&self, i: usize) -> bool {
+        (self.sync >> i) & 1 == 1
+    }
+}
+
 /// SDRAM timing and geometry configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdramConfig {
@@ -410,31 +451,33 @@ impl Sdram {
             words.len()
         );
         let first = self.access_timing(now, addr, words.len() as u64);
-        let (mut pn, mut off) = split(addr);
-        let mut rest = words;
-        while !rest.is_empty() {
-            let (seg, tail) = rest.split_at(rest.len().min(PAGE_WORDS as usize - off));
-            self.store(pn, off, seg);
-            rest = tail;
-            pn += 1;
-            off = 0;
-        }
+        self.store(addr, words.len(), |i| (words[i].word, words[i].sync));
         first + self.cfg.burst_per_word * (words.len() as u64).saturating_sub(1)
     }
 
-    /// Store `seg` (which fits in page `pn` from offset `off`) with fresh
-    /// check bits. Zero words stored to an absent page leave it absent.
-    fn store(&mut self, pn: usize, off: usize, seg: &[MemWord]) {
-        let slot = match self.locate(pn) {
-            Some(slot) => slot,
-            None if seg.iter().all(|w| w.word == Word::ZERO && !w.sync) => return,
-            None => self.commit(pn),
-        };
-        let page = &mut self.pages[slot];
-        for (i, w) in seg.iter().enumerate() {
-            let mut cell = *w;
-            cell.ecc = encode(cell.word.bits());
-            page.set(off + i, cell);
+    /// Store `len` words from `addr` with fresh check bits, word `i`
+    /// being `word(i)` (the word and its full/empty bit): one page lookup
+    /// per storage page touched and one encode per word. Zero words
+    /// stored to an absent page leave it absent.
+    fn store(&mut self, addr: u64, len: usize, word: impl Fn(usize) -> (Word, bool)) {
+        let (mut pn, mut off) = split(addr);
+        let mut done = 0;
+        while done < len {
+            let n = (len - done).min(PAGE_WORDS as usize - off);
+            let slot = match self.locate(pn) {
+                Some(slot) => Some(slot),
+                None if (done..done + n).all(|i| word(i) == (Word::ZERO, false)) => None,
+                None => Some(self.commit(pn)),
+            };
+            if let Some(slot) = slot {
+                let page = &mut self.pages[slot];
+                for i in 0..n {
+                    let (w, sync) = word(done + i);
+                    let ecc = encode(w.bits());
+                    page.set(off + i, MemWord { word: w, sync, ecc });
+                }
+            }
+            (done, pn, off) = (done + n, pn + 1, 0);
         }
     }
 
@@ -471,8 +514,60 @@ impl Sdram {
     /// Panics if `addr` exceeds the capacity.
     pub fn poke(&mut self, addr: u64, w: MemWord) {
         self.check_addr(addr);
-        let (pn, off) = split(addr);
-        self.store(pn, off, &[w]);
+        self.store(addr, 1, |_| (w.word, w.sync));
+    }
+
+    /// Zero-time store of consecutive words from `addr`: `values[i]`
+    /// with bit `i` of `tags` as its pointer tag and bit `i` of `sync` as
+    /// its full/empty bit, under fresh check bits. One page lookup per
+    /// storage page touched and one encode per word — the firmware moves
+    /// whole blocks and LPT entries through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run exceeds the capacity or 64 words.
+    pub fn poke_run(&mut self, addr: u64, values: &[u64], tags: u64, sync: u64) {
+        assert!(values.len() <= 64, "run longer than its masks");
+        self.check_addr(addr + values.len().saturating_sub(1) as u64);
+        self.store(addr, values.len(), |i| {
+            let bit = |mask: u64| (mask >> i) & 1 == 1;
+            (Word::from_raw(values[i], bit(tags)), bit(sync))
+        });
+    }
+
+    /// Zero-time read of `out.len()` consecutive words from `addr` into
+    /// `out`, returning their pointer tags and full/empty bits as masks
+    /// (bit `i` for word `i`): [`Sdram::peek`] for a run, one page lookup
+    /// per storage page touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run exceeds the capacity or 64 words.
+    #[must_use]
+    pub fn peek_run(&self, addr: u64, out: &mut [u64]) -> (u64, u64) {
+        assert!(out.len() <= 64, "run longer than its masks");
+        self.check_addr(addr + out.len().saturating_sub(1) as u64);
+        let (mut pn, mut off) = split(addr);
+        let (mut tags, mut sync, mut done) = (0, 0, 0);
+        while done < out.len() {
+            let n = (out.len() - done).min(PAGE_WORDS as usize - off);
+            let seg = &mut out[done..done + n];
+            match self.slot(pn) {
+                Some(at) => {
+                    let page = &self.pages[at];
+                    seg.copy_from_slice(&page.data[off..off + n]);
+                    for i in 0..n {
+                        tags |= ((page.tags >> (off + i)) & 1) << (done + i);
+                        sync |= ((page.sync >> (off + i)) & 1) << (done + i);
+                    }
+                }
+                None => seg.fill(0),
+            }
+            done += n;
+            pn += 1;
+            off = 0;
+        }
+        (tags, sync)
     }
 
     /// Flip a stored data bit (fault injection for the SECDED tests).

@@ -47,7 +47,7 @@ pub mod memsys;
 pub mod secded;
 
 pub use cache::{Cache, CacheConfig, LINE_WORDS};
-pub use dram::{MemWord, Sdram, SdramConfig};
+pub use dram::{Block, MemWord, Sdram, SdramConfig};
 pub use lpt::Lpt;
 pub use ltlb::{BlockStatus, Ltlb, LtlbEntry, BLOCKS_PER_PAGE, BLOCK_WORDS, PAGE_WORDS};
 pub use memsys::{

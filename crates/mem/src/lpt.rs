@@ -84,10 +84,7 @@ impl Lpt {
             let w0 = mem.peek(addr).word.bits();
             let occupied = w0 & VALID_BIT != 0;
             if !occupied || (w0 & !VALID_BIT) == entry.vpn {
-                mem.poke(addr, MemWord::new(Word::from_u64(VALID_BIT | entry.vpn)));
-                mem.poke(addr + 1, MemWord::new(Word::from_u64(entry.ppn)));
-                mem.poke(addr + 2, MemWord::new(Word::from_u64(entry.status_lo)));
-                mem.poke(addr + 3, MemWord::new(Word::from_u64(entry.status_hi)));
+                Self::store(mem, addr, entry);
                 return Some(addr);
             }
         }
@@ -114,15 +111,16 @@ impl Lpt {
     /// Read the entry stored at slot address `addr` (as `tlbwr` does).
     #[must_use]
     pub fn read_entry(self, mem: &Sdram, addr: u64) -> Option<LtlbEntry> {
-        let w0 = mem.peek(addr).word.bits();
-        if w0 & VALID_BIT == 0 {
+        let mut w = [0; ENTRY_WORDS as usize];
+        let _ = mem.peek_run(addr, &mut w);
+        if w[0] & VALID_BIT == 0 {
             return None;
         }
         Some(LtlbEntry {
-            vpn: w0 & !VALID_BIT,
-            ppn: mem.peek(addr + 1).word.bits(),
-            status_lo: mem.peek(addr + 2).word.bits(),
-            status_hi: mem.peek(addr + 3).word.bits(),
+            vpn: w[0] & !VALID_BIT,
+            ppn: w[1],
+            status_lo: w[2],
+            status_hi: w[3],
             lpt_addr: addr,
         })
     }
@@ -135,11 +133,19 @@ impl Lpt {
 
     /// Write an (evicted, possibly dirtied) LTLB entry back to its slot.
     pub fn write_back(self, mem: &mut Sdram, entry: &LtlbEntry) {
-        let addr = entry.lpt_addr;
-        mem.poke(addr, MemWord::new(Word::from_u64(VALID_BIT | entry.vpn)));
-        mem.poke(addr + 1, MemWord::new(Word::from_u64(entry.ppn)));
-        mem.poke(addr + 2, MemWord::new(Word::from_u64(entry.status_lo)));
-        mem.poke(addr + 3, MemWord::new(Word::from_u64(entry.status_hi)));
+        Self::store(mem, entry.lpt_addr, entry);
+    }
+
+    /// Write `entry`'s four words at slot address `addr`: untagged, empty
+    /// words in one zero-time store.
+    fn store(mem: &mut Sdram, addr: u64, entry: &LtlbEntry) {
+        let words = [
+            VALID_BIT | entry.vpn,
+            entry.ppn,
+            entry.status_lo,
+            entry.status_hi,
+        ];
+        mem.poke_run(addr, &words, 0, 0);
     }
 
     /// Remove the mapping for `vpn`. Returns `true` if present.

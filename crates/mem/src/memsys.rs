@@ -10,7 +10,7 @@
 //! *event* for the software handlers (§3.3).
 
 use crate::cache::{Cache, CacheConfig, CacheStats, StoreOutcome, LINE_WORDS};
-use crate::dram::{MemWord, Sdram, SdramConfig, SdramStats};
+use crate::dram::{Block, MemWord, Sdram, SdramConfig, SdramStats};
 use crate::lpt::Lpt;
 use crate::ltlb::{BlockStatus, Ltlb, LtlbEntry, LtlbStats, PAGE_WORDS};
 use mm_faults::{CkptError, Dec, Enc};
@@ -782,16 +782,6 @@ impl MemorySystem {
         true
     }
 
-    /// Drop the LTLB entry for `vpn`, writing its status bits back to the
-    /// LPT (used when coherence changes a page's block states).
-    pub fn tlb_invalidate(&mut self, vpn: u64) {
-        if let Some(entry) = self.ltlb.invalidate(vpn) {
-            if let Some(lpt) = self.lpt {
-                lpt.write_back(&mut self.sdram, &entry);
-            }
-        }
-    }
-
     /// Direct LTLB probe (no stats).
     #[must_use]
     pub fn ltlb_probe(&self, vpn: u64) -> Option<&LtlbEntry> {
@@ -844,20 +834,32 @@ impl MemorySystem {
     /// DRAM (coherence firmware; zero-time, the handler charges cycles).
     pub fn flush_block(&mut self, va: u64) {
         if let Some(victim) = self.cache.invalidate(va) {
-            for (i, w) in victim.data.iter().enumerate() {
-                self.sdram.poke(victim.pa + i as u64, *w);
-            }
+            self.poke_block(victim.pa, &Block::pack(&victim.data));
         }
     }
 
-    /// Downgrade the cache line holding `va` to read-only, writing dirty
-    /// data back (coherence firmware).
-    pub fn downgrade_block(&mut self, va: u64) {
-        if let Some(victim) = self.cache.downgrade(va) {
-            for (i, w) in victim.data.iter().enumerate() {
-                self.sdram.poke(victim.pa + i as u64, *w);
-            }
+    /// Flush the line holding block `va` as [`MemorySystem::flush_block`]
+    /// does, then read the block from DRAM through one translation — what
+    /// the coherence firmware puts in a grant or a writeback. `None` if
+    /// the block's page is unmapped.
+    pub fn take_block(&mut self, va: u64) -> Option<Block> {
+        debug_assert_eq!(va % LINE_WORDS, 0, "block-aligned address");
+        self.flush_block(va);
+        let pa = self.translate(va)?;
+        let mut b = Block::default();
+        let (tags, sync) = self.sdram.peek_run(pa, &mut b.data);
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            (b.tags, b.sync) = (tags as u8, sync as u8);
         }
+        Some(b)
+    }
+
+    /// Store block `b` at physical address `pa` (zero-time, fresh check
+    /// bits, one DRAM page lookup).
+    pub fn poke_block(&mut self, pa: u64, b: &Block) {
+        self.sdram
+            .poke_run(pa, &b.data, u64::from(b.tags), u64::from(b.sync));
     }
 
     /// Direct physical read (zero-time).

@@ -374,7 +374,7 @@ fn writeback_on_eviction_preserves_data() {
 }
 
 #[test]
-fn flush_and_downgrade_blocks() {
+fn flush_block_writes_back_dirty_line() {
     let mut ms = booted();
     ms.submit(MemRequest::store(1, 8, Word::from_u64(5), 0))
         .unwrap();
@@ -383,22 +383,6 @@ fn flush_and_downgrade_blocks() {
     ms.flush_block(8);
     let pa = ms.translate(8).unwrap();
     assert_eq!(ms.peek_phys(pa).word.bits(), 5);
-
-    // Downgrade: reload, then downgrade; store should then miss/fault.
-    ms.submit(MemRequest::load(2, 8, 0)).unwrap();
-    let _ = run_until_resp(&mut ms, 2, 200);
-    ms.downgrade_block(8);
-    let t = 300;
-    ms.submit(MemRequest::store(3, 8, Word::from_u64(6), 0))
-        .unwrap();
-    for cycle in t..t + 50 {
-        let (_, events) = step(&mut ms, cycle);
-        if let Some(e) = events.first() {
-            assert!(matches!(e.kind, MemEventKind::BlockStatusFault { .. }));
-            return;
-        }
-    }
-    panic!("store to downgraded line did not fault");
 }
 
 #[test]

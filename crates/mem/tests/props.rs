@@ -408,8 +408,9 @@ fn encoded(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
 }
 
 /// One step against both SDRAMs: `(kind, addr, len, value, tag+sync bits,
-/// flip bit)`; kind 6 is the pipeline's remembering `probe`. Bursts are clipped to the capacity; the out-of-range
-/// panics have their own tests below.
+/// flip bit)`; kind 6 is the pipeline's remembering `probe`, kinds 7 and 8
+/// the zero-time multi-word `poke_run` and `peek_run`. Bursts are clipped
+/// to the capacity; the out-of-range panics have their own tests below.
 type SdramOp = (u8, u64, u64, u64, u8, u32);
 
 fn sdram_ops() -> impl Strategy<Value = Vec<SdramOp>> {
@@ -420,7 +421,7 @@ fn sdram_ops() -> impl Strategy<Value = Vec<SdramOp>> {
         (1u64..15, 0u64..8).prop_map(|(p, d)| p * 64 - 1 - d),
     ];
     prop::collection::vec(
-        (0u8..7, addr, 1u64..=16, any::<u64>(), 0u8..4, 0u32..64),
+        (0u8..9, addr, 1u64..=16, any::<u64>(), 0u8..4, 0u32..64),
         1..80,
     )
 }
@@ -460,6 +461,33 @@ fn apply_sdram_ops(new: &mut Sdram, old: &mut DenseSdram, ops: &[SdramOp]) {
                 old.inject_bit_flip(addr, flip);
             }
             6 => assert_eq!(new.probe(addr), old.words[addr as usize], "probe {addr}"),
+            7 => {
+                // Zero and non-zero words mixed in one run.
+                let values: Vec<u64> = (0..len)
+                    .map(|i| if (value >> i) & 1 == 1 { value } else { 0 })
+                    .collect();
+                let tags = if bits & 1 == 1 { value } else { 0 };
+                let sync = if bits & 2 == 2 { !value } else { 0 };
+                new.poke_run(addr, &values, tags, sync);
+                for (i, &v) in values.iter().enumerate() {
+                    let w = MemWord::with_sync(
+                        Word::from_raw(v, (tags >> i) & 1 == 1),
+                        (sync >> i) & 1 == 1,
+                    );
+                    old.poke(addr + i as u64, w);
+                }
+            }
+            8 => {
+                let mut got = vec![!0; len];
+                let (tags, sync) = new.peek_run(addr, &mut got);
+                assert!(len == 64 || (tags | sync) >> len == 0, "masks past the run");
+                for (i, &v) in got.iter().enumerate() {
+                    let want = old.words[addr as usize + i];
+                    assert_eq!(v, want.word.bits(), "peek_run {addr}+{i}");
+                    assert_eq!((tags >> i) & 1 == 1, want.word.is_pointer());
+                    assert_eq!((sync >> i) & 1 == 1, want.sync);
+                }
+            }
             _ => {
                 // A double upset: uncorrectable until overwritten.
                 for bit in [flip, (flip + 1) % 64] {
