@@ -4,7 +4,7 @@
 //! `HashMap` inside a doc comment.
 //!
 //! This is deliberately **not** a full Rust grammar (no `syn` — the
-//! workspace vendors only the criterion/proptest shims). It handles the
+//! workspace vendors only the proptest shim). It handles the
 //! lexical layer exactly: line comments, nested block comments, string
 //! literals with escapes, raw strings with arbitrary `#` fences, byte
 //! and byte-raw strings, char literals vs. lifetimes, numbers with

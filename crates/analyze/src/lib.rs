@@ -7,7 +7,7 @@
 //! dynamically by tests that must happen to exercise the offending
 //! code. This crate checks the underlying invariants *statically*: a
 //! dependency-free hand-rolled Rust lexer (no `syn` — the workspace
-//! vendors only the criterion/proptest shims) feeds a small rule
+//! vendors only the proptest shim) feeds a small rule
 //! engine, configured and allowlisted by the committed `analyze.toml`:
 //!
 //! 1. **determinism** — hash-container declaration/iteration,

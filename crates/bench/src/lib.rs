@@ -2,8 +2,9 @@
 //!
 //! Each public function reproduces one evaluation artifact of *The
 //! M-Machine Multicomputer* on the full simulator and returns paper-vs-
-//! measured data. The `reproduce` binary prints them; the Criterion
-//! benches time them; the integration tests assert their shape.
+//! measured data. The `reproduce` binary prints them (pinned byte
+//! for byte by the `reproduce_golden` test); `benchmark/` times them;
+//! the integration tests assert their shape.
 
 #![warn(missing_docs)]
 

@@ -202,7 +202,7 @@ impl NodeNet {
     /// destination-address *word* (normally a guarded pointer — the
     /// capability travels in the message, so Fig. 7's receive handler can
     /// store through it). The caller drains staged packets with
-    /// [`NodeNet::take_outbox`] and injects them into the fabric.
+    /// [`NodeNet::drain_outbox_into`] and injects them into the fabric.
     pub fn send(
         &mut self,
         dip: Word,
@@ -243,16 +243,6 @@ impl NodeNet {
     /// reserved, so no new credit is consumed).
     pub fn resend(&mut self, msg: Message) {
         self.outbox.push(Packet::User(msg));
-    }
-
-    /// Packets staged for fabric injection this cycle.
-    ///
-    /// Surrenders the outbox allocation (a fresh empty vector replaces
-    /// it), so every later staging cycle re-allocates. The machine's
-    /// cycle engines use [`NodeNet::drain_outbox_into`] instead, which
-    /// keeps both buffers' capacity alive.
-    pub fn take_outbox(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.outbox)
     }
 
     /// Move the staged packets onto the end of `buf`, in staging order.
@@ -572,6 +562,13 @@ mod tests {
     use super::*;
     use crate::gtlb::{GdtEntry, GLOBAL_PAGE_WORDS};
 
+    /// The packets `n` has staged, drained in staging order.
+    fn drained(n: &mut NodeNet) -> Vec<Packet> {
+        let mut out = Vec::new();
+        n.drain_outbox_into(&mut out);
+        out
+    }
+
     fn iface_at(x: u8) -> NodeNet {
         let mut n = NodeNet::new(NodeCoord::new(x, 0, 0), IfaceConfig::default());
         // Pages 0..16 alternate between nodes (0,0,0) and (1,0,0).
@@ -591,7 +588,7 @@ mod tests {
             Priority::P0,
         );
         assert!(matches!(out, SendOutcome::Sent(_)));
-        let pkts = n.take_outbox();
+        let pkts = drained(&mut n);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].dest(), NodeCoord::new(1, 0, 0));
         assert_eq!(n.credits(), IfaceConfig::default().send_credits - 1);
@@ -608,7 +605,7 @@ mod tests {
             Priority::P0,
         );
         assert_eq!(out, SendOutcome::Unmapped);
-        assert!(n.take_outbox().is_empty());
+        assert!(drained(&mut n).is_empty());
     }
 
     #[test]
@@ -689,7 +686,7 @@ mod tests {
         assert_eq!(n.queue_len(Priority::P0), 0);
         assert!(n.pop_word(Priority::P0).is_none());
         // A credit reply was staged for the sender.
-        let out = n.take_outbox();
+        let out = drained(&mut n);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Packet::Credit { .. }));
         assert_eq!(out[0].dest(), NodeCoord::new(0, 0, 0));
@@ -707,13 +704,13 @@ mod tests {
             NodeCoord::new(1, 0, 0),
             Priority::P0,
         ));
-        let _ = n.take_outbox();
+        let _ = drained(&mut n);
         n.deliver(user_msg(
             NodeCoord::new(0, 0, 0),
             NodeCoord::new(1, 0, 0),
             Priority::P0,
         ));
-        let out = n.take_outbox();
+        let out = drained(&mut n);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Packet::Return(_)));
         assert_eq!(out[0].dest(), NodeCoord::new(0, 0, 0));
@@ -740,7 +737,7 @@ mod tests {
         let before = n.credits();
         n.resend(got);
         assert_eq!(n.credits(), before);
-        assert_eq!(n.take_outbox().len(), 1);
+        assert_eq!(drained(&mut n).len(), 1);
     }
 
     /// Regression (PR 5 bugfix): accepting a P1 reply used to stage a
@@ -757,7 +754,7 @@ mod tests {
             Priority::P1,
         ));
         assert!(
-            n.take_outbox().is_empty(),
+            drained(&mut n).is_empty(),
             "a P1 reply spent no credit, so acceptance must mint none"
         );
         // P0 acceptance still credits.
@@ -766,7 +763,7 @@ mod tests {
             NodeCoord::new(1, 0, 0),
             Priority::P0,
         ));
-        let out = n.take_outbox();
+        let out = drained(&mut n);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Packet::Credit { .. }));
     }
@@ -816,12 +813,12 @@ mod tests {
             ));
         }
         assert_eq!(a.credits(), initial - 2);
-        let sent = a.take_outbox();
+        let sent = drained(&mut a);
         // B accepts the first (stages a credit), bounces the second.
         for p in sent {
             b.deliver(p);
         }
-        let mut replies = b.take_outbox();
+        let mut replies = drained(&mut b);
         assert_eq!(replies.len(), 2);
         assert!(matches!(replies[0], Packet::Credit { .. }));
         assert!(matches!(replies[1], Packet::Return(_)));
@@ -842,10 +839,10 @@ mod tests {
         a.resend(msg);
         assert_eq!(a.credits(), initial - 1, "resend consumes no new credit");
         while b.pop_word(Priority::P0).is_some() {}
-        for p in a.take_outbox() {
+        for p in drained(&mut a) {
             b.deliver(p);
         }
-        for p in b.take_outbox() {
+        for p in drained(&mut b) {
             a.deliver(p);
         }
         assert_eq!(
@@ -873,12 +870,12 @@ mod tests {
         };
         assert!(a.send_coh(fetch));
         assert_eq!(a.credits(), initial - 1);
-        for p in a.take_outbox() {
+        for p in drained(&mut a) {
             b.deliver(p);
         }
         assert_eq!(b.coh_pending(), 1);
         assert!(b.pop_coh().is_some());
-        for p in b.take_outbox() {
+        for p in drained(&mut b) {
             a.deliver(p);
         }
         assert_eq!(a.credits(), initial, "acceptance credits the fetch");
@@ -930,7 +927,7 @@ mod tests {
             ),
             SendOutcome::Sent(_)
         ));
-        let mut pkts = a.take_outbox();
+        let mut pkts = drained(&mut a);
         let Packet::User(mut msg) = pkts.pop().unwrap() else {
             panic!("expected a user packet");
         };
@@ -943,7 +940,7 @@ mod tests {
         b.deliver_checked(Packet::User(corrupted));
         assert_eq!(b.stats().crc_nacks, 1);
         assert!(!b.queue_ready(Priority::P0));
-        let out = b.take_outbox();
+        let out = drained(&mut b);
         assert_eq!(out.len(), 1);
         let Packet::Return(nacked) = &out[0] else {
             panic!("expected a NACK return");
@@ -954,13 +951,13 @@ mod tests {
         b.deliver_checked(Packet::User(pristine.clone()));
         assert_eq!(b.queue_len(Priority::P0), 1);
         assert_eq!(b.stats().received, 1);
-        assert!(matches!(b.take_outbox()[..], [Packet::Credit { .. }]));
+        assert!(matches!(drained(&mut b)[..], [Packet::Credit { .. }]));
 
         // …and a duplicate of it is dropped without re-queueing.
         b.deliver_checked(Packet::User(pristine));
         assert_eq!(b.stats().dup_drops, 1);
         assert_eq!(b.queue_len(Priority::P0), 1);
-        assert!(b.take_outbox().is_empty(), "duplicates mint no credit");
+        assert!(drained(&mut b).is_empty(), "duplicates mint no credit");
     }
 
     /// Out-of-order application (a bounced-then-resent message landing

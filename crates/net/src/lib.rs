@@ -33,7 +33,9 @@
 //!     a.send(Word::from_u64(7), Word::ZERO, 0, [Word::from_u64(42)].into(), Priority::P0),
 //!     SendOutcome::Sent(_)
 //! ));
-//! for p in a.take_outbox() {
+//! let mut staged = Vec::new();
+//! a.drain_outbox_into(&mut staged);
+//! for p in &staged {
 //!     fabric.inject(0, p);
 //! }
 //! let mut arrived = Vec::new();

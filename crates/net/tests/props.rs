@@ -384,6 +384,7 @@ proptest! {
         let idx = |c: NodeCoord| usize::from(c.y) * 2 + usize::from(c.x);
 
         let mut injected = 0u64;
+        let mut staged = Vec::new();
         for (i, &(src, page, body)) in sends.iter().enumerate() {
             let n = &mut nodes[usize::from(src)];
             let out = n.send(
@@ -395,7 +396,8 @@ proptest! {
             );
             prop_assert!(matches!(out, mm_net::iface::SendOutcome::Sent(_)));
             injected += 1;
-            for p in n.take_outbox() {
+            n.drain_outbox_into(&mut staged);
+            for p in staged.drain(..) {
                 fabric.inject(i as u64, p);
             }
         }
@@ -410,7 +412,8 @@ proptest! {
             for p in &arrived {
                 let d = idx(p.dest());
                 nodes[d].deliver(p);
-                for out in nodes[d].take_outbox() {
+                nodes[d].drain_outbox_into(&mut staged);
+                for out in staged.drain(..) {
                     fabric.inject(cycle, out);
                 }
             }

@@ -323,10 +323,11 @@ fn send_launches_message_and_queue_is_register_mapped() {
         dims: (1, 1, 1),
         ..Default::default()
     });
-    let mut arrived = Vec::new();
+    let (mut staged, mut arrived) = (Vec::new(), Vec::new());
     for cycle in 0..100 {
         step(&mut n, cycle);
-        for p in n.net.take_outbox() {
+        n.net.drain_outbox_into(&mut staged);
+        for p in staged.drain(..) {
             fabric.inject(cycle, p);
         }
         arrived.clear();

@@ -20,7 +20,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut m = MMachine::build(MachineConfig::small())?;
-//! let node = m.node_ids()[0];
+//! let node = 0;
 //! let prog = std::sync::Arc::new(m_machine::isa::assemble(
 //!     "start: add r0, #7, r1\n halt\n",
 //! )?);

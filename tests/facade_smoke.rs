@@ -26,7 +26,7 @@ fn facade_reexports_resolve() {
 #[test]
 fn small_machine_builds_and_halts() {
     let mut m = MMachine::build(MachineConfig::small()).expect("small config builds");
-    let node = m.node_ids()[0];
+    let node = 0;
     let prog = std::sync::Arc::new(
         m_machine::isa::assemble("add r0, #35, r1\n add r1, #7, r1\n halt\n")
             .expect("probe assembles"),
