@@ -241,6 +241,26 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &AnalyzeConfig) -> Rep
         }
     }
 
+    // A registered hot module that matches no scanned file (renamed or
+    // deleted) would silently leave the rule's coverage: report it the
+    // way unused allowlist entries are reported.
+    let hot = cfg.rule("hot_alloc");
+    if hot.enabled {
+        for m in &hot.modules {
+            if !sources.iter().any(|(path, _)| path == m) {
+                report.findings.push(Finding {
+                    rule: "hot_alloc",
+                    file: "analyze.toml".into(),
+                    line: 0,
+                    message: format!(
+                        "stale module: [hot_alloc] modules entry {m:?} matches no scanned \
+                         file — rename or remove the entry"
+                    ),
+                });
+            }
+        }
+    }
+
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

@@ -11,6 +11,7 @@ const UNSAFE_BAD: &str = include_str!("fixtures/unsafe_bad.rs");
 const UNSAFE_CLEAN: &str = include_str!("fixtures/unsafe_clean.rs");
 const ALLOC_BAD: &str = include_str!("fixtures/alloc_bad.rs");
 const ALLOC_CLEAN: &str = include_str!("fixtures/alloc_clean.rs");
+const ALLOC_STALE_CFG: &str = include_str!("fixtures/alloc_stale.toml");
 const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_CLEAN: &str = include_str!("fixtures/panic_clean.rs");
 
@@ -142,9 +143,23 @@ const ALLOC_CFG: &str = "[hot_alloc]\nenabled = true\n\
                          modules = [\"crates/net/src/alloc_bad.rs\", \
                                     \"crates/net/src/alloc_clean.rs\"]\n";
 
+/// The two hot-alloc fixtures as `(path, text)` sources: `ALLOC_BAD` at
+/// `bad` and `ALLOC_CLEAN` at its registered path, so no module entry
+/// the tests register is stale.
+fn alloc_sources(bad: &str) -> Vec<(String, String)> {
+    vec![
+        (bad.to_string(), ALLOC_BAD.to_string()),
+        (
+            "crates/net/src/alloc_clean.rs".to_string(),
+            ALLOC_CLEAN.to_string(),
+        ),
+    ]
+}
+
 #[test]
 fn alloc_bad_fixture_flags_each_allocating_call() {
-    let report = run("crates/net/src/alloc_bad.rs", ALLOC_BAD, ALLOC_CFG);
+    let cfg = config::parse(ALLOC_CFG).expect("fixture config parses");
+    let report = analyze_sources(&alloc_sources("crates/net/src/alloc_bad.rs"), &cfg);
     assert_findings(
         &report,
         "hot_alloc",
@@ -158,14 +173,35 @@ fn alloc_bad_fixture_flags_each_allocating_call() {
 
 #[test]
 fn alloc_clean_fixture_cold_and_test_scopes_are_exempt() {
-    let report = run("crates/net/src/alloc_clean.rs", ALLOC_CLEAN, ALLOC_CFG);
+    let cfg = "[hot_alloc]\nenabled = true\nmodules = [\"crates/net/src/alloc_clean.rs\"]\n";
+    let report = run("crates/net/src/alloc_clean.rs", ALLOC_CLEAN, cfg);
     assert!(report.is_clean(), "{:?}", report.findings);
 }
 
 #[test]
 fn alloc_rule_only_applies_to_registered_modules() {
-    let report = run("crates/net/src/other.rs", ALLOC_BAD, ALLOC_CFG);
+    let cfg = "[hot_alloc]\nenabled = true\nmodules = [\"crates/net/src/alloc_clean.rs\"]\n";
+    let cfg = config::parse(cfg).expect("fixture config parses");
+    let report = analyze_sources(&alloc_sources("crates/net/src/other.rs"), &cfg);
     assert!(report.is_clean(), "{:?}", report.findings);
+}
+
+#[test]
+fn alloc_stale_module_entry_is_a_finding() {
+    let report = run(
+        "crates/net/src/alloc_clean.rs",
+        ALLOC_CLEAN,
+        ALLOC_STALE_CFG,
+    );
+    assert_findings(
+        &report,
+        "hot_alloc",
+        &[(
+            0,
+            "stale module: [hot_alloc] modules entry \"crates/net/src/renamed.rs\"",
+        )],
+    );
+    assert_eq!(report.findings[0].file, "analyze.toml");
 }
 
 const PANIC_CFG: &str = "[panic_discipline]\nenabled = true\ncrates = [\"tools\"]\n";

@@ -25,7 +25,6 @@
 pub mod coherence;
 pub mod error;
 pub mod machine;
-mod pool;
 mod shard;
 pub mod snapshot;
 pub mod timeline;

@@ -2,7 +2,6 @@
 
 use crate::coherence::{CoherenceConfig, CoherenceEngine, CoherenceStats};
 use crate::error::MachineError;
-use crate::pool::NodePool;
 use crate::shard::{
     node_key, step_shard, Arrival, ReplayCursor, Tally, TraceSnap, Window, WindowLog, WorkerPool,
 };
@@ -17,6 +16,7 @@ use mm_isa::word::Word;
 use mm_net::fabric::{Fabric, FabricConfig, FabricStats};
 use mm_net::message::{Message, NodeCoord, Packet};
 use mm_runtime::image::{boot_node, BootSpec, RuntimeImage};
+use mm_sched::DeadlineLadder;
 use mm_sim::{EngineConfig, HState, Node, NodeConfig, StepScratch, NUM_CLUSTERS, USER_SLOTS};
 use mm_telemetry::{CounterSnapshot, Telemetry, TelemetryConfig, MAX_SHARDS};
 use std::collections::BTreeMap;
@@ -310,6 +310,18 @@ fn inject_faulted(fabric: &mut Fabric, fs: &mut FaultState, now: u64, src: usize
     }
 }
 
+/// The machine's `(running, finished)` user H-Thread totals, counted
+/// over the nodes' own tallies.
+fn user_totals(nodes: &[Node]) -> (i64, i64) {
+    nodes.iter().fold((0, 0), |(r, f), n| {
+        #[allow(clippy::cast_possible_wrap)]
+        (
+            r + n.user_threads_running() as i64,
+            f + n.user_threads_finished() as i64,
+        )
+    })
+}
+
 /// Record node `node`'s injection (`inject`) or delivery of `p` at
 /// `now` in the timeline. Free function over split borrows so a
 /// delivery can be traced while its packet is still in the fabric's
@@ -356,10 +368,14 @@ pub struct MMachine {
     resend_due: u64,
     prev_events: Vec<[u64; NUM_CLUSTERS]>,
     halted_seen: Vec<[[bool; 6]; NUM_CLUSTERS]>,
-    /// The struct-of-arrays mirror of every node's hottest scheduling
-    /// state: deadline ladder, packed occupancy words, user-thread
-    /// tallies and their machine totals (see the `pool` module).
-    pool: NodePool,
+    /// Every node's wake-up slot plus per-block minima: the walk's
+    /// block skip and `next_work`'s reduction read these, not the nodes.
+    ladder: DeadlineLadder,
+    /// User H-Threads running machine-wide — the nodes' own tallies
+    /// summed, kept current by the walk's per-step changes.
+    user_running: i64,
+    /// User H-Threads halted or faulted machine-wide (same upkeep).
+    user_finished: i64,
     /// Recycled drain buffers for serial node steps (the worker pool
     /// carries its own, one per worker).
     step_scratch: StepScratch,
@@ -380,15 +396,15 @@ pub struct MMachine {
     tallies: Vec<Tally>,
     /// Shard workers for the parallel node phase (`None` = serial).
     worker_pool: Option<WorkerPool>,
-    /// External node mutation may have invalidated the pool's mirror
-    /// rows; the next `run_until` entry re-syncs them before its first
-    /// predicate evaluation.
+    /// External node mutation may have invalidated the user-thread
+    /// totals; the next `run_until` entry recounts them before its
+    /// first predicate evaluation.
     user_counts_stale: bool,
     /// The epoch sampler (`None` when telemetry is disabled — the whole
     /// per-cycle cost is then one branch on this option).
     telemetry: Option<Telemetry>,
     /// Node-index width of one engine shard (the same block-aligned
-    /// chunk `WorkerPool::step_shards` dispatches), so telemetry can
+    /// chunk `WorkerPool::step_window` dispatches), so telemetry can
     /// attribute per-node step counts to shards. Equal to the node
     /// count when the engine is serial.
     shard_chunk: usize,
@@ -500,7 +516,9 @@ impl MMachine {
             halted_seen: vec![[[false; 6]; NUM_CLUSTERS]; n],
             // Everything starts awake; nodes prove themselves quiescent
             // on their first no-progress step.
-            pool: NodePool::new(n),
+            ladder: DeadlineLadder::new(n),
+            user_running: 0,
+            user_finished: 0,
             step_scratch: StepScratch::new(),
             dense_outbox: Vec::new(),
             arrivals: Vec::new(),
@@ -796,16 +814,9 @@ impl MMachine {
         self.wake_node(node);
     }
 
-    /// Re-sync the pool's mirror rows (occupancy words, user-thread
-    /// tallies and totals) from the nodes themselves. Cheap insurance
-    /// run once per `run_until` call when external mutation may have
-    /// changed thread states; the per-cycle path keeps the mirrors
-    /// exact for every stepped node.
-    fn refresh_user_counts(&mut self) {
-        if !self.user_counts_stale {
-            return;
-        }
-        self.pool.refresh(&self.nodes);
+    /// Recount the user-thread totals from the nodes' own tallies.
+    fn recount_user_threads(&mut self) {
+        (self.user_running, self.user_finished) = user_totals(&self.nodes);
         self.user_counts_stale = false;
     }
 
@@ -835,7 +846,7 @@ impl MMachine {
     /// Mark a node as requiring a step at the next processed cycle
     /// (external input may have unblocked it). O(1) in the ladder.
     fn wake_node(&mut self, idx: usize) {
-        self.pool.wake(idx);
+        self.ladder.wake(idx);
     }
 
     /// The earliest cycle `>= now` at which any component can do work,
@@ -851,7 +862,7 @@ impl MMachine {
     fn next_work(&self, now: u64) -> Option<u64> {
         use mm_sched::INERT;
         use mm_sim::engine::earliest;
-        let md = self.pool.min_deadline();
+        let md = self.ladder.min_deadline();
         if md <= now {
             // An awake node (slot 0) or a deadline already due.
             return Some(now);
@@ -859,7 +870,7 @@ impl MMachine {
         let mut best = (md != INERT).then_some(md);
         // The fabric reports absolute deadlines; here `now` is the
         // *next* cycle to process (not one just processed, as in the
-        // `Tick` contract), so a deadline due exactly at `now` must
+        // `next_activity` contract), so a deadline due exactly at `now` must
         // clamp to `now`, not `now + 1`.
         best = earliest(best, self.fabric.next_delivery().map(|t| t.max(now)));
         if self.resend_due != u64::MAX {
@@ -907,7 +918,7 @@ impl MMachine {
                 FaultKind::StallIssue { node, until } => {
                     let i = (node as usize).min(self.nodes.len() - 1);
                     self.nodes[i].stall_issue_until(until);
-                    self.pool.wake(i);
+                    self.ladder.wake(i);
                 }
             }
         }
@@ -945,7 +956,7 @@ impl MMachine {
         let boundary = self.watchdog_next + (crossed - 1) * width;
         self.watchdog_next = boundary + width;
         let fp = self.progress_fingerprint();
-        let stuck = fp == self.watchdog_last && self.pool.any_thread_running();
+        let stuck = fp == self.watchdog_last && self.nodes.iter().any(|n| n.running_word() != 0);
         self.watchdog_last = fp;
         if !stuck {
             self.watchdog_strikes = 0;
@@ -1131,20 +1142,20 @@ impl MMachine {
                 worker_pool,
                 nodes,
                 coherence,
-                pool,
+                ladder,
                 step_scratch,
                 logs,
                 ..
             } = self;
             catch_unwind(AssertUnwindSafe(|| match worker_pool {
                 Some(workers) => {
-                    workers.step_window(nodes, coherence.handlers_mut(), pool, &win, logs)
+                    workers.step_window(nodes, coherence.handlers_mut(), ladder, &win, logs)
                 }
                 None => {
                     step_shard(
                         nodes,
                         coherence.handlers_mut(),
-                        pool.view_mut(),
+                        ladder.view_mut(),
                         0,
                         &win,
                         &mut logs[0],
@@ -1175,8 +1186,7 @@ impl MMachine {
         if shards > 1 {
             tallies.sort_unstable_by_key(|x| x.at);
         }
-        let (r0, f0) = (self.pool.total_running, self.pool.total_finished);
-        let (mut running, mut finished) = (r0, f0);
+        let (mut running, mut finished) = (self.user_running, self.user_finished);
         let mut halt = None;
         for (k, x) in tallies.iter().enumerate() {
             running += x.running;
@@ -1186,8 +1196,12 @@ impl MMachine {
                 halt = Some(x.at + 1);
             }
         }
-        self.pool.apply_deltas(running - r0, finished - f0);
+        (self.user_running, self.user_finished) = (running, finished);
         self.tallies = tallies;
+        debug_assert!(
+            self.user_counts_stale || (running, finished) == user_totals(&self.nodes),
+            "user-thread totals drifted from the nodes' tallies in window {t}..{end}"
+        );
 
         // 2–5. Replay. Every cycle something arrived at, or a resend
         // fell due at, is active too. The replay still reads the
@@ -1440,9 +1454,9 @@ impl MMachine {
         self.cycle += 1;
 
         // Keep the engine's bookkeeping conservative after a dense
-        // step: every node awake, every mirror row recomputed.
-        self.pool.wake_all();
-        self.pool.refresh(&self.nodes);
+        // step: every node awake, the totals recounted.
+        self.ladder.wake_all();
+        self.recount_user_threads();
         self.poll_telemetry();
     }
 
@@ -1514,7 +1528,11 @@ impl MMachine {
         limit: u64,
         pred: Option<&dyn Fn(&MMachine) -> bool>,
     ) -> Result<u64, MachineError> {
-        self.refresh_user_counts();
+        // External mutation may have changed thread states; otherwise
+        // the walk keeps the totals exact.
+        if self.user_counts_stale {
+            self.recount_user_threads();
+        }
         let end = self.cycle.saturating_add(limit);
         // A window holding the halt must end inside the drain that
         // follows it.
@@ -1533,7 +1551,7 @@ impl MMachine {
             }
             let done = match pred {
                 Some(p) => p(self),
-                None => halted.is_some() || self.pool.halt_reached(),
+                None => halted.is_some() || (self.user_running == 0 && self.user_finished > 0),
             };
             if done {
                 self.catch_up_nodes();
@@ -1595,13 +1613,11 @@ impl MMachine {
         // Done when no user H-Thread anywhere is still running, and at
         // least one was loaded (nodes without user work don't count).
         // Each node maintains O(1) user-thread tallies at every state
-        // transition; the pool mirrors them per step (while the node
-        // is cache-hot) and folds the per-step deltas into machine
-        // totals, so the check reads two integers instead of scanning
-        // anything — and a window reports the exact cycle the totals
-        // first met it. Semantically identical to the old full scan:
-        // false while any user H-Thread runs, true once none run and at
-        // least one finished.
+        // transition; the walk folds each step's change in them into
+        // machine totals, so the check reads two integers instead of
+        // scanning anything — and a window reports the exact cycle the
+        // totals first met it. False while any user H-Thread runs, true
+        // once none run and at least one finished.
         let done = self.run_loop(limit, None)?;
         // Drain stragglers (in-flight responses, replies, credits) up to
         // the same cycle past the halt, however far past it the last
@@ -1692,7 +1708,7 @@ impl MMachine {
         // exactly the cycles the original would have — keeping host
         // counters like `steps` and the fast-forward pattern identical.
         for i in 0..self.nodes.len() {
-            e.u64(self.pool.deadline(i));
+            e.u64(self.ladder.slot(i));
         }
         e.finish()
     }
@@ -1842,14 +1858,12 @@ impl MMachine {
         }
         // Reinstate the exact sleep schedule the checkpoint captured —
         // waking everything instead would step idle nodes the original
-        // run never stepped — and recompute every mirror row from the
-        // restored nodes.
+        // run never stepped — and recount the restored nodes' threads.
         self.timeline.clear();
         for (i, dl) in deadlines.into_iter().enumerate() {
-            self.pool.set_deadline(i, dl);
+            self.ladder.set_slot(i, dl);
         }
-        self.pool.refresh(&self.nodes);
-        self.user_counts_stale = false;
+        self.recount_user_threads();
         self.last_diagnostic = None;
         Ok(())
     }

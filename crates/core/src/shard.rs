@@ -37,17 +37,16 @@
 //! per-cycle loop produced. The wake a delivery causes is the receiving
 //! node's own slot and is applied in place.
 //!
-//! ## The pooled walk
+//! ## The ladder walk
 //!
-//! Per-node scheduling state lives in the machine's struct-of-arrays
-//! [`NodePool`](crate::pool::NodePool), not in the nodes: the walk skips
-//! a whole [`BLOCK`]-node block on one `u64` read when its ladder minimum
-//! lies past the window and none of its nodes receives a packet in it,
-//! then visits a live block's nodes in ascending order, touching a
-//! `Node` struct only when the node is due inside the window or receives
-//! something. Each visited node's row is written back through a
-//! [`NodeCtx`] borrow after every step, and raised slots are folded into
-//! the block minimum with one 64-wide rebuild per visited block.
+//! The only per-node scheduling state kept outside the nodes is the
+//! machine's [`DeadlineLadder`]: the walk skips a whole [`BLOCK`]-node
+//! block on one `u64` read when its ladder minimum lies past the window
+//! and none of its nodes receives a packet in it, then visits a live
+//! block's nodes in ascending order, touching a `Node` struct only when
+//! the node is due inside the window or receives something. Each visited
+//! node's slot is rewritten after every step, and raised slots are folded
+//! into the block minimum with one 64-wide rebuild per visited block.
 //!
 //! ## Determinism argument
 //!
@@ -55,12 +54,12 @@
 //! to the dense `naive_step` loop) for every worker count because:
 //!
 //! 1. **Node windows are independent.** [`step_shard`] mutates only the
-//!    nodes and pool rows of its own contiguous index range; shards are
-//!    split at [`BLOCK`]-aligned boundaries, so two workers share no
-//!    node, no row, and not even a ladder `block_min` word — the
+//!    nodes and ladder slots of its own contiguous index range; shards
+//!    are split at [`BLOCK`]-aligned boundaries, so two workers share no
+//!    node, no slot, and not even a ladder `block_min` word — the
 //!    interleaving of workers cannot be observed.
 //! 2. **Both engines run the same loop.** The serial engine calls
-//!    [`step_shard`] once over the whole pool view; the parallel engine
+//!    [`step_shard`] once over the whole ladder; the parallel engine
 //!    calls it once per disjoint shard, one barrier per window. Same
 //!    code, same per-node effects.
 //! 3. **Everything that crosses nodes is replayed in one order.** Each
@@ -78,11 +77,10 @@
 //! the machine has.
 
 use crate::coherence::NodeCoh;
-use crate::pool::{NodePool, PoolViewMut};
 use mm_net::message::{Message, Packet};
-use mm_sched::AWAKE;
+use mm_sched::{DeadlineLadder, LadderViewMut, AWAKE, INERT};
 use mm_sim::engine::earliest;
-use mm_sim::{Node, NodeCtx, StepScratch, Tick, NUM_CLUSTERS, USER_SLOTS};
+use mm_sim::{Node, StepScratch, NUM_CLUSTERS, USER_SLOTS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -292,10 +290,10 @@ fn len32(len: usize) -> u32 {
 /// every node due inside `[win.start, win.end)` or receiving a packet in
 /// it is stepped through each of the window's cycles at which it is due
 /// (its own compute/memory tick, then its coherence-handler activation),
-/// with its arrivals applied between steps, its pool row written back
+/// with its arrivals applied between steps, its ladder slot rewritten
 /// after every step, and every cross-node effect recorded in `log`. This
 /// is the *single* implementation both engines run — the serial engine
-/// passes the whole pool view, the parallel engine one disjoint
+/// passes the whole ladder, the parallel engine one disjoint
 /// block-aligned shard per worker — so cycle-exactness across engines
 /// holds by construction.
 ///
@@ -307,20 +305,20 @@ fn len32(len: usize) -> u32 {
 pub(crate) fn step_shard(
     nodes: &mut [Node],
     coh: &mut [NodeCoh],
-    mut pool: PoolViewMut<'_>,
+    mut ladder: LadderViewMut<'_>,
     base: usize,
     win: &Window<'_>,
     log: &mut WindowLog,
     scratch: &mut StepScratch,
 ) {
     let n = nodes.len();
-    debug_assert_eq!(n, pool.ladder.slots.len());
+    debug_assert_eq!(n, ladder.slots.len());
     debug_assert_eq!(n, coh.len());
     log.clear(win.arrivals.len());
     // Cursor into `win.by_node`: every key before it belongs to a node
     // already walked or skipped.
     let mut next = 0;
-    for b in 0..pool.ladder.block_min.len() {
+    for b in 0..ladder.block_min.len() {
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
         let receiving = win
@@ -329,7 +327,7 @@ pub(crate) fn step_shard(
             .is_some_and(|&key| key_node(key) < base + hi);
         // Block skip: 64 nodes asleep past the window with nothing
         // arriving cost one word read.
-        if pool.ladder.block_min[b] >= win.end && !receiving {
+        if ladder.block_min[b] >= win.end && !receiving {
             continue;
         }
         for k in lo..hi {
@@ -341,12 +339,12 @@ pub(crate) fn step_shard(
             {
                 next += 1;
             }
-            if pool.ladder.slots[k] >= win.end && first == next {
+            if ladder.slots[k] >= win.end && first == next {
                 continue;
             }
-            let ctx = pool.ctx(k, &mut nodes[k]);
             walk_node(
-                ctx,
+                &mut nodes[k],
+                &mut ladder.slots[k],
                 &mut coh[k],
                 base + k,
                 win,
@@ -357,7 +355,7 @@ pub(crate) fn step_shard(
         }
         // Slots were rewritten (some possibly raised): one 64-wide min
         // recompute restores the block skip's soundness.
-        pool.ladder.rebuild_block(b);
+        ladder.rebuild_block(b);
     }
     // The walk produced node-major order; the replay reads cycle-major.
     log.drains.sort_unstable_by_key(|d| (d.at, d.node));
@@ -368,9 +366,12 @@ pub(crate) fn step_shard(
 /// One node's window: for each cycle, the step (if due) and its outbox
 /// drain, then the node's deliveries of that cycle and the returns they
 /// brought, then its trace snapshot — the per-cycle loop's phases 1–5
-/// restricted to this node. `mine` holds the node's [`node_key`]s.
+/// restricted to this node. `mine` holds the node's [`node_key`]s;
+/// `slot` is the node's ladder slot, which the walk keeps current.
+#[allow(clippy::too_many_arguments)]
 fn walk_node(
-    mut ctx: NodeCtx<'_>,
+    n: &mut Node,
+    slot: &mut u64,
     coh: &mut NodeCoh,
     node: usize,
     win: &Window<'_>,
@@ -385,19 +386,26 @@ fn walk_node(
     // nothing, so it is not logged.
     let mut traced: Option<TraceSnap> = None;
     for now in win.start..win.end {
-        let stepped = *ctx.slot <= now;
+        let stepped = *slot <= now;
         if stepped {
-            let mut progressed = ctx.step(now, scratch);
-            progressed |= coh.step(now, ctx.node);
-            // The Tick contract: when `now` was processed without
-            // progress the node may sleep until the earlier of its own
-            // deadline and its coherence handler's.
-            let deadline = if progressed {
-                None
+            // User H-Thread states change only inside this step pair
+            // (deliveries reach only the node's interface), so the
+            // node's tally change is its counts after minus before.
+            let (r0, f0) = (n.user_threads_running(), n.user_threads_finished());
+            let mut progressed = n.step_with(now, scratch);
+            progressed |= coh.step(now, n);
+            // A node that made no progress at `now` may sleep until the
+            // earlier of its own next activity and its handler's.
+            *slot = if progressed {
+                AWAKE
             } else {
-                earliest(Tick::next_activity(&*ctx.node, now), coh.next_activity(now))
+                earliest(n.next_activity(now), coh.next_activity(now)).unwrap_or(INERT)
             };
-            let (running, finished) = ctx.retire(progressed, deadline);
+            #[allow(clippy::cast_possible_wrap)]
+            let (running, finished) = (
+                n.user_threads_running() as i64 - r0 as i64,
+                n.user_threads_finished() as i64 - f0 as i64,
+            );
             if running != 0 || finished != 0 {
                 log.tallies.push(Tally {
                     at: now,
@@ -406,9 +414,9 @@ fn walk_node(
                 });
             }
             log.last_step = log.last_step.max(Some(now));
-            if ctx.node.net.outbox_len() > 0 {
+            if n.net.outbox_len() > 0 {
                 let from = len32(log.packets.len());
-                ctx.node.net.drain_outbox_into(&mut log.packets);
+                n.net.drain_outbox_into(&mut log.packets);
                 log.drains.push(Drain {
                     at: now,
                     node: node32,
@@ -426,36 +434,36 @@ fn walk_node(
                 first_return = Some(k);
             }
             if win.checked {
-                ctx.node.net.deliver_checked(packet);
+                n.net.deliver_checked(packet);
             } else {
-                ctx.node.net.deliver(packet);
+                n.net.deliver(packet);
             }
             let from = len32(log.packets.len());
-            ctx.node.net.drain_outbox_into(&mut log.packets);
+            n.net.drain_outbox_into(&mut log.packets);
             log.delivered[k] = Delivered {
                 j: win.arrivals[k].j,
                 packets: (from, len32(log.packets.len())),
                 returned: (0, 0),
             };
-            *ctx.slot = AWAKE;
+            *slot = AWAKE;
         }
         // Returned messages leave for the backoff queue in the order the
         // per-cycle loop popped them: at the node's first `Return`.
         if let Some(k) = first_return {
             let from = len32(log.returned.len());
-            while let Some(m) = ctx.node.net.pop_returned() {
+            while let Some(m) = n.net.pop_returned() {
                 log.returned.push(m);
             }
             log.delivered[k].returned = (from, len32(log.returned.len()));
         }
         if stepped && win.trace {
-            let snap = TraceSnap::of(now, node, ctx.node);
+            let snap = TraceSnap::of(now, node, n);
             if !traced.is_some_and(|prev| snap.same_as(&prev)) {
                 log.traces.push(snap);
                 traced = Some(snap);
             }
         }
-        if *ctx.slot >= win.end && mine.peek().is_none() {
+        if *slot >= win.end && mine.peek().is_none() {
             // Asleep past the window with nothing more arriving.
             break;
         }
@@ -482,17 +490,14 @@ impl<T> Copy for ShardPtr<T> {}
 // sender joins the per-window barrier before reusing the memory.
 unsafe impl<T: Send> Send for ShardPtr<T> {}
 
-/// The pool's five arrays as raw base pointers (one bundle per job).
-/// Shard windows are built from these inside the worker at
-/// block-aligned offsets, so — like the node and handler slices — the
-/// windows are disjoint by the dispatch protocol.
+/// The ladder's two arrays as raw base pointers (one pair per job).
+/// Shard views are built from these inside the worker at block-aligned
+/// offsets, so — like the node and handler slices — they are disjoint by
+/// the dispatch protocol.
 #[derive(Clone, Copy)]
-struct PoolPtrs {
+struct LadderPtrs {
     slots: ShardPtr<u64>,
     block_min: ShardPtr<u64>,
-    running: ShardPtr<u32>,
-    user_running: ShardPtr<u16>,
-    user_finished: ShardPtr<u16>,
 }
 
 /// A shard's own copy of its nodes' arrivals (in delivery order), their
@@ -523,7 +528,7 @@ impl ShardInput {
 struct Job {
     nodes: ShardPtr<Node>,
     coh: ShardPtr<NodeCoh>,
-    pool: PoolPtrs,
+    ladder: LadderPtrs,
     start: usize,
     len: usize,
     window: (u64, u64),
@@ -603,7 +608,7 @@ impl WorkerPool {
     }
 
     /// Run the node phase of window `win` in parallel: partition the
-    /// nodes (with the matching coherence handlers, pool rows and
+    /// nodes (with the matching coherence handlers, ladder slots and
     /// arrivals) into contiguous block-aligned per-worker chunks, walk
     /// them concurrently, one log per chunk in `logs`, and return how
     /// many chunks (leading logs) were filled — the logs are in
@@ -620,12 +625,12 @@ impl WorkerPool {
         &mut self,
         nodes: &mut [Node],
         coh: &mut [NodeCoh],
-        pool: &mut NodePool,
+        ladder: &mut DeadlineLadder,
         win: &Window<'_>,
         logs: &mut [WindowLog],
     ) -> usize {
         let n = nodes.len();
-        debug_assert_eq!(n, pool.len());
+        debug_assert_eq!(n, ladder.len());
         debug_assert_eq!(n, coh.len());
         if n == 0 {
             return 0;
@@ -653,19 +658,17 @@ impl WorkerPool {
         }
         let nodes_ptr = ShardPtr(nodes.as_mut_ptr());
         let coh_ptr = ShardPtr(coh.as_mut_ptr());
-        let pool_ptrs = PoolPtrs {
-            slots: ShardPtr(pool.ladder.view_mut().slots.as_mut_ptr()),
-            block_min: ShardPtr(pool.ladder.view_mut().block_min.as_mut_ptr()),
-            running: ShardPtr(pool.running.as_mut_ptr()),
-            user_running: ShardPtr(pool.user_running.as_mut_ptr()),
-            user_finished: ShardPtr(pool.user_finished.as_mut_ptr()),
+        let view = ladder.view_mut();
+        let ladder_ptrs = LadderPtrs {
+            slots: ShardPtr(view.slots.as_mut_ptr()),
+            block_min: ShardPtr(view.block_min.as_mut_ptr()),
         };
         for (s, tx) in self.jobs.iter().enumerate().take(shards) {
             let start = s * chunk;
             tx.send(Job {
                 nodes: nodes_ptr,
                 coh: coh_ptr,
-                pool: pool_ptrs,
+                ladder: ladder_ptrs,
                 start,
                 len: chunk.min(n - start),
                 window: (win.start, win.end),
@@ -714,7 +717,7 @@ fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
         let Job {
             nodes,
             coh,
-            pool,
+            ladder,
             start,
             len,
             window,
@@ -736,27 +739,16 @@ fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
             // handler array is indexed 1:1 with the node array, so the
             // same disjoint window argument applies.
             let coh = unsafe { std::slice::from_raw_parts_mut(coh.0.add(start), len) };
-            // SAFETY: the five pool arrays are also indexed 1:1 with
-            // the node array (block_min at `start / BLOCK`, with
-            // `start` a BLOCK multiple), so every window below is
-            // disjoint between workers and outlives the barrier.
+            // SAFETY: the ladder's slots are also indexed 1:1 with the
+            // node array, and its block minima at `start / BLOCK` with
+            // `start` a BLOCK multiple, so both views are disjoint
+            // between workers and outlive the barrier.
             let view = unsafe {
-                PoolViewMut {
-                    ladder: mm_sched::LadderViewMut {
-                        slots: std::slice::from_raw_parts_mut(pool.slots.0.add(start), len),
-                        block_min: std::slice::from_raw_parts_mut(
-                            pool.block_min.0.add(start / BLOCK),
-                            len.div_ceil(BLOCK),
-                        ),
-                    },
-                    running: std::slice::from_raw_parts_mut(pool.running.0.add(start), len),
-                    user_running: std::slice::from_raw_parts_mut(
-                        pool.user_running.0.add(start),
-                        len,
-                    ),
-                    user_finished: std::slice::from_raw_parts_mut(
-                        pool.user_finished.0.add(start),
-                        len,
+                LadderViewMut {
+                    slots: std::slice::from_raw_parts_mut(ladder.slots.0.add(start), len),
+                    block_min: std::slice::from_raw_parts_mut(
+                        ladder.block_min.0.add(start / BLOCK),
+                        len.div_ceil(BLOCK),
                     ),
                 }
             };
@@ -825,21 +817,106 @@ mod tests {
         }
     }
 
-    /// The pool must survive (and the machine must keep working after)
-    /// many dispatch/collect barriers with fewer nodes than workers.
+    /// A halting thread's walk: the slot stays awake while the node
+    /// progresses and goes inert once it is drained, and the logged
+    /// tally changes move the thread from running to finished exactly
+    /// once.
+    #[test]
+    fn walk_writes_slot_and_logs_tally_deltas() {
+        let mut nodes = nodes(1);
+        let mut coh = handlers(1);
+        let prog = std::sync::Arc::new(mm_isa::assemble("halt\n").unwrap());
+        nodes[0].load_program(0, 0, prog, 0);
+        let mut ladder = DeadlineLadder::new(1);
+        let mut scratch = StepScratch::new();
+        let mut log = WindowLog::default();
+        let mut deltas = (0, 0);
+        for w in 0..16 {
+            let win = window(w, w + 1);
+            step_shard(
+                &mut nodes,
+                &mut coh,
+                ladder.view_mut(),
+                0,
+                &win,
+                &mut log,
+                &mut scratch,
+            );
+            for t in &log.tallies {
+                assert_eq!(t.at, w);
+                assert!((-1..=0).contains(&t.running), "window {w}");
+                deltas = (deltas.0 + t.running, deltas.1 + t.finished);
+            }
+            if nodes[0].user_threads_running() > 0 {
+                assert_eq!(ladder.slot(0), AWAKE, "window {w}");
+            }
+        }
+        assert_eq!(deltas, (-1, 1));
+        assert_eq!(nodes[0].user_threads_finished(), 1);
+        assert_eq!(ladder.slot(0), INERT, "a drained node sleeps for good");
+        assert_eq!(ladder.min_deadline(), INERT);
+    }
+
+    /// Machine-wide user-thread totals kept by summing the logged tally
+    /// changes onto a recount stay equal to a fresh recount after every
+    /// window, on a walk where only one of two nodes holds a thread,
+    /// and reach the halt condition once that thread is done.
+    #[test]
+    fn walk_deltas_keep_user_totals_current() {
+        let recount = |nodes: &[Node]| {
+            nodes.iter().fold((0i64, 0i64), |(r, f), n| {
+                (
+                    r + i64::try_from(n.user_threads_running()).unwrap(),
+                    f + i64::try_from(n.user_threads_finished()).unwrap(),
+                )
+            })
+        };
+        let mut nodes = nodes(2);
+        let mut coh = handlers(2);
+        let prog = std::sync::Arc::new(mm_isa::assemble("halt\n").unwrap());
+        nodes[1].load_program(0, 0, prog, 0);
+        let mut ladder = DeadlineLadder::new(2);
+        let mut scratch = StepScratch::new();
+        let mut log = WindowLog::default();
+        let mut totals = recount(&nodes);
+        assert_eq!(totals, (1, 0));
+        let mut w = 0;
+        while totals.0 > 0 && w < 32 {
+            step_shard(
+                &mut nodes,
+                &mut coh,
+                ladder.view_mut(),
+                0,
+                &window(w, w + 1),
+                &mut log,
+                &mut scratch,
+            );
+            for t in &log.tallies {
+                totals = (totals.0 + t.running, totals.1 + t.finished);
+            }
+            assert_eq!(totals, recount(&nodes), "window {w}");
+            w += 1;
+        }
+        assert_eq!(totals, (0, 1), "halt condition reached");
+        assert_eq!(nodes[0].user_threads_finished(), 0, "idle node untouched");
+    }
+
+    /// The workers must survive (and the machine must keep working
+    /// after) many dispatch/collect barriers with fewer nodes than
+    /// workers.
     #[test]
     fn pool_handles_more_workers_than_nodes() {
         let mut pool = WorkerPool::spawn(4);
         let mut nodes = nodes(1);
         let mut coh = handlers(1);
-        let mut npool = NodePool::new(1);
+        let mut ladder = DeadlineLadder::new(1);
         let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
         for w in 0..16 {
-            npool.wake(0);
+            ladder.wake(0);
             let shards = pool.step_window(
                 &mut nodes,
                 &mut coh,
-                &mut npool,
+                &mut ladder,
                 &window(2 * w, 2 * w + 2),
                 &mut logs,
             );
@@ -859,9 +936,9 @@ mod tests {
         let mut pool = WorkerPool::spawn(4);
         let mut nodes = nodes(n);
         let mut coh = handlers(n);
-        let mut npool = NodePool::new(n);
+        let mut ladder = DeadlineLadder::new(n);
         let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
-        let shards = pool.step_window(&mut nodes, &mut coh, &mut npool, &window(0, 3), &mut logs);
+        let shards = pool.step_window(&mut nodes, &mut coh, &mut ladder, &window(0, 3), &mut logs);
         assert_eq!(shards, 4);
         let traced: Vec<u32> = logs[..shards]
             .iter()
@@ -871,11 +948,13 @@ mod tests {
         assert_eq!(traced, want, "one snapshot per node, ascending");
         // Nothing progressed, so every slot went inert and the ladder
         // reduction sees a fully quiescent machine.
-        assert_eq!(npool.min_deadline(), mm_sched::INERT);
+        assert_eq!(ladder.min_deadline(), INERT);
     }
 
-    /// The serial walk and the sharded walk leave identical pool state
-    /// (rows, minima, tallies) and logs from identical inputs.
+    /// The serial walk and the sharded walk leave identical ladders
+    /// (slots and minima), trace logs and summed tally changes from
+    /// identical inputs, and the summed changes account for every
+    /// loaded thread halting.
     #[test]
     fn serial_and_sharded_walks_agree() {
         let n = 2 * BLOCK + 17;
@@ -883,32 +962,32 @@ mod tests {
         let mut nodes_a = nodes(n);
         let mut nodes_b = nodes(n);
         let prog = std::sync::Arc::new(mm_isa::assemble("add r1, #1, r1\nhalt\n").unwrap());
-        for k in [0, 1, BLOCK, BLOCK + 3, n - 1] {
+        let loaded = [0, 1, BLOCK, BLOCK + 3, n - 1];
+        for k in loaded {
             nodes_a[k].load_program(0, 0, std::sync::Arc::clone(&prog), 0);
             nodes_b[k].load_program(0, 0, std::sync::Arc::clone(&prog), 0);
         }
         let mut coh_a = handlers(n);
         let mut coh_b = handlers(n);
-        let mut pool_a = NodePool::new(n);
-        let mut pool_b = NodePool::new(n);
-        pool_a.refresh(&nodes_a);
-        pool_b.refresh(&nodes_b);
+        let mut ladder_a = DeadlineLadder::new(n);
+        let mut ladder_b = DeadlineLadder::new(n);
         let mut scratch = StepScratch::new();
         let mut log_a = WindowLog::default();
         let mut logs_b: Vec<WindowLog> = (0..3).map(|_| WindowLog::default()).collect();
+        let mut total = (0, 0);
         for w in 0..6 {
             let win = window(3 * w, 3 * w + 3);
             step_shard(
                 &mut nodes_a,
                 &mut coh_a,
-                pool_a.view_mut(),
+                ladder_a.view_mut(),
                 0,
                 &win,
                 &mut log_a,
                 &mut scratch,
             );
             let shards =
-                worker_pool.step_window(&mut nodes_b, &mut coh_b, &mut pool_b, &win, &mut logs_b);
+                worker_pool.step_window(&mut nodes_b, &mut coh_b, &mut ladder_b, &win, &mut logs_b);
             let snaps_b: Vec<TraceSnap> = logs_b[..shards]
                 .iter()
                 .flat_map(|l| l.traces.iter().copied())
@@ -926,18 +1005,15 @@ mod tests {
                 .iter()
                 .flat_map(|l| l.tallies.iter().copied()));
             assert_eq!(da, db, "tallies @ window {w}");
-            pool_a.apply_deltas(da.0, da.1);
-            pool_b.apply_deltas(db.0, db.1);
+            total = (total.0 + da.0, total.1 + da.1);
+            for i in 0..n {
+                assert_eq!(ladder_a.slot(i), ladder_b.slot(i), "slot {i} @ window {w}");
+            }
+            for b in 0..ladder_a.blocks() {
+                assert_eq!(ladder_a.block_min(b), ladder_b.block_min(b), "block {b}");
+            }
         }
-        assert_eq!(pool_a.running, pool_b.running);
-        assert_eq!(pool_a.user_running, pool_b.user_running);
-        assert_eq!(pool_a.user_finished, pool_b.user_finished);
-        assert_eq!(pool_a.total_running, pool_b.total_running);
-        assert_eq!(pool_a.total_finished, pool_b.total_finished);
-        assert!(pool_a.halt_reached(), "every loaded thread halted");
-        assert_eq!(pool_a.min_deadline(), pool_b.min_deadline());
-        for i in 0..n {
-            assert_eq!(pool_a.ladder.slot(i), pool_b.ladder.slot(i), "slot {i}");
-        }
+        let halted = i64::try_from(loaded.len()).unwrap();
+        assert_eq!(total, (-halted, halted), "every loaded thread halted");
     }
 }

@@ -12,7 +12,7 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, StoreOutcome, LINE_WORDS};
 use crate::dram::{Block, MemWord, Sdram, SdramConfig, SdramStats};
 use crate::lpt::Lpt;
-use crate::ltlb::{BlockStatus, Ltlb, LtlbEntry, LtlbStats, PAGE_WORDS};
+use crate::ltlb::{BlockStatus, Ltlb, LtlbEntry, PAGE_WORDS};
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::op::{SyncPost, SyncPre};
 use mm_isa::pointer::{GuardedPointer, Perm};
@@ -360,12 +360,6 @@ impl MemorySystem {
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// LTLB statistics snapshot.
-    #[must_use]
-    pub fn ltlb_stats(&self) -> LtlbStats {
-        self.ltlb.stats()
     }
 
     /// SDRAM statistics snapshot.

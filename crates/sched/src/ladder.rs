@@ -1,5 +1,5 @@
 //! The deadline ladder: dense per-node wake-up state for the cycle
-//! engine's struct-of-arrays node pool.
+//! engine, the only per-node scheduling state kept outside the nodes.
 //!
 //! The quiescence engine keeps, for every node, *when it next needs to
 //! be stepped*. The original representation was an array-of-structs
@@ -200,22 +200,6 @@ impl LadderViewMut<'_> {
     }
 }
 
-/// Reduce packed per-node cluster-occupancy words: true when any of the
-/// `masks` words has a set bit — i.e. any node in the pool has any
-/// runnable thread slot anywhere. A linear OR-fold over a dense `u32`
-/// array (vectorizable), replacing a per-node struct walk.
-#[must_use]
-pub fn any_runnable(masks: &[u32]) -> bool {
-    masks.iter().fold(0u32, |acc, m| acc | m) != 0
-}
-
-/// Sum a dense tally array (`u16` per node) into one total — the
-/// halt-predicate reduction over pool-resident counters.
-#[must_use]
-pub fn tally_total(tallies: &[u16]) -> u64 {
-    tallies.iter().map(|&t| u64::from(t)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,15 +282,6 @@ mod tests {
         assert_eq!(a.slots.len(), 100);
         assert_eq!(b.slots.len(), 0);
         assert_eq!(b.block_min.len(), 0);
-    }
-
-    #[test]
-    fn mask_and_tally_reductions() {
-        assert!(!any_runnable(&[]));
-        assert!(!any_runnable(&[0, 0, 0]));
-        assert!(any_runnable(&[0, 0x0100, 0]));
-        assert_eq!(tally_total(&[]), 0);
-        assert_eq!(tally_total(&[1, 2, 65535]), 3 + 65535);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 pub mod ladder;
 pub mod small;
 
-pub use ladder::{any_runnable, tally_total, DeadlineLadder, LadderViewMut, AWAKE, BLOCK, INERT};
+pub use ladder::{DeadlineLadder, LadderViewMut, AWAKE, BLOCK, INERT};
 pub use small::SmallReadyQueue;
 
 use std::collections::BinaryHeap;

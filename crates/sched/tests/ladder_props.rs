@@ -1,10 +1,9 @@
-//! Property tests pinning the packed pool reductions to their scalar
-//! per-node equivalents: whatever the mix of awake / inert / scheduled
-//! nodes, the block-min ladder, the due test, the min-deadline
-//! reduction and the packed-mask / tally folds must agree exactly with
-//! the obvious one-node-at-a-time computation.
+//! Property tests pinning the deadline ladder to its scalar per-node
+//! equivalent: whatever the mix of awake / inert / scheduled nodes, the
+//! block-min ladder, the due test and the min-deadline reduction must
+//! agree exactly with the obvious one-node-at-a-time computation.
 
-use mm_sched::{any_runnable, tally_total, DeadlineLadder, AWAKE, BLOCK, INERT};
+use mm_sched::{DeadlineLadder, AWAKE, BLOCK, INERT};
 use proptest::prelude::*;
 
 /// A node's slot value drawn from the three regimes the engine uses.
@@ -90,18 +89,5 @@ proptest! {
             prop_assert_eq!(l.slot(i), model[i]);
             prop_assert_eq!(l.min_deadline(), model.iter().copied().min().unwrap());
         }
-    }
-
-    /// The packed-mask OR-fold and tally sums equal their scalar loops.
-    #[test]
-    fn packed_reductions_match_scalar(
-        masks in prop::collection::vec(any::<u32>(), 0..300),
-        tallies in prop::collection::vec(any::<u16>(), 0..300),
-    ) {
-        prop_assert_eq!(any_runnable(&masks), masks.iter().any(|&m| m != 0));
-        prop_assert_eq!(
-            tally_total(&tallies),
-            tallies.iter().map(|&t| u64::from(t)).sum::<u64>()
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! The `Tick` contract behind the machine's quiescence-aware cycle
-//! engine.
+//! The `next_activity` contract behind the machine's quiescence-aware
+//! cycle engine.
 //!
 //! A cycle-exact simulator is a set of components stepped under one
 //! clock. The naive loop steps *every* component on *every* cycle; on a
@@ -8,19 +8,22 @@
 //! engine turns that observation into a contract:
 //!
 //! 1. **Step one cycle.** Each component has an inherent step method
-//!    that advances it through cycle `now` — [`Node::step_with`],
+//!    that advances it through cycle `now` — [`Node::step_with`](crate::Node::step_with),
 //!    [`MemorySystem::step_into`](mm_mem::memsys::MemorySystem::step_into),
 //!    [`Fabric::pop_due`](mm_net::fabric::Fabric::pop_due), and
 //!    the coherence engine's `step` in `mm-core`. Signatures vary
 //!    because outputs vary (responses, deliveries, firmware effects);
 //!    the *timing* discipline is shared: a step at cycle `t` performs
 //!    exactly the work the dense loop would have performed at `t`.
-//! 2. **Report the next possible activity.** [`Tick::next_activity`]
-//!    returns the earliest future cycle at which the component can do
-//!    work *without new external input* — its earliest pending deadline
-//!    (scheduled writebacks, C-Switch transfers, in-flight flits,
-//!    DRAM/SECDED completions, resend backoffs), or `None` when
-//!    provably quiescent.
+//! 2. **Report the next possible activity.** Each component's inherent
+//!    `next_activity` — [`Node::next_activity`](crate::Node::next_activity),
+//!    [`MemorySystem::next_activity`](mm_mem::memsys::MemorySystem::next_activity),
+//!    [`Fabric::next_activity`](mm_net::fabric::Fabric::next_activity)
+//!    and the coherence handler's in `mm-core` — returns the earliest
+//!    future cycle at which the component can do work *without new
+//!    external input* — its earliest pending deadline (scheduled
+//!    writebacks, C-Switch transfers, in-flight flits, DRAM/SECDED
+//!    completions, resend backoffs), or `None` when provably quiescent.
 //!
 //! A min-deadline scheduler (`MMachine::run_cycles` / `run_until` in
 //! `mm-core`) then fast-forwards the global clock over cycles in which
@@ -43,45 +46,9 @@
 //!   not model other components; the scheduler owns cross-component
 //!   wake-ups.
 
-use crate::node::Node;
-use mm_mem::memsys::MemorySystem;
-use mm_net::fabric::Fabric;
-
-/// A schedulable component of the cycle engine: something that is
-/// stepped one cycle at a time and can report the earliest future cycle
-/// at which stepping it could matter.
-///
-/// See the [module docs](self) for the full contract; the inherent step
-/// methods of each implementor do the actual per-cycle work.
-pub trait Tick {
-    /// The earliest future cycle at which this component can possibly
-    /// make progress without new external input, or `None` when it is
-    /// provably quiescent. `now` is the cycle just processed; returned
-    /// deadlines are strictly greater than `now`.
-    fn next_activity(&self, now: u64) -> Option<u64>;
-}
-
-impl Tick for Node {
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        Node::next_activity(self, now)
-    }
-}
-
-impl Tick for MemorySystem {
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        MemorySystem::next_activity(self, now)
-    }
-}
-
-impl Tick for Fabric {
-    fn next_activity(&self, now: u64) -> Option<u64> {
-        Fabric::next_activity(self).map(|t| t.max(now + 1))
-    }
-}
-
 /// Fold two optional deadlines into the earlier one — the min-reduction
-/// used by [`Node::next_activity`] and the machine-level scheduler in
-/// `mm-core`. (`mm-mem` sits below this crate in the dependency DAG and
+/// used by [`Node::next_activity`](crate::Node::next_activity) and the
+/// machine-level scheduler in `mm-core`. (`mm-mem` sits below this crate in the dependency DAG and
 /// keeps a local fold with the same semantics.)
 #[must_use]
 pub fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
@@ -95,10 +62,10 @@ pub fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::step;
+    use crate::node::{step, Node};
     use crate::NodeConfig;
-    use mm_mem::memsys::{MemConfig, MemRequest};
-    use mm_net::fabric::FabricConfig;
+    use mm_mem::memsys::{MemConfig, MemRequest, MemorySystem};
+    use mm_net::fabric::{Fabric, FabricConfig};
     use mm_net::message::NodeCoord;
     use std::sync::Arc;
 
@@ -115,7 +82,7 @@ mod tests {
         let mut node = Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
         let progressed = step(&mut node, 0);
         assert!(!progressed, "an empty node does nothing");
-        assert_eq!(Tick::next_activity(&node, 0), None);
+        assert_eq!(node.next_activity(0), None);
     }
 
     #[test]
@@ -161,6 +128,6 @@ mod tests {
     #[test]
     fn fabric_deadline_is_next_delivery() {
         let f = Fabric::new(FabricConfig::default());
-        assert_eq!(Tick::next_activity(&f, 0), None);
+        assert_eq!(f.next_activity(), None);
     }
 }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod ctx;
 pub mod engine;
 pub mod event;
 pub mod node;
@@ -42,8 +41,6 @@ pub use config::{
     EngineConfig, NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, MIN_NODES_PER_WORKER, NUM_CLUSTERS,
     NUM_SLOTS, USER_SLOTS,
 };
-pub use ctx::NodeCtx;
-pub use engine::Tick;
 pub use event::EventKind;
 pub use node::{Fault, HState, Node, NodeInspect, NodeStats, StepScratch};
 pub use regfile::ThreadRegs;

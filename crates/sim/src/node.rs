@@ -24,7 +24,7 @@ use mm_net::message::NodeCoord;
 use mm_sched::SmallReadyQueue;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use thread::{HThread, Thread};
+use thread::Thread;
 
 mod thread;
 
@@ -363,8 +363,7 @@ pub struct Node {
     /// slots that are idle, halted or faulted are never touched, and an
     /// all-idle cluster costs one byte read in this header. Packed as
     /// four bytes so "anything runnable on this node?" is one `u32`
-    /// load (mirrored into the machine's node pool for batch
-    /// reductions).
+    /// load (the machine's watchdog asks it of every node).
     running: [u8; NUM_CLUSTERS],
     /// Per-cluster round-robin issue cursor.
     rr: [u8; NUM_CLUSTERS],
@@ -521,14 +520,6 @@ impl Node {
         self.account_state(cluster, slot, old, HState::Running);
     }
 
-    /// Stop and unload the H-Thread at `(cluster, slot)`.
-    pub fn unload_program(&mut self, cluster: usize, slot: usize) {
-        let t = &mut self.threads[cluster][slot].ctl;
-        let old = t.state;
-        *t = HThread::idle();
-        self.account_state(cluster, slot, old, HState::Idle);
-    }
-
     /// The H-Thread's state.
     #[must_use]
     pub fn thread_state(&self, cluster: usize, slot: usize) -> HState {
@@ -572,12 +563,6 @@ impl Node {
     #[must_use]
     pub fn user_threads_finished(&self) -> usize {
         self.user_finished as usize
-    }
-
-    /// Words waiting in the event queue of handler class `cluster`.
-    #[must_use]
-    pub fn event_queue_len(&self, cluster: usize) -> usize {
-        self.event_q[cluster].len()
     }
 
     /// Words waiting in the exception queue of `cluster`.
@@ -668,12 +653,6 @@ impl Node {
         self.mem.submit(req)
     }
 
-    /// Anything still in flight inside the node?
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.local_writes.is_empty() && self.csw.is_empty() && self.mem.is_idle()
-    }
-
     /// Whole event records waiting in handler class `class` (firmware
     /// pollers use this to decide whether a drain pass is needed).
     #[must_use]
@@ -688,9 +667,8 @@ impl Node {
         self.halted[cluster]
     }
 
-    /// The four per-cluster running masks packed into one word — the
-    /// value mirrored into the machine's node pool so "anything
-    /// runnable anywhere?" is an OR-fold over a dense `u32` array.
+    /// The four per-cluster running masks packed into one word, so
+    /// "anything runnable on this node?" is one load.
     /// Native byte order: the word is only ever tested against zero,
     /// bit-scanned, or compared to itself, never persisted.
     #[must_use]
