@@ -15,7 +15,7 @@ use mm_core::machine::{FaultReport, MMachine};
 use mm_core::MachineError;
 use mm_faults::{DramFaultConfig, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
 use mm_isa::{assemble, reg::Reg};
-use mm_telemetry::TelemetryConfig;
+use mm_telemetry::{CounterSnapshot, TelemetryConfig};
 use std::sync::Arc;
 
 /// Cycles granted after halt so retransmit chains (retry backoff ×
@@ -71,14 +71,9 @@ pub struct FaultCampaignPoint {
     pub cycles: u64,
     /// What the campaign did (serial run; the parallel run must agree).
     pub report: FaultReport,
-    /// Checksum NACKs raised by receivers.
-    pub crc_nacks: u64,
-    /// Duplicate retransmissions dropped by the sequence window.
-    pub dup_drops: u64,
-    /// SECDED single-bit corrections.
-    pub ecc_corrected: u64,
-    /// Uncorrectable double-bit errors surfaced as ErrVal.
-    pub ecc_double_errors: u64,
+    /// The serial run's final counters (the recovery columns: checksum
+    /// NACKs, duplicate drops, SECDED outcomes).
+    pub counters: CounterSnapshot,
     /// Serial and parallel runs produced identical `MachineStats` and
     /// identical fault reports.
     pub stats_match: bool,
@@ -129,17 +124,13 @@ pub fn run_fault_campaign(
         && serial.fault_report() == parallel.fault_report()
         && serial.counter_snapshot().crc_nacks == parallel.counter_snapshot().crc_nacks;
     let completed = serial.faulted_threads().is_empty() && parallel.faulted_threads().is_empty();
-    let snap = serial.counter_snapshot();
     Ok(FaultCampaignPoint {
         dims,
         nodes,
         seed,
         cycles: serial.cycle(),
         report: serial.fault_report().unwrap_or_default(),
-        crc_nacks: snap.crc_nacks,
-        dup_drops: snap.dup_drops,
-        ecc_corrected: snap.ecc_corrected,
-        ecc_double_errors: snap.ecc_double_errors,
+        counters: serial.counter_snapshot(),
         stats_match,
         completed,
     })
@@ -312,11 +303,11 @@ pub fn campaign_json(p: &FaultCampaignPoint, r: &CrashRecoveryPoint) -> String {
         p.report.packets_delayed,
         p.report.dram_flips,
         p.report.events_applied,
-        p.crc_nacks,
+        p.counters.crc_nacks,
         p.report.retransmits,
-        p.dup_drops,
-        p.ecc_corrected,
-        p.ecc_double_errors,
+        p.counters.dup_drops,
+        p.counters.ecc_corrected,
+        p.counters.ecc_double_errors,
         p.stats_match,
         p.completed,
         dims(r.dims),
@@ -343,7 +334,7 @@ mod tests {
             p.report.packets_corrupted + p.report.packets_dropped > 0,
             "campaign faulted nothing: {p:?}"
         );
-        assert!(p.crc_nacks > 0, "no checksum NACK raised: {p:?}");
+        assert!(p.counters.crc_nacks > 0, "no checksum NACK raised: {p:?}");
         assert!(p.report.retransmits > 0, "nothing retransmitted: {p:?}");
     }
 

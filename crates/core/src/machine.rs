@@ -152,28 +152,10 @@ pub struct MachinePerf {
     /// Issue-stage candidates examined (running, un-stalled threads
     /// whose instruction was fetched and readiness-checked).
     pub issue_probes: u64,
-    /// Instructions actually issued.
-    pub instructions: u64,
     /// Node steps actually executed (`steps / (cycles * nodes)` is the
     /// awake fraction — how much of the dense loop's walk the
     /// quiescence engine skipped).
     pub node_steps: u64,
-}
-
-impl MachinePerf {
-    /// Fraction of examined issue candidates that issued — how much of
-    /// the issue stage's work was useful. 1.0 when nothing was probed.
-    #[must_use]
-    pub fn issue_hit_rate(&self) -> f64 {
-        if self.issue_probes == 0 {
-            1.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.instructions as f64 / self.issue_probes as f64
-            }
-        }
-    }
 }
 
 /// End-of-run counters of an armed fault campaign (what the campaign
@@ -616,14 +598,13 @@ impl MMachine {
     }
 
     /// Host-side cycle-kernel performance counters (issue-path probes
-    /// and hit rate), aggregated over nodes. See [`MachinePerf`] for
+    /// and node steps), aggregated over nodes. See [`MachinePerf`] for
     /// why these live outside [`MachineStats`].
     #[must_use]
     pub fn perf(&self) -> MachinePerf {
         let mut p = MachinePerf::default();
         for n in &self.nodes {
             p.issue_probes += n.stats().issue_probes;
-            p.instructions += n.stats().instructions;
             p.node_steps += n.stats().steps;
         }
         p

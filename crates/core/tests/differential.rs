@@ -29,7 +29,7 @@ use mm_faults::{splitmix64, DramFaultConfig, FaultPlanConfig, LinkFaultConfig, S
 use mm_isa::assemble;
 use mm_isa::reg::Reg;
 use mm_sim::{NUM_CLUSTERS, USER_SLOTS};
-use mm_telemetry::TelemetryConfig;
+use mm_telemetry::{TelemetryConfig, N_COUNTERS};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -251,27 +251,15 @@ fn cycle_by_cycle_until_halt(m: &mut MMachine, limit: u64) -> Result<u64, Machin
     Ok(done)
 }
 
-/// Every telemetry epoch a machine sampled, as its cycle span and the
-/// architectural and engine counters (not the wall-clock fields).
-fn epochs(m: &MMachine) -> Vec<[u64; 10]> {
+/// Every telemetry epoch a machine sampled: its header and every
+/// counter column (not the wall-clock fields or the rates derived from
+/// them).
+fn epochs(m: &MMachine) -> Vec<([u64; 3], [u64; N_COUNTERS])> {
     m.telemetry()
         .expect("telemetry enabled")
         .ring()
         .iter()
-        .map(|s| {
-            [
-                s.epoch,
-                s.start_cycle,
-                s.end_cycle,
-                s.instructions,
-                s.issue_probes,
-                s.node_steps,
-                s.messages,
-                s.fabric_packets,
-                s.flit_hops,
-                s.coh_packets,
-            ]
-        })
+        .map(|s| ([s.epoch, s.start_cycle, s.end_cycle], s.counters()))
         .collect()
 }
 

@@ -1,13 +1,12 @@
 //! # mm-telemetry — streaming per-epoch metrics for the cycle engine
 //!
-//! Stats used to be end-of-run structs printed by binaries; this crate
-//! is the ROADMAP's observability layer. The machine samples a
-//! [`CounterSnapshot`] of its architectural and host-side counters once
-//! per *epoch* (a configurable number of simulated cycles, default
-//! [`DEFAULT_EPOCH_CYCLES`]); [`Telemetry`] turns consecutive snapshots
-//! into per-epoch deltas ([`EpochSample`]), stores them in a
-//! pre-allocated [`MetricsRing`], and — when a stream sink is
-//! configured — appends one JSON-lines record per epoch.
+//! The machine samples a [`CounterSnapshot`] of its architectural and
+//! host-side counters once per *epoch* (a configurable number of
+//! simulated cycles, default [`DEFAULT_EPOCH_CYCLES`]); [`Telemetry`]
+//! turns consecutive snapshots into per-epoch deltas ([`EpochSample`]),
+//! stores them in a pre-allocated [`MetricsRing`], and — when a stream
+//! sink is configured — appends one JSON-lines record per epoch. Every
+//! column is declared once, in the table behind [`COLUMNS`].
 //!
 //! ## Allocation discipline
 //!
@@ -32,9 +31,12 @@
 
 #![warn(missing_docs)]
 
+mod columns;
 pub mod export;
 pub mod json;
 pub mod schema;
+
+pub use columns::{Column, ColumnKind, CounterSnapshot, EpochSample, COLUMNS, N_COUNTERS};
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -86,16 +88,6 @@ impl TelemetryConfig {
         }
     }
 
-    /// An enabled config streaming JSONL to `path`.
-    #[must_use]
-    pub fn streaming(path: impl Into<std::path::PathBuf>) -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            stream_path: Some(path.into()),
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// The effective epoch width.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -115,124 +107,6 @@ impl TelemetryConfig {
             self.ring_epochs
         }
     }
-}
-
-/// One flat reading of every counter the stream reports, taken by the
-/// machine at an epoch boundary. All fields are *cumulative* totals
-/// since boot; [`Telemetry::sample`] turns consecutive snapshots into
-/// deltas. `Copy` and fixed-size by design — gathering one must not
-/// allocate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Simulated cycles since boot.
-    pub cycles: u64,
-    /// Instructions issued machine-wide.
-    pub instructions: u64,
-    /// Issue-stage candidates probed (host counter).
-    pub issue_probes: u64,
-    /// Node steps executed (host counter).
-    pub node_steps: u64,
-    /// User messages sent.
-    pub messages: u64,
-    /// Fabric packets injected.
-    pub fabric_packets: u64,
-    /// Flit·hop products carried by mesh links (loopback excluded) —
-    /// the numerator of link occupancy.
-    pub flit_hops: u64,
-    /// Directed mesh links (the occupancy denominator; constant per
-    /// machine).
-    pub links: u64,
-    /// Coherence protocol packets (subset of `fabric_packets`).
-    pub coh_packets: u64,
-    /// Coherence block fetches serviced (protocol misses).
-    pub coh_misses: u64,
-    /// Sharer copies invalidated.
-    pub coh_invalidations: u64,
-    /// Dirty blocks written back on recall.
-    pub coh_writebacks: u64,
-    /// Synchronizing-fault retries.
-    pub sync_retries: u64,
-    /// SECDED single-bit errors corrected in DRAM.
-    pub ecc_corrected: u64,
-    /// Uncorrectable SECDED double-bit errors observed.
-    pub ecc_double_errors: u64,
-    /// Messages NACKed back to senders on checksum mismatch.
-    pub crc_nacks: u64,
-    /// Duplicate retransmissions dropped by idempotent receive.
-    pub dup_drops: u64,
-    /// Pristine-copy retransmissions after a NACK.
-    pub retransmits: u64,
-    /// Messages bounced back to senders on queue overflow (§4.1).
-    pub bounces: u64,
-    /// Shards the node phase is split into (1 = serial).
-    pub shards: u32,
-    /// Node steps per shard (first `shards` entries; shard
-    /// `MAX_SHARDS-1` absorbs any wider split).
-    pub shard_steps: [u64; MAX_SHARDS],
-}
-
-/// One epoch's deltas plus derived rates — the unit of the stream, the
-/// ring, and the JSONL schema.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EpochSample {
-    /// Epoch index (0-based, strictly increasing along a stream).
-    pub epoch: u64,
-    /// First cycle covered (== previous sample's `end_cycle`).
-    pub start_cycle: u64,
-    /// One past the last cycle covered. Normally `start_cycle +
-    /// epoch_cycles`, but a fast-forwarded clock may jump several
-    /// epochs (one wider sample is emitted) and a flush may close a
-    /// partial epoch early.
-    pub end_cycle: u64,
-    /// Host wall-clock nanoseconds the epoch took.
-    pub wall_ns: u64,
-    /// Simulated cycles per wall second over the epoch (0 when the
-    /// clock resolution swallowed the epoch).
-    pub cycles_per_sec: f64,
-    /// Instructions issued this epoch.
-    pub instructions: u64,
-    /// Issue-stage candidates probed this epoch.
-    pub issue_probes: u64,
-    /// `instructions / issue_probes` (1.0 when nothing was probed).
-    pub issue_hit_rate: f64,
-    /// Node steps executed this epoch.
-    pub node_steps: u64,
-    /// User messages sent this epoch.
-    pub messages: u64,
-    /// Fabric packets injected this epoch.
-    pub fabric_packets: u64,
-    /// Flit·hops carried this epoch.
-    pub flit_hops: u64,
-    /// `flit_hops / (cycles × links)` — mean fraction of link·cycles
-    /// carrying a flit.
-    pub link_occupancy: f64,
-    /// Coherence packets this epoch.
-    pub coh_packets: u64,
-    /// Coherence misses (block fetches) this epoch.
-    pub coh_misses: u64,
-    /// Invalidations this epoch.
-    pub coh_invalidations: u64,
-    /// Writebacks this epoch.
-    pub coh_writebacks: u64,
-    /// Sync-fault retries this epoch.
-    pub sync_retries: u64,
-    /// SECDED single-bit corrections this epoch.
-    pub ecc_corrected: u64,
-    /// Uncorrectable SECDED double-bit errors this epoch.
-    pub ecc_double_errors: u64,
-    /// Messages NACKed on checksum mismatch this epoch.
-    pub crc_nacks: u64,
-    /// Duplicate retransmissions dropped by the idempotent-receive
-    /// window this epoch.
-    pub dup_drops: u64,
-    /// Pristine-copy retransmissions this epoch.
-    pub retransmits: u64,
-    /// Queue-full §4.1 bounces this epoch.
-    pub bounces: u64,
-    /// Shards reported in `shard_steps`.
-    pub shards: u32,
-    /// Per-shard node-step deltas (first `shards` entries meaningful).
-    pub shard_steps: [u64; MAX_SHARDS],
 }
 
 /// Fixed-capacity ring of the most recent epochs. Pushing past capacity
@@ -319,15 +193,6 @@ impl MetricsRing {
     }
 }
 
-impl<'a> IntoIterator for &'a MetricsRing {
-    type Item = &'a EpochSample;
-    type IntoIter = Box<dyn Iterator<Item = &'a EpochSample> + 'a>;
-    // analyze: cold (diagnostic iteration; sampling never iterates the ring)
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
 /// Capacity reserved for one JSONL line. A full record with 16 shard
 /// entries measures ~500 bytes at realistic values; the worst case
 /// (every counter at `u64::MAX`) stays under this bound (the
@@ -376,12 +241,6 @@ impl Telemetry {
         })
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
     /// Cycle at/after which the machine should take the next sample.
     #[must_use]
     pub fn next_due(&self) -> u64 {
@@ -401,59 +260,19 @@ impl Telemetry {
     pub fn sample(&mut self, cur: &CounterSnapshot) {
         let wall = self.last_wall.elapsed();
         self.last_wall = Instant::now();
-        let dc = cur.cycles - self.prev.cycles;
-        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        let d_instr = cur.instructions - self.prev.instructions;
-        let d_probes = cur.issue_probes - self.prev.issue_probes;
-        let d_flit_hops = cur.flit_hops - self.prev.flit_hops;
-        let mut shard_steps = [0u64; MAX_SHARDS];
-        for (d, (c, p)) in shard_steps
-            .iter_mut()
-            .zip(cur.shard_steps.iter().zip(self.prev.shard_steps.iter()))
-        {
-            *d = c - p;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let s = EpochSample {
+        let mut s = EpochSample {
             epoch: self.epoch_index,
             start_cycle: self.prev.cycles,
             end_cycle: cur.cycles,
-            wall_ns,
-            cycles_per_sec: if wall_ns == 0 {
-                0.0
-            } else {
-                dc as f64 * 1e9 / wall_ns as f64
-            },
-            instructions: d_instr,
-            issue_probes: d_probes,
-            issue_hit_rate: if d_probes == 0 {
-                1.0
-            } else {
-                d_instr as f64 / d_probes as f64
-            },
-            node_steps: cur.node_steps - self.prev.node_steps,
-            messages: cur.messages - self.prev.messages,
-            fabric_packets: cur.fabric_packets - self.prev.fabric_packets,
-            flit_hops: d_flit_hops,
-            link_occupancy: if dc == 0 || cur.links == 0 {
-                0.0
-            } else {
-                d_flit_hops as f64 / (dc * cur.links) as f64
-            },
-            coh_packets: cur.coh_packets - self.prev.coh_packets,
-            coh_misses: cur.coh_misses - self.prev.coh_misses,
-            coh_invalidations: cur.coh_invalidations - self.prev.coh_invalidations,
-            coh_writebacks: cur.coh_writebacks - self.prev.coh_writebacks,
-            sync_retries: cur.sync_retries - self.prev.sync_retries,
-            ecc_corrected: cur.ecc_corrected - self.prev.ecc_corrected,
-            ecc_double_errors: cur.ecc_double_errors - self.prev.ecc_double_errors,
-            crc_nacks: cur.crc_nacks - self.prev.crc_nacks,
-            dup_drops: cur.dup_drops - self.prev.dup_drops,
-            retransmits: cur.retransmits - self.prev.retransmits,
-            bounces: cur.bounces - self.prev.bounces,
+            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             shards: cur.shards,
-            shard_steps,
+            ..EpochSample::default()
         };
+        s.set_deltas(&self.prev, cur);
+        for (k, d) in s.shard_steps.iter_mut().enumerate() {
+            *d = cur.shard_steps[k] - self.prev.shard_steps[k];
+        }
+        s.derive_rates(cur);
         self.prev = *cur;
         self.epoch_index += 1;
         // Next boundary: the first multiple of the epoch width past the

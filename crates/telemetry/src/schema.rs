@@ -1,7 +1,7 @@
 //! A JSON-Schema-subset validator for the telemetry stream.
 //!
 //! CI's telemetry-smoke job validates every emitted JSONL line against
-//! the committed `docs/telemetry.schema.json`; `mmctl validate` does
+//! the committed `docs/telemetry.schema.json`; `mmctl check` does
 //! the same locally. The subset understood here is exactly what that
 //! schema uses:
 //!
@@ -181,42 +181,48 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("shard_steps[1]")));
     }
 
+    const COMMITTED: &str = include_str!("../../../docs/telemetry.schema.json");
+
     #[test]
     fn committed_stream_schema_accepts_real_line() {
         // The schema file CI uses must accept what export.rs writes.
-        let schema = parse(include_str!("../../../docs/telemetry.schema.json")).unwrap();
+        let schema = parse(COMMITTED).unwrap();
         let mut line = String::new();
-        let s = crate::EpochSample {
-            epoch: 0,
-            start_cycle: 0,
-            end_cycle: 4096,
-            wall_ns: 1000,
-            cycles_per_sec: 4.096e9,
-            instructions: 7,
-            issue_probes: 9,
-            issue_hit_rate: 0.777_778,
-            node_steps: 8192,
-            messages: 1,
-            fabric_packets: 2,
-            flit_hops: 3,
-            link_occupancy: 0.01,
-            coh_packets: 0,
-            coh_misses: 0,
-            coh_invalidations: 0,
-            coh_writebacks: 0,
-            sync_retries: 0,
-            ecc_corrected: 1,
-            ecc_double_errors: 0,
-            crc_nacks: 2,
-            dup_drops: 0,
-            retransmits: 2,
-            bounces: 0,
-            shards: 2,
-            shard_steps: [0; crate::MAX_SHARDS],
-        };
-        crate::export::write_jsonl_line(&s, &mut line);
+        crate::export::write_jsonl_line(&crate::export::fixture(), &mut line);
         let v = parse(line.trim_end()).unwrap();
         let errs = validate(&schema, &v);
         assert!(errs.is_empty(), "schema rejected a real line: {errs:?}");
+    }
+
+    /// The committed schema lists exactly the table's columns, in
+    /// order, typed by kind, at the current stream version.
+    #[test]
+    fn committed_schema_matches_the_column_table() {
+        let schema = parse(COMMITTED).unwrap();
+        let keys = crate::export::jsonl_keys();
+        let Some(JsonValue::Array(required)) = schema.get("required") else {
+            panic!("schema has no required list");
+        };
+        let required: Vec<&str> = required.iter().filter_map(JsonValue::as_str).collect();
+        assert_eq!(required, keys, "required lists every key in order");
+        let Some(JsonValue::Object(props)) = schema.get("properties") else {
+            panic!("schema has no properties object");
+        };
+        let kind_type = |key: &str| match crate::COLUMNS.iter().find(|c| c.name == key) {
+            Some(c) if c.kind == crate::ColumnKind::Rate => "number",
+            _ if key == "shard_steps" => "array",
+            _ => "integer",
+        };
+        let mut want: Vec<_> = keys.iter().map(|&k| (k, Some(kind_type(k)))).collect();
+        let mut got: Vec<_> = props
+            .iter()
+            .map(|(k, p)| (k.as_str(), p.get("type").and_then(JsonValue::as_str)))
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "properties: every key, typed by its kind");
+        let v = schema.get("properties").and_then(|p| p.get("v")).unwrap();
+        let version = v.get("const").and_then(JsonValue::as_u64);
+        assert_eq!(version, Some(crate::STREAM_VERSION), "v const");
     }
 }

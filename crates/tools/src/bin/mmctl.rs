@@ -502,11 +502,11 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
     outln!(
         "recovery: {} crc-nacks, {} retransmits, {} dup-drops, {} ecc-corrected, \
          {} ecc-double",
-        p.crc_nacks,
+        p.counters.crc_nacks,
         p.report.retransmits,
-        p.dup_drops,
-        p.ecc_corrected,
-        p.ecc_double_errors
+        p.counters.dup_drops,
+        p.counters.ecc_corrected,
+        p.counters.ecc_double_errors
     );
     outln!(
         "deterministic across engines: {}   completed despite faults: {}",

@@ -5,6 +5,7 @@
 
 use mm_core::snapshot::DIR_NAMES;
 use mm_telemetry::json::{parse, JsonValue};
+use mm_telemetry::{ColumnKind, COLUMNS};
 use std::fmt::Write as _;
 
 /// Shade ramp for the heatmap, dimmest → brightest.
@@ -183,7 +184,9 @@ pub fn epoch_brief(line: &str) -> String {
 }
 
 /// Convert a telemetry JSONL stream to Prometheus text exposition:
-/// counters summed over every record, gauges from the last record.
+/// `mm_cycles_total`, then one `mm_<name>_total` counter per counter
+/// column summed over every record, then one `mm_<name>` gauge per rate
+/// column from the last record, each in [`COLUMNS`] order.
 /// `mmctl prom` renders a stream file through it, and `mmctl run
 /// --prom` the run's own ring.
 ///
@@ -198,121 +201,29 @@ pub fn prometheus_from_stream(text: &str) -> Result<String, String> {
         }
         records.push(parse(line).map_err(|e| format!("line {}: {e}", k + 1))?);
     }
-    if records.is_empty() {
+    let Some(last) = records.last() else {
         return Err("telemetry stream is empty".into());
-    }
-    let sum = |key: &str| records.iter().map(|r| as_u64(r, key)).sum::<u64>();
+    };
     let cycles: u64 = records
         .iter()
         .map(|r| as_u64(r, "end_cycle").saturating_sub(as_u64(r, "start_cycle")))
         .sum();
     let mut out = String::new();
-    for (name, help, v) in [
-        (
-            "mm_cycles_total",
-            "Simulated cycles covered by the stream",
-            cycles,
-        ),
-        (
-            "mm_instructions_total",
-            "Instructions issued",
-            sum("instructions"),
-        ),
-        ("mm_messages_total", "User messages sent", sum("messages")),
-        (
-            "mm_fabric_packets_total",
-            "Fabric packets injected",
-            sum("fabric_packets"),
-        ),
-        (
-            "mm_flit_hops_total",
-            "Flit-hops carried by mesh links",
-            sum("flit_hops"),
-        ),
-        (
-            "mm_coh_packets_total",
-            "Coherence protocol packets",
-            sum("coh_packets"),
-        ),
-        (
-            "mm_coh_misses_total",
-            "Coherence block fetches",
-            sum("coh_misses"),
-        ),
-        (
-            "mm_coh_invalidations_total",
-            "Sharer copies invalidated",
-            sum("coh_invalidations"),
-        ),
-        (
-            "mm_coh_writebacks_total",
-            "Dirty blocks written back",
-            sum("coh_writebacks"),
-        ),
-        (
-            "mm_node_steps_total",
-            "Node steps executed",
-            sum("node_steps"),
-        ),
-        (
-            "mm_ecc_corrected_total",
-            "SECDED single-bit corrections",
-            sum("ecc_corrected"),
-        ),
-        (
-            "mm_ecc_double_errors_total",
-            "Uncorrectable SECDED double-bit errors",
-            sum("ecc_double_errors"),
-        ),
-        (
-            "mm_crc_nacks_total",
-            "Messages NACKed on checksum mismatch",
-            sum("crc_nacks"),
-        ),
-        (
-            "mm_dup_drops_total",
-            "Duplicate retransmissions dropped",
-            sum("dup_drops"),
-        ),
-        (
-            "mm_retransmits_total",
-            "Pristine-copy retransmissions",
-            sum("retransmits"),
-        ),
-        (
-            "mm_bounces_total",
-            "Queue-full message bounces",
-            sum("bounces"),
-        ),
-    ] {
+    let mut family = |name: &str, help: &str, kind: &str, value: &dyn std::fmt::Display| {
         let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    let Some(last) = records.last() else {
-        return Err("telemetry stream is empty".into());
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        let _ = writeln!(out, "{name} {value}");
     };
-    let g = |k: &str| last.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
-    for (name, help, v) in [
-        (
-            "mm_cycles_per_sec",
-            "Simulated cycles per wall second (last epoch)",
-            g("cycles_per_sec"),
-        ),
-        (
-            "mm_issue_hit_rate",
-            "Issue-stage hit rate (last epoch)",
-            g("issue_hit_rate"),
-        ),
-        (
-            "mm_link_occupancy",
-            "Mean fabric link occupancy (last epoch)",
-            g("link_occupancy"),
-        ),
-    ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v:.6}");
+    let cycles_help = "Simulated cycles covered by the stream";
+    family("mm_cycles_total", cycles_help, "counter", &cycles);
+    for c in COLUMNS.iter().filter(|c| c.kind == ColumnKind::Counter) {
+        let sum: u64 = records.iter().map(|r| as_u64(r, c.name)).sum();
+        family(&format!("mm_{}_total", c.name), c.help, "counter", &sum);
+    }
+    for c in COLUMNS.iter().filter(|c| c.kind == ColumnKind::Rate) {
+        let gauge = last.get(c.name).and_then(JsonValue::as_f64).unwrap_or(0.0);
+        let (name, help) = (format!("mm_{}", c.name), format!("{} (last epoch)", c.help));
+        family(&name, &help, "gauge", &format_args!("{gauge:.6}"));
     }
     Ok(out)
 }
@@ -320,6 +231,8 @@ pub fn prometheus_from_stream(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_telemetry::export::write_jsonl_line;
+    use mm_telemetry::EpochSample;
 
     const SNAPSHOT: &str = r#"{"v":1,"cycle":500,"dims":[2,1,1],"workers":1,
       "stats":{"cycles":500,"instructions":100,"messages":4,"fabric_packets":8,
@@ -377,34 +290,40 @@ mod tests {
         assert!(b.contains("msgs   3072"));
     }
 
-    /// The metric names, sums and gauges `mmctl run --prom` exports.
+    /// One family per column: counters summed over the records, rates
+    /// from the last record.
     #[test]
     fn prometheus_from_stream_matches_export_names() {
-        let jsonl = "{\"start_cycle\":0,\"end_cycle\":256,\"instructions\":100,\
-                     \"messages\":3,\"fabric_packets\":6,\"flit_hops\":12,\"coh_packets\":0,\
-                     \"coh_misses\":0,\"coh_invalidations\":0,\"coh_writebacks\":0,\
-                     \"node_steps\":512,\"ecc_corrected\":2,\"ecc_double_errors\":0,\
-                     \"crc_nacks\":3,\"dup_drops\":1,\"retransmits\":3,\"bounces\":4,\
-                     \"cycles_per_sec\":5000.0,\"issue_hit_rate\":0.9,\
-                     \"link_occupancy\":0.01}\n\
-                     {\"start_cycle\":256,\"end_cycle\":512,\"instructions\":50,\
-                     \"messages\":1,\"fabric_packets\":2,\"flit_hops\":4,\"coh_packets\":0,\
-                     \"coh_misses\":0,\"coh_invalidations\":0,\"coh_writebacks\":0,\
-                     \"node_steps\":512,\"ecc_corrected\":1,\"ecc_double_errors\":1,\
-                     \"crc_nacks\":2,\"dup_drops\":0,\"retransmits\":2,\"bounces\":0,\
-                     \"cycles_per_sec\":4800.0,\"issue_hit_rate\":0.8,\
-                     \"link_occupancy\":0.02}\n";
-        let p = prometheus_from_stream(jsonl).unwrap();
-        assert!(p.contains("mm_cycles_total 512"));
-        assert!(p.contains("mm_instructions_total 150"));
-        assert!(p.contains("mm_ecc_corrected_total 3"));
-        assert!(p.contains("mm_ecc_double_errors_total 1"));
-        assert!(p.contains("mm_crc_nacks_total 5"));
-        assert!(p.contains("mm_dup_drops_total 1"));
-        assert!(p.contains("mm_retransmits_total 5"));
-        assert!(p.contains("mm_bounces_total 4"));
-        assert!(p.contains("mm_issue_hit_rate 0.800000"));
-        assert!(p.contains("# TYPE mm_link_occupancy gauge"));
+        let mut s = EpochSample {
+            end_cycle: 256,
+            issue_hit_rate: 0.9,
+            link_occupancy: 0.01,
+            ..EpochSample::default()
+        };
+        for (k, c) in s.counters_mut().into_iter().enumerate() {
+            *c = k as u64;
+        }
+        let mut jsonl = String::new();
+        write_jsonl_line(&s, &mut jsonl);
+        (s.start_cycle, s.end_cycle, s.issue_hit_rate) = (256, 512, 0.8);
+        write_jsonl_line(&s, &mut jsonl);
+        let p = prometheus_from_stream(&jsonl).unwrap();
+        assert!(p.starts_with("# HELP mm_cycles_total Simulated cycles covered by the stream\n"));
+        assert!(p.contains("\nmm_cycles_total 512\n"));
+        let counters = COLUMNS.iter().filter(|c| c.kind == ColumnKind::Counter);
+        for (k, c) in counters.enumerate() {
+            let family = format!(
+                "# HELP mm_{0}_total {1}\n# TYPE mm_{0}_total counter\nmm_{0}_total {2}\n",
+                c.name,
+                c.help,
+                2 * k
+            );
+            assert!(p.contains(&family), "{family}");
+        }
+        assert!(p.contains(
+            "(last epoch)\n# TYPE mm_issue_hit_rate gauge\nmm_issue_hit_rate 0.800000\n"
+        ));
+        assert!(p.contains("\nmm_link_occupancy 0.010000\n"));
         assert!(prometheus_from_stream("").is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Telemetry stream checking: per-line schema validation plus the
 //! cross-line invariants (epoch monotonicity, contiguous cycle
-//! coverage) that no per-record schema can express. `mmctl validate`
+//! coverage) that no per-record schema can express. `mmctl check`
 //! and the CI telemetry-smoke job both run through here.
 
 use mm_telemetry::json::{parse, JsonValue};
@@ -119,19 +119,26 @@ pub fn check_stream(text: &str, schema: Option<&JsonValue>) -> StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_telemetry::export::write_jsonl_line;
+    use mm_telemetry::EpochSample;
 
     const SCHEMA: &str = include_str!("../../../docs/telemetry.schema.json");
 
+    /// A one-shard record carrying 5 instructions.
     fn line(epoch: u64, start: u64, end: u64) -> String {
-        format!(
-            "{{\"v\":2,\"epoch\":{epoch},\"start_cycle\":{start},\"end_cycle\":{end},\
-             \"wall_ns\":10,\"cycles_per_sec\":1.0,\"instructions\":5,\"issue_probes\":10,\
-             \"issue_hit_rate\":0.500000,\"node_steps\":8,\"messages\":0,\"fabric_packets\":0,\
-             \"flit_hops\":0,\"link_occupancy\":0.000000,\"coh_packets\":0,\"coh_misses\":0,\
-             \"coh_invalidations\":0,\"coh_writebacks\":0,\"sync_retries\":0,\
-             \"ecc_corrected\":0,\"ecc_double_errors\":0,\"crc_nacks\":0,\"dup_drops\":0,\
-             \"retransmits\":0,\"bounces\":0,\"shard_steps\":[8]}}\n"
-        )
+        let mut s = EpochSample {
+            epoch,
+            start_cycle: start,
+            end_cycle: end,
+            wall_ns: 10,
+            instructions: 5,
+            shards: 1,
+            ..EpochSample::default()
+        };
+        s.shard_steps[0] = 8;
+        let mut line = String::new();
+        write_jsonl_line(&s, &mut line);
+        line
     }
 
     #[test]

@@ -1,19 +1,11 @@
 //! The telemetry stream and its Prometheus rendering, byte for byte,
-//! against the committed `telemetry_golden.txt`.
-//!
-//! Four machines run on the serial engine with ring-only telemetry at
-//! 512-cycle epochs: the busy scenario under a seeded fault plan, the
-//! §4.3 coherence scenario, hotspot traffic (§4.2 bounces) and the
-//! task-queue kernel, the one source of sync-fault retries. The plan
-//! aims its DRAM upsets at the lines the busy stores fill. One replayed
-//! sequence number is delivered straight to node 1's interface, since
-//! no fault path puts two copies of a message in flight.
-//!
-//! Host-time values (`wall_ns`, `cycles_per_sec`, `mm_cycles_per_sec`)
-//! are masked. Every stream column must be non-zero in at least one
-//! run, so a swapped or dropped field changes the golden. After a
-//! deliberate format change, rerun this test and copy the file its
-//! failure message names over the golden.
+//! against `telemetry_golden.txt`, with host time (`wall_ns`,
+//! `cycles_per_sec`, `mm_cycles_per_sec`) masked. Four serial machines
+//! sample at 512-cycle epochs: busy traffic under a seeded fault plan,
+//! §4.3 coherence, hotspot traffic (§4.2 bounces) and the task queue
+//! (sync-fault retries). Every column must be non-zero in some run, so
+//! a swapped or dropped field changes the golden. After a deliberate
+//! format change, copy the file the failure names over the golden.
 
 use mm_bench::coherence::load_coherence_scenario;
 use mm_bench::faults::campaign_plan;
@@ -25,9 +17,8 @@ use mm_isa::op::Priority;
 use mm_isa::word::Word;
 use mm_net::{Message, MsgBody, Packet, WireMeta};
 use mm_telemetry::json::{parse, JsonValue};
-use mm_telemetry::TelemetryConfig;
+use mm_telemetry::COLUMNS;
 use mm_tools::render::prometheus_from_stream;
-use std::collections::BTreeMap;
 use std::path::Path;
 
 const GOLDEN: &str = include_str!("telemetry_golden.txt");
@@ -35,15 +26,11 @@ const GOLDEN: &str = include_str!("telemetry_golden.txt");
 /// Field prefixes whose values are host time.
 const HOST_TIME: [&str; 3] = ["\"wall_ns\":", "\"cycles_per_sec\":", "mm_cycles_per_sec "];
 
-/// `cfg` on the serial engine with ring-only telemetry at 512-cycle
-/// epochs.
+/// `cfg` on the serial engine, sampling at 512-cycle epochs.
 fn serial(mut cfg: MachineConfig) -> MachineConfig {
     cfg.engine.workers = Some(1);
-    cfg.telemetry = TelemetryConfig {
-        enabled: true,
-        epoch_cycles: 512,
-        ..TelemetryConfig::default()
-    };
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.epoch_cycles = 512;
     cfg
 }
 
@@ -52,23 +39,20 @@ fn halted(mut m: MMachine) -> MMachine {
     m
 }
 
-/// The busy scenario on 2×2×1 under campaign seed 5, every DRAM upset
-/// landing beside a home page's first word before the first store
-/// fills its line; then node 0's first message to its partner arrives
-/// a second time, and the run drains every retransmission.
+/// The busy scenario under campaign seed 5, every DRAM upset landing
+/// beside a home page's first word before the first store fills its
+/// line. After the halt, node 0's first message to its partner arrives
+/// again (no fault path puts two copies in flight), and the run drains
+/// every retransmission.
 fn busy_faults() -> MMachine {
     let probe = MMachine::build(scenario_config((2, 2, 1))).expect("mesh builds");
-    let home = probe
-        .node(0)
-        .mem
-        .translate(probe.home_va(0, 0))
-        .expect("home page is mapped");
+    let va = probe.home_va(0, 0);
+    let home = probe.node(0).mem.translate(va).expect("mapped");
+    let mut cfg = serial(scenario_config((2, 2, 1)));
     let mut plan = campaign_plan(5, 4);
     for d in &mut plan.dram {
-        d.window = (1, 10);
-        d.addr = (home + 1, home + 12);
+        (d.window, d.addr) = ((1, 10), (home + 1, home + 12));
     }
-    let mut cfg = serial(scenario_config((2, 2, 1)));
     cfg.faults = Some(plan);
     let mut m = halted(load_busy_scenario(cfg, 32).expect("busy mesh loads"));
     let mut replay = Message {
@@ -99,66 +83,39 @@ fn mask(text: &str) -> String {
 
 #[test]
 fn stream_and_prometheus_match_the_golden() {
+    let coherence = load_coherence_scenario(serial(scenario_config((2, 2, 1))), 6);
+    let hotspot = load_traffic_scenario(serial(traffic_config()), TrafficPattern::Hotspot, 0, 24);
+    let task_queue = load_workload(serial(workload_config()), WorkloadKind::TaskQueue);
+    let runs = [
+        ("busy+faults", busy_faults()),
+        ("coherence", halted(coherence)),
+        ("hotspot", halted(hotspot)),
+        ("task_queue", halted(task_queue)),
+    ];
     let mut got = String::new();
-    let mut totals: BTreeMap<String, f64> = BTreeMap::new();
-    for (name, run) in [
-        ("busy+faults", busy_faults as fn() -> MMachine),
-        ("coherence", || {
-            halted(load_coherence_scenario(
-                serial(scenario_config((2, 2, 1))),
-                6,
-            ))
-        }),
-        ("hotspot", || {
-            let cfg = serial(traffic_config());
-            halted(load_traffic_scenario(cfg, TrafficPattern::Hotspot, 0, 24))
-        }),
-        ("task_queue", || {
-            halted(load_workload(
-                serial(workload_config()),
-                WorkloadKind::TaskQueue,
-            ))
-        }),
-    ] {
-        let mut m = run();
+    let mut totals = [0.0; COLUMNS.len()];
+    for (name, mut m) in runs {
         m.telemetry_flush();
         assert!(m.faulted_threads().is_empty(), "{name}: faulted threads");
         let jsonl = m.telemetry().expect("telemetry enabled").ring_jsonl();
-        for line in jsonl.lines() {
-            let JsonValue::Object(fields) = parse(line).expect("a JSON line") else {
-                panic!("{name}: a record is not an object");
-            };
-            for (key, value) in fields {
-                *totals.entry(key).or_default() += value.as_f64().unwrap_or(1.0);
+        for record in jsonl.lines().map(|line| parse(line).expect("a JSON line")) {
+            for (total, c) in totals.iter_mut().zip(&COLUMNS) {
+                let value = record.get(c.name).and_then(JsonValue::as_f64);
+                *total += value.unwrap_or(0.0);
             }
         }
         let prom = prometheus_from_stream(&jsonl).expect("stream renders");
-        got += &format!(
-            "## {name} jsonl\n{}## {name} prometheus\n{}",
-            mask(&jsonl),
-            mask(&prom)
-        );
+        got += &format!("## {name} jsonl\n{}", mask(&jsonl));
+        got += &format!("## {name} prometheus\n{}", mask(&prom));
     }
-    let zero: Vec<&str> = totals
-        .iter()
-        .filter(|&(key, &total)| total == 0.0 && key != "epoch")
-        .map(|(key, _)| key.as_str())
-        .collect();
-    assert!(zero.is_empty(), "columns zero in every run: {zero:?}");
-
+    for (c, total) in COLUMNS.iter().zip(totals) {
+        assert!(total > 0.0, "{} is zero in every run", c.name);
+    }
     if got != GOLDEN {
         let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_golden.txt");
         std::fs::write(&actual, &got).expect("write the actual output");
-        let line = GOLDEN
-            .lines()
-            .zip(got.lines())
-            .take_while(|(a, b)| a == b)
-            .count()
-            + 1;
-        panic!(
-            "telemetry output differs from telemetry_golden.txt at line {line}; \
-             the full output is in {}",
-            actual.display()
-        );
+        let same = GOLDEN.lines().zip(got.lines()).take_while(|(a, b)| a == b);
+        let (line, actual) = (same.count() + 1, actual.display());
+        panic!("differs from the golden at line {line}; the output is in {actual}");
     }
 }
