@@ -10,7 +10,6 @@
 
 use crate::machine::MMachine;
 use mm_net::fabric::NUM_DIRS;
-use mm_telemetry::{ColumnKind, COLUMNS};
 use std::fmt::Write as _;
 
 /// Snapshot format version (`"v"` in the document).
@@ -35,6 +34,8 @@ impl MMachine {
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         let mut out = String::with_capacity(4096);
+        let stats = self.stats();
+        let perf = self.perf();
         let (x, y, z) = self.spec().dims;
         let _ = write!(
             out,
@@ -42,15 +43,21 @@ impl MMachine {
             self.cycle(),
             self.workers(),
         );
-        // The machine totals: the cycle count, then every telemetry
-        // counter in table order.
-        let snap = self.counter_snapshot();
-        let _ = write!(out, "\"stats\":{{\"cycles\":{}", snap.cycles);
-        let counters = COLUMNS.iter().filter(|c| c.kind == ColumnKind::Counter);
-        for (c, value) in counters.zip(snap.counters()) {
-            let _ = write!(out, ",\"{}\":{value}", c.name);
-        }
-        out.push_str("},\"nodes\":[");
+        let _ = write!(
+            out,
+            "\"stats\":{{\"cycles\":{},\"instructions\":{},\"messages\":{},\
+             \"fabric_packets\":{},\"coh_packets\":{},\"flit_hops\":{},\
+             \"issue_probes\":{},\"node_steps\":{}}},",
+            stats.cycles,
+            stats.instructions,
+            stats.messages,
+            stats.fabric.packets,
+            stats.fabric.coh_packets,
+            self.fabric_flit_hops(),
+            perf.issue_probes,
+            perf.node_steps,
+        );
+        out.push_str("\"nodes\":[");
         for i in 0..self.node_count() {
             if i > 0 {
                 out.push(',');

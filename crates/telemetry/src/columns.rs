@@ -138,9 +138,13 @@ macro_rules! column_table {
                 [$(self.$c),*]
             }
 
-            /// Every counter column, mutably, in table order.
-            pub fn counters_mut(&mut self) -> [&mut u64; N_COUNTERS] {
-                [$(&mut self.$c),*]
+            /// This sample with its counter columns set to `values`, in
+            /// table order.
+            #[cfg(test)]
+            pub(crate) fn with_counters(mut self, values: [u64; N_COUNTERS]) -> Self {
+                let [$($c),*] = values;
+                $(self.$c = $c;)*
+                self
             }
 
             /// Set every counter column to its delta from `prev` to `cur`.

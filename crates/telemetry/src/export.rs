@@ -52,11 +52,9 @@ pub(crate) fn fixture() -> EpochSample {
         wall_ns: 2_000_000,
         shards: 2,
         ..EpochSample::default()
-    };
-    s.shard_steps[..2].copy_from_slice(&[5000, 3192]);
-    for (k, c) in s.counters_mut().into_iter().enumerate() {
-        *c = 100 + k as u64;
     }
+    .with_counters(std::array::from_fn(|k| 100 + k as u64));
+    s.shard_steps[..2].copy_from_slice(&[5000, 3192]);
     s.derive_rates(&crate::CounterSnapshot {
         links: 4,
         ..crate::CounterSnapshot::default()
@@ -110,10 +108,8 @@ mod tests {
             shards: MAX_SHARDS as u32,
             shard_steps: [u64::MAX; MAX_SHARDS],
             ..EpochSample::default()
-        };
-        for c in worst.counters_mut() {
-            *c = u64::MAX;
         }
+        .with_counters([u64::MAX; crate::N_COUNTERS]);
         worst.derive_rates(&CounterSnapshot {
             links: 1,
             ..CounterSnapshot::default()

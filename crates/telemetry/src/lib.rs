@@ -88,6 +88,16 @@ impl TelemetryConfig {
         }
     }
 
+    /// An enabled config streaming JSONL to `path`.
+    #[must_use]
+    pub fn streaming(path: impl Into<std::path::PathBuf>) -> TelemetryConfig {
+        TelemetryConfig {
+            enabled: true,
+            stream_path: Some(path.into()),
+            ..TelemetryConfig::default()
+        }
+    }
+
     /// The effective epoch width.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -193,6 +203,15 @@ impl MetricsRing {
     }
 }
 
+impl<'a> IntoIterator for &'a MetricsRing {
+    type Item = &'a EpochSample;
+    type IntoIter = Box<dyn Iterator<Item = &'a EpochSample> + 'a>;
+    // analyze: cold (diagnostic iteration; sampling never iterates the ring)
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
 /// Capacity reserved for one JSONL line. A full record with 16 shard
 /// entries measures ~500 bytes at realistic values; the worst case
 /// (every counter at `u64::MAX`) stays under this bound (the
@@ -239,6 +258,12 @@ impl Telemetry {
             sink,
             cfg,
         })
+    }
+
+    /// The configuration in use.
+    #[must_use]
+    pub fn config(&self) -> &TelemetryConfig {
+        &self.cfg
     }
 
     /// Cycle at/after which the machine should take the next sample.

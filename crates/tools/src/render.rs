@@ -231,8 +231,6 @@ pub fn prometheus_from_stream(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_telemetry::export::write_jsonl_line;
-    use mm_telemetry::EpochSample;
 
     const SNAPSHOT: &str = r#"{"v":1,"cycle":500,"dims":[2,1,1],"workers":1,
       "stats":{"cycles":500,"instructions":100,"messages":4,"fabric_packets":8,
@@ -294,24 +292,23 @@ mod tests {
     /// from the last record.
     #[test]
     fn prometheus_from_stream_matches_export_names() {
-        let mut s = EpochSample {
-            end_cycle: 256,
-            issue_hit_rate: 0.9,
-            link_occupancy: 0.01,
-            ..EpochSample::default()
+        // Column k holds k; every rate holds the record's `rate`.
+        let record = |start: u64, rate: f64| {
+            let mut line = format!("{{\"start_cycle\":{start},\"end_cycle\":{}", start + 256);
+            for (k, c) in COLUMNS.iter().enumerate() {
+                let _ = match c.kind {
+                    ColumnKind::Counter => write!(line, ",\"{}\":{k}", c.name),
+                    ColumnKind::Rate => write!(line, ",\"{}\":{rate}", c.name),
+                };
+            }
+            line + "}\n"
         };
-        for (k, c) in s.counters_mut().into_iter().enumerate() {
-            *c = k as u64;
-        }
-        let mut jsonl = String::new();
-        write_jsonl_line(&s, &mut jsonl);
-        (s.start_cycle, s.end_cycle, s.issue_hit_rate) = (256, 512, 0.8);
-        write_jsonl_line(&s, &mut jsonl);
+        let jsonl = record(0, 0.9) + &record(256, 0.8);
         let p = prometheus_from_stream(&jsonl).unwrap();
         assert!(p.starts_with("# HELP mm_cycles_total Simulated cycles covered by the stream\n"));
         assert!(p.contains("\nmm_cycles_total 512\n"));
-        let counters = COLUMNS.iter().filter(|c| c.kind == ColumnKind::Counter);
-        for (k, c) in counters.enumerate() {
+        let counters = COLUMNS.iter().enumerate();
+        for (k, c) in counters.filter(|(_, c)| c.kind == ColumnKind::Counter) {
             let family = format!(
                 "# HELP mm_{0}_total {1}\n# TYPE mm_{0}_total counter\nmm_{0}_total {2}\n",
                 c.name,
@@ -323,7 +320,7 @@ mod tests {
         assert!(p.contains(
             "(last epoch)\n# TYPE mm_issue_hit_rate gauge\nmm_issue_hit_rate 0.800000\n"
         ));
-        assert!(p.contains("\nmm_link_occupancy 0.010000\n"));
+        assert!(p.contains("\nmm_link_occupancy 0.800000\n"));
         assert!(prometheus_from_stream("").is_err());
     }
 }
