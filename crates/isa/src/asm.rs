@@ -301,8 +301,10 @@ fn parse_offset(line: usize, text: &str, negate: bool) -> Result<i32, AsmError> 
         .ok_or_else(|| err(line, AsmErrorKind::BadOperand(text.to_owned())))?;
     let v = parse_imm_value(body)
         .ok_or_else(|| err(line, AsmErrorKind::BadImmediate(text.to_owned())))?;
-    let v = if negate { -v } else { v };
-    i32::try_from(v).map_err(|_| err(line, AsmErrorKind::BadImmediate(text.to_owned())))
+    // `-#9223372036854775808` reads as `i64::MIN`, which has no negation.
+    let v = if negate { v.checked_neg() } else { Some(v) };
+    v.and_then(|v| i32::try_from(v).ok())
+        .ok_or_else(|| err(line, AsmErrorKind::BadImmediate(text.to_owned())))
 }
 
 fn parse_sync_suffix(line: usize, suffix: &str) -> Result<(SyncPre, SyncPost), AsmError> {

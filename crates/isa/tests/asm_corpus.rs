@@ -83,6 +83,10 @@ const ERRORS: &[(&str, &str)] = &[
         "ld [r1-#2147483649], r2",
         "line 1: bad immediate `#2147483649`",
     ),
+    (
+        "ld [r1-#9223372036854775808], r2",
+        "line 1: bad immediate `#9223372036854775808`",
+    ),
     ("ld [r1+4], r2", "line 1: bad operand `4`"),
     ("ld r1, r2", "line 1: bad operand `r1`"),
     ("ld [r1, r2", "line 1: bad operand `[r1`"),

@@ -169,3 +169,152 @@ fn enter_pointer_round_trips_with_permission() {
     assert!(q.check_read().is_err());
     assert!(q.check_write().is_err());
 }
+
+/// Mnemonics with the operand count their well-formed use takes: every
+/// unit's operations, sync and priority suffixes good and bad, and a few
+/// heads that are not mnemonics at all.
+const SOUP_MNEMONICS: &[(&str, usize)] = &[
+    ("add", 3),
+    ("ADD", 3),
+    ("sub", 3),
+    ("shr", 3),
+    ("eq", 3),
+    ("ge", 3),
+    ("mov", 2),
+    ("imm", 2),
+    ("lea", 3),
+    ("setptr", 4),
+    ("br", 1),
+    ("brt", 2),
+    ("brf", 2),
+    ("jmp", 1),
+    ("empty", 2),
+    ("wrreg", 2),
+    ("gprobe", 2),
+    ("tlbwr", 1),
+    ("mrestart", 3),
+    ("nodeid", 1),
+    ("halt", 0),
+    ("nop", 0),
+    ("fnop", 0),
+    ("ld", 2),
+    ("ld.fe", 2),
+    ("ld.xx", 2),
+    ("ld.", 2),
+    ("st", 2),
+    ("st.ef", 2),
+    ("st.au", 2),
+    ("send", 3),
+    ("send.p1", 3),
+    ("send.p9", 3),
+    ("fadd", 3),
+    ("feq", 3),
+    ("fmadd", 4),
+    ("fmov", 2),
+    ("itof", 2),
+    ("ftoi", 2),
+    ("frob", 1),
+    ("h1.", 1),
+    ("", 1),
+];
+const SOUP_REGS: &[&str] = &[
+    "r0", "r1", "r15", "r16", "r255", "r256", "f3", "f16", "gcc1", "gcc8", "mc2", "mc9", "rnet",
+    "evq", "r", "R1", "h1.r2", "h3.f4", "h4.r1", "h1.", "hx.r1", "h1.rnet",
+];
+const SOUP_IMMS: &[&str] = &[
+    "#0",
+    "#7",
+    "#-1",
+    "#0x10",
+    "#9223372036854775807",
+    "#9223372036854775808",
+    "#-9223372036854775808",
+    "#18446744073709551615",
+    "#18446744073709551616",
+    "#",
+    "#x",
+    "@0",
+    "@lbl",
+    "@",
+    "@4294967296",
+];
+/// Offsets for `[base±offset]`, weighted to the edges of `i32` and `i64`.
+const SOUP_OFFSETS: &[&str] = &[
+    "#1",
+    "#-1",
+    "#2147483648",
+    "#9223372036854775808",
+    "#-9223372036854775808",
+    "#18446744073709551615",
+    "#0x",
+    "1",
+];
+const SOUP_NOISE: &[&str] = &[
+    "[", "]", "|", ":", ";", "//", "lbl:", ",", "+", "-", ".", "h", "#", "@", "\u{a0}", "é",
+];
+
+/// Token soup from the assembler's own vocabulary, steered by a pool of
+/// random choices: up to eight lines, each an optional label, one to
+/// three `|`-joined operations and an optional comment. An operation is
+/// a mnemonic and (mostly) its own number of operands, each a register,
+/// an immediate, a `[base±offset]` address, a label or a stray token.
+fn soup(choices: &[usize]) -> String {
+    let mut it = choices.iter().cycle();
+    let mut next = |n: usize| it.next().expect("non-empty pool") % n;
+    let mut s = String::new();
+    for _ in 0..1 + next(8) {
+        if next(4) == 0 {
+            s.push_str(["lbl:", "a: b:", "1x:", ":", "lbl :"][next(5)]);
+        }
+        for op in 0..1 + next(3) {
+            if op > 0 {
+                s.push_str(["|", " | ", "||"][next(3)]);
+            }
+            let (mnemonic, arity) = SOUP_MNEMONICS[next(SOUP_MNEMONICS.len())];
+            s.push_str(mnemonic);
+            s.push(' ');
+            let n = if next(4) == 0 { next(6) } else { arity };
+            for k in 0..n {
+                if k > 0 {
+                    s.push_str(if next(4) == 0 {
+                        [",", " ", ", ,"][next(3)]
+                    } else {
+                        ", "
+                    });
+                }
+                match next(5) {
+                    0 => s.push_str(SOUP_REGS[next(SOUP_REGS.len())]),
+                    1 => s.push_str(SOUP_IMMS[next(SOUP_IMMS.len())]),
+                    2 => {
+                        let closed = next(8) != 0;
+                        s.push_str(if closed { "[" } else { "" });
+                        s.push_str(SOUP_REGS[next(SOUP_REGS.len())]);
+                        s.push_str(["+", "-", " - ", ""][next(4)]);
+                        s.push_str(SOUP_OFFSETS[next(SOUP_OFFSETS.len())]);
+                        s.push_str(if closed { "]" } else { "" });
+                    }
+                    3 => s.push_str(["lbl", "@lbl", "@3", "nowhere"][next(4)]),
+                    _ => s.push_str(SOUP_NOISE[next(SOUP_NOISE.len())]),
+                }
+            }
+        }
+        if next(4) == 0 {
+            s.push_str(["; c", "// c", "/", ";"][next(4)]);
+        }
+        s.push_str(["\n", "\r\n"][next(2)]);
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The assembler returns a program or an error for any mix of its
+    /// own tokens and never panics (`cargo test` builds it in debug,
+    /// so an arithmetic overflow panics too).
+    #[test]
+    fn assemble_never_panics(choices in prop::collection::vec(0usize..1 << 16, 1..96)) {
+        let src = soup(&choices);
+        let _ = assemble(&src);
+    }
+}
