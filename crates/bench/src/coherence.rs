@@ -58,14 +58,14 @@ pub fn load_coherence_scenario(cfg: MachineConfig, iters: u64) -> MMachine {
         "scenario pairs nodes; mesh must be even-sized"
     );
     let b = 0.25f64;
+    let progs = [coherent_smooth(0, 1, iters), coherent_smooth(1, 0, iters)];
     for pair in 0..n / 2 {
         let (even, odd) = (2 * pair, 2 * pair + 1);
         let block_va = m.home_va(even, 0);
         m.map_coherent_page(odd, block_va);
         let ptr = m.home_ptr(even, 0);
-        for (node, own, other) in [(even, 0usize, 1usize), (odd, 1, 0)] {
-            let prog = coherent_smooth(own, other, iters);
-            m.load_user_program(node, 0, &prog).expect("slot 0 loads");
+        for (node, prog) in [even, odd].into_iter().zip(&progs) {
+            m.load_user_program(node, 0, prog).expect("slot 0 loads");
             m.set_user_reg(node, 0, 0, Reg::Int(1), ptr);
             m.set_user_reg(node, 0, 0, Reg::Fp(15), Word::from_f64(b));
         }

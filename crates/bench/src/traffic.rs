@@ -108,9 +108,18 @@ pub fn load_traffic_scenario(
     count: u64,
 ) -> MMachine {
     let mut m = MMachine::build(cfg).expect("valid config");
+    // One program per distinct destination: hotspot's four senders share one.
+    let mut progs = Vec::with_capacity(NODES);
     for me in 0..NODES {
-        let prog = traffic_node(pattern.dest(me), NODES, gap, count);
-        m.load_user_program(me, 0, &prog).unwrap();
+        let dest = pattern.dest(me);
+        let i = match progs.iter().position(|(d, _)| *d == dest) {
+            Some(i) => i,
+            None => {
+                progs.push((dest, traffic_node(dest, NODES, gap, count)));
+                progs.len() - 1
+            }
+        };
+        m.load_user_program(me, 0, &progs[i].1).unwrap();
         for d in 0..NODES {
             let sink = m.home_va(d, 0) + traffic_sink_off(me);
             let cap = m.make_ptr(Perm::ReadWrite, 0, sink).expect("sink cap");

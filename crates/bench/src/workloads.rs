@@ -175,8 +175,8 @@ pub fn load_workload(cfg: MachineConfig, kind: WorkloadKind) -> MMachine {
     let mut m = MMachine::build(cfg).expect("valid config");
     match kind {
         WorkloadKind::SampleSort => {
+            let prog = sample_sort_node(&SORT_LAYOUT, &SPLITTERS);
             for me in 0..NODES {
-                let prog = sample_sort_node(&SORT_LAYOUT, me, &SPLITTERS);
                 m.load_user_program(me, 0, &prog).unwrap();
                 let keys_base = m.home_va(me, 0);
                 for (j, key) in sort_keys(me).iter().enumerate() {
@@ -210,9 +210,10 @@ pub fn load_workload(cfg: MachineConfig, kind: WorkloadKind) -> MMachine {
                     );
                 }
             }
+            let columns = [matmul_block(0), matmul_block(1)];
             for me in 0..NODES {
                 let (bi, bj) = (me / 2, me % 2);
-                m.load_user_program(me, 0, &matmul_block(bi, bj)).unwrap();
+                m.load_user_program(me, 0, &columns[bj]).unwrap();
                 let a_base = m.home_va(me, 0);
                 for r in 0..2 {
                     for (k, &v) in a[2 * bi + r].iter().enumerate() {

@@ -96,9 +96,11 @@ impl SortLayout {
     }
 }
 
-/// Generate node `me`'s sample-sort program for `p` nodes with `layout.k`
-/// keys each, bucketed by `splitters` (length `p - 1`, strictly
-/// increasing, baked in as immediates).
+/// Generate the sample-sort program for `p` nodes with `layout.k` keys
+/// each, bucketed by `splitters` (length `p - 1`, strictly increasing,
+/// baked in as immediates). Every node runs the same program: which
+/// keys and regions are its own comes from the pointers it is handed in
+/// `r1` and `r9`.
 ///
 /// Scatter: for each destination bucket, scan the local keys, forward
 /// matches through the page-1 capability with a `lea`-advanced cursor,
@@ -112,9 +114,8 @@ impl SortLayout {
 /// Panics on malformed splitters, a layout that overflows the page, or
 /// a codegen bug (generated text failing to assemble).
 #[must_use]
-pub fn sample_sort_node(layout: &SortLayout, me: usize, splitters: &[i64]) -> Arc<Program> {
+pub fn sample_sort_node(layout: &SortLayout, splitters: &[i64]) -> Arc<Program> {
     let (p, k) = (layout.p, layout.k);
-    assert!(me < p, "node index in range");
     assert_eq!(splitters.len(), p - 1, "p - 1 splitters");
     assert!(
         splitters.windows(2).all(|w| w[0] < w[1]),
@@ -223,8 +224,9 @@ pub const MATMUL_A_OFF: usize = 0;
 /// Page-0 offset of the node's 2×2 C block (row-major).
 pub const MATMUL_C_OFF: usize = 64;
 
-/// Generate the program for the node owning C block `(bi, bj)` of the
-/// 4×4 blocked matmul.
+/// Generate the program for the nodes owning the C blocks in block
+/// column `bj` of the 4×4 blocked matmul. The block row does not enter
+/// the code: each node reads its own A rows through `r1`.
 ///
 /// `r1` = own page 0 (the 2×4 A row slice at [`MATMUL_A_OFF`], the C
 /// block written to [`MATMUL_C_OFF`]); `r2` = the shared B matrix (node
@@ -237,11 +239,11 @@ pub const MATMUL_C_OFF: usize = 64;
 ///
 /// # Panics
 ///
-/// Panics for out-of-range block coordinates or on a codegen bug.
+/// Panics for an out-of-range block column or on a codegen bug.
 #[must_use]
-pub fn matmul_block(bi: usize, bj: usize) -> Arc<Program> {
+pub fn matmul_block(bj: usize) -> Arc<Program> {
     let blocks = MATMUL_N / MATMUL_BS;
-    assert!(bi < blocks && bj < blocks, "block coordinates in range");
+    assert!(bj < blocks, "block column in range");
     let mut s = String::new();
     // Accumulators: f9..f12 = C(0,0), C(0,1), C(1,0), C(1,1).
     for acc in 9..=12 {
@@ -598,10 +600,8 @@ mod tests {
     #[test]
     fn sort_programs_assemble_for_every_node() {
         let layout = SortLayout { p: 4, k: 4 };
-        for me in 0..4 {
-            let prog = sample_sort_node(&layout, me, &[25, 50, 75]);
-            assert!(prog.len() > 40);
-        }
+        let prog = sample_sort_node(&layout, &[25, 50, 75]);
+        assert!(prog.len() > 40);
         assert!(layout.page_words() <= 1024);
         assert_eq!(layout.recv_off(0), 16);
         assert_eq!(layout.out_count_off(), 16 + 4 * 5);
@@ -611,7 +611,7 @@ mod tests {
     #[should_panic(expected = "sorted splitters")]
     fn sort_rejects_unsorted_splitters() {
         let layout = SortLayout { p: 3, k: 2 };
-        let _ = sample_sort_node(&layout, 0, &[50, 25]);
+        let _ = sample_sort_node(&layout, &[50, 25]);
     }
 
     #[test]
@@ -626,7 +626,7 @@ mod tests {
         }
         for bi in 0..2 {
             for bj in 0..2 {
-                let prog = matmul_block(bi, bj);
+                let prog = matmul_block(bj);
                 assert!(prog.len() > 30);
                 let c = matmul_reference_block(&a, &b, bi, bj);
                 for r in 0..2 {
