@@ -23,11 +23,10 @@
 //! granularity: a whole block of sleeping nodes costs one `u64` read
 //! per cycle, and the machine-level `next_work` scan reads `n / 64`
 //! words instead of `n` structs. Block minima are maintained
-//! monotonically cheap: *lowering* a slot (waking a node, pulling a
-//! deadline earlier) folds into the block min in `O(1)`; *raising* one
-//! (a node going back to sleep after a step) marks the block for a
-//! 64-wide recompute, which callers batch once per stepped block via
-//! [`DeadlineLadder::rebuild_block`].
+//! monotonically cheap: *waking* a node folds into the block min in
+//! `O(1)`; *raising* a slot (a node going back to sleep after a step)
+//! marks the block for a 64-wide recompute, which callers batch once
+//! per stepped block via [`DeadlineLadder::rebuild_block`].
 
 /// Slot value for a node that must be stepped at the next processed
 /// cycle.
@@ -115,17 +114,6 @@ impl DeadlineLadder {
         self.rebuild_block(i / BLOCK);
     }
 
-    /// Lower node `i`'s slot to `deadline` if it is earlier than the
-    /// current value (never raises — use the step-path's view write +
-    /// [`DeadlineLadder::rebuild_block`] for that). `O(1)`.
-    pub fn pull_earlier(&mut self, i: usize, deadline: u64) {
-        if deadline < self.slots[i] {
-            self.slots[i] = deadline;
-            let b = i / BLOCK;
-            self.block_min[b] = self.block_min[b].min(deadline);
-        }
-    }
-
     /// Recompute block `b`'s minimum from its slots. Called once per
     /// block whose slots were (possibly) raised during a step walk.
     pub fn rebuild_block(&mut self, b: usize) {
@@ -140,34 +128,6 @@ impl DeadlineLadder {
     #[must_use]
     pub fn min_deadline(&self) -> u64 {
         self.block_min.iter().copied().min().unwrap_or(INERT)
-    }
-
-    /// Split the ladder at a block boundary into disjoint views for
-    /// concurrent workers: `mid` must be a multiple of [`BLOCK`] (so no
-    /// `block_min` word is shared) unless it equals `len`. Returns the
-    /// `[0, mid)` and `[mid, len)` views.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mid` is neither block-aligned nor `len`, or exceeds
-    /// `len`.
-    pub fn split_at_mut(&mut self, mid: usize) -> (LadderViewMut<'_>, LadderViewMut<'_>) {
-        assert!(
-            mid.is_multiple_of(BLOCK) || mid == self.slots.len(),
-            "split point {mid} shares a block-minimum word"
-        );
-        let (s0, s1) = self.slots.split_at_mut(mid);
-        let (b0, b1) = self.block_min.split_at_mut(mid.div_ceil(BLOCK));
-        (
-            LadderViewMut {
-                slots: s0,
-                block_min: b0,
-            },
-            LadderViewMut {
-                slots: s1,
-                block_min: b1,
-            },
-        )
     }
 
     /// The whole ladder as a single view (the serial engine's walk).
@@ -219,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn wake_and_pull_earlier_keep_block_minima_exact() {
+    fn wake_and_set_slot_keep_block_minima_exact() {
         let mut l = DeadlineLadder::new(130);
         // Raise everything via the view path, rebuilding each block.
         {
@@ -232,56 +192,17 @@ mod tests {
             l.rebuild_block(b);
         }
         assert_eq!(l.min_deadline(), INERT);
-        l.pull_earlier(129, 500);
+        l.set_slot(129, 500);
         assert_eq!(l.min_deadline(), 500);
         assert_eq!(l.block_min(2), 500);
         assert_eq!(l.block_min(0), INERT);
-        // pull_earlier never raises.
-        l.pull_earlier(129, 900);
-        assert_eq!(l.slot(129), 500);
+        // set_slot raises too, and rebuilds the block.
+        l.set_slot(129, 900);
+        assert_eq!(l.slot(129), 900);
+        assert_eq!(l.block_min(2), 900);
         l.wake(3);
         assert_eq!(l.block_min(0), AWAKE);
         assert_eq!(l.min_deadline(), AWAKE);
-    }
-
-    #[test]
-    fn split_is_disjoint_and_block_aligned() {
-        let mut l = DeadlineLadder::new(256);
-        l.view_mut().slots.fill(INERT);
-        for b in 0..l.blocks() {
-            l.rebuild_block(b);
-        }
-        let (mut a, mut b) = l.split_at_mut(128);
-        assert_eq!(a.slots.len(), 128);
-        assert_eq!(b.slots.len(), 128);
-        assert_eq!(a.block_min.len(), 2);
-        assert_eq!(b.block_min.len(), 2);
-        a.slots[0] = 7;
-        b.slots[0] = 9;
-        a.rebuild_block(0);
-        b.rebuild_block(0);
-        assert_eq!(a.block_min[0], 7);
-        assert_eq!(b.block_min[0], 9);
-        assert_eq!(l.slot(0), 7);
-        assert_eq!(l.slot(128), 9);
-        assert_eq!(l.block_min(0), 7);
-        assert_eq!(l.block_min(2), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "shares a block-minimum word")]
-    fn unaligned_split_panics() {
-        let mut l = DeadlineLadder::new(256);
-        let _ = l.split_at_mut(100);
-    }
-
-    #[test]
-    fn split_at_len_is_allowed_for_the_tail_worker() {
-        let mut l = DeadlineLadder::new(100);
-        let (a, b) = l.split_at_mut(100);
-        assert_eq!(a.slots.len(), 100);
-        assert_eq!(b.slots.len(), 0);
-        assert_eq!(b.block_min.len(), 0);
     }
 
     #[test]

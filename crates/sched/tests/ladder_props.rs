@@ -60,8 +60,9 @@ proptest! {
         }
     }
 
-    /// Waking and pulling deadlines earlier (the O(1) monotonic paths)
-    /// keep the ladder equal to a scalar model stepped by the same ops.
+    /// Waking (the O(1) monotonic path) and lowering deadlines through
+    /// `set_slot` keep the ladder equal to a scalar model stepped by the
+    /// same ops.
     #[test]
     fn monotonic_updates_track_scalar_model(
         n in 1usize..200,
@@ -83,8 +84,8 @@ proptest! {
                 l.wake(i);
                 model[i] = AWAKE;
             } else {
-                l.pull_earlier(i, v);
                 model[i] = model[i].min(v);
+                l.set_slot(i, model[i]);
             }
             prop_assert_eq!(l.slot(i), model[i]);
             prop_assert_eq!(l.min_deadline(), model.iter().copied().min().unwrap());
