@@ -40,18 +40,19 @@ const SMALL_BUILD_ALLOCATIONS: u64 = 60;
 /// `(scenario, allocator requests, bytes)` one warm build of each
 /// benchmark scenario below may ask for. Each builder assembles every
 /// distinct program once and shares it across nodes, and the assembler
-/// allocates nothing per line that the `Program` does not keep. The
-/// builders that assembled one program per node, with an assembler
-/// that made three requests per line, asked for: sample sort 4 746
-/// requests / 1 143 712 B (four copies of a 363-line program), the
-/// 4×2×2 coherence scenario 946 / 441 304 B (sixteen assemblies of two
-/// sources), hotspot traffic 242 / 131 760 B (four copies of one
-/// program). One more assembly per node, or one allocation per source
-/// line, exceeds these.
+/// allocates nothing per line that the `Program` does not keep: the
+/// builds ask for 135 requests / 205 447 B (sample sort), 166 / 326 388 B
+/// (4×2×2 coherence) and 65 / 105 144 B (hotspot traffic). The builders
+/// that assembled one program per node, with an assembler that made
+/// three requests per line, asked for 4 746 / 1 143 712 B (four copies
+/// of a 363-line program), 946 / 441 304 B (sixteen assemblies of two
+/// sources) and 242 / 131 760 B (four copies of one program). One more
+/// assembly per node, or one more allocation per source line, exceeds
+/// these budgets.
 const SCENARIO_BUDGETS: [(&str, u64, u64); 3] = [
-    ("sample_sort", 1_350, 400_000),
-    ("coherence_4x2x2", 270, 370_000),
-    ("hotspot", 110, 120_000),
+    ("sample_sort", 160, 230_000),
+    ("coherence_4x2x2", 180, 345_000),
+    ("hotspot", 75, 112_000),
 ];
 
 /// Run `f`, returning its value and the allocator requests and bytes
