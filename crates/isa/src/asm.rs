@@ -40,10 +40,11 @@
 //! the pass-1 slice table, the only allocations are what the
 //! [`Program`] keeps: its instructions, its issue descriptors, one
 //! `String` per label and each `empty`'s register list. An error
-//! allocates its message. On a 2-vCPU Xeon guest the three runtime
-//! handlers assemble in about 0.2 µs per instruction, against 0.4–0.5
-//! µs for the front end that copied each line, lowercased each mnemonic
-//! into a `String` and scanned each line about twenty times.
+//! allocates its message. The benchmark's `isa.assemble.us_per_instr`
+//! (the three runtime handlers) reads 0.34 µs per instruction, against
+//! 0.73 µs for the front end that copied each line, lowercased each
+//! mnemonic into a `String` and scanned each line about twenty times
+//! (medians of five alternating traced runs on a 2-vCPU Xeon guest).
 
 use crate::error::{AsmError, AsmErrorKind};
 use crate::instr::{Instruction, Program};
@@ -461,32 +462,32 @@ fn parse_op(
     let fp_cmp = |kind| abd().map(|(a, b, dst)| ParsedOp::Fp(FpOp::Cmp { kind, a, b, dst }));
 
     let op = match lower {
-        b"add" => return int_alu(AluKind::Add),
-        b"sub" => return int_alu(AluKind::Sub),
-        b"mul" => return int_alu(AluKind::Mul),
-        b"div" => return int_alu(AluKind::Div),
-        b"and" => return int_alu(AluKind::And),
-        b"or" => return int_alu(AluKind::Or),
-        b"xor" => return int_alu(AluKind::Xor),
-        b"shl" => return int_alu(AluKind::Shl),
-        b"shr" => return int_alu(AluKind::Shr),
-        b"sra" => return int_alu(AluKind::Sra),
-        b"eq" => return int_cmp(CmpKind::Eq),
-        b"ne" => return int_cmp(CmpKind::Ne),
-        b"lt" => return int_cmp(CmpKind::Lt),
-        b"le" => return int_cmp(CmpKind::Le),
-        b"gt" => return int_cmp(CmpKind::Gt),
-        b"ge" => return int_cmp(CmpKind::Ge),
-        b"fadd" => return fp_alu(FpKind::Add),
-        b"fsub" => return fp_alu(FpKind::Sub),
-        b"fmul" => return fp_alu(FpKind::Mul),
-        b"fdiv" => return fp_alu(FpKind::Div),
-        b"feq" => return fp_cmp(CmpKind::Eq),
-        b"fne" => return fp_cmp(CmpKind::Ne),
-        b"flt" => return fp_cmp(CmpKind::Lt),
-        b"fle" => return fp_cmp(CmpKind::Le),
-        b"fgt" => return fp_cmp(CmpKind::Gt),
-        b"fge" => return fp_cmp(CmpKind::Ge),
+        b"add" => int_alu(AluKind::Add)?,
+        b"sub" => int_alu(AluKind::Sub)?,
+        b"mul" => int_alu(AluKind::Mul)?,
+        b"div" => int_alu(AluKind::Div)?,
+        b"and" => int_alu(AluKind::And)?,
+        b"or" => int_alu(AluKind::Or)?,
+        b"xor" => int_alu(AluKind::Xor)?,
+        b"shl" => int_alu(AluKind::Shl)?,
+        b"shr" => int_alu(AluKind::Shr)?,
+        b"sra" => int_alu(AluKind::Sra)?,
+        b"eq" => int_cmp(CmpKind::Eq)?,
+        b"ne" => int_cmp(CmpKind::Ne)?,
+        b"lt" => int_cmp(CmpKind::Lt)?,
+        b"le" => int_cmp(CmpKind::Le)?,
+        b"gt" => int_cmp(CmpKind::Gt)?,
+        b"ge" => int_cmp(CmpKind::Ge)?,
+        b"fadd" => fp_alu(FpKind::Add)?,
+        b"fsub" => fp_alu(FpKind::Sub)?,
+        b"fmul" => fp_alu(FpKind::Mul)?,
+        b"fdiv" => fp_alu(FpKind::Div)?,
+        b"feq" => fp_cmp(CmpKind::Eq)?,
+        b"fne" => fp_cmp(CmpKind::Ne)?,
+        b"flt" => fp_cmp(CmpKind::Lt)?,
+        b"fle" => fp_cmp(CmpKind::Le)?,
+        b"fgt" => fp_cmp(CmpKind::Gt)?,
+        b"fge" => fp_cmp(CmpKind::Ge)?,
         b"mov" | b"imm" => {
             arity(2)?;
             ParsedOp::Int(IntOp::Mov {
