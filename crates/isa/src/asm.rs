@@ -41,10 +41,8 @@
 //! [`Program`] keeps: its instructions, its issue descriptors, one
 //! `String` per label and each `empty`'s register list. An error
 //! allocates its message. The benchmark's `isa.assemble.us_per_instr`
-//! (the three runtime handlers) reads 0.34 µs per instruction, against
-//! 0.73 µs for the front end that copied each line, lowercased each
-//! mnemonic into a `String` and scanned each line about twenty times
-//! (medians of five alternating traced runs on a 2-vCPU Xeon guest).
+//! (the three runtime handlers) reads about 0.34 µs per instruction on
+//! a 2-vCPU Xeon guest.
 
 use crate::error::{AsmError, AsmErrorKind};
 use crate::instr::{Instruction, Program};
