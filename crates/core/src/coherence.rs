@@ -255,6 +255,26 @@ fn decode_msg(msg: &Message) -> Option<CohMsg> {
     })
 }
 
+/// Refuse a restored coherence message `decode_msg` rejects, naming
+/// `owner`: [`NodeCoh::step`] panics on one when it arrives.
+// analyze: cold (restore validation)
+pub(crate) fn refuse_undecodable<'a>(
+    owner: &str,
+    msgs: impl IntoIterator<Item = &'a Message>,
+) -> Result<(), CkptError> {
+    match msgs.into_iter().find(|m| decode_msg(m).is_none()) {
+        Some(m) => Err(CkptError(format!(
+            "{owner} holds an undecodable coherence message {} -> {} \
+             (op word {:#x}, {} body words)",
+            m.src,
+            m.dest,
+            m.dip.bits(),
+            m.body.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
 // ====================================================================
 // Per-node handler state
 // ====================================================================
@@ -1454,6 +1474,13 @@ impl NodeCoh {
         }
         out.extend(self.outbound.iter().flat_map(|m| [m.src, m.dest]));
         out
+    }
+
+    /// Refuse a restored outbound message the receiving handler could
+    /// not decode (see [`refuse_undecodable`]).
+    // analyze: cold (restore validation)
+    pub(crate) fn refuse_undecodable_outbound(&self, owner: &str) -> Result<(), CkptError> {
+        refuse_undecodable(owner, &self.outbound)
     }
 
     /// Refuse a restored frame table `node`'s memory cannot back: a slot

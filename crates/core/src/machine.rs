@@ -1,6 +1,6 @@
 //! The M-Machine: a 3-D mesh of MAP nodes under one clock.
 
-use crate::coherence::{CoherenceConfig, CoherenceEngine, CoherenceStats};
+use crate::coherence::{refuse_undecodable, CoherenceConfig, CoherenceEngine, CoherenceStats};
 use crate::error::MachineError;
 use crate::shard::{
     node_key, step_shard, Arrival, ReplayCursor, Tally, TraceSnap, Window, WindowLog, WorkerPool,
@@ -1834,6 +1834,7 @@ impl MMachine {
             )));
         }
         self.refuse_out_of_mesh_endpoints()?;
+        self.refuse_undecodable_coherence()?;
         for (node, coh) in self.nodes.iter().zip(self.coherence.handlers()) {
             coh.refuse_bad_frames(node)?;
         }
@@ -1876,6 +1877,24 @@ impl MMachine {
             .find(|&c| !self.fabric.contains(c))
         {
             return Err(outside("a fault-plan pristine copy".into(), c));
+        }
+        Ok(())
+    }
+
+    /// Refuse a restored coherence message the handler could not decode,
+    /// wherever it waits: in flight, in a node's interface (staged or
+    /// arrived) or in a handler's outbound queue. Each reaches
+    /// `NodeCoh::step` sooner or later, and it panics on one.
+    fn refuse_undecodable_coherence(&self) -> Result<(), CkptError> {
+        let in_flight = self.fabric.in_flight().filter_map(|p| match p {
+            Packet::Coh(m) => Some(m),
+            _ => None,
+        });
+        refuse_undecodable("the fabric", in_flight)?;
+        let handlers = self.coherence.handlers();
+        for (i, (node, coh)) in self.nodes.iter().zip(handlers).enumerate() {
+            refuse_undecodable(&format!("node {i}'s interface"), node.net.coh_messages())?;
+            coh.refuse_undecodable_outbound(&format!("node {i}'s coherence handler"))?;
         }
         Ok(())
     }

@@ -22,6 +22,7 @@ use mm_isa::op::Priority;
 use mm_isa::pointer::Perm;
 use mm_isa::reg::Reg;
 use mm_isa::word::Word;
+use mm_net::fabric::NUM_DIRS;
 use mm_net::message::{Message, MsgBody, NodeCoord, Packet, WireMeta};
 use mm_sim::NUM_CLUSTERS;
 use proptest::prelude::*;
@@ -363,6 +364,15 @@ fn message_to(dest: NodeCoord) -> Message {
     }
 }
 
+/// A well-formed coherence message from node 0 to `dest`: an
+/// invalidation (opcode 7), which carries no body.
+fn coh_message_to(dest: NodeCoord) -> Message {
+    Message {
+        dip: Word::from_u64(7),
+        ..message_to(dest)
+    }
+}
+
 /// `clean` with the empty list whose eight-byte count sits at `at`
 /// replaced by a one-item list holding what `item` encodes.
 fn splice_one(clean: &[u8], at: usize, item: impl Fn(&mut Enc)) -> Vec<u8> {
@@ -434,16 +444,12 @@ fn restore_refuses_out_of_mesh_resends() {
     assert_eq!(fresh.stats().fabric.packets, before + 1);
 }
 
-/// A message restored into a node's outbox, returned-message buffer or
-/// coherence inbox with an endpoint outside the mesh is refused.
-#[test]
-fn restore_refuses_out_of_mesh_interface_traffic() {
-    let m = MMachine::build(MachineConfig::small()).unwrap();
-    let clean = m.checkpoint();
-    // Node 0's interface state is the last part of its node state. On a
-    // fresh machine it ends with three empty lists (returned messages,
-    // outbox packets, coherence arrivals), nine statistics words, the
-    // next sequence number and an empty dedup table.
+/// Offset just past node 0's interface state in a fresh machine's
+/// checkpoint. That state is the last part of node 0's; on a fresh
+/// machine it ends with three empty lists (returned messages, outbox
+/// packets, coherence arrivals), nine statistics words, the next
+/// sequence number and an empty dedup table.
+fn net_end(m: &MMachine, clean: &[u8]) -> usize {
     let mut e = Enc::new();
     m.node(0).net.save_state(&mut e);
     let net = e.finish();
@@ -451,10 +457,19 @@ fn restore_refuses_out_of_mesh_interface_traffic() {
         .windows(net.len())
         .position(|w| w == net.as_slice())
         .expect("node 0's interface state is in the checkpoint");
-    let end = start + net.len();
+    start + net.len()
+}
+
+/// A message restored into a node's outbox, returned-message buffer or
+/// coherence inbox with an endpoint outside the mesh is refused.
+#[test]
+fn restore_refuses_out_of_mesh_interface_traffic() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let end = net_end(&m, &clean);
     let returned = |c| splice_one(&clean, end - 112, |e| message_to(c).encode(e));
     let outbox = |c| splice_one(&clean, end - 104, |e| Packet::User(message_to(c)).encode(e));
-    let coh_in = |c| splice_one(&clean, end - 96, |e| message_to(c).encode(e));
+    let coh_in = |c| splice_one(&clean, end - 96, |e| coh_message_to(c).encode(e));
     let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 3] = [&returned, &outbox, &coh_in];
     for splice in splices {
         assert_refused(&splice(far()), None, "node 0's interface");
@@ -505,7 +520,7 @@ fn restore_refuses_out_of_mesh_directory_state() {
             e.u64(c.encode()); // home
         })
     };
-    let outbound = |c| splice_one(&clean, handler + 24, |e| message_to(c).encode(e));
+    let outbound = |c| splice_one(&clean, handler + 24, |e| coh_message_to(c).encode(e));
     let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 5] =
         [&sharer, &owner, &queued, &send_fetch, &outbound];
     for splice in splices {
@@ -514,6 +529,61 @@ fn restore_refuses_out_of_mesh_directory_state() {
         fresh
             .restore(&splice(near()))
             .expect("in-mesh state restores");
+    }
+}
+
+/// A coherence protocol message its handler cannot decode, restored
+/// into a node's coherence inbox, the fabric's in-flight packets or a
+/// handler's outbound queue, is refused: the handler would panic on it
+/// at its next step. The garbles are an opcode no `CohOp` has and a
+/// writeback without its block. The same message with a valid opcode
+/// restores.
+#[test]
+fn restore_refuses_undecodable_coherence_messages() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let coh_in_at = net_end(&m, &clean) - 96;
+    let handler = handler_at(&m, &clean);
+    // The fabric's state ends where the coherence handlers (a count,
+    // then node 0's 120 bytes) begin. After its in-flight list come six
+    // statistics words, the per-VC flit table and the flit-hop total.
+    let vcs = m.node_count() * NUM_DIRS * 2;
+    let in_flight_at = handler - 120 - 8 - (6 * 8 + 8 + vcs * 8 + 8) - 8;
+    let coh_in = |msg: &Message| splice_one(&clean, coh_in_at, |e| msg.encode(e));
+    let fabric = |msg: &Message| {
+        splice_one(&clean, in_flight_at, |e| {
+            e.u64(50); // delivery cycle
+            Packet::Coh(msg.clone()).encode(e);
+        })
+    };
+    let outbound = |msg: &Message| splice_one(&clean, handler + 24, |e| msg.encode(e));
+    type Splice<'a> = &'a dyn Fn(&Message) -> Vec<u8>;
+    let splices: [(&str, Splice); 3] = [
+        ("node 0's interface", &coh_in),
+        ("the fabric", &fabric),
+        ("node 1's coherence handler", &outbound),
+    ];
+    let no_opcode = message_to(near());
+    let writeback_without_block = Message {
+        dip: Word::from_u64(4),
+        ..message_to(near())
+    };
+    for (owner, splice) in splices {
+        for garbled in [&no_opcode, &writeback_without_block] {
+            let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+            let err = fresh
+                .restore(&splice(garbled))
+                .expect_err(owner)
+                .to_string();
+            assert!(
+                err.contains(owner) && err.contains("undecodable coherence message"),
+                "{owner}: {err}"
+            );
+        }
+        let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
+        fresh
+            .restore(&splice(&coh_message_to(near())))
+            .expect("a decodable message restores");
     }
 }
 

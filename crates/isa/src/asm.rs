@@ -19,7 +19,10 @@
 //! ```
 //!
 //! Immediate operands are written `#N` (decimal, `#0x..` hex, negative
-//! allowed); `@label` is an immediate holding a label's instruction index.
+//! allowed; the value must fit an `i64`); `@label` is an immediate
+//! holding a label's instruction index, `@N` the index `N` itself.
+//! Every number — register, cluster and `gcc`/`mc` indices included —
+//! is plain digits: no `+` sign.
 //!
 //! ## Cost
 //!
@@ -238,15 +241,25 @@ fn err(line: usize, kind: AsmErrorKind) -> AsmError {
     AsmError { line, kind }
 }
 
+/// A decimal number written as digits only (`str::parse` alone would
+/// also take a leading `+`).
+fn digits<T: std::str::FromStr>(s: &str) -> Option<T> {
+    if s.bytes().all(|b| b.is_ascii_digit()) {
+        s.parse().ok()
+    } else {
+        None
+    }
+}
+
 fn parse_reg(tok: &str) -> Option<Reg> {
     let tok = trim(tok);
-    let n = || tok.get(1..)?.parse().ok();
+    let n = || digits(tok.get(1..)?);
     Some(match tok.as_bytes().first()? {
         b'r' if tok == "rnet" => Reg::NetIn,
         b'r' => Reg::Int(n()?),
         b'f' => Reg::Fp(n()?),
-        b'g' => Reg::Gcc(tok.strip_prefix("gcc")?.parse().ok()?),
-        b'm' => Reg::Mc(tok.strip_prefix("mc")?.parse().ok()?),
+        b'g' => Reg::Gcc(digits(tok.strip_prefix("gcc")?)?),
+        b'm' => Reg::Mc(digits(tok.strip_prefix("mc")?)?),
         b'e' if tok == "evq" => Reg::EvQ,
         _ => return None,
     })
@@ -267,17 +280,18 @@ fn parse_imm_value(text: &str) -> Option<i64> {
         None => (false, text),
     };
     let magnitude = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
         u64::from_str_radix(hex, 16).ok()?
     } else {
-        body.parse::<u64>().ok()?
+        digits::<u64>(body)?
     };
-    #[allow(clippy::cast_possible_wrap)]
-    let v = if neg {
-        (magnitude as i64).checked_neg()?
+    if neg {
+        0i64.checked_sub_unsigned(magnitude)
     } else {
-        magnitude as i64
-    };
-    Some(v)
+        i64::try_from(magnitude).ok()
+    }
 }
 
 /// A source operand; `tok` is trimmed, as every operand slice is.
@@ -288,7 +302,7 @@ fn parse_src(line: usize, tok: &str, symbols: &BTreeMap<String, u32>) -> Result<
         return Ok(Src::Imm(v));
     }
     if let Some(label) = tok.strip_prefix('@') {
-        if let Ok(idx) = label.parse::<u32>() {
+        if let Some(idx) = digits::<u32>(label) {
             return Ok(Src::Imm(i64::from(idx)));
         }
         let idx = symbols
@@ -300,21 +314,25 @@ fn parse_src(line: usize, tok: &str, symbols: &BTreeMap<String, u32>) -> Result<
 }
 
 /// A destination operand (`tok` trimmed): a local register or `hN.reg`.
+/// A queue register (`rnet`, `evq`) is a source only, local or remote.
 fn parse_dst(line: usize, tok: &str) -> Result<Dst, AsmError> {
-    if let Some((cluster, reg)) = tok.strip_prefix('h').and_then(|r| split_at_byte(r, b'.')) {
-        if let Ok(cluster) = cluster.parse::<u8>() {
-            if cluster >= NUM_CLUSTERS {
-                return Err(err(line, AsmErrorKind::RegisterRange(tok.to_owned())));
-            }
-            let reg = parse_reg_checked(line, reg)?;
-            return Ok(Dst::Remote { cluster, reg });
+    let remote = tok
+        .strip_prefix('h')
+        .and_then(|r| split_at_byte(r, b'.'))
+        .and_then(|(cluster, reg)| Some((digits::<u8>(cluster)?, reg)));
+    let dst = if let Some((cluster, reg)) = remote {
+        if cluster >= NUM_CLUSTERS {
+            return Err(err(line, AsmErrorKind::RegisterRange(tok.to_owned())));
         }
-    }
-    let reg = parse_reg_checked(line, tok)?;
-    if reg.is_queue() {
+        let reg = parse_reg_checked(line, reg)?;
+        Dst::Remote { cluster, reg }
+    } else {
+        Dst::Local(parse_reg_checked(line, tok)?)
+    };
+    if dst.reg().is_queue() {
         return Err(err(line, AsmErrorKind::BadDestination(tok.to_owned())));
     }
-    Ok(Dst::Local(reg))
+    Ok(dst)
 }
 
 /// Parse a `[base]` / `[base+#off]` / `[base-#off]` memory operand
@@ -342,7 +360,7 @@ fn parse_offset(line: usize, text: &str, negate: bool) -> Result<i32, AsmError> 
         .ok_or_else(|| err(line, AsmErrorKind::BadOperand(text.to_owned())))?;
     let v = parse_imm_value(body)
         .ok_or_else(|| err(line, AsmErrorKind::BadImmediate(text.to_owned())))?;
-    // `-#9223372036854775808` reads as `i64::MIN`, which has no negation.
+    // `-#-9223372036854775808` reads as `i64::MIN`, which has no negation.
     let v = if negate { v.checked_neg() } else { Some(v) };
     v.and_then(|v| i32::try_from(v).ok())
         .ok_or_else(|| err(line, AsmErrorKind::BadImmediate(text.to_owned())))
@@ -386,7 +404,7 @@ fn arity_err(line: usize, mnemonic: &str, expected: &'static str, got: usize) ->
 /// A branch target (`tok` trimmed): a label, or `@N` for index `N`.
 fn branch_target(line: usize, tok: &str, symbols: &BTreeMap<String, u32>) -> Result<u32, AsmError> {
     let body = tok.strip_prefix('@').unwrap_or(tok);
-    if let Ok(idx) = body.parse::<u32>() {
+    if let Some(idx) = digits::<u32>(body) {
         if tok.starts_with('@') {
             return Ok(idx);
         }

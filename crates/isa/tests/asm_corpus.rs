@@ -5,8 +5,9 @@
 //! Every [`AsmErrorKind`] appears at least once. The cases lean on the
 //! corners a re-implementation of the front end could move: comment and
 //! label splitting, whitespace inside operands, which of several faults
-//! on one line is reported first, and `+`-signed or wrapping numbers. On
-//! a mismatch the failure lists every differing case with what it got.
+//! on one line is reported first, `+`-signed numbers (refused) and the
+//! edges of `i64` immediates. On a mismatch the failure lists every
+//! differing case with what it got.
 
 use mm_isa::asm::assemble;
 use mm_isa::error::AsmErrorKind;
@@ -67,6 +68,15 @@ const ERRORS: &[(&str, &str)] = &[
         "line 1: register out of range ` r99`",
     ),
     ("add r1, r2, hx.r1", "line 1: bad operand `hx.r1`"),
+    ("add r1, r2, h+1.r2", "line 1: bad operand `h+1.r2`"),
+    (
+        "add r1, r2, h1.rnet",
+        "line 1: invalid destination `h1.rnet`",
+    ),
+    ("add r1, r2, h3.evq", "line 1: invalid destination `h3.evq`"),
+    ("add r+1, r2, r3", "line 1: bad operand `r+1`"),
+    ("mov gcc+1, r1", "line 1: bad operand `gcc+1`"),
+    ("mov r1, mc+2", "line 1: bad operand `mc+2`"),
     ("add r1, r2, h256.r1", "line 1: bad operand `h256.r1`"),
     ("add r1, r2, h", "line 1: bad operand `h`"),
     ("mov gcc8, r1", "line 1: register out of range `gcc8`"),
@@ -113,13 +123,34 @@ const ERRORS: &[(&str, &str)] = &[
     ("mov #, r1", "line 1: bad immediate `#`"),
     ("mov #0x, r1", "line 1: bad immediate `#0x`"),
     (
-        "mov #-9223372036854775808, r1",
-        "line 1: bad immediate `#-9223372036854775808`",
+        "mov #9223372036854775808, r1",
+        "line 1: bad immediate `#9223372036854775808`",
+    ),
+    (
+        "mov #-9223372036854775809, r1",
+        "line 1: bad immediate `#-9223372036854775809`",
+    ),
+    (
+        "mov #18446744073709551615, r1",
+        "line 1: bad immediate `#18446744073709551615`",
     ),
     (
         "mov #18446744073709551616, r1",
         "line 1: bad immediate `#18446744073709551616`",
     ),
+    (
+        "mov #0x8000000000000000, r1",
+        "line 1: bad immediate `#0x8000000000000000`",
+    ),
+    (
+        "mov #0xFFFFFFFFFFFFFFFF, r1",
+        "line 1: bad immediate `#0xFFFFFFFFFFFFFFFF`",
+    ),
+    ("mov #+5, r1", "line 1: bad immediate `#+5`"),
+    ("mov #0x+1f, r1", "line 1: bad immediate `#0x+1f`"),
+    ("ld [r1+#+4], r2", "line 1: bad immediate `#+4`"),
+    ("mov @+5, r1", "line 1: undefined label `+5`"),
+    ("br @+5", "line 1: undefined label `+5`"),
     ("mov #- 5, r1", "line 1: bad immediate `#- 5`"),
     ("1x: nop", "line 1: unknown mnemonic `1x:`"),
     ("a b: nop", "line 1: unknown mnemonic `a`"),
@@ -176,20 +207,14 @@ const ACCEPTED: &[(&str, &str)] = &[
     ("ld [r1-#-3], r2", "([Instruction { int_op: None, mem_op: Some(Mem(Load { base: Int(1), offset: 3, dst: Local(Int(2)), pre: Any, post: Unchanged })), fp_op: None }], {})"),
     ("ld [r1+#-3], r2", "([Instruction { int_op: None, mem_op: Some(Mem(Load { base: Int(1), offset: -3, dst: Local(Int(2)), pre: Any, post: Unchanged })), fp_op: None }], {})"),
     ("ld [ r1 ], r2", "([Instruction { int_op: None, mem_op: Some(Mem(Load { base: Int(1), offset: 0, dst: Local(Int(2)), pre: Any, post: Unchanged })), fp_op: None }], {})"),
-    ("mov #18446744073709551615, r1", "([Instruction { int_op: Some(Mov { src: Imm(-1), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
-    ("mov #9223372036854775808, r1", "([Instruction { int_op: Some(Mov { src: Imm(-9223372036854775808), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
-    ("mov #+5, r1", "([Instruction { int_op: Some(Mov { src: Imm(5), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
+    ("mov #-9223372036854775808, r1", "([Instruction { int_op: Some(Mov { src: Imm(-9223372036854775808), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
+    ("mov #9223372036854775807, r1", "([Instruction { int_op: Some(Mov { src: Imm(9223372036854775807), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
+    ("mov #-0x8000000000000000, r1", "([Instruction { int_op: Some(Mov { src: Imm(-9223372036854775808), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
     ("mov #0X1F, r1", "([Instruction { int_op: Some(Mov { src: Imm(31), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
-    ("mov #0x+1f, r1", "([Instruction { int_op: Some(Mov { src: Imm(31), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
     ("mov # 5, r1", "([Instruction { int_op: Some(Mov { src: Imm(5), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
     ("mov #-0x10, r1", "([Instruction { int_op: Some(Mov { src: Imm(-16), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
-    ("mov @+5, r1", "([Instruction { int_op: Some(Mov { src: Imm(5), dst: Local(Int(1)) }), mem_op: None, fp_op: None }], {})"),
-    ("br @+5", "([Instruction { int_op: Some(Branch { cond: Always, target: 5 }), mem_op: None, fp_op: None }], {})"),
     ("br @7", "([Instruction { int_op: Some(Branch { cond: Always, target: 7 }), mem_op: None, fp_op: None }], {})"),
-    ("add r+1, r2, r3", "([Instruction { int_op: Some(Alu { kind: Add, a: Reg(Int(1)), b: Reg(Int(2)), dst: Local(Int(3)) }), mem_op: None, fp_op: None }], {})"),
     ("mov r01, f02", "([Instruction { int_op: Some(Mov { src: Reg(Int(1)), dst: Local(Fp(2)) }), mem_op: None, fp_op: None }], {})"),
-    ("add r1, r2, h+1.r2", "([Instruction { int_op: Some(Alu { kind: Add, a: Reg(Int(1)), b: Reg(Int(2)), dst: Remote { cluster: 1, reg: Int(2) } }), mem_op: None, fp_op: None }], {})"),
-    ("add r1, r2, h1.rnet", "([Instruction { int_op: Some(Alu { kind: Add, a: Reg(Int(1)), b: Reg(Int(2)), dst: Remote { cluster: 1, reg: NetIn } }), mem_op: None, fp_op: None }], {})"),
     ("add r1, r2, h1. r3", "([Instruction { int_op: Some(Alu { kind: Add, a: Reg(Int(1)), b: Reg(Int(2)), dst: Remote { cluster: 1, reg: Int(3) } }), mem_op: None, fp_op: None }], {})"),
     ("send r1, r2, @x\nnop\nnop\nx: halt", "([Instruction { int_op: None, mem_op: Some(Mem(Send { dest: Int(1), dip: Int(2), len: 3, priority: P0 })), fp_op: None }, Instruction { int_op: Some(Nop), mem_op: None, fp_op: None }, Instruction { int_op: Some(Nop), mem_op: None, fp_op: None }, Instruction { int_op: Some(Halt), mem_op: None, fp_op: None }], {\"x\": 3})"),
     ("send.p0 r1, r2, #7", "([Instruction { int_op: None, mem_op: Some(Mem(Send { dest: Int(1), dip: Int(2), len: 7, priority: P0 })), fp_op: None }], {})"),

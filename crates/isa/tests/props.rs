@@ -219,7 +219,8 @@ const SOUP_MNEMONICS: &[(&str, usize)] = &[
 ];
 const SOUP_REGS: &[&str] = &[
     "r0", "r1", "r15", "r16", "r255", "r256", "f3", "f16", "gcc1", "gcc8", "mc2", "mc9", "rnet",
-    "evq", "r", "R1", "h1.r2", "h3.f4", "h4.r1", "h1.", "hx.r1", "h1.rnet",
+    "evq", "r", "R1", "h1.r2", "h3.f4", "h4.r1", "h1.", "hx.r1", "h1.rnet", "h2.evq", "r+1",
+    "gcc+1", "mc+2", "h+1.r2",
 ];
 const SOUP_IMMS: &[&str] = &[
     "#0",
@@ -231,12 +232,18 @@ const SOUP_IMMS: &[&str] = &[
     "#-9223372036854775808",
     "#18446744073709551615",
     "#18446744073709551616",
+    "#-9223372036854775809",
+    "#-0x8000000000000000",
+    "#0xFFFFFFFFFFFFFFFF",
+    "#+5",
+    "#0x+1f",
     "#",
     "#x",
     "@0",
     "@lbl",
     "@",
     "@4294967296",
+    "@+5",
 ];
 /// Offsets for `[base±offset]`, weighted to the edges of `i32` and `i64`.
 const SOUP_OFFSETS: &[&str] = &[
@@ -246,6 +253,7 @@ const SOUP_OFFSETS: &[&str] = &[
     "#9223372036854775808",
     "#-9223372036854775808",
     "#18446744073709551615",
+    "#+4",
     "#0x",
     "1",
 ];

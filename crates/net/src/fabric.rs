@@ -339,6 +339,16 @@ impl Fabric {
         &self.slab
     }
 
+    /// Every packet in flight, in delivery order (a restore validates
+    /// them).
+    // analyze: cold (restore validation, never on the cycle path)
+    pub fn in_flight(&self) -> impl Iterator<Item = &Packet> + '_ {
+        let order = self.in_flight.snapshot();
+        order
+            .into_iter()
+            .map(|(_, &slot)| &self.slab[slot as usize])
+    }
+
     /// Hand a slot returned by [`Fabric::pop_due`] back for reuse, once
     /// its packet has been read for the last time.
     pub fn release(&mut self, slot: u32) {

@@ -448,6 +448,17 @@ impl NodeNet {
             .chain(messages.flat_map(|m| [m.src, m.dest]))
     }
 
+    /// Every coherence protocol message the interface holds — staged in
+    /// the outbox or arrived for the handler — so a restore can refuse
+    /// one the handler could not decode.
+    pub fn coh_messages(&self) -> impl Iterator<Item = &Message> + '_ {
+        let staged = self.outbox.iter().filter_map(|p| match p {
+            Packet::Coh(m) => Some(m),
+            _ => None,
+        });
+        staged.chain(&self.coh_in)
+    }
+
     /// Serialize the complete interface state (GTLB included) into a
     /// checkpoint stream. Configuration and coordinates are *not*
     /// written — restore targets an identically-built machine.

@@ -12,6 +12,7 @@
 
 use crate::config::{NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, NUM_CLUSTERS, NUM_SLOTS};
 use crate::event::{decode_record, format_event};
+use crate::regfile::ThreadRegs;
 use mm_faults::{CkptError, Dec, Enc};
 use mm_isa::instr::{Instruction, IssueDesc, MemHazard, Program};
 use mm_isa::op::{AluKind, BranchCond, CmpKind, FpKind, FpOp, IntOp, MemOp, MemSlotOp, Priority};
@@ -75,9 +76,10 @@ pub enum HState {
 /// not ready *regardless of any other machine state*. The issue stage
 /// caches that total (computed once, the first time the probe fails
 /// with every non-queue condition satisfied) and skips the full
-/// fetch-and-probe while the shortage persists — this is what makes
-/// the permanently-resident event/message handler threads, which spend
-/// most cycles blocked on `evq`/`rnet`, nearly free to keep resident.
+/// fetch-and-probe while the shortage persists. With the thread parked
+/// on that proof (see [`IssueBlock`]), this is what makes the
+/// permanently-resident event/message handler threads, which spend
+/// most cycles blocked on `evq`/`rnet`, free to keep resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueueBlock {
     /// PC the proof was computed at (instructions are immutable, so the
@@ -88,8 +90,16 @@ struct QueueBlock {
 }
 
 /// A memoized issue-block proof: the thread cannot issue until the
-/// recorded condition changes, so the per-cycle probe collapses to one
-/// or two field comparisons.
+/// recorded condition changes.
+///
+/// A thread whose proof is set, or is found still holding, is *parked*:
+/// its bit in the node's `parked` mask takes it out of the issue
+/// stage's scan, so it costs nothing per step. Every event that could
+/// break a proof unparks the slots it concerns (see
+/// [`Node::step_with`]), and the next visit re-checks the proof — a
+/// holding proof re-parks the thread, a broken one falls through to the
+/// full probe. Skipping a parked thread is therefore exactly the
+/// `continue` a visit would have taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueBlock {
     /// Blocked on queue-register words (see [`QueueBlock`]): valid
@@ -100,7 +110,8 @@ enum IssueBlock {
     /// op — which would add bank-queue and credit conditions — and no
     /// `mrestart`): valid while the `(cluster, slot)` register file's
     /// mutation counter is unchanged, since every path that can flip a
-    /// fullness bit bumps it.
+    /// fullness bit bumps it. Those paths all go through
+    /// `Node::regs_mut`, which unparks the slot.
     Regs {
         /// PC the proof was computed at.
         pc: u32,
@@ -120,26 +131,26 @@ enum Probe {
     Blocked(Option<IssueBlock>),
 }
 
-/// The issue stage's visit order over one cluster: the slots set in
-/// `running`, starting at the round-robin cursor and wrapping — i.e.
-/// `(rr + k) % NUM_SLOTS` for `k` in `0..NUM_SLOTS`, restricted to
-/// running slots. The mask is rotated right by the cursor so that order
-/// is plain lowest-set-bit order, and slots that are not running cost
-/// no iteration at all.
+/// The issue stage's visit order over one cluster: the slots set in a
+/// mask (running and not parked), starting at the round-robin cursor
+/// and wrapping — i.e. `(rr + k) % NUM_SLOTS` for `k` in
+/// `0..NUM_SLOTS`, restricted to the mask's slots. The mask is rotated
+/// right by the cursor so that order is plain lowest-set-bit order, and
+/// slots outside it cost no iteration at all.
 #[derive(Debug, Clone, Copy)]
 struct SlotScan {
-    /// `running` rotated right by `rr` within its `NUM_SLOTS` bits.
+    /// The mask rotated right by `rr` within its `NUM_SLOTS` bits.
     rotated: u32,
     rr: usize,
 }
 
 impl SlotScan {
-    fn new(running: u8, rr: usize) -> SlotScan {
+    fn new(slots: u8, rr: usize) -> SlotScan {
         const MASK: u32 = (1 << NUM_SLOTS) - 1;
         debug_assert!(rr < NUM_SLOTS);
-        let running = u32::from(running) & MASK;
+        let slots = u32::from(slots) & MASK;
         SlotScan {
-            rotated: (running >> rr | running << (NUM_SLOTS - rr)) & MASK,
+            rotated: (slots >> rr | slots << (NUM_SLOTS - rr)) & MASK,
             rr,
         }
     }
@@ -340,11 +351,11 @@ impl StepScratch {
 /// step touches is a likely miss. The node is 12 KiB; what a step reads
 /// is packed into the front of it:
 ///
-/// 1. **Header**: the per-cluster `running` and `halted` masks and
-///    round-robin cursors, event-record counts, tallies, the step's
-///    latencies (copied out of the configuration) and the counters a
-///    busy step bumps ([`NodeStats`], busiest first), then the
-///    writeback and C-Switch queues with their first entries inline.
+/// 1. **Header**: the per-cluster `running`, `parked` and `halted`
+///    masks and round-robin cursors, event-record counts, tallies, the
+///    step's latencies (copied out of the configuration) and the
+///    counters a busy step bumps ([`NodeStats`], busiest first), then
+///    the writeback and C-Switch queues with their first entries inline.
 /// 2. **Owned subsystems** ([`MemorySystem`], [`NodeNet`], the event
 ///    and exception queues), each led by its own per-step fields.
 ///    Header and subsystems are the node's hot block, 45 host cache
@@ -365,6 +376,14 @@ pub struct Node {
     /// four bytes so "anything runnable on this node?" is one `u32`
     /// load (the machine's watchdog asks it of every node).
     running: [u8; NUM_CLUSTERS],
+    /// Per-cluster bitmask of running slots whose [`IssueBlock`] proof
+    /// was set or last seen holding: the issue stage and
+    /// [`Node::next_activity`] scan `running & !parked` only. A slot's
+    /// bit is cleared by every event that could break its proof, so a
+    /// parked slot's proof always holds (checked after every step in
+    /// debug builds). Host state only: never serialized, and emptied by
+    /// a restore.
+    parked: [u8; NUM_CLUSTERS],
     /// Per-cluster round-robin issue cursor.
     rr: [u8; NUM_CLUSTERS],
     /// Per-cluster bitmask of thread slots [`HState::Halted`] (the trace
@@ -433,6 +452,7 @@ impl Node {
     pub fn new(cfg: NodeConfig, coord: NodeCoord) -> Node {
         Node {
             running: [0; NUM_CLUSTERS],
+            parked: [0; NUM_CLUSTERS],
             rr: [0; NUM_CLUSTERS],
             halted: [0; NUM_CLUSTERS],
             event_records: [0; NUM_CLUSTERS],
@@ -482,6 +502,7 @@ impl Node {
         let runs = |s: HState| s == HState::Running;
         let finished = |s: HState| matches!(s, HState::Halted | HState::Faulted(_));
         let bit = 1u8 << slot;
+        self.parked[cluster] &= !bit;
         self.halted[cluster] =
             self.halted[cluster] & !bit | if new == HState::Halted { bit } else { 0 };
         if runs(old) && !runs(new) {
@@ -540,7 +561,21 @@ impl Node {
 
     /// Write a register directly (boot-time setup).
     pub fn write_reg(&mut self, cluster: usize, slot: usize, reg: Reg, value: Word) {
-        self.threads[cluster][slot].regs.write(reg, value);
+        self.regs_mut(cluster, slot).write(reg, value);
+    }
+
+    /// The register file of `(cluster, slot)`, for a write or clear.
+    /// Every register mutation goes through here: it may break the
+    /// thread's [`IssueBlock::Regs`] proof, so the slot is unparked.
+    fn regs_mut(&mut self, cluster: usize, slot: usize) -> &mut ThreadRegs {
+        self.unpark(cluster, slot);
+        &mut self.threads[cluster][slot].regs
+    }
+
+    /// Put `(cluster, slot)` back in the issue stage's scan: something
+    /// its block proof depends on may have changed.
+    fn unpark(&mut self, cluster: usize, slot: usize) {
+        self.parked[cluster] &= !(1u8 << slot);
     }
 
     /// Are all user-slot H-Threads with programs finished (halted or
@@ -634,11 +669,10 @@ impl Node {
             self.stats.events_dropped += 1;
             return false;
         }
-        for w in record {
-            self.event_q[cluster].push_back(w);
-        }
+        self.event_q[cluster].extend(record);
         self.event_records[cluster] += 1;
         self.stats.events_enqueued[cluster] += 1;
+        self.unpark(cluster, EVENT_SLOT);
         true
     }
 
@@ -717,8 +751,10 @@ impl Node {
         if let Some(r) = self.csw.next_ready() {
             best = earliest(best, Some(r.max(now + 1)));
         }
+        // A parked thread's branch deadline has passed: it was parked
+        // at a visit, which only happens once `stall_until <= now`.
         for c in 0..NUM_CLUSTERS {
-            let mut mask = self.running[c];
+            let mut mask = self.running[c] & !self.parked[c];
             while mask != 0 {
                 #[allow(clippy::cast_possible_truncation)]
                 let slot = mask.trailing_zeros() as usize;
@@ -781,6 +817,14 @@ impl Node {
     /// wake-up) — the quiescence invariant the `engine` module
     /// documents. Skipped cycles are caught up in `stats.cycles` on the
     /// next step, so the counter always reads as cycles observed.
+    ///
+    /// A thread whose memoized issue-block proof holds is parked: the
+    /// issue stage skips it until one of the events that could break
+    /// its proof unparks it: a write or clear of its registers (memory
+    /// responses, writebacks, C-Switch transfers, [`Node::write_reg`]),
+    /// an event record pushed to its class, an exception record pushed
+    /// to its cluster, network words waiting for the message handlers
+    /// when the issue stage starts, or a run-state transition.
     pub fn step_with(&mut self, now: u64, scratch: &mut StepScratch) -> bool {
         self.stats.cycles += (now + 1).saturating_sub(self.accounted);
         self.accounted = self.accounted.max(now + 1);
@@ -798,31 +842,20 @@ impl Node {
             self.stats.last_response_cycle = self.stats.last_response_cycle.max(r.ready);
             if r.req.kind == AccessKind::Load {
                 if let Some(ra) = RegAddr::decode(r.req.tag) {
-                    self.threads[usize::from(ra.cluster)][usize::from(ra.slot)]
-                        .regs
+                    self.regs_mut(usize::from(ra.cluster), usize::from(ra.slot))
                         .write(ra.reg, r.value);
                 }
             }
         }
         for ev in scratch.events.drain(..) {
             let (kind, words) = format_event(&ev);
-            let class = kind.handler_class();
-            if self.event_records[class] as usize >= self.timing.event_queue_records {
-                self.stats.events_dropped += 1;
-                continue;
-            }
-            for w in words {
-                self.event_q[class].push_back(w);
-            }
-            self.event_records[class] += 1;
-            self.stats.events_enqueued[class] += 1;
+            self.push_event_record(kind.handler_class(), words);
         }
 
         // Phase 2: local unit writebacks due this cycle, in (ready,
         // issue) order.
         while let Some(w) = self.local_writes.pop_due(now) {
-            self.threads[usize::from(w.cluster)][usize::from(w.slot)]
-                .regs
+            self.regs_mut(usize::from(w.cluster), usize::from(w.slot))
                 .write(w.reg, w.value);
             progressed = true;
         }
@@ -837,12 +870,12 @@ impl Node {
             };
             match t.target {
                 CswTarget::Reg { cluster, slot, reg } => {
-                    let regs = &mut self.threads[usize::from(cluster)][usize::from(slot)].regs;
-                    regs.write(reg, t.value);
+                    self.regs_mut(usize::from(cluster), usize::from(slot))
+                        .write(reg, t.value);
                 }
                 CswTarget::GccBroadcast { slot, reg } => {
-                    for ts in &mut self.threads {
-                        ts[usize::from(slot)].regs.write(reg, t.value);
+                    for c in 0..NUM_CLUSTERS {
+                        self.regs_mut(c, usize::from(slot)).write(reg, t.value);
                     }
                 }
             }
@@ -856,12 +889,35 @@ impl Node {
         // deadlines checked at issue, so nothing decrements here.) A
         // fault-injected stall window gates issue only — everything
         // above (memory, writebacks, switch traffic) keeps draining.
+        // Deliveries reach the network interface from outside the node,
+        // between steps, so waiting words unpark the message handlers
+        // here rather than where they arrive.
+        if self.net.words_available(Priority::P0) != 0 {
+            self.unpark(2, EVENT_SLOT);
+        }
+        if self.net.words_available(Priority::P1) != 0 {
+            self.unpark(3, EVENT_SLOT);
+        }
         if now >= self.stall_all_until {
             for c in 0..NUM_CLUSTERS {
                 progressed |= self.issue_cluster(now, c);
             }
         }
+        debug_assert!(
+            self.parked_proofs_hold(),
+            "a parked thread's block proof no longer holds"
+        );
         progressed
+    }
+
+    /// The parking invariant: every parked slot is running, and its
+    /// memoized block proof still holds at its current PC.
+    fn parked_proofs_hold(&self) -> bool {
+        (0..NUM_CLUSTERS).all(|c| {
+            let parked = self.parked[c];
+            parked & !self.running[c] == 0
+                && (0..NUM_SLOTS).all(|s| parked & (1 << s) == 0 || self.block_holds(c, s))
+        })
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -876,6 +932,12 @@ impl Node {
     /// Returns whether the cluster did anything observable this cycle
     /// (issued an instruction or raised a fetch fault).
     ///
+    /// Visits the cluster's running, unparked slots in round-robin
+    /// order. A visited thread whose memoized block proof still holds
+    /// is parked again and skipped; one whose fresh probe fails with a
+    /// proof to memoize is parked with it. The first ready thread
+    /// issues and ends the scan.
+    ///
     /// Nothing here walks the instruction: the probe reads the
     /// program's precomputed [`IssueDesc`], and the instruction itself
     /// is only touched by `execute`. `execute` needs `&mut self` while
@@ -884,33 +946,20 @@ impl Node {
     /// back after it — no clone, no refcount traffic. (`execute`, and
     /// the `fault`/halt paths under it, never look at `.program`.)
     fn issue_cluster(&mut self, now: u64, c: usize) -> bool {
-        let running = self.running[c];
-        if running == 0 {
+        let live = self.running[c] & !self.parked[c];
+        if live == 0 {
             return false;
         }
         let mut acted = false;
-        for slot in SlotScan::new(running, usize::from(self.rr[c])) {
-            let thread = &self.threads[c][slot];
-            let t = &thread.ctl;
-            if now < t.stall_until {
+        for slot in SlotScan::new(live, usize::from(self.rr[c])) {
+            if now < self.threads[c][slot].ctl.stall_until {
                 continue;
             }
-            // Memoized block proof: while the recorded condition
-            // (queue shortage / unchanged register file) persists,
-            // the full probe is provably a no-op — skip it.
-            match t.blocked {
-                Some(IssueBlock::Queue(b))
-                    if b.pc == t.pc && self.queue_block_holds(c, slot, b) =>
-                {
-                    continue;
-                }
-                Some(IssueBlock::Regs { pc, version })
-                    if pc == t.pc && thread.regs.version() == version =>
-                {
-                    continue;
-                }
-                _ => {}
+            if self.block_holds(c, slot) {
+                self.parked[c] |= 1 << slot;
+                continue;
             }
+            let t = &self.threads[c][slot].ctl;
             let Some(prog) = &t.program else {
                 continue;
             };
@@ -924,6 +973,7 @@ impl Node {
             if let Probe::Blocked(memo) = self.probe(c, slot, pc, desc) {
                 if memo.is_some() {
                     self.threads[c][slot].ctl.blocked = memo;
+                    self.parked[c] |= 1 << slot;
                 }
                 continue;
             }
@@ -990,6 +1040,23 @@ impl Node {
         }
     }
 
+    /// Does `(c, slot)`'s memoized block proof still hold: the thread
+    /// sits at the PC the proof was computed at, and the recorded
+    /// condition (queue shortage / unchanged register file) persists?
+    /// Then the full probe is provably a no-op.
+    fn block_holds(&self, c: usize, slot: usize) -> bool {
+        let thread = &self.threads[c][slot];
+        match thread.ctl.blocked {
+            Some(IssueBlock::Queue(b)) => {
+                b.pc == thread.ctl.pc && self.queue_block_holds(c, slot, b)
+            }
+            Some(IssueBlock::Regs { pc, version }) => {
+                pc == thread.ctl.pc && thread.regs.version() == version
+            }
+            None => false,
+        }
+    }
+
     /// Does the memoized queue-shortage proof still hold — i.e. does
     /// some queue the blocked instruction reads still hold fewer words
     /// than it needs? (`None` availability means the access will fault
@@ -1043,6 +1110,7 @@ impl Node {
             self.exc_q[c].push_back(Word::from_u64(desc));
             self.exc_q[c].push_back(Word::from_u64(u64::from(pc)));
             self.exc_q[c].push_back(Word::from_u64(now));
+            self.unpark(c, EXCEPTION_SLOT);
         }
     }
 
@@ -1104,7 +1172,7 @@ impl Node {
                     // The writer's own copy empties at issue, so its own
                     // dependent reads (e.g. the branch after a compare)
                     // wait for the broadcast to land.
-                    self.threads[c][slot].regs.clear(reg);
+                    self.regs_mut(c, slot).clear(reg);
                     self.csw.push(
                         now + latency + self.timing.cswitch_latency,
                         CswTransfer {
@@ -1114,7 +1182,7 @@ impl Node {
                     );
                     return Ok(());
                 }
-                self.threads[c][slot].regs.clear(reg);
+                self.regs_mut(c, slot).clear(reg);
                 self.local_writes.push(
                     now + latency,
                     PendingWrite {
@@ -1319,7 +1387,7 @@ impl Node {
             }
             IntOp::Empty { regs } => {
                 for r in regs {
-                    self.threads[c][slot].regs.clear(*r);
+                    self.regs_mut(c, slot).clear(*r);
                 }
                 Ok(())
             }
@@ -1417,7 +1485,7 @@ impl Node {
                     Dst::Remote { cluster, reg } => (*cluster as usize, *reg),
                 };
                 if *dst == Dst::Local(reg) && !reg.is_queue() {
-                    self.threads[c][slot].regs.clear(reg);
+                    self.regs_mut(c, slot).clear(reg);
                 }
                 let tag = RegAddr {
                     slot: slot as u8,
@@ -1546,7 +1614,7 @@ impl Node {
             }
             FpOp::Empty { regs } => {
                 for r in regs {
-                    self.threads[c][slot].regs.clear(*r);
+                    self.regs_mut(c, slot).clear(*r);
                 }
                 Ok(())
             }
@@ -1669,6 +1737,9 @@ impl Node {
     /// Fails on truncation, malformed fields, a program-presence
     /// mismatch, or a geometry mismatch in any subsystem.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CkptError> {
+        // Every running thread is visited afresh; those whose restored
+        // proofs hold park again on that visit.
+        self.parked = [0; NUM_CLUSTERS];
         for c in 0..NUM_CLUSTERS {
             self.running[c] = d.u8()?;
             let rr = d.u8()?;

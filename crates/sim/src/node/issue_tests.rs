@@ -1,6 +1,6 @@
-//! Tests of the issue stage's three mechanisms: the rotated set-bit
-//! slot scan, the descriptor probe, and the take/restore borrow of the
-//! program across `execute`.
+//! Tests of the issue stage's four mechanisms: the rotated set-bit
+//! slot scan, the descriptor probe, the take/restore borrow of the
+//! program across `execute`, and the parking of blocked threads.
 //!
 //! The probe is checked against the enum-walking readiness test it
 //! replaced, kept here verbatim as the reference (`mod reference`).
@@ -682,4 +682,207 @@ fn load_state_rejects_an_out_of_range_cursor() {
     }
     let err = fresh().load_state(&mut Dec::new(&image)).unwrap_err();
     assert!(err.0.contains("round-robin cursor"), "{err:?}");
+}
+
+// ----------------------------------------------------------------------
+// (d) Parking: every event that can break a parked thread's proof
+//     unparks it
+// ----------------------------------------------------------------------
+//
+// A missed unpark leaves the thread parked with a broken proof: the
+// check after every step (debug builds) fails at once, and the thread
+// would never issue again. Each case below parks a thread, fires one
+// unpark event, and runs the thread to its `halt`.
+
+fn is_parked(n: &Node, c: usize, slot: usize) -> bool {
+    n.parked[c] & (1 << slot) != 0
+}
+
+fn fresh_node() -> Node {
+    Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0))
+}
+
+fn load(n: &mut Node, c: usize, slot: usize, source: &str) {
+    let prog = Arc::new(mm_isa::assemble(source).expect(source));
+    n.load_program(c, slot, prog, 0);
+}
+
+/// Step `n` from cycle `from` until `(c, slot)` is parked; returns the
+/// next cycle.
+fn step_until_parked(n: &mut Node, c: usize, slot: usize, from: u64) -> u64 {
+    for cycle in from..from + 50 {
+        step(n, cycle);
+        if is_parked(n, c, slot) {
+            return cycle + 1;
+        }
+    }
+    panic!("({c}, {slot}) never parked");
+}
+
+/// Step `n` from cycle `from` until `(c, slot)` halts; returns the next
+/// cycle.
+fn step_until_halted(n: &mut Node, c: usize, slot: usize, from: u64) -> u64 {
+    for cycle in from..from + 100 {
+        step(n, cycle);
+        if n.thread_state(c, slot) == HState::Halted {
+            return cycle + 1;
+        }
+    }
+    panic!("({c}, {slot}) never halted");
+}
+
+/// A thread at `(c, 0)` parked on its own empty `r1` (a `Regs` proof).
+fn parked_on_r1(n: &mut Node, c: usize, from: u64) -> u64 {
+    load(n, c, 0, "empty r1\n add r1, #1, r2\n halt\n");
+    let next = step_until_parked(n, c, 0, from);
+    assert!(matches!(
+        n.threads[c][0].ctl.blocked,
+        Some(IssueBlock::Regs { .. })
+    ));
+    next
+}
+
+#[test]
+fn evq_handler_wakes_on_a_memory_event() {
+    let mut n = fresh_node();
+    load(&mut n, 1, EVENT_SLOT, "mov evq, r4\n halt\n");
+    let at = step_until_parked(&mut n, 1, EVENT_SLOT, 0);
+    // A load from an unmapped page raises an LTLB miss for class 1.
+    let va = Word::from_pointer(GuardedPointer::new(Perm::ReadWrite, 10, 100 * 512).unwrap());
+    n.write_reg(0, 0, Reg::Int(1), va);
+    load(&mut n, 0, 0, "ld [r1], r2\n halt\n");
+    step_until_halted(&mut n, 1, EVENT_SLOT, at);
+    assert_eq!(n.stats().events_enqueued[1], 1);
+}
+
+#[test]
+fn evq_handler_wakes_on_push_event_record() {
+    let mut n = fresh_node();
+    load(&mut n, 0, EVENT_SLOT, "mov evq, r4\n halt\n");
+    let at = step_until_parked(&mut n, 0, EVENT_SLOT, 0);
+    assert!(n.push_event_record(0, [Word::from_u64(9); 3]));
+    assert!(!is_parked(&n, 0, EVENT_SLOT));
+    step_until_halted(&mut n, 0, EVENT_SLOT, at);
+}
+
+#[test]
+fn exception_handler_wakes_on_a_fault() {
+    let mut n = fresh_node();
+    load(&mut n, 2, EXCEPTION_SLOT, "mov evq, r4\n halt\n");
+    let at = step_until_parked(&mut n, 2, EXCEPTION_SLOT, 0);
+    load(&mut n, 2, 0, "div r1, r0, r2\n halt\n");
+    step_until_halted(&mut n, 2, EXCEPTION_SLOT, at);
+    assert_eq!(n.thread_state(2, 0), HState::Faulted(Fault::DivByZero));
+}
+
+#[test]
+fn rnet_handlers_wake_on_delivery() {
+    for (c, priority) in [(2, Priority::P0), (3, Priority::P1)] {
+        let mut n = fresh_node();
+        load(&mut n, c, EVENT_SLOT, "mov rnet, r4\n halt\n");
+        let at = step_until_parked(&mut n, c, EVENT_SLOT, 0);
+        n.net.deliver(Packet::User(Message {
+            priority,
+            src: NodeCoord::new(1, 0, 0),
+            dest: NodeCoord::new(0, 0, 0),
+            dip: Word::ZERO,
+            addr: Word::ZERO,
+            body: MsgBody::new(),
+            wire: WireMeta::default(),
+        }));
+        // Deliveries happen outside the node: the next issue stage
+        // notices the words.
+        assert!(is_parked(&n, c, EVENT_SLOT));
+        step_until_halted(&mut n, c, EVENT_SLOT, at);
+    }
+}
+
+#[test]
+fn regs_proof_wakes_on_a_load_response() {
+    let mut n = fresh_node();
+    let phys = Word::from_pointer(GuardedPointer::new(Perm::Physical, 6, 0).unwrap());
+    n.write_reg(0, 0, Reg::Int(5), phys);
+    load(&mut n, 0, 0, "ld [r5], r1\n add r1, #1, r2\n halt\n");
+    let at = step_until_parked(&mut n, 0, 0, 0);
+    step_until_halted(&mut n, 0, 0, at);
+    assert_eq!(n.stats().responses, 1);
+}
+
+#[test]
+fn regs_proof_wakes_on_a_local_writeback() {
+    let mut n = fresh_node();
+    n.write_reg(0, 0, Reg::Int(3), Word::from_u64(1));
+    load(&mut n, 0, 0, "div r1, r3, r2\n add r2, #1, r4\n halt\n");
+    let at = step_until_parked(&mut n, 0, 0, 0);
+    step_until_halted(&mut n, 0, 0, at);
+}
+
+#[test]
+fn regs_proof_wakes_on_a_remote_cswitch_write() {
+    let mut n = fresh_node();
+    let at = parked_on_r1(&mut n, 1, 0);
+    load(&mut n, 0, 0, "add r0, #5, h1.r1\n halt\n");
+    step_until_halted(&mut n, 1, 0, at);
+    assert_eq!(n.stats().cswitch_transfers, 1);
+}
+
+#[test]
+fn regs_proof_wakes_on_every_cluster_for_a_gcc_broadcast() {
+    let mut n = fresh_node();
+    for c in 1..NUM_CLUSTERS {
+        load(&mut n, c, 0, "empty gcc0\n brt gcc0, end\n end: halt\n");
+    }
+    let mut at = 0;
+    for c in 1..NUM_CLUSTERS {
+        at = step_until_parked(&mut n, c, 0, at);
+    }
+    load(&mut n, 0, 0, "eq r0, r0, gcc0\n halt\n");
+    for cycle in at..at + 20 {
+        step(&mut n, cycle);
+    }
+    for c in 1..NUM_CLUSTERS {
+        assert_eq!(n.thread_state(c, 0), HState::Halted, "cluster {c}");
+    }
+}
+
+#[test]
+fn regs_proof_wakes_on_write_reg() {
+    let mut n = fresh_node();
+    let at = parked_on_r1(&mut n, 0, 0);
+    n.write_reg(0, 0, Reg::Int(1), Word::from_u64(3));
+    assert!(!is_parked(&n, 0, 0));
+    let at = step_until_halted(&mut n, 0, 0, at);
+    step(&mut n, at);
+    assert_eq!(n.read_reg(0, 0, Reg::Int(2)).as_i64(), 4);
+}
+
+#[test]
+fn reloading_a_parked_slot_unparks_it() {
+    let mut n = fresh_node();
+    let at = parked_on_r1(&mut n, 0, 0);
+    load(&mut n, 0, 0, "halt\n");
+    assert!(!is_parked(&n, 0, 0));
+    step_until_halted(&mut n, 0, 0, at);
+}
+
+/// The mask is host state: a restore empties it, and the first step
+/// re-parks exactly the threads the uninterrupted node kept parked,
+/// probing no more than it did.
+#[test]
+fn restore_starts_with_an_empty_mask() {
+    let mut n = fresh_node();
+    let at = parked_on_r1(&mut n, 0, 0);
+    load(&mut n, 3, EVENT_SLOT, "mov rnet, r4\n halt\n");
+    let at = step_until_parked(&mut n, 3, EVENT_SLOT, at);
+    let mut e = Enc::new();
+    n.save_state(&mut e);
+    let image = e.finish();
+    let mut uninterrupted = n.clone();
+    n.load_state(&mut Dec::new(&image)).unwrap();
+    assert_eq!(n.parked, [0; NUM_CLUSTERS]);
+    step(&mut n, at);
+    step(&mut uninterrupted, at);
+    assert_eq!(n.parked, uninterrupted.parked);
+    assert_eq!(n.stats.issue_probes, uninterrupted.stats.issue_probes);
+    assert!(is_parked(&n, 0, 0) && is_parked(&n, 3, EVENT_SLOT));
 }
