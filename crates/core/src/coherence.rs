@@ -1472,15 +1472,15 @@ impl NodeCoh {
                 | Pending::LocalGrant { .. } => {}
             }
         }
-        out.extend(self.outbound.iter().flat_map(|m| [m.src, m.dest]));
+        out.extend(self.outbound().flat_map(|m| [m.src, m.dest]));
         out
     }
 
-    /// Refuse a restored outbound message the receiving handler could
-    /// not decode (see [`refuse_undecodable`]).
+    /// The composed messages waiting to be sent, so a restore can refuse
+    /// one the receiving handler could not decode.
     // analyze: cold (restore validation)
-    pub(crate) fn refuse_undecodable_outbound(&self, owner: &str) -> Result<(), CkptError> {
-        refuse_undecodable(owner, &self.outbound)
+    pub(crate) fn outbound(&self) -> impl Iterator<Item = &Message> + '_ {
+        self.outbound.iter()
     }
 
     /// Refuse a restored frame table `node`'s memory cannot back: a slot

@@ -1833,8 +1833,7 @@ impl MMachine {
                 d.remaining()
             )));
         }
-        self.refuse_out_of_mesh_endpoints()?;
-        self.refuse_undecodable_coherence()?;
+        self.refuse_bad_queued_traffic()?;
         for (node, coh) in self.nodes.iter().zip(self.coherence.handlers()) {
             coh.refuse_bad_frames(node)?;
         }
@@ -1850,42 +1849,16 @@ impl MMachine {
         Ok(())
     }
 
-    /// Refuse a restored node outside the mesh in a node's interface
-    /// queues, a coherence handler's state or a fault plan's pristine
-    /// copy: each is sent sooner or later, and `Fabric::inject` asserts
-    /// on an endpoint outside the mesh.
-    fn refuse_out_of_mesh_endpoints(&self) -> Result<(), CkptError> {
+    /// Refuse restored traffic that would panic once sent or handled: a
+    /// node outside the mesh in a node's interface queues, a coherence
+    /// handler's state or a fault plan's pristine copy (`Fabric::inject`
+    /// asserts on one), and a coherence message the handler could not
+    /// decode, in flight, in a node's interface (staged or arrived) or
+    /// in a handler's outbound queue (`NodeCoh::step` panics on one).
+    fn refuse_bad_queued_traffic(&self) -> Result<(), CkptError> {
         let outside = |owner: String, c: NodeCoord| {
             CkptError(format!("{owner} names node {c}, outside the mesh"))
         };
-        let handlers = self.coherence.handlers();
-        for (i, (node, coh)) in self.nodes.iter().zip(handlers).enumerate() {
-            if let Some(c) = node.net.endpoints().find(|&c| !self.fabric.contains(c)) {
-                return Err(outside(format!("node {i}'s interface"), c));
-            }
-            if let Some(c) = coh
-                .endpoints()
-                .into_iter()
-                .find(|&c| !self.fabric.contains(c))
-            {
-                return Err(outside(format!("node {i}'s coherence handler"), c));
-            }
-        }
-        let pristine = self.faults.iter().flat_map(|fs| fs.pristine.values());
-        if let Some(c) = pristine
-            .flat_map(|(m, _)| [m.src, m.dest])
-            .find(|&c| !self.fabric.contains(c))
-        {
-            return Err(outside("a fault-plan pristine copy".into(), c));
-        }
-        Ok(())
-    }
-
-    /// Refuse a restored coherence message the handler could not decode,
-    /// wherever it waits: in flight, in a node's interface (staged or
-    /// arrived) or in a handler's outbound queue. Each reaches
-    /// `NodeCoh::step` sooner or later, and it panics on one.
-    fn refuse_undecodable_coherence(&self) -> Result<(), CkptError> {
         let in_flight = self.fabric.in_flight().filter_map(|p| match p {
             Packet::Coh(m) => Some(m),
             _ => None,
@@ -1893,8 +1866,27 @@ impl MMachine {
         refuse_undecodable("the fabric", in_flight)?;
         let handlers = self.coherence.handlers();
         for (i, (node, coh)) in self.nodes.iter().zip(handlers).enumerate() {
-            refuse_undecodable(&format!("node {i}'s interface"), node.net.coh_messages())?;
-            coh.refuse_undecodable_outbound(&format!("node {i}'s coherence handler"))?;
+            let owner = format!("node {i}'s interface");
+            if let Some(c) = node.net.endpoints().find(|&c| !self.fabric.contains(c)) {
+                return Err(outside(owner, c));
+            }
+            refuse_undecodable(&owner, node.net.coh_messages())?;
+            let owner = format!("node {i}'s coherence handler");
+            if let Some(c) = coh
+                .endpoints()
+                .into_iter()
+                .find(|&c| !self.fabric.contains(c))
+            {
+                return Err(outside(owner, c));
+            }
+            refuse_undecodable(&owner, coh.outbound())?;
+        }
+        let pristine = self.faults.iter().flat_map(|fs| fs.pristine.values());
+        if let Some(c) = pristine
+            .flat_map(|(m, _)| [m.src, m.dest])
+            .find(|&c| !self.fabric.contains(c))
+        {
+            return Err(outside("a fault-plan pristine copy".into(), c));
         }
         Ok(())
     }

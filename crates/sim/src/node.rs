@@ -93,8 +93,9 @@ struct QueueBlock {
 /// recorded condition changes.
 ///
 /// A thread whose proof is set, or is found still holding, is *parked*:
-/// its bit in the node's `parked` mask takes it out of the issue
-/// stage's scan, so it costs nothing per step. Every event that could
+/// its bit in the node's `parked` mask makes the issue stage pass over
+/// it without reading its record, and a cluster whose running slots
+/// are all parked is not scanned at all. Every event that could
 /// break a proof unparks the slots it concerns (see
 /// [`Node::step_with`]), and the next visit re-checks the proof — a
 /// holding proof re-parks the thread, a broken one falls through to the
@@ -132,7 +133,7 @@ enum Probe {
 }
 
 /// The issue stage's visit order over one cluster: the slots set in a
-/// mask (running and not parked), starting at the round-robin cursor
+/// mask (the running slots), starting at the round-robin cursor
 /// and wrapping — i.e. `(rr + k) % NUM_SLOTS` for `k` in
 /// `0..NUM_SLOTS`, restricted to the mask's slots. The mask is rotated
 /// right by the cursor so that order is plain lowest-set-bit order, and
@@ -377,8 +378,9 @@ pub struct Node {
     /// load (the machine's watchdog asks it of every node).
     running: [u8; NUM_CLUSTERS],
     /// Per-cluster bitmask of running slots whose [`IssueBlock`] proof
-    /// was set or last seen holding: the issue stage and
-    /// [`Node::next_activity`] scan `running & !parked` only. A slot's
+    /// was set or last seen holding: the issue stage passes over them
+    /// (testing the bit as it reaches each slot) and
+    /// [`Node::next_activity`] scans `running & !parked` only. A slot's
     /// bit is cleared by every event that could break its proof, so a
     /// parked slot's proof always holds (checked after every step in
     /// debug builds). Host state only: never serialized, and emptied by
@@ -932,8 +934,10 @@ impl Node {
     /// Returns whether the cluster did anything observable this cycle
     /// (issued an instruction or raised a fetch fault).
     ///
-    /// Visits the cluster's running, unparked slots in round-robin
-    /// order. A visited thread whose memoized block proof still holds
+    /// Visits the cluster's running slots in round-robin order, passing
+    /// over each whose parked bit is set when the scan reaches it, and
+    /// returns at once if every running slot is parked. A visited
+    /// thread whose memoized block proof still holds
     /// is parked again and skipped; one whose fresh probe fails with a
     /// proof to memoize is parked with it. The first ready thread
     /// issues and ends the scan.
@@ -946,12 +950,18 @@ impl Node {
     /// back after it — no clone, no refcount traffic. (`execute`, and
     /// the `fault`/halt paths under it, never look at `.program`.)
     fn issue_cluster(&mut self, now: u64, c: usize) -> bool {
-        let live = self.running[c] & !self.parked[c];
-        if live == 0 {
+        let running = self.running[c];
+        if running & !self.parked[c] == 0 {
             return false;
         }
         let mut acted = false;
-        for slot in SlotScan::new(live, usize::from(self.rr[c])) {
+        // The parked bit is read at each visit, not once for the scan: a
+        // fetch fault does not end the scan, and it unparks the
+        // exception handler, which may still be ahead in it.
+        for slot in SlotScan::new(running, usize::from(self.rr[c])) {
+            if self.parked[c] & (1 << slot) != 0 {
+                continue;
+            }
             if now < self.threads[c][slot].ctl.stall_until {
                 continue;
             }

@@ -775,6 +775,30 @@ fn exception_handler_wakes_on_a_fault() {
     assert_eq!(n.thread_state(2, 0), HState::Faulted(Fault::DivByZero));
 }
 
+/// A fetch fault does not end the scan, so an exception handler the
+/// fault unparks later in the same scan issues that same cycle, as it
+/// did when every running slot was visited.
+#[test]
+fn exception_handler_wakes_within_the_faulting_scan() {
+    let mut n = fresh_node();
+    // The handler's first instruction issues and leaves the cursor at
+    // slot 0, so the scan visits the faulting slot 0 before it.
+    load(
+        &mut n,
+        0,
+        EXCEPTION_SLOT,
+        "add r0, #0, r9\n mov evq, r4\n halt\n",
+    );
+    let at = step_until_parked(&mut n, 0, EXCEPTION_SLOT, 0);
+    assert_eq!(n.rr[0], 0);
+    let prog = Arc::new(mm_isa::assemble("halt\n").unwrap());
+    n.load_program(0, 0, prog, 1);
+    step(&mut n, at);
+    assert_eq!(n.thread_state(0, 0), HState::Faulted(Fault::PcOutOfRange));
+    assert_eq!(n.stats().issued_per_slot[0][EXCEPTION_SLOT], 2);
+    step_until_halted(&mut n, 0, EXCEPTION_SLOT, at + 1);
+}
+
 #[test]
 fn rnet_handlers_wake_on_delivery() {
     for (c, priority) in [(2, Priority::P0), (3, Priority::P1)] {
