@@ -1607,6 +1607,15 @@ impl MMachine {
         Ok(done)
     }
 
+    /// Messages held outside the nodes and the fabric: resends waiting
+    /// out their backoff, and the pristine copies a fault campaign keeps
+    /// for checksum-NACK repair (0 without one).
+    #[must_use]
+    pub fn held_messages(&self) -> (usize, usize) {
+        let pristine = self.faults.as_ref().map_or(0, |fs| fs.pristine.len());
+        (self.resends.len(), pristine)
+    }
+
     /// Serialize the complete simulated machine state — every node
     /// (registers, memories, queues, TLBs), the fabric, the coherence
     /// handlers, in-flight resends, the fault-campaign runtime and the

@@ -10,6 +10,9 @@
 //! checkpoint byte fails here; the restored machine must also finish on
 //! the cycle the uninterrupted run does.
 
+mod common;
+
+use common::fnv1a64;
 use mm_bench::coherence::{build_coherence_scenario, check_coherence, RUN_LIMIT};
 use mm_core::machine::MMachine;
 
@@ -22,12 +25,6 @@ const DIGEST: u64 = 0x83fa_638a_cfce_bf64;
 /// The cycle every user thread has halted by, with or without the
 /// checkpoint round trip.
 const HALT: u64 = 8902;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn scenario() -> MMachine {
     build_coherence_scenario((2, 1, 1), ITERS, Some(1))

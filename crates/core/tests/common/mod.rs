@@ -2,7 +2,8 @@
 //! predicate over the public API, `run_until_halt` re-implemented over
 //! the dense `naive_step` loop, and [`differential`], which runs one
 //! configured scenario densely and through the engine at every worker
-//! count in [`WORKERS`] and asserts every observable equal.
+//! count in [`WORKERS`] and asserts every observable equal; plus
+//! [`fnv1a64`], the digest the checkpoint goldens pin.
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
@@ -51,6 +52,13 @@ pub fn naive_run_until_halt(m: &mut MMachine, limit: u64) -> u64 {
         m.naive_step();
     }
     done
+}
+
+/// FNV-1a-64 of `bytes`: the digest the checkpoint goldens pin.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Observables of one run at one point in time.

@@ -443,6 +443,16 @@ impl Cache {
         self.drop_rights(va, WRITABLE)
     }
 
+    /// Valid lines holding writes not yet in the SDRAM.
+    #[must_use]
+    pub fn dirty_lines(&self) -> usize {
+        let dirty = VALID | DIRTY;
+        self.lines
+            .iter()
+            .filter(|l| l.pa_flags & dirty == dirty)
+            .count()
+    }
+
     /// Serialize every valid line plus the statistics into a checkpoint
     /// stream (invalid lines are skipped; restore re-empties them).
     // analyze: cold (checkpoint codec: grows the encoder's buffer)

@@ -51,5 +51,6 @@ pub use dram::{Block, MemWord, Sdram, SdramConfig};
 pub use lpt::Lpt;
 pub use ltlb::{BlockStatus, Ltlb, LtlbEntry, BLOCKS_PER_PAGE, BLOCK_WORDS, PAGE_WORDS};
 pub use memsys::{
-    AccessKind, MemConfig, MemEvent, MemEventKind, MemRequest, MemResponse, MemorySystem,
+    AccessKind, MemConfig, MemEvent, MemEventKind, MemInspect, MemRequest, MemResponse,
+    MemorySystem,
 };

@@ -134,6 +134,19 @@ pub struct MemEvent {
     pub req: MemRequest,
 }
 
+/// Occupancy of one memory system — counts only, for inspection.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemInspect {
+    /// Translated misses waiting on the SDRAM.
+    pub misses: usize,
+    /// Responses staged for a later cycle.
+    pub staged: usize,
+    /// Resident LTLB entries.
+    pub ltlb_entries: usize,
+    /// Dirty cache lines.
+    pub dirty_lines: usize,
+}
+
 /// Latency and capacity configuration for the whole memory system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemConfig {
@@ -366,6 +379,17 @@ impl MemorySystem {
     #[must_use]
     pub fn sdram_stats(&self) -> SdramStats {
         self.sdram.stats()
+    }
+
+    /// Queue and table occupancy.
+    #[must_use]
+    pub fn inspect(&self) -> MemInspect {
+        MemInspect {
+            misses: self.miss_q.len(),
+            staged: self.responses.len(),
+            ltlb_entries: self.ltlb.iter().count(),
+            dirty_lines: self.cache.dirty_lines(),
+        }
     }
 
     /// Would a request for `va` be accepted right now? (The issue stage's
@@ -1091,4 +1115,66 @@ fn decode_req(d: &mut Dec) -> Result<MemRequest, CkptError> {
         tag,
         phys,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the bytes of every request, response and event shape the
+    /// codec writes: both access kinds, every sync pre- and
+    /// postcondition, each event kind, an attached LPT, and a request in
+    /// a bank queue, the miss queue and the response stage. The
+    /// machine-level goldens cannot hold an event: `step_into` hands
+    /// every one to the node in the step that raised it.
+    #[test]
+    fn request_and_event_bytes_are_pinned() {
+        let mut ms = MemorySystem::new(MemConfig::default());
+        ms.set_lpt(Lpt::new(0x100, 16));
+        let mut req = MemRequest::store(7, 0x48, Word::from_raw(0x1234, true), 0x99);
+        req.pre = SyncPre::Full;
+        req.post = SyncPost::SetEmpty;
+        let load = MemRequest {
+            pre: SyncPre::Empty,
+            post: SyncPost::SetFull,
+            phys: true,
+            ..MemRequest::load(8, 0x50, 0x77)
+        };
+        ms.submit(req).expect("bank queue has room");
+        ms.miss_q.push_back((12, load));
+        let value = Word::from_u64(5);
+        ms.responses.push(
+            9,
+            MemResponse {
+                req,
+                value,
+                ready: 9,
+            },
+        );
+        let status = BlockStatus::ReadOnly;
+        for kind in [
+            MemEventKind::LtlbMiss,
+            MemEventKind::BlockStatusFault { status },
+            MemEventKind::SyncFault { sync_was: true },
+            MemEventKind::EccError,
+        ] {
+            ms.raise(3, kind, load);
+        }
+        let mut e = Enc::new();
+        ms.save_state(&mut e);
+        let bytes = e.finish();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (bytes.len(), fnv),
+            (1241, 0xd2ac_6b1a_49b3_d36b),
+            "bytes moved"
+        );
+        let mut back = MemorySystem::new(MemConfig::default());
+        back.load_state(&mut Dec::new(&bytes)).expect("loads");
+        let mut again = Enc::new();
+        back.save_state(&mut again);
+        assert_eq!(again.finish(), bytes);
+    }
 }
