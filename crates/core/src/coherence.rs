@@ -35,7 +35,7 @@
 //! producer/consumer code the paper's "thread does not block until it
 //! needs the data" behaviour. They never leave the node.
 
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_enum, ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::op::{Priority, SyncPost, SyncPre};
 use mm_isa::word::Word;
 use mm_mem::ltlb::{BlockStatus, LtlbEntry, BLOCK_WORDS, PAGE_WORDS};
@@ -390,30 +390,15 @@ impl Directory {
         Some(self.queued.remove(at))
     }
 
+    /// Each entry, then the fetches queued for its block.
     // analyze: cold (checkpoint codec)
     fn save(&self, e: &mut Enc) {
         e.usize(self.entries.len());
         for entry in &self.entries {
-            e.u64(entry.block);
-            e.usize(entry.sharers.len());
-            for s in &entry.sharers {
-                e.u64(s.encode());
-            }
-            match entry.owner {
-                Some(o) => {
-                    e.u8(1);
-                    e.u64(o.encode());
-                }
-                None => e.u8(0),
-            }
-            e.bool(entry.recalling);
-            e.bool(entry.grant_pending);
+            entry.save(e);
             let queued = self.queued.iter().filter(|q| q.block == entry.block);
-            e.usize(queued.clone().count());
-            for q in queued {
-                e.u64(q.from.encode());
-                e.bool(q.write);
-            }
+            let queued: Vec<_> = queued.map(|q| (q.from, q.write)).collect();
+            queued.save(e);
         }
     }
 
@@ -421,34 +406,16 @@ impl Directory {
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.entries.clear();
         self.queued.clear();
-        for _ in 0..d.usize()? {
-            let block = d.u64()?;
-            let mut sharers = Vec::new();
-            for _ in 0..d.usize()? {
-                sharers.push(NodeCoord::decode(d.u64()?));
-            }
-            sharers.sort_unstable();
-            if sharers.windows(2).any(|w| w[0] == w[1]) {
+        for (mut entry, queued) in Vec::<(DirEntry, Vec<(NodeCoord, bool)>)>::load(d)? {
+            entry.sharers.sort_unstable();
+            if entry.sharers.windows(2).any(|w| w[0] == w[1]) {
+                let block = entry.block;
                 return Err(CkptError(format!("block {block:#x} lists a sharer twice")));
             }
-            let owner = match d.u8()? {
-                0 => None,
-                1 => Some(NodeCoord::decode(d.u64()?)),
-                t => return Err(CkptError(format!("bad owner tag {t}"))),
-            };
-            let recalling = d.bool()?;
-            let grant_pending = d.bool()?;
-            for _ in 0..d.usize()? {
-                let from = NodeCoord::decode(d.u64()?);
-                self.queue(block, from, d.bool()?);
+            for (from, write) in queued {
+                self.queue(entry.block, from, write);
             }
-            self.entries.push(DirEntry {
-                block,
-                sharers,
-                owner,
-                recalling,
-                grant_pending,
-            });
+            self.entries.push(entry);
         }
         self.entries.sort_by_key(|e| e.block);
         if let Some(w) = self.entries.windows(2).find(|w| w[0].block == w[1].block) {
@@ -460,6 +427,8 @@ impl Directory {
         Ok(())
     }
 }
+
+ckpt_struct! { DirEntry { block, sharers, owner, recalling, grant_pending } }
 
 /// Requester-side request state of one block: which request modes are
 /// already in flight, so repeat faults on the same block don't flood
@@ -563,15 +532,9 @@ impl Waiting {
         blocks.sort_unstable_by_key(|w| w.block);
         e.usize(blocks.len());
         for w in &blocks {
-            e.u64(w.block);
             let records = self.records.iter().filter(|r| r.block == w.block);
-            e.usize(records.clone().count());
-            for r in records {
-                e.u64(r.at);
-                encode_record_words(e, &r.record);
-            }
-            e.bool(w.read_sent);
-            e.bool(w.write_sent);
+            let records: Vec<_> = records.map(|r| (r.at, r.record)).collect();
+            (w.block, records, w.read_sent, w.write_sent).save(e);
         }
     }
 
@@ -579,22 +542,20 @@ impl Waiting {
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.blocks.clear();
         self.records.clear();
-        for _ in 0..d.usize()? {
-            let block = d.u64()?;
+        type Row = (u64, Vec<(u64, [Word; 3])>, bool, bool);
+        for (block, records, read_sent, write_sent) in Vec::<Row>::load(d)? {
             if self.has(block) {
                 return Err(CkptError(format!(
                     "wait table lists block {block:#x} twice"
                 )));
             }
-            for _ in 0..d.usize()? {
-                let at = d.u64()?;
-                let record = decode_record_words(d)?;
-                self.records.push(WaitRecord { block, at, record });
-            }
+            let records = records.into_iter();
+            self.records
+                .extend(records.map(|(at, record)| WaitRecord { block, at, record }));
             self.blocks.push(BlockWait {
                 block,
-                read_sent: d.bool()?,
-                write_sent: d.bool()?,
+                read_sent,
+                write_sent,
             });
         }
         Ok(())
@@ -621,20 +582,12 @@ impl Frames {
 
     // analyze: cold (checkpoint codec)
     fn save(&self, e: &mut Enc) {
-        e.usize(self.0.len());
-        for &(vpn, slot) in &self.0 {
-            e.u64(vpn);
-            e.u64(slot);
-        }
+        self.0.save(e);
     }
 
     // analyze: cold (checkpoint codec)
     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        self.0.clear();
-        for _ in 0..d.usize()? {
-            let vpn = d.u64()?;
-            self.0.push((vpn, d.u64()?));
-        }
+        self.0 = Vec::load(d)?;
         self.0.sort_unstable_by_key(|f| f.0);
         if let Some(w) = self.0.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(CkptError(format!(
@@ -1423,28 +1376,12 @@ impl NodeCoh {
         e.usize(pending.len());
         for (ready, p) in pending {
             e.u64(ready);
-            encode_pending(e, p, self.coord);
+            save_pending(e, p, self.coord);
         }
-        e.usize(self.outbound.len());
-        for m in &self.outbound {
-            m.encode(e);
-        }
+        self.outbound.save(e);
         self.frames.save(e);
-        e.u64(self.next_frame);
-        let s = &self.stats;
-        for v in [
-            s.block_fetches,
-            s.invalidations,
-            s.writebacks,
-            s.sync_retries,
-            s.unknown_events,
-            s.unmapped_faults,
-            s.replay_decode_errors,
-            s.fetch_latency_cycles,
-            s.fetch_replays,
-        ] {
-            e.u64(v);
-        }
+        self.next_frame.save(e);
+        self.stats.save(e);
     }
 
     /// Every node this handler's protocol state names — directory
@@ -1520,26 +1457,13 @@ impl NodeCoh {
         let mut pending = Vec::new();
         for _ in 0..d.usize()? {
             let ready = d.u64()?;
-            pending.push((ready, decode_pending(d, self.coord)?));
+            pending.push((ready, load_pending(d, self.coord)?));
         }
         self.pending.restore(pending);
-        self.outbound.clear();
-        for _ in 0..d.usize()? {
-            self.outbound.push_back(Message::decode(d)?);
-        }
+        self.outbound = Ckpt::load(d)?;
         self.frames.load(d)?;
         self.next_frame = d.u64()?;
-        self.stats = CoherenceStats {
-            block_fetches: d.u64()?,
-            invalidations: d.u64()?,
-            writebacks: d.u64()?,
-            sync_retries: d.u64()?,
-            unknown_events: d.u64()?,
-            unmapped_faults: d.u64()?,
-            replay_decode_errors: d.u64()?,
-            fetch_latency_cycles: d.u64()?,
-            fetch_replays: d.u64()?,
-        };
+        self.stats = CoherenceStats::load(d)?;
         Ok(())
     }
 }
@@ -1553,164 +1477,76 @@ fn grant_op(write: bool) -> CohOp {
     }
 }
 
-/// Encode one `[Word; 3]` event/replay record.
-fn encode_record_words(e: &mut Enc, rec: &[Word; 3]) {
-    for w in rec {
-        mm_net::message::encode_word(e, *w);
+ckpt_struct! {
+    CoherenceStats {
+        block_fetches, invalidations, writebacks, sync_retries, unknown_events, unmapped_faults,
+        replay_decode_errors, fetch_latency_cycles, fetch_replays
     }
 }
 
-fn decode_record_words(d: &mut Dec<'_>) -> Result<[Word; 3], CkptError> {
-    Ok([
-        mm_net::message::decode_word(d)?,
-        mm_net::message::decode_word(d)?,
-        mm_net::message::decode_word(d)?,
-    ])
-}
+// Charged firmware actions: tags 0-7 are field lists; tag 8, a delayed
+// grant, is written by hand as the message `coord` composes when it
+// fires (tags are a checkpoint format: never renumber them).
+ckpt_enum!(tags Pending {
+    0 => Replay(rec),
+    1 => SendFetch { block, write, home },
+    2 => Service { from, block, write },
+    3 => ServiceRecall { block, home, patience },
+    4 => ServiceWriteback { block, data },
+    5 => ServiceGrant { block, write, data },
+    6 => ServiceInvalidate { block },
+    7 => LocalGrant { block, write },
+});
 
-/// Encode one 8-word block payload (value bits, pointer tag, sync bit).
-fn encode_block_data(e: &mut Enc, data: &Block) {
-    for k in 0..BLOCK_WORDS as usize {
-        e.u64(data.data[k]);
-        e.bool((data.tags >> k) & 1 == 1);
-        e.bool(data.full(k));
-    }
-}
-
-fn decode_block_data(d: &mut Dec<'_>) -> Result<Block, CkptError> {
-    let mut b = Block::default();
-    for k in 0..BLOCK_WORDS as usize {
-        b.data[k] = d.u64()?;
-        b.tags |= u8::from(d.bool()?) << k;
-        b.sync |= u8::from(d.bool()?) << k;
-    }
-    Ok(b)
-}
-
-/// Tagged codec for charged firmware actions (tags follow declaration
-/// order; any change here is a checkpoint format change). A delayed
-/// grant is written as the message `coord` composes when it fires.
+/// Write one charged action of the handler on `coord`.
 // analyze: cold (checkpoint codec)
-fn encode_pending(e: &mut Enc, p: &Pending, coord: NodeCoord) {
-    match p {
-        Pending::Replay(rec) => {
-            e.u8(0);
-            encode_record_words(e, rec);
-        }
-        Pending::SendFetch { block, write, home } => {
-            e.u8(1);
-            e.u64(*block);
-            e.bool(*write);
-            e.u64(home.encode());
-        }
-        Pending::Service { from, block, write } => {
-            e.u8(2);
-            e.u64(from.encode());
-            e.u64(*block);
-            e.bool(*write);
-        }
-        Pending::ServiceRecall {
-            block,
-            home,
-            patience,
-        } => {
-            e.u8(3);
-            e.u64(*block);
-            e.u64(home.encode());
-            e.u64(*patience);
-        }
-        Pending::ServiceWriteback { block, data } => {
-            e.u8(4);
-            e.u64(*block);
-            encode_block_data(e, data);
-        }
-        Pending::ServiceGrant { block, write, data } => {
-            e.u8(5);
-            e.u64(*block);
-            e.bool(*write);
-            encode_block_data(e, data);
-        }
-        Pending::ServiceInvalidate { block } => {
-            e.u8(6);
-            e.u64(*block);
-        }
-        Pending::LocalGrant { block, write } => {
-            e.u8(7);
-            e.u64(*block);
-            e.bool(*write);
-        }
-        Pending::SendGrant {
-            to,
-            write,
-            block,
-            data,
-        } => {
-            e.u8(8);
-            encode_msg(grant_op(*write), coord, *to, *block, Some(data)).encode(e);
-        }
+fn save_pending(e: &mut Enc, p: &Pending, coord: NodeCoord) {
+    if let Pending::SendGrant {
+        to,
+        write,
+        block,
+        data,
+    } = p
+    {
+        e.u8(8);
+        encode_msg(grant_op(*write), coord, *to, *block, Some(data)).save(e);
+    } else {
+        p.save_tagged(e);
     }
 }
 
-/// Decode one charged action of the handler on `coord`. A tag-8 message
+/// Read one charged action of the handler on `coord`. A tag-8 message
 /// must be a grant exactly as `coord` would compose it.
 // analyze: cold (checkpoint codec)
-fn decode_pending(d: &mut Dec<'_>, coord: NodeCoord) -> Result<Pending, CkptError> {
-    Ok(match d.u8()? {
-        0 => Pending::Replay(decode_record_words(d)?),
-        1 => Pending::SendFetch {
-            block: d.u64()?,
-            write: d.bool()?,
-            home: NodeCoord::decode(d.u64()?),
-        },
-        2 => Pending::Service {
-            from: NodeCoord::decode(d.u64()?),
-            block: d.u64()?,
-            write: d.bool()?,
-        },
-        3 => Pending::ServiceRecall {
-            block: d.u64()?,
-            home: NodeCoord::decode(d.u64()?),
-            patience: d.u64()?,
-        },
-        4 => Pending::ServiceWriteback {
-            block: d.u64()?,
-            data: decode_block_data(d)?,
-        },
-        5 => Pending::ServiceGrant {
-            block: d.u64()?,
-            write: d.bool()?,
-            data: decode_block_data(d)?,
-        },
-        6 => Pending::ServiceInvalidate { block: d.u64()? },
-        7 => Pending::LocalGrant {
-            block: d.u64()?,
-            write: d.bool()?,
-        },
-        8 => {
-            let msg = Message::decode(d)?;
-            let grant = decode_msg(&msg).and_then(|c| {
-                let write = match c.op {
-                    CohOp::GrantRead => false,
-                    CohOp::GrantWrite => true,
-                    _ => return None,
-                };
-                let data = c.data?;
-                let to = msg.dest;
-                let composed = encode_msg(c.op, coord, to, c.block_va, Some(&data));
-                (composed == msg).then_some(Pending::SendGrant {
-                    to,
-                    write,
-                    block: c.block_va,
-                    data,
-                })
-            });
-            grant.ok_or_else(|| {
-                CkptError(format!(
-                    "charged message on {coord} is not a grant it composed: {msg:?}"
-                ))
-            })?
-        }
-        t => return Err(CkptError(format!("bad pending-action tag {t}"))),
+fn load_pending(d: &mut Dec<'_>, coord: NodeCoord) -> Result<Pending, CkptError> {
+    let tag = d.u8()?;
+    if let Some(p) = Pending::load_tagged(tag, d)? {
+        return Ok(p);
+    }
+    if tag != 8 {
+        return Err(CkptError(format!("bad pending-action tag {tag}")));
+    }
+    let msg = Message::load(d)?;
+    let grant = decode_msg(&msg).and_then(|c| {
+        let write = match c.op {
+            CohOp::GrantRead => false,
+            CohOp::GrantWrite => true,
+            _ => return None,
+        };
+        let data = c.data?;
+        let to = msg.dest;
+        let composed = encode_msg(c.op, coord, to, c.block_va, Some(&data));
+        (composed == msg).then_some(Pending::SendGrant {
+            to,
+            write,
+            block: c.block_va,
+            data,
+        })
+    });
+    grant.ok_or_else(|| {
+        CkptError(format!(
+            "charged message on {coord} is not a grant it composed: {msg:?}"
+        ))
     })
 }
 
@@ -2095,7 +1931,7 @@ mod tables_vs_btree {
                 e.usize(w.records.len());
                 for (at, rec) in &w.records {
                     e.u64(*at);
-                    encode_record_words(e, rec);
+                    rec.save(e);
                 }
                 e.bool(w.read_sent);
                 e.bool(w.write_sent);

@@ -7,7 +7,8 @@ use crate::shard::{
 };
 use crate::timeline::{PacketKind, Phase, Timeline};
 use mm_faults::{
-    CkptError, Dec, Enc, FaultKind, FaultPlan, FaultPlanConfig, PacketFault, ScheduledFault,
+    ckpt_struct, Ckpt, CkptError, Dec, Enc, FaultKind, FaultPlan, FaultPlanConfig, PacketFault,
+    ScheduledFault,
 };
 use mm_isa::instr::Program;
 use mm_isa::pointer::{GuardedPointer, Perm};
@@ -178,6 +179,13 @@ pub struct FaultReport {
     /// Faults suppressed because the message already burned its retry
     /// budget (`RETRY_CAP` faults) — the liveness escape hatch.
     pub retries_capped: u64,
+}
+
+ckpt_struct! {
+    FaultReport {
+        events_applied, dram_flips, packets_corrupted, packets_dropped, packets_delayed,
+        retransmits, retries_capped
+    }
 }
 
 /// The machine-side runtime of an armed [`FaultPlan`]: the event
@@ -1630,75 +1638,37 @@ impl MMachine {
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(CKPT_MAGIC);
-        e.u32(CKPT_VERSION);
-        let (x, y, z) = self.cfg.dims;
-        e.u8(x);
-        e.u8(y);
-        e.u8(z);
-        e.u64(self.cfg.local_pages);
-        e.u64(self.cfg.lpt_slots);
-        e.u64(self.cfg.hop_latency);
-        e.u64(self.cfg.resend_delay);
-        e.usize(self.nodes.len());
-        match &self.faults {
-            None => e.u8(0),
-            Some(fs) => {
-                e.u8(1);
-                fs.plan.encode(&mut e);
-            }
-        }
-        e.u64(self.cycle);
+        (CKPT_MAGIC, CKPT_VERSION, self.cfg.dims).save(&mut e);
+        let c = &self.cfg;
+        (c.local_pages, c.lpt_slots, c.hop_latency, c.resend_delay).save(&mut e);
+        self.nodes.len().save(&mut e);
+        let plan = self.faults.as_ref().map(|fs| fs.plan.config().clone());
+        (plan, self.cycle).save(&mut e);
         for n in &self.nodes {
             n.save_state(&mut e);
         }
         self.fabric.save_state(&mut e);
         self.coherence.save_state(&mut e);
-        e.usize(self.resends.len());
-        for (due, idx, m) in &self.resends {
-            e.u64(*due);
-            e.usize(*idx);
-            m.encode(&mut e);
-        }
-        for pe in &self.prev_events {
-            for v in pe {
-                e.u64(*v);
-            }
-        }
-        for hs in &self.halted_seen {
-            for c in hs {
-                for b in c {
-                    e.bool(*b);
-                }
-            }
-        }
+        self.resends.save(&mut e);
+        self.prev_events.iter().for_each(|v| v.save(&mut e));
+        self.halted_seen.iter().for_each(|v| v.save(&mut e));
         if let Some(fs) = &self.faults {
-            e.usize(fs.cursor);
-            e.usize(fs.pristine.len());
-            for ((src, seq), (m, count)) in &fs.pristine {
-                e.u64(*src);
-                e.u64(*seq);
-                m.encode(&mut e);
-                e.u32(*count);
-            }
-            let r = &fs.report;
-            e.u64(r.events_applied);
-            e.u64(r.dram_flips);
-            e.u64(r.packets_corrupted);
-            e.u64(r.packets_dropped);
-            e.u64(r.packets_delayed);
-            e.u64(r.retransmits);
-            e.u64(r.retries_capped);
+            fs.cursor.save(&mut e);
+            fs.pristine.save(&mut e);
+            fs.report.save(&mut e);
         }
-        e.u64(self.watchdog_strikes);
-        e.u64(self.watchdog_last);
-        e.u64(self.watchdog_next);
+        let watchdog = (
+            self.watchdog_strikes,
+            self.watchdog_last,
+            self.watchdog_next,
+        );
+        watchdog.save(&mut e);
         // The engine's sleep schedule (one wake-up slot per node).
         // Host-side, but captured so a restored run steps each node at
         // exactly the cycles the original would have — keeping host
         // counters like `steps` and the fast-forward pattern identical.
         for i in 0..self.nodes.len() {
-            e.u64(self.ladder.slot(i));
+            self.ladder.slot(i).save(&mut e);
         }
         e.finish()
     }
@@ -1715,6 +1685,75 @@ impl MMachine {
     /// state unspecified — rebuild before reuse).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), MachineError> {
         let mut d = Dec::new(bytes);
+        self.refuse_foreign_header(&mut d)?;
+        // Validation done — load. From here on an error leaves the
+        // machine partially restored.
+        let n = self.nodes.len();
+        self.cycle = d.u64()?;
+        for node in &mut self.nodes {
+            node.load_state(&mut d)?;
+        }
+        self.fabric.load_state(&mut d)?;
+        self.coherence.load_state(&mut d)?;
+        self.resends = Vec::load(&mut d)?;
+        for (_, idx, m) in &self.resends {
+            if *idx >= n {
+                return Err(CkptError(format!("resend node {idx} out of range")).into());
+            }
+            if !self.fabric.contains(m.src) || !self.fabric.contains(m.dest) {
+                return Err(CkptError(format!(
+                    "resend {} -> {} runs outside the mesh",
+                    m.src, m.dest
+                ))
+                .into());
+            }
+        }
+        self.resend_due = self.resends.iter().map(|r| r.0).min().unwrap_or(u64::MAX);
+        for v in self.prev_events.iter_mut() {
+            *v = Ckpt::load(&mut d)?;
+        }
+        for v in self.halted_seen.iter_mut() {
+            *v = Ckpt::load(&mut d)?;
+        }
+        if let Some(fs) = &mut self.faults {
+            let cursor;
+            (cursor, fs.pristine, fs.report) = Ckpt::load(&mut d)?;
+            fs.cursor = usize::min(cursor, fs.plan.events().len());
+            fs.inject_marks.fill((0, 0));
+        }
+        let watchdog = Ckpt::load(&mut d)?;
+        (
+            self.watchdog_strikes,
+            self.watchdog_last,
+            self.watchdog_next,
+        ) = watchdog;
+        let deadlines = (0..n).map(|_| d.u64()).collect::<Result<Vec<_>, _>>()?;
+        if d.remaining() != 0 {
+            return Err(MachineError::Checkpoint(format!(
+                "{} trailing bytes after checkpoint payload",
+                d.remaining()
+            )));
+        }
+        self.refuse_bad_queued_traffic()?;
+        for (node, coh) in self.nodes.iter().zip(self.coherence.handlers()) {
+            coh.refuse_bad_frames(node)?;
+        }
+        // Reinstate the exact sleep schedule the checkpoint captured —
+        // waking everything instead would step idle nodes the original
+        // run never stepped — and recount the restored nodes' threads.
+        self.timeline.clear();
+        for (i, dl) in deadlines.into_iter().enumerate() {
+            self.ladder.set_slot(i, dl);
+        }
+        self.recount_user_threads();
+        self.last_diagnostic = None;
+        Ok(())
+    }
+
+    /// Read a checkpoint's header and refuse one taken on a machine of
+    /// another configuration or fault plan (hand-written: each field is
+    /// checked against this machine as it is read).
+    fn refuse_foreign_header(&self, d: &mut Dec<'_>) -> Result<(), MachineError> {
         if d.u64()? != CKPT_MAGIC {
             return Err(MachineError::Checkpoint("not a checkpoint stream".into()));
         }
@@ -1724,7 +1763,7 @@ impl MMachine {
                 "checkpoint version {ver}, this build reads {CKPT_VERSION}"
             )));
         }
-        let dims = (d.u8()?, d.u8()?, d.u8()?);
+        let dims = <(u8, u8, u8)>::load(d)?;
         if dims != self.cfg.dims {
             return Err(MachineError::Checkpoint(format!(
                 "checkpoint is for a {}x{}x{} mesh, this machine is {}x{}x{}",
@@ -1750,111 +1789,17 @@ impl MMachine {
                 self.nodes.len()
             )));
         }
-        let has_plan = d.u8()? != 0;
-        if has_plan != self.faults.is_some() {
+        let plan = Option::<FaultPlanConfig>::load(d)?;
+        if plan.is_some() != self.faults.is_some() {
             return Err(MachineError::Checkpoint(
                 "fault-campaign presence differs between checkpoint and machine".into(),
             ));
         }
-        if has_plan {
-            #[allow(clippy::cast_possible_truncation)]
-            let plan = FaultPlan::decode(&mut d, n as u32)?;
-            let fs = self.faults.as_ref().expect("presence checked");
-            if plan != fs.plan {
-                return Err(MachineError::Checkpoint(
-                    "checkpoint was taken under a different fault plan".into(),
-                ));
-            }
+        if plan.as_ref() != self.faults.as_ref().map(|fs| fs.plan.config()) {
+            return Err(MachineError::Checkpoint(
+                "checkpoint was taken under a different fault plan".into(),
+            ));
         }
-        // Validation done — load. From here on an error leaves the
-        // machine partially restored.
-        self.cycle = d.u64()?;
-        for node in &mut self.nodes {
-            node.load_state(&mut d)?;
-        }
-        self.fabric.load_state(&mut d)?;
-        self.coherence.load_state(&mut d)?;
-        let rn = d.usize()?;
-        self.resends.clear();
-        for _ in 0..rn {
-            let due = d.u64()?;
-            let idx = d.usize()?;
-            if idx >= n {
-                return Err(CkptError(format!("resend node {idx} out of range")).into());
-            }
-            let m = Message::decode(&mut d)?;
-            if !self.fabric.contains(m.src) || !self.fabric.contains(m.dest) {
-                return Err(CkptError(format!(
-                    "resend {} -> {} runs outside the mesh",
-                    m.src, m.dest
-                ))
-                .into());
-            }
-            self.resends.push((due, idx, m));
-        }
-        self.resend_due = self.resends.iter().map(|r| r.0).min().unwrap_or(u64::MAX);
-        for pe in &mut self.prev_events {
-            for v in pe.iter_mut() {
-                *v = d.u64()?;
-            }
-        }
-        for hs in &mut self.halted_seen {
-            for c in hs.iter_mut() {
-                for b in c.iter_mut() {
-                    *b = d.bool()?;
-                }
-            }
-        }
-        if let Some(fs) = &mut self.faults {
-            fs.cursor = d.usize()?.min(fs.plan.events().len());
-            fs.pristine.clear();
-            let pn = d.usize()?;
-            for _ in 0..pn {
-                let src = d.u64()?;
-                let seq = d.u64()?;
-                let m = Message::decode(&mut d)?;
-                let count = d.u32()?;
-                fs.pristine.insert((src, seq), (m, count));
-            }
-            fs.report = FaultReport {
-                events_applied: d.u64()?,
-                dram_flips: d.u64()?,
-                packets_corrupted: d.u64()?,
-                packets_dropped: d.u64()?,
-                packets_delayed: d.u64()?,
-                retransmits: d.u64()?,
-                retries_capped: d.u64()?,
-            };
-            for mark in &mut fs.inject_marks {
-                *mark = (0, 0);
-            }
-        }
-        self.watchdog_strikes = d.u64()?;
-        self.watchdog_last = d.u64()?;
-        self.watchdog_next = d.u64()?;
-        let mut deadlines = Vec::with_capacity(n);
-        for _ in 0..n {
-            deadlines.push(d.u64()?);
-        }
-        if d.remaining() != 0 {
-            return Err(MachineError::Checkpoint(format!(
-                "{} trailing bytes after checkpoint payload",
-                d.remaining()
-            )));
-        }
-        self.refuse_bad_queued_traffic()?;
-        for (node, coh) in self.nodes.iter().zip(self.coherence.handlers()) {
-            coh.refuse_bad_frames(node)?;
-        }
-        // Reinstate the exact sleep schedule the checkpoint captured —
-        // waking everything instead would step idle nodes the original
-        // run never stepped — and recount the restored nodes' threads.
-        self.timeline.clear();
-        for (i, dl) in deadlines.into_iter().enumerate() {
-            self.ladder.set_slot(i, dl);
-        }
-        self.recount_user_threads();
-        self.last_diagnostic = None;
         Ok(())
     }
 

@@ -14,9 +14,10 @@
 //!    restoring a checkpoint and continuing is indistinguishable from
 //!    never having stopped.
 
+use mm_bench::scaling::build_busy_scenario;
 use mm_core::error::MachineError;
 use mm_core::machine::{MMachine, MachineConfig};
-use mm_faults::{DramFaultConfig, Enc, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
+use mm_faults::{Ckpt, DramFaultConfig, Enc, FaultPlanConfig, LinkFaultConfig, StallFaultConfig};
 use mm_isa::assemble;
 use mm_isa::op::Priority;
 use mm_isa::pointer::Perm;
@@ -339,6 +340,54 @@ fn restore_rejects_mismatches_and_garbage() {
     // Truncated stream: valid header, cut body.
     let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
     assert!(fresh.restore(&bytes[..bytes.len() / 2]).is_err());
+
+    // A busy image cut anywhere is refused, never a panic.
+    let busy = busy_image();
+    for k in 0..64 {
+        let cut = &busy[..busy.len() * k / 64];
+        let err = busy_machine().restore(cut).expect_err("a cut image");
+        assert!(
+            matches!(err, MachineError::Checkpoint(_)),
+            "cut at {}: {err}",
+            cut.len()
+        );
+    }
+}
+
+/// The 2×1×1 busy scenario `mmctl snapshot --dims 2x1x1 --iters 2000`
+/// runs.
+fn busy_machine() -> MMachine {
+    build_busy_scenario((2, 1, 1), 2000, Some(1))
+}
+
+/// [`busy_machine`]'s checkpoint at cycle 500.
+fn busy_image() -> Vec<u8> {
+    let mut m = busy_machine();
+    m.run_cycles(500);
+    m.checkpoint()
+}
+
+/// The running masks and user-thread tallies are derived from the
+/// thread states: an image whose stored copies disagree is refused
+/// instead of restoring a run that underflows a tally or never ends.
+#[test]
+fn restore_refuses_thread_tallies_that_disagree_with_the_states() {
+    let clean = busy_image();
+    busy_machine()
+        .restore(&clean)
+        .expect("the clean image restores");
+    // Node 0's record starts at byte 64 with cluster 0's running mask;
+    // its user-running tally sits at bytes 96..100.
+    let mut no_user_running = clean.clone();
+    no_user_running[96..100].fill(0);
+    let mut cluster_stopped = clean;
+    cluster_stopped[64] = 0;
+    for bytes in [no_user_running, cluster_stopped] {
+        let err = busy_machine()
+            .restore(&bytes)
+            .expect_err("tallies disagree");
+        assert!(err.to_string().contains("thread tallies disagree"), "{err}");
+    }
 }
 
 /// A node outside `MachineConfig::small()`'s 2×1×1 mesh.
@@ -429,7 +478,7 @@ fn restore_refuses_out_of_mesh_resends() {
         splice_one(&clean, at, |e| {
             e.u64(50); // due
             e.usize(0); // node
-            message_to(dest).encode(e);
+            message_to(dest).save(e);
         })
     };
     assert_refused(&with_resend(far()), None, "resend");
@@ -467,9 +516,9 @@ fn restore_refuses_out_of_mesh_interface_traffic() {
     let m = MMachine::build(MachineConfig::small()).unwrap();
     let clean = m.checkpoint();
     let end = net_end(&m, &clean);
-    let returned = |c| splice_one(&clean, end - 112, |e| message_to(c).encode(e));
-    let outbox = |c| splice_one(&clean, end - 104, |e| Packet::User(message_to(c)).encode(e));
-    let coh_in = |c| splice_one(&clean, end - 96, |e| coh_message_to(c).encode(e));
+    let returned = |c| splice_one(&clean, end - 112, |e| message_to(c).save(e));
+    let outbox = |c| splice_one(&clean, end - 104, |e| Packet::User(message_to(c)).save(e));
+    let coh_in = |c| splice_one(&clean, end - 96, |e| coh_message_to(c).save(e));
     let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 3] = [&returned, &outbox, &coh_in];
     for splice in splices {
         assert_refused(&splice(far()), None, "node 0's interface");
@@ -520,7 +569,7 @@ fn restore_refuses_out_of_mesh_directory_state() {
             e.u64(c.encode()); // home
         })
     };
-    let outbound = |c| splice_one(&clean, handler + 24, |e| coh_message_to(c).encode(e));
+    let outbound = |c| splice_one(&clean, handler + 24, |e| coh_message_to(c).save(e));
     let splices: [&dyn Fn(NodeCoord) -> Vec<u8>; 5] =
         [&sharer, &owner, &queued, &send_fetch, &outbound];
     for splice in splices {
@@ -549,14 +598,14 @@ fn restore_refuses_undecodable_coherence_messages() {
     // statistics words, the per-VC flit table and the flit-hop total.
     let vcs = m.node_count() * NUM_DIRS * 2;
     let in_flight_at = handler - 120 - 8 - (6 * 8 + 8 + vcs * 8 + 8) - 8;
-    let coh_in = |msg: &Message| splice_one(&clean, coh_in_at, |e| msg.encode(e));
+    let coh_in = |msg: &Message| splice_one(&clean, coh_in_at, |e| msg.save(e));
     let fabric = |msg: &Message| {
         splice_one(&clean, in_flight_at, |e| {
             e.u64(50); // delivery cycle
-            Packet::Coh(msg.clone()).encode(e);
+            Packet::Coh(msg.clone()).save(e);
         })
     };
-    let outbound = |msg: &Message| splice_one(&clean, handler + 24, |e| msg.encode(e));
+    let outbound = |msg: &Message| splice_one(&clean, handler + 24, |e| msg.save(e));
     type Splice<'a> = &'a dyn Fn(&Message) -> Vec<u8>;
     let splices: [(&str, Splice); 3] = [
         ("node 0's interface", &coh_in),
@@ -730,7 +779,7 @@ fn restore_refuses_charged_messages_other_than_grants() {
         splice_one(&clean, handler + 16, |e| {
             e.u64(50); // ready
             e.u8(8); // a delayed grant
-            msg.encode(e);
+            msg.save(e);
         })
     };
     let grant = |write: bool| Message {
@@ -778,7 +827,7 @@ fn restore_refuses_out_of_mesh_pristine_copies() {
         splice_one(&clean, at, |e| {
             e.u64(NodeCoord::new(0, 0, 0).encode()); // source
             e.u64(1); // sequence number
-            message_to(dest).encode(e);
+            message_to(dest).save(e);
             e.u32(0); // retries
         })
     };

@@ -25,6 +25,7 @@
 //! (it is dependency-free and sits at the bottom of the workspace DAG,
 //! so `mm-mem`, `mm-net`, `mm-sim` and `mm-core` can all reach it).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -293,74 +294,6 @@ impl FaultPlan {
             ((h >> 32) % 54) as u8, // stay inside guarded-pointer address bits
         )
     }
-
-    /// Serialize the plan config (checkpoints embed it so a restored
-    /// machine can verify it is resuming under the same plan).
-    pub fn encode(&self, e: &mut Enc) {
-        let c = &self.cfg;
-        e.u64(c.seed);
-        e.u64(c.dram.len() as u64);
-        for d in &c.dram {
-            e.u32(d.flips);
-            e.u32(d.double_every);
-            e.u64(d.window.0);
-            e.u64(d.window.1);
-            e.u64(d.addr.0);
-            e.u64(d.addr.1);
-        }
-        e.u64(c.links.len() as u64);
-        for l in &c.links {
-            e.u64(l.window.0);
-            e.u64(l.window.1);
-            e.u8(l.corrupt_pct);
-            e.u8(l.drop_pct);
-            e.u8(l.delay_pct);
-            e.u64(l.delay_cycles);
-        }
-        e.u64(c.stalls.len() as u64);
-        for s in &c.stalls {
-            e.u32(s.node);
-            e.u64(s.window.0);
-            e.u64(s.window.1);
-        }
-    }
-
-    /// Decode a plan config and rebuild the plan for `nodes` nodes.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError`] on truncated or malformed input.
-    pub fn decode(d: &mut Dec, nodes: u32) -> Result<FaultPlan, CkptError> {
-        let seed = d.u64()?;
-        let mut cfg = FaultPlanConfig {
-            seed,
-            ..FaultPlanConfig::default()
-        };
-        for _ in 0..d.u64()? {
-            cfg.dram.push(DramFaultConfig {
-                flips: d.u32()?,
-                double_every: d.u32()?,
-                window: (d.u64()?, d.u64()?),
-                addr: (d.u64()?, d.u64()?),
-            });
-        }
-        for _ in 0..d.u64()? {
-            cfg.links.push(LinkFaultConfig {
-                window: (d.u64()?, d.u64()?),
-                corrupt_pct: d.u8()?,
-                drop_pct: d.u8()?,
-                delay_pct: d.u8()?,
-                delay_cycles: d.u64()?,
-            });
-        }
-        for _ in 0..d.u64()? {
-            cfg.stalls.push(StallFaultConfig {
-                node: d.u32()?,
-                window: (d.u64()?, d.u64()?),
-            });
-        }
-        Ok(FaultPlan::build(cfg, nodes))
-    }
 }
 
 fn event_sort_key(k: &FaultKind) -> (u8, u64, u64, u64) {
@@ -428,11 +361,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian i64.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a usize as u64.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -471,26 +399,23 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| CkptError("length overflow".into()))?;
-        if end > self.buf.len() {
+    /// Read the next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CkptError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let Some(bytes) = rest.first_chunk::<N>() else {
             return Err(CkptError(format!(
-                "truncated: wanted {n} bytes at offset {}, have {}",
+                "truncated: wanted {N} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                rest.len()
             )));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        };
+        self.pos += N;
+        Ok(*bytes)
     }
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     /// Read a bool byte.
@@ -504,22 +429,17 @@ impl<'a> Dec<'a> {
 
     /// Read a little-endian u16.
     pub fn u16(&mut self) -> Result<u16, CkptError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a little-endian u32.
     pub fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64, CkptError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read a u64 and narrow it to usize.
@@ -534,6 +454,256 @@ impl<'a> Dec<'a> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Declared checkpoint formats
+// ---------------------------------------------------------------------
+
+/// A type with one declared checkpoint byte format: [`Ckpt::save`]
+/// writes it and [`Ckpt::load`] reads the same bytes back.
+///
+/// Integers are little-endian and a `bool` is one byte (a `usize` is
+/// written as a `u64`); an [`Option`] is a 0/1 byte, then the value; a
+/// [`Vec`], [`VecDeque`] or [`BTreeMap`] is a `usize` length, then the
+/// items; arrays and tuples are their items in order. A struct whose
+/// format is its fields in order declares it with [`ckpt_struct!`], an
+/// enum written as a `u8` tag and the variant's fields with
+/// [`ckpt_enum!`].
+pub trait Ckpt: Sized {
+    /// Append the value's bytes.
+    fn save(&self, e: &mut Enc);
+
+    /// Read a value back.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError`] on truncated or malformed input.
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError>;
+}
+
+macro_rules! ckpt_primitive {
+    ($($t:ident),*) => {$(
+        impl Ckpt for $t {
+            fn save(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+
+            fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+ckpt_primitive!(u8, u16, u32, u64, bool, usize);
+
+impl<T: Ckpt + Default, const N: usize> Ckpt for [T; N] {
+    fn save(&self, e: &mut Enc) {
+        self.iter().for_each(|v| v.save(e));
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut a: [T; N] = std::array::from_fn(|_| T::default());
+        for v in &mut a {
+            *v = T::load(d)?;
+        }
+        Ok(a)
+    }
+}
+
+macro_rules! ckpt_tuple {
+    ($($t:ident),+) => {
+        impl<$($t: Ckpt),+> Ckpt for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn save(&self, e: &mut Enc) {
+                let ($($t,)+) = self;
+                $($t.save(e);)+
+            }
+
+            fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+                Ok(($($t::load(d)?,)+))
+            }
+        }
+    };
+}
+
+ckpt_tuple!(A, B);
+ckpt_tuple!(A, B, C);
+ckpt_tuple!(A, B, C, D);
+
+impl<T: Ckpt> Ckpt for Option<T> {
+    fn save(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(e);
+        }
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => T::load(d).map(Some),
+            t => Err(CkptError(format!("bad option tag {t}"))),
+        }
+    }
+}
+
+impl<T: Ckpt> Ckpt for Vec<T> {
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.len());
+        self.iter().for_each(|v| v.save(e));
+    }
+
+    /// Every item takes at least one byte, so a length past what is
+    /// left of the stream fails at the first missing item without
+    /// reserving room for the rest.
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let n = d.usize()?;
+        let mut v = Vec::with_capacity(n.min(d.remaining()));
+        for _ in 0..n {
+            v.push(T::load(d)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Ckpt> Ckpt for VecDeque<T> {
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.len());
+        self.iter().for_each(|v| v.save(e));
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Vec::load(d).map(VecDeque::from)
+    }
+}
+
+impl<K: Ckpt + Ord, V: Ckpt> Ckpt for BTreeMap<K, V> {
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for (k, v) in self {
+            k.save(e);
+            v.save(e);
+        }
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Vec::<(K, V)>::load(d).map(BTreeMap::from_iter)
+    }
+}
+
+/// Declare each listed struct's checkpoint format as its fields in
+/// order: one list gives both directions of [`Ckpt`].
+///
+/// ```
+/// # use mm_faults::{ckpt_struct, Ckpt, Dec, Enc};
+/// #[derive(Debug, PartialEq)]
+/// struct Span { start: u64, len: u32 }
+/// ckpt_struct!(Span { start, len });
+///
+/// let mut e = Enc::new();
+/// Span { start: 7, len: 2 }.save(&mut e);
+/// let bytes = e.finish();
+/// assert_eq!(bytes.len(), 12);
+/// assert_eq!(Span::load(&mut Dec::new(&bytes)), Ok(Span { start: 7, len: 2 }));
+/// ```
+#[macro_export]
+macro_rules! ckpt_struct {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::Ckpt for $ty {
+            fn save(&self, e: &mut $crate::Enc) {
+                $($crate::Ckpt::save(&self.$field, e);)+
+            }
+
+            fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::CkptError> {
+                Ok($ty { $($field: $crate::Ckpt::load(d)?),+ })
+            }
+        }
+    )+};
+}
+
+/// Declare an enum's checkpoint format as a tag table: each variant is
+/// its `u8` tag, then its fields in order. A tag the table does not list
+/// loads as the error `bad <what> tag <t>`.
+///
+/// `ckpt_enum!(Type, "what" { rows })` implements [`Ckpt`];
+/// `ckpt_enum!(tags Type { rows })` gives only the two halves it is
+/// built from, for an enum with a row written by hand:
+/// `save_tagged(&self, e) -> bool` writes a listed variant and returns
+/// `false` (writing nothing) for any other, and
+/// `load_tagged(tag, d) -> Result<Option<Self>, CkptError>` reads the
+/// fields of a listed tag's row, or returns `None` for any other.
+///
+/// ```
+/// # use mm_faults::{ckpt_enum, Ckpt, Dec, Enc};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot, Line(u32), Box { w: u32, h: u32 } }
+/// ckpt_enum!(Shape, "shape" { 0 => Dot, 1 => Line(len), 2 => Box { w, h } });
+///
+/// let mut e = Enc::new();
+/// Shape::Box { w: 3, h: 4 }.save(&mut e);
+/// let bytes = e.finish();
+/// assert_eq!(bytes[0], 2);
+/// assert_eq!(Shape::load(&mut Dec::new(&bytes)), Ok(Shape::Box { w: 3, h: 4 }));
+/// let err = Shape::load(&mut Dec::new(&[9])).unwrap_err();
+/// assert_eq!(err.0, "bad shape tag 9");
+/// ```
+#[macro_export]
+macro_rules! ckpt_enum {
+    (tags $ty:ident {
+        $($tag:literal => $var:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
+    }) => {
+        impl $ty {
+            #[allow(unreachable_patterns)]
+            fn save_tagged(&self, e: &mut $crate::Enc) -> bool {
+                match self {
+                    $($ty::$var $(($($t),+))? $({ $($f),+ })? => {
+                        e.u8($tag);
+                        $($($crate::Ckpt::save($t, e);)+)?
+                        $($($crate::Ckpt::save($f, e);)+)?
+                    })+
+                    _ => return false,
+                }
+                true
+            }
+
+            fn load_tagged(
+                tag: u8,
+                d: &mut $crate::Dec<'_>,
+            ) -> Result<Option<Self>, $crate::CkptError> {
+                Ok(Some(match tag {
+                    $($tag => $ty::$var
+                        $(($({ let $t = $crate::Ckpt::load(d)?; $t }),+))?
+                        $({ $($f: $crate::Ckpt::load(d)?),+ })?,)+
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+    ($ty:ident, $what:literal { $($rows:tt)+ }) => {
+        $crate::ckpt_enum!(tags $ty { $($rows)+ });
+
+        impl $crate::Ckpt for $ty {
+            fn save(&self, e: &mut $crate::Enc) {
+                self.save_tagged(e);
+            }
+
+            fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::CkptError> {
+                let tag = d.u8()?;
+                Self::load_tagged(tag, d)?.ok_or_else(|| {
+                    $crate::CkptError(format!(concat!("bad ", $what, " tag {}"), tag))
+                })
+            }
+        }
+    };
+}
+
+ckpt_struct! {
+    FaultPlanConfig { seed, dram, links, stalls }
+    DramFaultConfig { flips, double_every, window, addr }
+    LinkFaultConfig { window, corrupt_pct, drop_pct, delay_pct, delay_cycles }
+    StallFaultConfig { node, window }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,7 +716,6 @@ mod tests {
         e.u16(0xBEEF);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 3);
-        e.i64(-42);
         e.usize(99);
         let bytes = e.finish();
         let mut d = Dec::new(&bytes);
@@ -555,7 +724,6 @@ mod tests {
         assert_eq!(d.u16().unwrap(), 0xBEEF);
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64().unwrap(), -42);
         assert_eq!(d.usize().unwrap(), 99);
         assert_eq!(d.remaining(), 0);
     }
@@ -679,12 +847,25 @@ mod tests {
                 window: (1, u64::MAX),
             }],
         };
-        let plan = FaultPlan::build(cfg, 2);
         let mut e = Enc::new();
-        plan.encode(&mut e);
+        cfg.save(&mut e);
         let bytes = e.finish();
-        let back = FaultPlan::decode(&mut Dec::new(&bytes), 2).unwrap();
-        assert_eq!(plan, back);
+        assert_eq!(FaultPlanConfig::load(&mut Dec::new(&bytes)), Ok(cfg));
+    }
+
+    /// A length prefix of `u64::MAX`, or one far past the bytes left,
+    /// fails at the first missing item; reserving room for it would
+    /// abort the process instead.
+    #[test]
+    fn huge_length_prefix_fails_without_allocating() {
+        for n in [u64::MAX, 1 << 40] {
+            let mut e = Enc::new();
+            e.u64(n);
+            e.u64(5);
+            let bytes = e.finish();
+            assert!(Vec::<u64>::load(&mut Dec::new(&bytes)).is_err());
+            assert!(VecDeque::<[u64; 4]>::load(&mut Dec::new(&bytes)).is_err());
+        }
     }
 
     #[test]

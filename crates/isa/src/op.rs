@@ -6,6 +6,7 @@
 //! operation per unit; they issue together and may complete out of order.
 
 use crate::reg::{Dst, Reg, Src};
+use mm_faults::ckpt_enum;
 use std::fmt;
 
 /// Two-input integer ALU functions.
@@ -241,6 +242,9 @@ pub enum SyncPost {
     SetEmpty,
 }
 
+ckpt_enum!(SyncPre, "sync precondition" { 0 => Any, 1 => Full, 2 => Empty });
+ckpt_enum!(SyncPost, "sync postcondition" { 0 => Unchanged, 1 => SetFull, 2 => SetEmpty });
+
 /// Message priority (§4.1): user messages at priority 0, system replies at
 /// priority 1 so replies can always drain (deadlock avoidance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
@@ -262,6 +266,8 @@ impl Priority {
         }
     }
 }
+
+ckpt_enum!(Priority, "priority" { 0 => P0, 1 => P1 });
 
 /// Operations specific to the memory unit.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -7,6 +7,7 @@
 //! event-queue heads (§3.3, §4.1) appear as the pseudo-registers
 //! [`Reg::NetIn`] and [`Reg::EvQ`].
 
+use mm_faults::{Ckpt, CkptError, Dec, Enc};
 use std::fmt;
 
 /// Integer registers per H-Thread slot (`r0` is hardwired to zero).
@@ -233,6 +234,18 @@ impl RegAddr {
             return None;
         }
         Some(RegAddr { slot, cluster, reg })
+    }
+}
+
+/// Checkpoint format: the packed word of [`RegAddr::encode`].
+impl Ckpt for RegAddr {
+    fn save(&self, e: &mut Enc) {
+        e.u64(self.encode());
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let bits = d.u64()?;
+        RegAddr::decode(bits).ok_or_else(|| CkptError(format!("bad register address {bits:#x}")))
     }
 }
 

@@ -7,6 +7,7 @@
 //! value, so it lives in `mm-mem`, not here.
 
 use crate::pointer::GuardedPointer;
+use mm_faults::ckpt_struct;
 use std::fmt;
 
 /// A 64-bit word plus the pointer tag bit.
@@ -33,6 +34,9 @@ pub struct Word {
     bits: u64,
     tag: bool,
 }
+
+// Checkpoint format: the data bits, then the pointer tag.
+ckpt_struct! { Word { bits, tag } }
 
 impl Word {
     /// The all-zero, untagged word.

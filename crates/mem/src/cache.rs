@@ -15,7 +15,7 @@
 
 use crate::dram::MemWord;
 use crate::memo::{position, Memo};
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::word::Word;
 
 /// Words per cache line (= words per block-status block).
@@ -188,6 +188,8 @@ pub struct CacheStats {
     /// Dirty lines written back.
     pub writebacks: u64,
 }
+
+ckpt_struct! { CacheStats { read_hits, read_misses, write_hits, write_misses, writebacks } }
 
 /// The four-bank, direct-mapped, virtually-tagged cache.
 ///
@@ -470,27 +472,11 @@ impl Cache {
         e.usize(valid().count());
         for (idx, l) in valid() {
             e.usize(idx);
-            e.u64(l.tag);
-            e.bool(l.pa_flags & DIRTY != 0);
-            e.bool(l.pa_flags & WRITABLE != 0);
-            e.u64(l.pa_base());
-            for w in l.words() {
-                e.u64(w.word.bits());
-                e.bool(w.word.is_pointer());
-                e.bool(w.sync);
-                e.u8(w.ecc);
-            }
+            let flag = |f| l.pa_flags & f != 0;
+            (l.tag, flag(DIRTY), flag(WRITABLE), l.pa_base()).save(e);
+            l.words().save(e);
         }
-        let s = &self.stats;
-        for v in [
-            s.read_hits,
-            s.read_misses,
-            s.write_hits,
-            s.write_misses,
-            s.writebacks,
-        ] {
-            e.u64(v);
-        }
+        self.stats.save(e);
     }
 
     /// Restore state saved by [`Cache::save_state`].
@@ -516,27 +502,13 @@ impl Cache {
             if idx as u64 >= n {
                 return Err(CkptError(format!("cache line index {idx} out of range")));
             }
-            let tag = d.u64()?;
-            let dirty = d.bool()?;
-            let writable = d.bool()?;
-            let pa_base = d.u64()?;
+            let (tag, dirty, writable, pa_base) = <(u64, bool, bool, u64)>::load(d)?;
             if pa_base & FLAGS != 0 {
                 return Err(CkptError(format!(
                     "cache line base {pa_base:#x} is not line-aligned"
                 )));
             }
-            let mut data = [MemWord::default(); LINE_WORDS as usize];
-            for w in &mut data {
-                let bits = d.u64()?;
-                let ptr = d.bool()?;
-                let sync = d.bool()?;
-                let ecc = d.u8()?;
-                *w = MemWord {
-                    word: Word::from_raw(bits, ptr),
-                    sync,
-                    ecc,
-                };
-            }
+            let data = Ckpt::load(d)?;
             let flags = VALID | if dirty { DIRTY } else { 0 } | if writable { WRITABLE } else { 0 };
             let new = Line::new(tag, pa_base | flags, &data);
             match self.slot(idx) {
@@ -544,13 +516,7 @@ impl Cache {
                 Some(slot) => self.lines[slot] = new,
             }
         }
-        self.stats = CacheStats {
-            read_hits: d.u64()?,
-            read_misses: d.u64()?,
-            write_hits: d.u64()?,
-            write_misses: d.u64()?,
-            writebacks: d.u64()?,
-        };
+        self.stats = CacheStats::load(d)?;
         Ok(())
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::memo::{position, Memo};
 use crate::secded::{decode, encode, Decoded};
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::word::Word;
 
 /// One word of storage: data bits + pointer tag + synchronization bit +
@@ -161,6 +161,32 @@ pub struct SdramStats {
     pub ecc_corrected: u64,
     /// Uncorrectable double-bit errors observed.
     pub ecc_double_errors: u64,
+}
+
+ckpt_struct! {
+    MemWord { word, sync, ecc }
+    SdramStats { row_hits, row_misses, words_transferred, ecc_corrected, ecc_double_errors }
+}
+
+/// Checkpoint format: each word's data bits, pointer tag and full/empty
+/// bit in turn (hand-written: the packed masks are split per word).
+impl Ckpt for Block {
+    fn save(&self, e: &mut Enc) {
+        for k in 0..8 {
+            (self.data[k], self.tags >> k & 1 == 1, self.full(k)).save(e);
+        }
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut b = Block::default();
+        for k in 0..8 {
+            let (data, tag, sync) = <(u64, bool, bool)>::load(d)?;
+            b.data[k] = data;
+            b.tags |= u8::from(tag) << k;
+            b.sync |= u8::from(sync) << k;
+        }
+        Ok(b)
+    }
 }
 
 /// Words per demand-committed storage page — a unit of host memory only,
@@ -591,11 +617,7 @@ impl Sdram {
     pub fn save_state(&self, e: &mut Enc) {
         fn flush(e: &mut Enc, w: MemWord, run: u64) {
             if run > 0 {
-                e.u64(run);
-                e.u64(w.word.bits());
-                e.bool(w.word.is_pointer());
-                e.bool(w.sync);
-                e.u8(w.ecc);
+                (run, w).save(e);
             }
         }
         let cap = self.cfg.capacity_words;
@@ -627,27 +649,9 @@ impl Sdram {
         push(e, MemWord::default(), tail);
         flush(e, cur, run);
         e.u64(0); // run terminator
-        e.usize(self.open_rows.len());
-        for r in &self.open_rows {
-            match r {
-                None => e.u8(0),
-                Some(v) => {
-                    e.u8(1);
-                    e.u64(*v);
-                }
-            }
-        }
-        e.u64(self.busy_until);
-        let s = &self.stats;
-        for v in [
-            s.row_hits,
-            s.row_misses,
-            s.words_transferred,
-            s.ecc_corrected,
-            s.ecc_double_errors,
-        ] {
-            e.u64(v);
-        }
+        self.open_rows.save(e);
+        self.busy_until.save(e);
+        self.stats.save(e);
     }
 
     /// Restore state saved by [`Sdram::save_state`]. Zero runs stay
@@ -675,15 +679,7 @@ impl Sdram {
             if run == 0 {
                 break;
             }
-            let bits = d.u64()?;
-            let tag = d.bool()?;
-            let sync = d.bool()?;
-            let ecc = d.u8()?;
-            let w = MemWord {
-                word: Word::from_raw(bits, tag),
-                sync,
-                ecc,
-            };
+            let w = MemWord::load(d)?;
             let end = i
                 .checked_add(run)
                 .filter(|&end| end <= cap)
@@ -699,25 +695,13 @@ impl Sdram {
         if i != cap {
             return Err(CkptError(format!("SDRAM runs cover {i} of {cap} words")));
         }
-        let banks = d.usize()?;
-        if banks != self.open_rows.len() {
+        let open_rows = Vec::load(d)?;
+        if open_rows.len() != self.open_rows.len() {
             return Err(CkptError("SDRAM bank count mismatch".into()));
         }
-        for r in &mut self.open_rows {
-            *r = match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                b => return Err(CkptError(format!("bad open-row tag {b}"))),
-            };
-        }
+        self.open_rows = open_rows;
         self.busy_until = d.u64()?;
-        self.stats = SdramStats {
-            row_hits: d.u64()?,
-            row_misses: d.u64()?,
-            words_transferred: d.u64()?,
-            ecc_corrected: d.u64()?,
-            ecc_double_errors: d.u64()?,
-        };
+        self.stats = SdramStats::load(d)?;
         Ok(())
     }
 }

@@ -22,6 +22,7 @@
 
 use crate::dram::{MemWord, Sdram};
 use crate::ltlb::LtlbEntry;
+use mm_faults::ckpt_struct;
 use mm_isa::word::Word;
 
 /// Words per LPT entry.
@@ -42,6 +43,8 @@ pub struct Lpt {
     /// Number of slots (power of two).
     pub slots: u64,
 }
+
+ckpt_struct! { Lpt { base, slots } }
 
 impl Lpt {
     /// Define a table at `base` with `slots` entries.

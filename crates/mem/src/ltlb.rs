@@ -8,7 +8,7 @@
 //! data (§4.3).
 
 use crate::memo::{position, Memo};
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_enum, ckpt_struct, Ckpt, CkptError, Dec, Enc};
 
 /// Words per local page.
 pub const PAGE_WORDS: u64 = 512;
@@ -154,6 +154,13 @@ pub struct LtlbStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
+}
+
+ckpt_enum!(BlockStatus, "block status" { 0 => Invalid, 1 => ReadOnly, 2 => ReadWrite, 3 => Dirty });
+
+ckpt_struct! {
+    LtlbEntry { vpn, ppn, status_lo, status_hi, lpt_addr }
+    LtlbStats { hits, misses, evictions }
 }
 
 /// The fully-associative LTLB with LRU replacement.
@@ -389,24 +396,12 @@ impl Ltlb {
     /// a pure function of the slots and is rebuilt on load.
     pub fn save_state(&self, e: &mut Enc) {
         e.usize(self.entries.len());
-        for (slot, lu) in self.entries.iter().zip(&self.last_use) {
-            match slot {
-                None => e.u8(0),
-                Some(en) => {
-                    e.u8(1);
-                    e.u64(en.vpn);
-                    e.u64(en.ppn);
-                    e.u64(en.status_lo);
-                    e.u64(en.status_hi);
-                    e.u64(en.lpt_addr);
-                }
-            }
-            e.u64(*lu);
+        for slot in self.entries.iter().zip(&self.last_use) {
+            slot.0.save(e);
+            slot.1.save(e);
         }
-        e.u64(self.clock);
-        e.u64(self.stats.hits);
-        e.u64(self.stats.misses);
-        e.u64(self.stats.evictions);
+        self.clock.save(e);
+        self.stats.save(e);
     }
 
     /// Restore state saved by [`Ltlb::save_state`], rebuilding the
@@ -415,44 +410,30 @@ impl Ltlb {
     /// # Errors
     ///
     /// [`CkptError`] on truncated input or a capacity mismatch.
-    // analyze: cold (checkpoint codec: formats its errors)
+    // analyze: cold (checkpoint codec: reads the slots into a list)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        let n = d.usize()?;
-        if n != self.entries.len() {
+        let slots = Vec::<(Option<LtlbEntry>, u64)>::load(d)?;
+        if slots.len() != self.entries.len() {
             return Err(CkptError(format!(
-                "LTLB capacity mismatch: checkpoint has {n}, TLB has {}",
+                "LTLB capacity mismatch: checkpoint has {}, TLB has {}",
+                slots.len(),
                 self.entries.len()
             )));
         }
         self.memo.clear();
         self.index.fill(0);
         self.entries.fill(None);
-        for i in 0..n {
-            match d.u8()? {
-                0 => {}
-                1 => {
-                    let en = LtlbEntry {
-                        vpn: d.u64()?,
-                        ppn: d.u64()?,
-                        status_lo: d.u64()?,
-                        status_hi: d.u64()?,
-                        lpt_addr: d.u64()?,
-                    };
-                    // A vpn in two slots (only a hand-made checkpoint
-                    // has one) resolves to the later slot.
-                    self.entries[i] = Some(en);
-                    self.index_insert(en.vpn, i);
-                }
-                b => return Err(CkptError(format!("bad LTLB slot tag {b}"))),
+        for (i, (en, last_use)) in slots.into_iter().enumerate() {
+            self.entries[i] = en;
+            self.last_use[i] = last_use;
+            // A vpn in two slots (only a hand-made checkpoint has one)
+            // resolves to the later slot.
+            if let Some(en) = en {
+                self.index_insert(en.vpn, i);
             }
-            self.last_use[i] = d.u64()?;
         }
         self.clock = d.u64()?;
-        self.stats = LtlbStats {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            evictions: d.u64()?,
-        };
+        self.stats = LtlbStats::load(d)?;
         Ok(())
     }
 }

@@ -13,7 +13,7 @@ use crate::cache::{Cache, CacheConfig, CacheStats, StoreOutcome, LINE_WORDS};
 use crate::dram::{Block, MemWord, Sdram, SdramConfig, SdramStats};
 use crate::lpt::Lpt;
 use crate::ltlb::{BlockStatus, Ltlb, LtlbEntry, PAGE_WORDS};
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_enum, ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::op::{SyncPost, SyncPre};
 use mm_isa::pointer::{GuardedPointer, Perm};
 use mm_isa::word::Word;
@@ -134,6 +134,20 @@ pub struct MemEvent {
     pub req: MemRequest,
 }
 
+ckpt_enum!(AccessKind, "access kind" { 0 => Load, 1 => Store });
+ckpt_enum!(MemEventKind, "mem event" {
+    0 => LtlbMiss,
+    1 => BlockStatusFault { status },
+    2 => SyncFault { sync_was },
+    3 => EccError,
+});
+
+ckpt_struct! {
+    MemRequest { id, kind, va, data, data_ptr_tag, pre, post, tag, phys }
+    MemResponse { req, value, ready }
+    MemEvent { at, kind, req }
+}
+
 /// Occupancy of one memory system — counts only, for inspection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemInspect {
@@ -225,6 +239,13 @@ pub struct MemStats {
     pub ecc_events: u64,
     /// Requests rejected because a bank queue was full.
     pub bank_stalls: u64,
+}
+
+ckpt_struct! {
+    MemStats {
+        requests, responses, ltlb_miss_events, block_status_events, sync_fault_events, ecc_events,
+        bank_stalls
+    }
 }
 
 /// The latencies and queue depth the pipeline reads, copied out of
@@ -913,59 +934,15 @@ impl MemorySystem {
         self.sdram.save_state(e);
         self.cache.save_state(e);
         self.ltlb.save_state(e);
-        match self.lpt {
-            Some(lpt) => {
-                e.u8(1);
-                e.u64(lpt.base);
-                e.u64(lpt.slots);
-            }
-            None => e.u8(0),
-        }
+        self.lpt.save(e);
         e.usize(self.bank_q.count);
-        for q in (0..self.bank_q.count).map(|b| self.bank_q.get(b)) {
-            e.usize(q.len());
-            for req in q {
-                encode_req(e, req);
-            }
+        for b in 0..self.bank_q.count {
+            self.bank_q.get(b).save(e);
         }
-        e.usize(self.miss_q.len());
-        for &(ready, req) in &self.miss_q {
-            e.u64(ready);
-            encode_req(e, &req);
-        }
-        let staged = self.responses.snapshot();
-        e.usize(staged.len());
-        for (ready, resp) in staged {
-            e.u64(ready);
-            encode_req(e, &resp.req);
-            e.u64(resp.value.bits());
-            e.bool(resp.value.is_pointer());
-            e.u64(resp.ready);
-        }
-        e.usize(self.events.len());
-        for ev in &self.events {
-            e.u64(ev.at);
-            match ev.kind {
-                MemEventKind::LtlbMiss => e.u8(0),
-                MemEventKind::BlockStatusFault { status } => {
-                    e.u8(1);
-                    e.u8(status.bits());
-                }
-                MemEventKind::SyncFault { sync_was } => {
-                    e.u8(2);
-                    e.bool(sync_was);
-                }
-                MemEventKind::EccError => e.u8(3),
-            }
-            encode_req(e, &ev.req);
-        }
-        e.u64(self.stats.requests);
-        e.u64(self.stats.responses);
-        e.u64(self.stats.ltlb_miss_events);
-        e.u64(self.stats.block_status_events);
-        e.u64(self.stats.sync_fault_events);
-        e.u64(self.stats.ecc_events);
-        e.u64(self.stats.bank_stalls);
+        self.miss_q.save(e);
+        self.responses.save(e);
+        self.events.save(e);
+        self.stats.save(e);
     }
 
     /// Restore state produced by [`MemorySystem::save_state`] into a
@@ -979,18 +956,10 @@ impl MemorySystem {
         self.sdram.load_state(d)?;
         self.cache.load_state(d)?;
         self.ltlb.load_state(d)?;
-        self.lpt = match d.u8()? {
-            0 => None,
-            1 => {
-                let base = d.u64()?;
-                let slots = d.u64()?;
-                if !slots.is_power_of_two() {
-                    return Err(CkptError(format!("bad LPT slot count {slots}")));
-                }
-                Some(Lpt { base, slots })
-            }
-            t => return Err(CkptError(format!("bad LPT presence tag {t}"))),
-        };
+        self.lpt = Option::load(d)?;
+        if let Some(Lpt { slots, .. }) = self.lpt.filter(|l| !l.slots.is_power_of_two()) {
+            return Err(CkptError(format!("bad LPT slot count {slots}")));
+        }
         let banks = d.usize()?;
         if banks != self.bank_q.count {
             return Err(CkptError(format!(
@@ -1000,121 +969,16 @@ impl MemorySystem {
         }
         self.bank_backlog = 0;
         for bank in 0..banks {
-            let q = self.bank_q.get_mut(bank);
-            q.clear();
-            let n = d.usize()?;
-            for _ in 0..n {
-                q.push_back(decode_req(d)?);
-            }
-            self.bank_backlog += n;
+            let q = VecDeque::load(d)?;
+            self.bank_backlog += q.len();
+            *self.bank_q.get_mut(bank) = q;
         }
-        self.miss_q.clear();
-        let n = d.usize()?;
-        for _ in 0..n {
-            let ready = d.u64()?;
-            let req = decode_req(d)?;
-            self.miss_q.push_back((ready, req));
-        }
-        let n = d.usize()?;
-        let mut staged = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let key = d.u64()?;
-            let req = decode_req(d)?;
-            let value = Word::from_raw(d.u64()?, d.bool()?);
-            let ready = d.u64()?;
-            staged.push((key, MemResponse { req, value, ready }));
-        }
-        self.responses.restore(staged);
-        self.events.clear();
-        let n = d.usize()?;
-        for _ in 0..n {
-            let at = d.u64()?;
-            let kind = match d.u8()? {
-                0 => MemEventKind::LtlbMiss,
-                1 => MemEventKind::BlockStatusFault {
-                    status: BlockStatus::from_bits(d.u8()?),
-                },
-                2 => MemEventKind::SyncFault {
-                    sync_was: d.bool()?,
-                },
-                3 => MemEventKind::EccError,
-                t => return Err(CkptError(format!("bad mem event tag {t}"))),
-            };
-            let req = decode_req(d)?;
-            self.events.push(MemEvent { at, kind, req });
-        }
-        self.stats = MemStats {
-            requests: d.u64()?,
-            responses: d.u64()?,
-            ltlb_miss_events: d.u64()?,
-            block_status_events: d.u64()?,
-            sync_fault_events: d.u64()?,
-            ecc_events: d.u64()?,
-            bank_stalls: d.u64()?,
-        };
+        self.miss_q = Ckpt::load(d)?;
+        self.responses = Ckpt::load(d)?;
+        self.events = Ckpt::load(d)?;
+        self.stats = MemStats::load(d)?;
         Ok(())
     }
-}
-
-fn encode_req(e: &mut Enc, req: &MemRequest) {
-    e.u64(req.id);
-    e.u8(match req.kind {
-        AccessKind::Load => 0,
-        AccessKind::Store => 1,
-    });
-    e.u64(req.va);
-    e.u64(req.data.bits());
-    e.bool(req.data.is_pointer());
-    e.bool(req.data_ptr_tag);
-    e.u8(match req.pre {
-        SyncPre::Any => 0,
-        SyncPre::Full => 1,
-        SyncPre::Empty => 2,
-    });
-    e.u8(match req.post {
-        SyncPost::Unchanged => 0,
-        SyncPost::SetFull => 1,
-        SyncPost::SetEmpty => 2,
-    });
-    e.u64(req.tag);
-    e.bool(req.phys);
-}
-
-fn decode_req(d: &mut Dec) -> Result<MemRequest, CkptError> {
-    let id = d.u64()?;
-    let kind = match d.u8()? {
-        0 => AccessKind::Load,
-        1 => AccessKind::Store,
-        t => return Err(CkptError(format!("bad access kind {t}"))),
-    };
-    let va = d.u64()?;
-    let data = Word::from_raw(d.u64()?, d.bool()?);
-    let data_ptr_tag = d.bool()?;
-    let pre = match d.u8()? {
-        0 => SyncPre::Any,
-        1 => SyncPre::Full,
-        2 => SyncPre::Empty,
-        t => return Err(CkptError(format!("bad sync precondition {t}"))),
-    };
-    let post = match d.u8()? {
-        0 => SyncPost::Unchanged,
-        1 => SyncPost::SetFull,
-        2 => SyncPost::SetEmpty,
-        t => return Err(CkptError(format!("bad sync postcondition {t}"))),
-    };
-    let tag = d.u64()?;
-    let phys = d.bool()?;
-    Ok(MemRequest {
-        id,
-        kind,
-        va,
-        data,
-        data_ptr_tag,
-        pre,
-        post,
-        tag,
-        phys,
-    })
 }
 
 #[cfg(test)]

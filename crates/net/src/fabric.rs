@@ -10,7 +10,7 @@
 //! remote node (5 cycles)".
 
 use crate::message::{NodeCoord, Packet};
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_sched::ReadyQueue;
 use std::borrow::Borrow;
 
@@ -87,6 +87,8 @@ pub struct FabricStats {
     /// fetch/grant/invalidate/writeback crossing the fabric.
     pub coh_packets: u64,
 }
+
+ckpt_struct! { FabricStats { packets, flits, total_latency, contention_cycles, hops, coh_packets } }
 
 /// The mesh interconnect.
 #[derive(Debug, Clone)]
@@ -396,32 +398,16 @@ impl Fabric {
     /// stream. Configuration is not written — restore targets an
     /// identically-built fabric.
     pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.link_free.len());
-        for &v in &self.link_free {
-            e.u64(v);
-        }
+        self.link_free.save(e);
         let snap = self.in_flight.snapshot();
         e.usize(snap.len());
         for (at, &slot) in snap {
             e.u64(at);
-            self.slab[slot as usize].encode(e);
+            self.slab[slot as usize].save(e);
         }
-        let s = &self.stats;
-        for v in [
-            s.packets,
-            s.flits,
-            s.total_latency,
-            s.contention_cycles,
-            s.hops,
-            s.coh_packets,
-        ] {
-            e.u64(v);
-        }
-        e.usize(self.link_flits.len());
-        for &v in &self.link_flits {
-            e.u64(v);
-        }
-        e.u64(self.flit_hops);
+        self.stats.save(e);
+        self.link_flits.save(e);
+        self.flit_hops.save(e);
     }
 
     /// Restore state saved by [`Fabric::save_state`].
@@ -433,25 +419,22 @@ impl Fabric {
     /// with an endpoint outside this mesh.
     // analyze: cold (checkpoint restore, never on the cycle path)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        let n = d.usize()?;
-        if n != self.link_free.len() {
+        let link_free = Vec::load(d)?;
+        if link_free.len() != self.link_free.len() {
             return Err(CkptError(format!(
-                "fabric link table mismatch: checkpoint has {n} VCs, mesh has {}",
+                "fabric link table mismatch: checkpoint has {} VCs, mesh has {}",
+                link_free.len(),
                 self.link_free.len()
             )));
         }
-        for v in &mut self.link_free {
-            *v = d.u64()?;
-        }
+        self.link_free = link_free;
         // The slab is rebuilt in delivery order: slot i holds the i-th
         // packet to be delivered.
-        let inflight = d.usize()?;
+        let in_flight = Vec::<(u64, Packet)>::load(d)?;
         self.slab.clear();
         self.free.clear();
-        let mut order = Vec::with_capacity(inflight.min(d.remaining()));
-        for i in 0..inflight {
-            let at = d.u64()?;
-            let p = Packet::decode(d)?;
+        let mut order = Vec::with_capacity(in_flight.len());
+        for (i, (at, p)) in in_flight.into_iter().enumerate() {
             if !self.contains(p.src()) || !self.contains(p.dest()) {
                 let (x, y, z) = self.cfg.dims;
                 return Err(CkptError(format!(
@@ -466,24 +449,16 @@ impl Fabric {
             self.slab.push(p);
         }
         self.in_flight.restore(order);
-        self.stats = FabricStats {
-            packets: d.u64()?,
-            flits: d.u64()?,
-            total_latency: d.u64()?,
-            contention_cycles: d.u64()?,
-            hops: d.u64()?,
-            coh_packets: d.u64()?,
-        };
-        let m = d.usize()?;
-        if m != self.link_flits.len() {
+        self.stats = FabricStats::load(d)?;
+        let link_flits = Vec::load(d)?;
+        if link_flits.len() != self.link_flits.len() {
             return Err(CkptError(format!(
-                "fabric flit table mismatch: checkpoint has {m} VCs, mesh has {}",
+                "fabric flit table mismatch: checkpoint has {} VCs, mesh has {}",
+                link_flits.len(),
                 self.link_flits.len()
             )));
         }
-        for v in &mut self.link_flits {
-            *v = d.u64()?;
-        }
+        self.link_flits = link_flits;
         self.flit_hops = d.u64()?;
         Ok(())
     }
@@ -563,7 +538,7 @@ mod tests {
             let mut e = Enc::new();
             e.usize(1);
             e.u64(7);
-            msg(NodeCoord::new(0, 0, 0), dest, 1, Priority::P0).encode(&mut e);
+            msg(NodeCoord::new(0, 0, 0), dest, 1, Priority::P0).save(&mut e);
             let mut bytes = clean[..at].to_vec();
             bytes.extend_from_slice(&e.finish());
             bytes.extend_from_slice(&clean[at + 8..]);

@@ -16,7 +16,7 @@
 //! cyclic interleavings".
 
 use crate::message::NodeCoord;
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_struct, Ckpt, CkptError, Dec, Enc};
 
 /// Words per *global* page (distinct from the 512-word local page).
 pub const GLOBAL_PAGE_WORDS: u64 = 1024;
@@ -149,6 +149,23 @@ pub struct GtlbStats {
     pub unmapped: u64,
 }
 
+ckpt_struct! { GtlbStats { hits, misses, unmapped } }
+
+/// Checkpoint format: the packed [`GdtEntry::encode`] form, low word
+/// first.
+impl Ckpt for GdtEntry {
+    fn save(&self, e: &mut Enc) {
+        let bits = self.encode();
+        #[allow(clippy::cast_possible_truncation)]
+        (bits as u64, (bits >> 64) as u64).save(e);
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let (lo, hi) = <(u64, u64)>::load(d)?;
+        Ok(GdtEntry::decode(u128::from(lo) | u128::from(hi) << 64))
+    }
+}
+
 /// The GTLB: a small fully-associative cache over the software GDT.
 ///
 /// A miss refills from the GDT transparently (the simulator charges the
@@ -225,22 +242,9 @@ impl Gtlb {
     /// Serialize the GDT, the cached set (FIFO order) and the statistics
     /// into a checkpoint stream. The capacity comes from configuration.
     pub fn save_state(&self, e: &mut Enc) {
-        let pack = |e: &mut Enc, entry: &GdtEntry| {
-            let bits = entry.encode();
-            e.u64(bits as u64);
-            e.u64((bits >> 64) as u64);
-        };
-        e.usize(self.gdt.len());
-        for entry in &self.gdt {
-            pack(e, entry);
-        }
-        e.usize(self.cached.len());
-        for entry in &self.cached {
-            pack(e, entry);
-        }
-        e.u64(self.stats.hits);
-        e.u64(self.stats.misses);
-        e.u64(self.stats.unmapped);
+        self.gdt.save(e);
+        self.cached.save(e);
+        self.stats.save(e);
     }
 
     /// Restore state saved by [`Gtlb::save_state`].
@@ -249,24 +253,7 @@ impl Gtlb {
     ///
     /// [`CkptError`] on truncated or malformed input.
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        let unpack = |d: &mut Dec<'_>| -> Result<GdtEntry, CkptError> {
-            let lo = d.u64()?;
-            let hi = d.u64()?;
-            Ok(GdtEntry::decode(u128::from(lo) | (u128::from(hi) << 64)))
-        };
-        self.gdt.clear();
-        for _ in 0..d.usize()? {
-            self.gdt.push(unpack(d)?);
-        }
-        self.cached.clear();
-        for _ in 0..d.usize()? {
-            self.cached.push(unpack(d)?);
-        }
-        self.stats = GtlbStats {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            unmapped: d.u64()?,
-        };
+        (self.gdt, self.cached, self.stats) = Ckpt::load(d)?;
         Ok(())
     }
 }

@@ -8,8 +8,8 @@
 //! implements the throttling protocol of §4.1.
 
 use crate::gtlb::Gtlb;
-use crate::message::{decode_word, encode_word, Message, MsgBody, NodeCoord, Packet};
-use mm_faults::{CkptError, Dec, Enc};
+use crate::message::{Message, MsgBody, NodeCoord, Packet};
+use mm_faults::{ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::op::Priority;
 use mm_isa::word::Word;
 use std::borrow::Borrow;
@@ -112,6 +112,15 @@ impl SrcWindow {
 struct MsgQueue {
     words: VecDeque<(Word, bool)>, // (word, is-last-of-message)
     messages: usize,
+}
+
+ckpt_struct! {
+    MsgQueue { words, messages }
+    SrcWindow { floor, above }
+    IfaceStats {
+        sent, received, credit_stalls, returned_here, returns_received, coh_sent, coh_received,
+        crc_nacks, dup_drops
+    }
 }
 
 /// The node's network interface.
@@ -465,51 +474,14 @@ impl NodeNet {
     // analyze: cold (checkpoint save, never on the cycle path)
     pub fn save_state(&self, e: &mut Enc) {
         self.gtlb.save_state(e);
-        for q in &self.queues {
-            e.usize(q.words.len());
-            for &(w, last) in &q.words {
-                encode_word(e, w);
-                e.bool(last);
-            }
-            e.usize(q.messages);
-        }
-        e.u32(self.credits);
-        e.usize(self.returned.len());
-        for m in &self.returned {
-            m.encode(e);
-        }
-        e.usize(self.outbox.len());
-        for p in &self.outbox {
-            p.encode(e);
-        }
-        e.usize(self.coh_in.len());
-        for m in &self.coh_in {
-            m.encode(e);
-        }
-        let s = &self.stats;
-        for v in [
-            s.sent,
-            s.received,
-            s.credit_stalls,
-            s.returned_here,
-            s.returns_received,
-            s.coh_sent,
-            s.coh_received,
-            s.crc_nacks,
-            s.dup_drops,
-        ] {
-            e.u64(v);
-        }
-        e.u64(self.next_seq);
-        e.usize(self.dedup.len());
-        for (src, w) in &self.dedup {
-            e.u64(*src);
-            e.u64(w.floor);
-            e.usize(w.above.len());
-            for &s in &w.above {
-                e.u64(s);
-            }
-        }
+        self.queues.save(e);
+        self.credits.save(e);
+        self.returned.save(e);
+        self.outbox.save(e);
+        self.coh_in.save(e);
+        self.stats.save(e);
+        self.next_seq.save(e);
+        self.dedup.save(e);
     }
 
     /// Restore state saved by [`NodeNet::save_state`].
@@ -520,50 +492,8 @@ impl NodeNet {
     // analyze: cold (checkpoint restore, never on the cycle path)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.gtlb.load_state(d)?;
-        for q in &mut self.queues {
-            q.words.clear();
-            for _ in 0..d.usize()? {
-                let w = decode_word(d)?;
-                let last = d.bool()?;
-                q.words.push_back((w, last));
-            }
-            q.messages = d.usize()?;
-        }
-        self.credits = d.u32()?;
-        self.returned.clear();
-        for _ in 0..d.usize()? {
-            self.returned.push_back(Message::decode(d)?);
-        }
-        self.outbox.clear();
-        for _ in 0..d.usize()? {
-            self.outbox.push(Packet::decode(d)?);
-        }
-        self.coh_in.clear();
-        for _ in 0..d.usize()? {
-            self.coh_in.push_back(Message::decode(d)?);
-        }
-        self.stats = IfaceStats {
-            sent: d.u64()?,
-            received: d.u64()?,
-            credit_stalls: d.u64()?,
-            returned_here: d.u64()?,
-            returns_received: d.u64()?,
-            coh_sent: d.u64()?,
-            coh_received: d.u64()?,
-            crc_nacks: d.u64()?,
-            dup_drops: d.u64()?,
-        };
-        self.next_seq = d.u64()?;
-        self.dedup.clear();
-        for _ in 0..d.usize()? {
-            let src = d.u64()?;
-            let floor = d.u64()?;
-            let mut above = Vec::new();
-            for _ in 0..d.usize()? {
-                above.push(d.u64()?);
-            }
-            self.dedup.insert(src, SrcWindow { floor, above });
-        }
+        (self.queues, self.credits, self.returned, self.outbox) = Ckpt::load(d)?;
+        (self.coh_in, self.stats, self.next_seq, self.dedup) = Ckpt::load(d)?;
         Ok(())
     }
 }

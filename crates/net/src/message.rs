@@ -6,7 +6,7 @@
 //! (DIP) to the body, so the receiver's register-mapped queue yields
 //! `[DIP, dest-VA, body...]` — exactly the order Fig. 7's handler consumes.
 
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_enum, ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::op::Priority;
 use mm_isa::word::Word;
 use std::fmt;
@@ -58,6 +58,17 @@ impl NodeCoord {
 impl fmt::Display for NodeCoord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({},{},{})", self.x, self.y, self.z)
+    }
+}
+
+/// Checkpoint format: the packed word of [`NodeCoord::encode`].
+impl Ckpt for NodeCoord {
+    fn save(&self, e: &mut Enc) {
+        e.u64(self.encode());
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        d.u64().map(NodeCoord::decode)
     }
 }
 
@@ -167,6 +178,23 @@ impl FromIterator<Word> for MsgBody {
             b.push(w);
         }
         b
+    }
+}
+
+/// Checkpoint format: a length, then the words (hand-written: the
+/// length is bounded by [`MAX_BODY_WORDS`]).
+impl Ckpt for MsgBody {
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.len());
+        self.iter().for_each(|w| w.save(e));
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let n = d.usize()?;
+        if n > MAX_BODY_WORDS {
+            return Err(CkptError(format!("message body too long ({n})")));
+        }
+        (0..n).map(|_| Word::load(d)).collect()
     }
 }
 
@@ -285,68 +313,11 @@ impl Message {
             self.corrupt_payload(0, 11);
         }
     }
-
-    /// Serialize into a checkpoint stream.
-    pub fn encode(&self, e: &mut Enc) {
-        e.u8(self.priority.index() as u8);
-        e.u64(self.src.encode());
-        e.u64(self.dest.encode());
-        encode_word(e, self.dip);
-        encode_word(e, self.addr);
-        e.usize(self.body.len());
-        for w in self.body.iter() {
-            encode_word(e, *w);
-        }
-        e.u64(self.wire.seq);
-        e.u32(self.wire.crc);
-    }
-
-    /// Deserialize from a checkpoint stream.
-    pub fn decode(d: &mut Dec<'_>) -> Result<Message, CkptError> {
-        let priority = match d.u8()? {
-            0 => Priority::P0,
-            1 => Priority::P1,
-            p => return Err(CkptError(format!("bad message priority {p}"))),
-        };
-        let src = NodeCoord::decode(d.u64()?);
-        let dest = NodeCoord::decode(d.u64()?);
-        let dip = decode_word(d)?;
-        let addr = decode_word(d)?;
-        let n = d.usize()?;
-        if n > MAX_BODY_WORDS {
-            return Err(CkptError(format!("message body too long ({n})")));
-        }
-        let mut body = MsgBody::new();
-        for _ in 0..n {
-            body.push(decode_word(d)?);
-        }
-        let wire = WireMeta {
-            seq: d.u64()?,
-            crc: d.u32()?,
-        };
-        Ok(Message {
-            priority,
-            src,
-            dest,
-            dip,
-            addr,
-            body,
-            wire,
-        })
-    }
 }
 
-/// Serialize a tagged machine word into a checkpoint stream.
-pub fn encode_word(e: &mut Enc, w: Word) {
-    e.u64(w.bits());
-    e.bool(w.is_pointer());
-}
-
-/// Deserialize a tagged machine word from a checkpoint stream.
-pub fn decode_word(d: &mut Dec<'_>) -> Result<Word, CkptError> {
-    let bits = d.u64()?;
-    let tag = d.bool()?;
-    Ok(Word::from_raw(bits, tag))
+ckpt_struct! {
+    WireMeta { seq, crc }
+    Message { priority, src, dest, dip, addr, body, wire }
 }
 
 /// What travels point-to-point: user messages, the two hardware control
@@ -418,44 +389,14 @@ impl Packet {
             Packet::Credit { .. } | Packet::Return(_) => Priority::P1,
         }
     }
-
-    /// Serialize into a checkpoint stream.
-    pub fn encode(&self, e: &mut Enc) {
-        match self {
-            Packet::User(m) => {
-                e.u8(0);
-                m.encode(e);
-            }
-            Packet::Credit { dest, from } => {
-                e.u8(1);
-                e.u64(dest.encode());
-                e.u64(from.encode());
-            }
-            Packet::Return(m) => {
-                e.u8(2);
-                m.encode(e);
-            }
-            Packet::Coh(m) => {
-                e.u8(3);
-                m.encode(e);
-            }
-        }
-    }
-
-    /// Deserialize from a checkpoint stream.
-    pub fn decode(d: &mut Dec<'_>) -> Result<Packet, CkptError> {
-        Ok(match d.u8()? {
-            0 => Packet::User(Message::decode(d)?),
-            1 => Packet::Credit {
-                dest: NodeCoord::decode(d.u64()?),
-                from: NodeCoord::decode(d.u64()?),
-            },
-            2 => Packet::Return(Message::decode(d)?),
-            3 => Packet::Coh(Message::decode(d)?),
-            t => return Err(CkptError(format!("bad packet tag {t}"))),
-        })
-    }
 }
+
+ckpt_enum!(Packet, "packet" {
+    0 => User(m),
+    1 => Credit { dest, from },
+    2 => Return(m),
+    3 => Coh(m),
+});
 
 #[cfg(test)]
 mod tests {
@@ -545,10 +486,10 @@ mod tests {
         m.wire.seq = 42;
         m.seal_crc();
         let mut e = Enc::new();
-        m.encode(&mut e);
+        m.save(&mut e);
         let buf = e.finish();
         let mut d = Dec::new(&buf);
-        let back = Message::decode(&mut d).expect("decode");
+        let back = Message::load(&mut d).expect("decode");
         assert_eq!(back, m);
         assert_eq!(d.remaining(), 0);
     }

@@ -3,7 +3,7 @@
 //! conservation under random traffic, and the fabric's in-flight slab
 //! against the whole-packet queue it replaced.
 
-use mm_faults::{Dec, Enc};
+use mm_faults::{Ckpt, Dec, Enc};
 use mm_isa::op::Priority;
 use mm_isa::word::Word;
 use mm_net::fabric::{Fabric, FabricConfig, FabricStats, NUM_DIRS};
@@ -89,7 +89,7 @@ impl QueueFabric {
         e.usize(snap.len());
         for (at, p) in snap {
             e.u64(at);
-            p.encode(e);
+            p.save(e);
         }
         let s = &self.stats;
         for v in [

@@ -37,6 +37,7 @@ pub mod small;
 pub use ladder::{DeadlineLadder, LadderViewMut, AWAKE, BLOCK, INERT};
 pub use small::SmallReadyQueue;
 
+use mm_faults::{Ckpt, CkptError, Dec, Enc};
 use std::collections::BinaryHeap;
 
 /// One scheduled item. Ordering is **reversed** on `(ready, seq)` so
@@ -223,6 +224,33 @@ impl<T> ReadyQueue<T> {
         for (ready, item) in items {
             self.push(ready, item);
         }
+    }
+}
+
+/// Checkpoint format: the `(ready, item)` pairs of
+/// [`ReadyQueue::snapshot`] as a list; loading hands them to
+/// [`ReadyQueue::restore`], so the pop order survives.
+impl<T: Ckpt> Ckpt for ReadyQueue<T> {
+    // analyze: cold (checkpoint codec)
+    fn save(&self, e: &mut Enc) {
+        save_snapshot(self.snapshot(), e);
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut q = ReadyQueue::new();
+        q.restore(Vec::load(d)?);
+        Ok(q)
+    }
+}
+
+/// Write a queue snapshot as a list of `(ready, item)` pairs.
+// analyze: cold (checkpoint codec)
+fn save_snapshot<T: Ckpt>(snap: Vec<(u64, &T)>, e: &mut Enc) {
+    e.usize(snap.len());
+    for (ready, item) in snap {
+        e.u64(ready);
+        item.save(e);
     }
 }
 

@@ -14,7 +14,8 @@
 //! Delivery order is exactly [`ReadyQueue`](crate::ReadyQueue)'s:
 //! ascending `(ready, insertion order)`.
 
-use crate::Entry;
+use crate::{save_snapshot, Entry};
+use mm_faults::{Ckpt, CkptError, Dec, Enc};
 use std::collections::BinaryHeap;
 
 /// A queue of items each due at an absolute cycle, popped in `(ready,
@@ -189,5 +190,20 @@ impl<T, const N: usize> SmallReadyQueue<T, N> {
         for (ready, item) in items {
             self.push(ready, item);
         }
+    }
+}
+
+/// Checkpoint format: that of a [`ReadyQueue`](crate::ReadyQueue).
+impl<T: Ckpt, const N: usize> Ckpt for SmallReadyQueue<T, N> {
+    // analyze: cold (checkpoint codec)
+    fn save(&self, e: &mut Enc) {
+        save_snapshot(self.snapshot(), e);
+    }
+
+    // analyze: cold (checkpoint codec)
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut q = SmallReadyQueue::new();
+        q.restore(Vec::load(d)?);
+        Ok(q)
     }
 }

@@ -13,7 +13,7 @@
 use crate::config::{NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, NUM_CLUSTERS, NUM_SLOTS};
 use crate::event::{decode_record, format_event};
 use crate::regfile::ThreadRegs;
-use mm_faults::{CkptError, Dec, Enc};
+use mm_faults::{ckpt_enum, ckpt_struct, Ckpt, CkptError, Dec, Enc};
 use mm_isa::instr::{Instruction, IssueDesc, MemHazard, Program};
 use mm_isa::op::{AluKind, BranchCond, CmpKind, FpKind, FpOp, IntOp, MemOp, MemSlotOp, Priority};
 use mm_isa::pointer::{GuardedPointer, Perm};
@@ -1643,98 +1643,34 @@ impl Node {
     /// and only presence is validated.
     pub fn save_state(&self, e: &mut Enc) {
         for c in 0..NUM_CLUSTERS {
-            e.u8(self.running[c]);
-            e.u8(self.rr[c]);
-            e.u32(self.event_records[c]);
+            (self.running[c], self.rr[c], self.event_records[c]).save(e);
         }
-        e.u64(self.next_req_id);
-        e.u32(self.user_running);
-        e.u32(self.user_finished);
-        e.u64(self.accounted);
-        e.u64(self.stall_all_until);
-        let writes = self.local_writes.snapshot();
-        e.usize(writes.len());
-        for (ready, w) in writes {
-            e.u64(ready);
-            e.u64(
-                RegAddr {
-                    slot: w.slot,
-                    cluster: w.cluster,
-                    reg: w.reg,
-                }
-                .encode(),
-            );
-            e.u64(w.value.bits());
-            e.bool(w.value.is_pointer());
-        }
-        let transfers = self.csw.snapshot();
-        e.usize(transfers.len());
-        for (ready, t) in transfers {
-            e.u64(ready);
-            match t.target {
-                CswTarget::Reg { cluster, slot, reg } => {
-                    e.u8(0);
-                    e.u64(RegAddr { slot, cluster, reg }.encode());
-                }
-                CswTarget::GccBroadcast { slot, reg } => {
-                    e.u8(1);
-                    e.u64(
-                        RegAddr {
-                            slot,
-                            cluster: 0,
-                            reg,
-                        }
-                        .encode(),
-                    );
-                }
+        (
+            self.next_req_id,
+            self.user_running,
+            self.user_finished,
+            self.accounted,
+        )
+            .save(e);
+        self.stall_all_until.save(e);
+        self.local_writes.save(e);
+        self.csw.save(e);
+        for thread in self.threads.iter().flatten() {
+            let t = &thread.ctl;
+            (t.program.is_some(), t.pc, t.state, t.stall_until).save(e);
+            // The memoized issue-block proof rides along so the
+            // restored run probes exactly when the original would
+            // (keeps host counters like `issue_probes` identical).
+            // `None` is tag 0 beside the proof kinds' own tags.
+            match &t.blocked {
+                Some(b) => _ = b.save_tagged(e),
+                None => e.u8(0),
             }
-            e.u64(t.value.bits());
-            e.bool(t.value.is_pointer());
+            thread.regs.save_state(e);
         }
-        for c in 0..NUM_CLUSTERS {
-            for s in 0..NUM_SLOTS {
-                let thread = &self.threads[c][s];
-                let t = &thread.ctl;
-                e.bool(t.program.is_some());
-                e.u32(t.pc);
-                match t.state {
-                    HState::Idle => e.u8(0),
-                    HState::Running => e.u8(1),
-                    HState::Halted => e.u8(2),
-                    HState::Faulted(f) => {
-                        e.u8(3);
-                        e.u8(f as u8);
-                    }
-                }
-                e.u64(t.stall_until);
-                // The memoized issue-block proof rides along so the
-                // restored run probes exactly when the original would
-                // (keeps host counters like `issue_probes` identical).
-                match t.blocked {
-                    None => e.u8(0),
-                    Some(IssueBlock::Queue(b)) => {
-                        e.u8(1);
-                        e.u32(b.pc);
-                        e.u16(b.needs[0]);
-                        e.u16(b.needs[1]);
-                    }
-                    Some(IssueBlock::Regs { pc, version }) => {
-                        e.u8(2);
-                        e.u32(pc);
-                        e.u64(version);
-                    }
-                }
-                thread.regs.save_state(e);
-            }
-        }
-        for q in self.event_q.iter().chain(&self.exc_q) {
-            e.usize(q.len());
-            for w in q {
-                e.u64(w.bits());
-                e.bool(w.is_pointer());
-            }
-        }
-        save_node_stats(e, &self.stats);
+        self.event_q.save(e);
+        self.exc_q.save(e);
+        self.stats.save(e);
         self.mem.save_state(e);
         self.net.save_state(e);
     }
@@ -1742,213 +1678,182 @@ impl Node {
     /// Restore state produced by [`Node::save_state`] into a node built
     /// with the same configuration and the same programs loaded.
     ///
+    /// The running masks and user-thread tallies are recomputed from
+    /// the restored thread states, as the halted masks are; an image
+    /// whose stored copies disagree with those states is refused.
+    ///
     /// # Errors
     ///
     /// Fails on truncation, malformed fields, a program-presence
-    /// mismatch, or a geometry mismatch in any subsystem.
+    /// mismatch, inconsistent thread tallies, or a geometry mismatch in
+    /// any subsystem.
     pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CkptError> {
         // Every running thread is visited afresh; those whose restored
         // proofs hold park again on that visit.
         self.parked = [0; NUM_CLUSTERS];
-        for c in 0..NUM_CLUSTERS {
-            self.running[c] = d.u8()?;
-            let rr = d.u8()?;
+        let clusters = <[(u8, u8, u32); NUM_CLUSTERS]>::load(d)?;
+        for (c, &(_, rr, records)) in clusters.iter().enumerate() {
             if usize::from(rr) >= NUM_SLOTS {
                 return Err(CkptError(format!(
                     "bad round-robin cursor {rr} at cluster {c}"
                 )));
             }
             self.rr[c] = rr;
-            self.event_records[c] = d.u32()?;
+            self.event_records[c] = records;
         }
-        self.next_req_id = d.u64()?;
-        self.user_running = d.u32()?;
-        self.user_finished = d.u32()?;
-        self.accounted = d.u64()?;
+        let running = clusters.map(|(mask, ..)| mask);
+        let (user_running, user_finished);
+        (
+            self.next_req_id,
+            user_running,
+            user_finished,
+            self.accounted,
+        ) = Ckpt::load(d)?;
         self.stall_all_until = d.u64()?;
-        let n = d.usize()?;
-        let mut writes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let ready = d.u64()?;
-            let ra = decode_reg_addr(d)?;
-            let value = Word::from_raw(d.u64()?, d.bool()?);
-            writes.push((
-                ready,
-                PendingWrite {
-                    cluster: ra.cluster,
-                    slot: ra.slot,
-                    reg: ra.reg,
-                    value,
-                },
-            ));
-        }
-        self.local_writes.restore(writes);
-        let n = d.usize()?;
-        let mut transfers = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let ready = d.u64()?;
-            let target = match d.u8()? {
-                0 => {
-                    let ra = decode_reg_addr(d)?;
-                    CswTarget::Reg {
-                        cluster: ra.cluster,
-                        slot: ra.slot,
-                        reg: ra.reg,
-                    }
-                }
-                1 => {
-                    let ra = decode_reg_addr(d)?;
-                    CswTarget::GccBroadcast {
-                        slot: ra.slot,
-                        reg: ra.reg,
-                    }
-                }
-                t => return Err(CkptError(format!("bad C-Switch target tag {t}"))),
+        self.local_writes = Ckpt::load(d)?;
+        self.csw = Ckpt::load(d)?;
+        for (c, s) in (0..NUM_CLUSTERS).flat_map(|c| (0..NUM_SLOTS).map(move |s| (c, s))) {
+            let (has_program, pc, state, stall_until) = <(bool, _, _, _)>::load(d)?;
+            let blocked = match d.u8()? {
+                0 => None,
+                tag => Some(
+                    IssueBlock::load_tagged(tag, d)?
+                        .ok_or_else(|| CkptError(format!("bad issue-block tag {tag}")))?,
+                ),
             };
-            let value = Word::from_raw(d.u64()?, d.bool()?);
-            transfers.push((ready, CswTransfer { target, value }));
-        }
-        self.csw.restore(transfers);
-        for c in 0..NUM_CLUSTERS {
-            for s in 0..NUM_SLOTS {
-                let has_program = d.bool()?;
-                let pc = d.u32()?;
-                let state = match d.u8()? {
-                    0 => HState::Idle,
-                    1 => HState::Running,
-                    2 => HState::Halted,
-                    3 => HState::Faulted(decode_fault(d.u8()?)?),
-                    t => return Err(CkptError(format!("bad thread state tag {t}"))),
-                };
-                let stall_until = d.u64()?;
-                let blocked = match d.u8()? {
-                    0 => None,
-                    1 => {
-                        let pc = d.u32()?;
-                        let needs = [d.u16()?, d.u16()?];
-                        Some(IssueBlock::Queue(QueueBlock { pc, needs }))
-                    }
-                    2 => {
-                        let pc = d.u32()?;
-                        let version = d.u64()?;
-                        Some(IssueBlock::Regs { pc, version })
-                    }
-                    t => return Err(CkptError(format!("bad issue-block tag {t}"))),
-                };
-                let thread = &mut self.threads[c][s];
-                let t = &mut thread.ctl;
-                if has_program != t.program.is_some() {
-                    return Err(CkptError(format!(
-                        "program presence mismatch at cluster {c} slot {s}: \
-                         checkpoint {has_program}, target {}",
-                        t.program.is_some()
-                    )));
-                }
-                t.pc = pc;
-                t.state = state;
-                t.stall_until = stall_until;
-                t.blocked = blocked;
-                thread.regs.load_state(d)?;
+            let thread = &mut self.threads[c][s];
+            let t = &mut thread.ctl;
+            if has_program != t.program.is_some() {
+                return Err(CkptError(format!(
+                    "program presence mismatch at cluster {c} slot {s}: \
+                     checkpoint {has_program}, target {}",
+                    t.program.is_some()
+                )));
             }
+            t.pc = pc;
+            t.state = state;
+            t.stall_until = stall_until;
+            t.blocked = blocked;
+            thread.regs.load_state(d)?;
         }
-        for c in 0..NUM_CLUSTERS {
-            self.halted[c] = (0..NUM_SLOTS)
-                .filter(|&s| self.threads[c][s].ctl.state == HState::Halted)
-                .fold(0, |m, s| m | 1 << s);
+        self.recount_threads();
+        if (self.running, self.user_running, self.user_finished)
+            != (running, user_running, user_finished)
+        {
+            return Err(CkptError(format!(
+                "thread tallies disagree with the thread states: checkpoint has running \
+                 masks {running:?}, {user_running} user threads running and \
+                 {user_finished} finished; the states give {:?}, {} and {}",
+                self.running, self.user_running, self.user_finished
+            )));
         }
-        for q in self.event_q.iter_mut().chain(&mut self.exc_q) {
-            q.clear();
-            let n = d.usize()?;
-            for _ in 0..n {
-                q.push_back(Word::from_raw(d.u64()?, d.bool()?));
-            }
-        }
-        self.stats = load_node_stats(d)?;
+        self.event_q = Ckpt::load(d)?;
+        self.exc_q = Ckpt::load(d)?;
+        self.stats = NodeStats::load(d)?;
         self.mem.load_state(d)?;
         self.net.load_state(d)?;
         Ok(())
     }
-}
 
-fn decode_reg_addr(d: &mut Dec) -> Result<RegAddr, CkptError> {
-    let bits = d.u64()?;
-    RegAddr::decode(bits).ok_or_else(|| CkptError(format!("bad register address {bits:#x}")))
-}
-
-fn decode_fault(tag: u8) -> Result<Fault, CkptError> {
-    Ok(match tag {
-        0 => Fault::NotAPointer,
-        1 => Fault::Permission,
-        2 => Fault::OutOfSegment,
-        3 => Fault::Privilege,
-        4 => Fault::UnmappedSend,
-        5 => Fault::BadDip,
-        6 => Fault::DivByZero,
-        7 => Fault::PcOutOfRange,
-        8 => Fault::BadQueueAccess,
-        9 => Fault::GccOwnership,
-        t => return Err(CkptError(format!("bad fault tag {t}"))),
-    })
-}
-
-fn save_node_stats(e: &mut Enc, s: &NodeStats) {
-    e.u64(s.cycles);
-    e.u64(s.instructions);
-    e.u64(s.int_ops);
-    e.u64(s.mem_ops);
-    e.u64(s.fp_ops);
-    e.u64(s.loads);
-    e.u64(s.stores);
-    e.u64(s.sends);
-    e.u64(s.protected_calls);
-    e.u64(s.branches_taken);
-    e.u64(s.faults);
-    for v in s.events_enqueued {
-        e.u64(v);
-    }
-    e.u64(s.events_dropped);
-    for row in s.issued_per_slot {
-        for v in row {
-            e.u64(v);
+    /// Recompute every mask and tally [`Node::account_state`] keeps
+    /// from the thread states.
+    fn recount_threads(&mut self) {
+        (self.user_running, self.user_finished) = (0, 0);
+        for (c, slots) in self.threads.iter().enumerate() {
+            (self.running[c], self.halted[c]) = (0, 0);
+            for (s, t) in slots.iter().enumerate() {
+                let state = t.ctl.state;
+                let bit = 1u8 << s;
+                if state == HState::Running {
+                    self.running[c] |= bit;
+                }
+                if state == HState::Halted {
+                    self.halted[c] |= bit;
+                }
+                if s < crate::config::USER_SLOTS {
+                    let finished = matches!(state, HState::Halted | HState::Faulted(_));
+                    self.user_running += u32::from(state == HState::Running);
+                    self.user_finished += u32::from(finished);
+                }
+            }
         }
     }
-    e.u64(s.cswitch_transfers);
-    e.u64(s.last_response_cycle);
-    e.u64(s.responses);
-    e.u64(s.issue_probes);
-    e.u64(s.steps);
 }
 
-fn load_node_stats(d: &mut Dec) -> Result<NodeStats, CkptError> {
-    let mut s = NodeStats {
-        cycles: d.u64()?,
-        instructions: d.u64()?,
-        int_ops: d.u64()?,
-        mem_ops: d.u64()?,
-        fp_ops: d.u64()?,
-        loads: d.u64()?,
-        stores: d.u64()?,
-        sends: d.u64()?,
-        protected_calls: d.u64()?,
-        branches_taken: d.u64()?,
-        faults: d.u64()?,
-        ..NodeStats::default()
-    };
-    for v in &mut s.events_enqueued {
-        *v = d.u64()?;
+ckpt_enum!(Fault, "fault" {
+    0 => NotAPointer,
+    1 => Permission,
+    2 => OutOfSegment,
+    3 => Privilege,
+    4 => UnmappedSend,
+    5 => BadDip,
+    6 => DivByZero,
+    7 => PcOutOfRange,
+    8 => BadQueueAccess,
+    9 => GccOwnership,
+});
+ckpt_enum!(HState, "thread state" { 0 => Idle, 1 => Running, 2 => Halted, 3 => Faulted(f) });
+ckpt_enum!(tags IssueBlock { 1 => Queue(b), 2 => Regs { pc, version } });
+
+ckpt_struct! {
+    QueueBlock { pc, needs }
+    CswTransfer { target, value }
+    NodeStats {
+        cycles, instructions, int_ops, mem_ops, fp_ops, loads, stores, sends, protected_calls,
+        branches_taken, faults, events_enqueued, events_dropped, issued_per_slot, cswitch_transfers,
+        last_response_cycle, responses, issue_probes, steps
     }
-    s.events_dropped = d.u64()?;
-    for row in &mut s.issued_per_slot {
-        for v in row {
-            *v = d.u64()?;
-        }
+}
+
+/// Checkpoint format: a tag, then the target as a packed [`RegAddr`]
+/// word (cluster 0 for a broadcast).
+impl Ckpt for CswTarget {
+    fn save(&self, e: &mut Enc) {
+        let (tag, at) = match *self {
+            CswTarget::Reg { cluster, slot, reg } => (0u8, RegAddr { slot, cluster, reg }),
+            CswTarget::GccBroadcast { slot, reg } => (
+                1,
+                RegAddr {
+                    slot,
+                    cluster: 0,
+                    reg,
+                },
+            ),
+        };
+        (tag, at).save(e);
     }
-    s.cswitch_transfers = d.u64()?;
-    s.last_response_cycle = d.u64()?;
-    s.responses = d.u64()?;
-    s.issue_probes = d.u64()?;
-    s.steps = d.u64()?;
-    Ok(s)
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let broadcast = match d.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(CkptError(format!("bad C-Switch target tag {t}"))),
+        };
+        let RegAddr { slot, cluster, reg } = Ckpt::load(d)?;
+        Ok(if broadcast {
+            CswTarget::GccBroadcast { slot, reg }
+        } else {
+            CswTarget::Reg { cluster, slot, reg }
+        })
+    }
+}
+
+/// Checkpoint format: the packed [`RegAddr`] word, then the value.
+impl Ckpt for PendingWrite {
+    fn save(&self, e: &mut Enc) {
+        let (slot, cluster, reg) = (self.slot, self.cluster, self.reg);
+        (RegAddr { slot, cluster, reg }, self.value).save(e);
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let (RegAddr { slot, cluster, reg }, value) = Ckpt::load(d)?;
+        Ok(PendingWrite {
+            cluster,
+            slot,
+            reg,
+            value,
+        })
+    }
 }
 
 /// Advance `node` one cycle with a scratch of its own — the unit tests'

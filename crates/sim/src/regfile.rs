@@ -173,6 +173,8 @@ impl ThreadRegs {
     /// Serialize the full register file, scoreboard and mutation counter
     /// included (the counter backs memoized issue-block proofs, so a
     /// restored run re-probes exactly when the original would have).
+    /// Written by hand: each value is paired with its tag bit, which
+    /// lives in a separate packed word.
     pub fn save_state(&self, e: &mut Enc) {
         e.u64(self.full);
         e.u64(self.version);
