@@ -468,6 +468,12 @@ impl<'a> Dec<'a> {
 /// format is its fields in order declares it with [`ckpt_struct!`], an
 /// enum written as a `u8` tag and the variant's fields with
 /// [`ckpt_enum!`].
+///
+/// The implementations here and those the macros generate are
+/// `#[cold]`: checkpoints are rare, and kept out of line their many
+/// monomorphized copies stay small. Inlined, they grew the release
+/// binary's text by tens of KiB, and with it the file-backed share of
+/// a small workload's peak RSS.
 pub trait Ckpt: Sized {
     /// Append the value's bytes.
     fn save(&self, e: &mut Enc);
@@ -483,10 +489,12 @@ pub trait Ckpt: Sized {
 macro_rules! ckpt_primitive {
     ($($t:ident),*) => {$(
         impl Ckpt for $t {
+            #[cold]
             fn save(&self, e: &mut Enc) {
                 e.$t(*self);
             }
 
+            #[cold]
             fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
                 d.$t()
             }
@@ -497,10 +505,12 @@ macro_rules! ckpt_primitive {
 ckpt_primitive!(u8, u16, u32, u64, bool, usize);
 
 impl<T: Ckpt + Default, const N: usize> Ckpt for [T; N] {
+    #[cold]
     fn save(&self, e: &mut Enc) {
         self.iter().for_each(|v| v.save(e));
     }
 
+    #[cold]
     fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         let mut a: [T; N] = std::array::from_fn(|_| T::default());
         for v in &mut a {
@@ -514,11 +524,13 @@ macro_rules! ckpt_tuple {
     ($($t:ident),+) => {
         impl<$($t: Ckpt),+> Ckpt for ($($t,)+) {
             #[allow(non_snake_case)]
+            #[cold]
             fn save(&self, e: &mut Enc) {
                 let ($($t,)+) = self;
                 $($t.save(e);)+
             }
 
+            #[cold]
             fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
                 Ok(($($t::load(d)?,)+))
             }
@@ -531,6 +543,7 @@ ckpt_tuple!(A, B, C);
 ckpt_tuple!(A, B, C, D);
 
 impl<T: Ckpt> Ckpt for Option<T> {
+    #[cold]
     fn save(&self, e: &mut Enc) {
         e.bool(self.is_some());
         if let Some(v) = self {
@@ -538,6 +551,7 @@ impl<T: Ckpt> Ckpt for Option<T> {
         }
     }
 
+    #[cold]
     fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         match d.u8()? {
             0 => Ok(None),
@@ -548,6 +562,7 @@ impl<T: Ckpt> Ckpt for Option<T> {
 }
 
 impl<T: Ckpt> Ckpt for Vec<T> {
+    #[cold]
     fn save(&self, e: &mut Enc) {
         e.usize(self.len());
         self.iter().for_each(|v| v.save(e));
@@ -556,6 +571,7 @@ impl<T: Ckpt> Ckpt for Vec<T> {
     /// Every item takes at least one byte, so a length past what is
     /// left of the stream fails at the first missing item without
     /// reserving room for the rest.
+    #[cold]
     fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         let n = d.usize()?;
         let mut v = Vec::with_capacity(n.min(d.remaining()));
@@ -567,17 +583,20 @@ impl<T: Ckpt> Ckpt for Vec<T> {
 }
 
 impl<T: Ckpt> Ckpt for VecDeque<T> {
+    #[cold]
     fn save(&self, e: &mut Enc) {
         e.usize(self.len());
         self.iter().for_each(|v| v.save(e));
     }
 
+    #[cold]
     fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         Vec::load(d).map(VecDeque::from)
     }
 }
 
 impl<K: Ckpt + Ord, V: Ckpt> Ckpt for BTreeMap<K, V> {
+    #[cold]
     fn save(&self, e: &mut Enc) {
         e.usize(self.len());
         for (k, v) in self {
@@ -586,8 +605,14 @@ impl<K: Ckpt + Ord, V: Ckpt> Ckpt for BTreeMap<K, V> {
         }
     }
 
+    #[cold]
     fn load(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Vec::<(K, V)>::load(d).map(BTreeMap::from_iter)
+        let mut map = BTreeMap::new();
+        for _ in 0..d.usize()? {
+            let (k, v) = Ckpt::load(d)?;
+            map.insert(k, v);
+        }
+        Ok(map)
     }
 }
 
@@ -610,10 +635,12 @@ impl<K: Ckpt + Ord, V: Ckpt> Ckpt for BTreeMap<K, V> {
 macro_rules! ckpt_struct {
     ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
         impl $crate::Ckpt for $ty {
+            #[cold]
             fn save(&self, e: &mut $crate::Enc) {
                 $($crate::Ckpt::save(&self.$field, e);)+
             }
 
+            #[cold]
             fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::CkptError> {
                 Ok($ty { $($field: $crate::Ckpt::load(d)?),+ })
             }
@@ -654,6 +681,7 @@ macro_rules! ckpt_enum {
     }) => {
         impl $ty {
             #[allow(unreachable_patterns)]
+            #[cold]
             fn save_tagged(&self, e: &mut $crate::Enc) -> bool {
                 match self {
                     $($ty::$var $(($($t),+))? $({ $($f),+ })? => {
@@ -666,6 +694,7 @@ macro_rules! ckpt_enum {
                 true
             }
 
+            #[cold]
             fn load_tagged(
                 tag: u8,
                 d: &mut $crate::Dec<'_>,
@@ -683,10 +712,12 @@ macro_rules! ckpt_enum {
         $crate::ckpt_enum!(tags $ty { $($rows)+ });
 
         impl $crate::Ckpt for $ty {
+            #[cold]
             fn save(&self, e: &mut $crate::Enc) {
                 self.save_tagged(e);
             }
 
+            #[cold]
             fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::CkptError> {
                 let tag = d.u8()?;
                 Self::load_tagged(tag, d)?.ok_or_else(|| {

@@ -396,9 +396,9 @@ impl Ltlb {
     /// a pure function of the slots and is rebuilt on load.
     pub fn save_state(&self, e: &mut Enc) {
         e.usize(self.entries.len());
-        for slot in self.entries.iter().zip(&self.last_use) {
-            slot.0.save(e);
-            slot.1.save(e);
+        for (entry, last_use) in self.entries.iter().zip(&self.last_use) {
+            entry.save(e);
+            last_use.save(e);
         }
         self.clock.save(e);
         self.stats.save(e);
