@@ -21,9 +21,11 @@
 //!   the pure hash — no cursor, no state.
 //!
 //! The crate also owns the little-endian binary [`Enc`]/[`Dec`] codec
-//! that every simulator crate serializes its checkpoint state through
-//! (it is dependency-free and sits at the bottom of the workspace DAG,
-//! so `mm-mem`, `mm-net`, `mm-sim` and `mm-core` can all reach it).
+//! that every simulator crate serializes its checkpoint state through,
+//! and the [`Ckpt`] trait with which each type declares its byte format
+//! once (it is dependency-free and sits at the bottom of the workspace
+//! DAG, so `mm-isa`, `mm-sched`, `mm-mem`, `mm-net`, `mm-sim` and
+//! `mm-core` can all reach it).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
