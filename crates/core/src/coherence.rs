@@ -705,7 +705,6 @@ pub struct NodeCoh {
     directory: Directory,
     waiting: Waiting,
     frames: Frames,
-    next_frame: u64,
     stats: CoherenceStats,
     cfg: CoherenceConfig,
     coord: NodeCoord,
@@ -727,7 +726,6 @@ impl NodeCoh {
             directory: Directory::default(),
             waiting: Waiting::default(),
             frames: Frames::default(),
-            next_frame: cfg.frame_base_ppn,
             stats: CoherenceStats::default(),
             cfg,
             coord,
@@ -1307,6 +1305,11 @@ impl NodeCoh {
         }
     }
 
+    /// The page the next remote-block frame takes (one per table entry).
+    fn next_frame(&self) -> u64 {
+        self.cfg.frame_base_ppn + self.frames.0.len() as u64
+    }
+
     /// Ensure this node has a local frame for the block's page, copy the
     /// granted data in, and set the block's status bits. "If the virtual
     /// page containing the block is not mapped to a local physical page,
@@ -1325,8 +1328,7 @@ impl NodeCoh {
                 Some(slot) => slot,
                 None => {
                     let lpt = node.mem.lpt().expect("booted node");
-                    let ppn = self.next_frame;
-                    self.next_frame += 1;
+                    let ppn = self.next_frame();
                     let entry = LtlbEntry::uniform(vpn, ppn, BlockStatus::Invalid, 0);
                     let slot = lpt
                         .insert(node.mem.sdram_mut(), &entry)
@@ -1354,8 +1356,7 @@ impl NodeCoh {
             return;
         }
         let lpt = node.mem.lpt().expect("booted node");
-        let ppn = self.next_frame;
-        self.next_frame += 1;
+        let ppn = self.next_frame();
         let entry = LtlbEntry::uniform(vpn, ppn, BlockStatus::Invalid, 0);
         let slot = lpt
             .insert(node.mem.sdram_mut(), &entry)
@@ -1380,7 +1381,7 @@ impl NodeCoh {
         }
         self.outbound.save(e);
         self.frames.save(e);
-        self.next_frame.save(e);
+        self.next_frame().save(e);
         self.stats.save(e);
     }
 
@@ -1436,14 +1437,11 @@ impl NodeCoh {
             }
         }
         let words = node.mem.sdram().capacity();
-        if self
-            .next_frame
-            .checked_mul(PAGE_WORDS)
-            .is_none_or(|pa| pa >= words)
-        {
+        let next = self.next_frame();
+        if next.checked_mul(PAGE_WORDS).is_none_or(|pa| pa >= words) {
             return Err(CkptError(format!(
-                "next frame {:#x} on {} lies past the SDRAM",
-                self.next_frame, self.coord
+                "next frame {next:#x} on {} lies past the SDRAM",
+                self.coord
             )));
         }
         Ok(())
@@ -1462,7 +1460,7 @@ impl NodeCoh {
         self.pending.restore(pending);
         self.outbound = Ckpt::load(d)?;
         self.frames.load(d)?;
-        self.next_frame = d.u64()?;
+        d.copy_of("next frame", self.next_frame())?;
         self.stats = CoherenceStats::load(d)?;
         Ok(())
     }

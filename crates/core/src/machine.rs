@@ -3,7 +3,7 @@
 use crate::coherence::{refuse_undecodable, CoherenceConfig, CoherenceEngine, CoherenceStats};
 use crate::error::MachineError;
 use crate::shard::{
-    node_key, step_shard, Arrival, ReplayCursor, Tally, TraceSnap, Window, WindowLog, WorkerPool,
+    node_key, step_shard, Arrival, ReplayCursor, TraceSnap, Window, WindowLog, WorkerPool,
 };
 use crate::timeline::{PacketKind, Phase, Timeline};
 use mm_faults::{
@@ -382,8 +382,6 @@ pub struct MMachine {
     logs: Vec<WindowLog>,
     /// Replay scratch: one cursor per log.
     cursors: Vec<ReplayCursor>,
-    /// Replay scratch: every log's tally changes, merged.
-    tallies: Vec<Tally>,
     /// Shard workers for the parallel node phase (`None` = serial).
     worker_pool: Option<WorkerPool>,
     /// External node mutation may have invalidated the user-thread
@@ -515,7 +513,6 @@ impl MMachine {
             by_node: Vec::new(),
             logs: (0..workers.max(1)).map(|_| WindowLog::default()).collect(),
             cursors: Vec::new(),
-            tallies: Vec::new(),
             worker_pool: (workers > 1).then(|| WorkerPool::spawn(workers)),
             user_counts_stale: true,
             telemetry,
@@ -1162,31 +1159,21 @@ impl MMachine {
             }
         };
 
-        // The user-thread totals, cycle by cycle: where they first meet
-        // the halt condition is the clock value the per-cycle loop's
-        // halt predicate would have returned.
-        let mut tallies = std::mem::take(&mut self.tallies);
-        tallies.clear();
-        let mut last = t;
+        // Inside a run user threads only halt or fault, so a window that
+        // ends with none running met the halt condition (and the
+        // per-cycle loop's predicate) one past its last change.
+        let (mut running, mut finished) = (self.user_running, self.user_finished);
+        let (mut last, mut changed) = (t, None);
         for log in &self.logs[..shards] {
-            tallies.extend_from_slice(&log.tallies);
+            running += log.running;
+            finished += log.finished;
+            changed = changed.max(log.last_change);
             last = last.max(log.last_step.unwrap_or(t));
         }
-        if shards > 1 {
-            tallies.sort_unstable_by_key(|x| x.at);
-        }
-        let (mut running, mut finished) = (self.user_running, self.user_finished);
-        let mut halt = None;
-        for (k, x) in tallies.iter().enumerate() {
-            running += x.running;
-            finished += x.finished;
-            let cycle_done = tallies.get(k + 1).is_none_or(|y| y.at != x.at);
-            if cycle_done && halt.is_none() && running == 0 && finished > 0 {
-                halt = Some(x.at + 1);
-            }
-        }
         (self.user_running, self.user_finished) = (running, finished);
-        self.tallies = tallies;
+        let halt = changed
+            .filter(|_| running == 0 && finished > 0)
+            .map(|c| c + 1);
         debug_assert!(
             self.user_counts_stale || (running, finished) == user_totals(&self.nodes),
             "user-thread totals drifted from the nodes' tallies in window {t}..{end}"
@@ -1449,16 +1436,6 @@ impl MMachine {
         self.poll_telemetry();
     }
 
-    /// Account fast-forwarded cycles in every node's `stats.cycles` so
-    /// per-node counters match the dense loop even for nodes that ended
-    /// the run asleep.
-    fn catch_up_nodes(&mut self) {
-        let now = self.cycle;
-        for n in &mut self.nodes {
-            n.catch_up(now);
-        }
-    }
-
     /// Run `cycles` machine cycles, fast-forwarding the clock over
     /// stretches in which every component is provably idle and stepping
     /// the rest in windows (see the `shard` module).
@@ -1477,7 +1454,6 @@ impl MMachine {
             // once; they collapse into one wider sample.
             self.poll_telemetry();
         }
-        self.catch_up_nodes();
     }
 
     /// Run until `pred` holds, at most `limit` cycles.
@@ -1508,8 +1484,8 @@ impl MMachine {
 
     /// The loop under [`MMachine::run_until`] (`pred` given, one-cycle
     /// windows) and [`MMachine::run_until_halt`] (`pred` absent: full
-    /// windows, with the halt cycle read from the windows' per-cycle
-    /// tally deltas). A window may run past the halt cycle `h`; the
+    /// windows, with the halt cycle read from the windows' summed
+    /// user-thread changes). A window may run past the halt cycle `h`; the
     /// returned value is still `h`, and the clock is left at the
     /// window's end.
     fn run_loop(
@@ -1535,7 +1511,6 @@ impl MMachine {
             // The clock value the per-cycle loop would be checking now.
             let at = halted.unwrap_or(self.cycle);
             if at >= end {
-                self.catch_up_nodes();
                 return Err(MachineError::Timeout { limit, at });
             }
             let done = match pred {
@@ -1543,7 +1518,6 @@ impl MMachine {
                 None => halted.is_some() || (self.user_running == 0 && self.user_finished > 0),
             };
             if done {
-                self.catch_up_nodes();
                 return Ok(at);
             }
             match self.next_work(self.cycle) {
@@ -1584,10 +1558,7 @@ impl MMachine {
             // the halt came before the clock: the per-cycle loop returned
             // at the halt and never polled past it.
             if halted.is_none_or(|h| h == self.cycle) {
-                if let Err(e) = self.watchdog_poll() {
-                    self.catch_up_nodes();
-                    return Err(e);
-                }
+                self.watchdog_poll()?;
             }
         }
     }
@@ -1645,7 +1616,7 @@ impl MMachine {
         let plan = self.faults.as_ref().map(|fs| fs.plan.config().clone());
         (plan, self.cycle).save(&mut e);
         for n in &self.nodes {
-            n.save_state(&mut e);
+            n.save_state(&mut e, self.cycle);
         }
         self.fabric.save_state(&mut e);
         self.coherence.save_state(&mut e);
@@ -1691,7 +1662,7 @@ impl MMachine {
         let n = self.nodes.len();
         self.cycle = d.u64()?;
         for node in &mut self.nodes {
-            node.load_state(&mut d)?;
+            node.load_state(&mut d, self.cycle)?;
         }
         self.fabric.load_state(&mut d)?;
         self.coherence.load_state(&mut d)?;

@@ -66,9 +66,10 @@
 //!    shard's log is sorted by cycle and node, deliveries are indexed by
 //!    their global delivery order, and the driving thread merges the
 //!    shards' logs cycle by cycle in shard (= node) order — the order the
-//!    serial walk's single log has. The per-cycle user-thread tally
-//!    *deltas* are summed; `i64` addition commutes, so the machine totals
-//!    and the exact halt cycle are worker-count-invariant too.
+//!    serial walk's single log has. Each shard's user-thread *changes*
+//!    are summed, and the cycles of their last changes maxed; `i64`
+//!    addition and `max` commute, so the machine totals and the exact
+//!    halt cycle are worker-count-invariant too.
 //!
 //! The differential harness (`crates/core/tests/differential.rs`)
 //! checks this end to end: the dense loop vs. the serial engine vs. the
@@ -206,14 +207,6 @@ impl TraceSnap {
     }
 }
 
-/// A node's user-thread tally change at one step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tally {
-    pub(crate) at: u64,
-    pub(crate) running: i64,
-    pub(crate) finished: i64,
-}
-
 /// One shard's record of a window: every effect of its walk that
 /// reaches past the stepping node, for the driving thread to replay
 /// (see the [module docs](self)). Recycled window to window.
@@ -231,8 +224,12 @@ pub(crate) struct WindowLog {
     pub(crate) delivered: Vec<Delivered>,
     /// Phase-5 snapshots, sorted by `(at, node)` once the walk is done.
     pub(crate) traces: Vec<TraceSnap>,
-    /// Non-zero tally changes, sorted by cycle once the walk is done.
-    pub(crate) tallies: Vec<Tally>,
+    /// The shard's summed changes to the user threads running and
+    /// finished (a run only moves threads from the first to the second).
+    pub(crate) running: i64,
+    pub(crate) finished: i64,
+    /// The last cycle at which a step changed either.
+    pub(crate) last_change: Option<u64>,
     /// The last cycle any of the shard's nodes stepped at.
     pub(crate) last_step: Option<u64>,
 }
@@ -246,7 +243,7 @@ impl WindowLog {
         self.delivered.clear();
         self.delivered.resize(arrivals, Delivered::default());
         self.traces.clear();
-        self.tallies.clear();
+        (self.running, self.finished, self.last_change) = (0, 0, None);
         self.last_step = None;
     }
 }
@@ -360,7 +357,6 @@ pub(crate) fn step_shard(
     // The walk produced node-major order; the replay reads cycle-major.
     log.drains.sort_unstable_by_key(|d| (d.at, d.node));
     log.traces.sort_unstable_by_key(|s| (s.at, s.node));
-    log.tallies.sort_unstable_by_key(|x| x.at);
 }
 
 /// One node's window: for each cycle, the step (if due) and its outbox
@@ -406,12 +402,13 @@ fn walk_node(
                 n.user_threads_running() as i64 - r0 as i64,
                 n.user_threads_finished() as i64 - f0 as i64,
             );
-            if running != 0 || finished != 0 {
-                log.tallies.push(Tally {
-                    at: now,
-                    running,
-                    finished,
-                });
+            // Only the host starts user threads, between runs: a step can
+            // only move them from running to finished.
+            debug_assert!(running <= 0 && finished == -running, "node {node} at {now}");
+            if finished != 0 {
+                log.running += running;
+                log.finished += finished;
+                log.last_change = log.last_change.max(Some(now));
             }
             log.last_step = log.last_step.max(Some(now));
             if n.net.outbox_len() > 0 {
@@ -819,8 +816,8 @@ mod tests {
 
     /// A halting thread's walk: the slot stays awake while the node
     /// progresses and goes inert once it is drained, and the logged
-    /// tally changes move the thread from running to finished exactly
-    /// once.
+    /// user-thread changes move the thread from running to finished
+    /// exactly once, in the window of the step that halted it.
     #[test]
     fn walk_writes_slot_and_logs_tally_deltas() {
         let mut nodes = nodes(1);
@@ -842,11 +839,11 @@ mod tests {
                 &mut log,
                 &mut scratch,
             );
-            for t in &log.tallies {
-                assert_eq!(t.at, w);
-                assert!((-1..=0).contains(&t.running), "window {w}");
-                deltas = (deltas.0 + t.running, deltas.1 + t.finished);
-            }
+            assert!((-1..=0).contains(&log.running), "window {w}");
+            assert_eq!(log.finished, -log.running, "window {w}");
+            let changed = log.finished != 0;
+            assert_eq!(log.last_change, changed.then_some(w), "window {w}");
+            deltas = (deltas.0 + log.running, deltas.1 + log.finished);
             if nodes[0].user_threads_running() > 0 {
                 assert_eq!(ladder.slot(0), AWAKE, "window {w}");
             }
@@ -857,8 +854,8 @@ mod tests {
         assert_eq!(ladder.min_deadline(), INERT);
     }
 
-    /// Machine-wide user-thread totals kept by summing the logged tally
-    /// changes onto a recount stay equal to a fresh recount after every
+    /// Machine-wide user-thread totals kept by summing the logged
+    /// user-thread changes onto a recount stay equal to a fresh recount after every
     /// window, on a walk where only one of two nodes holds a thread,
     /// and reach the halt condition once that thread is done.
     #[test]
@@ -891,9 +888,7 @@ mod tests {
                 &mut log,
                 &mut scratch,
             );
-            for t in &log.tallies {
-                totals = (totals.0 + t.running, totals.1 + t.finished);
-            }
+            totals = (totals.0 + log.running, totals.1 + log.finished);
             assert_eq!(totals, recount(&nodes), "window {w}");
             w += 1;
         }
@@ -924,7 +919,7 @@ mod tests {
             assert_eq!(logs[0].last_step, Some(2 * w), "window {w}");
             assert!(logs[0].drains.is_empty(), "an idle node stages nothing");
         }
-        assert_eq!(nodes[0].stats().cycles, 31);
+        assert_eq!(nodes[0].stats().steps, 16, "one step per window");
     }
 
     /// Shards report their logs in ascending node order regardless of
@@ -952,7 +947,7 @@ mod tests {
     }
 
     /// The serial walk and the sharded walk leave identical ladders
-    /// (slots and minima), trace logs and summed tally changes from
+    /// (slots and minima), trace logs and summed user-thread changes from
     /// identical inputs, and the summed changes account for every
     /// loaded thread halting.
     #[test]
@@ -997,14 +992,14 @@ mod tests {
             let mut snaps_b = snaps_b;
             snaps_b.sort_unstable_by_key(|s| (s.node, s.at));
             assert_eq!(snaps_a, snaps_b, "snapshots @ window {w}");
-            let sum = |ts: &mut dyn Iterator<Item = Tally>| {
-                ts.fold((0, 0), |(r, f), t| (r + t.running, f + t.finished))
+            let sum = |logs: &[WindowLog]| {
+                logs.iter().fold((0, 0, None), |(r, f, c), l| {
+                    (r + l.running, f + l.finished, c.max(l.last_change))
+                })
             };
-            let da = sum(&mut log_a.tallies.iter().copied());
-            let db = sum(&mut logs_b[..shards]
-                .iter()
-                .flat_map(|l| l.tallies.iter().copied()));
-            assert_eq!(da, db, "tallies @ window {w}");
+            let da = sum(std::slice::from_ref(&log_a));
+            let db = sum(&logs_b[..shards]);
+            assert_eq!(da, db, "user-thread changes @ window {w}");
             total = (total.0 + da.0, total.1 + da.1);
             for i in 0..n {
                 assert_eq!(ladder_a.slot(i), ladder_b.slot(i), "slot {i} @ window {w}");

@@ -65,29 +65,24 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 struct Observed {
     stats: MachineStats,
     timeline: Vec<(u64, Phase)>,
-    node_cycles: Vec<u64>,
 }
 
 fn observe(m: &MMachine) -> Observed {
     Observed {
         stats: m.stats(),
         timeline: m.timeline().events().to_vec(),
-        node_cycles: (0..m.node_count())
-            .map(|i| m.node(i).stats().cycles)
-            .collect(),
     }
 }
 
 fn assert_same(want: &Observed, got: &Observed, what: &str) {
     assert_eq!(want.stats, got.stats, "{what}: stats");
     assert_eq!(want.timeline, got.timeline, "{what}: timelines");
-    assert_eq!(want.node_cycles, got.node_cycles, "{what}: per-node cycles");
 }
 
 /// The three-way differential: `load(cfg)` with `trace` on, run to halt
 /// by the dense loop and by the engine at every worker count in
 /// [`WORKERS`], then through [`IDLE_TAIL`] more cycles. Halt cycle,
-/// [`MachineStats`], timeline and per-node cycles must agree at both
+/// [`MachineStats`] and timeline must agree at both
 /// points, the dense run must not fault or drop an event record, and
 /// the dense machine is returned for the scenario's result check.
 pub fn differential(

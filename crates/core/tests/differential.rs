@@ -6,8 +6,8 @@
 //! the serial engine's node-major windows, and through the sharded
 //! parallel engine at several worker counts — and must agree on
 //! *everything observable*: cycle count, aggregate [`MachineStats`], the
-//! full phase timeline, every user thread's state and PC, per-node cycle
-//! counts, and the user-visible register files. This is the engines'
+//! full phase timeline, every user thread's state and PC, and the
+//! user-visible register files. This is the engines'
 //! correctness argument in executable form: skipping a quiescent
 //! component is a provable no-op, stepping a node through a whole window
 //! before its neighbours and replaying what it sent is invisible, and
@@ -115,12 +115,6 @@ fn assert_machines_agree(a: &MMachine, b: &MMachine) -> Result<(), TestCaseError
         "timelines diverged"
     );
     for i in 0..a.node_count() {
-        prop_assert_eq!(
-            a.node(i).stats().cycles,
-            b.node(i).stats().cycles,
-            "per-node cycle accounting diverged on node {}",
-            i
-        );
         for c in 0..NUM_CLUSTERS {
             for s in 0..USER_SLOTS {
                 prop_assert_eq!(
@@ -686,12 +680,5 @@ fn eight_node_mesh_is_worker_count_invariant() {
             m.timeline().events(),
             "timelines at {workers} workers"
         );
-        for i in 0..NODES {
-            assert_eq!(
-                reference.node(i).stats().cycles,
-                m.node(i).stats().cycles,
-                "node {i} cycles at {workers} workers"
-            );
-        }
     }
 }

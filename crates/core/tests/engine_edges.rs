@@ -15,7 +15,7 @@ fn build(dims: (u8, u8, u8), workers: Option<usize>) -> MMachine {
 
 /// Once every user thread has halted and in-flight work has drained,
 /// the machine is provably quiescent: a long `run_cycles` only moves
-/// the clock (and the per-node cycle accounting), performing no work.
+/// the clock, performing no work.
 #[test]
 fn all_halted_machine_quiesces_immediately() {
     for workers in [Some(1), Some(2)] {
@@ -38,13 +38,6 @@ fn all_halted_machine_quiesces_immediately() {
             "no instruction issued while quiescent ({workers:?} workers)"
         );
         assert_eq!(after.messages, before.messages);
-        for node in 0..m.node_count() {
-            assert_eq!(
-                m.node(node).stats().cycles,
-                after.cycles,
-                "fast-forwarded cycles are accounted per node"
-            );
-        }
     }
 }
 
@@ -80,4 +73,42 @@ fn worker_resolution_is_visible_on_the_machine() {
     assert_eq!(build((2, 1, 1), None).workers(), 1, "auto on 2 nodes");
     assert_eq!(build((2, 2, 1), Some(2)).workers(), 2, "explicit");
     assert_eq!(build((2, 2, 1), Some(0)).workers(), 1, "zero clamps up");
+}
+
+/// Two nodes whose threads halt at different cycles of one window: the
+/// window reports one past the later halt, the cycle the dense loop's
+/// halt predicate first holds at.
+#[test]
+fn two_halts_in_one_window_report_one_past_the_later() {
+    let load = |m: &mut MMachine| {
+        let quick = Arc::new(assemble("halt\n").unwrap());
+        let slow = Arc::new(assemble("add r1, #1, r2\n add r1, #2, r3\n halt\n").unwrap());
+        m.load_user_program(0, 0, &quick).unwrap();
+        m.load_user_program(1, 0, &slow).unwrap();
+    };
+    // The dense loop, one cycle at a time: when each thread halted.
+    let mut dense = build((2, 1, 1), Some(1));
+    load(&mut dense);
+    let mut halted_at = [None; 2];
+    while halted_at.iter().any(Option::is_none) {
+        let now = dense.cycle();
+        dense.naive_step();
+        for (node, at) in halted_at.iter_mut().enumerate() {
+            if at.is_none() && dense.node(node).thread_state(0, 0) == HState::Halted {
+                *at = Some(now);
+            }
+        }
+    }
+    let [Some(first), Some(last)] = halted_at else {
+        unreachable!()
+    };
+    assert!(first < last, "the threads halt at different cycles");
+    // The machine's windows are three cycles wide (hop latency 2), and
+    // both halts fall in the first.
+    assert!(last < 3, "both halts in the first window: {halted_at:?}");
+    for workers in [Some(1), Some(2)] {
+        let mut m = build((2, 1, 1), workers);
+        load(&mut m);
+        assert_eq!(m.run_until_halt(1_000).unwrap(), last + 1, "{workers:?}");
+    }
 }

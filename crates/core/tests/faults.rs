@@ -390,6 +390,63 @@ fn restore_refuses_thread_tallies_that_disagree_with_the_states() {
     }
 }
 
+/// A node's event-record counts are the whole 3-word records in its event
+/// queues: an image whose stored count disagrees is refused instead of
+/// restoring a class that hides its records or drops every new one.
+#[test]
+fn restore_refuses_event_record_counts_that_disagree_with_the_queues() {
+    let clean = busy_image();
+    // Node 0's cluster-0 count follows its running mask and cursor.
+    assert_eq!(clean[66..70], [0; 4], "no record queued");
+    let mut bytes = clean;
+    bytes[66] = 5;
+    let err = busy_machine().restore(&bytes).expect_err("count disagrees");
+    let err = err.to_string();
+    assert!(err.contains("event-record counts"), "{err}");
+    assert!(err.contains("0, [5, "), "the stored count shows: {err}");
+}
+
+/// A message queue's count is the number of message ends it holds: an
+/// image whose stored count disagrees is refused instead of restoring a
+/// queue that underflows on the next pop or bounces every delivery.
+#[test]
+fn restore_refuses_message_counts_that_disagree_with_the_queues() {
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    // Node 0's interface ends with the returned messages (`end - 112`),
+    // after its credits word and its P1 and P0 queues (a word list, then
+    // the count): the empty P0 queue's count is at `end - 140`.
+    let at = net_end(&m, &clean) - 140;
+    assert_eq!(clean[at - 8..at + 8], [0; 16], "an empty P0 queue");
+    let mut bytes = clean;
+    bytes[at] = 1;
+    assert_refused_for(&bytes, "message count 1 disagrees with 0");
+}
+
+/// The slots that hold copies of derived values (a node's clock, the
+/// fabric's flit-hop total) are refused unless they hold that value.
+#[test]
+fn restore_refuses_stored_copies_of_derived_values() {
+    // Node 0's first clock slot follows its next request id and user
+    // thread tallies; it holds the header's cycle.
+    let busy = busy_image();
+    assert_eq!(busy[104..112], 500u64.to_le_bytes());
+    let mut bytes = busy;
+    bytes[104] = 1;
+    let err = busy_machine().restore(&bytes).expect_err("clock disagrees");
+    assert!(err.to_string().contains("node clock"), "{err}");
+
+    // The fabric's flit-hop total, its last word, is the sum of its
+    // per-VC flit table; the handler count and node 0's handler follow.
+    let m = MMachine::build(MachineConfig::small()).unwrap();
+    let clean = m.checkpoint();
+    let at = handler_at(&m, &clean) - 120 - 8 - 8;
+    assert_eq!(clean[at..at + 8], [0; 8], "no flit has moved");
+    let mut bytes = clean;
+    bytes[at] = 3;
+    assert_refused_for(&bytes, "flit-hop total");
+}
+
 /// A node outside `MachineConfig::small()`'s 2×1×1 mesh.
 fn far() -> NodeCoord {
     NodeCoord::new(0, 4, 0)
@@ -684,10 +741,11 @@ fn restore_refuses_duplicate_coherence_keys() {
         })
     };
     let frames = |n| {
-        splice_many(&clean, handler + 32, n, |e| {
+        let bytes = splice_many(&clean, handler + 32, n, |e| {
             e.u64(vpn);
             e.u64(slot);
-        })
+        });
+        with_next_frame(bytes, handler + 40 + 16 * n, 512 + n as u64)
     };
     let directory: &dyn Fn(usize) -> Vec<u8> = &directory;
     let sharers = |n| {
@@ -719,9 +777,16 @@ fn restore_refuses_duplicate_coherence_keys() {
     }
 }
 
+/// `bytes` with the next-frame word at `at` set to page `ppn`.
+fn with_next_frame(mut bytes: Vec<u8>, at: usize, ppn: u64) -> Vec<u8> {
+    bytes[at..at + 8].copy_from_slice(&ppn.to_le_bytes());
+    bytes
+}
+
 /// A restored frame table the node's memory cannot back is refused: a
-/// slot other than the one holding that vpn's LPT entry, or a next frame
-/// past the SDRAM. Each would panic at the next grant.
+/// slot other than the one holding that vpn's LPT entry, or a table
+/// whose next frame lies past the SDRAM. Each would panic at the next
+/// grant. The stored next frame must be the page the table implies.
 #[test]
 fn restore_refuses_frames_memory_cannot_back() {
     let m = MMachine::build(MachineConfig::small()).unwrap();
@@ -732,12 +797,15 @@ fn restore_refuses_frames_memory_cannot_back() {
     let slot = lpt
         .find(m.node(1).mem.sdram(), vpn)
         .expect("home page mapped");
-    let frame = |vpn: u64, slot: u64| {
-        splice_one(&clean, handler + 32, |e| {
+    // One frame: the next frame word follows it, one page up.
+    let splice_frame = |clean: &[u8], base: u64, vpn: u64, slot: u64| {
+        let bytes = splice_one(clean, handler + 32, |e| {
             e.u64(vpn);
             e.u64(slot);
-        })
+        });
+        with_next_frame(bytes, handler + 56, base + 1)
     };
+    let frame = |vpn: u64, slot: u64| splice_frame(&clean, 512, vpn, slot);
     for (v, s) in [
         (vpn + 1, slot),                    // another vpn's entry
         (vpn, slot + 1),                    // inside a slot
@@ -752,20 +820,24 @@ fn restore_refuses_frames_memory_cannot_back() {
         .restore(&frame(vpn, slot))
         .expect("a real slot restores");
 
-    // The next frame is the word after the (empty) frame list.
+    // The next frame is the word after the (empty) frame list, and is
+    // the first frame page: any other page is refused.
     let pages = m.node(1).mem.sdram().capacity() / 512;
-    let next_frame = |ppn: u64| {
-        let mut bytes = clean.clone();
-        bytes[handler + 40..handler + 48].copy_from_slice(&ppn.to_le_bytes());
-        bytes
-    };
+    let next_frame = |ppn: u64| with_next_frame(clean.clone(), handler + 40, ppn);
     assert_eq!(next_frame(512), clean, "the default first frame page");
-    assert_refused_for(&next_frame(pages), "lies past the SDRAM");
-    assert_refused_for(&next_frame(u64::MAX), "lies past the SDRAM");
-    let mut fresh = MMachine::build(MachineConfig::small()).unwrap();
-    fresh
-        .restore(&next_frame(pages - 1))
-        .expect("the last page restores");
+    for ppn in [513, pages - 1, pages, u64::MAX] {
+        assert_refused_for(&next_frame(ppn), "next frame");
+    }
+
+    // Frames from the SDRAM's last page up: one frame uses it up.
+    let mut cfg = MachineConfig::small();
+    cfg.coherence.frame_base_ppn = pages - 1;
+    let clean = MMachine::build(cfg.clone()).unwrap().checkpoint();
+    let mut fresh = MMachine::build(cfg.clone()).unwrap();
+    fresh.restore(&clean).expect("no frame yet restores");
+    let full = splice_frame(&clean, pages - 1, vpn, slot);
+    let err = MMachine::build(cfg).unwrap().restore(&full).unwrap_err();
+    assert!(err.to_string().contains("lies past the SDRAM"), "{err}");
 }
 
 /// A charged tag-8 action is a grant its handler composed; any other

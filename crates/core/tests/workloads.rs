@@ -4,7 +4,7 @@
 //! `mm_runtime::workloads`, each built by `mm_bench`'s own configuration
 //! and loader with `trace` on. Dense `naive_step` loop and engine at
 //! 1/2/4 workers must agree on every observable (halt cycle,
-//! `MachineStats`, timeline, per-node cycles), *and* the run must pass
+//! `MachineStats`, timeline), *and* the run must pass
 //! the scenario's result check. The task-queue case additionally proves
 //! the §3.2 protected-call and §2 full/empty-bit paths actually fire:
 //! an exact protected-call count and nonzero sync-fault-retry and

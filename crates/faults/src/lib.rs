@@ -454,6 +454,26 @@ impl<'a> Dec<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// Read a slot holding a copy of `what`, a value the restorer
+    /// derives itself, and refuse the image unless it equals `derived`.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError`] on truncation or a copy that disagrees.
+    pub fn copy_of<T: Ckpt + PartialEq + fmt::Debug>(
+        &mut self,
+        what: &str,
+        derived: T,
+    ) -> Result<(), CkptError> {
+        let stored = T::load(self)?;
+        if stored != derived {
+            return Err(CkptError(format!(
+                "stored {what} {stored:?} disagrees with {derived:?}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -135,17 +135,10 @@ pub struct MemEvent {
 }
 
 ckpt_enum!(AccessKind, "access kind" { 0 => Load, 1 => Store });
-ckpt_enum!(MemEventKind, "mem event" {
-    0 => LtlbMiss,
-    1 => BlockStatusFault { status },
-    2 => SyncFault { sync_was },
-    3 => EccError,
-});
 
 ckpt_struct! {
     MemRequest { id, kind, va, data, data_ptr_tag, pre, post, tag, phys }
     MemResponse { req, value, ready }
-    MemEvent { at, kind, req }
 }
 
 /// Occupancy of one memory system — counts only, for inspection.
@@ -327,7 +320,6 @@ pub struct MemorySystem {
     /// per-cycle fast path, which reads this line and the next only).
     bank_backlog: usize,
     miss_q: VecDeque<(u64, MemRequest)>,
-    events: Vec<MemEvent>,
     /// Completed requests staged until their ready cycle, popped in
     /// `(ready, completion order)` — no per-cycle scans; the first two
     /// inline.
@@ -353,7 +345,6 @@ impl MemorySystem {
         MemorySystem {
             bank_backlog: 0,
             miss_q: VecDeque::new(),
-            events: Vec::new(),
             responses: SmallReadyQueue::new(),
             timing: MemTiming::of(&cfg),
             stats: MemStats::default(),
@@ -446,8 +437,8 @@ impl MemorySystem {
     /// Advance one cycle, draining completions into caller-owned scratch
     /// buffers: banks each retire one request, the miss engine services
     /// due misses, and every response whose ready cycle has arrived is
-    /// appended to `responses` (in `(ready, completion order)`), every
-    /// pending event to `events`.
+    /// appended to `responses` (in `(ready, completion order)`), and
+    /// every event the step raised to `events`.
     ///
     /// The buffers are appended to, never reallocated by this call once
     /// they have reached their steady-state capacity, so the node's cycle
@@ -463,19 +454,15 @@ impl MemorySystem {
         events: &mut Vec<MemEvent>,
     ) {
         // Fast path: a fully idle memory system (the common case on a
-        // large mesh) is four inline header reads, no queue traffic.
-        if self.bank_backlog == 0
-            && self.miss_q.is_empty()
-            && self.responses.is_empty()
-            && self.events.is_empty()
-        {
+        // large mesh) is three inline header reads, no queue traffic.
+        if self.bank_backlog == 0 && self.miss_q.is_empty() && self.responses.is_empty() {
             return;
         }
         if self.bank_backlog > 0 {
             for bank in 0..self.bank_q.count {
                 if let Some(req) = self.bank_q.get_mut(bank).pop_front() {
                     self.bank_backlog -= 1;
-                    self.access(now, req);
+                    self.access(events, now, req);
                 }
             }
         }
@@ -484,33 +471,29 @@ impl MemorySystem {
                 break;
             }
             self.miss_q.pop_front();
-            self.handle_miss(ready.max(now), req);
+            self.handle_miss(events, ready.max(now), req);
         }
         let popped = self.responses.drain_due_into(now, responses);
         self.stats.responses += popped as u64;
-        events.append(&mut self.events);
     }
 
     /// Are all queues drained (useful for run-to-idle loops)?
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.bank_backlog == 0
-            && self.miss_q.is_empty()
-            && self.responses.is_empty()
-            && self.events.is_empty()
+        self.bank_backlog == 0 && self.miss_q.is_empty() && self.responses.is_empty()
     }
 
     /// The earliest future cycle (strictly after `now`) at which a
     /// [`MemorySystem::step_into`] can do work, assuming no new submissions:
     /// a queued bank request pops next cycle, a staged miss fires at its
-    /// translate deadline, and a pipelined response or pending event
-    /// surfaces at its ready cycle. `None` when fully idle — the cycle
+    /// translate deadline, and a pipelined response surfaces at its
+    /// ready cycle. `None` when fully idle — the cycle
     /// engine's license to skip this memory system entirely.
     #[must_use]
     pub fn next_activity(&self, now: u64) -> Option<u64> {
         let mut best: Option<u64> = None;
         let mut fold = |t: u64| best = Some(best.map_or(t, |b| b.min(t)));
-        if self.bank_backlog > 0 || !self.events.is_empty() {
+        if self.bank_backlog > 0 {
             fold(now + 1);
         }
         // The miss queue pops front-to-back and deadlines are pushed with
@@ -531,14 +514,14 @@ impl MemorySystem {
             .push(ready, MemResponse { req, value, ready });
     }
 
-    fn raise(&mut self, at: u64, kind: MemEventKind, req: MemRequest) {
+    fn raise(&mut self, events: &mut Vec<MemEvent>, at: u64, kind: MemEventKind, req: MemRequest) {
         match kind {
             MemEventKind::LtlbMiss => self.stats.ltlb_miss_events += 1,
             MemEventKind::BlockStatusFault { .. } => self.stats.block_status_events += 1,
             MemEventKind::SyncFault { .. } => self.stats.sync_fault_events += 1,
             MemEventKind::EccError => self.stats.ecc_events += 1,
         }
-        self.events.push(MemEvent { at, kind, req });
+        events.push(MemEvent { at, kind, req });
     }
 
     /// Does the sync precondition hold for a word whose bit is `sync`?
@@ -559,9 +542,9 @@ impl MemorySystem {
     }
 
     /// First-stage (bank) access.
-    fn access(&mut self, now: u64, req: MemRequest) {
+    fn access(&mut self, events: &mut Vec<MemEvent>, now: u64, req: MemRequest) {
         if req.phys {
-            self.phys_access(now, req);
+            self.phys_access(events, now, req);
             return;
         }
         match req.kind {
@@ -569,6 +552,7 @@ impl MemorySystem {
                 Some(mw) => {
                     if !Self::pre_ok(req.pre, mw.sync) {
                         self.raise(
+                            events,
                             now + self.timing.miss_detect,
                             MemEventKind::SyncFault { sync_was: mw.sync },
                             req,
@@ -583,6 +567,7 @@ impl MemorySystem {
                             StoreOutcome::Written => {}
                             _ => {
                                 self.raise(
+                                    events,
                                     now + self.timing.miss_detect,
                                     MemEventKind::BlockStatusFault {
                                         status: self.block_status_of(req.va),
@@ -603,6 +588,7 @@ impl MemorySystem {
                     Some(old) => {
                         if !Self::pre_ok(req.pre, old.sync) {
                             self.raise(
+                                events,
                                 now + self.timing.miss_detect,
                                 MemEventKind::SyncFault { sync_was: old.sync },
                                 req,
@@ -620,6 +606,7 @@ impl MemorySystem {
                             }
                             StoreOutcome::NotWritable => {
                                 self.raise(
+                                    events,
                                     now + self.timing.miss_detect,
                                     MemEventKind::BlockStatusFault {
                                         status: self.block_status_of(req.va),
@@ -638,12 +625,13 @@ impl MemorySystem {
 
     /// Physical accesses: fixed-latency, uncached backdoor used by system
     /// software (charged, but bypassing translation).
-    fn phys_access(&mut self, now: u64, req: MemRequest) {
+    fn phys_access(&mut self, events: &mut Vec<MemEvent>, now: u64, req: MemRequest) {
         match req.kind {
             AccessKind::Load => {
                 let mw = self.sdram.probe(req.va);
                 if !Self::pre_ok(req.pre, mw.sync) {
-                    self.raise(now, MemEventKind::SyncFault { sync_was: mw.sync }, req);
+                    let kind = MemEventKind::SyncFault { sync_was: mw.sync };
+                    self.raise(events, now, kind, req);
                     return;
                 }
                 if req.post != SyncPost::Unchanged {
@@ -656,7 +644,8 @@ impl MemorySystem {
             AccessKind::Store => {
                 let old = self.sdram.probe(req.va);
                 if !Self::pre_ok(req.pre, old.sync) {
-                    self.raise(now, MemEventKind::SyncFault { sync_was: old.sync }, req);
+                    let kind = MemEventKind::SyncFault { sync_was: old.sync };
+                    self.raise(events, now, kind, req);
                     return;
                 }
                 let cell = MemWord::with_sync(
@@ -686,16 +675,16 @@ impl MemorySystem {
     }
 
     /// Second-stage miss handling: translate, check, fill.
-    fn handle_miss(&mut self, now: u64, req: MemRequest) {
+    fn handle_miss(&mut self, events: &mut Vec<MemEvent>, now: u64, req: MemRequest) {
         // The line may have been filled by an earlier miss to the same block.
         if self.cache.probe(req.va).is_some() {
-            self.access(now, req);
+            self.access(events, now, req);
             return;
         }
         let vpn = req.va / PAGE_WORDS;
         let offset = req.va % PAGE_WORDS;
         let Some(entry) = self.ltlb.lookup(vpn).copied() else {
-            self.raise(now, MemEventKind::LtlbMiss, req);
+            self.raise(events, now, MemEventKind::LtlbMiss, req);
             return;
         };
         let status = entry.status_for_offset(offset);
@@ -709,7 +698,7 @@ impl MemorySystem {
             AccessKind::Load | AccessKind::Store => status.writable(),
         };
         if !allowed {
-            self.raise(now, MemEventKind::BlockStatusFault { status }, req);
+            self.raise(events, now, MemEventKind::BlockStatusFault { status }, req);
             return;
         }
 
@@ -727,7 +716,7 @@ impl MemorySystem {
             }
         }
         if ecc_fail {
-            self.raise(now, MemEventKind::EccError, req);
+            self.raise(events, now, MemEventKind::EccError, req);
             let err = GuardedPointer::new(Perm::ErrVal, 0, req.va & ((1 << 54) - 1))
                 .map(Word::from_pointer)
                 .unwrap_or(Word::ZERO);
@@ -741,6 +730,7 @@ impl MemorySystem {
         // Sync precondition applies to the word as read from memory.
         if !Self::pre_ok(req.pre, fetched.sync) {
             self.raise(
+                events,
                 now,
                 MemEventKind::SyncFault {
                     sync_was: fetched.sync,
@@ -941,7 +931,7 @@ impl MemorySystem {
         }
         self.miss_q.save(e);
         self.responses.save(e);
-        self.events.save(e);
+        e.usize(0); // the event list: `raise` hands events to `step_into`'s caller
         self.stats.save(e);
     }
 
@@ -975,7 +965,7 @@ impl MemorySystem {
         }
         self.miss_q = Ckpt::load(d)?;
         self.responses = Ckpt::load(d)?;
-        self.events = Ckpt::load(d)?;
+        d.copy_of("memory-event count", 0usize)?;
         self.stats = MemStats::load(d)?;
         Ok(())
     }
@@ -1029,5 +1019,26 @@ mod tests {
         let mut again = Enc::new();
         back.save_state(&mut again);
         assert_eq!(again.finish(), bytes);
+    }
+
+    /// The memory-event slot holds an empty list, since every event
+    /// reaches the node in the step that raised it: an image with an
+    /// event there is refused.
+    #[test]
+    fn a_stored_memory_event_is_refused() {
+        let ms = MemorySystem::new(MemConfig::default());
+        let mut e = Enc::new();
+        ms.save_state(&mut e);
+        let mut bytes = e.finish();
+        // The slot's count comes right before the statistics.
+        let mut stats = Enc::new();
+        ms.stats.save(&mut stats);
+        let at = bytes.len() - stats.len() - 8;
+        assert_eq!(bytes[at..at + 8], [0; 8], "an empty list");
+        bytes[at] = 1;
+        let err = MemorySystem::new(MemConfig::default())
+            .load_state(&mut Dec::new(&bytes))
+            .unwrap_err();
+        assert!(err.0.contains("memory-event count"), "{err}");
     }
 }

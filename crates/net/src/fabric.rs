@@ -117,10 +117,6 @@ pub struct Fabric {
     /// `FabricStats` so the struct the differential harness compares
     /// bit-for-bit is untouched. Feeds the `mmctl` fabric heatmap.
     link_flits: Vec<u64>,
-    /// Total flit-hops carried over mesh links (loopback traffic never
-    /// touches a link and contributes nothing). The telemetry layer
-    /// turns deltas of this into per-epoch link occupancy.
-    flit_hops: u64,
 }
 
 impl Fabric {
@@ -137,7 +133,6 @@ impl Fabric {
             free: Vec::new(),
             in_flight: ReadyQueue::new(),
             stats: FabricStats::default(),
-            flit_hops: 0,
         }
     }
 
@@ -161,11 +156,15 @@ impl Fabric {
         self.stats
     }
 
-    /// Total flit-hops carried over mesh links so far (telemetry
-    /// counter; excluded from [`FabricStats`] on purpose).
+    /// Total flit-hops carried over mesh links so far, the sum of
+    /// [`Fabric::link_flits`] (telemetry counter; excluded from
+    /// [`FabricStats`] on purpose). Wrapping, so a hostile restored
+    /// table cannot panic a debug build.
     #[must_use]
     pub fn flit_hops(&self) -> u64 {
-        self.flit_hops
+        self.link_flits
+            .iter()
+            .fold(0, |sum, &f| sum.wrapping_add(f))
     }
 
     /// Flits carried per virtual channel, indexed `(linear node ×
@@ -298,7 +297,6 @@ impl Fabric {
                     hops += 1;
                 }
                 self.stats.hops += hops;
-                self.flit_hops += hops * flits;
                 t_head + flits
             };
 
@@ -407,7 +405,7 @@ impl Fabric {
         }
         self.stats.save(e);
         self.link_flits.save(e);
-        self.flit_hops.save(e);
+        self.flit_hops().save(e);
     }
 
     /// Restore state saved by [`Fabric::save_state`].
@@ -459,8 +457,7 @@ impl Fabric {
             )));
         }
         self.link_flits = link_flits;
-        self.flit_hops = d.u64()?;
-        Ok(())
+        d.copy_of("flit-hop total", self.flit_hops())
     }
 }
 

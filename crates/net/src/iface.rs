@@ -111,6 +111,7 @@ impl SrcWindow {
 #[derive(Debug, Clone, Default)]
 struct MsgQueue {
     words: VecDeque<(Word, bool)>, // (word, is-last-of-message)
+    /// Whole messages queued: the last-word flags in `words`, counted.
     messages: usize,
 }
 
@@ -488,11 +489,19 @@ impl NodeNet {
     ///
     /// # Errors
     ///
-    /// [`CkptError`] on truncated or malformed input.
+    /// [`CkptError`] on truncated or malformed input or a miscounted queue.
     // analyze: cold (checkpoint restore, never on the cycle path)
     pub fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         self.gtlb.load_state(d)?;
         (self.queues, self.credits, self.returned, self.outbox) = Ckpt::load(d)?;
+        for q in &self.queues {
+            let (stored, ends) = (q.messages, q.words.iter().filter(|w| w.1).count());
+            if stored != ends {
+                return Err(CkptError(format!(
+                    "stored message count {stored} disagrees with {ends}"
+                )));
+            }
+        }
         (self.coh_in, self.stats, self.next_seq, self.dedup) = Ckpt::load(d)?;
         Ok(())
     }

@@ -204,12 +204,10 @@ enum CswTarget {
 #[derive(Debug, Clone, Default)]
 #[repr(C)]
 pub struct NodeStats {
-    /// Cycles simulated.
-    pub cycles: u64,
     /// `step_with` invocations — a *host* perf counter like
     /// `issue_probes` (the quiescence engines skip provably-idle steps,
     /// so this measures how much of the walk each engine actually
-    /// performed; `steps / cycles` is the awake fraction).
+    /// performed; steps per machine cycle is the awake fraction).
     pub steps: u64,
     /// Issue-stage candidates examined: running, un-stalled threads
     /// whose next instruction was fetched and readiness-checked. A
@@ -398,10 +396,6 @@ pub struct Node {
     user_running: u32,
     /// User-slot H-Threads halted or faulted.
     user_finished: u32,
-    /// Cycles accounted in `stats.cycles` (`step` catches up from here,
-    /// so a node skipped over idle cycles still reports wall-clock
-    /// cycles observed, not steps executed).
-    accounted: u64,
     /// First cycle at which the issue stage runs again — a fault-injected
     /// node-stall window (`u64::MAX` = fatal, the node never issues
     /// again). Memory, writebacks and deliveries continue; only
@@ -460,7 +454,6 @@ impl Node {
             event_records: [0; NUM_CLUSTERS],
             user_running: 0,
             user_finished: 0,
-            accounted: 0,
             stall_all_until: 0,
             next_req_id: 0,
             timing: Timing::of(&cfg),
@@ -712,15 +705,6 @@ impl Node {
         u32::from_ne_bytes(self.running)
     }
 
-    /// Account skipped-over cycles up to (exclusive) `now` without
-    /// stepping. The engine calls this when a run ends with the node
-    /// still asleep, so `stats.cycles` always reads as wall-clock
-    /// cycles observed — identical to the dense loop's count.
-    pub fn catch_up(&mut self, now: u64) {
-        self.stats.cycles += now.saturating_sub(self.accounted);
-        self.accounted = self.accounted.max(now);
-    }
-
     /// The earliest future cycle (strictly after `now`) at which this
     /// node can possibly make progress **without new external input**
     /// (no fabric delivery, no firmware poke, no register write).
@@ -817,8 +801,7 @@ impl Node {
     /// external input is a provable no-op, so the cycle engine may put
     /// the node to sleep until [`Node::next_activity`] (or an external
     /// wake-up) — the quiescence invariant the `engine` module
-    /// documents. Skipped cycles are caught up in `stats.cycles` on the
-    /// next step, so the counter always reads as cycles observed.
+    /// documents.
     ///
     /// A thread whose memoized issue-block proof holds is parked: the
     /// issue stage skips it until one of the events that could break
@@ -828,8 +811,6 @@ impl Node {
     /// to its cluster, network words waiting for the message handlers
     /// when the issue stage starts, or a run-state transition.
     pub fn step_with(&mut self, now: u64, scratch: &mut StepScratch) -> bool {
-        self.stats.cycles += (now + 1).saturating_sub(self.accounted);
-        self.accounted = self.accounted.max(now + 1);
         self.stats.steps += 1;
         let mut progressed = false;
 
@@ -1640,18 +1621,12 @@ impl Node {
     /// files, queues, subsystems and statistics. Programs themselves are
     /// **not** serialized (they are immutable and shared): restore
     /// targets a node with the same programs loaded in the same slots,
-    /// and only presence is validated.
-    pub fn save_state(&self, e: &mut Enc) {
+    /// and only presence is validated. Both node-clock slots hold `now`.
+    pub fn save_state(&self, e: &mut Enc, now: u64) {
         for c in 0..NUM_CLUSTERS {
             (self.running[c], self.rr[c], self.event_records[c]).save(e);
         }
-        (
-            self.next_req_id,
-            self.user_running,
-            self.user_finished,
-            self.accounted,
-        )
-            .save(e);
+        (self.next_req_id, self.user_running, self.user_finished, now).save(e);
         self.stall_all_until.save(e);
         self.local_writes.save(e);
         self.csw.save(e);
@@ -1670,6 +1645,7 @@ impl Node {
         }
         self.event_q.save(e);
         self.exc_q.save(e);
+        now.save(e);
         self.stats.save(e);
         self.mem.save_state(e);
         self.net.save_state(e);
@@ -1679,36 +1655,33 @@ impl Node {
     /// with the same configuration and the same programs loaded.
     ///
     /// The running masks and user-thread tallies are recomputed from
-    /// the restored thread states, as the halted masks are; an image
-    /// whose stored copies disagree with those states is refused.
+    /// the restored thread states, as the halted masks are, and the
+    /// event-record counts from the event queues; an image whose stored
+    /// copies disagree with those, or whose clocks are not `now`, is
+    /// refused.
     ///
     /// # Errors
     ///
     /// Fails on truncation, malformed fields, a program-presence
-    /// mismatch, inconsistent thread tallies, or a geometry mismatch in
-    /// any subsystem.
-    pub fn load_state(&mut self, d: &mut Dec) -> Result<(), CkptError> {
+    /// mismatch, a stored copy that disagrees, or a geometry mismatch
+    /// in any subsystem.
+    pub fn load_state(&mut self, d: &mut Dec, now: u64) -> Result<(), CkptError> {
         // Every running thread is visited afresh; those whose restored
         // proofs hold park again on that visit.
         self.parked = [0; NUM_CLUSTERS];
         let clusters = <[(u8, u8, u32); NUM_CLUSTERS]>::load(d)?;
-        for (c, &(_, rr, records)) in clusters.iter().enumerate() {
+        for (c, &(_, rr, _)) in clusters.iter().enumerate() {
             if usize::from(rr) >= NUM_SLOTS {
                 return Err(CkptError(format!(
                     "bad round-robin cursor {rr} at cluster {c}"
                 )));
             }
             self.rr[c] = rr;
-            self.event_records[c] = records;
         }
         let running = clusters.map(|(mask, ..)| mask);
         let (user_running, user_finished);
-        (
-            self.next_req_id,
-            user_running,
-            user_finished,
-            self.accounted,
-        ) = Ckpt::load(d)?;
+        (self.next_req_id, user_running, user_finished) = Ckpt::load(d)?;
+        d.copy_of("node clock", now)?;
         self.stall_all_until = d.u64()?;
         self.local_writes = Ckpt::load(d)?;
         self.csw = Ckpt::load(d)?;
@@ -1736,19 +1709,22 @@ impl Node {
             t.blocked = blocked;
             thread.regs.load_state(d)?;
         }
+        self.event_q = Ckpt::load(d)?;
         self.recount_threads();
-        if (self.running, self.user_running, self.user_finished)
-            != (running, user_running, user_finished)
-        {
+        #[allow(clippy::cast_possible_truncation)]
+        let records = self.event_q.each_ref().map(|q| q.len().div_ceil(3) as u32);
+        let stored = (running, user_running, user_finished, clusters.map(|c| c.2));
+        let derived = (self.running, self.user_running, self.user_finished, records);
+        if stored != derived {
             return Err(CkptError(format!(
-                "thread tallies disagree with the thread states: checkpoint has running \
-                 masks {running:?}, {user_running} user threads running and \
-                 {user_finished} finished; the states give {:?}, {} and {}",
-                self.running, self.user_running, self.user_finished
+                "thread tallies disagree with the thread states, or event-record counts with the \
+                 event queues: the image stores (running masks, user threads running, finished, \
+                 records) {stored:?}, the states and queues give {derived:?}"
             )));
         }
-        self.event_q = Ckpt::load(d)?;
+        self.event_records = records;
         self.exc_q = Ckpt::load(d)?;
+        d.copy_of("node clock", now)?;
         self.stats = NodeStats::load(d)?;
         self.mem.load_state(d)?;
         self.net.load_state(d)?;
@@ -1799,7 +1775,7 @@ ckpt_struct! {
     QueueBlock { pc, needs }
     CswTransfer { target, value }
     NodeStats {
-        cycles, instructions, int_ops, mem_ops, fp_ops, loads, stores, sends, protected_calls,
+        instructions, int_ops, mem_ops, fp_ops, loads, stores, sends, protected_calls,
         branches_taken, faults, events_enqueued, events_dropped, issued_per_slot, cswitch_transfers,
         last_response_cycle, responses, issue_probes, steps
     }

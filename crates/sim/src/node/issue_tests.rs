@@ -655,13 +655,14 @@ fn program_is_restored_after_fault_and_halt() {
 
         step(&mut n, at + 1);
         let mut e = Enc::new();
-        n.save_state(&mut e);
+        n.save_state(&mut e, at + 2);
         let image = e.finish();
         let mut twin = fresh();
-        twin.load_state(&mut Dec::new(&image)).expect(source);
+        twin.load_state(&mut Dec::new(&image), at + 2)
+            .expect(source);
         assert_eq!(twin.thread_state(0, 0), stopped);
         let mut e = Enc::new();
-        twin.save_state(&mut e);
+        twin.save_state(&mut e, at + 2);
         assert_eq!(e.finish(), image, "{source}");
     }
 }
@@ -672,7 +673,7 @@ fn program_is_restored_after_fault_and_halt() {
 fn load_state_rejects_an_out_of_range_cursor() {
     let fresh = || Node::new(NodeConfig::default(), NodeCoord::new(0, 0, 0));
     let mut e = Enc::new();
-    fresh().save_state(&mut e);
+    fresh().save_state(&mut e, 0);
     let mut image = e.finish();
     // The image opens with cluster 0's `running` byte, then its cursor.
     assert_eq!(image[1], 0);
@@ -680,7 +681,7 @@ fn load_state_rejects_an_out_of_range_cursor() {
     {
         image[1] = NUM_SLOTS as u8;
     }
-    let err = fresh().load_state(&mut Dec::new(&image)).unwrap_err();
+    let err = fresh().load_state(&mut Dec::new(&image), 0).unwrap_err();
     assert!(err.0.contains("round-robin cursor"), "{err:?}");
 }
 
@@ -899,10 +900,10 @@ fn restore_starts_with_an_empty_mask() {
     load(&mut n, 3, EVENT_SLOT, "mov rnet, r4\n halt\n");
     let at = step_until_parked(&mut n, 3, EVENT_SLOT, at);
     let mut e = Enc::new();
-    n.save_state(&mut e);
+    n.save_state(&mut e, at);
     let image = e.finish();
     let mut uninterrupted = n.clone();
-    n.load_state(&mut Dec::new(&image)).unwrap();
+    n.load_state(&mut Dec::new(&image), at).unwrap();
     assert_eq!(n.parked, [0; NUM_CLUSTERS]);
     step(&mut n, at);
     step(&mut uninterrupted, at);

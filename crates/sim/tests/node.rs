@@ -571,19 +571,19 @@ fn node_state_round_trips_mid_flight() {
     }
 
     let mut e = Enc::default();
-    n.save_state(&mut e);
+    n.save_state(&mut e, 25);
     let bytes = e.finish();
 
     let mut restored = booted_node();
     restored.load_program(0, 0, prog, 0);
     restored.load_program(1, 0, side, 0);
     let mut d = Dec::new(&bytes);
-    restored.load_state(&mut d).unwrap();
+    restored.load_state(&mut d, 25).unwrap();
     assert_eq!(d.remaining(), 0);
 
     // Re-save must be byte-identical.
     let mut e2 = Enc::default();
-    restored.save_state(&mut e2);
+    restored.save_state(&mut e2, 25);
     assert_eq!(e2.finish(), bytes, "re-saved checkpoint differs");
 
     // Continue both nodes: identical architectural and counter state.
@@ -603,7 +603,7 @@ fn node_state_round_trips_mid_flight() {
 
     // A node missing a loaded program refuses the checkpoint.
     let mut bare = booted_node();
-    assert!(bare.load_state(&mut Dec::new(&bytes)).is_err());
+    assert!(bare.load_state(&mut Dec::new(&bytes), 25).is_err());
 }
 
 #[test]
@@ -674,14 +674,14 @@ fn halted_masks_follow_thread_states() {
             }
         }
     };
-    let save = |n: &Node| {
+    let save = |n: &Node, now: u64| {
         let mut e = Enc::default();
-        n.save_state(&mut e);
+        n.save_state(&mut e, now);
         e.finish()
     };
     let mut n = node();
     load(&mut n);
-    let before = save(&n);
+    let before = save(&n, 0);
     for cycle in 0..16 {
         step(&mut n, cycle);
         check(&n);
@@ -693,14 +693,14 @@ fn halted_masks_follow_thread_states() {
         "faulted, spinning"
     );
 
-    let after = save(&n);
+    let after = save(&n, 16);
     let mut restored = node();
     load(&mut restored);
-    restored.load_state(&mut Dec::new(&after)).unwrap();
+    restored.load_state(&mut Dec::new(&after), 16).unwrap();
     check(&restored);
     assert_eq!(restored.halted_slots(1), 0b1000);
     // An image from before the halts, restored over them, clears them.
-    restored.load_state(&mut Dec::new(&before)).unwrap();
+    restored.load_state(&mut Dec::new(&before), 0).unwrap();
     check(&restored);
     assert_eq!(restored.halted_slots(0) | restored.halted_slots(1), 0);
 
