@@ -855,9 +855,9 @@ mod tests {
     }
 
     /// Machine-wide user-thread totals kept by summing the logged
-    /// user-thread changes onto a recount stay equal to a fresh recount after every
-    /// window, on a walk where only one of two nodes holds a thread,
-    /// and reach the halt condition once that thread is done.
+    /// user-thread changes onto a recount stay equal to a fresh recount
+    /// after every window, on a walk where only one of two nodes holds a
+    /// thread, and reach the halt condition once that thread is done.
     #[test]
     fn walk_deltas_keep_user_totals_current() {
         let recount = |nodes: &[Node]| {
@@ -947,9 +947,9 @@ mod tests {
     }
 
     /// The serial walk and the sharded walk leave identical ladders
-    /// (slots and minima), trace logs and summed user-thread changes from
-    /// identical inputs, and the summed changes account for every
-    /// loaded thread halting.
+    /// (slots and minima), trace logs, summed user-thread changes and
+    /// last-change cycles from identical inputs, and the summed changes
+    /// account for every loaded thread halting.
     #[test]
     fn serial_and_sharded_walks_agree() {
         let n = 2 * BLOCK + 17;

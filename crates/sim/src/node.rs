@@ -357,15 +357,23 @@ impl StepScratch {
 ///    the writeback and C-Switch queues with their first entries inline.
 /// 2. **Owned subsystems** ([`MemorySystem`], [`NodeNet`], the event
 ///    and exception queues), each led by its own per-step fields.
-///    Header and subsystems are the node's hot block, 45 host cache
-///    lines at most.
+///    Header and subsystems are the node's hot block, 45 × 64 bytes at
+///    most.
 /// 3. **Thread records**: one 384-byte record per H-Thread slot, each
-///    thread's control words, scoreboard and pointer tags in one line
-///    and its integer registers in the next two (see `thread.rs`); a
-///    step reads only the running threads' records.
+///    thread's control words, scoreboard and pointer tags in its first
+///    64 bytes and its integer registers in the next 128 (see
+///    `thread.rs`); a step reads only the running threads' records.
 /// 4. **Cold tail**: the configuration and coordinates.
+///
+/// The node is not over-aligned. A node array aligned to 64 bytes is
+/// allocated with `posix_memalign`, whose slack beside the array small
+/// allocations pin, so the next machine's array could not always reuse
+/// the block the last one freed: under the benchmark's pinned glibc
+/// settings `busy_mesh_512`'s peak RSS read 21.8 or 23.5 MiB at most
+/// command-line lengths, 18.6 MiB without the over-alignment (2-vCPU
+/// Xeon guest).
 #[derive(Debug, Clone)]
-#[repr(C, align(64))]
+#[repr(C)]
 pub struct Node {
     // --- header -------------------------------------------------------
     /// Per-cluster bitmask of thread slots currently
@@ -430,7 +438,7 @@ pub struct Node {
 }
 
 // The node's hot block — the header and the subsystems' headers, all
-// that precedes the thread records — is 45 host cache lines at most.
+// that precedes the thread records — is 45 × 64 bytes at most.
 const _: () = assert!(std::mem::offset_of!(Node, threads) <= 45 * 64);
 
 // The machine-level engine shards nodes across worker threads; a node

@@ -5,9 +5,9 @@
 //! issue-block proof) and its scoreboard — and, when the thread issues,
 //! its register values. Kept as two arrays, those would be two cache
 //! lines at least, in blocks kilobytes apart; here each slot is one
-//! 384-byte record whose first line holds the control words, the
+//! 384-byte record whose first 64 bytes hold the control words, the
 //! scoreboard, the mutation counter and the pointer tags, with the
-//! integer registers in the next two lines.
+//! integer registers in the next 128.
 
 use super::{HState, IssueBlock};
 use crate::regfile::ThreadRegs;
@@ -43,15 +43,15 @@ impl HThread {
 }
 
 /// One thread slot: control state, then the register file whose header
-/// (scoreboard, mutation counter, tags) completes the first line.
+/// (scoreboard, mutation counter, tags) completes the first 64 bytes.
 #[derive(Debug, Clone)]
-#[repr(C, align(64))]
+#[repr(C)]
 pub(super) struct Thread {
     pub(super) ctl: HThread,
     pub(super) regs: ThreadRegs,
 }
 
-// Control and register header share the record's first cache line.
+// Control and register header share the record's first 64 bytes.
 const _: () = assert!(std::mem::size_of::<HThread>() <= 40);
 const _: () = assert!(std::mem::size_of::<Thread>() <= 384);
 
