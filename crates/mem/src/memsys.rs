@@ -487,8 +487,8 @@ impl MemorySystem {
     /// [`MemorySystem::step_into`] can do work, assuming no new submissions:
     /// a queued bank request pops next cycle, a staged miss fires at its
     /// translate deadline, and a pipelined response surfaces at its
-    /// ready cycle. `None` when fully idle — the cycle
-    /// engine's license to skip this memory system entirely.
+    /// ready cycle. `None` when fully idle — the cycle engine's license
+    /// to skip this memory system entirely.
     #[must_use]
     pub fn next_activity(&self, now: u64) -> Option<u64> {
         let mut best: Option<u64> = None;

@@ -156,10 +156,9 @@ impl Fabric {
         self.stats
     }
 
-    /// Total flit-hops carried over mesh links so far, the sum of
-    /// [`Fabric::link_flits`] (telemetry counter; excluded from
-    /// [`FabricStats`] on purpose). Wrapping, so a hostile restored
-    /// table cannot panic a debug build.
+    /// Total flit-hops carried over mesh links so far: the wrapping sum
+    /// of [`Fabric::link_flits`] (a telemetry counter, kept out of
+    /// [`FabricStats`] on purpose).
     #[must_use]
     pub fn flit_hops(&self) -> u64 {
         self.link_flits

@@ -365,13 +365,10 @@ impl StepScratch {
 ///    `thread.rs`); a step reads only the running threads' records.
 /// 4. **Cold tail**: the configuration and coordinates.
 ///
-/// The node is not over-aligned. A node array aligned to 64 bytes is
-/// allocated with `posix_memalign`, whose slack beside the array small
-/// allocations pin, so the next machine's array could not always reuse
-/// the block the last one freed: under the benchmark's pinned glibc
-/// settings `busy_mesh_512`'s peak RSS read 21.8 or 23.5 MiB at most
-/// command-line lengths, 18.6 MiB without the over-alignment (2-vCPU
-/// Xeon guest).
+/// The node is not over-aligned: a 64-byte-aligned array goes through
+/// `posix_memalign`, whose slack small allocations pin, and a machine
+/// built after another then often could not reuse the freed array (see
+/// ARCHITECTURE, "Node layout").
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct Node {
@@ -808,8 +805,7 @@ impl Node {
     /// When a step reports no progress, repeating it with no new
     /// external input is a provable no-op, so the cycle engine may put
     /// the node to sleep until [`Node::next_activity`] (or an external
-    /// wake-up) — the quiescence invariant the `engine` module
-    /// documents.
+    /// wake-up) — the quiescence invariant the `engine` module documents.
     ///
     /// A thread whose memoized issue-block proof holds is parked: the
     /// issue stage skips it until one of the events that could break
@@ -1662,11 +1658,10 @@ impl Node {
     /// Restore state produced by [`Node::save_state`] into a node built
     /// with the same configuration and the same programs loaded.
     ///
-    /// The running masks and user-thread tallies are recomputed from
-    /// the restored thread states, as the halted masks are, and the
-    /// event-record counts from the event queues; an image whose stored
-    /// copies disagree with those, or whose clocks are not `now`, is
-    /// refused.
+    /// The running masks and user-thread tallies are recomputed from the
+    /// restored thread states, as the halted masks are, and the event-record
+    /// counts from the event queues; an image whose stored copies disagree
+    /// with those, or whose clocks are not `now`, is refused.
     ///
     /// # Errors
     ///
