@@ -24,8 +24,9 @@ use mm_runtime::kernels::coherent_smooth;
 /// Cycle budget for one coherence-stress run.
 pub const RUN_LIMIT: u64 = 2_000_000;
 
-/// Build the scenario on [`scenario_config`] with `workers` engine
-/// threads.
+/// Build the scenario on [`scenario_config`].
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
@@ -34,11 +35,9 @@ pub const RUN_LIMIT: u64 = 2_000_000;
 pub fn build_coherence_scenario(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: Option<usize>,
+    _workers: Option<usize>,
 ) -> MMachine {
-    let mut cfg = scenario_config(dims);
-    cfg.engine.workers = workers;
-    load_coherence_scenario(cfg, iters)
+    load_coherence_scenario(scenario_config(dims), iters)
 }
 
 /// Build `cfg` and load the scenario: every pair's shared block is the

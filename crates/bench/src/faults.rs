@@ -67,15 +67,15 @@ pub struct FaultCampaignPoint {
     pub nodes: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Final cycle of the serial run.
+    /// Final cycle of the first run.
     pub cycles: u64,
-    /// What the campaign did (serial run; the parallel run must agree).
+    /// What the campaign did (first run; the second must agree).
     pub report: FaultReport,
-    /// The serial run's final counters (the recovery columns: checksum
+    /// The first run's final counters (the recovery columns: checksum
     /// NACKs, duplicate drops, SECDED outcomes).
     pub counters: CounterSnapshot,
-    /// Serial and parallel runs produced identical `MachineStats` and
-    /// identical fault reports.
+    /// Two runs of the same plan produced identical `MachineStats`,
+    /// fault reports and checksum-NACK counts.
     pub stats_match: bool,
     /// The run halted (every user thread finished despite the faults)
     /// with no thread left in a faulted state.
@@ -85,23 +85,18 @@ pub struct FaultCampaignPoint {
 fn run_campaign_once(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: Option<usize>,
     plan: &FaultPlanConfig,
 ) -> Result<MMachine, MachineError> {
-    let mut m = build_busy_scenario_full(
-        dims,
-        iters,
-        workers,
-        TelemetryConfig::default(),
-        Some(plan.clone()),
-    )?;
+    let mut m =
+        build_busy_scenario_full(dims, iters, TelemetryConfig::default(), Some(plan.clone()))?;
     m.run_until_halt(RUN_LIMIT)?;
     m.run_cycles(DRAIN_CYCLES);
     Ok(m)
 }
 
-/// Run the seeded campaign on `dims`, serial and parallel, and verify
-/// the two agree bit-for-bit on stats and on what the campaign did.
+/// Run the seeded campaign on `dims` twice and verify the two runs
+/// agree bit-for-bit on stats and on what the campaign did: the plan
+/// must replay deterministically.
 ///
 /// # Errors
 ///
@@ -110,27 +105,26 @@ fn run_campaign_once(
 pub fn run_fault_campaign(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: usize,
     seed: u64,
 ) -> Result<FaultCampaignPoint, MachineError> {
     let nodes = usize::from(dims.0) * usize::from(dims.1) * usize::from(dims.2);
     #[allow(clippy::cast_possible_truncation)]
     let plan = campaign_plan(seed, nodes as u32);
 
-    let serial = run_campaign_once(dims, iters, Some(1), &plan)?;
-    let parallel = run_campaign_once(dims, iters, Some(workers), &plan)?;
+    let first = run_campaign_once(dims, iters, &plan)?;
+    let second = run_campaign_once(dims, iters, &plan)?;
 
-    let stats_match = serial.stats() == parallel.stats()
-        && serial.fault_report() == parallel.fault_report()
-        && serial.counter_snapshot().crc_nacks == parallel.counter_snapshot().crc_nacks;
-    let completed = serial.faulted_threads().is_empty() && parallel.faulted_threads().is_empty();
+    let stats_match = first.stats() == second.stats()
+        && first.fault_report() == second.fault_report()
+        && first.counter_snapshot().crc_nacks == second.counter_snapshot().crc_nacks;
+    let completed = first.faulted_threads().is_empty() && second.faulted_threads().is_empty();
     Ok(FaultCampaignPoint {
         dims,
         nodes,
         seed,
-        cycles: serial.cycle(),
-        report: serial.fault_report().unwrap_or_default(),
-        counters: serial.counter_snapshot(),
+        cycles: first.cycle(),
+        report: first.fault_report().unwrap_or_default(),
+        counters: first.counter_snapshot(),
         stats_match,
         completed,
     })
@@ -167,11 +161,9 @@ pub struct CrashRecoveryPoint {
 fn build_recovery_scenario(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: usize,
     plan: &FaultPlanConfig,
 ) -> Result<MMachine, MachineError> {
     let mut cfg = scenario_config(dims);
-    cfg.engine.workers = Some(workers);
     cfg.faults = Some(plan.clone());
     let mut m = MMachine::build(cfg)?;
     let grind = Arc::new(assemble(&format!(
@@ -202,7 +194,6 @@ fn build_recovery_scenario(
 pub fn run_crash_recovery(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: usize,
 ) -> Result<CrashRecoveryPoint, MachineError> {
     // A stall long enough to exhaust a 3-epoch × 512-cycle watchdog,
     // short enough that a patient run completes.
@@ -216,7 +207,7 @@ pub fn run_crash_recovery(
         }],
     };
     // The production run: checkpoint at cycle 1000, hang, trip.
-    let mut prod = build_recovery_scenario(dims, iters, workers, &plan)?;
+    let mut prod = build_recovery_scenario(dims, iters, &plan)?;
     prod.set_watchdog(3, 512);
     let checkpoint_at = 1_000;
     prod.run_cycles(checkpoint_at);
@@ -231,14 +222,14 @@ pub fn run_crash_recovery(
     // Recovery: restore the checkpoint into a fresh build with the
     // watchdog's patience raised past the stall window (here: disabled,
     // the most patient setting).
-    let mut recovered = build_recovery_scenario(dims, iters, workers, &plan)?;
+    let mut recovered = build_recovery_scenario(dims, iters, &plan)?;
     recovered.set_watchdog(0, 0);
     recovered.restore(&ckpt)?;
     let recovered_ok = recovered.run_until_halt(RUN_LIMIT).is_ok();
     recovered.run_cycles(DRAIN_CYCLES);
 
     // Reference: the same plan with a patient watchdog from the start.
-    let mut reference = build_recovery_scenario(dims, iters, workers, &plan)?;
+    let mut reference = build_recovery_scenario(dims, iters, &plan)?;
     reference.run_until_halt(RUN_LIMIT)?;
     reference.run_cycles(DRAIN_CYCLES);
 
@@ -260,7 +251,7 @@ pub fn run_crash_recovery(
 pub fn campaign_failures(p: &FaultCampaignPoint, r: &CrashRecoveryPoint) -> Vec<&'static str> {
     let faulted = p.report.packets_corrupted + p.report.packets_dropped > 0;
     [
-        (p.stats_match, "fault campaign diverged across engines"),
+        (p.stats_match, "fault campaign diverged between two runs"),
         (p.completed, "fault campaign left faulted threads"),
         (
             faulted && p.report.retransmits > 0,
@@ -281,8 +272,7 @@ pub fn campaign_failures(p: &FaultCampaignPoint, r: &CrashRecoveryPoint) -> Vec<
 }
 
 /// The `BENCH_faults.json` document: counts only — no wall times, no
-/// host descriptor — so every host and worker count writes the same
-/// bytes.
+/// host descriptor — so every host writes the same bytes.
 #[must_use]
 pub fn campaign_json(p: &FaultCampaignPoint, r: &CrashRecoveryPoint) -> String {
     let dims = |d: (u8, u8, u8)| format!("{}x{}x{}", d.0, d.1, d.2);
@@ -327,8 +317,8 @@ mod tests {
 
     #[test]
     fn campaign_smoke_is_deterministic_and_recovers() {
-        let p = run_fault_campaign((2, 2, 1), 24, 2, 7).expect("campaign runs");
-        assert!(p.stats_match, "serial and parallel runs diverged: {p:?}");
+        let p = run_fault_campaign((2, 2, 1), 24, 7).expect("campaign runs");
+        assert!(p.stats_match, "two runs of one plan diverged: {p:?}");
         assert!(p.completed, "campaign left faulted threads: {p:?}");
         assert!(
             p.report.packets_corrupted + p.report.packets_dropped > 0,
@@ -340,7 +330,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_round_trip() {
-        let p = run_crash_recovery((2, 1, 1), 1_000, 2).expect("recovery runs");
+        let p = run_crash_recovery((2, 1, 1), 1_000).expect("recovery runs");
         assert!(p.diagnostic_captured, "no diagnostic on trip: {p:?}");
         assert!(p.tripped_at.is_some_and(|t| t > p.checkpoint_at));
         assert!(p.recovered, "restored run did not complete: {p:?}");

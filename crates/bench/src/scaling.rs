@@ -22,9 +22,9 @@
 //! Each scenario is one configuration ([`scenario_config`]) plus one
 //! loader ([`load_scenario`], [`load_busy_scenario`]); the `build_*`
 //! functions compose the two, and the engine differential in
-//! `crates/core/tests` loads the same configuration with `trace` and
-//! `engine.workers` flipped, so the machine the benchmark times is the
-//! machine the differential checks.
+//! `crates/core/tests` loads the same configuration with `trace`
+//! flipped, so the machine the benchmark times is the machine the
+//! differential checks.
 
 use mm_core::machine::{MMachine, MachineConfig};
 use mm_core::MachineError;
@@ -73,7 +73,7 @@ pub fn scenario_config(dims: (u8, u8, u8)) -> MachineConfig {
     cfg
 }
 
-/// Build the ping-pong + remote-store scenario on the serial engine.
+/// Build the ping-pong + remote-store scenario.
 ///
 /// # Panics
 ///
@@ -81,9 +81,7 @@ pub fn scenario_config(dims: (u8, u8, u8)) -> MachineConfig {
 /// (both are scenario bugs).
 #[must_use]
 pub fn build_scenario(dims: (u8, u8, u8), rounds: u64) -> MMachine {
-    let mut cfg = scenario_config(dims);
-    cfg.engine.workers = Some(1);
-    load_scenario(cfg, rounds)
+    load_scenario(scenario_config(dims), rounds)
 }
 
 /// Build `cfg` and load the ping (even node), pong (odd node) and
@@ -155,16 +153,20 @@ pub fn load_scenario(cfg: MachineConfig, rounds: u64) -> MMachine {
 /// of a dependent integer chain plus one remote store to its partner's
 /// home page — all nodes awake essentially every cycle, so quiescence
 /// skipping cannot help and the node phase dominates.
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
 /// As [`build_busy_scenario_telemetry`].
 #[must_use]
-pub fn build_busy_scenario(dims: (u8, u8, u8), iters: u64, workers: Option<usize>) -> MMachine {
-    build_busy_scenario_telemetry(dims, iters, workers, TelemetryConfig::default())
+pub fn build_busy_scenario(dims: (u8, u8, u8), iters: u64, _workers: Option<usize>) -> MMachine {
+    build_busy_scenario_telemetry(dims, iters, None, TelemetryConfig::default())
 }
 
 /// [`build_busy_scenario`] with a telemetry configuration.
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
@@ -174,10 +176,10 @@ pub fn build_busy_scenario(dims: (u8, u8, u8), iters: u64, workers: Option<usize
 pub fn build_busy_scenario_telemetry(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: Option<usize>,
+    _workers: Option<usize>,
     telemetry: TelemetryConfig,
 ) -> MMachine {
-    build_busy_scenario_full(dims, iters, workers, telemetry, None)
+    build_busy_scenario_full(dims, iters, telemetry, None)
         .expect("busy scenario mesh is valid and even-sized")
 }
 
@@ -192,12 +194,10 @@ pub fn build_busy_scenario_telemetry(
 pub fn build_busy_scenario_full(
     dims: (u8, u8, u8),
     iters: u64,
-    workers: Option<usize>,
     telemetry: TelemetryConfig,
     faults: Option<mm_faults::FaultPlanConfig>,
 ) -> Result<MMachine, MachineError> {
     let mut cfg = scenario_config(dims);
-    cfg.engine.workers = workers;
     cfg.telemetry = telemetry;
     cfg.faults = faults;
     load_busy_scenario(cfg, iters)

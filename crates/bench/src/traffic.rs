@@ -75,8 +75,9 @@ pub fn traffic_config() -> MachineConfig {
     cfg
 }
 
-/// Build one traffic row's machine on [`traffic_config`] with `workers`
-/// engine threads.
+/// Build one traffic row's machine on [`traffic_config`].
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
@@ -86,11 +87,9 @@ pub fn build_traffic_scenario(
     pattern: TrafficPattern,
     gap: u32,
     count: u64,
-    workers: Option<usize>,
+    _workers: Option<usize>,
 ) -> MMachine {
-    let mut cfg = traffic_config();
-    cfg.engine.workers = workers;
-    load_traffic_scenario(cfg, pattern, gap, count)
+    load_traffic_scenario(traffic_config(), pattern, gap, count)
 }
 
 /// Build `cfg` (a [`TRAFFIC_DIMS`] mesh) and load one pattern: every

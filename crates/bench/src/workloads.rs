@@ -8,7 +8,7 @@
 //! [`build_workload`] and checks every timed pass against
 //! [`run_workload`]'s counts, and the engine differential
 //! (`crates/core/tests/workloads.rs`) runs the same machines densely and
-//! at 1/2/4 workers with `trace` on. The task-queue row additionally
+//! windowed with `trace` on. The task-queue row additionally
 //! reports the §3.2 protected-call count and the §2 full/empty
 //! sync-retry count — the two paper mechanisms that workload exists to
 //! exercise.
@@ -150,17 +150,16 @@ pub fn workload_config() -> MachineConfig {
     cfg
 }
 
-/// Build one kernel's machine on [`workload_config`] with `workers`
-/// engine threads.
+/// Build one kernel's machine on [`workload_config`].
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
 /// As [`load_workload`].
 #[must_use]
-pub fn build_workload(kind: WorkloadKind, workers: Option<usize>) -> MMachine {
-    let mut cfg = workload_config();
-    cfg.engine.workers = workers;
-    load_workload(cfg, kind)
+pub fn build_workload(kind: WorkloadKind, _workers: Option<usize>) -> MMachine {
+    load_workload(workload_config(), kind)
 }
 
 /// Build `cfg` (a [`WORKLOAD_DIMS`] mesh) and load one kernel, inputs
@@ -371,9 +370,10 @@ pub fn check_workload(m: &MMachine, kind: WorkloadKind) {
     }
 }
 
-/// Run one kernel to halt under `workers` engine threads, drain, verify
-/// its result and report the counts `benchmark/` pins its timed passes
-/// to.
+/// Run one kernel to halt, drain, verify its result and report the
+/// counts `benchmark/` pins its timed passes to.
+/// `_workers` is ignored: a machine steps on one host thread. The
+/// argument stays only because `benchmark/` still passes it.
 ///
 /// # Panics
 ///
@@ -381,8 +381,8 @@ pub fn check_workload(m: &MMachine, kind: WorkloadKind) {
 /// event record is dropped, or the result diverges from the host-side
 /// reference.
 #[must_use]
-pub fn run_workload(kind: WorkloadKind, workers: Option<usize>) -> WorkloadPoint {
-    let mut m = build_workload(kind, workers);
+pub fn run_workload(kind: WorkloadKind, _workers: Option<usize>) -> WorkloadPoint {
+    let mut m = load_workload(workload_config(), kind);
     m.run_until_halt(RUN_LIMIT).expect("workload completes");
     m.run_cycles(256); // drain in-flight protocol traffic
     assert!(

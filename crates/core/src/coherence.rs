@@ -710,10 +710,6 @@ pub struct NodeCoh {
     coord: NodeCoord,
 }
 
-// Stepped from worker threads inside the sharded node phase.
-const fn _assert_send<T: Send>() {}
-const _: () = _assert_send::<NodeCoh>();
-
 // Five host cache lines per node.
 const _: () = assert!(std::mem::size_of::<NodeCoh>() <= 320);
 

@@ -2,9 +2,7 @@
 
 use crate::coherence::{refuse_undecodable, CoherenceConfig, CoherenceEngine, CoherenceStats};
 use crate::error::MachineError;
-use crate::shard::{
-    node_key, step_shard, Arrival, ReplayCursor, TraceSnap, Window, WindowLog, WorkerPool,
-};
+use crate::shard::{node_key, step_shard, Arrival, TraceSnap, Window, WindowLog};
 use crate::timeline::{PacketKind, Phase, Timeline};
 use mm_faults::{
     ckpt_struct, Ckpt, CkptError, Dec, Enc, FaultKind, FaultPlan, FaultPlanConfig, PacketFault,
@@ -18,8 +16,8 @@ use mm_net::fabric::{Fabric, FabricConfig, FabricStats};
 use mm_net::message::{Message, NodeCoord, Packet};
 use mm_runtime::image::{boot_node, BootSpec, RuntimeImage};
 use mm_sched::DeadlineLadder;
-use mm_sim::{EngineConfig, HState, Node, NodeConfig, StepScratch, NUM_CLUSTERS, USER_SLOTS};
-use mm_telemetry::{CounterSnapshot, Telemetry, TelemetryConfig, MAX_SHARDS};
+use mm_sim::{HState, Node, NodeConfig, StepScratch, NUM_CLUSTERS, USER_SLOTS};
+use mm_telemetry::{CounterSnapshot, Telemetry, TelemetryConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -59,18 +57,14 @@ pub struct MachineConfig {
     pub coherence: CoherenceConfig,
     /// Record phase events into the timeline.
     pub trace: bool,
-    /// Host-side engine configuration (worker threads for the parallel
-    /// node phase). Purely a wall-clock knob: simulated results are
-    /// bit-identical for every worker count.
-    pub engine: EngineConfig,
     /// Streaming telemetry (per-epoch metrics ring + optional JSONL
     /// sink). Host-side and read-only: simulated results are
     /// bit-identical with telemetry on or off.
     pub telemetry: TelemetryConfig,
     /// Deterministic fault campaign (`None` = no hooks armed; the whole
     /// per-cycle cost is then one branch per phase). The plan is a pure
-    /// function of the config and the node count, so dense/serial/
-    /// parallel runs of one campaign stay bit-identical.
+    /// function of the config and the node count, so dense and windowed
+    /// runs of one campaign stay bit-identical.
     pub faults: Option<FaultPlanConfig>,
     /// Liveness watchdog: abort [`MMachine::run_until`] after this many
     /// *consecutive* progress-free epochs while threads are still
@@ -102,7 +96,6 @@ impl MachineConfig {
             resend_delay: 32,
             coherence: CoherenceConfig::default(),
             trace: true,
-            engine: EngineConfig::default(),
             telemetry: TelemetryConfig::default(),
             faults: None,
             watchdog_epochs: 0,
@@ -123,11 +116,10 @@ impl MachineConfig {
 /// Aggregate statistics across the machine.
 ///
 /// Every counter here is *architectural* — a function of the simulated
-/// program, identical across the dense loop, the serial engine and the
-/// parallel engine at any worker count (the differential harness
-/// asserts exactly that). Host-side performance counters, which
-/// legitimately depend on how the engine schedules work, live in
-/// [`MachinePerf`].
+/// program, identical across the dense loop and the windowed engine
+/// (the differential harness asserts exactly that). Host-side
+/// performance counters, which legitimately depend on how the engine
+/// schedules work, live in [`MachinePerf`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Cycles simulated.
@@ -147,7 +139,7 @@ pub struct MachineStats {
 /// *not* architectural: the quiescence engine probes fewer issue slots
 /// than the dense loop because it skips provably-idle steps, so the
 /// numbers differ (only) between scheduling strategies, never between
-/// worker counts of the same engine.
+/// two runs of the same engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachinePerf {
     /// Issue-stage candidates examined (running, un-stalled threads
@@ -161,7 +153,7 @@ pub struct MachinePerf {
 
 /// End-of-run counters of an armed fault campaign (what the campaign
 /// did and what the recovery machinery absorbed). All architectural:
-/// identical across engines and worker counts for one plan.
+/// identical across engines for one plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Scheduled events (DRAM flips, stall windows) applied so far.
@@ -366,8 +358,7 @@ pub struct MMachine {
     user_running: i64,
     /// User H-Threads halted or faulted machine-wide (same upkeep).
     user_finished: i64,
-    /// Recycled drain buffers for serial node steps (the worker pool
-    /// carries its own, one per worker).
+    /// Recycled drain buffers for node steps.
     step_scratch: StepScratch,
     /// The dense loop's outbox drain buffer, recycled cycle to cycle.
     dense_outbox: Vec<Packet>,
@@ -377,13 +368,8 @@ pub struct MMachine {
     /// The arrivals' keys sorted by destination node (see
     /// [`Window::by_node`]).
     by_node: Vec<u64>,
-    /// One log per shard (one in all when serial), filled by the walk
-    /// and emptied by the replay.
-    logs: Vec<WindowLog>,
-    /// Replay scratch: one cursor per log.
-    cursors: Vec<ReplayCursor>,
-    /// Shard workers for the parallel node phase (`None` = serial).
-    worker_pool: Option<WorkerPool>,
+    /// The window's log, filled by the walk and read by the replay.
+    log: WindowLog,
     /// External node mutation may have invalidated the user-thread
     /// totals; the next `run_until` entry recounts them before its
     /// first predicate evaluation.
@@ -391,11 +377,6 @@ pub struct MMachine {
     /// The epoch sampler (`None` when telemetry is disabled — the whole
     /// per-cycle cost is then one branch on this option).
     telemetry: Option<Telemetry>,
-    /// Node-index width of one engine shard (the same block-aligned
-    /// chunk `WorkerPool::step_window` dispatches), so telemetry can
-    /// attribute per-node step counts to shards. Equal to the node
-    /// count when the engine is serial.
-    shard_chunk: usize,
     /// Directed mesh link × virtual-channel count — the constant
     /// denominator of telemetry's link-occupancy rate. Counts only
     /// links that physically exist (interior faces), not the edge
@@ -415,6 +396,13 @@ pub struct MMachine {
     last_diagnostic: Option<String>,
     cycle: u64,
 }
+
+// Independent machines may each run on a host thread of their own, so a
+// machine — with every node, memory system, interface and coherence
+// handler it owns — must stay sendable. An `Rc`, `RefCell` or raw
+// pointer added anywhere inside it is then a compile error.
+const fn _assert_send<T: Send>() {}
+const _: () = _assert_send::<MMachine>();
 
 impl MMachine {
     /// Build and boot a machine.
@@ -464,12 +452,6 @@ impl MMachine {
             loopback_latency: cfg.hop_latency,
         });
         let coords: Vec<NodeCoord> = nodes.iter().map(mm_sim::Node::coord).collect();
-        let workers = cfg.engine.resolved_workers(n);
-        let shard_chunk = if workers > 1 {
-            n.div_ceil(workers).next_multiple_of(crate::shard::BLOCK)
-        } else {
-            n.max(1)
-        };
         let (xl, yl, zl) = (u64::from(x), u64::from(y), u64::from(z));
         // Directed interior links × 2 virtual channels per direction.
         let mesh_links = 2 * 2 * ((xl - 1) * yl * zl + xl * (yl - 1) * zl + xl * yl * (zl - 1));
@@ -511,12 +493,9 @@ impl MMachine {
             dense_outbox: Vec::new(),
             arrivals: Vec::new(),
             by_node: Vec::new(),
-            logs: (0..workers.max(1)).map(|_| WindowLog::default()).collect(),
-            cursors: Vec::new(),
-            worker_pool: (workers > 1).then(|| WorkerPool::spawn(workers)),
+            log: WindowLog::default(),
             user_counts_stale: true,
             telemetry,
-            shard_chunk,
             mesh_links,
             faults,
             watchdog_strikes: 0,
@@ -526,12 +505,6 @@ impl MMachine {
             cycle: 0,
             cfg,
         })
-    }
-
-    /// Worker threads the engine runs the node phase on (1 = serial).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.worker_pool.as_ref().map_or(1, WorkerPool::workers)
     }
 
     /// Nodes in the machine.
@@ -663,16 +636,12 @@ impl MMachine {
             sync_retries: coherence.sync_retries,
             ..CounterSnapshot::default()
         };
-        let chunk = self.shard_chunk;
-        snap.shards = u32::try_from(self.nodes.len().div_ceil(chunk).clamp(1, MAX_SHARDS))
-            .expect("MAX_SHARDS fits u32");
-        for (i, n) in self.nodes.iter().enumerate() {
+        for n in &self.nodes {
             let st = n.stats();
             snap.instructions += st.instructions;
             snap.issue_probes += st.issue_probes;
             snap.node_steps += st.steps;
             snap.messages += st.sends;
-            snap.shard_steps[(i / chunk).min(MAX_SHARDS - 1)] += st.steps;
             let ns = n.net.stats();
             snap.crc_nacks += ns.crc_nacks;
             snap.dup_drops += ns.dup_drops;
@@ -681,6 +650,9 @@ impl MMachine {
             snap.ecc_corrected += ms.ecc_corrected;
             snap.ecc_double_errors += ms.ecc_double_errors;
         }
+        // The stream's per-shard tail: one machine is one shard.
+        snap.shards = 1;
+        snap.shard_steps[0] = snap.node_steps;
         if let Some(fs) = &self.faults {
             snap.retransmits = fs.report.retransmits;
         }
@@ -912,7 +884,7 @@ impl MMachine {
 
     /// The watchdog's architectural progress fingerprint: instructions
     /// issued plus fabric packets carried. Pure machine state, so the
-    /// verdict is identical across engines and worker counts.
+    /// verdict is identical across engines.
     fn progress_fingerprint(&self) -> u64 {
         let mut fp = self.fabric.stats().packets;
         for n in &self.nodes {
@@ -1062,10 +1034,9 @@ impl MMachine {
     /// see the `shard` module for the design): land the faults due at
     /// `t`, drain every delivery due before the window's end from the
     /// fabric, walk the due and receiving nodes through the whole window
-    /// — sharded across the worker pool when there is one — and replay
-    /// the walk's logs in the per-cycle loop's order. Leaves the clock
-    /// one past the window's last active cycle, exactly where the
-    /// per-cycle loop's clock would stand after it, and returns the
+    /// and replay the walk's log in the per-cycle loop's order. Leaves
+    /// the clock one past the window's last active cycle, exactly where
+    /// the per-cycle loop's clock would stand after it, and returns the
     /// first clock value (if any) at which the user-thread totals met
     /// the halt condition.
     ///
@@ -1100,7 +1071,6 @@ impl MMachine {
                 #[allow(clippy::cast_possible_truncation)]
                 arrivals.push(Arrival {
                     at,
-                    j: arrivals.len() as u32,
                     node: self.spec.linear_index(packet.dest()) as u32,
                     slot,
                 });
@@ -1108,7 +1078,12 @@ impl MMachine {
         }
         let mut by_node = std::mem::take(&mut self.by_node);
         by_node.clear();
-        by_node.extend(arrivals.iter().map(|a| node_key(a.node, a.j as usize)));
+        by_node.extend(
+            arrivals
+                .iter()
+                .enumerate()
+                .map(|(j, a)| node_key(a.node, j)),
+        );
         by_node.sort_unstable();
 
         // 1. The walk. A protocol panic (bounded patience, unmapped
@@ -1125,53 +1100,39 @@ impl MMachine {
         };
         let result = {
             let MMachine {
-                worker_pool,
                 nodes,
                 coherence,
                 ladder,
                 step_scratch,
-                logs,
+                log,
                 ..
             } = self;
-            catch_unwind(AssertUnwindSafe(|| match worker_pool {
-                Some(workers) => {
-                    workers.step_window(nodes, coherence.handlers_mut(), ladder, &win, logs)
-                }
-                None => {
-                    step_shard(
-                        nodes,
-                        coherence.handlers_mut(),
-                        ladder.view_mut(),
-                        0,
-                        &win,
-                        &mut logs[0],
-                        step_scratch,
-                    );
-                    1
-                }
+            catch_unwind(AssertUnwindSafe(|| {
+                step_shard(
+                    nodes,
+                    coherence.handlers_mut(),
+                    ladder,
+                    &win,
+                    log,
+                    step_scratch,
+                );
             }))
         };
-        let shards = match result {
-            Ok(shards) => shards,
-            Err(payload) => {
-                self.dump_panic_diagnostic();
-                resume_unwind(payload);
-            }
-        };
+        if let Err(payload) = result {
+            self.dump_panic_diagnostic();
+            resume_unwind(payload);
+        }
 
         // Inside a run user threads only halt or fault, so a window that
         // ends with none running met the halt condition (and the
         // per-cycle loop's predicate) one past its last change.
-        let (mut running, mut finished) = (self.user_running, self.user_finished);
-        let (mut last, mut changed) = (t, None);
-        for log in &self.logs[..shards] {
-            running += log.running;
-            finished += log.finished;
-            changed = changed.max(log.last_change);
-            last = last.max(log.last_step.unwrap_or(t));
-        }
+        let running = self.user_running + self.log.running;
+        let finished = self.user_finished + self.log.finished;
+        let mut last = self.log.last_step.unwrap_or(t);
         (self.user_running, self.user_finished) = (running, finished);
-        let halt = changed
+        let halt = self
+            .log
+            .last_change
             .filter(|_| running == 0 && finished > 0)
             .map(|c| c + 1);
         debug_assert!(
@@ -1182,7 +1143,7 @@ impl MMachine {
         // 2–5. Replay. Every cycle something arrived at, or a resend
         // fell due at, is active too. The replay still reads the
         // arrivals' packets, so their slots go back only after it.
-        if self.replay_window(t, end, shards, &arrivals) {
+        if self.replay_window(t, end, &arrivals) {
             last = end - 1;
         }
         for a in &arrivals {
@@ -1197,7 +1158,7 @@ impl MMachine {
         halt
     }
 
-    /// Replay the walk's logs into the fabric, the resend queue and the
+    /// Replay the walk's log into the fabric, the resend queue and the
     /// timeline, cycle by cycle in the per-cycle loop's phase order:
     ///
     /// 2. outbox drains after node steps, ascending node;
@@ -1210,22 +1171,16 @@ impl MMachine {
     ///
     /// Returns whether a resend fell due (which makes the last cycle
     /// active).
-    fn replay_window(&mut self, start: u64, end: u64, shards: usize, arrivals: &[Arrival]) -> bool {
-        let logs = std::mem::take(&mut self.logs);
-        let mut cursors = std::mem::take(&mut self.cursors);
-        let logs_used = &logs[..shards];
-        cursors.clear();
-        cursors.resize(shards, ReplayCursor::default());
-        let mut next = 0;
+    fn replay_window(&mut self, start: u64, end: u64, arrivals: &[Arrival]) -> bool {
+        let log = std::mem::take(&mut self.log);
+        let (mut drains, mut traces, mut next) = (0, 0, 0);
         let mut resent = false;
         for now in start..end {
-            for (log, cur) in logs_used.iter().zip(cursors.iter_mut()) {
-                while let Some(d) = log.drains.get(cur.drains).filter(|d| d.at == now) {
-                    for p in &log.packets[d.from as usize..d.to as usize] {
-                        self.inject(now, d.node as usize, p);
-                    }
-                    cur.drains += 1;
+            while let Some(d) = log.drains.get(drains).filter(|d| d.at == now) {
+                for p in &log.packets[d.from as usize..d.to as usize] {
+                    self.inject(now, d.node as usize, p);
                 }
+                drains += 1;
             }
             let first = next;
             while let Some(a) = arrivals.get(next).filter(|a| a.at == now) {
@@ -1233,14 +1188,16 @@ impl MMachine {
                     let p = &self.fabric.slab()[a.slot as usize];
                     trace_packet(&mut self.timeline, now, a.node as usize, p, false);
                 }
-                let (log, d) = ReplayCursor::delivered(logs_used, &mut cursors, a.j, false);
+                let d = log.delivered[next];
                 for p in &log.packets[d.packets.0 as usize..d.packets.1 as usize] {
                     self.inject(now, a.node as usize, p);
                 }
                 next += 1;
             }
-            for a in &arrivals[first..next] {
-                let (log, d) = ReplayCursor::delivered(logs_used, &mut cursors, a.j, true);
+            for (a, d) in arrivals[first..next]
+                .iter()
+                .zip(&log.delivered[first..next])
+            {
                 for m in &log.returned[d.returned.0 as usize..d.returned.1 as usize] {
                     let m = match &mut self.faults {
                         Some(fs) => fs.reclaim(m.clone()),
@@ -1253,16 +1210,13 @@ impl MMachine {
                 resent = self.apply_due_resends(now);
             }
             if self.cfg.trace {
-                for (log, cur) in logs_used.iter().zip(cursors.iter_mut()) {
-                    while let Some(snap) = log.traces.get(cur.traces).filter(|s| s.at == now) {
-                        self.trace_snapshot(snap);
-                        cur.traces += 1;
-                    }
+                while let Some(snap) = log.traces.get(traces).filter(|s| s.at == now) {
+                    self.trace_snapshot(snap);
+                    traces += 1;
                 }
             }
         }
-        self.logs = logs;
-        self.cursors = cursors;
+        self.log = log;
         resent
     }
 
@@ -1605,7 +1559,7 @@ impl MMachine {
     /// shared `Arc`s; [`MMachine::restore`] targets a machine built
     /// from the same config with the same programs loaded). Restoring
     /// a checkpoint into such a machine and continuing is bit-identical
-    /// to never having stopped, at any worker count.
+    /// to never having stopped.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut e = Enc::new();

@@ -1,6 +1,5 @@
 //! Node-major lookahead windows: the node phase of
-//! [`MMachine`](crate::machine::MMachine), run serially or sharded
-//! across a pool of worker threads.
+//! [`MMachine`](crate::machine::MMachine), walked on one host thread.
 //!
 //! ## Why a window is safe
 //!
@@ -24,12 +23,12 @@
 //! ## The log and its replay
 //!
 //! What a node does that reaches past itself is not applied during the
-//! walk but recorded in the shard's [`WindowLog`], each record keyed by
+//! walk but recorded in the window's [`WindowLog`], each record keyed by
 //! its `(cycle, phase, node / delivery order)`: the packets drained from
 //! its outbox after a step (phase 2), the packets each delivery staged
 //! (phase 3), the messages a `Return` handed back for resending (phase 4)
 //! and what the timeline's trace bookkeeping reads of it (phase 5). After
-//! the walk, the driving thread replays the records cycle by cycle into
+//! the walk, the machine replays the records cycle by cycle into
 //! the fabric, the resend queue and the timeline in the per-cycle loop's
 //! order — phase 2 by ascending node, phases 3 and 4 by the fabric's
 //! delivery order, phase 5 by ascending node — so fabric link
@@ -48,45 +47,34 @@
 //! node's slot is rewritten after every step, and raised slots are folded
 //! into the block minimum with one 64-wide rebuild per visited block.
 //!
-//! ## Determinism argument
+//! ## Replay order
 //!
-//! The parallel engine is bit-identical to the serial engine (and hence
-//! to the dense `naive_step` loop) for every worker count because:
+//! The windowed engine is bit-identical to the dense `naive_step` loop
+//! because:
 //!
-//! 1. **Node windows are independent.** [`step_shard`] mutates only the
-//!    nodes and ladder slots of its own contiguous index range; shards
-//!    are split at [`BLOCK`]-aligned boundaries, so two workers share no
-//!    node, no slot, and not even a ladder `block_min` word — the
-//!    interleaving of workers cannot be observed.
-//! 2. **Both engines run the same loop.** The serial engine calls
-//!    [`step_shard`] once over the whole ladder; the parallel engine
-//!    calls it once per disjoint shard, one barrier per window. Same
-//!    code, same per-node effects.
-//! 3. **Everything that crosses nodes is replayed in one order.** Each
-//!    shard's log is sorted by cycle and node, deliveries are indexed by
-//!    their global delivery order, and the driving thread merges the
-//!    shards' logs cycle by cycle in shard (= node) order — the order the
-//!    serial walk's single log has. Each shard's user-thread *changes*
-//!    are summed, and the cycles of their last changes maxed; `i64`
-//!    addition and `max` commute, so the machine totals and the exact
-//!    halt cycle are worker-count-invariant too.
+//! 1. **A node's window reads only its own inputs.** [`step_shard`]
+//!    steps a node through the window with nothing but its own state,
+//!    its own ladder slot and the packets delivered to it, all of which
+//!    were in flight at the window's start. So walking the nodes one
+//!    after another gives each node the steps the per-cycle loop gave it.
+//! 2. **Everything that crosses nodes is replayed in one order.** The
+//!    log's drains and trace snapshots are sorted by cycle and node, and
+//!    its delivery records sit at their arrival's index, so the replay
+//!    applies them cycle by cycle in the per-cycle loop's phase order.
+//!    The walk sums the user-thread *changes* and keeps the cycle of the
+//!    last one, so the machine totals and the exact halt cycle are the
+//!    ones the per-cycle loop reached.
 //!
 //! The differential harness (`crates/core/tests/differential.rs`)
-//! checks this end to end: the dense loop vs. the serial engine vs. the
-//! parallel engine at 2 and 4 workers must agree on stats, timelines,
-//! halt cycles and register files, with windows cut at every boundary
-//! the machine has.
+//! checks this end to end: the dense loop and the windowed engine must
+//! agree on stats, timelines, halt cycles and register files, with
+//! windows cut at every boundary the machine has.
 
 use crate::coherence::NodeCoh;
 use mm_net::message::{Message, Packet};
-use mm_sched::{DeadlineLadder, LadderViewMut, AWAKE, INERT};
+use mm_sched::{DeadlineLadder, AWAKE, BLOCK, INERT};
 use mm_sim::engine::earliest;
 use mm_sim::{Node, StepScratch, NUM_CLUSTERS, USER_SLOTS};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
-
-pub(crate) use mm_sched::BLOCK;
 
 /// A packet the fabric delivers inside the window, popped at its start.
 /// The packet itself stays where the fabric put it, at index `slot` of
@@ -95,9 +83,6 @@ pub(crate) use mm_sched::BLOCK;
 pub(crate) struct Arrival {
     /// The delivery cycle.
     pub(crate) at: u64,
-    /// Position in the window's delivery order — the fabric's
-    /// `(deliver_at, injection)` pop order.
-    pub(crate) j: u32,
     /// Destination node.
     pub(crate) node: u32,
     /// The packet's index in [`Window::packets`].
@@ -126,10 +111,11 @@ pub(crate) struct Window<'a> {
     pub(crate) start: u64,
     /// One past the last cycle.
     pub(crate) end: u64,
-    /// The walked nodes' arrivals, in delivery order.
+    /// The window's arrivals, in delivery order — the fabric's
+    /// `(deliver_at, injection)` pop order.
     pub(crate) arrivals: &'a [Arrival],
-    /// Where `arrivals`' packets are, by [`Arrival::slot`]: the fabric's
-    /// slab for the serial walk, a shard's own copy for a worker's.
+    /// Where `arrivals`' packets are, by [`Arrival::slot`]: the
+    /// fabric's slab.
     pub(crate) packets: &'a [Packet],
     /// [`node_key`]s into `arrivals`, ascending: nodes ascending, each
     /// node's arrivals in delivery order.
@@ -150,12 +136,11 @@ pub(crate) struct Drain {
     pub(crate) to: u32,
 }
 
-/// What applying delivery `j` produced: the packets it staged (phase 3,
+/// What applying an arrival produced: the packets it staged (phase 3,
 /// `packets`), and — on a node's first `Return` of the cycle — every
 /// message the node handed back for resending (phase 4, `returned`).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Delivered {
-    pub(crate) j: u32,
     pub(crate) packets: (u32, u32),
     pub(crate) returned: (u32, u32),
 }
@@ -207,30 +192,30 @@ impl TraceSnap {
     }
 }
 
-/// One shard's record of a window: every effect of its walk that
-/// reaches past the stepping node, for the driving thread to replay
-/// (see the [module docs](self)). Recycled window to window.
+/// The record of a window: every effect of the walk that reaches past
+/// the stepping node, for the machine to replay (see the
+/// [module docs](self)). Recycled window to window.
 #[derive(Debug, Default)]
 pub(crate) struct WindowLog {
-    /// Packets staged by the shard's nodes, in walk order; drains and
+    /// Packets staged by the nodes, in walk order; drains and
     /// deliveries index into it.
     pub(crate) packets: Vec<Packet>,
     /// Messages returned to their senders, in walk order.
     pub(crate) returned: Vec<Message>,
     /// Phase-2 drains, sorted by `(at, node)` once the walk is done.
     pub(crate) drains: Vec<Drain>,
-    /// One record per arrival of the window the shard walked, index for
-    /// index (so in delivery order).
+    /// One record per arrival of the window, index for index (so in
+    /// delivery order).
     pub(crate) delivered: Vec<Delivered>,
     /// Phase-5 snapshots, sorted by `(at, node)` once the walk is done.
     pub(crate) traces: Vec<TraceSnap>,
-    /// The shard's summed changes to the user threads running and
-    /// finished (a run only moves threads from the first to the second).
+    /// The summed changes to the user threads running and finished (a
+    /// run only moves threads from the first to the second).
     pub(crate) running: i64,
     pub(crate) finished: i64,
     /// The last cycle at which a step changed either.
     pub(crate) last_change: Option<u64>,
-    /// The last cycle any of the shard's nodes stepped at.
+    /// The last cycle any node stepped at.
     pub(crate) last_step: Option<u64>,
 }
 
@@ -248,102 +233,59 @@ impl WindowLog {
     }
 }
 
-/// The replay's read position in one shard's [`WindowLog`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReplayCursor {
-    pub(crate) drains: usize,
-    pub(crate) traces: usize,
-    /// Phase 3's and phase 4's positions in `delivered`.
-    delivered: [usize; 2],
-}
-
-impl ReplayCursor {
-    /// The record of delivery `j` for phase 3 (`returns` false) or
-    /// phase 4 (true), with the log holding it. Each pass reads every
-    /// log's records in delivery order, and every arrival was applied by
-    /// exactly one shard, so the record is at the head of one cursor.
-    pub(crate) fn delivered<'l>(
-        logs: &'l [WindowLog],
-        cursors: &mut [ReplayCursor],
-        j: u32,
-        returns: bool,
-    ) -> (&'l WindowLog, Delivered) {
-        let pass = usize::from(returns);
-        for (log, cur) in logs.iter().zip(cursors.iter_mut()) {
-            if let Some(&d) = log.delivered.get(cur.delivered[pass]).filter(|d| d.j == j) {
-                cur.delivered[pass] += 1;
-                return (log, d);
-            }
-        }
-        unreachable!("delivery {j} was applied by no shard")
-    }
-}
-
 fn len32(len: usize) -> u32 {
     u32::try_from(len).expect("a window logs fewer than 2^32 records")
 }
 
-/// The node phase of one window over one contiguous shard of the mesh:
-/// every node due inside `[win.start, win.end)` or receiving a packet in
-/// it is stepped through each of the window's cycles at which it is due
-/// (its own compute/memory tick, then its coherence-handler activation),
-/// with its arrivals applied between steps, its ladder slot rewritten
-/// after every step, and every cross-node effect recorded in `log`. This
-/// is the *single* implementation both engines run — the serial engine
-/// passes the whole ladder, the parallel engine one disjoint
-/// block-aligned shard per worker — so cycle-exactness across engines
-/// holds by construction.
+/// The node phase of one window over the whole mesh: every node due
+/// inside `[win.start, win.end)` or receiving a packet in it is stepped
+/// through each of the window's cycles at which it is due (its own
+/// compute/memory tick, then its coherence-handler activation), with its
+/// arrivals applied between steps, its ladder slot rewritten after every
+/// step, and every cross-node effect recorded in `log`.
 ///
-/// The coherence handler runs here, inside the shard, because it only
+/// The coherence handler runs here, inside the walk, because it only
 /// ever touches its own node: class-0 records are drained from the
 /// node's own queues, protocol messages from the node's own coherence
 /// inbox, and everything it sends stages in the node's own outbox, from
-/// where the log carries it to the ordered replay behind the barrier.
+/// where the log carries it to the ordered replay.
 pub(crate) fn step_shard(
     nodes: &mut [Node],
     coh: &mut [NodeCoh],
-    mut ladder: LadderViewMut<'_>,
-    base: usize,
+    ladder: &mut DeadlineLadder,
     win: &Window<'_>,
     log: &mut WindowLog,
     scratch: &mut StepScratch,
 ) {
     let n = nodes.len();
-    debug_assert_eq!(n, ladder.slots.len());
+    debug_assert_eq!(n, ladder.len());
     debug_assert_eq!(n, coh.len());
     log.clear(win.arrivals.len());
     // Cursor into `win.by_node`: every key before it belongs to a node
     // already walked or skipped.
     let mut next = 0;
-    for b in 0..ladder.block_min.len() {
+    for b in 0..ladder.blocks() {
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
-        let receiving = win
-            .by_node
-            .get(next)
-            .is_some_and(|&key| key_node(key) < base + hi);
+        let receiving = win.by_node.get(next).is_some_and(|&key| key_node(key) < hi);
         // Block skip: 64 nodes asleep past the window with nothing
         // arriving cost one word read.
-        if ladder.block_min[b] >= win.end && !receiving {
+        if ladder.block_min(b) >= win.end && !receiving {
             continue;
         }
         for k in lo..hi {
             let first = next;
-            while win
-                .by_node
-                .get(next)
-                .is_some_and(|&key| key_node(key) == base + k)
-            {
+            while win.by_node.get(next).is_some_and(|&key| key_node(key) == k) {
                 next += 1;
             }
-            if ladder.slots[k] >= win.end && first == next {
+            if ladder.slot(k) >= win.end && first == next {
                 continue;
             }
             walk_node(
                 &mut nodes[k],
-                &mut ladder.slots[k],
+                ladder.slot_mut(k),
                 &mut coh[k],
-                base + k,
+                k,
                 win,
                 &win.by_node[first..next],
                 log,
@@ -438,7 +380,6 @@ fn walk_node(
             let from = len32(log.packets.len());
             n.net.drain_outbox_into(&mut log.packets);
             log.delivered[k] = Delivered {
-                j: win.arrivals[k].j,
                 packets: (from, len32(log.packets.len())),
                 returned: (0, 0),
             };
@@ -464,322 +405,6 @@ fn walk_node(
             // Asleep past the window with nothing more arriving.
             break;
         }
-    }
-}
-
-/// A raw base pointer smuggled to a worker thread.
-///
-/// Soundness rests on the dispatch protocol in
-/// [`WorkerPool::step_window`]: each worker receives a disjoint
-/// `[start, start + len)` index range, touches only that range, and the
-/// dispatching thread blocks until every worker has reported done
-/// before using (or freeing) the underlying storage again.
-struct ShardPtr<T>(*mut T);
-
-impl<T> Clone for ShardPtr<T> {
-    fn clone(&self) -> ShardPtr<T> {
-        *self
-    }
-}
-impl<T> Copy for ShardPtr<T> {}
-
-// SAFETY: see the type-level comment — ranges are disjoint and the
-// sender joins the per-window barrier before reusing the memory.
-unsafe impl<T: Send> Send for ShardPtr<T> {}
-
-/// The ladder's two arrays as raw base pointers (one pair per job).
-/// Shard views are built from these inside the worker at block-aligned
-/// offsets, so — like the node and handler slices — they are disjoint by
-/// the dispatch protocol.
-#[derive(Clone, Copy)]
-struct LadderPtrs {
-    slots: ShardPtr<u64>,
-    block_min: ShardPtr<u64>,
-}
-
-/// A shard's own copy of its nodes' arrivals (in delivery order), their
-/// packets and their keys, each arrival's `slot` and key indexing the
-/// copy; recycled window to window.
-#[derive(Debug, Default)]
-struct ShardInput {
-    arrivals: Vec<Arrival>,
-    packets: Vec<Packet>,
-    by_node: Vec<u64>,
-}
-
-impl ShardInput {
-    fn window(&self, start: u64, end: u64, checked: bool, trace: bool) -> Window<'_> {
-        Window {
-            start,
-            end,
-            arrivals: &self.arrivals,
-            packets: &self.packets,
-            by_node: &self.by_node,
-            checked,
-            trace,
-        }
-    }
-}
-
-/// One window's work order for one worker.
-struct Job {
-    nodes: ShardPtr<Node>,
-    coh: ShardPtr<NodeCoh>,
-    ladder: LadderPtrs,
-    start: usize,
-    len: usize,
-    window: (u64, u64),
-    checked: bool,
-    trace: bool,
-    input: ShardInput,
-    log: WindowLog,
-    /// Recycled per-step drain buffers (memory responses/events), so
-    /// steady-state parallel windows allocate nothing.
-    scratch: StepScratch,
-}
-
-/// A worker's barrier report.
-struct Done {
-    worker: usize,
-    input: ShardInput,
-    log: WindowLog,
-    scratch: StepScratch,
-    /// The shard's panic payload, if it panicked — re-raised by the
-    /// dispatcher once the barrier has fully drained.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// A persistent pool of shard workers, one OS thread each, driven by a
-/// per-window dispatch/collect barrier. Spawned once at machine build
-/// (never per window — a busy window is microseconds) and joined on
-/// drop.
-pub(crate) struct WorkerPool {
-    jobs: Vec<Sender<Job>>,
-    done_rx: Receiver<Done>,
-    handles: Vec<JoinHandle<()>>,
-    /// Per-worker arrival copies (ping-pong through `Job`/`Done`, so
-    /// steady-state windows allocate nothing).
-    inputs: Vec<ShardInput>,
-    /// Recycled per-worker step scratch (same ping-pong discipline).
-    scratches: Vec<StepScratch>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl WorkerPool {
-    /// Spawn `workers` shard threads (callers pass a resolved count
-    /// ≥ 2; a count of 1 should use the serial path and no pool).
-    // analyze: cold (pool construction, once per machine)
-    pub(crate) fn spawn(workers: usize) -> WorkerPool {
-        let (done_tx, done_rx) = channel();
-        let mut jobs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for k in 0..workers {
-            let (tx, rx) = channel::<Job>();
-            let done = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("mm-shard-{k}"))
-                .spawn(move || worker_loop(k, &rx, &done))
-                .expect("spawn shard worker");
-            jobs.push(tx);
-            handles.push(handle);
-        }
-        WorkerPool {
-            jobs,
-            done_rx,
-            handles,
-            inputs: (0..workers).map(|_| ShardInput::default()).collect(),
-            scratches: Vec::new(),
-        }
-    }
-
-    /// Worker threads in the pool.
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Run the node phase of window `win` in parallel: partition the
-    /// nodes (with the matching coherence handlers, ladder slots and
-    /// arrivals) into contiguous block-aligned per-worker chunks, walk
-    /// them concurrently, one log per chunk in `logs`, and return how
-    /// many chunks (leading logs) were filled — the logs are in
-    /// ascending node order, so replaying them in index order is the
-    /// serial walk's order.
-    ///
-    /// Chunks are rounded up to a [`BLOCK`] multiple so no ladder
-    /// `block_min` word straddles two workers; on meshes smaller than
-    /// `workers × BLOCK` some workers simply receive no chunk.
-    ///
-    /// Blocks until every dispatched worker reports back, so the raw
-    /// slices handed out never outlive this call.
-    pub(crate) fn step_window(
-        &mut self,
-        nodes: &mut [Node],
-        coh: &mut [NodeCoh],
-        ladder: &mut DeadlineLadder,
-        win: &Window<'_>,
-        logs: &mut [WindowLog],
-    ) -> usize {
-        let n = nodes.len();
-        debug_assert_eq!(n, ladder.len());
-        debug_assert_eq!(n, coh.len());
-        if n == 0 {
-            return 0;
-        }
-        let chunk = n.div_ceil(self.jobs.len()).next_multiple_of(BLOCK);
-        let shards = n.div_ceil(chunk);
-        // Each shard walks its own copy of its nodes' arrivals and their
-        // packets, kept in delivery order so its log's records are too.
-        for input in &mut self.inputs[..shards] {
-            input.arrivals.clear();
-            input.packets.clear();
-            input.by_node.clear();
-        }
-        for a in win.arrivals {
-            let input = &mut self.inputs[a.node as usize / chunk];
-            input.by_node.push(node_key(a.node, input.arrivals.len()));
-            input.arrivals.push(Arrival {
-                slot: len32(input.packets.len()),
-                ..*a
-            });
-            input.packets.push(win.packets[a.slot as usize].clone());
-        }
-        for input in &mut self.inputs[..shards] {
-            input.by_node.sort_unstable();
-        }
-        let nodes_ptr = ShardPtr(nodes.as_mut_ptr());
-        let coh_ptr = ShardPtr(coh.as_mut_ptr());
-        let view = ladder.view_mut();
-        let ladder_ptrs = LadderPtrs {
-            slots: ShardPtr(view.slots.as_mut_ptr()),
-            block_min: ShardPtr(view.block_min.as_mut_ptr()),
-        };
-        for (s, tx) in self.jobs.iter().enumerate().take(shards) {
-            let start = s * chunk;
-            tx.send(Job {
-                nodes: nodes_ptr,
-                coh: coh_ptr,
-                ladder: ladder_ptrs,
-                start,
-                len: chunk.min(n - start),
-                window: (win.start, win.end),
-                checked: win.checked,
-                trace: win.trace,
-                input: std::mem::take(&mut self.inputs[s]),
-                log: std::mem::take(&mut logs[s]),
-                scratch: self.scratches.pop().unwrap_or_default(),
-            })
-            .expect("shard worker alive");
-        }
-        // Collect *every* outstanding shard before inspecting results:
-        // even on a worker panic we must not unwind (freeing the node
-        // array) while another worker still holds a slice into it.
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for _ in 0..shards {
-            let done = self.done_rx.recv().expect("shard worker alive");
-            panic = panic.or(done.panic);
-            self.scratches.push(done.scratch);
-            self.inputs[done.worker] = done.input;
-            logs[done.worker] = done.log;
-        }
-        if let Some(payload) = panic {
-            // Re-raise the worker's own panic (assertion text, node
-            // index and all) now that no worker holds the raw slices.
-            std::panic::resume_unwind(payload);
-        }
-        shards
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Disconnect the job channels; workers fall out of their recv
-        // loop (no jobs are ever in flight here — `step_window` always
-        // drains its own barrier before returning).
-        self.jobs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(worker: usize, rx: &Receiver<Job>, done: &Sender<Done>) {
-    while let Ok(job) = rx.recv() {
-        let Job {
-            nodes,
-            coh,
-            ladder,
-            start,
-            len,
-            window,
-            checked,
-            trace,
-            input,
-            mut log,
-            mut scratch,
-        } = job;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: the dispatcher hands each worker a disjoint
-            // BLOCK-aligned [start, start + len) range of live,
-            // len-checked arrays and blocks on the barrier until this
-            // job's Done lands, so the slices alias nothing and never
-            // dangle. `start` is a BLOCK multiple, so the block_min
-            // window [start / BLOCK, …) is disjoint too.
-            let nodes = unsafe { std::slice::from_raw_parts_mut(nodes.0.add(start), len) };
-            // SAFETY: same dispatch protocol as `nodes` above — the
-            // handler array is indexed 1:1 with the node array, so the
-            // same disjoint window argument applies.
-            let coh = unsafe { std::slice::from_raw_parts_mut(coh.0.add(start), len) };
-            // SAFETY: the ladder's slots are also indexed 1:1 with the
-            // node array, and its block minima at `start / BLOCK` with
-            // `start` a BLOCK multiple, so both views are disjoint
-            // between workers and outlive the barrier.
-            let view = unsafe {
-                LadderViewMut {
-                    slots: std::slice::from_raw_parts_mut(ladder.slots.0.add(start), len),
-                    block_min: std::slice::from_raw_parts_mut(
-                        ladder.block_min.0.add(start / BLOCK),
-                        len.div_ceil(BLOCK),
-                    ),
-                }
-            };
-            let win = input.window(window.0, window.1, checked, trace);
-            step_shard(nodes, coh, view, start, &win, &mut log, &mut scratch);
-        }));
-        let report = match result {
-            Ok(()) => Done {
-                worker,
-                input,
-                log,
-                scratch,
-                panic: None,
-            },
-            Err(payload) => poisoned_done(worker, payload),
-        };
-        if done.send(report).is_err() {
-            // The machine is gone; nothing left to report to.
-            return;
-        }
-    }
-}
-
-/// The poisoned-shard report: the job's buffers were lost to the
-/// unwinding closure, so the dispatcher gets fresh (empty, unallocated)
-/// ones alongside the payload it will re-panic with.
-// analyze: cold (panic path only; the replacement buffers never grow)
-fn poisoned_done(worker: usize, payload: Box<dyn std::any::Any + Send>) -> Done {
-    Done {
-        worker,
-        input: ShardInput::default(),
-        log: WindowLog::default(),
-        scratch: StepScratch::new(),
-        panic: Some(payload),
     }
 }
 
@@ -833,8 +458,7 @@ mod tests {
             step_shard(
                 &mut nodes,
                 &mut coh,
-                ladder.view_mut(),
-                0,
+                &mut ladder,
                 &win,
                 &mut log,
                 &mut scratch,
@@ -882,8 +506,7 @@ mod tests {
             step_shard(
                 &mut nodes,
                 &mut coh,
-                ladder.view_mut(),
-                0,
+                &mut ladder,
                 &window(w, w + 1),
                 &mut log,
                 &mut scratch,
@@ -894,121 +517,5 @@ mod tests {
         }
         assert_eq!(totals, (0, 1), "halt condition reached");
         assert_eq!(nodes[0].user_threads_finished(), 0, "idle node untouched");
-    }
-
-    /// The workers must survive (and the machine must keep working
-    /// after) many dispatch/collect barriers with fewer nodes than
-    /// workers.
-    #[test]
-    fn pool_handles_more_workers_than_nodes() {
-        let mut pool = WorkerPool::spawn(4);
-        let mut nodes = nodes(1);
-        let mut coh = handlers(1);
-        let mut ladder = DeadlineLadder::new(1);
-        let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
-        for w in 0..16 {
-            ladder.wake(0);
-            let shards = pool.step_window(
-                &mut nodes,
-                &mut coh,
-                &mut ladder,
-                &window(2 * w, 2 * w + 2),
-                &mut logs,
-            );
-            assert_eq!(shards, 1, "window {w}");
-            assert_eq!(logs[0].last_step, Some(2 * w), "window {w}");
-            assert!(logs[0].drains.is_empty(), "an idle node stages nothing");
-        }
-        assert_eq!(nodes[0].stats().steps, 16, "one step per window");
-    }
-
-    /// Shards report their logs in ascending node order regardless of
-    /// which worker finishes first — exercised across three real
-    /// BLOCK-aligned chunks so the order actually has something to show.
-    #[test]
-    fn shard_logs_come_back_in_node_order() {
-        let n = 3 * BLOCK + 2;
-        let mut pool = WorkerPool::spawn(4);
-        let mut nodes = nodes(n);
-        let mut coh = handlers(n);
-        let mut ladder = DeadlineLadder::new(n);
-        let mut logs: Vec<WindowLog> = (0..4).map(|_| WindowLog::default()).collect();
-        let shards = pool.step_window(&mut nodes, &mut coh, &mut ladder, &window(0, 3), &mut logs);
-        assert_eq!(shards, 4);
-        let traced: Vec<u32> = logs[..shards]
-            .iter()
-            .flat_map(|l| l.traces.iter().map(|s| s.node))
-            .collect();
-        let want: Vec<u32> = (0..len32(n)).collect();
-        assert_eq!(traced, want, "one snapshot per node, ascending");
-        // Nothing progressed, so every slot went inert and the ladder
-        // reduction sees a fully quiescent machine.
-        assert_eq!(ladder.min_deadline(), INERT);
-    }
-
-    /// The serial walk and the sharded walk leave identical ladders
-    /// (slots and minima), trace logs, summed user-thread changes and
-    /// last-change cycles from identical inputs, and the summed changes
-    /// account for every loaded thread halting.
-    #[test]
-    fn serial_and_sharded_walks_agree() {
-        let n = 2 * BLOCK + 17;
-        let mut worker_pool = WorkerPool::spawn(3);
-        let mut nodes_a = nodes(n);
-        let mut nodes_b = nodes(n);
-        let prog = std::sync::Arc::new(mm_isa::assemble("add r1, #1, r1\nhalt\n").unwrap());
-        let loaded = [0, 1, BLOCK, BLOCK + 3, n - 1];
-        for k in loaded {
-            nodes_a[k].load_program(0, 0, std::sync::Arc::clone(&prog), 0);
-            nodes_b[k].load_program(0, 0, std::sync::Arc::clone(&prog), 0);
-        }
-        let mut coh_a = handlers(n);
-        let mut coh_b = handlers(n);
-        let mut ladder_a = DeadlineLadder::new(n);
-        let mut ladder_b = DeadlineLadder::new(n);
-        let mut scratch = StepScratch::new();
-        let mut log_a = WindowLog::default();
-        let mut logs_b: Vec<WindowLog> = (0..3).map(|_| WindowLog::default()).collect();
-        let mut total = (0, 0);
-        for w in 0..6 {
-            let win = window(3 * w, 3 * w + 3);
-            step_shard(
-                &mut nodes_a,
-                &mut coh_a,
-                ladder_a.view_mut(),
-                0,
-                &win,
-                &mut log_a,
-                &mut scratch,
-            );
-            let shards =
-                worker_pool.step_window(&mut nodes_b, &mut coh_b, &mut ladder_b, &win, &mut logs_b);
-            let snaps_b: Vec<TraceSnap> = logs_b[..shards]
-                .iter()
-                .flat_map(|l| l.traces.iter().copied())
-                .collect();
-            let mut snaps_a = log_a.traces.clone();
-            snaps_a.sort_unstable_by_key(|s| (s.node, s.at));
-            let mut snaps_b = snaps_b;
-            snaps_b.sort_unstable_by_key(|s| (s.node, s.at));
-            assert_eq!(snaps_a, snaps_b, "snapshots @ window {w}");
-            let sum = |logs: &[WindowLog]| {
-                logs.iter().fold((0, 0, None), |(r, f, c), l| {
-                    (r + l.running, f + l.finished, c.max(l.last_change))
-                })
-            };
-            let da = sum(std::slice::from_ref(&log_a));
-            let db = sum(&logs_b[..shards]);
-            assert_eq!(da, db, "user-thread changes @ window {w}");
-            total = (total.0 + da.0, total.1 + da.1);
-            for i in 0..n {
-                assert_eq!(ladder_a.slot(i), ladder_b.slot(i), "slot {i} @ window {w}");
-            }
-            for b in 0..ladder_a.blocks() {
-                assert_eq!(ladder_a.block_min(b), ladder_b.block_min(b), "block {b}");
-            }
-        }
-        let halted = i64::try_from(loaded.len()).unwrap();
-        assert_eq!(total, (-halted, halted), "every loaded thread halted");
     }
 }

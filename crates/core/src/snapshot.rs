@@ -23,14 +23,15 @@ impl MMachine {
     /// Serialize the inspectable machine state as one JSON document:
     ///
     /// ```json
-    /// {"v":1, "cycle":…, "dims":[x,y,z], "workers":…,
+    /// {"v":1, "cycle":…, "dims":[x,y,z], "workers":1,
     ///  "stats":{…machine totals…},
     ///  "nodes":[{"i":0, "coord":[0,0,0], …NodeInspect…, "coh":{…CohInspect…}}, …],
     ///  "links":[{"node":0, "dir":"x+", "pri":0, "flits":…}, …]}
     /// ```
     ///
     /// `links` carries only virtual channels that carried at least one
-    /// flit, so idle meshes stay small.
+    /// flit, so idle meshes stay small. `workers` is always 1 (a machine
+    /// steps on one host thread); version 1 readers expect the field.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -39,9 +40,8 @@ impl MMachine {
         let (x, y, z) = self.spec().dims;
         let _ = write!(
             out,
-            "{{\"v\":{SNAPSHOT_VERSION},\"cycle\":{},\"dims\":[{x},{y},{z}],\"workers\":{},",
+            "{{\"v\":{SNAPSHOT_VERSION},\"cycle\":{},\"dims\":[{x},{y},{z}],\"workers\":1,",
             self.cycle(),
-            self.workers(),
         );
         let _ = write!(
             out,

@@ -70,8 +70,7 @@ fn fault_campaign_image_is_pinned() {
     };
     let build = || {
         let faults = Some(plan.clone());
-        build_busy_scenario_full((2, 1, 1), 200, Some(1), Default::default(), faults)
-            .expect("valid config")
+        build_busy_scenario_full((2, 1, 1), 200, Default::default(), faults).expect("valid config")
     };
     let check = |m: &MMachine| {
         let (resends, pristine) = m.held_messages();

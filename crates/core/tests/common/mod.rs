@@ -1,8 +1,8 @@
 //! The dense-oracle harness the engine differentials share: the halt
 //! predicate over the public API, `run_until_halt` re-implemented over
 //! the dense `naive_step` loop, and [`differential`], which runs one
-//! configured scenario densely and through the engine at every worker
-//! count in [`WORKERS`] and asserts every observable equal; plus
+//! configured scenario densely and through the windowed engine and
+//! asserts every observable equal; plus
 //! [`fnv1a64`], the digest the checkpoint goldens pin.
 
 // Each test binary compiles this module and uses a subset of it.
@@ -11,9 +11,6 @@
 use mm_core::machine::{MMachine, MachineConfig, MachineStats};
 use mm_core::timeline::Phase;
 use mm_sim::{HState, NUM_CLUSTERS, USER_SLOTS};
-
-/// Worker counts every differential runs (clamped to the node count).
-pub const WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Cycles every [`differential`] keeps running past the drained halt:
 /// an idle tail the engine fast-forwards and the dense loop steps.
@@ -79,9 +76,9 @@ fn assert_same(want: &Observed, got: &Observed, what: &str) {
     assert_eq!(want.timeline, got.timeline, "{what}: timelines");
 }
 
-/// The three-way differential: `load(cfg)` with `trace` on, run to halt
-/// by the dense loop and by the engine at every worker count in
-/// [`WORKERS`], then through [`IDLE_TAIL`] more cycles. Halt cycle,
+/// The differential: `load(cfg)` with `trace` on, run to halt by the
+/// dense loop and by the engine, then through [`IDLE_TAIL`] more
+/// cycles. Halt cycle,
 /// [`MachineStats`] and timeline must agree at both
 /// points, the dense run must not fault or drop an event record, and
 /// the dense machine is returned for the scenario's result check.
@@ -109,27 +106,11 @@ pub fn differential(
         dense.naive_step();
     }
     let after_tail = observe(&dense);
-    for workers in WORKERS {
-        cfg.engine.workers = Some(workers);
-        let mut m = load(cfg.clone());
-        assert_eq!(
-            m.workers(),
-            workers.min(m.node_count()),
-            "{name}: pool size"
-        );
-        let halted = m.run_until_halt(limit).expect("engine run halts");
-        assert_eq!(done, halted, "{name}: halt cycle at {workers} workers");
-        assert_same(
-            &at_halt,
-            &observe(&m),
-            &format!("{name} at {workers} workers"),
-        );
-        m.run_cycles(IDLE_TAIL);
-        assert_same(
-            &after_tail,
-            &observe(&m),
-            &format!("{name} idle tail at {workers} workers"),
-        );
-    }
+    let mut m = load(cfg);
+    let halted = m.run_until_halt(limit).expect("engine run halts");
+    assert_eq!(done, halted, "{name}: halt cycle");
+    assert_same(&at_halt, &observe(&m), name);
+    m.run_cycles(IDLE_TAIL);
+    assert_same(&after_tail, &observe(&m), &format!("{name} idle tail"));
     dense
 }

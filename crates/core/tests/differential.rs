@@ -1,25 +1,22 @@
-//! Differential testing of the windowed cycle engine — serial *and*
-//! parallel — against the dense `naive_step` loop.
+//! Differential testing of the windowed cycle engine against the dense
+//! `naive_step` loop.
 //!
 //! Identically-built, identically-loaded machines run the same random
-//! workload three ways — stepped densely one cycle at a time, through
-//! the serial engine's node-major windows, and through the sharded
-//! parallel engine at several worker counts — and must agree on
-//! *everything observable*: cycle count, aggregate [`MachineStats`], the
-//! full phase timeline, every user thread's state and PC, and the
-//! user-visible register files. This is the engines'
-//! correctness argument in executable form: skipping a quiescent
-//! component is a provable no-op, stepping a node through a whole window
-//! before its neighbours and replaying what it sent is invisible, and
-//! sharding nodes across worker threads behind the per-window merge
-//! barrier changes nothing observable. The window cases below put a
+//! workload two ways — stepped densely one cycle at a time, and through
+//! the engine's node-major windows — and must agree on *everything
+//! observable*: cycle count, aggregate [`MachineStats`], the full phase
+//! timeline, every user thread's state and PC, and the user-visible
+//! register files. This is the engine's correctness argument in
+//! executable form: skipping a quiescent component is a provable no-op,
+//! and stepping a node through a whole window before its neighbours and
+//! replaying what it sent is invisible. The window cases below put a
 //! window boundary under every cut the machine makes: run targets,
 //! telemetry and watchdog epochs, fault-plan events, checkpoints,
 //! resends falling due, and a zero hop latency (one-cycle windows).
 
 mod common;
 
-use common::{differential, naive_run_until_halt, user_done, WORKERS};
+use common::{differential, naive_run_until_halt, user_done};
 use mm_bench::coherence::{check_coherence, load_coherence_scenario};
 use mm_bench::scaling::scenario_config;
 use mm_bench::traffic::{load_traffic_scenario, traffic_config, TrafficPattern};
@@ -36,16 +33,9 @@ use std::sync::Arc;
 /// The window width of `MachineConfig::small()`: hop latency 2, plus one.
 const W: u64 = 3;
 
+/// A 2-node machine.
 fn machine() -> MMachine {
-    machine_with_workers(1)
-}
-
-/// A 2-node machine pinned to `workers` shard threads (clamped to the
-/// node count, so 2 is the maximum that actually shards here).
-fn machine_with_workers(workers: usize) -> MMachine {
-    let mut cfg = MachineConfig::small();
-    cfg.engine.workers = Some(workers);
-    MMachine::build(cfg).expect("valid config")
+    MMachine::build(MachineConfig::small()).expect("valid config")
 }
 
 /// One gene = one instruction-template choice with two parameters.
@@ -151,11 +141,10 @@ fn assert_machines_agree(a: &MMachine, b: &MMachine) -> Result<(), TestCaseError
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Fixed-horizon three-way differential: random two-node workloads
-    /// (programs plus the message traffic they provoke) behave
-    /// identically under the dense loop, the serial quiescence engine,
-    /// and the parallel engine, even when threads block forever on
-    /// synchronizing loads.
+    /// Fixed-horizon differential: random two-node workloads (programs
+    /// plus the message traffic they provoke) behave identically under
+    /// the dense loop and the windowed engine, even when threads block
+    /// forever on synchronizing loads.
     #[test]
     fn engines_match_naive_over_fixed_horizon(
         genes0 in prop::collection::vec((0u8..11, 0u64..64, 0u64..1000), 1..12),
@@ -167,19 +156,15 @@ proptest! {
         for _ in 0..horizon {
             dense.naive_step();
         }
-        for workers in [1, 2] {
-            let mut engine = machine_with_workers(workers);
-            load_workload(&mut engine, &genes0, &genes1);
-            engine.run_cycles(horizon);
-            prop_assert_eq!(engine.workers(), workers, "pool size");
-            assert_machines_agree(&dense, &engine)?;
-        }
+        let mut engine = machine();
+        load_workload(&mut engine, &genes0, &genes1);
+        engine.run_cycles(horizon);
+        assert_machines_agree(&dense, &engine)?;
     }
 
-    /// Halt-driven three-way differential: when the workload
-    /// terminates, both engines' `run_until_halt` must report the exact
-    /// halt cycle the dense loop observes (same predicate, evaluated
-    /// cycle-by-cycle).
+    /// Halt-driven differential: when the workload terminates, the
+    /// engine's `run_until_halt` must report the exact halt cycle the
+    /// dense loop observes (same predicate, evaluated cycle-by-cycle).
     #[test]
     fn engines_match_naive_halt_cycles(
         genes0 in prop::collection::vec((0u8..9, 0u64..64, 0u64..1000), 1..10),
@@ -190,13 +175,11 @@ proptest! {
         let mut dense = machine();
         load_workload(&mut dense, &genes0, &genes1);
         let halted_dense = naive_run_until_halt(&mut dense, 100_000);
-        for workers in [1, 2] {
-            let mut engine = machine_with_workers(workers);
-            load_workload(&mut engine, &genes0, &genes1);
-            let halted = engine.run_until_halt(100_000).expect("engine run halts");
-            prop_assert_eq!(halted_dense, halted, "halt cycles diverged");
-            assert_machines_agree(&dense, &engine)?;
-        }
+        let mut engine = machine();
+        load_workload(&mut engine, &genes0, &genes1);
+        let halted = engine.run_until_halt(100_000).expect("engine run halts");
+        prop_assert_eq!(halted_dense, halted, "halt cycles diverged");
+        assert_machines_agree(&dense, &engine)?;
     }
 
     /// The fixed-horizon workloads again, driven in random `run_cycles`
@@ -214,12 +197,10 @@ proptest! {
         for _ in 0..horizon {
             dense.naive_step();
         }
-        for workers in WORKERS {
-            let mut engine = machine_with_workers(workers);
-            load_workload(&mut engine, &genes0, &genes1);
-            run_in_chunks(&mut engine, horizon, seed);
-            assert_machines_agree(&dense, &engine)?;
-        }
+        let mut engine = machine();
+        load_workload(&mut engine, &genes0, &genes1);
+        run_in_chunks(&mut engine, horizon, seed);
+        assert_machines_agree(&dense, &engine)?;
     }
 }
 
@@ -288,11 +269,9 @@ fn chatty_round() -> (Vec<Gene>, Vec<Gene>) {
     (g0, g1)
 }
 
-/// A loaded 2-node machine with `workers` shard threads, after `tweak`
-/// adjusted its configuration.
-fn chatty_machine(workers: usize, tweak: &dyn Fn(&mut MachineConfig)) -> MMachine {
+/// A loaded 2-node machine, after `tweak` adjusted its configuration.
+fn chatty_machine(tweak: &dyn Fn(&mut MachineConfig)) -> MMachine {
     let mut cfg = MachineConfig::small();
-    cfg.engine.workers = Some(workers);
     tweak(&mut cfg);
     let mut m = MMachine::build(cfg).expect("valid config");
     let (g0, g1) = chatty_genes();
@@ -302,7 +281,7 @@ fn chatty_machine(workers: usize, tweak: &dyn Fn(&mut MachineConfig)) -> MMachin
 
 /// Telemetry epochs of one cycle and of a prime width, with the
 /// watchdog armed on a prime epoch too: every boundary cuts a window.
-/// The windowed engines must reproduce the dense run's halt cycle and
+/// The windowed engine must reproduce the dense run's halt cycle and
 /// observables, and the cycle-by-cycle engine's epoch samples exactly.
 #[test]
 fn telemetry_and_watchdog_epochs_cut_windows() {
@@ -317,30 +296,28 @@ fn telemetry_and_watchdog_epochs_cut_windows() {
             cfg.watchdog_epochs = 1_000;
             cfg.watchdog_epoch_cycles = 5;
         };
-        let mut dense = chatty_machine(1, &tweak);
+        let mut dense = chatty_machine(&tweak);
         let done_dense = naive_run_until_halt(&mut dense, 100_000);
-        let mut per_cycle = chatty_machine(1, &tweak);
+        let mut per_cycle = chatty_machine(&tweak);
         let done_ref = cycle_by_cycle_until_halt(&mut per_cycle, 100_000).expect("halts");
         assert_eq!(done_dense, done_ref, "epoch {epoch_cycles}: W = 1 halt");
         assert_machines_agree(&dense, &per_cycle).expect("W = 1 agrees with dense");
         assert!(epochs(&per_cycle).len() > 100 / epoch_cycles as usize);
-        for workers in WORKERS {
-            let mut m = chatty_machine(workers, &tweak);
-            let done = m.run_until_halt(100_000).expect("halts");
-            assert_eq!(done_dense, done, "epoch {epoch_cycles}, {workers} workers");
-            assert_machines_agree(&dense, &m).expect("windowed run agrees with dense");
-            assert_eq!(m.perf().node_steps, per_cycle.perf().node_steps);
-            assert_eq!(
-                epochs(&per_cycle),
-                epochs(&m),
-                "epoch {epoch_cycles}: samples at {workers} workers"
-            );
-        }
+        let mut m = chatty_machine(&tweak);
+        let done = m.run_until_halt(100_000).expect("halts");
+        assert_eq!(done_dense, done, "epoch {epoch_cycles}");
+        assert_machines_agree(&dense, &m).expect("windowed run agrees with dense");
+        assert_eq!(m.perf().node_steps, per_cycle.perf().node_steps);
+        assert_eq!(
+            epochs(&per_cycle),
+            epochs(&m),
+            "epoch {epoch_cycles}: samples"
+        );
     }
 }
 
 /// A watchdog that trips: node 1's issue stage is stalled forever while
-/// its thread still runs. Windowed engines must trip on the same epoch
+/// its thread still runs. The windowed engine must trip on the same epoch
 /// boundary with the same strike count as cycle-by-cycle stepping.
 #[test]
 fn watchdog_trips_on_the_same_boundary() {
@@ -357,24 +334,22 @@ fn watchdog_trips_on_the_same_boundary() {
             }],
         });
     };
-    let mut per_cycle = chatty_machine(1, &tweak);
+    let mut per_cycle = chatty_machine(&tweak);
     let want = cycle_by_cycle_until_halt(&mut per_cycle, 100_000);
     assert!(
         matches!(want, Err(MachineError::WatchdogTripped { .. })),
         "{want:?}"
     );
-    let mut dense = chatty_machine(1, &tweak);
+    let mut dense = chatty_machine(&tweak);
     while dense.cycle() < per_cycle.cycle() {
         dense.naive_step();
     }
     assert_machines_agree(&dense, &per_cycle).expect("W = 1 agrees with dense");
-    for workers in WORKERS {
-        let mut m = chatty_machine(workers, &tweak);
-        let got = m.run_until_halt(100_000);
-        assert_eq!(format!("{want:?}"), format!("{got:?}"), "{workers} workers");
-        assert_eq!(per_cycle.stats(), m.stats(), "{workers} workers");
-        assert_eq!(per_cycle.timeline().events(), m.timeline().events());
-    }
+    let mut m = chatty_machine(&tweak);
+    let got = m.run_until_halt(100_000);
+    assert_eq!(format!("{want:?}"), format!("{got:?}"));
+    assert_eq!(per_cycle.stats(), m.stats());
+    assert_eq!(per_cycle.timeline().events(), m.timeline().events());
 }
 
 /// A campaign with a DRAM upset and a stall window opening at every
@@ -417,18 +392,16 @@ fn fault_events_at_every_residue_cut_windows() {
         assert_eq!(residues.iter().filter(|&&x| x == r).count(), 2);
     }
     let tweak = |cfg: &mut MachineConfig| cfg.faults = Some(plan.clone());
-    let mut dense = chatty_machine(1, &tweak);
+    let mut dense = chatty_machine(&tweak);
     let done_dense = naive_run_until_halt(&mut dense, 200_000);
     let report = dense.fault_report().expect("campaign armed");
     assert_eq!(report.events_applied, 2 * W, "every event landed");
     assert!(report.packets_corrupted + report.packets_dropped > 0);
-    for workers in WORKERS {
-        let mut m = chatty_machine(workers, &tweak);
-        let done = m.run_until_halt(200_000).expect("halts");
-        assert_eq!(done_dense, done, "{workers} workers");
-        assert_machines_agree(&dense, &m).expect("agrees with dense");
-        assert_eq!(dense.fault_report(), m.fault_report(), "{workers} workers");
-    }
+    let mut m = chatty_machine(&tweak);
+    let done = m.run_until_halt(200_000).expect("halts");
+    assert_eq!(done_dense, done);
+    assert_machines_agree(&dense, &m).expect("agrees with dense");
+    assert_eq!(dense.fault_report(), m.fault_report());
 }
 
 /// A checkpoint taken one or two cycles into a window restores into a
@@ -438,31 +411,29 @@ fn fault_events_at_every_residue_cut_windows() {
 #[test]
 fn checkpoint_mid_window_finishes_in_a_twin() {
     let none = |_: &mut MachineConfig| {};
-    let mut dense = chatty_machine(1, &none);
+    let mut dense = chatty_machine(&none);
     let done_dense = naive_run_until_halt(&mut dense, 100_000);
     for split in [100 * W + 1, 100 * W + 2, 157] {
-        let mut per_cycle = chatty_machine(1, &none);
+        let mut per_cycle = chatty_machine(&none);
         let _ = per_cycle.run_until(split, |_| false);
         let image = per_cycle.checkpoint();
-        for workers in WORKERS {
-            let mut a = chatty_machine(workers, &none);
-            a.run_cycles(split);
-            assert_eq!(image, a.checkpoint(), "split {split}, {workers} workers");
-            let mut twin = chatty_machine(workers, &none);
-            twin.restore(&image).expect("restores");
-            let done = twin.run_until_halt(100_000).expect("halts");
-            assert_eq!(done_dense, done, "split {split}, {workers} workers");
-            // The timeline is host-side and starts empty in the twin, so
-            // everything else is compared.
-            assert_eq!(dense.cycle(), twin.cycle());
-            assert_eq!(dense.stats(), twin.stats());
-            for i in 0..2 {
-                for r in 0..16u8 {
-                    assert_eq!(
-                        dense.user_reg(i, 0, 0, r).unwrap().bits(),
-                        twin.user_reg(i, 0, 0, r).unwrap().bits()
-                    );
-                }
+        let mut a = chatty_machine(&none);
+        a.run_cycles(split);
+        assert_eq!(image, a.checkpoint(), "split {split}");
+        let mut twin = chatty_machine(&none);
+        twin.restore(&image).expect("restores");
+        let done = twin.run_until_halt(100_000).expect("halts");
+        assert_eq!(done_dense, done, "split {split}");
+        // The timeline is host-side and starts empty in the twin, so
+        // everything else is compared.
+        assert_eq!(dense.cycle(), twin.cycle());
+        assert_eq!(dense.stats(), twin.stats());
+        for i in 0..2 {
+            for r in 0..16u8 {
+                assert_eq!(
+                    dense.user_reg(i, 0, 0, r).unwrap().bits(),
+                    twin.user_reg(i, 0, 0, r).unwrap().bits()
+                );
             }
         }
     }
@@ -473,14 +444,12 @@ fn checkpoint_mid_window_finishes_in_a_twin() {
 #[test]
 fn zero_hop_latency_means_one_cycle_windows() {
     let tweak = |cfg: &mut MachineConfig| cfg.hop_latency = 0;
-    let mut dense = chatty_machine(1, &tweak);
+    let mut dense = chatty_machine(&tweak);
     let done_dense = naive_run_until_halt(&mut dense, 100_000);
-    for workers in WORKERS {
-        let mut m = chatty_machine(workers, &tweak);
-        let done = m.run_until_halt(100_000).expect("halts");
-        assert_eq!(done_dense, done, "{workers} workers");
-        assert_machines_agree(&dense, &m).expect("agrees with dense");
-    }
+    let mut m = chatty_machine(&tweak);
+    let done = m.run_until_halt(100_000).expect("halts");
+    assert_eq!(done_dense, done);
+    assert_machines_agree(&dense, &m).expect("agrees with dense");
 }
 
 /// Every node floods node 0, whose two-message queues bounce most of
@@ -491,39 +460,33 @@ fn zero_hop_latency_means_one_cycle_windows() {
 /// walk hands the messages back.
 #[test]
 fn returns_and_resends_land_inside_windows() {
-    let build = |workers: usize, resend_delay: u64| -> MMachine {
+    let build = |resend_delay: u64| -> MMachine {
         let mut cfg = traffic_config();
         cfg.trace = true;
-        cfg.engine.workers = Some(workers);
         cfg.resend_delay = resend_delay;
         cfg.node.iface.msg_queue_capacity = 2;
         load_traffic_scenario(cfg, TrafficPattern::Hotspot, 0, 24)
     };
     for resend_delay in [0, 1, 2, W, 32] {
-        let mut dense = build(1, resend_delay);
+        let mut dense = build(resend_delay);
         let done_dense = naive_run_until_halt(&mut dense, 200_000);
         let returned: u64 = (0..dense.node_count())
             .map(|i| dense.node(i).net.stats().returned_here)
             .sum();
         assert!(returned > 10, "backoff {resend_delay}: {returned} returns");
-        for workers in WORKERS {
-            let mut m = build(workers, resend_delay);
-            let done = m.run_until_halt(200_000).expect("halts");
-            assert_eq!(
-                done_dense, done,
-                "backoff {resend_delay}, {workers} workers"
-            );
-            assert_machines_agree(&dense, &m).expect("agrees with dense");
-        }
+        let mut m = build(resend_delay);
+        let done = m.run_until_halt(200_000).expect("halts");
+        assert_eq!(done_dense, done, "backoff {resend_delay}");
+        assert_machines_agree(&dense, &m).expect("agrees with dense");
     }
 }
 
-/// 256 nodes, so 2 and 4 workers really split every window's walk into
-/// 2 and 4 shards, with each node's partner 64 nodes away — across a
-/// shard boundary — so every drain, delivery and trace record is merged
-/// from several logs.
+/// 256 nodes, four ladder blocks, with each node's partner 64 nodes
+/// away — in another block — so every window's walk skips or visits
+/// whole blocks and every drain and delivery crosses a block boundary.
+/// The only differential whose walk spans more than one block.
 #[test]
-fn multi_shard_windows_merge_in_node_order() {
+fn walks_across_four_ladder_blocks_match_dense() {
     const NODES: usize = 256;
     let genes: [Gene; 7] = [
         (3, 5, 0),
@@ -535,10 +498,8 @@ fn multi_shard_windows_merge_in_node_order() {
         (6, 30, 0),
     ];
     let prog = Arc::new(assemble(&program_from(&genes)).expect("assembles"));
-    let build = |workers: usize| -> MMachine {
-        let mut cfg = MachineConfig::with_dims(8, 8, 4);
-        cfg.engine.workers = Some(workers);
-        let mut m = MMachine::build(cfg).expect("valid config");
+    let build = || -> MMachine {
+        let mut m = MMachine::build(MachineConfig::with_dims(8, 8, 4)).expect("valid config");
         for node in 0..NODES {
             let other = (node + 64) % NODES;
             m.load_user_program(node, 0, &prog).unwrap();
@@ -554,34 +515,28 @@ fn multi_shard_windows_merge_in_node_order() {
         m
     };
     let horizon = 700;
-    let mut dense = build(1);
+    let mut dense = build();
     for _ in 0..horizon {
         dense.naive_step();
     }
-    for workers in WORKERS {
-        let mut m = build(workers);
-        assert_eq!(m.workers(), workers);
-        run_in_chunks(&mut m, horizon, 11);
-        assert_machines_agree(&dense, &m).expect("agrees with dense");
-    }
+    let mut m = build();
+    run_in_chunks(&mut m, horizon, 11);
+    assert_machines_agree(&dense, &m).expect("agrees with dense");
 }
 
 /// A deterministic end-to-end differential: the Table-1 remote-read
-/// scenario — dense loop vs. serial engine vs. parallel engine — down
-/// to identical timelines.
+/// scenario — dense loop vs. windowed engine — down to identical
+/// timelines.
 #[test]
 fn remote_read_scenario_is_cycle_exact() {
     let prog = Arc::new(assemble("ld [r1], r2\n add r2, #0, r3\n halt\n").unwrap());
     #[allow(clippy::type_complexity)]
-    let run = |workers: Option<usize>| -> (
+    let run = |windowed: bool| -> (
         u64,
         mm_core::machine::MachineStats,
         Vec<(u64, mm_core::timeline::Phase)>,
     ) {
-        let mut m = match workers {
-            Some(w) => machine_with_workers(w),
-            None => machine(),
-        };
+        let mut m = machine();
         let va = m.home_va(1, 0);
         assert!(m
             .node_mut(1)
@@ -589,7 +544,7 @@ fn remote_read_scenario_is_cycle_exact() {
             .poke_va(va, mm_mem::MemWord::new(mm_isa::word::Word::from_u64(41))));
         m.load_user_program(0, 0, &prog).unwrap();
         m.set_user_reg(0, 0, 0, Reg::Int(1), m.home_ptr(1, 0));
-        let done = if workers.is_some() {
+        let done = if windowed {
             m.run_until_halt(50_000).unwrap()
         } else {
             naive_run_until_halt(&mut m, 50_000)
@@ -597,19 +552,17 @@ fn remote_read_scenario_is_cycle_exact() {
         assert_eq!(m.user_reg(0, 0, 0, 3).unwrap().bits(), 41);
         (done, m.stats(), m.timeline().events().to_vec())
     };
-    let (done_n, stats_n, tl_n) = run(None);
-    for workers in [1, 2] {
-        let (done_e, stats_e, tl_e) = run(Some(workers));
-        assert_eq!(done_n, done_e, "halt cycle ({workers} workers)");
-        assert_eq!(stats_n, stats_e, "machine stats ({workers} workers)");
-        assert_eq!(tl_n, tl_e, "timelines ({workers} workers)");
-    }
+    let (done_n, stats_n, tl_n) = run(false);
+    let (done_e, stats_e, tl_e) = run(true);
+    assert_eq!(done_n, done_e, "halt cycle");
+    assert_eq!(stats_n, stats_e, "machine stats");
+    assert_eq!(tl_n, tl_e, "timelines");
 }
 
-/// The coherence ping-pong the benchmark times, run three ways — dense
-/// loop, serial engine, parallel engine at 1, 2 and 4 workers — must be
-/// bit-identical: every fetch, invalidation, recall and replay rides
-/// fabric packets whose ordering the engines must reproduce exactly.
+/// The coherence ping-pong the benchmark times, run densely and
+/// windowed, must be bit-identical: every fetch, invalidation, recall
+/// and replay rides fabric packets whose ordering the engine must
+/// reproduce exactly.
 /// This is the protocol's determinism proof.
 #[test]
 fn coherence_workload_is_engine_and_worker_invariant() {
@@ -626,59 +579,4 @@ fn coherence_workload_is_engine_and_worker_invariant() {
         "workload must move protocol messages over the fabric"
     );
     assert!(dense.stats().coherence.invalidations > 0, "no ping-pong");
-}
-
-/// The parallel engine on an 8-node mesh at every worker count from
-/// serial to one-node shards: identical observables throughout. The
-/// 3-worker leg exercises a genuinely uneven partition (shards of 3, 3
-/// and 2 nodes — `chunk = ceil(8/3) = 3`), 8 gives one-node shards,
-/// and 16 clamps. This is the `N`-workers leg of the three-way
-/// harness, with cross-pair traffic riding the fabric between shards.
-#[test]
-fn eight_node_mesh_is_worker_count_invariant() {
-    let genes: [Gene; 6] = [
-        (3, 5, 0),
-        (5, 9, 0),
-        (7, 0, 17),
-        (0, 0, 3),
-        (6, 2, 0),
-        (8, 0, 0),
-    ];
-    const NODES: usize = 8;
-    let build = |workers: usize| -> MMachine {
-        let mut cfg = MachineConfig::with_dims(2, 2, 2);
-        cfg.engine.workers = Some(workers);
-        let mut m = MMachine::build(cfg).expect("valid config");
-        // Pair the nodes (0↔1, 2↔3, …) with the standard conventions.
-        let progs: Vec<Arc<mm_isa::instr::Program>> = (0..NODES)
-            .map(|_| Arc::new(assemble(&program_from(&genes)).expect("assembles")))
-            .collect();
-        for (node, prog) in progs.iter().enumerate() {
-            let other = node ^ 1;
-            m.load_user_program(node, 0, prog).unwrap();
-            m.set_user_reg(node, 0, 0, Reg::Int(1), m.home_ptr(node, 0));
-            m.set_user_reg(node, 0, 0, Reg::Int(8), m.home_ptr(other, 0));
-            let ptr = m
-                .make_ptr(mm_isa::Perm::ReadWrite, 0, m.home_va(other, 1))
-                .expect("target ptr");
-            m.set_user_reg(node, 0, 0, Reg::Int(10), ptr);
-            let dip = m.image().write_dip;
-            m.set_user_reg(node, 0, 0, Reg::Int(11), dip);
-        }
-        m
-    };
-    let mut reference = build(1);
-    let done_ref = reference.run_until_halt(100_000).expect("halts");
-    for workers in [2, 3, 4, 8, 16] {
-        let mut m = build(workers);
-        assert_eq!(m.workers(), workers.min(NODES), "{workers} requested");
-        let done = m.run_until_halt(100_000).expect("halts");
-        assert_eq!(done_ref, done, "halt cycle at {workers} workers");
-        assert_eq!(reference.stats(), m.stats(), "stats at {workers} workers");
-        assert_eq!(
-            reference.timeline().events(),
-            m.timeline().events(),
-            "timelines at {workers} workers"
-        );
-    }
 }

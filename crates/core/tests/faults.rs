@@ -29,11 +29,10 @@ use mm_sim::NUM_CLUSTERS;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A 2-node machine with `workers` shard threads and an optional
-/// campaign, loaded with a store/load ping workload on both nodes.
-fn build_loaded(workers: usize, faults: Option<FaultPlanConfig>, genes: &[(u8, u64)]) -> MMachine {
+/// A 2-node machine with an optional campaign, loaded with a
+/// store/load ping workload on both nodes.
+fn build_loaded(faults: Option<FaultPlanConfig>, genes: &[(u8, u64)]) -> MMachine {
     let mut cfg = MachineConfig::small();
-    cfg.engine.workers = Some(workers);
     cfg.faults = faults;
     let mut m = MMachine::build(cfg).expect("valid config");
     let mut src = String::new();
@@ -92,20 +91,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Checkpoint at an arbitrary point, restore into a freshly-built
-    /// machine (possibly with a different worker count), continue both:
+    /// machine, continue both:
     /// every observable — and the *entire next checkpoint, byte for
     /// byte* — must match a run that never stopped.
     #[test]
     fn restore_then_continue_is_bit_identical(
         genes in prop::collection::vec((any::<u8>(), any::<u64>()), 8..24),
         split in 50u64..2_000,
-        w_save in 1usize..=2,
-        w_load in 1usize..=2,
     ) {
-        let mut a = build_loaded(w_save, None, &genes);
+        let mut a = build_loaded(None, &genes);
         a.run_cycles(split);
         let bytes = a.checkpoint();
-        let mut b = build_loaded(w_load, None, &genes);
+        let mut b = build_loaded(None, &genes);
         b.restore(&bytes).expect("checkpoint restores onto an identical build");
         let _ = a.run_until_halt(500_000);
         let _ = b.run_until_halt(500_000);
@@ -113,9 +110,9 @@ proptest! {
         prop_assert_eq!(a.checkpoint(), b.checkpoint(), "end-state checkpoints diverged");
     }
 
-    /// One campaign, three drivers — serial engine, sharded engine,
-    /// dense loop — agree on every architectural stat and on what the
-    /// campaign did; and a mid-campaign checkpoint restores and
+    /// One campaign, two drivers — windowed engine, dense loop — agree
+    /// on every architectural stat and on what the campaign did; and a
+    /// mid-campaign checkpoint restores and
     /// continues bit-identically (the fault runtime — cursor, pristine
     /// copies, retry budgets — is part of machine state).
     #[test]
@@ -125,27 +122,21 @@ proptest! {
         split in 100u64..3_000,
     ) {
         let plan = heavy_links(seed);
-        let mut one = build_loaded(1, Some(plan.clone()), &genes);
+        let mut one = build_loaded(Some(plan.clone()), &genes);
         let _ = one.run_until_halt(2_000_000);
         one.run_cycles(50_000);
 
-        let mut two = build_loaded(2, Some(plan.clone()), &genes);
-        let _ = two.run_until_halt(2_000_000);
-        two.run_cycles(50_000);
-        prop_assert_eq!(observables(&one), observables(&two));
-        prop_assert_eq!(one.fault_report(), two.fault_report());
-
-        let mut dense = build_loaded(1, Some(plan.clone()), &genes);
+        let mut dense = build_loaded(Some(plan.clone()), &genes);
         while dense.cycle() < one.cycle() {
             dense.naive_step();
         }
         prop_assert_eq!(one.stats(), dense.stats());
         prop_assert_eq!(one.fault_report(), dense.fault_report());
 
-        let mut saver = build_loaded(1, Some(plan.clone()), &genes);
+        let mut saver = build_loaded(Some(plan.clone()), &genes);
         saver.run_cycles(split);
         let bytes = saver.checkpoint();
-        let mut restored = build_loaded(2, Some(plan), &genes);
+        let mut restored = build_loaded(Some(plan), &genes);
         restored.restore(&bytes).expect("mid-campaign checkpoint restores");
         let _ = saver.run_until_halt(2_000_000);
         saver.run_cycles(50_000);

@@ -585,9 +585,4 @@ fn hostile_boot_layouts_are_rejected() {
     // The largest LPT the default node boots with its 16 mappings.
     assert!(!rejected(|c| c.lpt_slots = 1 << 16));
     assert!(!rejected(|c| (c.lpt_slots, c.local_pages) = (16, 8)));
-
-    // More workers than nodes is not hostile: it clamps.
-    let mut cfg = MachineConfig::small();
-    cfg.engine.workers = Some(1000);
-    assert_eq!(MMachine::build(cfg).expect("clamps").workers(), 2);
 }

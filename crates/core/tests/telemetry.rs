@@ -8,9 +8,9 @@
 //!    column by column over the whole counter table, to the final
 //!    `counter_snapshot()`, and that snapshot matches the end-of-run
 //!    totals the machine keeps without telemetry (`MachineStats`,
-//!    `MachinePerf`, the raw fabric counters). Holds at every worker
-//!    count and every epoch width, including widths that never divide
-//!    the halt cycle evenly (the flush closes the partial epoch).
+//!    `MachinePerf`, the raw fabric counters). Holds at every epoch
+//!    width, including widths that never divide the halt cycle evenly
+//!    (the flush closes the partial epoch).
 //! 2. **Non-interference** — telemetry only reads counters: a run with
 //!    sampling on halts at the same cycle with bit-identical
 //!    `MachineStats` as the same machine with sampling off.
@@ -78,7 +78,7 @@ fn assert_conserves(m: &MMachine, label: &str) {
         ),
         ("coh_writebacks", snap.coh_writebacks, coh.writebacks),
         ("sync_retries", snap.sync_retries, coh.sync_retries),
-        // Shard buckets partition node steps, whatever the shard count.
+        // The one shard bucket holds every node step.
         ("shard_steps", shard_steps, perf.node_steps),
     ] {
         assert_eq!(snapshot, total, "{label}: {name} end-of-run total");
@@ -114,9 +114,8 @@ fn ring_only(epoch_cycles: u64) -> TelemetryConfig {
     }
 }
 
-/// `cfg` on `workers` engine threads with ring-only telemetry.
-fn sampled(mut cfg: MachineConfig, workers: usize, epoch_cycles: u64) -> MachineConfig {
-    cfg.engine.workers = Some(workers);
+/// `cfg` with ring-only telemetry.
+fn sampled(mut cfg: MachineConfig, epoch_cycles: u64) -> MachineConfig {
     cfg.telemetry = ring_only(epoch_cycles);
     cfg
 }
@@ -124,31 +123,17 @@ fn sampled(mut cfg: MachineConfig, workers: usize, epoch_cycles: u64) -> Machine
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Conservation at every worker count, across random epoch widths
-    /// (including widths that leave a partial final epoch) and run
-    /// lengths.
+    /// Conservation across random epoch widths (including widths that
+    /// leave a partial final epoch) and run lengths.
     #[test]
     fn epoch_deltas_sum_to_totals_at_every_worker_count(
         epoch_cycles in 16u64..400,
         iters in 24u64..96,
     ) {
-        let mut reference: Option<(u64, MachineStats)> = None;
-        for workers in [1usize, 2, 4] {
-            let mut m = build_busy_scenario_telemetry((2, 2, 1), iters, Some(workers), ring_only(epoch_cycles));
-            let (done, stats) =
-                assert_stream_conserves(&mut m, &format!("busy w={workers} e={epoch_cycles}"));
-            prop_assert!(stats.instructions > 0);
-            prop_assert!(stats.messages > 0, "busy scenario must cross the fabric");
-            // The stream rides the same engine-invariance guarantee as
-            // the stats: every worker count sees the same run.
-            match &reference {
-                None => reference = Some((done, stats)),
-                Some((d, s)) => {
-                    prop_assert_eq!(*d, done, "halt cycle at {} workers", workers);
-                    prop_assert_eq!(s, &stats, "stats at {} workers", workers);
-                }
-            }
-        }
+        let mut m = build_busy_scenario_telemetry((2, 2, 1), iters, None, ring_only(epoch_cycles));
+        let (_, stats) = assert_stream_conserves(&mut m, &format!("busy e={epoch_cycles}"));
+        prop_assert!(stats.instructions > 0);
+        prop_assert!(stats.messages > 0, "busy scenario must cross the fabric");
     }
 }
 
@@ -157,12 +142,10 @@ proptest! {
 /// must land in the stream exactly once each.
 #[test]
 fn coherence_counters_conserve_through_the_stream() {
-    for workers in [1usize, 2, 4] {
-        let mut m = load_coherence_scenario(sampled(scenario_config((2, 2, 1)), workers, 128), 6);
-        let (_, stats) = assert_stream_conserves(&mut m, &format!("coherent w={workers}"));
-        assert!(stats.fabric.coh_packets > 0, "no protocol traffic sampled");
-        assert!(stats.coherence.invalidations > 0, "no ping-pong sampled");
-    }
+    let mut m = load_coherence_scenario(sampled(scenario_config((2, 2, 1)), 128), 6);
+    let (_, stats) = assert_stream_conserves(&mut m, "coherent");
+    assert!(stats.fabric.coh_packets > 0, "no protocol traffic sampled");
+    assert!(stats.coherence.invalidations > 0, "no ping-pong sampled");
 }
 
 /// Conservation for the fault/recovery columns: a seeded campaign whose
@@ -178,24 +161,22 @@ fn recovery_counters_conserve_through_the_stream() {
     for d in &mut plan.dram {
         (d.window, d.addr) = ((1, 10), (home + 1, home + 12));
     }
-    for workers in [1usize, 2, 4] {
-        let mut cfg = sampled(scenario_config((2, 2, 1)), workers, 256);
-        cfg.faults = Some(plan.clone());
-        let mut m = load_busy_scenario(cfg, 32).expect("busy mesh loads");
-        m.run_until_halt(500_000).expect("run halts");
-        m.run_cycles(2_000); // every NACKed message is retransmitted
-        m.telemetry_flush();
-        assert_conserves(&m, &format!("faults w={workers}"));
-        let s = m.counter_snapshot();
-        let nacked = s.crc_nacks.min(s.retransmits);
-        let corrected = s.ecc_corrected.min(s.ecc_double_errors);
-        assert!(nacked > 0 && corrected > 0, "faults w={workers}: {s:?}");
+    let mut cfg = sampled(scenario_config((2, 2, 1)), 256);
+    cfg.faults = Some(plan);
+    let mut m = load_busy_scenario(cfg, 32).expect("busy mesh loads");
+    m.run_until_halt(500_000).expect("run halts");
+    m.run_cycles(2_000); // every NACKed message is retransmitted
+    m.telemetry_flush();
+    assert_conserves(&m, "faults");
+    let s = m.counter_snapshot();
+    let nacked = s.crc_nacks.min(s.retransmits);
+    let corrected = s.ecc_corrected.min(s.ecc_double_errors);
+    assert!(nacked > 0 && corrected > 0, "faults: {s:?}");
 
-        let cfg = sampled(traffic_config(), workers, 64);
-        let mut m = load_traffic_scenario(cfg, TrafficPattern::Hotspot, 0, 24);
-        assert_stream_conserves(&mut m, &format!("hotspot w={workers}"));
-        assert!(m.counter_snapshot().bounces > 0, "hotspot w={workers}");
-    }
+    let cfg = sampled(traffic_config(), 64);
+    let mut m = load_traffic_scenario(cfg, TrafficPattern::Hotspot, 0, 24);
+    assert_stream_conserves(&mut m, "hotspot");
+    assert!(m.counter_snapshot().bounces > 0, "hotspot");
 }
 
 /// Non-interference: sampling must not perturb the simulation. Same

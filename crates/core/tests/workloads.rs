@@ -2,8 +2,8 @@
 //! differential: the busy loop, the ping-pong plus remote store, the
 //! three traffic patterns and the four kernels of
 //! `mm_runtime::workloads`, each built by `mm_bench`'s own configuration
-//! and loader with `trace` on. Dense `naive_step` loop and engine at
-//! 1/2/4 workers must agree on every observable (halt cycle,
+//! and loader with `trace` on. Dense `naive_step` loop and windowed
+//! engine must agree on every observable (halt cycle,
 //! `MachineStats`, timeline), *and* the run must pass
 //! the scenario's result check. The task-queue case additionally proves
 //! the §3.2 protected-call and §2 full/empty-bit paths actually fire:
@@ -32,7 +32,7 @@ fn busy_scenario_differential() {
 
 #[test]
 fn pingpong_scenario_differential() {
-    // The benchmark's 2×1×1 machine, and two pairs so 4 workers shard.
+    // The benchmark's 2×1×1 machine, and two pairs.
     for dims in [(2, 1, 1), (2, 2, 1)] {
         let m = differential(
             &format!("ping-pong {dims:?}"),

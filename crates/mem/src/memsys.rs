@@ -313,9 +313,6 @@ impl BankQueues {
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct MemorySystem {
-    // NOTE: ticked from worker threads by the machine's sharded engine —
-    // keep every field owned (no `Rc`/`RefCell`); the assert below the
-    // struct enforces `Send` at compile time.
     /// Requests queued across all banks (`O(1)` has-work check on the
     /// per-cycle fast path, which reads this line and the next only).
     bank_backlog: usize,
@@ -333,9 +330,6 @@ pub struct MemorySystem {
     lpt: Option<Lpt>,
     cfg: MemConfig,
 }
-
-const fn _assert_send<T: Send>() {}
-const _: () = _assert_send::<MemorySystem>();
 
 impl MemorySystem {
     /// Build an idle memory system.

@@ -152,12 +152,6 @@ pub struct NodeNet {
     dedup: BTreeMap<u64, SrcWindow>,
 }
 
-// Staged sends accumulate in per-node outboxes while the machine's
-// sharded engine steps nodes on worker threads; the interface (GTLB
-// included) must therefore be sendable and fully node-owned.
-const fn _assert_send<T: Send>() {}
-const _: () = _assert_send::<NodeNet>();
-
 impl NodeNet {
     /// A fresh interface for the node at `coord`.
     // analyze: cold (interface construction, once per node)

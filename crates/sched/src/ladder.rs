@@ -25,8 +25,8 @@
 //! words instead of `n` structs. Block minima are maintained
 //! monotonically cheap: *waking* a node folds into the block min in
 //! `O(1)`; *raising* a slot (a node going back to sleep after a step)
-//! marks the block for a 64-wide recompute, which callers batch once
-//! per stepped block via [`DeadlineLadder::rebuild_block`].
+//! marks the block for a 64-wide recompute, which the step walk batches
+//! once per visited block via [`DeadlineLadder::rebuild_block`].
 
 /// Slot value for a node that must be stepped at the next processed
 /// cycle.
@@ -114,6 +114,13 @@ impl DeadlineLadder {
         self.rebuild_block(i / BLOCK);
     }
 
+    /// Node `i`'s slot, for the step walk to rewrite in place after each
+    /// step. The block minimum is left as it was: the walk rebuilds it
+    /// with [`DeadlineLadder::rebuild_block`] once it leaves the block.
+    pub fn slot_mut(&mut self, i: usize) -> &mut u64 {
+        &mut self.slots[i]
+    }
+
     /// Recompute block `b`'s minimum from its slots. Called once per
     /// block whose slots were (possibly) raised during a step walk.
     pub fn rebuild_block(&mut self, b: usize) {
@@ -128,35 +135,6 @@ impl DeadlineLadder {
     #[must_use]
     pub fn min_deadline(&self) -> u64 {
         self.block_min.iter().copied().min().unwrap_or(INERT)
-    }
-
-    /// The whole ladder as a single view (the serial engine's walk).
-    pub fn view_mut(&mut self) -> LadderViewMut<'_> {
-        LadderViewMut {
-            slots: &mut self.slots,
-            block_min: &mut self.block_min,
-        }
-    }
-}
-
-/// A mutable window over a block-aligned range of a [`DeadlineLadder`]
-/// — the per-worker borrow the sharded step walk runs on. Workers hold
-/// disjoint views, so no slot or block-minimum word is ever shared.
-#[derive(Debug)]
-pub struct LadderViewMut<'a> {
-    /// Wake-up slots for this range (local indices).
-    pub slots: &'a mut [u64],
-    /// Block minima covering exactly these slots.
-    pub block_min: &'a mut [u64],
-}
-
-impl LadderViewMut<'_> {
-    /// Rebuild local block `b`'s minimum from its slots (mirror of
-    /// [`DeadlineLadder::rebuild_block`] for a worker's window).
-    pub fn rebuild_block(&mut self, b: usize) {
-        let lo = b * BLOCK;
-        let hi = (lo + BLOCK).min(self.slots.len());
-        self.block_min[b] = self.slots[lo..hi].iter().copied().min().unwrap_or(INERT);
     }
 }
 
@@ -181,12 +159,9 @@ mod tests {
     #[test]
     fn wake_and_set_slot_keep_block_minima_exact() {
         let mut l = DeadlineLadder::new(130);
-        // Raise everything via the view path, rebuilding each block.
-        {
-            let v = l.view_mut();
-            for s in v.slots.iter_mut() {
-                *s = INERT;
-            }
+        // Raise everything in place, rebuilding each block.
+        for i in 0..l.len() {
+            *l.slot_mut(i) = INERT;
         }
         for b in 0..l.blocks() {
             l.rebuild_block(b);
@@ -215,9 +190,8 @@ mod tests {
                 _ => i * 37 % 1000 + 1,
             })
             .collect();
-        {
-            let v = l.view_mut();
-            v.slots.copy_from_slice(&values);
+        for (i, &v) in values.iter().enumerate() {
+            *l.slot_mut(i) = v;
         }
         for b in 0..l.blocks() {
             l.rebuild_block(b);

@@ -34,7 +34,7 @@
 pub mod ladder;
 pub mod small;
 
-pub use ladder::{DeadlineLadder, LadderViewMut, AWAKE, BLOCK, INERT};
+pub use ladder::{DeadlineLadder, AWAKE, BLOCK, INERT};
 pub use small::SmallReadyQueue;
 
 use mm_faults::{Ckpt, CkptError, Dec, Enc};

@@ -17,7 +17,9 @@ proptest! {
     #[test]
     fn ladder_minima_match_scalar(values in prop::collection::vec(slot_value(), 1..300)) {
         let mut l = DeadlineLadder::new(values.len());
-        l.view_mut().slots.copy_from_slice(&values);
+        for (i, &v) in values.iter().enumerate() {
+            *l.slot_mut(i) = v;
+        }
         for b in 0..l.blocks() {
             l.rebuild_block(b);
         }
@@ -40,7 +42,9 @@ proptest! {
         now in 0u64..12_000,
     ) {
         let mut l = DeadlineLadder::new(values.len());
-        l.view_mut().slots.copy_from_slice(&values);
+        for (i, &v) in values.iter().enumerate() {
+            *l.slot_mut(i) = v;
+        }
         for b in 0..l.blocks() {
             l.rebuild_block(b);
         }
@@ -71,9 +75,9 @@ proptest! {
         let mut l = DeadlineLadder::new(n);
         let mut model = vec![AWAKE; n];
         // Start from an arbitrary raised state.
-        for s in l.view_mut().slots.iter_mut().zip(&mut model) {
-            *s.0 = INERT;
-            *s.1 = INERT;
+        for (i, m) in model.iter_mut().enumerate() {
+            *l.slot_mut(i) = INERT;
+            *m = INERT;
         }
         for b in 0..l.blocks() {
             l.rebuild_block(b);

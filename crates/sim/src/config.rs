@@ -1,10 +1,7 @@
-//! Node configuration: unit latencies, switch widths, queue depths —
-//! plus the host-side [`EngineConfig`] (how the cycle engine maps the
-//! simulated mesh onto worker threads).
+//! Node configuration: unit latencies, switch widths, queue depths.
 
 use mm_mem::memsys::MemConfig;
 use mm_net::iface::IfaceConfig;
-use std::sync::OnceLock;
 
 /// V-Thread slots resident on a MAP ("enough resources to hold the state
 /// of six V-Threads", §3.2).
@@ -77,94 +74,9 @@ impl Default for NodeConfig {
     }
 }
 
-/// Nodes a worker shard must hold before auto-detection adds another
-/// worker thread: below this, barrier costs outweigh the parallel node
-/// phase, so small meshes stay serial. On a 2-vCPU host, 2 workers ran
-/// at this fraction of serial speed (each side in its own process, 5
-/// pairs, median and range): 4×2×2 coherence ping-pong 0.23×
-/// (0.20–0.50), 4×4×4 busy 0.71× (0.56–0.75), 8×8×8 busy 1.28×
-/// (1.05–1.52). A second sweep of the busy mesh (5 pairs, 2 000 warm-up
-/// cycles, then 5 000–20 000 timed cycles) filled in the gap: 4×4×4
-/// 0.78× (0.73–0.78), 8×4×4 0.81× (0.77–0.85), 8×8×4 0.84× (0.79–0.94),
-/// 8×8×8 0.89× (0.89–1.02). Every mesh below 512 nodes ran slower on 2
-/// workers in both sweeps, so they stay serial; 512 nodes sits at the
-/// crossover and gets a second worker.
-pub const MIN_NODES_PER_WORKER: usize = 256;
-
-/// Host-execution configuration for the cycle engine: how the
-/// simulation runs, not what it simulates. Simulated behaviour is
-/// bit-identical for every worker count — the machine-level engine
-/// replays cross-shard effects behind one barrier per window in
-/// per-cycle, node-index order — so this knob trades host threads for
-/// wall-clock only.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Worker threads for the parallel node phase. `None` auto-detects:
-    /// host parallelism, capped so every worker keeps at least
-    /// [`MIN_NODES_PER_WORKER`] nodes (small meshes resolve to serial).
-    /// `Some(w)` forces `w`, clamped to `1..=nodes` — `Some(1)` is the
-    /// serial engine, and `workers > nodes` degrades to one node per
-    /// worker.
-    pub workers: Option<usize>,
-}
-
-impl EngineConfig {
-    /// Serial execution (`workers = 1`), the reference engine.
-    #[must_use]
-    pub fn serial() -> EngineConfig {
-        EngineConfig { workers: Some(1) }
-    }
-
-    /// The worker count to actually run with on a `nodes`-node mesh.
-    /// Always at least 1 and at most `nodes`.
-    #[must_use]
-    pub fn resolved_workers(&self, nodes: usize) -> usize {
-        let cap = nodes.max(1);
-        match self.workers {
-            Some(w) => w.clamp(1, cap),
-            None => host_parallelism()
-                .min(nodes / MIN_NODES_PER_WORKER)
-                .clamp(1, cap),
-        }
-    }
-}
-
-/// Host parallelism, probed once per process: the probe reads the
-/// affinity mask and the cgroup CPU quota files, which cost more than
-/// building a small machine and do not change under a running simulator.
-fn host_parallelism() -> usize {
-    static AVAILABLE: OnceLock<usize> = OnceLock::new();
-    *AVAILABLE
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn explicit_workers_clamp_to_mesh() {
-        let one = EngineConfig { workers: Some(8) };
-        assert_eq!(
-            one.resolved_workers(1),
-            1,
-            "workers > nodes degrades to serial"
-        );
-        assert_eq!(one.resolved_workers(4), 4);
-        assert_eq!(one.resolved_workers(512), 8);
-        assert_eq!(EngineConfig { workers: Some(0) }.resolved_workers(4), 1);
-        assert_eq!(EngineConfig::serial().resolved_workers(512), 1);
-    }
-
-    #[test]
-    fn auto_detection_keeps_small_meshes_serial() {
-        let auto = EngineConfig::default();
-        for nodes in [1, 2, 4, 16, 64, MIN_NODES_PER_WORKER - 1] {
-            assert_eq!(auto.resolved_workers(nodes), 1, "{nodes} nodes");
-        }
-        let big = auto.resolved_workers(512);
-        assert!((1..=512 / MIN_NODES_PER_WORKER).contains(&big));
-    }
 
     #[test]
     fn defaults_match_paper_shape() {

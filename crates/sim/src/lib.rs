@@ -37,10 +37,7 @@ pub mod event;
 pub mod node;
 pub mod regfile;
 
-pub use config::{
-    EngineConfig, NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, MIN_NODES_PER_WORKER, NUM_CLUSTERS,
-    NUM_SLOTS, USER_SLOTS,
-};
+pub use config::{NodeConfig, EVENT_SLOT, EXCEPTION_SLOT, NUM_CLUSTERS, NUM_SLOTS, USER_SLOTS};
 pub use event::EventKind;
 pub use node::{Fault, HState, Node, NodeInspect, NodeStats, StepScratch};
 pub use regfile::ThreadRegs;

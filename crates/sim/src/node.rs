@@ -438,15 +438,6 @@ pub struct Node {
 // that precedes the thread records — is 45 × 64 bytes at most.
 const _: () = assert!(std::mem::offset_of!(Node, threads) <= 45 * 64);
 
-// The machine-level engine shards nodes across worker threads; a node
-// (with the memory system and network interface it owns) must therefore
-// stay self-contained and sendable. Programs are shared via `Arc` and
-// read-only, so concurrent shards alias nothing mutable. This assert
-// turns any future `Rc`/`RefCell`/raw-pointer regression into a compile
-// error rather than a data race.
-const fn _assert_send<T: Send>() {}
-const _: () = _assert_send::<Node>();
-
 impl Node {
     /// Build an idle node at `coord`.
     #[must_use]

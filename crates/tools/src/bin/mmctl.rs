@@ -8,10 +8,10 @@
 //! mmctl snapshot --save <ckpt.bin> [--at N] [scenario flags]
 //! mmctl snapshot --restore <ckpt.bin> [scenario flags]
 //! mmctl prom <stream.jsonl>
-//! mmctl run [--dims 2x2x1] [--iters 64] [--workers 1] [--epoch 64]
+//! mmctl run [--dims 2x2x1] [--iters 64] [--epoch 64]
 //!           [--faults plan.json] [--out run.jsonl]
 //!           [--snapshot-out snap.json] [--prom]
-//! mmctl campaign [--seed 7] [--workers 2] [--out BENCH_faults.json]
+//! mmctl campaign [--seed 7] [--out BENCH_faults.json]
 //! ```
 //!
 //! `check` validates every JSONL record against the committed schema
@@ -24,13 +24,14 @@
 //! checkpoint of the busy scenario through disk. `run` attaches the
 //! whole pipeline to an in-process sim run of the busy-traffic
 //! scenario, optionally with a fault campaign armed from a plan file.
-//! `campaign` runs the seeded fault campaign and the crash-recovery
-//! round trip serial and parallel, and writes their counts as a
+//! `campaign` runs the seeded fault campaign twice and the
+//! crash-recovery round trip, and writes their counts as a
 //! host-independent JSON record (CI byte-diffs the committed
 //! `BENCH_faults.json` against it).
 //!
 //! Exit codes: 0 success, 1 check/render/run failure, 2 usage
-//! (including a mesh the busy scenario cannot be built on). Everything
+//! (including a flag the subcommand does not know and a mesh the busy
+//! scenario cannot be built on). Everything
 //! `mmctl` prints goes through one writer (`out!`/`outln!`): when
 //! the reader goes away (`mmctl run | head -1`) it stops quietly with
 //! exit 0 instead of panicking.
@@ -47,19 +48,25 @@ const USAGE: &str = "usage: mmctl <analyze|check|tail|snapshot|prom|run|campaign
   check <stream.jsonl> [--schema <schema.json>]   validate a telemetry stream
   tail <stream.jsonl> [-n N] [--follow]           show the last N epochs
   snapshot <snapshot.json>                        render node table + link heatmap
-  snapshot --save <ckpt.bin> [--at N] [--dims XxYxZ] [--iters N] [--workers N]
+  snapshot --save <ckpt.bin> [--at N] [--dims XxYxZ] [--iters N]
            [--faults <plan.json>]                 checkpoint the busy scenario at cycle N
-  snapshot --restore <ckpt.bin> [--dims XxYxZ] [--iters N] [--workers N]
+  snapshot --restore <ckpt.bin> [--dims XxYxZ] [--iters N]
            [--faults <plan.json>]                 restore and run to completion
   prom <stream.jsonl>                             convert JSONL to Prometheus text
-  run [--dims XxYxZ] [--iters N] [--workers N] [--epoch N] [--faults <plan.json>]
+  run [--dims XxYxZ] [--iters N] [--epoch N] [--faults <plan.json>]
       [--out <stream.jsonl>] [--snapshot-out <snap.json>] [--prom]
                                                   run the busy scenario in-process
-  campaign [--seed N] [--workers N] [--out <faults.json>]
+  campaign [--seed N] [--out <faults.json>]
                                                   seeded fault campaign + crash recovery";
 
 /// A usage-class failure: printed with the usage text, exit code 2.
 type UsageError = String;
+
+/// A subcommand's flags, each with whether it takes a value.
+type Flags<'a> = &'a [(&'a str, bool)];
+
+/// A subcommand: its arguments in, its exit code out.
+type Subcommand = fn(&[String]) -> Result<i32, UsageError>;
 
 /// Write to stdout — the one path every line of output takes. A reader
 /// that has gone away (a closed pipe) ends the run quietly with exit 0;
@@ -88,6 +95,24 @@ macro_rules! outln {
     ($($arg:tt)*) => {
         emit(format_args!("{}\n", format_args!($($arg)*)))
     };
+}
+
+/// Refuse any `--` argument that is not one of `flags`, so a typo or a
+/// retired flag is a usage error instead of a silently applied default.
+/// A value-taking flag's value is skipped, whatever it looks like.
+fn refuse_unknown_flags(args: &[String], flags: Flags) -> Result<(), UsageError> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match flags.iter().find(|(f, _)| f == a) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None if a.starts_with("--") => return Err(format!("unknown flag {a}")),
+            None => {}
+        }
+    }
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, UsageError> {
@@ -130,7 +155,6 @@ fn parse_dims(s: &str) -> Result<(u8, u8, u8), UsageError> {
 struct Scenario {
     dims: (u8, u8, u8),
     iters: u64,
-    workers: usize,
     faults: Option<mm_faults::FaultPlanConfig>,
 }
 
@@ -150,7 +174,6 @@ impl Scenario {
         Ok(Scenario {
             dims,
             iters: parsed_flag(args, "--iters", 64, "a count")?,
-            workers: parsed_flag(args, "--workers", 1, "a count")?,
             faults,
         })
     }
@@ -161,7 +184,6 @@ impl Scenario {
         mm_bench::scaling::build_busy_scenario_full(
             self.dims,
             self.iters,
-            Some(self.workers),
             telemetry,
             self.faults.clone(),
         )
@@ -325,12 +347,11 @@ fn snapshot_restore(args: &[String], path: &str) -> Result<i32, UsageError> {
 fn print_run_summary(m: &mm_core::machine::MMachine, dims: (u8, u8, u8), iters: u64) {
     let stats = m.stats();
     outln!(
-        "ran busy {}x{}x{} ({} iters/node, {} workers): {} cycles, {} instructions, {} messages",
+        "ran busy {}x{}x{} ({} iters/node): {} cycles, {} instructions, {} messages",
         dims.0,
         dims.1,
         dims.2,
         iters,
-        m.workers(),
         stats.cycles,
         stats.instructions,
         stats.messages
@@ -467,14 +488,13 @@ fn cmd_run(args: &[String]) -> Result<i32, UsageError> {
 }
 
 /// `mmctl campaign`: the seeded fault campaign over the busy 2×2×1
-/// scenario plus the crash-recovery round trip on 2×1×1, each serial
-/// and at `--workers`, written to `--out`. Exit 1 if any check fails.
+/// scenario, run twice, plus the crash-recovery round trip on 2×1×1,
+/// written to `--out`. Exit 1 if any check fails.
 fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
     use mm_bench::faults::{
         campaign_failures, campaign_json, run_crash_recovery, run_fault_campaign,
     };
     let seed: u64 = parsed_flag(args, "--seed", 7, "an integer")?;
-    let workers: usize = parsed_flag(args, "--workers", 2, "a count")?;
     let out = flag_value(args, "--out")?.unwrap_or_else(|| "BENCH_faults.json".into());
     let fail = |what: &str, e: mm_core::MachineError| match e {
         mm_core::MachineError::BadConfig(_) => Err(format!("{what}: {e}")),
@@ -485,7 +505,7 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
     };
 
     outln!("== fault campaign: seeded injection over busy traffic (seed {seed}) ==");
-    let p = match run_fault_campaign((2, 2, 1), 24, workers, seed) {
+    let p = match run_fault_campaign((2, 2, 1), 24, seed) {
         Ok(p) => p,
         Err(e) => return fail("fault campaign", e),
     };
@@ -509,13 +529,13 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
         p.counters.ecc_double_errors
     );
     outln!(
-        "deterministic across engines: {}   completed despite faults: {}",
+        "deterministic across two runs: {}   completed despite faults: {}",
         p.stats_match,
         p.completed
     );
 
     outln!("\n== crash recovery: watchdog trip -> checkpoint restore -> completion ==");
-    let r = match run_crash_recovery((2, 1, 1), 1_000, workers) {
+    let r = match run_crash_recovery((2, 1, 1), 1_000) {
         Ok(r) => r,
         Err(e) => return fail("crash recovery", e),
     };
@@ -551,19 +571,47 @@ fn cmd_campaign(args: &[String]) -> Result<i32, UsageError> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("tail") => cmd_tail(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("prom") => cmd_prom(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
+    // Every flag `run` and `snapshot` read through `Scenario::from_args`
+    // appears in both lists.
+    let (cmd, flags): (Subcommand, Flags<'_>) = match args.first().map(String::as_str) {
+        Some("analyze") => (
+            cmd_analyze,
+            &[("--root", true), ("--json", false), ("--output", true)],
+        ),
+        Some("check") => (cmd_check, &[("--schema", true)]),
+        Some("tail") => (cmd_tail, &[("-n", true), ("--follow", false)]),
+        Some("snapshot") => (
+            cmd_snapshot,
+            &[
+                ("--save", true),
+                ("--restore", true),
+                ("--at", true),
+                ("--dims", true),
+                ("--iters", true),
+                ("--faults", true),
+            ],
+        ),
+        Some("prom") => (cmd_prom, &[]),
+        Some("run") => (
+            cmd_run,
+            &[
+                ("--dims", true),
+                ("--iters", true),
+                ("--faults", true),
+                ("--epoch", true),
+                ("--out", true),
+                ("--snapshot-out", true),
+                ("--prom", false),
+            ],
+        ),
+        Some("campaign") => (cmd_campaign, &[("--seed", true), ("--out", true)]),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
+    let args = &args[1..];
+    let result = refuse_unknown_flags(args, flags).and_then(|()| cmd(args));
     match result {
         Ok(code) => std::process::exit(code),
         Err(e) => {

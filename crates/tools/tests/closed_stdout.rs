@@ -7,15 +7,7 @@ use std::process::{Command, Stdio};
 #[test]
 fn closed_stdout_ends_the_run_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mmctl"))
-        .args([
-            "run",
-            "--dims",
-            "2x1x1",
-            "--iters",
-            "2000",
-            "--workers",
-            "2",
-        ])
+        .args(["run", "--dims", "2x1x1", "--iters", "2000"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

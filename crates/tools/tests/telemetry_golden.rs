@@ -26,9 +26,8 @@ const GOLDEN: &str = include_str!("telemetry_golden.txt");
 /// Field prefixes whose values are host time.
 const HOST_TIME: [&str; 3] = ["\"wall_ns\":", "\"cycles_per_sec\":", "mm_cycles_per_sec "];
 
-/// `cfg` on the serial engine, sampling at 512-cycle epochs.
-fn serial(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.engine.workers = Some(1);
+/// `cfg` sampling at 512-cycle epochs.
+fn sampled(mut cfg: MachineConfig) -> MachineConfig {
     cfg.telemetry.enabled = true;
     cfg.telemetry.epoch_cycles = 512;
     cfg
@@ -48,7 +47,7 @@ fn busy_faults() -> MMachine {
     let probe = MMachine::build(scenario_config((2, 2, 1))).expect("mesh builds");
     let va = probe.home_va(0, 0);
     let home = probe.node(0).mem.translate(va).expect("mapped");
-    let mut cfg = serial(scenario_config((2, 2, 1)));
+    let mut cfg = sampled(scenario_config((2, 2, 1)));
     let mut plan = campaign_plan(5, 4);
     for d in &mut plan.dram {
         (d.window, d.addr) = ((1, 10), (home + 1, home + 12));
@@ -83,9 +82,9 @@ fn mask(text: &str) -> String {
 
 #[test]
 fn stream_and_prometheus_match_the_golden() {
-    let coherence = load_coherence_scenario(serial(scenario_config((2, 2, 1))), 6);
-    let hotspot = load_traffic_scenario(serial(traffic_config()), TrafficPattern::Hotspot, 0, 24);
-    let task_queue = load_workload(serial(workload_config()), WorkloadKind::TaskQueue);
+    let coherence = load_coherence_scenario(sampled(scenario_config((2, 2, 1))), 6);
+    let hotspot = load_traffic_scenario(sampled(traffic_config()), TrafficPattern::Hotspot, 0, 24);
+    let task_queue = load_workload(sampled(workload_config()), WorkloadKind::TaskQueue);
     let runs = [
         ("busy+faults", busy_faults()),
         ("coherence", halted(coherence)),

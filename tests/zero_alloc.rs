@@ -43,7 +43,6 @@ fn steady_state_busy_cycles_allocate_nothing() {
     // at the node's *own* home page (cache-hitting after warm-up, so the
     // memory pipeline runs every iteration without faulting).
     let mut cfg = scenario_config((2, 1, 1));
-    cfg.engine = m_machine::sim::EngineConfig::serial();
     // Robustness hooks in their default stance: no fault campaign
     // armed (the per-cycle fault hook is one branch) and the liveness
     // watchdog polling every epoch. Both must cost zero allocations,
